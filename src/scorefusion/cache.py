@@ -214,14 +214,6 @@ def cache_open(path: str | Path, expected_dataset_fingerprint: str,
     return ScoreCache(root, expected_dataset_fingerprint)
 
 
-def cache_get(handle: ScoreCache, key: CacheKey) -> Optional[CacheEntry]:
-    return handle.get(key)
-
-
-def cache_put(handle: ScoreCache, entry: CacheEntry) -> None:
-    handle.put(entry)
-
-
 def cache_open_adopt(path: str | Path) -> ScoreCache:
     """Open an existing cache, adopting whatever fingerprint its manifest
     holds (used at predict time, when no dataset is in hand)."""

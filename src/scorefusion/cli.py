@@ -162,29 +162,15 @@ def _open_cache_flag(cache_dir: Optional[str]) -> Optional[ScoreCache]:
 def _model_config_doc(model: FusionModel, extra: dict) -> dict:
     """A config snapshot reconstructed from a loaded model (evaluate runs)."""
     if isinstance(model.encoder, HashedNgramEncoder):
-        enc = {
-            "dim": model.encoder.cfg.dim,
-            "ngram_sizes": list(model.encoder.cfg.ngram_sizes),
-            "buckets": model.encoder.cfg.buckets,
-            "lr_small": model.encoder.cfg.lr_small,
-        }
+        enc = model.encoder.cfg.to_dict()
     else:
         enc = {"kind": "frozen_lookup", "dim": model.encoder.dim}
-    threshold = model.fusion_cfg.threshold
     doc = {
         "label_columns": list(model.schema.labels),
         "multi_label": model.mode is TaskMode.MULTI_LABEL,
         "llm_providers": [asdict(p) for p in model.providers],
         "encoder": enc,
-        "fusion": {
-            "hidden_sizes": list(model.fusion_cfg.hidden_sizes),
-            "lr_high": model.fusion_cfg.lr_high,
-            "epochs": model.fusion_cfg.epochs,
-            "train_batch_size": model.fusion_cfg.train_batch_size,
-            "seed": model.fusion_cfg.seed,
-            "threshold": list(threshold) if isinstance(threshold, tuple)
-                         else threshold,
-        },
+        "fusion": model.fusion_cfg.to_dict(),
     }
     doc.update(extra)
     return doc

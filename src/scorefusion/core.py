@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
@@ -24,6 +24,21 @@ class TaskMode(Enum):
     @staticmethod
     def from_multi_label(multi_label: bool) -> "TaskMode":
         return TaskMode.MULTI_LABEL if multi_label else TaskMode.MULTI_CLASS
+
+
+class DictCodec:
+    """The plain-mapping form of a config dataclass (YAML, run snapshots,
+    model files): one key per field, tuples written as lists. from_dict
+    relies on the dataclass's own __post_init__ to turn lists back into
+    tuples and to validate every value."""
+
+    def to_dict(self) -> dict:
+        return {key: list(value) if isinstance(value, tuple) else value
+                for key, value in asdict(self).items()}
+
+    @classmethod
+    def from_dict(cls, doc: dict):
+        return cls(**doc)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import DictCodec
 from .errors import DataError, UnknownTextError
 
 # FNV-1a, 64-bit. The seed is XORed into the offset basis; seed 0 (the fixed
@@ -35,7 +36,7 @@ def fnv1a64(data: bytes, seed: int = HASH_SEED) -> int:
 
 
 @dataclass(frozen=True)
-class EncoderConfig:
+class EncoderConfig(DictCodec):
     """Settings for the hashed n-gram encoder.
 
     lr_small is the backbone learning rate; the fusion head trains at a
@@ -104,29 +105,6 @@ def features_to_arrays(features: dict[int, int]) -> tuple[np.ndarray, np.ndarray
     return idx, counts / counts.sum()
 
 
-def encode(text: str, params: EncoderParams, cfg: EncoderConfig) -> np.ndarray:
-    """Embedding = normalized n-gram counts times the projection matrix.
-
-    Empty text maps to the zero vector.
-    """
-    idx, weights = features_to_arrays(featurize(text, cfg))
-    if idx.size == 0:
-        return np.zeros(cfg.dim)
-    return weights @ params.projection[idx]
-
-
-def encode_batch(texts: list[str], params: EncoderParams, cfg: EncoderConfig,
-                 ml_batch_size: int = 64) -> list[np.ndarray]:
-    """Map encode over texts in order. Batching affects throughput only;
-    values are identical for every batch size."""
-    if ml_batch_size < 1:
-        raise ValueError("ml_batch_size must be >= 1")
-    out: list[np.ndarray] = []
-    for start in range(0, len(texts), ml_batch_size):
-        out.extend(encode(t, params, cfg) for t in texts[start:start + ml_batch_size])
-    return out
-
-
 def encoder_gradient_step(params: EncoderParams, grads: np.ndarray,
                           lr_small: float) -> EncoderParams:
     """Plain gradient descent on the projection: P <- P - lr * grads."""
@@ -142,7 +120,8 @@ def encoder_gradient_step(params: EncoderParams, grads: np.ndarray,
 class HashedNgramEncoder:
     """Trainable encoder object used by the pipeline.
 
-    Wraps the functional ops above and adds a sparse gradient path so the
+    Embedding = L1-normalized n-gram counts times the projection matrix;
+    empty text maps to the zero vector. The sparse gradient path means the
     training loop never materializes a dense (buckets, dim) gradient. The
     sparse update is exactly equivalent to encoder_gradient_step on a dense
     gradient that is zero outside the touched buckets.
@@ -169,10 +148,10 @@ class HashedNgramEncoder:
         return weights @ self.params.projection[idx]
 
     def encode(self, text: str) -> np.ndarray:
-        return encode(text, self.params, self.cfg)
+        return self.embed_features(self.features(text))
 
-    def encode_batch(self, texts: list[str], ml_batch_size: int = 64) -> list[np.ndarray]:
-        return encode_batch(texts, self.params, self.cfg, ml_batch_size)
+    def encode_batch(self, texts: list[str]) -> list[np.ndarray]:
+        return [self.encode(t) for t in texts]
 
     def apply_sparse_gradients(
         self,
@@ -219,7 +198,7 @@ class FrozenLookupEncoder:
                 f"unknown text for frozen encoder: {text!r}"
             ) from None
 
-    def encode_batch(self, texts: list[str], ml_batch_size: int = 64) -> list[np.ndarray]:
+    def encode_batch(self, texts: list[str]) -> list[np.ndarray]:
         return [self.encode(t) for t in texts]
 
 

@@ -20,12 +20,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LabelVector, ScoreVector, TaskMode
+from .core import DictCodec, LabelVector, ScoreVector, TaskMode
 from .llm import LLMScore
 
 
 @dataclass(frozen=True)
-class FusionConfig:
+class FusionConfig(DictCodec):
     """Fusion-head hyperparameters. lr_high is the fast rate of the
     two-rate scheme (the encoder trains at EncoderConfig.lr_small)."""
 
@@ -55,15 +55,6 @@ class FusionConfig:
             raise ValueError("lr_high must be > 0")
         if any(h < 1 for h in self.hidden_sizes):
             raise ValueError("hidden sizes must be >= 1")
-
-    def thresholds_for(self, k: int) -> np.ndarray:
-        if isinstance(self.threshold, tuple):
-            if len(self.threshold) != k:
-                raise ValueError(
-                    f"{len(self.threshold)} per-class thresholds for K={k}"
-                )
-            return np.array(self.threshold)
-        return np.full(k, self.threshold)
 
 
 @dataclass
@@ -295,20 +286,27 @@ class Prediction:
 
 def decide(logits: np.ndarray, mode: TaskMode,
            thresholds: float | Sequence[float] = 0.5) -> Prediction:
-    """Apply the mode's decision rule to one logit vector.
-
-    MULTI_CLASS: scores = softmax, decided = argmax (lowest index wins
-    ties). MULTI_LABEL: scores = per-class sigmoid, decided = every class
-    whose score is >= its threshold; the decided set may be empty.
-    """
+    """Apply the mode's decision rule to one logit vector: softmax scores
+    for MULTI_CLASS, per-class sigmoid scores for MULTI_LABEL, then
+    decide_scores."""
     z = np.asarray(logits, dtype=np.float64)
-    k = z.shape[-1]
+    probs = softmax(z) if mode is TaskMode.MULTI_CLASS else sigmoid(z)
+    return decide_scores(probs, mode, thresholds)
+
+
+def decide_scores(probs: np.ndarray, mode: TaskMode,
+                  thresholds: float | Sequence[float] = 0.5) -> Prediction:
+    """The decision rule on one vector of per-class scores in [0, 1].
+
+    MULTI_CLASS: decided = argmax (lowest index wins ties). MULTI_LABEL:
+    decided = every class whose score is >= its threshold; the decided set
+    may be empty.
+    """
+    k = probs.shape[-1]
     if mode is TaskMode.MULTI_CLASS:
-        probs = softmax(z)
         winner = int(np.argmax(probs))
         bits = tuple(1 if i == winner else 0 for i in range(k))
     else:
-        probs = sigmoid(z)
         th = np.full(k, thresholds) if np.isscalar(thresholds) \
             else np.asarray(thresholds, dtype=np.float64)
         if th.shape[0] != k:

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -287,10 +288,12 @@ class HttpChatProvider:
         self.api_key = api_key
         self.transport = transport or _requests_transport
         self.calls = 0
+        self._calls_lock = threading.Lock()
 
     def complete(self, prompt: str) -> str:
         url, headers, body = self._build_request(prompt)
-        self.calls += 1
+        with self._calls_lock:  # score_batch calls from worker threads
+            self.calls += 1
         try:
             status, text = self.transport(url, headers, body,
                                           self.pcfg.timeout_ms / 1000.0)
@@ -351,9 +354,11 @@ class MockProvider:
                       for t, scores in table.items()}
         self.schema = schema
         self.calls = 0
+        self._calls_lock = threading.Lock()
 
     def complete(self, prompt: str) -> str:
-        self.calls += 1
+        with self._calls_lock:  # score_batch calls from worker threads
+            self.calls += 1
         text = extract_prompt_text(prompt)
         scores = self.table.get(text)
         if scores is None:
@@ -466,9 +471,10 @@ def score_batch(texts: Sequence[str], schema: LabelSchema, mode: TaskMode,
     """Score many texts, cache-first, preserving input order.
 
     At most llm_batch_size requests are in flight at once. Newly fetched
-    scores are written back to the cache. If any text still fails after
-    retries the whole batch fails with the failing indices; partial results
-    are never returned silently.
+    scores are written back to the cache, also when other texts fail, so a
+    retry pays only for the failures. If any text still fails after retries
+    the whole batch fails with the failing indices; partial results are
+    never returned silently.
     """
     results: list[LLMScore | None] = [None] * len(texts)
     keys: list[CacheKey | None] = [None] * len(texts)
@@ -502,6 +508,17 @@ def score_batch(texts: Sequence[str], schema: LabelSchema, mode: TaskMode,
         with ThreadPoolExecutor(max_workers=pcfg.llm_batch_size) as pool:
             list(pool.map(fetch, missing))
 
+    if cache is not None:
+        for i in missing:
+            score = results[i]
+            if score is None:
+                continue
+            try:
+                cache.put(CacheEntry.fresh(keys[i], score.scores, score.parse_ok,
+                                           cache.fingerprint))
+            except CacheWriteError as exc:
+                logger.warning("cache write failed, continuing uncached: %s", exc)
+
     if failures:
         failures.sort(key=lambda pair: pair[0])
         indices = [i for i, _ in failures]
@@ -512,15 +529,5 @@ def score_batch(texts: Sequence[str], schema: LabelSchema, mode: TaskMode,
             last_status=getattr(first, "last_status", None),
             failed_indices=indices,
         )
-
-    if cache is not None:
-        for i in missing:
-            score = results[i]
-            assert score is not None and keys[i] is not None
-            try:
-                cache.put(CacheEntry.fresh(keys[i], score.scores, score.parse_ok,
-                                           cache.fingerprint))
-            except CacheWriteError as exc:
-                logger.warning("cache write failed, continuing uncached: %s", exc)
 
     return [score for score in results if score is not None]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -23,7 +23,6 @@ from .core import (
     Dataset,
     LabelSchema,
     LabelVector,
-    ScoreVector,
     TaskMode,
     dataset_fingerprint,
     make_dataset,
@@ -47,10 +46,10 @@ from .fusion import (
     FusionConfig,
     FusionParams,
     Prediction,
-    assemble_input,
     backward,
     batch_loss_and_dlogits,
     decide,
+    decide_scores,
     forward,
     fusion_step,
     init_fusion_params,
@@ -116,31 +115,15 @@ class AutoFusionConfig:
         return TaskMode.from_multi_label(self.multi_label)
 
     def to_dict(self) -> dict:
-        if isinstance(self.encoder, str):
-            enc: dict = {"precomputed_path": self.encoder}
-        else:
-            enc = {
-                "dim": self.encoder.dim,
-                "ngram_sizes": list(self.encoder.ngram_sizes),
-                "buckets": self.encoder.buckets,
-                "lr_small": self.encoder.lr_small,
-            }
-        threshold = self.fusion.threshold
         return {
             "label_columns": list(self.label_columns),
             "multi_label": self.multi_label,
             "text_column": self.text_column,
             "llm_providers": [asdict(p) for p in self.llm_providers],
-            "encoder": enc,
-            "fusion": {
-                "hidden_sizes": list(self.fusion.hidden_sizes),
-                "lr_high": self.fusion.lr_high,
-                "epochs": self.fusion.epochs,
-                "train_batch_size": self.fusion.train_batch_size,
-                "seed": self.fusion.seed,
-                "threshold": list(threshold) if isinstance(threshold, tuple)
-                             else threshold,
-            },
+            "encoder": {"precomputed_path": self.encoder}
+                       if isinstance(self.encoder, str)
+                       else self.encoder.to_dict(),
+            "fusion": self.fusion.to_dict(),
             "cache_dir": self.cache_dir,
             "cache_policy": self.cache_policy,
             "validation_fraction": self.validation_fraction,
@@ -157,9 +140,8 @@ _PROVIDER_KEYS = (
     "max_retries", "backoff_base_ms", "llm_batch_size", "timeout_ms",
     "mock_table",
 )
-_ENCODER_KEYS = ("dim", "ngram_sizes", "buckets", "lr_small", "precomputed_path")
-_FUSION_KEYS = ("hidden_sizes", "lr_high", "epochs", "train_batch_size",
-                "seed", "threshold")
+_ENCODER_KEYS = (*(f.name for f in fields(EncoderConfig)), "precomputed_path")
+_FUSION_KEYS = tuple(f.name for f in fields(FusionConfig))
 
 
 def _reject_unknown(doc: dict, allowed: Sequence[str], where: str) -> None:
@@ -223,11 +205,8 @@ def _encoder_from_doc(value) -> Union[EncoderConfig, str]:
                     "encoder.precomputed_path excludes other encoder keys"
                 )
             return str(value["precomputed_path"])
-        fields = dict(value)
-        if "ngram_sizes" in fields:
-            fields["ngram_sizes"] = tuple(fields["ngram_sizes"])
         try:
-            return EncoderConfig(**fields)
+            return EncoderConfig.from_dict(value)
         except ValueError as exc:
             raise ConfigurationError(f"encoder: {exc}") from None
     raise ConfigurationError(
@@ -240,13 +219,8 @@ def _fusion_from_doc(value) -> FusionConfig:
         return value
     if isinstance(value, dict):
         _reject_unknown(value, _FUSION_KEYS, "fusion")
-        fields = dict(value)
-        if "hidden_sizes" in fields:
-            fields["hidden_sizes"] = tuple(fields["hidden_sizes"])
-        if isinstance(fields.get("threshold"), list):
-            fields["threshold"] = tuple(fields["threshold"])
         try:
-            return FusionConfig(**fields)
+            return FusionConfig.from_dict(value)
         except ValueError as exc:
             raise ConfigurationError(f"fusion: {exc}") from None
     raise ConfigurationError(
@@ -288,7 +262,11 @@ def build_config(doc: dict) -> AutoFusionConfig:
 
 @dataclass
 class FusionModel:
-    """A trained classifier: encoder state + provider list + fusion head."""
+    """A trained classifier: encoder state + provider list + fusion head.
+
+    The head's input is [embedding | P*K provider scores]; with no providers
+    the model is the encoder-only baseline.
+    """
 
     schema: LabelSchema
     mode: TaskMode
@@ -298,8 +276,6 @@ class FusionModel:
     fusion_params: FusionParams
 
     def __post_init__(self):
-        if not self.providers:
-            raise ConfigurationError("a fusion model needs >= 1 provider")
         expected = self.encoder.dim + len(self.providers) * self.schema.K
         if self.fusion_params.input_dim != expected:
             raise ConfigurationError(
@@ -352,34 +328,30 @@ def _check_training_dataset(ds: Dataset, cfg: AutoFusionConfig) -> None:
         raise InvalidDatasetError(violations)
 
 
+# A diverging fit is reported by the finite-loss check, not by numpy
+# overflow warnings on the way there.
+@np.errstate(over="ignore", invalid="ignore")
 def _train(encoder, texts: Sequence[str], targets: Sequence[LabelVector],
-           score_rows: Optional[list[list[LLMScore]]], schema: LabelSchema,
-           mode: TaskMode, fcfg: FusionConfig, lr_small: float,
-           validation_fraction: float, run: Optional[RunHandle],
+           scores: np.ndarray, schema: LabelSchema, mode: TaskMode,
+           fcfg: FusionConfig, lr_small: float, validation_fraction: float,
+           run: Optional[RunHandle],
            ) -> tuple[FusionParams, Optional[MetricsReport]]:
-    """The shared two-rate loop. score_rows None trains the encoder-only
-    head (no LLM slice in the input)."""
+    """The two-rate loop over inputs [embedding | scores row]."""
     n = len(texts)
     d = encoder.dim
     k = schema.K
-    extra_width = len(score_rows[0]) * k if score_rows else 0
     _, fus_seed, shuffle_seed = _derive_seeds(fcfg.seed)
-    params = init_fusion_params(d + extra_width, fcfg.hidden_sizes, k, fus_seed)
+    params = init_fusion_params(d + scores.shape[1], fcfg.hidden_sizes, k,
+                                fus_seed)
 
     trainable = encoder.trainable
     feats = [encoder.features(t) for t in texts] if trainable else None
-    fixed = None if trainable else encoder.encode_batch(list(texts))
-
-    def embed(i: int) -> np.ndarray:
-        return encoder.embed_features(feats[i]) if trainable else fixed[i]
+    fixed = None if trainable else np.stack(encoder.encode_batch(list(texts)))
 
     def inputs_for(indices) -> np.ndarray:
-        rows = []
-        for i in indices:
-            e = embed(i)
-            rows.append(assemble_input(e, score_rows[i]) if score_rows else
-                        np.asarray(e, dtype=np.float64))
-        return np.stack(rows)
+        embs = np.stack([encoder.embed_features(feats[i]) for i in indices]) \
+            if trainable else fixed[indices]
+        return np.hstack([embs, scores[indices]])
 
     rng = np.random.default_rng(shuffle_seed)
     perm = rng.permutation(n)
@@ -396,6 +368,12 @@ def _train(encoder, texts: Sequence[str], targets: Sequence[LabelVector],
             logits, tape = forward(x, params)
             mean_loss, dlogits = batch_loss_and_dlogits(
                 logits, [targets[i] for i in batch], mode)
+            if not np.isfinite(mean_loss):
+                raise ConfigurationError(
+                    f"training diverged in epoch {epoch}: non-finite loss "
+                    f"with lr_high={fcfg.lr_high:g} and lr_small={lr_small:g}; "
+                    "lower the learning rates"
+                )
             bundle = backward(tape, dlogits, d, params)
             fusion_step(params, bundle, fcfg.lr_high)
             if trainable:
@@ -421,14 +399,42 @@ def _train(encoder, texts: Sequence[str], targets: Sequence[LabelVector],
 def _fetch_scores(texts: list[str], schema: LabelSchema, mode: TaskMode,
                   pcfgs: Sequence[ProviderConfig],
                   cache: Optional[ScoreCache],
-                  providers) -> list[list[LLMScore]]:
-    """Per-provider score lists, cache-first, in configured provider order."""
-    per_provider = []
+                  providers) -> np.ndarray:
+    """The (n, P*K) provider-score block, cache-first, providers in
+    configured order; width 0 when there are no providers."""
+    blocks = [np.empty((len(texts), 0))]
     for j, pcfg in enumerate(pcfgs):
         client = providers[j] if providers is not None else None
-        per_provider.append(score_batch(texts, schema, mode, pcfg,
-                                        cache=cache, provider=client))
-    return per_provider
+        scores = score_batch(texts, schema, mode, pcfg, cache=cache,
+                             provider=client)
+        blocks.append(np.array([s.scores for s in scores]))
+    return np.hstack(blocks)
+
+
+def _fit(ds: Dataset, cfg: AutoFusionConfig,
+         pcfgs: tuple[ProviderConfig, ...], config_doc: dict,
+         runs_root: Optional[Union[str, Path]],
+         cache: Optional[ScoreCache], providers: Optional[Sequence],
+         ) -> tuple[FusionModel, RunRecord]:
+    _check_training_dataset(ds, cfg)
+    fingerprint = dataset_fingerprint(ds)
+    if pcfgs and cache is None and cfg.cache_dir is not None:
+        cache = cache_open(cfg.cache_dir, fingerprint, policy=cfg.cache_policy)
+    texts = ds.texts()
+    scores = _fetch_scores(texts, ds.schema, ds.mode, pcfgs, cache, providers)
+    encoder = _build_encoder(cfg)
+    lr_small = cfg.encoder.lr_small if isinstance(cfg.encoder, EncoderConfig) \
+        else 0.0
+    run = run_create(runs_root, config_doc, fingerprint, ds.schema.labels)
+    targets = [row.target for row in ds.rows]
+    params, last_report = _train(
+        encoder, texts, targets, scores, ds.schema, ds.mode,
+        cfg.fusion, lr_small, cfg.validation_fraction, run)
+    model = FusionModel(ds.schema, ds.mode, encoder, pcfgs, cfg.fusion, params)
+    preds = _predict_from_scores(model, texts, scores)
+    run.store_predictions(preds, targets)
+    record = run.finalize(last_report)
+    return model, record
 
 
 def fit(ds: Dataset, cfg: AutoFusionConfig,
@@ -445,43 +451,18 @@ def fit(ds: Dataset, cfg: AutoFusionConfig,
     Returns the model plus the finalized RunRecord (epoch losses, validation
     metrics when validation_fraction > 0, and final whole-set predictions).
     """
-    _check_training_dataset(ds, cfg)
-    fingerprint = dataset_fingerprint(ds)
-    if cache is None and cfg.cache_dir is not None:
-        cache = cache_open(cfg.cache_dir, fingerprint, policy=cfg.cache_policy)
-    texts = ds.texts()
-    per_provider = _fetch_scores(texts, ds.schema, ds.mode,
-                                 cfg.llm_providers, cache, providers)
-    score_rows = [[scores[i] for scores in per_provider]
-                  for i in range(len(texts))]
-    encoder = _build_encoder(cfg)
-    lr_small = cfg.encoder.lr_small if isinstance(cfg.encoder, EncoderConfig) \
-        else 0.0
-    run = run_create(runs_root, cfg.to_dict(), fingerprint, ds.schema.labels)
-    targets = [row.target for row in ds.rows]
-    params, last_report = _train(
-        encoder, texts, targets, score_rows, ds.schema, ds.mode,
-        cfg.fusion, lr_small, cfg.validation_fraction, run)
-    model = FusionModel(ds.schema, ds.mode, encoder, cfg.llm_providers,
-                        cfg.fusion, params)
-    preds = _predict_from_scores(model, texts, per_provider)
-    run.store_predictions(preds, targets)
-    record = run.finalize(last_report)
-    return model, record
+    return _fit(ds, cfg, cfg.llm_providers, cfg.to_dict(), runs_root, cache,
+                providers)
 
 
 def _predict_from_scores(model: FusionModel, texts: Sequence[str],
-                         per_provider: list[list[LLMScore]]) -> list[Prediction]:
+                         scores: np.ndarray) -> list[Prediction]:
     if not texts:
         return []
-    embs = model.encoder.encode_batch(list(texts))
-    x = np.stack([
-        assemble_input(embs[i], [scores[i] for scores in per_provider])
-        for i in range(len(texts))
-    ])
-    logits, _ = forward(x, model.fusion_params)
-    return [decide(logits[i], model.mode, model.fusion_cfg.threshold)
-            for i in range(len(texts))]
+    embs = np.stack(model.encoder.encode_batch(list(texts)))
+    logits, _ = forward(np.hstack([embs, scores]), model.fusion_params)
+    return [decide(row, model.mode, model.fusion_cfg.threshold)
+            for row in logits]
 
 
 def predict(model: FusionModel, texts: Sequence[str],
@@ -492,9 +473,9 @@ def predict(model: FusionModel, texts: Sequence[str],
     texts = list(texts)
     if not texts:
         return []
-    per_provider = _fetch_scores(texts, model.schema, model.mode,
-                                 model.providers, cache, providers)
-    return _predict_from_scores(model, texts, per_provider)
+    scores = _fetch_scores(texts, model.schema, model.mode, model.providers,
+                           cache, providers)
+    return _predict_from_scores(model, texts, scores)
 
 
 def evaluate(model: FusionModel, ds: Dataset,
@@ -531,81 +512,35 @@ def evaluate(model: FusionModel, ds: Dataset,
 
 
 # ---------------------------------------------------------------------------
-# Single-signal baselines: encoder + head trained alone, and decisions taken
-# directly on (mean) LLM scores. Together with fit() they make the
-# three-way complementarity comparison runnable.
-
-@dataclass
-class EncoderOnlyModel:
-    """Encoder + MLP head trained without any LLM slice in the input."""
-
-    schema: LabelSchema
-    mode: TaskMode
-    encoder: Union[HashedNgramEncoder, FrozenLookupEncoder]
-    fusion_cfg: FusionConfig
-    params: FusionParams
-
+# Single-signal baselines: the fusion model with the LLM slice taken out,
+# and decisions taken directly on (mean) LLM scores. Together with fit()
+# they make the three-way complementarity comparison runnable.
 
 def fit_encoder_baseline(ds: Dataset, cfg: AutoFusionConfig,
                          runs_root: Optional[Union[str, Path]] = None,
-                         ) -> tuple[EncoderOnlyModel, RunRecord]:
-    """Train the encoder-only baseline with the same loop and seeds."""
-    _check_training_dataset(ds, cfg)
-    fingerprint = dataset_fingerprint(ds)
-    encoder = _build_encoder(cfg)
-    lr_small = cfg.encoder.lr_small if isinstance(cfg.encoder, EncoderConfig) \
-        else 0.0
+                         ) -> tuple[FusionModel, RunRecord]:
+    """Train the encoder-only baseline, a FusionModel with no providers,
+    with the same loop and seeds. Opens no cache and calls no provider."""
     config_doc = dict(cfg.to_dict(), baseline="encoder_only")
-    run = run_create(runs_root, config_doc, fingerprint, ds.schema.labels)
-    texts = ds.texts()
-    targets = [row.target for row in ds.rows]
-    params, last_report = _train(
-        encoder, texts, targets, None, ds.schema, ds.mode,
-        cfg.fusion, lr_small, cfg.validation_fraction, run)
-    model = EncoderOnlyModel(ds.schema, ds.mode, encoder, cfg.fusion, params)
-    preds = predict_encoder_baseline(model, texts)
-    run.store_predictions(preds, targets)
-    record = run.finalize(last_report)
-    return model, record
+    return _fit(ds, cfg, (), config_doc, runs_root, None, None)
 
 
-def predict_encoder_baseline(model: EncoderOnlyModel,
-                             texts: Sequence[str]) -> list[Prediction]:
-    texts = list(texts)
-    if not texts:
-        return []
-    x = np.stack(model.encoder.encode_batch(texts))
-    logits, _ = forward(x, model.params)
-    return [decide(logits[i], model.mode, model.fusion_cfg.threshold)
-            for i in range(len(texts))]
+# A model from fit_encoder_baseline has no providers, so predict needs no
+# scores for it.
+predict_encoder_baseline = predict
 
 
 def llm_only_predict(per_provider: Sequence[Sequence[LLMScore]],
                      mode: TaskMode,
                      threshold: Union[float, Sequence[float]] = 0.5,
                      ) -> list[Prediction]:
-    """Decide directly on LLM scores, averaged across providers.
-
-    MULTI_CLASS takes the argmax (lowest index wins ties); MULTI_LABEL
-    thresholds each class inclusively.
-    """
+    """Apply the decision rule directly to LLM scores, averaged across
+    providers."""
     if not per_provider:
         raise ValueError("at least one provider score list is required")
-    n = len(per_provider[0])
-    preds = []
-    for i in range(n):
-        mean = np.mean([np.asarray(scores[i].scores, dtype=np.float64)
-                        for scores in per_provider], axis=0)
-        k = mean.size
-        if mode is TaskMode.MULTI_CLASS:
-            winner = int(np.argmax(mean))
-            bits = tuple(1 if j == winner else 0 for j in range(k))
-        else:
-            th = np.full(k, threshold) if np.isscalar(threshold) \
-                else np.asarray(threshold, dtype=np.float64)
-            bits = tuple(int(s >= t) for s, t in zip(mean, th))
-        preds.append(Prediction(ScoreVector(mean.tolist()), LabelVector(bits)))
-    return preds
+    mean = np.mean([[s.scores for s in scores] for scores in per_provider],
+                   axis=0)
+    return [decide_scores(row, mode, threshold) for row in mean]
 
 
 # ---------------------------------------------------------------------------
@@ -617,10 +552,7 @@ def _encoder_to_doc(encoder) -> dict:
     if isinstance(encoder, HashedNgramEncoder):
         return {
             "kind": "hashed_ngram",
-            "dim": encoder.cfg.dim,
-            "ngram_sizes": list(encoder.cfg.ngram_sizes),
-            "buckets": encoder.cfg.buckets,
-            "lr_small": encoder.cfg.lr_small,
+            **encoder.cfg.to_dict(),
             "projection": encoder.params.projection.ravel().tolist(),
         }
     if isinstance(encoder, FrozenLookupEncoder):
@@ -632,13 +564,16 @@ def _encoder_to_doc(encoder) -> dict:
     raise ModelFormatError(f"unsupported encoder type {type(encoder).__name__}")
 
 
+def _config_from_model_doc(cls, doc: dict):
+    """A model file holds every config field (missing ones are an error)
+    beside other keys."""
+    return cls.from_dict({f.name: doc[f.name] for f in fields(cls)})
+
+
 def _encoder_from_model_doc(doc: dict):
     kind = doc["kind"]
     if kind == "hashed_ngram":
-        cfg = EncoderConfig(dim=doc["dim"],
-                            ngram_sizes=tuple(doc["ngram_sizes"]),
-                            buckets=doc["buckets"],
-                            lr_small=doc["lr_small"])
+        cfg = _config_from_model_doc(EncoderConfig, doc)
         flat = np.asarray(doc["projection"], dtype=np.float64)
         if flat.size != cfg.buckets * cfg.dim:
             raise ModelFormatError(
@@ -656,7 +591,6 @@ def _encoder_from_model_doc(doc: dict):
 
 def save_model(model: FusionModel, path: Union[str, Path]) -> None:
     """Persist a model as a single self-contained JSON file."""
-    threshold = model.fusion_cfg.threshold
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "labels": list(model.schema.labels),
@@ -664,13 +598,7 @@ def save_model(model: FusionModel, path: Union[str, Path]) -> None:
         "providers": [asdict(p) for p in model.providers],
         "encoder": _encoder_to_doc(model.encoder),
         "fusion": {
-            "hidden_sizes": list(model.fusion_cfg.hidden_sizes),
-            "lr_high": model.fusion_cfg.lr_high,
-            "epochs": model.fusion_cfg.epochs,
-            "train_batch_size": model.fusion_cfg.train_batch_size,
-            "seed": model.fusion_cfg.seed,
-            "threshold": list(threshold) if isinstance(threshold, tuple)
-                         else threshold,
+            **model.fusion_cfg.to_dict(),
             "layers": [
                 {
                     "shape": list(w.shape),
@@ -708,16 +636,7 @@ def load_model(path: Union[str, Path]) -> FusionModel:
         providers = tuple(ProviderConfig(**p) for p in doc["providers"])
         encoder = _encoder_from_model_doc(doc["encoder"])
         fdoc = doc["fusion"]
-        threshold = fdoc["threshold"]
-        fusion_cfg = FusionConfig(
-            hidden_sizes=tuple(fdoc["hidden_sizes"]),
-            lr_high=fdoc["lr_high"],
-            epochs=fdoc["epochs"],
-            train_batch_size=fdoc["train_batch_size"],
-            seed=fdoc["seed"],
-            threshold=tuple(threshold) if isinstance(threshold, list)
-                      else threshold,
-        )
+        fusion_cfg = _config_from_model_doc(FusionConfig, fdoc)
         weights, biases = [], []
         for layer in fdoc["layers"]:
             shape = tuple(layer["shape"])

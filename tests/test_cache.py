@@ -50,8 +50,8 @@ class TestPutGet:
         cache = sf.cache_open(tmp_path / "c", FP_A)
         scores = (0.1, 0.2, 0.7)  # not exactly representable; must survive
         entry = _entry(cache, scores=scores, parse_ok=False)
-        sf.cache_put(cache, entry)
-        got = sf.cache_get(cache, entry.key)
+        cache.put(entry)
+        got = cache.get(entry.key)
         assert got is not None
         assert got.scores == scores
         assert got.parse_ok is False
@@ -59,12 +59,12 @@ class TestPutGet:
 
     def test_miss_on_absent_key(self, tmp_path):
         cache = sf.cache_open(tmp_path / "c", FP_A)
-        assert sf.cache_get(cache, _key()) is None
+        assert cache.get(_key()) is None
 
     def test_shard_is_text_digest_prefix(self, tmp_path):
         cache = sf.cache_open(tmp_path / "c", FP_A)
         key = _key(text_digest="ab" + "0" * 62)
-        sf.cache_put(cache, _entry(cache, key))
+        cache.put(_entry(cache, key))
         shard = tmp_path / "c" / "ab"
         assert shard.is_dir()
         assert (shard / (key.key_string + ".json")).is_file()
@@ -73,55 +73,55 @@ class TestPutGet:
         cache = sf.cache_open(tmp_path / "c", FP_A)
         for i in range(10):
             key = _key(text_digest=f"{i:02d}" + "0" * 62)
-            sf.cache_put(cache, _entry(cache, key))
+            cache.put(_entry(cache, key))
         leftovers = [p for p in (tmp_path / "c").rglob("*") if ".tmp" in p.name]
         assert leftovers == []
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         cache = sf.cache_open(tmp_path / "c", FP_A)
         key = _key()
-        sf.cache_put(cache, _entry(cache, key))
+        cache.put(_entry(cache, key))
         path = cache._entry_path(key)
         path.write_text("{ not json", encoding="utf-8")
-        assert sf.cache_get(cache, key) is None
+        assert cache.get(key) is None
         # and a fresh put heals it
-        sf.cache_put(cache, _entry(cache, key, scores=(0.5, 0.5)))
-        assert sf.cache_get(cache, key).scores == (0.5, 0.5)
+        cache.put(_entry(cache, key, scores=(0.5, 0.5)))
+        assert cache.get(key).scores == (0.5, 0.5)
 
     def test_entry_missing_field_is_miss(self, tmp_path):
         cache = sf.cache_open(tmp_path / "c", FP_A)
         key = _key()
-        sf.cache_put(cache, _entry(cache, key))
+        cache.put(_entry(cache, key))
         path = cache._entry_path(key)
         doc = json.loads(path.read_text(encoding="utf-8"))
         del doc["scores"]
         path.write_text(json.dumps(doc), encoding="utf-8")
-        assert sf.cache_get(cache, key) is None
+        assert cache.get(key) is None
 
     def test_entry_fingerprint_mismatch_is_miss(self, tmp_path):
         # simulate a stale entry surviving a warn-policy reopen
         cache_a = sf.cache_open(tmp_path / "c", FP_A)
         key = _key()
-        sf.cache_put(cache_a, _entry(cache_a, key))
+        cache_a.put(_entry(cache_a, key))
         cache_b = sf.cache_open(tmp_path / "c", FP_B, policy="warn")
-        assert sf.cache_get(cache_b, key) is None
+        assert cache_b.get(key) is None
         # refetched entry under the new fingerprint hits again
-        sf.cache_put(cache_b, _entry(cache_b, key, scores=(0.0, 1.0)))
-        assert sf.cache_get(cache_b, key).scores == (0.0, 1.0)
+        cache_b.put(_entry(cache_b, key, scores=(0.0, 1.0)))
+        assert cache_b.get(key).scores == (0.0, 1.0)
 
     def test_put_rejects_out_of_range_scores(self, tmp_path):
         cache = sf.cache_open(tmp_path / "c", FP_A)
         with pytest.raises(ValueError):
-            sf.cache_put(cache, _entry(cache, scores=(1.5, 0.0)))
+            cache.put(_entry(cache, scores=(1.5, 0.0)))
         with pytest.raises(ValueError):
-            sf.cache_put(cache, _entry(cache, scores=(float("nan"), 0.0)))
+            cache.put(_entry(cache, scores=(float("nan"), 0.0)))
 
     def test_overwrite_same_key(self, tmp_path):
         cache = sf.cache_open(tmp_path / "c", FP_A)
         key = _key()
-        sf.cache_put(cache, _entry(cache, key, scores=(0.0, 1.0)))
-        sf.cache_put(cache, _entry(cache, key, scores=(1.0, 0.0)))
-        assert sf.cache_get(cache, key).scores == (1.0, 0.0)
+        cache.put(_entry(cache, key, scores=(0.0, 1.0)))
+        cache.put(_entry(cache, key, scores=(1.0, 0.0)))
+        assert cache.get(key).scores == (1.0, 0.0)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0,
                               allow_nan=False), min_size=1, max_size=6),
@@ -130,8 +130,8 @@ class TestPutGet:
         root = tmp_path_factory.mktemp("cc")
         cache = sf.cache_open(root, FP_A)
         entry = _entry(cache, scores=tuple(scores), parse_ok=parse_ok)
-        sf.cache_put(cache, entry)
-        got = sf.cache_get(cache, entry.key)
+        cache.put(entry)
+        got = cache.get(entry.key)
         assert got.scores == tuple(scores)
         assert got.parse_ok is parse_ok
 

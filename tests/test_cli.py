@@ -123,6 +123,14 @@ class TestTrain:
         assert code == 1
         assert "KEY=VALUE" in err
 
+    def test_diverging_fit_exit_1(self, workdir, capsys):
+        code, _, err = _train(workdir, capsys,
+                              "--set", "fusion.lr_high=1000000.0")
+        assert code == 1
+        assert err.startswith("error[config]:")
+        assert err.count("\n") == 1
+        assert "lr_high=1e+06" in err
+
     def test_seed_flag_changes_model(self, workdir, capsys):
         _train(workdir, capsys, "--seed", "1")
         first = (workdir / "model.json").read_bytes()

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 import scorefusion as sf
 from scorefusion.encoder import (
     EncoderParams,
-    encode,
-    encode_batch,
     encoder_gradient_step,
     features_to_arrays,
     featurize,
@@ -89,20 +87,19 @@ class TestEncode:
         feats = featurize(text, self.CFG)
         idx, weights = features_to_arrays(feats)
         expected = weights @ params.projection[idx]
-        np.testing.assert_allclose(encode(text, params, self.CFG), expected,
-                                   rtol=0, atol=0)
+        enc = sf.HashedNgramEncoder(self.CFG, params=params)
+        np.testing.assert_allclose(enc.encode(text), expected, rtol=0, atol=0)
 
     def test_empty_text_is_zero_vector(self):
-        params = init_encoder_params(self.CFG, seed=0)
-        np.testing.assert_array_equal(encode("", params, self.CFG),
-                                      np.zeros(3))
+        enc = sf.HashedNgramEncoder(self.CFG, seed=0)
+        np.testing.assert_array_equal(enc.encode(""), np.zeros(3))
 
     def test_batch_equals_per_row(self):
-        params = init_encoder_params(self.CFG, seed=1)
+        enc = sf.HashedNgramEncoder(self.CFG, seed=1)
         texts = ["one text", "another text", "third text here", ""]
-        batch = encode_batch(texts, params, self.CFG, ml_batch_size=2)
+        batch = enc.encode_batch(texts)
         for text, row in zip(texts, batch):
-            np.testing.assert_array_equal(row, encode(text, params, self.CFG))
+            np.testing.assert_array_equal(row, enc.encode(text))
 
     def test_init_deterministic_by_seed(self):
         a = init_encoder_params(self.CFG, seed=7)
@@ -197,6 +194,17 @@ class TestEncoderConfig:
         assert cfg.ngram_sizes == (3, 4)
         assert cfg.buckets == 2 ** 15
         assert cfg.lr_small == pytest.approx(1e-3)
+
+    @given(dim=st.integers(1, 64),
+           ngram_sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+           extra_buckets=st.integers(0, 2 ** 16),
+           lr_small=st.floats(1e-9, 10.0))
+    def test_dict_round_trip(self, dim, ngram_sizes, extra_buckets, lr_small):
+        cfg = sf.EncoderConfig(dim=dim, ngram_sizes=tuple(ngram_sizes),
+                               buckets=dim + extra_buckets, lr_small=lr_small)
+        doc = cfg.to_dict()
+        assert doc["ngram_sizes"] == list(ngram_sizes)
+        assert sf.EncoderConfig.from_dict(doc) == cfg
 
 
 class TestFrozenLookupEncoder:

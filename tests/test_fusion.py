@@ -422,10 +422,21 @@ class TestFusionConfig:
         with pytest.raises(ValueError):
             sf.FusionConfig(hidden_sizes=(0,))
 
-    def test_thresholds_for(self):
-        assert sf.FusionConfig(threshold=0.3).thresholds_for(4).tolist() == \
-            [0.3] * 4
-        cfg = sf.FusionConfig(threshold=(0.2, 0.8))
-        assert cfg.thresholds_for(2).tolist() == [0.2, 0.8]
-        with pytest.raises(ValueError):
-            cfg.thresholds_for(3)
+    _threshold = st.floats(0.01, 0.99)
+
+    @given(hidden_sizes=st.lists(st.integers(1, 256), max_size=3),
+           lr_high=st.floats(1e-9, 10.0), epochs=st.integers(1, 500),
+           train_batch_size=st.integers(1, 512), seed=st.integers(0, 2 ** 32),
+           threshold=_threshold | st.lists(_threshold, min_size=1,
+                                           max_size=5).map(tuple))
+    def test_dict_round_trip(self, hidden_sizes, lr_high, epochs,
+                             train_batch_size, seed, threshold):
+        cfg = sf.FusionConfig(hidden_sizes=tuple(hidden_sizes), lr_high=lr_high,
+                              epochs=epochs, train_batch_size=train_batch_size,
+                              seed=seed, threshold=threshold)
+        doc = cfg.to_dict()
+        assert doc["hidden_sizes"] == list(hidden_sizes)
+        assert doc["threshold"] == (list(threshold)
+                                    if isinstance(threshold, tuple)
+                                    else threshold)
+        assert sf.FusionConfig.from_dict(doc) == cfg

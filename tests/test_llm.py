@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -433,6 +435,23 @@ class TestScoreBatch:
                            _sleep=lambda s: None)
         assert info.value.failed_indices == [1, 3]
 
+    def test_partial_failure_keeps_fetched_scores(self, tmp_path):
+        texts = [f"t{i}" for i in range(6)]
+        table = {t: (0.2, 0.3, 0.5) for t in texts}
+        cache = sf.cache_open(tmp_path / "c", "f" * 64)
+        pcfg = self._pcfg(max_retries=0)
+        flaky = _FlakyProvider(table, SCHEMA, fail_texts={"t4"})
+        with pytest.raises(sf.ProviderUnavailableError) as info:
+            sf.score_batch(texts, SCHEMA, MC, pcfg, cache=cache,
+                           provider=flaky, _sleep=lambda s: None)
+        assert info.value.failed_indices == [4]
+        assert info.value.last_status == 503
+        healthy = sf.MockProvider(table, SCHEMA)
+        out = sf.score_batch(texts, SCHEMA, MC, pcfg, cache=cache,
+                             provider=healthy)
+        assert healthy.calls == 1  # only the text that failed
+        assert [s.scores for s in out] == [table[t] for t in texts]
+
     def test_retry_recovers_inside_batch(self):
         provider = _FlakyProvider(self.TABLE, SCHEMA, fail_first=2)
         pcfg = self._pcfg(max_retries=2, llm_batch_size=1)
@@ -453,6 +472,31 @@ class TestScoreBatch:
         provider = sf.MockProvider({}, SCHEMA)
         assert sf.score_batch([], SCHEMA, MC, self._pcfg(),
                               provider=provider) == []
+
+
+class TestMockProviderCalls:
+    def test_exact_count_across_threads(self):
+        provider = sf.MockProvider({"x": (0.2, 0.3, 0.5)}, SCHEMA)
+        prompt = sf.build_prompt("x", SCHEMA, MC)
+        n_threads, per_thread = 8, 500
+        barrier = threading.Barrier(n_threads)
+
+        def work():
+            barrier.wait()
+            for _ in range(per_thread):
+                provider.complete(prompt)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            threads = [threading.Thread(target=work) for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert provider.calls == n_threads * per_thread
 
 
 class TestMakeCacheKey:

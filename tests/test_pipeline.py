@@ -4,6 +4,7 @@ caching behavior, baselines, and the classifier wrapper."""
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +201,15 @@ class TestFit:
         assert (tmp_path / "a.json").read_bytes() != \
             (tmp_path / "b.json").read_bytes()
 
+    def test_divergence_raises_configuration_error(self, toy_dataset,
+                                                   toy_table):
+        cfg = small_fusion_config(
+            fusion=sf.FusionConfig(hidden_sizes=(16,), epochs=30,
+                                   lr_high=1e6, train_batch_size=8, seed=42))
+        with pytest.raises(sf.ConfigurationError,
+                           match=r"epoch \d+.*lr_high=1e\+06.*lr_small=0.05"):
+            _fit_toy(toy_dataset, toy_table, cfg)
+
     def test_run_directory_layout(self, toy_dataset, toy_table, tmp_path):
         _, record, _ = _fit_toy(toy_dataset, toy_table,
                                 runs_root=tmp_path / "runs")
@@ -367,6 +377,25 @@ class TestSaveLoad:
                           loaded.fusion_params.weights):
             assert np.array_equal(w1, w2)
 
+    # A multi-label model with two providers and per-class thresholds,
+    # written by the format-1 writer, plus its decisions on three texts.
+    V1_MODEL = Path(__file__).parent / "data" / "model_v1.json"
+    V1_EXPECTED = Path(__file__).parent / "data" / "model_v1_expected.json"
+
+    def test_v1_file_resaves_byte_identical(self, tmp_path):
+        sf.save_model(sf.load_model(self.V1_MODEL), tmp_path / "m.json")
+        assert (tmp_path / "m.json").read_bytes() == self.V1_MODEL.read_bytes()
+
+    def test_v1_file_decisions(self):
+        model = sf.load_model(self.V1_MODEL)
+        expected = json.loads(self.V1_EXPECTED.read_text(encoding="utf-8"))
+        texts = expected["texts"]
+        providers = [sf.MockProvider(dict(zip(texts, rows)), model.schema)
+                     for rows in expected["provider_tables"]]
+        preds = sf.predict(model, texts, providers=providers)
+        assert [list(p.decided.bits) for p in preds] == expected["decided"]
+        assert [list(p.scores.values) for p in preds] == expected["scores"]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(sf.ModelFormatError, match="cannot read"):
             sf.load_model(tmp_path / "absent.json")
@@ -455,10 +484,13 @@ class TestFrozenEncoder:
 
 
 class TestBaselines:
-    def test_encoder_baseline_learns_toy(self, toy_dataset):
-        cfg = small_fusion_config()
+    def test_encoder_baseline_learns_toy(self, toy_dataset, tmp_path):
+        cfg = small_fusion_config(cache_dir=str(tmp_path / "cache"))
         model, record = sf.fit_encoder_baseline(toy_dataset, cfg)
-        assert isinstance(model, sf.EncoderOnlyModel)
+        assert isinstance(model, sf.FusionModel)
+        assert model.providers == ()
+        assert model.input_dim == cfg.encoder.dim
+        assert not (tmp_path / "cache").exists()  # no scores, no cache
         assert record.config["baseline"] == "encoder_only"
         preds = sf.predict_encoder_baseline(model, list(TOY_TEXTS))
         want = [(1, 0) if i % 2 == 0 else (0, 1) for i in range(8)]

@@ -1,0 +1,31 @@
+"""The public surface stays in sync with the code: every exported name
+resolves, and the scripts run against the current API."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import scorefusion as sf
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_export_resolves():
+    missing = [name for name in sf.__all__ if not hasattr(sf, name)]
+    assert missing == []
+
+
+def test_run_complementarity_script_smoke():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_complementarity.py"),
+         "--rows", "200", "--epochs", "2"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    for name in ("encoder-only", "llm-only", "fusion"):
+        assert f"{name} accuracy:" in result.stdout
