@@ -12,6 +12,7 @@ vectors can be substituted via the frozen lookup encoder.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -92,39 +93,121 @@ def featurize(text: str, cfg: EncoderConfig) -> dict[int, int]:
     return counts
 
 
-def features_to_arrays(features: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """L1-normalized sparse view of a feature map: (bucket indices, weights).
+# Rows featurized per bulk pass. The per-gram intermediates of a pass grow
+# with its text volume, so chunking bounds peak memory on large corpora.
+_FEATURIZE_CHUNK_ROWS = 256
 
-    Weights sum to 1 for non-empty maps, so embedding scale is independent
-    of text length.
+
+@dataclass(frozen=True)
+class CsrRows:
+    """L1-normalized hashed n-gram features of several texts, row-compressed.
+
+    Row i holds buckets idx[indptr[i]:indptr[i+1]] (int64, in order of first
+    occurrence) with weights w[...] (float64, summing to 1 for a non-empty
+    row); an empty or too-short text is an empty row.
     """
-    if not features:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    idx = np.fromiter(features.keys(), dtype=np.int64, count=len(features))
-    counts = np.fromiter(features.values(), dtype=np.float64, count=len(features))
-    return idx, counts / counts.sum()
+
+    indptr: np.ndarray
+    idx: np.ndarray
+    w: np.ndarray
+
+    def __len__(self) -> int:
+        return self.indptr.size - 1
+
+    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        a, b = self.indptr[i], self.indptr[i + 1]
+        return self.idx[a:b], self.w[a:b]
+
+    def row_ids(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
+    def take(self, rows: np.ndarray) -> "CsrRows":
+        """The given rows, in the given order."""
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        pos = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return CsrRows(indptr, self.idx[pos], self.w[pos])
 
 
-def encoder_gradient_step(params: EncoderParams, grads: np.ndarray,
-                          lr_small: float) -> EncoderParams:
-    """Plain gradient descent on the projection: P <- P - lr * grads."""
-    if grads.shape != params.projection.shape:
-        raise ValueError(
-            f"gradient shape {grads.shape} does not match projection "
-            f"{params.projection.shape}"
-        )
-    params.projection -= lr_small * grads
-    return params
+def _fnv1a64_spans(data: np.ndarray, starts: np.ndarray,
+                   lengths: np.ndarray) -> np.ndarray:
+    """fnv1a64 of every byte span data[start:start+length], as uint64.
+
+    Spans are hashed in groups of equal length, one xor-multiply round per
+    byte over the whole group; uint64 arithmetic wraps like the & _U64 mask.
+    """
+    out = np.empty(starts.size, dtype=np.uint64)
+    basis = np.uint64((_FNV_OFFSET ^ HASH_SEED) & _U64)
+    prime = np.uint64(_FNV_PRIME)
+    for length in np.unique(lengths).tolist():
+        sel = np.flatnonzero(lengths == length)
+        first = starts[sel]
+        h = np.full(sel.size, basis, dtype=np.uint64)
+        for k in range(length):
+            h ^= data[first + k]
+            h *= prime
+        out[sel] = h
+    return out
+
+
+def _featurize_chunk(texts: Sequence[str], cfg: EncoderConfig) -> CsrRows:
+    lowered = [t.lower() for t in texts]
+    n_rows = len(lowered)
+    n_chars = np.fromiter(map(len, lowered), dtype=np.int64, count=n_rows)
+    data = np.frombuffer("".join(lowered).encode("utf-8"), dtype=np.uint8)
+    # Byte offset of every character (its UTF-8 lead byte), plus the end.
+    bounds = np.append(np.flatnonzero((data & 0xC0) != 0x80), data.size)
+    char_row = np.repeat(np.arange(n_rows), n_chars)
+    row_end = np.repeat(np.cumsum(n_chars), n_chars)
+    char_pos = np.arange(char_row.size)
+    rows, buckets = [], []
+    for n in cfg.ngram_sizes:
+        pos = np.flatnonzero(char_pos + n <= row_end)
+        starts = bounds[pos]
+        hashes = _fnv1a64_spans(data, starts, bounds[pos + n] - starts)
+        rows.append(char_row[pos])
+        buckets.append((hashes % np.uint64(cfg.buckets)).astype(np.int64))
+    # Grams in featurize's order: by row, then n-gram size, then position.
+    row = np.concatenate(rows)
+    order = np.argsort(row, kind="stable")
+    keys = row[order] * cfg.buckets + np.concatenate(buckets)[order]
+    uniq, first, counts = np.unique(keys, return_index=True,
+                                    return_counts=True)
+    by_first = np.argsort(first)
+    uniq, counts = uniq[by_first], counts[by_first]
+    entry_row = uniq // cfg.buckets
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(entry_row, minlength=n_rows), out=indptr[1:])
+    grams_per_row = np.bincount(row, minlength=n_rows)
+    return CsrRows(indptr, uniq % cfg.buckets,
+                   counts / grams_per_row[entry_row])
+
+
+def featurize_rows(texts: Sequence[str], cfg: EncoderConfig) -> CsrRows:
+    """featurize for many texts at once, L1-normalized into CSR rows.
+
+    Row i equals featurize(texts[i]) element for element: the same buckets
+    in the same order, with weights counts / counts.sum().
+    """
+    parts = [_featurize_chunk(texts[s:s + _FEATURIZE_CHUNK_ROWS], cfg)
+             for s in range(0, max(len(texts), 1), _FEATURIZE_CHUNK_ROWS)]
+    indptr = np.zeros(len(texts) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([np.diff(p.indptr) for p in parts]),
+              out=indptr[1:])
+    return CsrRows(indptr, np.concatenate([p.idx for p in parts]),
+                   np.concatenate([p.w for p in parts]))
 
 
 class HashedNgramEncoder:
     """Trainable encoder object used by the pipeline.
 
     Embedding = L1-normalized n-gram counts times the projection matrix;
-    empty text maps to the zero vector. The sparse gradient path means the
-    training loop never materializes a dense (buckets, dim) gradient. The
-    sparse update is exactly equivalent to encoder_gradient_step on a dense
-    gradient that is zero outside the touched buckets.
+    empty text maps to the zero vector. Texts are featurized in bulk into
+    CsrRows, and the sparse gradient path touches only the buckets a batch
+    uses, never materializing a dense (buckets, dim) gradient.
     """
 
     trainable = True
@@ -138,37 +221,45 @@ class HashedNgramEncoder:
     def dim(self) -> int:
         return self.cfg.dim
 
-    def features(self, text: str) -> tuple[np.ndarray, np.ndarray]:
-        return features_to_arrays(featurize(text, self.cfg))
+    def features(self, texts: Sequence[str]) -> CsrRows:
+        return featurize_rows(texts, self.cfg)
 
-    def embed_features(self, feats: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        idx, weights = feats
-        if idx.size == 0:
-            return np.zeros(self.cfg.dim)
-        return weights @ self.params.projection[idx]
+    def embed_features(self, feats: CsrRows) -> np.ndarray:
+        """(len(feats), dim) embeddings, one `w @ P[idx]` per row.
+
+        The per-row product keeps the exact arithmetic saved models were
+        trained and checked with; a batched gather-reduce rounds differently.
+        """
+        out = np.zeros((len(feats), self.cfg.dim))
+        projection, idx, w = self.params.projection, feats.idx, feats.w
+        indptr = feats.indptr.tolist()
+        for i in range(len(feats)):
+            a, b = indptr[i], indptr[i + 1]
+            if a < b:
+                out[i] = w[a:b] @ projection[idx[a:b]]
+        return out
 
     def encode(self, text: str) -> np.ndarray:
-        return self.embed_features(self.features(text))
+        return self.encode_batch([text])[0]
 
-    def encode_batch(self, texts: list[str]) -> list[np.ndarray]:
-        return [self.encode(t) for t in texts]
+    def encode_batch(self, texts: Sequence[str]) -> np.ndarray:
+        return self.embed_features(self.features(texts))
 
-    def apply_sparse_gradients(
-        self,
-        feats_batch: list[tuple[np.ndarray, np.ndarray]],
-        embedding_grads: list[np.ndarray],
-        lr_small: float,
-    ) -> None:
-        """SGD step from per-example embedding gradients.
+    def apply_sparse_gradients(self, feats: CsrRows, embedding_grads: np.ndarray,
+                               lr_small: float) -> None:
+        """SGD step from per-example embedding gradients, shape (B, dim).
 
-        Each row contributes dL/dP[b, :] = weight_b * dL/d(embedding); the
+        dL/dP[b, :] = sum over rows r of weight_rb * dL/d(embedding_r); the
         embedding grads must already carry any 1/batch factor from the loss.
-        Only buckets active in the batch are touched.
+        The touched buckets form a dense (B, U) weight matrix M, so the
+        whole step is P[u] -= lr_small * (M.T @ G).
         """
-        for (idx, weights), g in zip(feats_batch, embedding_grads):
-            if idx.size == 0:
-                continue
-            self.params.projection[idx] -= lr_small * np.outer(weights, g)
+        if feats.idx.size == 0:
+            return
+        touched, col = np.unique(feats.idx, return_inverse=True)
+        weights = np.zeros((len(feats), touched.size))
+        weights[feats.row_ids(), col] = feats.w
+        self.params.projection[touched] -= lr_small * (weights.T @ embedding_grads)
 
 
 class FrozenLookupEncoder:
@@ -198,8 +289,9 @@ class FrozenLookupEncoder:
                 f"unknown text for frozen encoder: {text!r}"
             ) from None
 
-    def encode_batch(self, texts: list[str]) -> list[np.ndarray]:
-        return [self.encode(t) for t in texts]
+    def encode_batch(self, texts: Sequence[str]) -> np.ndarray:
+        return np.array([self.encode(t) for t in texts]).reshape(
+            len(texts), self._dim)
 
 
 def load_precomputed_embeddings(path: str) -> FrozenLookupEncoder:

@@ -21,7 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import DictCodec, LabelVector, ScoreVector, TaskMode
-from .llm import LLMScore
 
 
 @dataclass(frozen=True)
@@ -92,17 +91,6 @@ def init_fusion_params(input_dim: int, hidden_sizes: Sequence[int], k: int,
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
     return FusionParams(weights, biases)
-
-
-def assemble_input(embedding: np.ndarray,
-                   llm_scores: Sequence[LLMScore]) -> np.ndarray:
-    """Fused input: embedding first, then each provider's K scores in
-    configured provider order. Length D + P*K."""
-    if not llm_scores:
-        raise ValueError("at least one provider score vector is required")
-    parts = [np.asarray(embedding, dtype=np.float64)]
-    parts.extend(np.asarray(s.scores, dtype=np.float64) for s in llm_scores)
-    return np.concatenate(parts)
 
 
 @dataclass
@@ -255,22 +243,31 @@ def grad_loss_multilabel(logits: np.ndarray, target: LabelVector) -> np.ndarray:
     return (sigmoid(z) - y) / z.shape[-1]
 
 
-def batch_loss_and_dlogits(logits: np.ndarray, targets: Sequence[LabelVector],
+def batch_loss_and_dlogits(logits: np.ndarray, targets: np.ndarray,
                            mode: TaskMode) -> tuple[float, np.ndarray]:
-    """Mean loss over a batch plus d(mean loss)/d logits, row per example."""
-    n = logits.shape[0]
-    dlogits = np.empty_like(logits)
-    total = 0.0
-    for i in range(n):
-        target = targets[i]
-        if mode is TaskMode.MULTI_CLASS:
-            idx = target.active_indices()[0]
-            total += loss_multiclass(logits[i], idx)
-            dlogits[i] = grad_loss_multiclass(logits[i], idx)
-        else:
-            total += loss_multilabel(logits[i], target)
-            dlogits[i] = grad_loss_multilabel(logits[i], target)
-    return total / n, dlogits / n
+    """Mean loss over a batch plus d(mean loss)/d logits, row per example.
+
+    `targets` is the (B, K) 0/1 target matrix. Each row's loss and dlogits
+    use the arithmetic of loss_*/grad_loss_*, and the mean is summed in
+    row order, so the result matches a loop over the single-row functions.
+    """
+    z = np.asarray(logits, dtype=np.float64)
+    y = np.asarray(targets, dtype=np.float64)
+    if z.shape != y.shape:
+        raise ValueError(f"logits shape {z.shape} != targets shape {y.shape}")
+    n, k = z.shape
+    if mode is TaskMode.MULTI_CLASS:
+        m = z.max(axis=1, keepdims=True)
+        e = np.exp(z - m)
+        s = e.sum(axis=1, keepdims=True)
+        target_logit = z[np.arange(n), y.argmax(axis=1)]
+        losses = (m + np.log(s))[:, 0] - target_logit
+        dlogits = e / s - y
+    else:
+        per_class = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+        losses = per_class.mean(axis=1)
+        dlogits = (sigmoid(z) - y) / k
+    return float(np.cumsum(losses)[-1] / n), dlogits / n
 
 
 @dataclass(frozen=True)
@@ -289,9 +286,14 @@ def decide(logits: np.ndarray, mode: TaskMode,
     """Apply the mode's decision rule to one logit vector: softmax scores
     for MULTI_CLASS, per-class sigmoid scores for MULTI_LABEL, then
     decide_scores."""
+    return decide_scores(probabilities(logits, mode), mode, thresholds)
+
+
+def probabilities(logits: np.ndarray, mode: TaskMode) -> np.ndarray:
+    """Per-class scores for one logit vector or a (n, K) batch: softmax
+    for MULTI_CLASS, elementwise sigmoid for MULTI_LABEL."""
     z = np.asarray(logits, dtype=np.float64)
-    probs = softmax(z) if mode is TaskMode.MULTI_CLASS else sigmoid(z)
-    return decide_scores(probs, mode, thresholds)
+    return softmax(z) if mode is TaskMode.MULTI_CLASS else sigmoid(z)
 
 
 def decide_scores(probs: np.ndarray, mode: TaskMode,

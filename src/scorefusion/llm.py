@@ -19,8 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import requests
-
 from .cache import CacheEntry, CacheKey, ScoreCache
 from .core import LabelSchema, TaskMode, text_digest
 from .errors import CacheWriteError, ConfigurationError, ProviderUnavailableError
@@ -253,15 +251,24 @@ def parse_scores(response_text: str, schema: LabelSchema) -> LLMScore:
 
 
 class TransientProviderError(Exception):
-    """Internal: a single attempt failed (transport error or bad status)."""
+    """Internal: a single attempt failed in a way worth retrying (transport
+    error, retryable status, or a malformed response envelope)."""
 
     def __init__(self, status: int | None, detail: str):
         super().__init__(detail)
         self.status = status
 
 
+def _retryable_status(status: int) -> bool:
+    """Request timeout, rate limiting and server errors may pass on retry;
+    any other 4xx will fail the same way every time."""
+    return status in (408, 429) or status >= 500
+
+
 def _requests_transport(url: str, headers: dict, body: dict,
                         timeout_s: float) -> tuple[int, str]:
+    import requests  # deferred: it costs about a third of the CLI import
+
     resp = requests.post(url, headers=headers, json=body, timeout=timeout_s)
     return resp.status_code, resp.text
 
@@ -300,7 +307,14 @@ class HttpChatProvider:
         except Exception as exc:
             raise TransientProviderError(None, f"transport error: {exc}") from exc
         if not 200 <= status < 300:
-            raise TransientProviderError(status, f"status {status}: {text[:200]}")
+            detail = f"status {status}: {text[:200]}"
+            if not _retryable_status(status):
+                raise ProviderUnavailableError(
+                    f"provider {self.pcfg.provider_id} rejected the request "
+                    f"(not retried): {detail}",
+                    last_status=status,
+                )
+            raise TransientProviderError(status, detail)
         try:
             return self._extract_message(text)
         except (ValueError, KeyError, IndexError, TypeError) as exc:
@@ -429,10 +443,11 @@ def score_text(text: str, schema: LabelSchema, mode: TaskMode,
     """Score one text with retries.
 
     Sends the build_prompt output to the provider at the configured
-    temperature. On transport error or non-success status, retries up to
-    max_retries with exponential backoff (backoff_base_ms * 2^attempt).
-    Returns parse_scores of the final body; raises ProviderUnavailableError
-    once retries are exhausted.
+    temperature. On a transport error, a malformed envelope or status 408,
+    429 or 5xx, retries up to max_retries with exponential backoff
+    (backoff_base_ms * 2^attempt). Returns parse_scores of the final body;
+    raises ProviderUnavailableError once retries are exhausted, and at once
+    for any other non-success status.
     """
     if provider is None:
         provider = make_provider(pcfg, schema)

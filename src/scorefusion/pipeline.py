@@ -29,6 +29,7 @@ from .core import (
     validate_dataset,
 )
 from .encoder import (
+    CsrRows,
     EncoderConfig,
     EncoderParams,
     FrozenLookupEncoder,
@@ -48,11 +49,11 @@ from .fusion import (
     Prediction,
     backward,
     batch_loss_and_dlogits,
-    decide,
     decide_scores,
     forward,
     fusion_step,
     init_fusion_params,
+    probabilities,
 )
 from .llm import LLMScore, ProviderConfig, make_provider_config, score_batch
 from .metrics import MetricsReport, compute_metrics
@@ -345,13 +346,16 @@ def _train(encoder, texts: Sequence[str], targets: Sequence[LabelVector],
                                 fus_seed)
 
     trainable = encoder.trainable
-    feats = [encoder.features(t) for t in texts] if trainable else None
-    fixed = None if trainable else np.stack(encoder.encode_batch(list(texts)))
+    feats = encoder.features(texts) if trainable else None
+    fixed = None if trainable else encoder.encode_batch(texts)
+    y = np.array([t.bits for t in targets], dtype=np.float64)
 
-    def inputs_for(indices) -> np.ndarray:
-        embs = np.stack([encoder.embed_features(feats[i]) for i in indices]) \
-            if trainable else fixed[indices]
-        return np.hstack([embs, scores[indices]])
+    def embed(indices) -> tuple[np.ndarray, Optional[CsrRows]]:
+        """Embeddings of the given rows, plus their features if trainable."""
+        if not trainable:
+            return fixed[indices], None
+        rows = feats.take(indices)
+        return encoder.embed_features(rows), rows
 
     rng = np.random.default_rng(shuffle_seed)
     perm = rng.permutation(n)
@@ -364,10 +368,9 @@ def _train(encoder, texts: Sequence[str], targets: Sequence[LabelVector],
         loss_sum = 0.0
         for start in range(0, order.size, fcfg.train_batch_size):
             batch = order[start:start + fcfg.train_batch_size]
-            x = inputs_for(batch)
-            logits, tape = forward(x, params)
-            mean_loss, dlogits = batch_loss_and_dlogits(
-                logits, [targets[i] for i in batch], mode)
+            embs, rows = embed(batch)
+            logits, tape = forward(np.hstack([embs, scores[batch]]), params)
+            mean_loss, dlogits = batch_loss_and_dlogits(logits, y[batch], mode)
             if not np.isfinite(mean_loss):
                 raise ConfigurationError(
                     f"training diverged in epoch {epoch}: non-finite loss "
@@ -377,17 +380,15 @@ def _train(encoder, texts: Sequence[str], targets: Sequence[LabelVector],
             bundle = backward(tape, dlogits, d, params)
             fusion_step(params, bundle, fcfg.lr_high)
             if trainable:
-                encoder.apply_sparse_gradients(
-                    [feats[i] for i in batch],
-                    list(bundle.embedding_grad), lr_small)
+                encoder.apply_sparse_gradients(rows, bundle.embedding_grad,
+                                               lr_small)
             loss_sum += mean_loss * batch.size
         log_extra: dict = {}
         if val_idx.size:
-            vlogits, _ = forward(inputs_for(val_idx), params)
-            vpred = [decide(vlogits[j], mode, fcfg.threshold)
-                     for j in range(val_idx.size)]
+            embs, _ = embed(val_idx)
+            vlogits, _ = forward(np.hstack([embs, scores[val_idx]]), params)
             last_report = compute_metrics(
-                [p.decided for p in vpred],
+                [p.decided for p in _decide_rows(vlogits, mode, fcfg.threshold)],
                 [targets[i] for i in val_idx], mode, schema.labels)
             log_extra = {"val_accuracy": last_report.accuracy,
                          "val_macro_f1": last_report.f1}
@@ -455,14 +456,19 @@ def fit(ds: Dataset, cfg: AutoFusionConfig,
                 providers)
 
 
+def _decide_rows(logits: np.ndarray, mode: TaskMode,
+                 threshold: Union[float, Sequence[float]]) -> list[Prediction]:
+    return [decide_scores(p, mode, threshold)
+            for p in probabilities(logits, mode)]
+
+
 def _predict_from_scores(model: FusionModel, texts: Sequence[str],
                          scores: np.ndarray) -> list[Prediction]:
     if not texts:
         return []
-    embs = np.stack(model.encoder.encode_batch(list(texts)))
+    embs = model.encoder.encode_batch(texts)
     logits, _ = forward(np.hstack([embs, scores]), model.fusion_params)
-    return [decide(row, model.mode, model.fusion_cfg.threshold)
-            for row in logits]
+    return _decide_rows(logits, model.mode, model.fusion_cfg.threshold)
 
 
 def predict(model: FusionModel, texts: Sequence[str],

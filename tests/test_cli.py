@@ -333,6 +333,29 @@ class TestProviderFailure:
         assert err.startswith("error[provider]:")
 
 
+    def test_rejected_credentials_exit_3_without_retry(self, workdir, capsys,
+                                                      monkeypatch):
+        monkeypatch.setenv("OPENAI_API_KEY", "bad-key")
+        calls = []
+
+        def unauthorized(url, headers, body, timeout_s):
+            calls.append(1)
+            return 401, '{"error": "invalid api key"}'
+
+        import scorefusion.llm as llm_mod
+        monkeypatch.setattr(llm_mod, "_requests_transport", unauthorized)
+        doc = yaml.safe_load((workdir / "config.yaml").read_text())
+        doc["llm_provider"] = {"provider": "openai", "llm_batch_size": 1}
+        del doc["mock_table"]
+        (workdir / "config.yaml").write_text(yaml.safe_dump(doc))
+        code, _, err = _train(workdir, capsys)
+        assert code == 3
+        assert err.startswith("error[provider]:")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert "401" in err
+        assert len(calls) == len(TOY_TEXTS)  # one call per text, no retries
+
+
 class TestMainPlumbing:
     def test_unknown_command_systemexits(self):
         with pytest.raises(SystemExit):

@@ -11,12 +11,32 @@ from hypothesis import strategies as st
 import scorefusion as sf
 from scorefusion.encoder import (
     EncoderParams,
-    encoder_gradient_step,
-    features_to_arrays,
     featurize,
+    featurize_rows,
     fnv1a64,
     init_encoder_params,
 )
+
+
+def encoder_gradient_step(params: EncoderParams, grads: np.ndarray,
+                          lr_small: float) -> EncoderParams:
+    """Dense oracle for the sparse update: P <- P - lr * grads."""
+    if grads.shape != params.projection.shape:
+        raise ValueError(
+            f"gradient shape {grads.shape} does not match projection "
+            f"{params.projection.shape}"
+        )
+    params.projection -= lr_small * grads
+    return params
+
+
+def _scalar_row(text, cfg):
+    """The reference CSR row: featurize's map in insertion order, with
+    weights counts / counts.sum()."""
+    feats = featurize(text, cfg)
+    idx = np.array(list(feats), dtype=np.int64)
+    counts = np.array(list(feats.values()), dtype=np.float64)
+    return idx, (counts / counts.sum() if feats else counts)
 
 
 class TestFnv1a64:
@@ -65,17 +85,59 @@ class TestFeaturize:
         assert all(count > 0 for count in feats.values())
 
 
-class TestFeaturesToArrays:
+class TestFeaturizeRows:
+    CFG = sf.EncoderConfig(dim=4, ngram_sizes=(3,), buckets=2 ** 15)
+
     def test_l1_normalized(self):
-        idx, weights = features_to_arrays({3: 2, 7: 1, 9: 1})
-        assert sorted(idx.tolist()) == [3, 7, 9]
+        # "aaaab": 3-grams "aaa" twice, "aab" once
+        rows = featurize_rows(["aaaab"], self.CFG)
+        idx, weights = rows.row(0)
+        assert idx.tolist() == [fnv1a64(b"aaa") % 2 ** 15,
+                                fnv1a64(b"aab") % 2 ** 15]
         np.testing.assert_allclose(weights.sum(), 1.0, atol=1e-15)
-        order = {i: w for i, w in zip(idx.tolist(), weights.tolist())}
-        assert order[3] == pytest.approx(0.5)
+        assert weights.tolist() == [2 / 3, 1 / 3]
 
     def test_empty(self):
-        idx, weights = features_to_arrays({})
-        assert idx.size == 0 and weights.size == 0
+        rows = featurize_rows(["", "ab"], self.CFG)
+        assert len(rows) == 2 and rows.idx.size == 0 and rows.w.size == 0
+        assert len(featurize_rows([], self.CFG)) == 0
+
+    @given(texts=st.lists(st.text(max_size=30), max_size=12),
+           ngram_sizes=st.sampled_from([(3, 4), (1, 2, 5), (2,), (4, 4)]),
+           buckets=st.sampled_from([2 ** 6, 97, 2 ** 15]))
+    def test_rows_equal_scalar_featurize(self, texts, ngram_sizes, buckets):
+        cfg = sf.EncoderConfig(dim=4, ngram_sizes=ngram_sizes,
+                               buckets=buckets)
+        rows = featurize_rows(texts, cfg)
+        assert len(rows) == len(texts)
+        assert rows.idx.dtype == np.int64 and rows.w.dtype == np.float64
+        for i, text in enumerate(texts):
+            idx, weights = rows.row(i)
+            want_idx, want_weights = _scalar_row(text, cfg)
+            assert idx.tolist() == want_idx.tolist()
+            assert weights.tolist() == want_weights.tolist()
+
+    def test_non_ascii_and_chunking(self, monkeypatch):
+        import scorefusion.encoder as encoder_mod
+        monkeypatch.setattr(encoder_mod, "_FEATURIZE_CHUNK_ROWS", 3)
+        cfg = sf.EncoderConfig(dim=4, ngram_sizes=(1, 3), buckets=2 ** 10)
+        texts = ["İstanbul", "ΣΑΣ ςσ", "", "日本語テキスト", "a", "straße 😀",
+                 "ﬁne"]
+        rows = featurize_rows(texts, cfg)
+        for i, text in enumerate(texts):
+            idx, weights = rows.row(i)
+            want_idx, want_weights = _scalar_row(text, cfg)
+            assert idx.tolist() == want_idx.tolist()
+            assert weights.tolist() == want_weights.tolist()
+
+    def test_take_selects_rows_in_order(self):
+        texts = ["first text", "", "second one", "third"]
+        rows = featurize_rows(texts, self.CFG)
+        picked = rows.take(np.array([2, 1, 2, 0]))
+        assert len(picked) == 4
+        for got, src in zip(range(4), (2, 1, 2, 0)):
+            for a, b in zip(picked.row(got), rows.row(src)):
+                assert a.tolist() == b.tolist()
 
 
 class TestEncode:
@@ -84,8 +146,7 @@ class TestEncode:
     def test_matches_manual_matmul(self):
         params = init_encoder_params(self.CFG, seed=0)
         text = "hello world"
-        feats = featurize(text, self.CFG)
-        idx, weights = features_to_arrays(feats)
+        idx, weights = _scalar_row(text, self.CFG)
         expected = weights @ params.projection[idx]
         enc = sf.HashedNgramEncoder(self.CFG, params=params)
         np.testing.assert_allclose(enc.encode(text), expected, rtol=0, atol=0)
@@ -127,30 +188,34 @@ class TestEncoderGradients:
 
     def test_sparse_equals_dense(self):
         """apply_sparse_gradients must equal the dense step on a gradient
-        that is the sum of per-example outer(weights, g)."""
+        that is the sum of per-example outer(weights, g), also where rows
+        share buckets."""
         enc_a = sf.HashedNgramEncoder(self.CFG, seed=3)
         enc_b = sf.HashedNgramEncoder(self.CFG, seed=3)
-        texts = ["sparse path test", "another row here"]
+        texts = ["sparse path test", "sparse path rest", "another path here",
+                 "", "test the sparse path"]
         rng = np.random.default_rng(0)
-        gs = [rng.standard_normal(4) for _ in texts]
-        feats = [enc_a.features(t) for t in texts]
+        gs = rng.standard_normal((len(texts), 4))
+        feats = enc_a.features(texts)
+        assert np.unique(feats.idx).size < feats.idx.size  # buckets repeat
 
         dense = np.zeros_like(enc_b.params.projection)
-        for (idx, weights), g in zip(feats, gs):
+        for i, g in enumerate(gs):
+            idx, weights = feats.row(i)
             for j, w in zip(idx, weights):
                 dense[j] += w * g
         encoder_gradient_step(enc_b.params, dense, lr_small=0.05)
 
         enc_a.apply_sparse_gradients(feats, gs, lr_small=0.05)
         np.testing.assert_allclose(enc_a.params.projection,
-                                   enc_b.params.projection, atol=1e-15)
+                                   enc_b.params.projection, rtol=0, atol=1e-15)
 
     def test_finite_difference_through_projection(self):
         """d(loss)/d(projection) via the sparse path vs central differences
         on a scalar loss = v . encode(text)."""
         enc = sf.HashedNgramEncoder(self.CFG, seed=5)
         text = "gradient check text"
-        idx, weights = enc.features(text)
+        idx, weights = enc.features([text]).row(0)
         v = np.arange(1.0, 5.0)  # fixed linear functional
 
         g = v.copy()  # d(v . e)/d e
@@ -170,7 +235,7 @@ class TestEncoderGradients:
     def test_sparse_skips_empty_rows(self):
         enc = sf.HashedNgramEncoder(self.CFG, seed=1)
         before = enc.params.projection.copy()
-        enc.apply_sparse_gradients([enc.features("")], [np.ones(4)],
+        enc.apply_sparse_gradients(enc.features([""]), np.ones((1, 4)),
                                    lr_small=0.5)
         np.testing.assert_array_equal(enc.params.projection, before)
 

@@ -16,6 +16,7 @@ from scorefusion.fusion import (
     batch_loss_and_dlogits,
     grad_loss_multiclass,
     grad_loss_multilabel,
+    probabilities,
 )
 
 MC = sf.TaskMode.MULTI_CLASS
@@ -51,19 +52,6 @@ class TestInit:
     def test_no_hidden_layers(self):
         params = sf.init_fusion_params(5, (), 3, seed=0)
         assert [w.shape for w in params.weights] == [(5, 3)]
-
-
-class TestAssembleInput:
-    def test_embedding_then_providers_in_order(self):
-        emb = np.array([1.0, 2.0])
-        s1 = sf.LLMScore((0.1, 0.9), parse_ok=True)
-        s2 = sf.LLMScore((0.4, 0.6), parse_ok=True)
-        x = sf.assemble_input(emb, [s1, s2])
-        assert np.array_equal(x, [1.0, 2.0, 0.1, 0.9, 0.4, 0.6])
-
-    def test_requires_at_least_one_provider(self):
-        with pytest.raises(ValueError):
-            sf.assemble_input(np.zeros(3), [])
 
 
 def _hand_params():
@@ -177,8 +165,8 @@ class TestBackward:
         params = sf.init_fusion_params(4, (3,), 2, seed=5)
         rng = np.random.default_rng(11)
         batch = rng.normal(size=(6, 4))
-        targets = [sf.LabelVector((1, 0)) if i % 2 == 0
-                   else sf.LabelVector((0, 1)) for i in range(6)]
+        targets = np.array([(1, 0) if i % 2 == 0 else (0, 1)
+                            for i in range(6)], dtype=np.float64)
         logits, tape = sf.fusion_forward(batch, params)
         _, dlogits = batch_loss_and_dlogits(logits, targets, MC)
         batch_bundle = sf.fusion_backward(tape, dlogits, 2, params)
@@ -187,7 +175,7 @@ class TestBackward:
         acc_b = [np.zeros_like(b) for b in params.biases]
         for i in range(6):
             zi, ti = sf.fusion_forward(batch[i], params)
-            di = grad_loss_multiclass(zi, targets[i].active_indices()[0])
+            di = grad_loss_multiclass(zi, int(targets[i].argmax()))
             bi = sf.fusion_backward(ti, di, 2, params)
             for a, g in zip(acc_w, bi.weights):
                 a += g / 6
@@ -201,10 +189,11 @@ class TestBackward:
     def test_batch_loss_is_mean_of_singles(self):
         params = sf.init_fusion_params(4, (3,), 2, seed=5)
         batch = np.random.default_rng(2).normal(size=(4, 4))
-        targets = [sf.LabelVector((0, 1))] * 4
+        targets = np.array([(0, 1)] * 4, dtype=np.float64)
         logits, _ = sf.fusion_forward(batch, params)
         mean_loss, _ = batch_loss_and_dlogits(logits, targets, ML)
-        singles = [sf.loss_multilabel(logits[i], targets[i]) for i in range(4)]
+        singles = [sf.loss_multilabel(logits[i], sf.LabelVector((0, 1)))
+                   for i in range(4)]
         assert mean_loss == pytest.approx(np.mean(singles), abs=1e-14)
 
     def test_none_tape_rejected(self):
@@ -363,7 +352,45 @@ class TestLosses:
         assert sf.loss_multiclass(np.array(logits), target) >= 0.0
 
 
+class TestBatchLoss:
+    @pytest.mark.parametrize("mode", [MC, ML])
+    @pytest.mark.parametrize("k", [2, 3, 9, 17])
+    def test_matches_single_row_loop_exactly(self, mode, k):
+        """The batched loss and dlogits equal the per-row formulas bit for
+        bit, with the mean summed in row order."""
+        rng = np.random.default_rng(k)
+        logits = rng.normal(scale=4.0, size=(7, k))
+        if mode is MC:
+            targets = np.eye(k)[rng.integers(0, k, size=7)]
+        else:
+            targets = rng.integers(0, 2, size=(7, k)).astype(np.float64)
+        mean_loss, dlogits = batch_loss_and_dlogits(logits, targets, mode)
+        total = 0.0
+        for i in range(7):
+            if mode is MC:
+                t = int(targets[i].argmax())
+                total += sf.loss_multiclass(logits[i], t)
+                want = grad_loss_multiclass(logits[i], t)
+            else:
+                y = sf.LabelVector(tuple(int(b) for b in targets[i]))
+                total += sf.loss_multilabel(logits[i], y)
+                want = grad_loss_multilabel(logits[i], y)
+            assert dlogits[i].tolist() == (want / 7).tolist()
+        assert mean_loss == total / 7
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            batch_loss_and_dlogits(np.zeros((2, 3)), np.zeros((2, 2)), MC)
+
+
 class TestDecide:
+    def test_batched_probabilities_match_rows(self):
+        logits = np.random.default_rng(4).normal(scale=3.0, size=(5, 4))
+        for mode in (MC, ML):
+            batch = probabilities(logits, mode)
+            for row, z in zip(batch, logits):
+                assert row.tolist() == probabilities(z, mode).tolist()
+
     def test_multiclass_argmax(self):
         pred = sf.decide(np.array([0.1, 2.0, -1.0]), MC)
         assert pred.decided.bits == (0, 1, 0)

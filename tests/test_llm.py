@@ -291,6 +291,40 @@ class TestScoreTextRetries:
         assert provider.calls == 3  # initial + 2 retries
         assert sleeps == [pytest.approx(0.1), pytest.approx(0.2)]
 
+    @pytest.mark.parametrize("status", [401, 404])
+    def test_permanent_status_fails_without_retry(self, monkeypatch, status):
+        monkeypatch.setenv("OPENAI_API_KEY", "k")
+
+        def transport(url, headers, body, timeout_s):
+            return status, "no"
+
+        pcfg = self._pcfg()
+        provider = HttpChatProvider(pcfg, transport=transport)
+        sleeps = []
+        with pytest.raises(sf.ProviderUnavailableError) as info:
+            sf.score_text("x", SCHEMA, MC, pcfg, provider=provider,
+                          _sleep=sleeps.append)
+        assert info.value.last_status == status
+        assert provider.calls == 1
+        assert sleeps == []
+
+    @pytest.mark.parametrize("status", [408, 429, 500, 503])
+    def test_retryable_status_uses_every_retry(self, monkeypatch, status):
+        monkeypatch.setenv("OPENAI_API_KEY", "k")
+
+        def transport(url, headers, body, timeout_s):
+            return status, "later"
+
+        pcfg = self._pcfg()
+        provider = HttpChatProvider(pcfg, transport=transport)
+        sleeps = []
+        with pytest.raises(sf.ProviderUnavailableError) as info:
+            sf.score_text("x", SCHEMA, MC, pcfg, provider=provider,
+                          _sleep=sleeps.append)
+        assert info.value.last_status == status
+        assert provider.calls == pcfg.max_retries + 1
+        assert len(sleeps) == pcfg.max_retries
+
     def test_transport_exception_counts_as_transient(self, monkeypatch):
         monkeypatch.setenv("OPENAI_API_KEY", "k")
 

@@ -290,6 +290,31 @@ class TestPredict:
         assert [p.decided.bits for p in preds] == want
 
 
+class TestFusedInput:
+    def test_embedding_then_providers_in_order(self):
+        """The head's input is [embedding | provider 1 scores | provider 2
+        scores]: a one-layer head that copies chosen input columns to the
+        logits exposes the layout."""
+        schema = sf.LabelSchema(("yes", "no"))
+        encoder = sf.HashedNgramEncoder(
+            sf.EncoderConfig(dim=2, ngram_sizes=(3,), buckets=16), seed=0)
+        weights = np.zeros((6, 2))
+        weights[4, 0] = 1.0  # logit 0 <- provider 2, class "yes"
+        weights[1, 1] = 1.0  # logit 1 <- embedding column 1
+        params = sf.FusionParams([weights], [np.zeros(2)])
+        model = sf.FusionModel(
+            schema, sf.TaskMode.MULTI_LABEL, encoder,
+            (sf.ProviderConfig(provider_id="mock"),
+             sf.ProviderConfig(provider_id="mock", model_name="second")),
+            sf.FusionConfig(hidden_sizes=()), params)
+        text = "layout check"
+        providers = [sf.MockProvider({text: (0.1, 0.9)}, schema),
+                     sf.MockProvider({text: (0.4, 0.6)}, schema)]
+        (pred,) = sf.predict(model, [text], providers=providers)
+        want = sf.sigmoid(np.array([0.4, encoder.encode(text)[1]]))
+        assert list(pred.scores.values) == want.tolist()
+
+
 class TestEvaluate:
     def test_perfect_on_training_set(self, toy_dataset, toy_table):
         model, _, _ = _fit_toy(toy_dataset, toy_table)

@@ -29,3 +29,16 @@ def test_run_complementarity_script_smoke():
     assert result.returncode == 0, result.stderr
     for name in ("encoder-only", "llm-only", "fusion"):
         assert f"{name} accuracy:" in result.stdout
+
+
+def test_cli_import_does_not_load_requests():
+    """requests is imported only when an HTTP provider sends a request."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, scorefusion.cli; print('requests' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
