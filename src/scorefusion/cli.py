@@ -12,21 +12,15 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import yaml
 
-from .cache import ScoreCache, cache_open_adopt
-from .core import (
-    Dataset,
-    LabelSchema,
-    LabelVector,
-    TaskMode,
-    TextExample,
-    dataset_fingerprint,
-)
+from .cache import cache_open_adopt
+from .core import Dataset, LabelSchema, TaskMode, dataset_fingerprint
 from .encoder import HashedNgramEncoder
 from .errors import (
     ConfigurationError,
@@ -36,7 +30,15 @@ from .errors import (
     ScoreFusionError,
     StaleCacheError,
 )
-from .pipeline import FusionModel, build_config, evaluate, fit, load_model, save_model
+from .pipeline import (
+    FusionModel,
+    build_config,
+    dataset_from_records,
+    evaluate,
+    fit,
+    load_model,
+    save_model,
+)
 from .pipeline import predict as pipeline_predict
 from .results import prediction_rows, run_compare, run_create, write_predictions_csv
 
@@ -93,70 +95,48 @@ def _apply_override(doc: dict, spec: str) -> None:
     node[parts[-1]] = value
 
 
+@contextmanager
+def _open_csv(path: str, text_column: str) -> Iterator[csv.DictReader]:
+    """A DictReader over a UTF-8 CSV whose header, if it has one, holds the
+    text column. Unreadable files and undecodable content are DataErrors."""
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read CSV {path}: {exc}") from None
+    with fh:
+        try:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is not None \
+                    and text_column not in reader.fieldnames:
+                raise DataError(f"{path}: missing text column {text_column!r}")
+            yield reader
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"{path}: unreadable CSV: {exc}") from None
+
+
 def load_csv_dataset(path: str, schema: LabelSchema, mode: TaskMode,
                      text_column: str = "text") -> Dataset:
     """Read a dataset CSV: one text column plus one 0/1 column per label.
 
-    Rows where every label column is present become labeled examples. A
-    file whose header lacks the text column or part of the label columns
-    fails naming the missing columns.
+    Rows of a file whose header holds every label column become labeled
+    examples. A file whose header lacks the text column or part of the
+    label columns fails naming the missing columns.
     """
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read CSV {path}: {exc}") from None
-    with fh:
-        reader = csv.DictReader(fh)
+    with _open_csv(path, text_column) as reader:
         if reader.fieldnames is None:
             raise DataError(f"{path}: empty CSV (no header row)")
-        fields = set(reader.fieldnames)
-        if text_column not in fields:
-            raise DataError(f"{path}: missing text column {text_column!r}")
-        missing = [name for name in schema.labels if name not in fields]
-        has_labels = len(missing) < schema.K
-        if has_labels and missing:
+        missing = [name for name in schema.labels
+                   if name not in reader.fieldnames]
+        if 0 < len(missing) < schema.K:
             raise DataError(f"{path}: missing label columns {missing}")
-        rows: list[TextExample] = []
-        for i, record in enumerate(reader):
-            text = record[text_column] or ""
-            target: Optional[LabelVector] = None
-            if has_labels:
-                bits = [_parse_bit(record[name], path, i, name)
-                        for name in schema.labels]
-                target = LabelVector(bits)
-            rows.append(TextExample(text, target))
-    return Dataset(schema, mode, rows)
-
-
-def _parse_bit(value, path: str, row: int, column: str) -> int:
-    cell = (value or "").strip()
-    if cell in ("0", "1"):
-        return int(cell)
-    raise DataError(
-        f"{path}: row {row}: label column {column!r} must be 0 or 1, "
-        f"got {value!r}"
-    )
+        return dataset_from_records(reader, schema, mode, text_column,
+                                    source=path)
 
 
 def _read_texts_csv(path: str, text_column: str) -> list[str]:
     """Texts for prediction; an empty file yields an empty list."""
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read CSV {path}: {exc}") from None
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            return []
-        if text_column not in reader.fieldnames:
-            raise DataError(f"{path}: missing text column {text_column!r}")
+    with _open_csv(path, text_column) as reader:
         return [record[text_column] or "" for record in reader]
-
-
-def _open_cache_flag(cache_dir: Optional[str]) -> Optional[ScoreCache]:
-    if cache_dir is None:
-        return None
-    return cache_open_adopt(cache_dir)
 
 
 def _model_config_doc(model: FusionModel, extra: dict) -> dict:
@@ -197,7 +177,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
-    cache = _open_cache_flag(args.cache_dir)
+    cache = None if args.cache_dir is None else cache_open_adopt(args.cache_dir)
     if args.texts and args.input:
         raise ConfigurationError("give either --input or --text, not both")
     if args.texts:
@@ -221,7 +201,7 @@ def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
     ds = load_csv_dataset(args.eval_csv, model.schema, model.mode,
                           args.text_column)
-    cache = _open_cache_flag(args.cache_dir)
+    cache = None if args.cache_dir is None else cache_open_adopt(args.cache_dir)
     config_doc = _model_config_doc(model, {
         "command": "evaluate",
         "model_path": str(args.model),

@@ -485,63 +485,63 @@ def score_batch(texts: Sequence[str], schema: LabelSchema, mode: TaskMode,
                 _sleep: Callable[[float], None] = time.sleep) -> list[LLMScore]:
     """Score many texts, cache-first, preserving input order.
 
-    At most llm_batch_size requests are in flight at once. Newly fetched
-    scores are written back to the cache, also when other texts fail, so a
-    retry pays only for the failures. If any text still fails after retries
-    the whole batch fails with the failing indices; partial results are
-    never returned silently.
+    Each distinct text is looked up and fetched once, and its score fills
+    every position it holds. At most llm_batch_size requests are in flight
+    at once, and each fetched score is written to the cache as it arrives,
+    so neither an interrupt nor a failure elsewhere in the batch loses the
+    scores already paid for. If any text still fails after retries the
+    whole batch fails with every position of the failing texts; partial
+    results are never returned silently.
     """
-    results: list[LLMScore | None] = [None] * len(texts)
-    keys: list[CacheKey | None] = [None] * len(texts)
-    missing: list[int] = []
+    positions: dict[str, list[int]] = {}
     for i, text in enumerate(texts):
-        if cache is not None:
-            key = make_cache_key(pcfg, schema, mode, text)
-            keys[i] = key
-            entry = cache.get(key)
-            if entry is not None:
-                results[i] = LLMScore(entry.scores, entry.parse_ok)
-                continue
-        missing.append(i)
+        positions.setdefault(text, []).append(i)
+    results: list[LLMScore | None] = [None] * len(texts)
+    missing: list[str] = []
+    for text, where in positions.items():
+        entry = None if cache is None \
+            else cache.get(make_cache_key(pcfg, schema, mode, text))
+        if entry is None:
+            missing.append(text)
+            continue
+        for i in where:
+            results[i] = LLMScore(entry.scores, entry.parse_ok)
 
-    if missing and provider is None:
-        provider = make_provider(pcfg, schema)
+    failures: list[tuple[str, ProviderUnavailableError]] = []
 
-    failures: list[tuple[int, Exception]] = []
-
-    def fetch(i: int) -> None:
+    def fetch(text: str) -> None:
         try:
-            results[i] = score_text(texts[i], schema, mode, pcfg,
-                                    provider=provider, _sleep=_sleep)
+            score = score_text(text, schema, mode, pcfg, provider=provider,
+                               _sleep=_sleep)
         except ProviderUnavailableError as exc:
-            failures.append((i, exc))
+            failures.append((text, exc))
+            return
+        for i in positions[text]:
+            results[i] = score
+        if cache is None:
+            return
+        try:
+            cache.put(CacheEntry.fresh(make_cache_key(pcfg, schema, mode, text),
+                                       score.scores, score.parse_ok,
+                                       cache.fingerprint))
+        except CacheWriteError as exc:
+            logger.warning("cache write failed, continuing uncached: %s", exc)
 
-    if pcfg.llm_batch_size == 1 or len(missing) <= 1:
-        for i in missing:
-            fetch(i)
-    else:
-        with ThreadPoolExecutor(max_workers=pcfg.llm_batch_size) as pool:
+    if missing:
+        if provider is None:
+            provider = make_provider(pcfg, schema)
+        workers = min(pcfg.llm_batch_size, len(missing))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fetch, missing))
 
-    if cache is not None:
-        for i in missing:
-            score = results[i]
-            if score is None:
-                continue
-            try:
-                cache.put(CacheEntry.fresh(keys[i], score.scores, score.parse_ok,
-                                           cache.fingerprint))
-            except CacheWriteError as exc:
-                logger.warning("cache write failed, continuing uncached: %s", exc)
-
     if failures:
-        failures.sort(key=lambda pair: pair[0])
-        indices = [i for i, _ in failures]
+        failures.sort(key=lambda pair: positions[pair[0]][0])
+        indices = sorted(i for text, _ in failures for i in positions[text])
         first = failures[0][1]
         raise ProviderUnavailableError(
             f"{len(indices)} of {len(texts)} texts failed "
             f"(indices {indices}): {first}",
-            last_status=getattr(first, "last_status", None),
+            last_status=first.last_status,
             failed_indices=indices,
         )
 

@@ -14,7 +14,7 @@ import json
 import logging
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .core import (
     LabelSchema,
     LabelVector,
     TaskMode,
+    TextExample,
     dataset_fingerprint,
-    make_dataset,
     validate_dataset,
 )
 from .encoder import (
@@ -85,10 +85,10 @@ class AutoFusionConfig:
     def __post_init__(self):
         object.__setattr__(self, "label_columns", tuple(self.label_columns))
         object.__setattr__(self, "llm_providers", tuple(self.llm_providers))
-        if len(self.label_columns) < 2:
-            raise ConfigurationError("label_columns needs at least 2 entries")
-        if len(set(self.label_columns)) != len(self.label_columns):
-            raise ConfigurationError("label_columns must be unique")
+        try:
+            LabelSchema(self.label_columns)
+        except ValueError as exc:
+            raise ConfigurationError(f"label_columns: {exc}") from None
         if not self.llm_providers:
             raise ConfigurationError("at least one LLM provider is required")
         if not 0.0 <= self.validation_fraction < 1.0:
@@ -136,13 +136,12 @@ _TOP_KEYS = (
     "model_name", "mock_table", "encoder", "fusion", "seed", "cache_dir",
     "cache_policy", "validation_fraction",
 )
-_PROVIDER_KEYS = (
-    "provider", "model_name", "endpoint_url", "api_key_env", "temperature",
-    "max_retries", "backoff_base_ms", "llm_batch_size", "timeout_ms",
-    "mock_table",
-)
-_ENCODER_KEYS = (*(f.name for f in fields(EncoderConfig)), "precomputed_path")
-_FUSION_KEYS = tuple(f.name for f in fields(FusionConfig))
+# YAML spells two ProviderConfig fields differently; the rest keep their
+# field names.
+_PROVIDER_SPELLINGS = {"provider": "provider_id", "mock_table": "mock_table_path"}
+_PROVIDER_KEYS = (*_PROVIDER_SPELLINGS,
+                  *(f.name for f in fields(ProviderConfig)
+                    if f.name not in _PROVIDER_SPELLINGS.values()))
 
 
 def _reject_unknown(doc: dict, allowed: Sequence[str], where: str) -> None:
@@ -166,10 +165,8 @@ def _provider_from_value(value, model_name, mock_table) -> ProviderConfig:
         _reject_unknown(value, _PROVIDER_KEYS, "provider")
         if "provider" not in value:
             raise ConfigurationError("provider entry needs a 'provider' name")
-        overrides = {k: v for k, v in value.items()
-                     if k not in ("provider", "mock_table")}
-        if "mock_table" in value:
-            overrides["mock_table_path"] = value["mock_table"]
+        overrides = {_PROVIDER_SPELLINGS.get(k, k): v for k, v in value.items()
+                     if k != "provider"}
         return make_provider_config(value["provider"], **overrides)
     raise ConfigurationError(
         f"provider entries must be names or mappings, got {type(value).__name__}"
@@ -195,45 +192,42 @@ def _providers_from_doc(doc: dict) -> tuple[ProviderConfig, ...]:
                  for v, n in zip(raw, names))
 
 
+def _section_from_doc(value, cls, where: str):
+    """A config dataclass from its mapping form; keys are its field names."""
+    if isinstance(value, cls):
+        return value
+    if not isinstance(value, dict):
+        raise ConfigurationError(
+            f"{where} must be a mapping, got {type(value).__name__}"
+        )
+    _reject_unknown(value, [f.name for f in fields(cls)], where)
+    try:
+        return cls.from_dict(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
+
+
 def _encoder_from_doc(value) -> Union[EncoderConfig, str]:
-    if isinstance(value, (EncoderConfig, str)):
+    """Hashed-n-gram settings, or the path of a precomputed-embedding TSV
+    given as a bare string or as the mapping's only key."""
+    if isinstance(value, str):
         return value
-    if isinstance(value, dict):
-        _reject_unknown(value, _ENCODER_KEYS, "encoder")
-        if "precomputed_path" in value:
-            if len(value) > 1:
-                raise ConfigurationError(
-                    "encoder.precomputed_path excludes other encoder keys"
-                )
-            return str(value["precomputed_path"])
-        try:
-            return EncoderConfig.from_dict(value)
-        except ValueError as exc:
-            raise ConfigurationError(f"encoder: {exc}") from None
-    raise ConfigurationError(
-        f"encoder must be a mapping or a path, got {type(value).__name__}"
-    )
-
-
-def _fusion_from_doc(value) -> FusionConfig:
-    if isinstance(value, FusionConfig):
-        return value
-    if isinstance(value, dict):
-        _reject_unknown(value, _FUSION_KEYS, "fusion")
-        try:
-            return FusionConfig.from_dict(value)
-        except ValueError as exc:
-            raise ConfigurationError(f"fusion: {exc}") from None
-    raise ConfigurationError(
-        f"fusion must be a mapping, got {type(value).__name__}"
-    )
+    if isinstance(value, dict) and "precomputed_path" in value:
+        if len(value) > 1:
+            raise ConfigurationError(
+                "encoder.precomputed_path excludes other encoder keys"
+            )
+        return str(value["precomputed_path"])
+    return _section_from_doc(value, EncoderConfig, "encoder")
 
 
 def build_config(doc: dict) -> AutoFusionConfig:
     """Build an AutoFusionConfig from a plain mapping (YAML/dict form).
 
-    Unknown keys are rejected by name at every level. `seed` is shorthand
-    for fusion.seed and wins over a seed inside the fusion mapping.
+    Unknown keys are rejected by name at every level, and a value the
+    config types reject (out of range, or of a type they cannot compare)
+    fails as a ConfigurationError. `seed` is shorthand for fusion.seed and
+    wins over a seed inside the fusion mapping.
     """
     if not isinstance(doc, dict):
         raise ConfigurationError(
@@ -242,10 +236,10 @@ def build_config(doc: dict) -> AutoFusionConfig:
     _reject_unknown(doc, _TOP_KEYS, "config")
     if "label_columns" not in doc:
         raise ConfigurationError("config key 'label_columns' is required")
-    fusion = _fusion_from_doc(doc.get("fusion", {}))
-    if "seed" in doc:
-        fusion = replace(fusion, seed=int(doc["seed"]))
+    fusion = _section_from_doc(doc.get("fusion", {}), FusionConfig, "fusion")
     try:
+        if "seed" in doc:
+            fusion = replace(fusion, seed=int(doc["seed"]))
         return AutoFusionConfig(
             label_columns=tuple(doc["label_columns"]),
             multi_label=bool(doc.get("multi_label", False)),
@@ -257,7 +251,7 @@ def build_config(doc: dict) -> AutoFusionConfig:
             validation_fraction=float(doc.get("validation_fraction", 0.1)),
             text_column=str(doc.get("text_column", "text")),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigurationError(str(exc)) from None
 
 
@@ -308,25 +302,76 @@ def _build_encoder(cfg: AutoFusionConfig):
     return HashedNgramEncoder(cfg.encoder, seed=enc_seed)
 
 
-def _check_training_dataset(ds: Dataset, cfg: AutoFusionConfig) -> None:
-    if tuple(ds.schema.labels) != tuple(cfg.label_columns):
+def _check_labeled_dataset(ds: Dataset, schema: LabelSchema,
+                           mode: TaskMode) -> None:
+    """The rules data must pass to train or score a classifier of this
+    schema and mode: same labels in order, same mode, valid targets, a
+    target on every row, and at least one row."""
+    if ds.schema.labels != schema.labels:
         raise DataError(
-            f"dataset labels {list(ds.schema.labels)} do not match "
-            f"config label_columns {list(cfg.label_columns)}"
+            f"dataset labels {list(ds.schema.labels)} do not match the "
+            f"classifier's labels {list(schema.labels)}"
         )
-    if ds.mode is not cfg.mode:
+    if ds.mode is not mode:
         raise DataError(
-            f"dataset mode {ds.mode.value} does not match config "
-            f"(multi_label={cfg.multi_label})"
+            f"dataset mode {ds.mode.value} does not match the classifier's "
+            f"mode {mode.value}"
         )
     violations = validate_dataset(ds)
     if len(ds) == 0:
         violations.insert(0, "dataset has no rows")
-    for i, row in enumerate(ds.rows):
-        if row.target is None:
-            violations.append(f"row {i}: training requires a target")
+    violations.extend(f"row {i}: a target is required"
+                      for i, row in enumerate(ds.rows) if row.target is None)
     if violations:
         raise InvalidDatasetError(violations)
+
+
+def dataset_from_records(records: Iterable, schema: LabelSchema,
+                         mode: TaskMode, text_column: str = "text",
+                         source: Optional[str] = None) -> Dataset:
+    """Build a Dataset from record mappings: CSV DictReader rows, dicts, or
+    DataFrame to_dict("records") rows.
+
+    A record with every label column is labeled, one with none is not, and
+    one with some fails naming the absent columns. A missing cell (None)
+    reads as "". Label cells must be 0/1 numbers, booleans or the strings
+    "0"/"1" (surrounding spaces allowed). `source` prefixes every message.
+    """
+    where = f"{source}: " if source else ""
+    rows: list[TextExample] = []
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise DataError(
+                f"{where}record {i}: expected a mapping, got "
+                f"{type(rec).__name__}"
+            )
+        if text_column not in rec:
+            raise DataError(f"{where}record {i}: missing text column "
+                            f"{text_column!r}")
+        text = rec[text_column]
+        present = [name for name in schema.labels if name in rec]
+        if len(present) not in (0, schema.K):
+            absent = [name for name in schema.labels if name not in rec]
+            raise DataError(f"{where}record {i}: missing label columns "
+                            f"{absent}")
+        target = LabelVector([_bit(rec[name], where, i, name)
+                              for name in schema.labels]) if present else None
+        rows.append(TextExample("" if text is None else str(text), target))
+    return Dataset(schema, mode, rows)
+
+
+def _bit(value, where: str, row: int, column: str) -> int:
+    """A label cell as 0/1, or a DataError naming the cell."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (int, float)) and value in (0, 1):
+        return int(value)
+    if isinstance(value, str) and value.strip() in ("0", "1"):
+        return int(value.strip())
+    raise DataError(
+        f"{where}record {row}: label column {column!r} must be 0 or 1, "
+        f"got {value!r}"
+    )
 
 
 # A diverging fit is reported by the finite-loss check, not by numpy
@@ -417,7 +462,7 @@ def _fit(ds: Dataset, cfg: AutoFusionConfig,
          runs_root: Optional[Union[str, Path]],
          cache: Optional[ScoreCache], providers: Optional[Sequence],
          ) -> tuple[FusionModel, RunRecord]:
-    _check_training_dataset(ds, cfg)
+    _check_labeled_dataset(ds, cfg.schema, cfg.mode)
     fingerprint = dataset_fingerprint(ds)
     if pcfgs and cache is None and cfg.cache_dir is not None:
         cache = cache_open(cfg.cache_dir, fingerprint, policy=cfg.cache_policy)
@@ -493,20 +538,7 @@ def evaluate(model: FusionModel, ds: Dataset,
     When a RunHandle is supplied the predictions and report are stored on it
     and the run is finalized.
     """
-    if tuple(ds.schema.labels) != tuple(model.schema.labels):
-        raise DataError(
-            f"dataset labels {list(ds.schema.labels)} do not match the "
-            f"model's labels {list(model.schema.labels)}"
-        )
-    if ds.mode is not model.mode:
-        raise DataError("dataset mode does not match the model's mode")
-    violations = validate_dataset(ds)
-    missing = [i for i, row in enumerate(ds.rows) if row.target is None]
-    if missing:
-        violations.extend(f"row {i}: evaluation requires a target"
-                          for i in missing)
-    if violations:
-        raise InvalidDatasetError(violations)
+    _check_labeled_dataset(ds, model.schema, model.mode)
     preds = predict(model, ds.texts(), cache=cache, providers=providers)
     targets = [row.target for row in ds.rows]
     report = compute_metrics([p.decided for p in preds], targets, ds.mode,
@@ -688,13 +720,10 @@ class AutoFusionClassifier:
     def fit(self, data, runs_root: Optional[Union[str, Path]] = None,
             providers: Optional[Sequence] = None) -> "AutoFusionClassifier":
         ds = self._as_dataset(data)
-        if self.config.cache_dir is not None:
-            self._cache = cache_open(self.config.cache_dir,
-                                     dataset_fingerprint(ds),
-                                     policy=self.config.cache_policy)
+        # fit opens the cache for this dataset; predict adopts its manifest.
+        self._cache = None
         self.model, self.last_run = fit(ds, self.config,
                                         runs_root=runs_root,
-                                        cache=self._cache,
                                         providers=providers)
         return self
 
@@ -756,45 +785,6 @@ class AutoFusionClassifier:
         if isinstance(data, Dataset):
             return data
         if hasattr(data, "to_dict"):
-            records = data.to_dict("records")
-        else:
-            records = list(data)
-        schema = self.config.schema
-        mode = self.config.mode
-        tc = self.config.text_column
-        texts: list[str] = []
-        targets: list[Optional[LabelVector]] = []
-        for i, rec in enumerate(records):
-            if not isinstance(rec, dict):
-                raise DataError(
-                    f"record {i}: expected a mapping, got {type(rec).__name__}"
-                )
-            if tc not in rec:
-                raise DataError(f"record {i}: missing text column {tc!r}")
-            texts.append(str(rec[tc]))
-            present = [name for name in schema.labels if name in rec]
-            if not present:
-                targets.append(None)
-                continue
-            if len(present) != schema.K:
-                absent = [n for n in schema.labels if n not in rec]
-                raise DataError(
-                    f"record {i}: missing label columns {absent}"
-                )
-            bits = [_bit(rec[name], i, name) for name in schema.labels]
-            targets.append(LabelVector(bits))
-        return make_dataset(schema, mode, texts, targets)
-
-
-def _bit(value, row: int, column: str) -> int:
-    """Coerce a record's label cell to 0/1 or fail naming the cell."""
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (int, float)) and value in (0, 1):
-        return int(value)
-    if isinstance(value, str) and value.strip() in ("0", "1"):
-        return int(value.strip())
-    raise DataError(
-        f"record {row}: label column {column!r} must be 0 or 1, "
-        f"got {value!r}"
-    )
+            data = data.to_dict("records")
+        return dataset_from_records(data, self.config.schema, self.config.mode,
+                                    self.config.text_column)

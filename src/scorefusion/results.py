@@ -227,12 +227,8 @@ def run_compare(root_dir: str | Path, run_ids: Sequence[str]) -> list[dict]:
             raise RunStateError(f"run {run_id!r} is not finalized")
         row = {"run_id": run_id}
         for key in _COMPARE_FIELDS:
-            value = _dig(record.config, key)
-            if key == "providers":
-                if value is None:
-                    value = _dig(record.config, "llm_providers")
-                value = _provider_summary(value)
-            row[key] = value
+            row[key] = _provider_summary(record.config.get("llm_providers")) \
+                if key == "providers" else _dig(record.config, key)
         row["accuracy"] = record.metrics.accuracy if record.metrics else None
         row["macro_f1"] = record.metrics.f1 if record.metrics else None
         rows.append(row)

@@ -375,3 +375,122 @@ class TestMainPlumbing:
         (workdir / "config.yaml").write_text(yaml.safe_dump(doc))
         _, _, err = _train(workdir, capsys)
         assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def _set_config(workdir, **changes):
+    """Rewrite config.yaml with `changes` applied; None deletes a key."""
+    doc = yaml.safe_load((workdir / "config.yaml").read_text())
+    for key, value in changes.items():
+        if value is None:
+            doc.pop(key, None)
+        else:
+            doc[key] = value
+    (workdir / "config.yaml").write_text(yaml.safe_dump(doc))
+
+
+def _train_argv(workdir):
+    return ["train", str(workdir / "config.yaml")]
+
+
+def _evaluate_argv(workdir, csv_text):
+    assert main(_train_argv(workdir)) == 0
+    path = workdir / "eval.csv"
+    path.write_text(csv_text, encoding="utf-8")
+    return ["evaluate", "--model", str(workdir / "model.json"),
+            "--eval-csv", str(path), "--runs-dir", str(workdir / "eval-runs")]
+
+
+def _bad_yaml(workdir, monkeypatch):
+    (workdir / "config.yaml").write_text("label_columns: [yes, no\n")
+    return _train_argv(workdir)
+
+
+def _unknown_key(workdir, monkeypatch):
+    _set_config(workdir, lable_columns=list(LABELS))
+    return _train_argv(workdir)
+
+
+def _empty_label_name(workdir, monkeypatch):
+    _set_config(workdir, label_columns=["", "no"])
+    return _train_argv(workdir)
+
+
+def _bad_value_type(workdir, monkeypatch):
+    _set_config(workdir, encoder={"dim": "sixteen"})
+    return _train_argv(workdir)
+
+
+def _missing_csv(workdir, monkeypatch):
+    _set_config(workdir, train_csv=str(workdir / "nope.csv"))
+    return _train_argv(workdir)
+
+
+def _undecodable_csv(workdir, monkeypatch):
+    (workdir / "train.csv").write_bytes(b"text,yes,no\n\xff\xfe,1,0\n")
+    return _train_argv(workdir)
+
+
+def _bad_label_cell(workdir, monkeypatch):
+    with open(workdir / "train.csv", "a", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(["odd row", "2", "0"])
+    return _train_argv(workdir)
+
+
+def _partial_label_columns(workdir, monkeypatch):
+    return _evaluate_argv(workdir, "text,yes\nhello,1\n")
+
+
+def _unlabeled_eval_rows(workdir, monkeypatch):
+    return _evaluate_argv(workdir, "text\nhello\n")
+
+
+def _header_only_eval(workdir, monkeypatch):
+    return _evaluate_argv(workdir, "text,yes,no\n")
+
+
+def _corrupt_model(workdir, monkeypatch):
+    (workdir / "model.json").write_text("{ not json", encoding="utf-8")
+    return ["predict", "--model", str(workdir / "model.json"), "--text", "x"]
+
+
+def _stale_cache(workdir, monkeypatch):
+    _set_config(workdir, cache_dir=str(workdir / "cache"))
+    assert main(_train_argv(workdir)) == 0
+    _write_train_csv(workdir / "train.csv",
+                     texts=[t.upper() for t in TOY_TEXTS])
+    return _train_argv(workdir)
+
+
+def _provider_401(workdir, monkeypatch):
+    import scorefusion.llm as llm_mod
+    monkeypatch.setenv("OPENAI_API_KEY", "bad-key")
+    monkeypatch.setattr(llm_mod, "_requests_transport",
+                        lambda url, headers, body, timeout_s: (401, "{}"))
+    _set_config(workdir, llm_provider={"provider": "openai"}, mock_table=None)
+    return _train_argv(workdir)
+
+
+@pytest.mark.parametrize("setup, code, kind", [
+    (_bad_yaml, 1, "config"),
+    (_unknown_key, 1, "config"),
+    (_empty_label_name, 1, "config"),
+    (_bad_value_type, 1, "config"),
+    (_missing_csv, 2, "data"),
+    (_undecodable_csv, 2, "data"),
+    (_bad_label_cell, 2, "data"),
+    (_partial_label_columns, 2, "data"),
+    (_unlabeled_eval_rows, 2, "data"),
+    (_header_only_eval, 2, "data"),
+    (_corrupt_model, 1, "config"),
+    (_stale_cache, 4, "stale-cache"),
+    (_provider_401, 3, "provider"),
+], ids=lambda value: value.__name__.lstrip("_") if callable(value) else None)
+def test_failure_prints_one_typed_line(workdir, capsys, monkeypatch, setup,
+                                       code, kind):
+    argv = setup(workdir, monkeypatch)
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    assert err.startswith(f"error[{kind}]: ")

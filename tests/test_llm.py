@@ -486,6 +486,48 @@ class TestScoreBatch:
         assert healthy.calls == 1  # only the text that failed
         assert [s.scores for s in out] == [table[t] for t in texts]
 
+    @pytest.mark.parametrize("batch_size", [1, 8])
+    def test_repeated_text_fetched_once(self, batch_size):
+        provider = sf.MockProvider(self.TABLE, SCHEMA)
+        texts = ["t0", "t1", "t0", "t0"]
+        out = sf.score_batch(texts, SCHEMA, MC,
+                             self._pcfg(llm_batch_size=batch_size),
+                             provider=provider)
+        assert provider.calls == 2
+        assert [s.scores for s in out] == [self.TABLE[t] for t in texts]
+
+    def test_repeated_failing_text_reported_at_each_position(self):
+        provider = _FlakyProvider(self.TABLE, SCHEMA, fail_texts={"t1"})
+        texts = ["t1", "t0", "t1", "t2", "t1"]
+        with pytest.raises(sf.ProviderUnavailableError) as info:
+            sf.score_batch(texts, SCHEMA, MC, self._pcfg(max_retries=0),
+                           provider=provider, _sleep=lambda s: None)
+        assert info.value.failed_indices == [0, 2, 4]
+        assert provider.calls == 3
+
+    def test_scores_cached_as_they_arrive(self, tmp_path):
+        class BreaksOnThirdCall:
+            def __init__(self, inner):
+                self.inner = inner
+                self.calls = 0
+
+            def complete(self, prompt):
+                self.calls += 1
+                if self.calls == 3:
+                    raise RuntimeError("not a provider error")
+                return self.inner.complete(prompt)
+
+        cache = sf.cache_open(tmp_path / "c", "f" * 64)
+        pcfg = self._pcfg(llm_batch_size=1)
+        provider = BreaksOnThirdCall(sf.MockProvider(self.TABLE, SCHEMA))
+        with pytest.raises(RuntimeError):
+            sf.score_batch(self.TEXTS, SCHEMA, MC, pcfg, cache=cache,
+                           provider=provider)
+        for text in self.TEXTS[:2]:
+            entry = cache.get(make_cache_key(pcfg, SCHEMA, MC, text))
+            assert entry is not None and entry.scores == self.TABLE[text]
+        assert cache.get(make_cache_key(pcfg, SCHEMA, MC, "t2")) is None
+
     def test_retry_recovers_inside_batch(self):
         provider = _FlakyProvider(self.TABLE, SCHEMA, fail_first=2)
         pcfg = self._pcfg(max_retries=2, llm_batch_size=1)

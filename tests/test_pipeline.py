@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import scorefusion as sf
-from scorefusion.pipeline import MODEL_FORMAT_VERSION
+from scorefusion.pipeline import MODEL_FORMAT_VERSION, dataset_from_records
 
 from conftest import TOY_TEXTS, small_fusion_config
 
@@ -109,6 +109,19 @@ class TestBuildConfig:
             sf.build_config({"label_columns": ["only"]})
         with pytest.raises(sf.ConfigurationError):
             sf.build_config({"label_columns": ["a", "a"]})
+
+    @pytest.mark.parametrize("doc", [
+        {"label_columns": ["", "b"]},
+        {"label_columns": 5},
+        {"label_columns": ["a", "b"], "encoder": {"dim": "abc"}},
+        {"label_columns": ["a", "b"], "fusion": {"epochs": "3"}},
+        {"label_columns": ["a", "b"], "seed": "abc"},
+        {"label_columns": ["a", "b"],
+         "llm_provider": {"provider": "mock", "max_retries": "x"}},
+    ])
+    def test_bad_values_become_config_errors(self, doc):
+        with pytest.raises(sf.ConfigurationError):
+            sf.build_config(doc)
 
     def test_non_mapping_rejected(self):
         with pytest.raises(sf.ConfigurationError, match="mapping"):
@@ -344,6 +357,13 @@ class TestEvaluate:
         model, _, _ = _fit_toy(toy_dataset, toy_table)
         ds = sf.make_dataset(toy_schema, MC, ["x"], [None])
         with pytest.raises(sf.InvalidDatasetError, match="target"):
+            sf.evaluate(model, ds)
+
+    def test_empty_dataset_rejected(self, toy_schema, toy_table,
+                                    toy_dataset):
+        model, _, _ = _fit_toy(toy_dataset, toy_table)
+        ds = sf.make_dataset(toy_schema, MC, [], [])
+        with pytest.raises(sf.InvalidDatasetError, match="no rows"):
             sf.evaluate(model, ds)
 
     def test_label_mismatch_rejected(self, toy_dataset, toy_table):
@@ -611,6 +631,11 @@ class TestAutoFusionClassifier:
         clf = sf.AutoFusionClassifier(self._config_doc())
         with pytest.raises(sf.DataError, match="'text'"):
             clf.fit(rows, providers=self._providers(toy_table))
+
+    def test_missing_text_cell_reads_as_empty(self):
+        ds = dataset_from_records([{"text": None, "yes": 1, "no": 0}],
+                                  sf.LabelSchema(("yes", "no")), MC)
+        assert ds.texts() == [""]
 
     def test_partial_label_columns_named(self, toy_table):
         rows = [{"text": "x", "yes": 1}]
