@@ -26,13 +26,12 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
-import uuid
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
+from .core import atomic_write_text
 from .errors import CacheWriteError, CorruptCacheError, StaleCacheError
 
 logger = logging.getLogger(__name__)
@@ -84,15 +83,9 @@ class CacheEntry:
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + f".tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}")
     try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
+        atomic_write_text(path, text)
     except OSError as exc:
-        try:
-            tmp.unlink(missing_ok=True)
-        except OSError:
-            pass
         raise CacheWriteError(f"cannot write {path}: {exc}") from exc
 
 

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .pipeline import (
     FusionModel,
+    _check_labeled_dataset,
     build_config,
     dataset_from_records,
     evaluate,
@@ -201,6 +202,8 @@ def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
     ds = load_csv_dataset(args.eval_csv, model.schema, model.mode,
                           args.text_column)
+    # Rejected data must not leave an unfinalized run behind.
+    _check_labeled_dataset(ds, model.schema, model.mode)
     cache = None if args.cache_dir is None else cache_open_adopt(args.cache_dir)
     config_doc = _model_config_doc(model, {
         "command": "evaluate",

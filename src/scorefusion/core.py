@@ -1,5 +1,6 @@
 """Domain types shared by every module: label schemas, examples, datasets,
-task modes, score vectors, and dataset fingerprinting.
+task modes, score vectors, dataset fingerprinting, the config codec and
+the atomic file write.
 
 All types here are immutable after construction and safe to share across
 threads. Label order is frozen at schema creation; every vector in the
@@ -10,8 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
+import os
+import uuid
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 
@@ -39,6 +44,29 @@ class DictCodec:
     @classmethod
     def from_dict(cls, doc: dict):
         return cls(**doc)
+
+
+def check_int(name: str, value) -> None:
+    """A TypeError unless `value` is an integer: bools and floats (4.0
+    included) are rejected, so a config never truncates or coerces."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def atomic_write_text(path: Path, text: str) -> None:
+    """Write `text` (UTF-8) to a temp file beside `path`, then rename it
+    over `path`: readers see the old file or the new one, never a partial
+    one. On any failure the temp file is removed and the error re-raised."""
+    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            tmp.unlink(missing_ok=True)
+        except OSError:
+            pass
+        raise
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DictCodec
+from .core import DictCodec, check_int
 from .errors import DataError, UnknownTextError
 
 # FNV-1a, 64-bit. The seed is XORed into the offset basis; seed 0 (the fixed
@@ -51,6 +51,10 @@ class EncoderConfig(DictCodec):
 
     def __post_init__(self):
         object.__setattr__(self, "ngram_sizes", tuple(self.ngram_sizes))
+        check_int("dim", self.dim)
+        check_int("buckets", self.buckets)
+        for n in self.ngram_sizes:
+            check_int("ngram_sizes items", n)
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if self.buckets < self.dim:

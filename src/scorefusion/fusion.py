@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DictCodec, LabelVector, ScoreVector, TaskMode
+from .core import DictCodec, LabelVector, ScoreVector, TaskMode, check_int
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,11 @@ class FusionConfig(DictCodec):
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
+        for h in self.hidden_sizes:
+            check_int("hidden_sizes items", h)
+        check_int("epochs", self.epochs)
+        check_int("train_batch_size", self.train_batch_size)
+        check_int("seed", self.seed)
         if isinstance(self.threshold, (list, tuple)):
             object.__setattr__(self, "threshold",
                                tuple(float(t) for t in self.threshold))

@@ -10,6 +10,7 @@ front, never per epoch.
 
 from __future__ import annotations
 
+import binascii
 import json
 import logging
 from dataclasses import asdict, dataclass, fields, replace
@@ -25,6 +26,7 @@ from .core import (
     LabelVector,
     TaskMode,
     TextExample,
+    atomic_write_text,
     dataset_fingerprint,
     validate_dataset,
 )
@@ -55,13 +57,19 @@ from .fusion import (
     init_fusion_params,
     probabilities,
 )
-from .llm import LLMScore, ProviderConfig, make_provider_config, score_batch
+from .llm import (
+    PROMPT_TEMPLATE_VERSION,
+    LLMScore,
+    ProviderConfig,
+    make_provider_config,
+    score_batch,
+)
 from .metrics import MetricsReport, compute_metrics
 from .results import RunHandle, RunRecord, run_create
 
 logger = logging.getLogger(__name__)
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -85,6 +93,10 @@ class AutoFusionConfig:
     def __post_init__(self):
         object.__setattr__(self, "label_columns", tuple(self.label_columns))
         object.__setattr__(self, "llm_providers", tuple(self.llm_providers))
+        if not isinstance(self.multi_label, bool):
+            raise ConfigurationError(
+                f"multi_label must be true or false, got {self.multi_label!r}"
+            )
         try:
             LabelSchema(self.label_columns)
         except ValueError as exc:
@@ -225,8 +237,9 @@ def build_config(doc: dict) -> AutoFusionConfig:
     """Build an AutoFusionConfig from a plain mapping (YAML/dict form).
 
     Unknown keys are rejected by name at every level, and a value the
-    config types reject (out of range, or of a type they cannot compare)
-    fails as a ConfigurationError. `seed` is shorthand for fusion.seed and
+    config types reject (out of range, or of the wrong type: multi_label
+    must be a bool, counts and sizes must be ints) fails as a
+    ConfigurationError. `seed` is shorthand for fusion.seed and
     wins over a seed inside the fusion mapping.
     """
     if not isinstance(doc, dict):
@@ -239,10 +252,10 @@ def build_config(doc: dict) -> AutoFusionConfig:
     fusion = _section_from_doc(doc.get("fusion", {}), FusionConfig, "fusion")
     try:
         if "seed" in doc:
-            fusion = replace(fusion, seed=int(doc["seed"]))
+            fusion = replace(fusion, seed=doc["seed"])
         return AutoFusionConfig(
             label_columns=tuple(doc["label_columns"]),
-            multi_label=bool(doc.get("multi_label", False)),
+            multi_label=doc.get("multi_label", False),
             llm_providers=_providers_from_doc(doc),
             encoder=_encoder_from_doc(doc.get("encoder", {})),
             fusion=fusion,
@@ -582,22 +595,53 @@ def llm_only_predict(per_provider: Sequence[Sequence[LLMScore]],
 
 
 # ---------------------------------------------------------------------------
-# Model persistence. One JSON document, keys sorted, floats via repr: saving
-# the same model twice yields identical bytes, and load(save(m)) predicts
-# bit-identically. Deliberately no timestamps or environment fields.
+# Model persistence. One JSON document, keys sorted, no timestamps or
+# environment fields: saving the same model twice yields identical bytes,
+# and load(save(m)) predicts bit-identically. Format 2 stores every float
+# array as one base64 string of its little-endian float64 bytes; format 1
+# (JSON lists of repr floats) is still read.
+
+def _encode_array(a: np.ndarray) -> str:
+    """The format-2 form of a float array: base64 of its flattened
+    little-endian float64 bytes, exact for every bit pattern."""
+    raw = np.asarray(a, dtype="<f8").tobytes()
+    return binascii.b2a_base64(raw, newline=False).decode("ascii")
+
+
+def _decode_array(value, version: int) -> np.ndarray:
+    """A flat float64 array from its form in a file of `version`: a list
+    of numbers in format 1, an `_encode_array` string in format 2."""
+    if version == 1:
+        if not isinstance(value, list):
+            raise ModelFormatError(
+                f"expected a list of numbers, got {type(value).__name__}")
+        return np.asarray(value, dtype=np.float64)
+    if not isinstance(value, str):
+        raise ModelFormatError(
+            f"expected a base64 string, got {type(value).__name__}")
+    try:
+        raw = binascii.a2b_base64(value, strict_mode=True)
+    except (binascii.Error, ValueError) as exc:
+        raise ModelFormatError(f"array is not valid base64: {exc}") from None
+    if len(raw) % 8:
+        raise ModelFormatError(
+            f"array has {len(raw)} bytes, not a multiple of 8")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+
 
 def _encoder_to_doc(encoder) -> dict:
     if isinstance(encoder, HashedNgramEncoder):
         return {
             "kind": "hashed_ngram",
             **encoder.cfg.to_dict(),
-            "projection": encoder.params.projection.ravel().tolist(),
+            "projection": _encode_array(encoder.params.projection),
         }
     if isinstance(encoder, FrozenLookupEncoder):
         return {
             "kind": "frozen_lookup",
             "dim": encoder.dim,
-            "table": {text: vec.tolist() for text, vec in encoder.table.items()},
+            "table": {text: _encode_array(vec)
+                      for text, vec in encoder.table.items()},
         }
     raise ModelFormatError(f"unsupported encoder type {type(encoder).__name__}")
 
@@ -608,11 +652,11 @@ def _config_from_model_doc(cls, doc: dict):
     return cls.from_dict({f.name: doc[f.name] for f in fields(cls)})
 
 
-def _encoder_from_model_doc(doc: dict):
+def _encoder_from_model_doc(doc: dict, version: int):
     kind = doc["kind"]
     if kind == "hashed_ngram":
         cfg = _config_from_model_doc(EncoderConfig, doc)
-        flat = np.asarray(doc["projection"], dtype=np.float64)
+        flat = _decode_array(doc["projection"], version)
         if flat.size != cfg.buckets * cfg.dim:
             raise ModelFormatError(
                 f"projection has {flat.size} values, expected "
@@ -621,16 +665,19 @@ def _encoder_from_model_doc(doc: dict):
         params = EncoderParams(flat.reshape(cfg.buckets, cfg.dim))
         return HashedNgramEncoder(cfg, params=params)
     if kind == "frozen_lookup":
-        table = {text: np.asarray(vec, dtype=np.float64)
+        table = {text: _decode_array(vec, version)
                  for text, vec in doc["table"].items()}
         return FrozenLookupEncoder(table, dim=doc["dim"])
     raise ModelFormatError(f"unknown encoder kind {kind!r}")
 
 
 def save_model(model: FusionModel, path: Union[str, Path]) -> None:
-    """Persist a model as a single self-contained JSON file."""
+    """Persist a model as a single self-contained JSON file, written to a
+    temp file and renamed over `path`, so a failed save leaves any earlier
+    file there intact."""
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
+        "prompt_template_version": PROMPT_TEMPLATE_VERSION,
         "labels": list(model.schema.labels),
         "mode": model.mode.value,
         "providers": [asdict(p) for p in model.providers],
@@ -640,19 +687,24 @@ def save_model(model: FusionModel, path: Union[str, Path]) -> None:
             "layers": [
                 {
                     "shape": list(w.shape),
-                    "weight": w.ravel().tolist(),
-                    "bias": b.tolist(),
+                    "weight": _encode_array(w),
+                    "bias": _encode_array(b),
                 }
                 for w, b in zip(model.fusion_params.weights,
                                 model.fusion_params.biases)
             ],
         },
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    try:
+        atomic_write_text(Path(path), json.dumps(doc, sort_keys=True))
+    except OSError as exc:
+        raise ModelFormatError(f"cannot write model file {path}: {exc}") \
+            from None
 
 
 def load_model(path: Union[str, Path]) -> FusionModel:
-    """Read a model file back; predictions match the saved model exactly."""
+    """Read a model file (format 1 or 2) back; predictions match the saved
+    model exactly."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -664,33 +716,41 @@ def load_model(path: Union[str, Path]) -> FusionModel:
             from None
     try:
         version = doc["format_version"]
-        if version != MODEL_FORMAT_VERSION:
+        if version not in (1, MODEL_FORMAT_VERSION):
             raise ModelFormatError(
                 f"model format version {version} unsupported "
-                f"(expected {MODEL_FORMAT_VERSION})"
+                f"(expected 1 or {MODEL_FORMAT_VERSION})"
+            )
+        # Format 1 predates the recorded prompt version.
+        if version > 1 \
+                and doc["prompt_template_version"] != PROMPT_TEMPLATE_VERSION:
+            raise ModelFormatError(
+                f"model was trained with prompt template version "
+                f"{doc['prompt_template_version']!r}, but this scorefusion "
+                f"prompts with version {PROMPT_TEMPLATE_VERSION}"
             )
         schema = LabelSchema(doc["labels"])
         mode = TaskMode(doc["mode"])
         providers = tuple(ProviderConfig(**p) for p in doc["providers"])
-        encoder = _encoder_from_model_doc(doc["encoder"])
+        encoder = _encoder_from_model_doc(doc["encoder"], version)
         fdoc = doc["fusion"]
         fusion_cfg = _config_from_model_doc(FusionConfig, fdoc)
         weights, biases = [], []
         for layer in fdoc["layers"]:
             shape = tuple(layer["shape"])
-            flat = np.asarray(layer["weight"], dtype=np.float64)
+            flat = _decode_array(layer["weight"], version)
             if flat.size != shape[0] * shape[1]:
                 raise ModelFormatError(
                     f"layer weight has {flat.size} values, expected "
                     f"{shape[0] * shape[1]}"
                 )
             weights.append(flat.reshape(shape))
-            biases.append(np.asarray(layer["bias"], dtype=np.float64))
+            biases.append(_decode_array(layer["bias"], version))
         params = FusionParams(weights, biases)
         return FusionModel(schema, mode, encoder, providers,
                            fusion_cfg, params)
-    except ModelFormatError:
-        raise
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"model file {path}: {exc}") from None
     except (KeyError, TypeError, ValueError, IndexError,
             ConfigurationError) as exc:
         raise ModelFormatError(
@@ -738,6 +798,8 @@ class AutoFusionClassifier:
         ds = self._as_dataset(data)
         run = None
         if runs_root is not None:
+            # Rejected data must not leave an unfinalized run behind.
+            _check_labeled_dataset(ds, model.schema, model.mode)
             run = run_create(runs_root, self.config.to_dict(),
                              dataset_fingerprint(ds), model.schema.labels)
         return evaluate(model, ds, cache=self._open_cache(),

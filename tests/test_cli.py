@@ -420,6 +420,16 @@ def _bad_value_type(workdir, monkeypatch):
     return _train_argv(workdir)
 
 
+def _quoted_multi_label(workdir, monkeypatch):
+    _set_config(workdir, multi_label="false")
+    return _train_argv(workdir)
+
+
+def _float_dim(workdir, monkeypatch):
+    _set_config(workdir, encoder={"dim": 4.5})
+    return _train_argv(workdir)
+
+
 def _missing_csv(workdir, monkeypatch):
     _set_config(workdir, train_csv=str(workdir / "nope.csv"))
     return _train_argv(workdir)
@@ -453,6 +463,15 @@ def _corrupt_model(workdir, monkeypatch):
     return ["predict", "--model", str(workdir / "model.json"), "--text", "x"]
 
 
+def _corrupt_base64_model(workdir, monkeypatch):
+    assert main(_train_argv(workdir)) == 0
+    path = workdir / "model.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["encoder"]["projection"] = "not*base64"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return ["predict", "--model", str(path), "--text", "x"]
+
+
 def _stale_cache(workdir, monkeypatch):
     _set_config(workdir, cache_dir=str(workdir / "cache"))
     assert main(_train_argv(workdir)) == 0
@@ -475,6 +494,8 @@ def _provider_401(workdir, monkeypatch):
     (_unknown_key, 1, "config"),
     (_empty_label_name, 1, "config"),
     (_bad_value_type, 1, "config"),
+    (_quoted_multi_label, 1, "config"),
+    (_float_dim, 1, "config"),
     (_missing_csv, 2, "data"),
     (_undecodable_csv, 2, "data"),
     (_bad_label_cell, 2, "data"),
@@ -482,6 +503,7 @@ def _provider_401(workdir, monkeypatch):
     (_unlabeled_eval_rows, 2, "data"),
     (_header_only_eval, 2, "data"),
     (_corrupt_model, 1, "config"),
+    (_corrupt_base64_model, 1, "config"),
     (_stale_cache, 4, "stale-cache"),
     (_provider_401, 3, "provider"),
 ], ids=lambda value: value.__name__.lstrip("_") if callable(value) else None)
@@ -494,3 +516,10 @@ def test_failure_prints_one_typed_line(workdir, capsys, monkeypatch, setup,
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.endswith("\n")
     assert err.startswith(f"error[{kind}]: ")
+
+
+def test_rejected_eval_data_leaves_no_run(workdir, monkeypatch):
+    argv = _header_only_eval(workdir, monkeypatch)
+    assert main(argv) == 2
+    runs_dir = workdir / "eval-runs"
+    assert not runs_dir.exists() or not any(runs_dir.iterdir())

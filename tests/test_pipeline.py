@@ -3,14 +3,24 @@ caching behavior, baselines, and the classifier wrapper."""
 
 from __future__ import annotations
 
+import errno
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import scorefusion as sf
-from scorefusion.pipeline import MODEL_FORMAT_VERSION, dataset_from_records
+from scorefusion.llm import PROMPT_TEMPLATE_VERSION
+from scorefusion.pipeline import (
+    MODEL_FORMAT_VERSION,
+    _decode_array,
+    _encode_array,
+    dataset_from_records,
+)
 
 from conftest import TOY_TEXTS, small_fusion_config
 
@@ -118,10 +128,35 @@ class TestBuildConfig:
         {"label_columns": ["a", "b"], "seed": "abc"},
         {"label_columns": ["a", "b"],
          "llm_provider": {"provider": "mock", "max_retries": "x"}},
+        {"label_columns": ["a", "b"], "multi_label": "false"},
+        {"label_columns": ["a", "b"], "multi_label": 1},
+        {"label_columns": ["a", "b"], "encoder": {"dim": 4.5}},
+        {"label_columns": ["a", "b"], "encoder": {"dim": True}},
+        {"label_columns": ["a", "b"], "encoder": {"buckets": 1024.0}},
+        {"label_columns": ["a", "b"], "encoder": {"ngram_sizes": [3, 4.0]}},
+        {"label_columns": ["a", "b"], "fusion": {"epochs": 2.5}},
+        {"label_columns": ["a", "b"], "fusion": {"hidden_sizes": [8.0]}},
+        {"label_columns": ["a", "b"], "fusion": {"train_batch_size": True}},
+        {"label_columns": ["a", "b"], "fusion": {"seed": 1.5}},
+        {"label_columns": ["a", "b"], "seed": 4.5},
+        {"label_columns": ["a", "b"], "seed": True},
     ])
     def test_bad_values_become_config_errors(self, doc):
         with pytest.raises(sf.ConfigurationError):
             sf.build_config(doc)
+
+    @pytest.mark.parametrize("extra, match", [
+        ({"encoder": {"dim": 4.5}}, "encoder: dim must be an integer"),
+        ({"encoder": {"ngram_sizes": [3, 4.0]}},
+         "encoder: ngram_sizes items must be an integer"),
+        ({"fusion": {"epochs": False}}, "fusion: epochs must be an integer"),
+        ({"fusion": {"hidden_sizes": [8.0]}},
+         "fusion: hidden_sizes items must be an integer"),
+        ({"multi_label": "false"}, "multi_label must be true or false"),
+    ])
+    def test_wrong_type_is_named(self, extra, match):
+        with pytest.raises(sf.ConfigurationError, match=match):
+            sf.build_config({"label_columns": ["a", "b"], **extra})
 
     def test_non_mapping_rejected(self):
         with pytest.raises(sf.ConfigurationError, match="mapping"):
@@ -427,12 +462,7 @@ class TestSaveLoad:
     V1_MODEL = Path(__file__).parent / "data" / "model_v1.json"
     V1_EXPECTED = Path(__file__).parent / "data" / "model_v1_expected.json"
 
-    def test_v1_file_resaves_byte_identical(self, tmp_path):
-        sf.save_model(sf.load_model(self.V1_MODEL), tmp_path / "m.json")
-        assert (tmp_path / "m.json").read_bytes() == self.V1_MODEL.read_bytes()
-
-    def test_v1_file_decisions(self):
-        model = sf.load_model(self.V1_MODEL)
+    def _assert_v1_decisions(self, model):
         expected = json.loads(self.V1_EXPECTED.read_text(encoding="utf-8"))
         texts = expected["texts"]
         providers = [sf.MockProvider(dict(zip(texts, rows)), model.schema)
@@ -440,6 +470,25 @@ class TestSaveLoad:
         preds = sf.predict(model, texts, providers=providers)
         assert [list(p.decided.bits) for p in preds] == expected["decided"]
         assert [list(p.scores.values) for p in preds] == expected["scores"]
+
+    def test_v1_file_resaves_as_stable_v2(self, tmp_path):
+        v1 = sf.load_model(self.V1_MODEL)
+        sf.save_model(v1, tmp_path / "a.json")
+        doc = json.loads((tmp_path / "a.json").read_text(encoding="utf-8"))
+        assert doc["format_version"] == MODEL_FORMAT_VERSION == 2
+        v2 = sf.load_model(tmp_path / "a.json")
+        arrays = lambda m: [m.encoder.params.projection,
+                            *m.fusion_params.weights, *m.fusion_params.biases]
+        for a, b in zip(arrays(v1), arrays(v2), strict=True):
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        self._assert_v1_decisions(v2)
+        sf.save_model(v2, tmp_path / "b.json")
+        assert (tmp_path / "b.json").read_bytes() == \
+            (tmp_path / "a.json").read_bytes()
+
+    def test_v1_file_decisions(self):
+        self._assert_v1_decisions(sf.load_model(self.V1_MODEL))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(sf.ModelFormatError, match="cannot read"):
@@ -461,25 +510,92 @@ class TestSaveLoad:
         with pytest.raises(sf.ModelFormatError, match="version"):
             sf.load_model(path)
 
-    def test_truncated_weights(self, toy_dataset, toy_table, tmp_path):
+    def _doctored(self, toy_dataset, toy_table, tmp_path, edit):
+        """A saved toy model file after `edit(doc)`."""
         model, _, _ = _fit_toy(toy_dataset, toy_table)
         path = tmp_path / "m.json"
         sf.save_model(model, path)
         doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["fusion"]["layers"][0]["weight"] = [0.0, 1.0]
+        edit(doc)
         path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(sf.ModelFormatError):
+        return path
+
+    def test_truncated_weights(self, toy_dataset, toy_table, tmp_path):
+        def edit(doc):
+            doc["fusion"]["layers"][0]["weight"] = _encode_array(
+                np.array([0.0, 1.0]))
+        path = self._doctored(toy_dataset, toy_table, tmp_path, edit)
+        with pytest.raises(sf.ModelFormatError, match="expected"):
             sf.load_model(path)
 
-    def test_missing_section(self, toy_dataset, toy_table, tmp_path):
+    @pytest.mark.parametrize("value, match", [
+        ("AAAAAAAAAAA*", "base64"),
+        ("AAAAAAAAAAA", "base64"),
+        ("AAAAAAAAAAA=AAAA", "base64"),
+        (_encode_array(np.zeros(2))[:-4] + "AAA=", "multiple of 8"),
+        ([0.0] * 8, "base64 string, got list"),
+    ], ids=["bad_char", "bad_padding", "data_after_padding", "bad_length",
+            "list"])
+    def test_bad_array_field(self, toy_dataset, toy_table, tmp_path, value,
+                             match):
+        def edit(doc):
+            doc["encoder"]["projection"] = value
+        path = self._doctored(toy_dataset, toy_table, tmp_path, edit)
+        with pytest.raises(sf.ModelFormatError, match=match):
+            sf.load_model(path)
+
+    def test_other_prompt_version_rejected(self, toy_dataset, toy_table,
+                                           tmp_path):
+        other = PROMPT_TEMPLATE_VERSION + 1
+        def edit(doc):
+            doc["prompt_template_version"] = other
+        path = self._doctored(toy_dataset, toy_table, tmp_path, edit)
+        with pytest.raises(sf.ModelFormatError,
+                           match=f"version {other}.*version "
+                                 f"{PROMPT_TEMPLATE_VERSION}"):
+            sf.load_model(path)
+
+    def test_failed_save_keeps_previous_file(self, toy_dataset, toy_table,
+                                             tmp_path, monkeypatch):
         model, _, _ = _fit_toy(toy_dataset, toy_table)
         path = tmp_path / "m.json"
         sf.save_model(model, path)
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        del doc["encoder"]
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        before = path.read_bytes()
+        real_write_text = Path.write_text
+
+        def write_half_then_fail(self, data, *args, **kwargs):
+            real_write_text(self, data[:len(data) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(sf.ModelFormatError, match="cannot write"):
+            sf.save_model(model, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+    def test_missing_section(self, toy_dataset, toy_table, tmp_path):
+        path = self._doctored(toy_dataset, toy_table, tmp_path,
+                              lambda doc: doc.pop("encoder"))
         with pytest.raises(sf.ModelFormatError, match="invalid"):
             sf.load_model(path)
+
+
+# Every float64 bit pattern: signed zeros, infinities, NaNs with any
+# payload and sign, subnormals.
+_ANY_FLOAT64 = hnp.arrays(np.uint64, st.integers(0, 40)).map(
+    lambda bits: bits.view(np.float64))
+
+
+@given(_ANY_FLOAT64)
+@example(np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -2.2e-308]))
+@example(np.array([0x7FF8000000000001, 0xFFF00000DEADBEEF],
+                  dtype=np.uint64).view(np.float64))
+@example(np.empty(0))
+def test_array_codec_round_trips_every_bit(a):
+    b = _decode_array(_encode_array(a), MODEL_FORMAT_VERSION)
+    assert b.dtype == np.float64 and b.flags.writeable
+    assert np.array_equal(b.view(np.uint64), a.view(np.uint64))
 
 
 class TestFrozenEncoder:
@@ -613,6 +729,14 @@ class TestAutoFusionClassifier:
         report = clf.evaluate(self.RECORDS,
                               providers=self._providers(toy_table))
         assert report.accuracy == 1.0
+
+    def test_rejected_eval_data_leaves_no_run(self, toy_table, tmp_path):
+        clf = sf.AutoFusionClassifier(self._config_doc())
+        clf.fit(self.RECORDS, providers=self._providers(toy_table))
+        with pytest.raises(sf.InvalidDatasetError, match="no rows"):
+            clf.evaluate([], runs_root=tmp_path / "runs",
+                         providers=self._providers(toy_table))
+        assert not (tmp_path / "runs").exists()
 
     def test_predict_before_fit_rejected(self):
         clf = sf.AutoFusionClassifier(self._config_doc())
