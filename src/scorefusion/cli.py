@@ -20,7 +20,7 @@ from typing import Iterator, Optional, Sequence
 import yaml
 
 from .cache import cache_open_adopt
-from .core import Dataset, LabelSchema, TaskMode, dataset_fingerprint
+from .core import Dataset, LabelSchema, TaskMode
 from .encoder import HashedNgramEncoder
 from .errors import (
     ConfigurationError,
@@ -32,16 +32,15 @@ from .errors import (
 )
 from .pipeline import (
     FusionModel,
-    _check_labeled_dataset,
     build_config,
     dataset_from_records,
-    evaluate,
+    evaluate_as_run,
     fit,
     load_model,
     save_model,
 )
 from .pipeline import predict as pipeline_predict
-from .results import prediction_rows, run_compare, run_create, write_predictions_csv
+from .results import prediction_rows, run_compare, write_predictions_csv
 
 # YAML keys consumed by the CLI itself; everything else is handed to
 # build_config, which rejects unknown keys by name.
@@ -202,18 +201,15 @@ def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
     ds = load_csv_dataset(args.eval_csv, model.schema, model.mode,
                           args.text_column)
-    # Rejected data must not leave an unfinalized run behind.
-    _check_labeled_dataset(ds, model.schema, model.mode)
     cache = None if args.cache_dir is None else cache_open_adopt(args.cache_dir)
     config_doc = _model_config_doc(model, {
         "command": "evaluate",
         "model_path": str(args.model),
         "eval_csv": str(args.eval_csv),
     })
-    run = run_create(args.runs_dir, config_doc, dataset_fingerprint(ds),
-                     model.schema.labels)
-    report = evaluate(model, ds, cache=cache, run=run)
-    print(run.run_id)
+    record = evaluate_as_run(model, ds, args.runs_dir, config_doc, cache=cache)
+    report = record.metrics
+    print(record.run_id)
     print(f"accuracy={report.accuracy!r}")
     print(f"macro_f1={report.f1!r}")
     return 0

@@ -17,7 +17,8 @@ class ConfigurationError(ScoreFusionError):
 
 
 class DataError(ScoreFusionError):
-    """Problems with input data files or datasets."""
+    """Problems with data files (unreadable input, an unwritable model file)
+    or datasets."""
 
 
 class InvalidDatasetError(DataError):

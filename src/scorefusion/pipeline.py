@@ -10,7 +10,7 @@ front, never per epoch.
 
 from __future__ import annotations
 
-import binascii
+import base64
 import json
 import logging
 from dataclasses import asdict, dataclass, fields, replace
@@ -549,9 +549,35 @@ def evaluate(model: FusionModel, ds: Dataset,
     """Predict over a labeled dataset and score the decisions.
 
     When a RunHandle is supplied the predictions and report are stored on it
-    and the run is finalized.
+    and the run is finalized. `evaluate_as_run` creates the run itself, and
+    only once the data has passed the check.
     """
     _check_labeled_dataset(ds, model.schema, model.mode)
+    return _evaluate_checked(model, ds, cache, providers, run)
+
+
+def evaluate_as_run(model: FusionModel, ds: Dataset,
+                    runs_root: Optional[Union[str, Path]], config_doc: dict,
+                    cache: Optional[ScoreCache] = None,
+                    providers: Optional[Sequence] = None) -> RunRecord:
+    """Evaluate and record the result as a new run under `runs_root` (in
+    memory when None) whose config snapshot is `config_doc`.
+
+    The data is checked before the run is created, so rejected data leaves
+    no run directory behind. Returns the finalized RunRecord; its `metrics`
+    is the report.
+    """
+    _check_labeled_dataset(ds, model.schema, model.mode)
+    run = run_create(runs_root, config_doc, dataset_fingerprint(ds),
+                     model.schema.labels)
+    _evaluate_checked(model, ds, cache, providers, run)
+    return run.record
+
+
+def _evaluate_checked(model: FusionModel, ds: Dataset,
+                      cache: Optional[ScoreCache],
+                      providers: Optional[Sequence],
+                      run: Optional[RunHandle]) -> MetricsReport:
     preds = predict(model, ds.texts(), cache=cache, providers=providers)
     targets = [row.target for row in ds.rows]
     report = compute_metrics([p.decided for p in preds], targets, ds.mode,
@@ -605,7 +631,7 @@ def _encode_array(a: np.ndarray) -> str:
     """The format-2 form of a float array: base64 of its flattened
     little-endian float64 bytes, exact for every bit pattern."""
     raw = np.asarray(a, dtype="<f8").tobytes()
-    return binascii.b2a_base64(raw, newline=False).decode("ascii")
+    return base64.b64encode(raw).decode("ascii")
 
 
 def _decode_array(value, version: int) -> np.ndarray:
@@ -620,8 +646,10 @@ def _decode_array(value, version: int) -> np.ndarray:
         raise ModelFormatError(
             f"expected a base64 string, got {type(value).__name__}")
     try:
-        raw = binascii.a2b_base64(value, strict_mode=True)
-    except (binascii.Error, ValueError) as exc:
+        # validate=True rejects characters outside the alphabet, bad padding
+        # and data after the padding; binascii.Error is a ValueError.
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:
         raise ModelFormatError(f"array is not valid base64: {exc}") from None
     if len(raw) % 8:
         raise ModelFormatError(
@@ -698,8 +726,7 @@ def save_model(model: FusionModel, path: Union[str, Path]) -> None:
     try:
         atomic_write_text(Path(path), json.dumps(doc, sort_keys=True))
     except OSError as exc:
-        raise ModelFormatError(f"cannot write model file {path}: {exc}") \
-            from None
+        raise DataError(f"cannot write model file {path}: {exc}") from None
 
 
 def load_model(path: Union[str, Path]) -> FusionModel:
@@ -794,16 +821,11 @@ class AutoFusionClassifier:
 
     def evaluate(self, data, runs_root: Optional[Union[str, Path]] = None,
                  providers: Optional[Sequence] = None) -> MetricsReport:
-        model = self._require_model()
-        ds = self._as_dataset(data)
-        run = None
-        if runs_root is not None:
-            # Rejected data must not leave an unfinalized run behind.
-            _check_labeled_dataset(ds, model.schema, model.mode)
-            run = run_create(runs_root, self.config.to_dict(),
-                             dataset_fingerprint(ds), model.schema.labels)
-        return evaluate(model, ds, cache=self._open_cache(),
-                        providers=providers, run=run)
+        record = evaluate_as_run(self._require_model(),
+                                 self._as_dataset(data), runs_root,
+                                 self.config.to_dict(),
+                                 cache=self._open_cache(), providers=providers)
+        return record.metrics
 
     def save(self, path: Union[str, Path]) -> None:
         save_model(self._require_model(), path)

@@ -472,6 +472,12 @@ def _corrupt_base64_model(workdir, monkeypatch):
     return ["predict", "--model", str(path), "--text", "x"]
 
 
+def _unwritable_model_path(workdir, monkeypatch):
+    (workdir / "afile").write_text("not a directory", encoding="utf-8")
+    _set_config(workdir, model_out=str(workdir / "afile" / "model.json"))
+    return _train_argv(workdir)
+
+
 def _stale_cache(workdir, monkeypatch):
     _set_config(workdir, cache_dir=str(workdir / "cache"))
     assert main(_train_argv(workdir)) == 0
@@ -504,6 +510,7 @@ def _provider_401(workdir, monkeypatch):
     (_header_only_eval, 2, "data"),
     (_corrupt_model, 1, "config"),
     (_corrupt_base64_model, 1, "config"),
+    (_unwritable_model_path, 2, "data"),
     (_stale_cache, 4, "stale-cache"),
     (_provider_401, 3, "provider"),
 ], ids=lambda value: value.__name__.lstrip("_") if callable(value) else None)

@@ -568,7 +568,7 @@ class TestSaveLoad:
             raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(Path, "write_text", write_half_then_fail)
-        with pytest.raises(sf.ModelFormatError, match="cannot write"):
+        with pytest.raises(sf.DataError, match="cannot write"):
             sf.save_model(model, path)
         monkeypatch.undo()
         assert path.read_bytes() == before
