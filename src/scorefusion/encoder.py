@@ -210,8 +210,9 @@ class HashedNgramEncoder:
 
     Embedding = L1-normalized n-gram counts times the projection matrix;
     empty text maps to the zero vector. Texts are featurized in bulk into
-    CsrRows, and the sparse gradient path touches only the buckets a batch
-    uses, never materializing a dense (buckets, dim) gradient.
+    CsrRows. A training step works on a TrainingBatch and touches only the
+    buckets the batch uses, never materializing a dense (buckets, dim)
+    gradient.
     """
 
     trainable = True
@@ -249,21 +250,79 @@ class HashedNgramEncoder:
     def encode_batch(self, texts: Sequence[str]) -> np.ndarray:
         return self.embed_features(self.features(texts))
 
-    def apply_sparse_gradients(self, feats: CsrRows, embedding_grads: np.ndarray,
+    def training_batches(self, feats: CsrRows) -> "TrainingBatches":
+        """A TrainingBatch builder over the rows of one fit's features."""
+        return TrainingBatches(feats, self.params.projection)
+
+    def embed_batch(self, batch: "TrainingBatch") -> np.ndarray:
+        """(len(batch), dim) embeddings of a training batch, M @ P[u].
+
+        Equals embed_features on the same rows up to round-off: the sum runs
+        over the sorted touched buckets, with zeros where a row lacks one.
+        """
+        return batch.weights @ batch.projection_rows
+
+    def apply_sparse_gradients(self, batch: "TrainingBatch",
+                               embedding_grads: np.ndarray,
                                lr_small: float) -> None:
         """SGD step from per-example embedding gradients, shape (B, dim).
 
         dL/dP[b, :] = sum over rows r of weight_rb * dL/d(embedding_r); the
         embedding grads must already carry any 1/batch factor from the loss.
-        The touched buckets form a dense (B, U) weight matrix M, so the
-        whole step is P[u] -= lr_small * (M.T @ G).
+        With the batch's (B, U) weight matrix M over its touched buckets u,
+        the whole step is P[u] -= lr_small * (M.T @ G), computed from the
+        rows P[u] the batch read when it was built.
         """
-        if feats.idx.size == 0:
-            return
-        touched, col = np.unique(feats.idx, return_inverse=True)
-        weights = np.zeros((len(feats), touched.size))
-        weights[feats.row_ids(), col] = feats.w
-        self.params.projection[touched] -= lr_small * (weights.T @ embedding_grads)
+        step = batch.weights.T @ embedding_grads
+        step *= lr_small
+        np.subtract(batch.projection_rows, step, out=step)
+        self.params.projection[batch.touched] = step
+
+
+@dataclass(frozen=True)
+class TrainingBatch:
+    """Some rows of CsrRows as a dense weight matrix over the buckets they
+    touch, with the projection rows of those buckets.
+
+    touched is sorted and holds each bucket once; weights[r, c] is row r's
+    weight on bucket touched[c], 0 where the row lacks it; projection_rows
+    is P[touched] as read at build time. The embedding and the update of one
+    training step share all three, so a batch must be applied before the
+    next one is built.
+    """
+
+    touched: np.ndarray
+    weights: np.ndarray
+    projection_rows: np.ndarray
+
+    def __len__(self) -> int:
+        return self.weights.shape[0]
+
+
+class TrainingBatches:
+    """Builds TrainingBatch values from the rows of one fit's features.
+
+    The touched buckets are found without a sort: a boolean mask over all
+    buckets, allocated once and all-False again after every batch, is set
+    at the batch's entries and read back with flatnonzero.
+    """
+
+    def __init__(self, feats: CsrRows, projection: np.ndarray):
+        self.feats = feats
+        self.projection = projection
+        self._mask = np.zeros(projection.shape[0], dtype=bool)
+        self._column = np.zeros(projection.shape[0], dtype=np.int64)
+
+    def __call__(self, rows: np.ndarray) -> TrainingBatch:
+        """The given rows of the features, in the given order."""
+        picked = self.feats.take(rows)
+        self._mask[picked.idx] = True
+        touched = np.flatnonzero(self._mask)
+        self._mask[touched] = False
+        self._column[touched] = np.arange(touched.size)
+        weights = np.zeros((len(picked), touched.size))
+        weights[picked.row_ids(), self._column[picked.idx]] = picked.w
+        return TrainingBatch(touched, weights, self.projection[touched])
 
 
 class FrozenLookupEncoder:

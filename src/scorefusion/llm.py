@@ -493,6 +493,13 @@ def score_batch(texts: Sequence[str], schema: LabelSchema, mode: TaskMode,
     whole batch fails with every position of the failing texts; partial
     results are never returned silently.
     """
+    template = prompt_template_digest(schema, mode)
+
+    def key(text: str) -> CacheKey:
+        """make_cache_key with the template digest hashed once per call."""
+        return CacheKey(pcfg.provider_id, pcfg.model_name, template,
+                        text_digest(text))
+
     positions: dict[str, list[int]] = {}
     for i, text in enumerate(texts):
         positions.setdefault(text, []).append(i)
@@ -500,7 +507,7 @@ def score_batch(texts: Sequence[str], schema: LabelSchema, mode: TaskMode,
     missing: list[str] = []
     for text, where in positions.items():
         entry = None if cache is None \
-            else cache.get(make_cache_key(pcfg, schema, mode, text))
+            else cache.get(key(text))
         if entry is None:
             missing.append(text)
             continue
@@ -521,7 +528,7 @@ def score_batch(texts: Sequence[str], schema: LabelSchema, mode: TaskMode,
         if cache is None:
             return
         try:
-            cache.put(CacheEntry.fresh(make_cache_key(pcfg, schema, mode, text),
+            cache.put(CacheEntry.fresh(key(text),
                                        score.scores, score.parse_ok,
                                        cache.fingerprint))
         except CacheWriteError as exc:

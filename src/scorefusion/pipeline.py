@@ -31,7 +31,6 @@ from .core import (
     validate_dataset,
 )
 from .encoder import (
-    CsrRows,
     EncoderConfig,
     EncoderParams,
     FrozenLookupEncoder,
@@ -404,21 +403,19 @@ def _train(encoder, texts: Sequence[str], targets: Sequence[LabelVector],
                                 fus_seed)
 
     trainable = encoder.trainable
-    feats = encoder.features(texts) if trainable else None
-    fixed = None if trainable else encoder.encode_batch(texts)
     y = np.array([t.bits for t in targets], dtype=np.float64)
-
-    def embed(indices) -> tuple[np.ndarray, Optional[CsrRows]]:
-        """Embeddings of the given rows, plus their features if trainable."""
-        if not trainable:
-            return fixed[indices], None
-        rows = feats.take(indices)
-        return encoder.embed_features(rows), rows
-
     rng = np.random.default_rng(shuffle_seed)
     perm = rng.permutation(n)
     n_val = min(int(validation_fraction * n), n - 1)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
+    if trainable:
+        feats = encoder.features(texts)
+        batches = encoder.training_batches(feats)
+        val_feats = feats.take(val_idx)
+    else:
+        fixed = encoder.encode_batch(texts)
+    val_scores = scores[val_idx]
+    val_targets = [targets[i] for i in val_idx]
 
     last_report: Optional[MetricsReport] = None
     for epoch in range(1, fcfg.epochs + 1):
@@ -426,7 +423,11 @@ def _train(encoder, texts: Sequence[str], targets: Sequence[LabelVector],
         loss_sum = 0.0
         for start in range(0, order.size, fcfg.train_batch_size):
             batch = order[start:start + fcfg.train_batch_size]
-            embs, rows = embed(batch)
+            if trainable:
+                sparse = batches(batch)
+                embs = encoder.embed_batch(sparse)
+            else:
+                embs = fixed[batch]
             logits, tape = forward(np.hstack([embs, scores[batch]]), params)
             mean_loss, dlogits = batch_loss_and_dlogits(logits, y[batch], mode)
             if not np.isfinite(mean_loss):
@@ -438,16 +439,17 @@ def _train(encoder, texts: Sequence[str], targets: Sequence[LabelVector],
             bundle = backward(tape, dlogits, d, params)
             fusion_step(params, bundle, fcfg.lr_high)
             if trainable:
-                encoder.apply_sparse_gradients(rows, bundle.embedding_grad,
+                encoder.apply_sparse_gradients(sparse, bundle.embedding_grad,
                                                lr_small)
             loss_sum += mean_loss * batch.size
         log_extra: dict = {}
         if val_idx.size:
-            embs, _ = embed(val_idx)
-            vlogits, _ = forward(np.hstack([embs, scores[val_idx]]), params)
+            embs = encoder.embed_features(val_feats) if trainable \
+                else fixed[val_idx]
+            vlogits, _ = forward(np.hstack([embs, val_scores]), params)
             last_report = compute_metrics(
                 [p.decided for p in _decide_rows(vlogits, mode, fcfg.threshold)],
-                [targets[i] for i in val_idx], mode, schema.labels)
+                val_targets, mode, schema.labels)
             log_extra = {"val_accuracy": last_report.accuracy,
                          "val_macro_f1": last_report.f1}
         if run is not None:

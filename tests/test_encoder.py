@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import scorefusion as sf
 from scorefusion.encoder import (
+    CsrRows,
     EncoderParams,
     featurize,
     featurize_rows,
@@ -28,6 +29,41 @@ def encoder_gradient_step(params: EncoderParams, grads: np.ndarray,
         )
     params.projection -= lr_small * grads
     return params
+
+
+def _whole_batch(enc, feats):
+    """Every row of feats as one TrainingBatch."""
+    return enc.training_batches(feats)(np.arange(len(feats)))
+
+
+def _reference_batch(feats, rows):
+    """The touched buckets and (B, U) weight matrix of the given rows, by
+    np.unique."""
+    picked = feats.take(rows)
+    touched, col = np.unique(picked.idx, return_inverse=True)
+    weights = np.zeros((len(rows), touched.size))
+    weights[picked.row_ids(), col] = picked.w
+    return touched, weights
+
+
+@st.composite
+def csr_rows(draw, buckets):
+    """CsrRows with empty rows and buckets repeated across rows; weights
+    are positive and sum to 1 in a non-empty row."""
+    pool = draw(st.lists(st.integers(0, buckets - 1), min_size=1,
+                         max_size=12, unique=True))
+    idx, w, lengths = [], [], []
+    for _ in range(draw(st.integers(1, 12))):
+        row = draw(st.lists(st.sampled_from(pool), max_size=len(pool),
+                            unique=True))
+        counts = np.array(draw(st.lists(st.integers(1, 9), min_size=len(row),
+                                        max_size=len(row))), dtype=np.float64)
+        idx += row
+        w += (counts / counts.sum()).tolist() if row else []
+        lengths.append(len(row))
+    indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    return CsrRows(indptr, np.array(idx, dtype=np.int64),
+                   np.array(w, dtype=np.float64))
 
 
 def _scalar_row(text, cfg):
@@ -206,7 +242,8 @@ class TestEncoderGradients:
                 dense[j] += w * g
         encoder_gradient_step(enc_b.params, dense, lr_small=0.05)
 
-        enc_a.apply_sparse_gradients(feats, gs, lr_small=0.05)
+        enc_a.apply_sparse_gradients(_whole_batch(enc_a, feats), gs,
+                                     lr_small=0.05)
         np.testing.assert_allclose(enc_a.params.projection,
                                    enc_b.params.projection, rtol=0, atol=1e-15)
 
@@ -235,9 +272,67 @@ class TestEncoderGradients:
     def test_sparse_skips_empty_rows(self):
         enc = sf.HashedNgramEncoder(self.CFG, seed=1)
         before = enc.params.projection.copy()
-        enc.apply_sparse_gradients(enc.features([""]), np.ones((1, 4)),
-                                   lr_small=0.5)
+        enc.apply_sparse_gradients(_whole_batch(enc, enc.features([""])),
+                                   np.ones((1, 4)), lr_small=0.5)
         np.testing.assert_array_equal(enc.params.projection, before)
+
+
+class TestTrainingBatch:
+    """The training step's batch kernel against an np.unique reference."""
+
+    # M @ P[u] sums a row over the sorted touched buckets, the per-row
+    # w @ P[idx] in first-occurrence order; with weights summing to 1 and
+    # unit-normal entries the two differ by a few ulps of O(1) values.
+    EMBED_ATOL = 1e-12
+
+    def _check(self, enc, build, feats, rows):
+        batch = build(rows)
+        touched, weights = _reference_batch(feats, rows)
+        assert batch.touched.tolist() == touched.tolist()
+        np.testing.assert_array_equal(batch.weights, weights)
+        np.testing.assert_array_equal(batch.projection_rows,
+                                      enc.params.projection[touched])
+        np.testing.assert_allclose(enc.embed_batch(batch),
+                                   enc.embed_features(feats.take(rows)),
+                                   rtol=0, atol=self.EMBED_ATOL)
+
+    @given(data=st.data(), buckets=st.sampled_from([64, 2 ** 15]))
+    def test_matches_unique_reference(self, data, buckets):
+        feats = data.draw(csr_rows(buckets))
+        enc = sf.HashedNgramEncoder(
+            sf.EncoderConfig(dim=4, ngram_sizes=(3,), buckets=buckets), seed=2)
+        rows = np.array(data.draw(st.permutations(range(len(feats)))),
+                        dtype=np.int64)
+        self._check(enc, enc.training_batches(feats), feats, rows)
+
+    def test_consecutive_batches_leave_mask_clean(self):
+        cfg = sf.EncoderConfig(dim=4, ngram_sizes=(3,), buckets=2 ** 15)
+        enc = sf.HashedNgramEncoder(cfg, seed=4)
+        feats = enc.features(["alpha beta", "alpha gamma", "zzzz", "qqqq",
+                              "", "beta alpha"])
+        first = set(feats.take(np.array([0, 1])).idx.tolist())
+        assert first & set(feats.take(np.array([5, 4])).idx.tolist())
+        assert not first & set(feats.take(np.array([2, 3])).idx.tolist())
+        build = enc.training_batches(feats)
+        for rows in ([0, 1], [5, 4], [0, 1], [2, 3], [4], [0, 1, 2, 3, 4, 5]):
+            self._check(enc, build, feats, np.array(rows))
+
+    def test_empty_texts_embed_to_zero_and_leave_projection(self):
+        enc = sf.HashedNgramEncoder(
+            sf.EncoderConfig(dim=4, ngram_sizes=(3,), buckets=64), seed=1)
+        before = enc.params.projection.copy()
+        batch = _whole_batch(enc, enc.features(["", "ab", ""]))
+        np.testing.assert_array_equal(enc.embed_batch(batch), np.zeros((3, 4)))
+        enc.apply_sparse_gradients(batch, np.ones((3, 4)), lr_small=0.5)
+        np.testing.assert_array_equal(enc.params.projection, before)
+
+    def test_len_is_row_count(self):
+        enc = sf.HashedNgramEncoder(
+            sf.EncoderConfig(dim=4, ngram_sizes=(3,), buckets=64), seed=1)
+        feats = enc.features(["one", "", "three", "four"])
+        build = enc.training_batches(feats)
+        assert len(build(np.array([3, 1, 0]))) == 3
+        assert len(build(np.array([1]))) == 1
 
 
 class TestEncoderConfig:

@@ -460,6 +460,26 @@ class TestScoreBatch:
         assert p2.calls == 0
         assert [s.scores for s in out1] == [s.scores for s in out2]
 
+    def test_template_digest_hashed_once_per_call(self, tmp_path,
+                                                  monkeypatch):
+        import scorefusion.llm as llm_mod
+        real, calls = llm_mod.prompt_template_digest, []
+
+        def counting(schema, mode):
+            calls.append((schema, mode))
+            return real(schema, mode)
+
+        monkeypatch.setattr(llm_mod, "prompt_template_digest", counting)
+        cache = sf.cache_open(tmp_path / "c", "f" * 64)
+        pcfg = self._pcfg()
+        for _ in range(2):  # a cold call that puts, then a warm one that gets
+            sf.score_batch(self.TEXTS, SCHEMA, MC, pcfg, cache=cache,
+                           provider=sf.MockProvider(self.TABLE, SCHEMA))
+        assert len(calls) == 2
+        monkeypatch.undo()
+        for text in self.TEXTS:  # the keys of the one-text helper
+            assert cache.get(make_cache_key(pcfg, SCHEMA, MC, text)) is not None
+
     def test_whole_batch_failure_lists_indices(self):
         provider = _FlakyProvider(self.TABLE, SCHEMA,
                                   fail_texts={"t1", "t3"})
