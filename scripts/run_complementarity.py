@@ -45,13 +45,13 @@ def main() -> None:
 
     enc_model, _ = sf.fit_encoder_baseline(data.train, cfg)
     enc_preds = sf.predict_encoder_baseline(enc_model, data.eval.texts())
-    enc = sf.compute_metrics([p.decided for p in enc_preds], targets,
+    enc = sf.compute_metrics(enc_preds.decided, targets,
                              mode, schema.labels).accuracy
 
     scores = sf.score_batch(data.eval.texts(), schema, mode,
                             cfg.llm_providers[0], provider=provider())
     llm_preds = sf.llm_only_predict([scores], mode)
-    llm = sf.compute_metrics([p.decided for p in llm_preds], targets,
+    llm = sf.compute_metrics(llm_preds.decided, targets,
                              mode, schema.labels).accuracy
 
     elapsed = time.perf_counter() - start

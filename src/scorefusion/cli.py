@@ -182,9 +182,9 @@ def _cmd_predict(args) -> int:
         raise ConfigurationError("give either --input or --text, not both")
     if args.texts:
         preds = pipeline_predict(model, args.texts, cache=cache)
-        for pred in preds:
-            names = [model.schema.labels[j] for j in pred.decided_indices()]
-            print(",".join(names))
+        for row in preds.decided:
+            print(",".join(name for name, bit in zip(model.schema.labels, row)
+                           if bit))
         return 0
     if not args.input:
         raise ConfigurationError("predict needs --input or at least one --text")

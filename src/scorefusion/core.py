@@ -120,9 +120,6 @@ class LabelVector:
             raise ValueError(f"index {index} out of range for K={k}")
         return LabelVector(tuple(1 if i == index else 0 for i in range(k)))
 
-    def active_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.bits) if b)
-
     def __len__(self) -> int:
         return len(self.bits)
 

@@ -277,21 +277,28 @@ def batch_loss_and_dlogits(logits: np.ndarray, targets: np.ndarray,
 
 @dataclass(frozen=True)
 class Prediction:
-    """Per-class scores in [0, 1] plus the decided label set."""
+    """One row's per-class scores in [0, 1] plus its decided label set."""
 
     scores: ScoreVector
     decided: LabelVector
 
-    def decided_indices(self) -> tuple[int, ...]:
-        return self.decided.active_indices()
 
+@dataclass(frozen=True, eq=False)
+class Predictions:
+    """The decisions for n rows: `scores` is the (n, K) float64 score
+    matrix and `decided` the (n, K) bool decision matrix. `preds[i]` (and
+    so iteration, which stops at the IndexError past the last row) builds
+    row i's Prediction."""
 
-def decide(logits: np.ndarray, mode: TaskMode,
-           thresholds: float | Sequence[float] = 0.5) -> Prediction:
-    """Apply the mode's decision rule to one logit vector: softmax scores
-    for MULTI_CLASS, per-class sigmoid scores for MULTI_LABEL, then
-    decide_scores."""
-    return decide_scores(probabilities(logits, mode), mode, thresholds)
+    scores: np.ndarray
+    decided: np.ndarray
+
+    def __len__(self) -> int:
+        return self.scores.shape[0]
+
+    def __getitem__(self, i: int) -> Prediction:
+        return Prediction(ScoreVector(self.scores[i].tolist()),
+                          LabelVector(self.decided[i].tolist()))
 
 
 def probabilities(logits: np.ndarray, mode: TaskMode) -> np.ndarray:
@@ -301,22 +308,23 @@ def probabilities(logits: np.ndarray, mode: TaskMode) -> np.ndarray:
     return softmax(z) if mode is TaskMode.MULTI_CLASS else sigmoid(z)
 
 
-def decide_scores(probs: np.ndarray, mode: TaskMode,
-                  thresholds: float | Sequence[float] = 0.5) -> Prediction:
-    """The decision rule on one vector of per-class scores in [0, 1].
+def decide(probs: np.ndarray, mode: TaskMode,
+           thresholds: float | Sequence[float] = 0.5) -> Predictions:
+    """The decision rule on an (n, K) matrix of per-class scores in [0, 1].
 
-    MULTI_CLASS: decided = argmax (lowest index wins ties). MULTI_LABEL:
-    decided = every class whose score is >= its threshold; the decided set
-    may be empty.
+    MULTI_CLASS: each row decides its argmax (lowest index wins ties).
+    MULTI_LABEL: each row decides every class whose score is >= its
+    threshold; the decided set may be empty.
     """
-    k = probs.shape[-1]
+    scores = np.asarray(probs, dtype=np.float64)
+    if not np.isfinite(scores).all():
+        raise ValueError("score vector values must be finite")
+    _, k = scores.shape
     if mode is TaskMode.MULTI_CLASS:
-        winner = int(np.argmax(probs))
-        bits = tuple(1 if i == winner else 0 for i in range(k))
+        decided = np.arange(k) == scores.argmax(axis=1)[:, None]
     else:
-        th = np.full(k, thresholds) if np.isscalar(thresholds) \
-            else np.asarray(thresholds, dtype=np.float64)
-        if th.shape[0] != k:
+        th = np.asarray(thresholds, dtype=np.float64)
+        if th.ndim and th.shape[0] != k:
             raise ValueError(f"{th.shape[0]} thresholds for K={k}")
-        bits = tuple(int(p >= t) for p, t in zip(probs, th))
-    return Prediction(ScoreVector(probs.tolist()), LabelVector(bits))
+        decided = scores >= th
+    return Predictions(scores, decided)

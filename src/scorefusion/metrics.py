@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .core import LabelVector, TaskMode
 
 
@@ -71,39 +73,36 @@ def _safe_div(num: float, den: float) -> float:
     return num / den if den else 0.0
 
 
-def compute_metrics(decided: Sequence[LabelVector],
-                    targets: Sequence[LabelVector],
+def _bool_matrix(rows) -> np.ndarray:
+    """An (n, K) 0/1 array or a sequence of LabelVectors as a bool matrix."""
+    if isinstance(rows, np.ndarray):
+        return rows.astype(bool)
+    return np.array([v.bits for v in rows], dtype=bool)
+
+
+def compute_metrics(decided: Sequence[LabelVector] | np.ndarray,
+                    targets: Sequence[LabelVector] | np.ndarray,
                     mode: TaskMode,
                     label_names: Sequence[str] | None = None) -> MetricsReport:
-    """Confusion-count metrics over parallel decided/target rows."""
-    if len(decided) != len(targets):
-        raise ValueError(
-            f"{len(decided)} decisions vs {len(targets)} targets"
-        )
-    if not decided:
+    """Confusion-count metrics over parallel decided/target rows, given as
+    LabelVector sequences or (n, K) 0/1 arrays."""
+    d, t = _bool_matrix(decided), _bool_matrix(targets)
+    if len(d) != len(t):
+        raise ValueError(f"{len(d)} decisions vs {len(t)} targets")
+    if not len(d):
         raise ValueError("metrics need at least one row")
-    k = len(targets[0])
-    if any(len(v) != k for v in decided) or any(len(v) != k for v in targets):
+    if d.ndim != 2 or d.shape != t.shape:
         raise ValueError("inconsistent label vector lengths")
+    n, k = t.shape
     names = list(label_names) if label_names is not None \
         else [f"label_{i}" for i in range(k)]
     if len(names) != k:
         raise ValueError(f"{len(names)} label names for K={k}")
 
-    exact = sum(1 for d, t in zip(decided, targets) if d.bits == t.bits)
-    accuracy = exact / len(decided)
-
-    tp = [0] * k
-    fp = [0] * k
-    fn = [0] * k
-    for d, t in zip(decided, targets):
-        for i in range(k):
-            if d.bits[i] and t.bits[i]:
-                tp[i] += 1
-            elif d.bits[i] and not t.bits[i]:
-                fp[i] += 1
-            elif not d.bits[i] and t.bits[i]:
-                fn[i] += 1
+    accuracy = int((d == t).all(axis=1).sum()) / n
+    tp = (d & t).sum(axis=0).tolist()
+    fp = (d & ~t).sum(axis=0).tolist()
+    fn = (~d & t).sum(axis=0).tolist()
 
     per_label = []
     for i in range(k):

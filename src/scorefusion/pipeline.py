@@ -47,10 +47,10 @@ from .errors import (
 from .fusion import (
     FusionConfig,
     FusionParams,
-    Prediction,
+    Predictions,
     backward,
     batch_loss_and_dlogits,
-    decide_scores,
+    decide,
     forward,
     fusion_step,
     init_fusion_params,
@@ -415,7 +415,6 @@ def _train(encoder, texts: Sequence[str], targets: Sequence[LabelVector],
     else:
         fixed = encoder.encode_batch(texts)
     val_scores = scores[val_idx]
-    val_targets = [targets[i] for i in val_idx]
 
     last_report: Optional[MetricsReport] = None
     for epoch in range(1, fcfg.epochs + 1):
@@ -448,8 +447,9 @@ def _train(encoder, texts: Sequence[str], targets: Sequence[LabelVector],
                 else fixed[val_idx]
             vlogits, _ = forward(np.hstack([embs, val_scores]), params)
             last_report = compute_metrics(
-                [p.decided for p in _decide_rows(vlogits, mode, fcfg.threshold)],
-                val_targets, mode, schema.labels)
+                decide(probabilities(vlogits, mode), mode,
+                       fcfg.threshold).decided,
+                y[val_idx], mode, schema.labels)
             log_extra = {"val_accuracy": last_report.accuracy,
                          "val_macro_f1": last_report.f1}
         if run is not None:
@@ -468,7 +468,8 @@ def _fetch_scores(texts: list[str], schema: LabelSchema, mode: TaskMode,
         client = providers[j] if providers is not None else None
         scores = score_batch(texts, schema, mode, pcfg, cache=cache,
                              provider=client)
-        blocks.append(np.array([s.scores for s in scores]))
+        blocks.append(np.array([s.scores for s in scores],
+                               dtype=np.float64).reshape(len(texts), schema.K))
     return np.hstack(blocks)
 
 
@@ -516,29 +517,20 @@ def fit(ds: Dataset, cfg: AutoFusionConfig,
                 providers)
 
 
-def _decide_rows(logits: np.ndarray, mode: TaskMode,
-                 threshold: Union[float, Sequence[float]]) -> list[Prediction]:
-    return [decide_scores(p, mode, threshold)
-            for p in probabilities(logits, mode)]
-
-
 def _predict_from_scores(model: FusionModel, texts: Sequence[str],
-                         scores: np.ndarray) -> list[Prediction]:
-    if not texts:
-        return []
+                         scores: np.ndarray) -> Predictions:
     embs = model.encoder.encode_batch(texts)
     logits, _ = forward(np.hstack([embs, scores]), model.fusion_params)
-    return _decide_rows(logits, model.mode, model.fusion_cfg.threshold)
+    return decide(probabilities(logits, model.mode), model.mode,
+                  model.fusion_cfg.threshold)
 
 
 def predict(model: FusionModel, texts: Sequence[str],
             cache: Optional[ScoreCache] = None,
-            providers: Optional[Sequence] = None) -> list[Prediction]:
+            providers: Optional[Sequence] = None) -> Predictions:
     """Classify texts in order: LLM scores (cache-first) -> encode ->
-    fuse -> decide. An empty input yields an empty output."""
+    fuse -> decide. An empty input yields (0, K) arrays."""
     texts = list(texts)
-    if not texts:
-        return []
     scores = _fetch_scores(texts, model.schema, model.mode, model.providers,
                            cache, providers)
     return _predict_from_scores(model, texts, scores)
@@ -582,7 +574,7 @@ def _evaluate_checked(model: FusionModel, ds: Dataset,
                       run: Optional[RunHandle]) -> MetricsReport:
     preds = predict(model, ds.texts(), cache=cache, providers=providers)
     targets = [row.target for row in ds.rows]
-    report = compute_metrics([p.decided for p in preds], targets, ds.mode,
+    report = compute_metrics(preds.decided, targets, ds.mode,
                              model.schema.labels)
     if run is not None:
         run.store_predictions(preds, targets)
@@ -612,14 +604,14 @@ predict_encoder_baseline = predict
 def llm_only_predict(per_provider: Sequence[Sequence[LLMScore]],
                      mode: TaskMode,
                      threshold: Union[float, Sequence[float]] = 0.5,
-                     ) -> list[Prediction]:
+                     ) -> Predictions:
     """Apply the decision rule directly to LLM scores, averaged across
     providers."""
     if not per_provider:
         raise ValueError("at least one provider score list is required")
     mean = np.mean([[s.scores for s in scores] for scores in per_provider],
                    axis=0)
-    return [decide_scores(row, mode, threshold) for row in mean]
+    return decide(mean, mode, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -775,6 +767,10 @@ def load_model(path: Union[str, Path]) -> FusionModel:
                 )
             weights.append(flat.reshape(shape))
             biases.append(_decode_array(layer["bias"], version))
+        stored = list(encoder.table.values()) if isinstance(
+            encoder, FrozenLookupEncoder) else [encoder.params.projection]
+        if not all(np.isfinite(a).all() for a in (*stored, *weights, *biases)):
+            raise ModelFormatError("model holds a non-finite weight")
         params = FusionParams(weights, biases)
         return FusionModel(schema, mode, encoder, providers,
                            fusion_cfg, params)
@@ -817,7 +813,7 @@ class AutoFusionClassifier:
         return self
 
     def predict(self, texts: Sequence[str],
-                providers: Optional[Sequence] = None) -> list[Prediction]:
+                providers: Optional[Sequence] = None) -> Predictions:
         return predict(self._require_model(), list(texts),
                        cache=self._open_cache(), providers=providers)
 

@@ -25,10 +25,12 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from ._version import __version__
 from .core import LabelVector
 from .errors import DataError, RunStateError
-from .fusion import Prediction
+from .fusion import Predictions
 from .metrics import MetricsReport
 
 RUN_FORMAT_VERSION = 1
@@ -91,7 +93,7 @@ class RunHandle:
             with open(self.run_dir / "epochs.jsonl", "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
-    def store_predictions(self, predictions: Sequence[Prediction],
+    def store_predictions(self, predictions: Predictions,
                           targets: Sequence[Optional[LabelVector]] | None = None) -> None:
         if self.record.finalized:
             raise RunStateError(f"run {self.run_id} is already finalized")
@@ -115,20 +117,18 @@ class RunHandle:
         return self.record
 
 
-def prediction_rows(predictions: Sequence[Prediction],
+def prediction_rows(predictions: Predictions,
                     targets: Sequence[Optional[LabelVector]] | None = None,
                     ) -> list[PredictionRow]:
-    """Flatten Prediction objects (plus optional targets) into CSV rows."""
-    rows = []
-    for i, pred in enumerate(predictions):
-        target = targets[i] if targets is not None else None
-        rows.append(PredictionRow(
-            row=i,
-            scores=pred.scores.values,
-            decided="".join(str(b) for b in pred.decided.bits),
-            target="".join(str(b) for b in target.bits) if target else "",
-        ))
-    return rows
+    """Flatten predictions (plus optional targets, one per row) into CSV
+    rows."""
+    scores = predictions.scores.tolist()
+    decided = np.where(predictions.decided, "1", "0").tolist()
+    targets = [None] * len(scores) if targets is None else targets
+    return [PredictionRow(i, tuple(s), "".join(d),
+                          "".join(map(str, t.bits)) if t else "")
+            for i, (s, d, t) in enumerate(zip(scores, decided, targets,
+                                              strict=True))]
 
 
 def write_predictions_csv(path: Path | str, rows: Sequence[PredictionRow],

@@ -5,11 +5,17 @@ from __future__ import annotations
 import csv
 import json
 
+import numpy as np
 import pytest
 import yaml
 
 import scorefusion as sf
 from scorefusion.cli import main
+from scorefusion.pipeline import (
+    MODEL_FORMAT_VERSION,
+    _decode_array,
+    _encode_array,
+)
 
 from conftest import TOY_TEXTS
 
@@ -472,6 +478,18 @@ def _corrupt_base64_model(workdir, monkeypatch):
     return ["predict", "--model", str(path), "--text", "x"]
 
 
+def _non_finite_model(workdir, monkeypatch):
+    assert main(_train_argv(workdir)) == 0
+    path = workdir / "model.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    layer = doc["fusion"]["layers"][-1]
+    bias = _decode_array(layer["bias"], MODEL_FORMAT_VERSION)
+    bias[0] = np.nan
+    layer["bias"] = _encode_array(bias)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return ["predict", "--model", str(path), "--text", "x"]
+
+
 def _unwritable_model_path(workdir, monkeypatch):
     (workdir / "afile").write_text("not a directory", encoding="utf-8")
     _set_config(workdir, model_out=str(workdir / "afile" / "model.json"))
@@ -510,6 +528,7 @@ def _provider_401(workdir, monkeypatch):
     (_header_only_eval, 2, "data"),
     (_corrupt_model, 1, "config"),
     (_corrupt_base64_model, 1, "config"),
+    (_non_finite_model, 1, "config"),
     (_unwritable_model_path, 2, "data"),
     (_stale_cache, 4, "stale-cache"),
     (_provider_401, 3, "provider"),

@@ -37,7 +37,6 @@ class TestLabelVector:
         v = sf.LabelVector((1, 0, 1))
         assert v.bits == (1, 0, 1)
         assert len(v) == 3
-        assert v.active_indices() == (0, 2)
 
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):

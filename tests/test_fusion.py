@@ -7,13 +7,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scorefusion as sf
 from scorefusion.fusion import (
     FusionParams,
     batch_loss_and_dlogits,
+    decide,
     grad_loss_multiclass,
     grad_loss_multilabel,
     probabilities,
@@ -383,6 +384,36 @@ class TestBatchLoss:
             batch_loss_and_dlogits(np.zeros((2, 3)), np.zeros((2, 2)), MC)
 
 
+def _decide_scores(probs, mode, thresholds=0.5):
+    """The per-row decision rule that the batched `decide` replaced, kept
+    as its oracle: one vector of per-class scores in, one Prediction out."""
+    k = probs.shape[-1]
+    if mode is MC:
+        winner = int(np.argmax(probs))
+        bits = tuple(1 if i == winner else 0 for i in range(k))
+    else:
+        th = np.full(k, thresholds) if np.isscalar(thresholds) \
+            else np.asarray(thresholds, dtype=np.float64)
+        if th.shape[0] != k:
+            raise ValueError(f"{th.shape[0]} thresholds for K={k}")
+        bits = tuple(int(p >= t) for p, t in zip(probs, th))
+    return sf.Prediction(sf.ScoreVector(probs.tolist()), sf.LabelVector(bits))
+
+
+def _decide_logits(logits, mode, **kw):
+    """decide on the probabilities of a batch of logit rows."""
+    z = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+    return decide(probabilities(z, mode), mode, **kw)
+
+
+# Scores and thresholds share values, so exact ties and scores equal to a
+# threshold are drawn often.
+_SHARED = st.sampled_from([0.0, 0.25, 0.4, 0.5, 0.6, 1.0])
+_SCORE = st.one_of(_SHARED, st.floats(0.0, 1.0))
+_THRESHOLD = st.one_of(_SHARED.filter(lambda t: 0.0 < t < 1.0),
+                       st.floats(0.01, 0.99))
+
+
 class TestDecide:
     def test_batched_probabilities_match_rows(self):
         logits = np.random.default_rng(4).normal(scale=3.0, size=(5, 4))
@@ -391,38 +422,66 @@ class TestDecide:
             for row, z in zip(batch, logits):
                 assert row.tolist() == probabilities(z, mode).tolist()
 
+    @given(st.integers(1, 9), st.integers(0, 12), st.sampled_from([MC, ML]),
+           st.booleans(), st.data())
+    @settings(max_examples=200)
+    def test_matches_per_row_rule(self, k, n, mode, per_class, data):
+        rows = data.draw(st.lists(st.lists(_SCORE, min_size=k, max_size=k),
+                                  min_size=n, max_size=n))
+        probs = np.array(rows, dtype=np.float64).reshape(n, k)
+        th = tuple(data.draw(_THRESHOLD) for _ in range(k)) if per_class \
+            else data.draw(_THRESHOLD)
+        preds = decide(probs, mode, th)
+        assert preds.scores.shape == preds.decided.shape == (n, k)
+        assert preds.decided.dtype == bool
+        want = [_decide_scores(row, mode, th) for row in probs]
+        assert np.array_equal(
+            preds.decided,
+            np.array([w.decided.bits for w in want], dtype=bool).reshape(n, k))
+        assert len(preds) == n
+        for i in range(n):
+            assert preds[i] == want[i]
+            assert list(preds[i].scores.values) == probs[i].tolist()
+
     def test_multiclass_argmax(self):
-        pred = sf.decide(np.array([0.1, 2.0, -1.0]), MC)
-        assert pred.decided.bits == (0, 1, 0)
-        assert pred.decided_indices() == (1,)
-        assert sum(pred.scores.values) == pytest.approx(1.0)
+        preds = _decide_logits([0.1, 2.0, -1.0], MC)
+        assert preds[0].decided.bits == (0, 1, 0)
+        assert np.flatnonzero(preds.decided[0]).tolist() == [1]
+        assert sum(preds[0].scores.values) == pytest.approx(1.0)
 
     def test_multiclass_tie_breaks_low(self):
-        pred = sf.decide(np.array([0.0, 0.0]), MC)
-        assert pred.decided.bits == (1, 0)
+        preds = _decide_logits([0.0, 0.0], MC)
+        assert preds[0].decided.bits == (1, 0)
 
     def test_multilabel_threshold_inclusive(self):
         # sigmoid(0) = 0.5 exactly; >= 0.5 must include it
-        pred = sf.decide(np.array([0.0, -5.0, 5.0]), ML, thresholds=0.5)
-        assert pred.decided.bits == (1, 0, 1)
+        preds = _decide_logits([0.0, -5.0, 5.0], ML, thresholds=0.5)
+        assert preds[0].decided.bits == (1, 0, 1)
 
     def test_multilabel_empty_set_allowed(self):
-        pred = sf.decide(np.array([-3.0, -3.0]), ML, thresholds=0.5)
-        assert pred.decided.bits == (0, 0)
+        preds = _decide_logits([-3.0, -3.0], ML, thresholds=0.5)
+        assert preds[0].decided.bits == (0, 0)
 
     def test_per_class_thresholds(self):
-        pred = sf.decide(np.array([0.0, 0.0]), ML, thresholds=(0.4, 0.6))
-        assert pred.decided.bits == (1, 0)
+        preds = _decide_logits([0.0, 0.0], ML, thresholds=(0.4, 0.6))
+        assert preds[0].decided.bits == (1, 0)
 
     def test_threshold_length_mismatch(self):
         with pytest.raises(ValueError):
-            sf.decide(np.zeros(3), ML, thresholds=(0.5, 0.5))
+            _decide_logits(np.zeros(3), ML, thresholds=(0.5, 0.5))
 
     @given(st.lists(st.floats(min_value=-100, max_value=100,
                               allow_nan=False), min_size=2, max_size=6))
     def test_multiclass_decides_exactly_one(self, logits):
-        pred = sf.decide(np.array(logits), MC)
-        assert sum(pred.decided.bits) == 1
+        preds = _decide_logits(logits, MC)
+        assert sum(preds[0].decided.bits) == 1
+
+    @pytest.mark.parametrize("mode", [MC, ML])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, mode, bad):
+        probs = np.array([[0.2, 0.8], [bad, 0.5]])
+        with pytest.raises(ValueError, match="finite"):
+            decide(probs, mode)
 
 
 class TestFusionConfig:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,11 @@ ML = sf.TaskMode.MULTI_LABEL
 
 def _lv(*bits):
     return sf.LabelVector(tuple(bits))
+
+
+def _matrix(vectors):
+    """LabelVector rows as the (n, K) 0/1 array form."""
+    return np.array([v.bits for v in vectors], dtype=np.int64)
 
 
 def _oracle(decided, targets):
@@ -123,7 +130,6 @@ class TestSerialization:
         doc = rep.to_dict()
         back = sf.MetricsReport.from_dict(doc)
         assert back == rep
-        import json
         assert sf.MetricsReport.from_dict(json.loads(json.dumps(doc))) == rep
 
 
@@ -145,6 +151,8 @@ class TestOracleAgreement:
                 targets = [_lv(*(rng.randint(0, 1) for _ in range(k)))
                            for _ in range(n)]
             rep = sf.compute_metrics(decided, targets, mode)
+            assert sf.compute_metrics(_matrix(decided), _matrix(targets),
+                                      mode) == rep
             want = _oracle(decided, targets)
             assert rep.accuracy == want["accuracy"]
             assert rep.precision == pytest.approx(want["macro_p"], abs=1e-15)
@@ -155,6 +163,24 @@ class TestOracleAgreement:
             for m, (p, r, f, s) in zip(rep.per_label, want["per"]):
                 assert (m.precision, m.recall, m.f1, m.support) == \
                     pytest.approx((p, r, f, s), abs=1e-15)
+
+    @pytest.mark.parametrize("decided, targets", [
+        (np.ones((2, 3)), np.ones((3, 3))),
+        (np.ones((2, 3)), np.ones((2, 2))),
+        (np.ones((2, 3)), [_lv(1, 0, 0), _lv(0, 1, 0), _lv(0, 0, 1)]),
+        ([_lv(1, 0), _lv(0, 1)], np.ones((2, 3))),
+    ], ids=["rows", "k", "rows_mixed", "k_mixed"])
+    def test_array_shape_mismatch(self, decided, targets):
+        with pytest.raises(ValueError):
+            sf.compute_metrics(decided, targets, ML)
+
+    def test_array_supports_are_python_ints(self):
+        decided = np.array([[1, 0], [1, 1], [0, 1]], dtype=bool)
+        targets = np.array([[1, 0], [0, 1], [0, 1]], dtype=np.float64)
+        doc = sf.compute_metrics(decided, targets, ML).to_dict()
+        assert [type(m["support"]) for m in doc["per_label"]] == [int, int]
+        assert [m["support"] for m in doc["per_label"]] == [1, 2]
+        json.dumps(doc)
 
     @given(st.integers(min_value=1, max_value=12),
            st.integers(min_value=1, max_value=4), st.data())

@@ -311,7 +311,13 @@ class TestFitCaching:
 class TestPredict:
     def test_empty_input(self, toy_dataset, toy_table):
         model, _, _ = _fit_toy(toy_dataset, toy_table)
-        assert sf.predict(model, []) == []
+        provider = sf.MockProvider(toy_table, model.schema)
+        preds = sf.predict(model, [], providers=[provider])
+        assert preds.scores.shape == preds.decided.shape == (0, 2)
+        assert preds.scores.dtype == np.float64
+        assert preds.decided.dtype == bool
+        assert list(preds) == []
+        assert provider.calls == 0
 
     def test_order_preserved_and_scores_valid(self, toy_dataset, toy_table):
         model, _, _ = _fit_toy(toy_dataset, toy_table)
@@ -574,6 +580,20 @@ class TestSaveLoad:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
 
+    @pytest.mark.parametrize("where, value", [
+        ("projection", np.nan), ("weight", np.inf), ("bias", -np.inf)])
+    def test_non_finite_weight_rejected(self, toy_dataset, toy_table,
+                                        tmp_path, where, value):
+        def edit(doc):
+            holder, key = (doc["encoder"], "projection") \
+                if where == "projection" else (doc["fusion"]["layers"][-1], where)
+            flat = _decode_array(holder[key], MODEL_FORMAT_VERSION)
+            flat[-1] = value
+            holder[key] = _encode_array(flat)
+        path = self._doctored(toy_dataset, toy_table, tmp_path, edit)
+        with pytest.raises(sf.ModelFormatError, match="non-finite weight"):
+            sf.load_model(path)
+
     def test_missing_section(self, toy_dataset, toy_table, tmp_path):
         path = self._doctored(toy_dataset, toy_table, tmp_path,
                               lambda doc: doc.pop("encoder"))
@@ -642,6 +662,21 @@ class TestFrozenEncoder:
         assert isinstance(loaded.encoder, sf.FrozenLookupEncoder)
         for t, v in vecs.items():
             assert np.array_equal(loaded.encoder.encode(t), v)
+
+    def test_non_finite_vector_rejected(self, toy_dataset, toy_table,
+                                        tmp_path):
+        path, _ = self._embeddings_file(tmp_path, TOY_TEXTS)
+        cfg = small_fusion_config(encoder=str(path))
+        provider = sf.MockProvider(toy_table, toy_dataset.schema)
+        model, _ = sf.fit(toy_dataset, cfg, providers=[provider])
+        out = tmp_path / "model.json"
+        sf.save_model(model, out)
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        doc["encoder"]["table"][TOY_TEXTS[3]] = _encode_array(
+            np.array([0.0, np.nan, 1.0, 2.0]))
+        out.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(sf.ModelFormatError, match="non-finite weight"):
+            sf.load_model(out)
 
 
 class TestBaselines:

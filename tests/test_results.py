@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import scorefusion as sf
+from scorefusion.fusion import Predictions
 from scorefusion.results import PredictionRow, prediction_rows, run_create
 
 FP = "c" * 64
@@ -17,10 +18,8 @@ CONFIG = {"label_columns": ["a", "b"], "multi_label": False,
 
 
 def _preds():
-    return [
-        sf.Prediction(sf.ScoreVector((0.9, 0.1)), sf.LabelVector((1, 0))),
-        sf.Prediction(sf.ScoreVector((0.2, 0.8)), sf.LabelVector((0, 1))),
-    ]
+    return Predictions(np.array([[0.9, 0.1], [0.2, 0.8]]),
+                       np.array([[True, False], [False, True]]))
 
 
 def _targets():
@@ -128,7 +127,7 @@ class TestLoadRun:
 
     def test_scores_bit_exact(self, tmp_path):
         odd = (np.nextafter(0.5, 1.0), 1 / 3)
-        preds = [sf.Prediction(sf.ScoreVector(odd), sf.LabelVector((1, 0)))]
+        preds = Predictions(np.array([odd]), np.array([[True, False]]))
         run = run_create(tmp_path, CONFIG, FP, ("a", "b"))
         run.store_predictions(preds)
         run.finalize(None)
@@ -152,7 +151,8 @@ class TestRunCompare:
         run = run_create(tmp_path, config, FP, ("a", "b"))
         decided, targets = accuracy_rows
         run.store_predictions(
-            [sf.Prediction(sf.ScoreVector((0.5, 0.5)), d) for d in decided],
+            Predictions(np.full((len(decided), 2), 0.5),
+                        np.array([d.bits for d in decided], dtype=bool)),
             targets)
         metrics = sf.compute_metrics(decided, targets,
                                      sf.TaskMode.MULTI_CLASS, ("a", "b"))
@@ -217,3 +217,7 @@ class TestPredictionRows:
         assert all(r.target == "" for r in rows)
         rows = prediction_rows(_preds(), [None, sf.LabelVector((0, 1))])
         assert rows[0].target == "" and rows[1].target == "01"
+
+    def test_target_count_must_match_rows(self):
+        with pytest.raises(ValueError):
+            prediction_rows(_preds(), [sf.LabelVector((1, 0))])
