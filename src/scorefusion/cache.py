@@ -1,24 +1,48 @@
 """On-disk, content-addressed store of LLM scores with dataset-fingerprint
 validation.
 
-Layout (documented byte-exactly so other tooling can read caches):
+Layout, format 2 (documented byte-exactly so other tooling can read caches):
 
-    <root>/manifest.json                 {"format_version": 1,
+    <root>/manifest.json                 {"created_at": "<ISO-8601 UTC>",
                                           "dataset_fingerprint": "<64 hex>",
-                                          "created_at": "<ISO-8601 UTC>"}
-    <root>/<shard>/<key>.json            one JSON entry per key
+                                          "format_version": 2}
+    <root>/log-<writer id>.jsonl         append-only segments of entry lines
 
-`shard` is the first two hex characters of the key's text digest (256
-subdirectories, uniformly distributed). `key` is the dot-joined hex form of
-the four key parts: hex-encoded provider id, hex-encoded model name, prompt
-template digest, text digest. Entry files carry explicit field names plus a
-format-version integer:
+`key` is the dot-joined hex form of the four key parts: hex-encoded provider
+id, hex-encoded model name, prompt template digest, text digest. Each line
+of a segment is one entry, key first:
 
-    {"format_version": 1, "key": "...", "scores": [...], "parse_ok": true,
-     "created_at": "...", "dataset_fingerprint": "..."}
+    <key> TAB <entry JSON> TAB <crc> LF
 
-Writes are write-temp-then-rename, so a crash mid-put leaves the prior
-entry (or miss) intact. The store is append-only: no eviction, no TTL.
+The entry JSON has sorted keys, explicit field names and an entry-format
+integer, and holds no TAB or LF:
+
+    {"created_at": "...", "dataset_fingerprint": "...", "format_version": 1,
+     "key": "...", "parse_ok": true, "scores": [...]}
+
+`crc` is the CRC-32 (zlib) of every byte before the last TAB, as 8
+lowercase hex digits. The writer id is the writing process's pid plus a
+random suffix: each handle that writes appends to a segment of its own,
+created at its first put, so lines of two writers never interleave and a
+handle that only reads creates no file.
+
+Opening a handle reads every segment, in sorted name order, and indexes
+each line by its key without parsing the entry; the last valid line for a
+key wins. A line whose CRC fails and a torn last line (no LF) are skipped
+with one logged warning per segment; a later put of the key heals it. On an
+index miss the handle first indexes the complete lines other writers have
+appended since it last looked, so a score another process has already paid
+for is not fetched again.
+
+Format 1 (read only): `<root>/<shard>/<key>.json`, one entry JSON per file,
+where `shard` is the first two hex characters of the text digest. A
+directory that holds shard directories when it is opened serves those
+entries on a miss in the segments; they are never rewritten or migrated.
+The manifest of a format-1 cache is read as it is.
+
+A put is one write(2) of the whole line to a file opened O_APPEND, with no
+user-space buffer: the line survives a killed process, but nothing is
+fsynced. The store is append-only: no eviction, no TTL, no compaction.
 """
 
 from __future__ import annotations
@@ -26,6 +50,10 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
+import threading
+import weakref
+import zlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -37,8 +65,10 @@ from .errors import CacheWriteError, CorruptCacheError, StaleCacheError
 logger = logging.getLogger(__name__)
 
 ENTRY_FORMAT_VERSION = 1
-MANIFEST_FORMAT_VERSION = 1
+MANIFEST_FORMAT_VERSION = 2
+_READABLE_FORMATS = (1, 2)
 _MANIFEST_NAME = "manifest.json"
+_SEGMENT_PREFIX, _SEGMENT_SUFFIX = "log-", ".jsonl"
 
 
 @dataclass(frozen=True)
@@ -82,44 +112,111 @@ class CacheEntry:
                           datetime.now(timezone.utc), dataset_fingerprint)
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    try:
-        atomic_write_text(path, text)
-    except OSError as exc:
-        raise CacheWriteError(f"cannot write {path}: {exc}") from exc
-
-
 class ScoreCache:
     """Handle to one cache directory, bound to one dataset fingerprint.
 
-    Concurrent reads are safe; concurrent writers to distinct keys are safe;
-    two writers to the same key race benignly (last rename wins). The
-    manifest is written only at open.
+    Safe to share between threads: puts and catch-up reads run under a
+    per-handle lock. Safe to open in many processes at once: each writing
+    handle appends to its own segment. Two writers of one key race
+    benignly; each handle serves the line it indexed last. The manifest is
+    written only at open.
     """
 
     def __init__(self, root: Path, fingerprint: str):
         self.root = root
         self.fingerprint = fingerprint
+        self._lock = threading.Lock()
+        self._index: dict[bytes, bytes] = {}  # key string -> entry JSON
+        self._indexed_bytes: dict[str, int] = {}  # segment name -> offset
+        self._warned: set[str] = set()  # segments already warned about
+        self._segment: Optional[str] = None  # this handle's, once it puts
+        self._fd: Optional[int] = None
+        self._close_fd: Optional[weakref.finalize] = None
+        self._has_format1 = any(p.is_dir() for p in root.glob("??"))
+        self._catch_up()
 
-    def _entry_path(self, key: CacheKey) -> Path:
-        return self.root / key.text_digest[:2] / (key.key_string + ".json")
+    def _catch_up(self) -> None:
+        """Index the complete lines appended to every segment since this
+        handle last read it: one listing, one stat per segment. Runs at
+        open and, under the lock, on an index miss."""
+        try:
+            with os.scandir(self.root) as listing:
+                segments = sorted((e.name, e) for e in listing
+                                  if e.name.startswith(_SEGMENT_PREFIX)
+                                  and e.name.endswith(_SEGMENT_SUFFIX))
+        except OSError as exc:
+            logger.warning("cannot list cache dir %s: %s", self.root, exc)
+            return
+        for name, entry in segments:
+            try:
+                if entry.stat().st_size > self._indexed_bytes.get(name, 0):
+                    self._read_segment(name)
+            except OSError as exc:
+                logger.warning("unreadable cache segment %s: %s",
+                               entry.path, exc)
+
+    def _read_segment(self, name: str) -> None:
+        """Index each new LF-terminated line whose CRC holds, last line
+        winning. Bytes after the last LF are left for a later look, so a
+        line another writer is still appending is never consumed
+        half-written."""
+        path = self.root / name
+        done = self._indexed_bytes.get(name, 0)
+        bad, torn = 0, False
+        with open(path, "rb") as fh:
+            fh.seek(done)
+            for line in fh:
+                if not line.endswith(b"\n"):
+                    torn = True
+                    break
+                done += len(line)
+                head, _, crc = line.rpartition(b"\t")
+                key, tab, entry = head.partition(b"\t")
+                if tab and crc == b"%08x\n" % zlib.crc32(head):
+                    self._index[key] = entry
+                else:
+                    bad += 1
+        self._indexed_bytes[name] = done
+        if (bad or torn) and name not in self._warned:
+            self._warned.add(name)
+            logger.warning(
+                "cache segment %s: skipped %d line(s) with a bad CRC%s; a "
+                "later put of their keys heals them", path, bad,
+                " and a torn last line" if torn else "")
 
     def get(self, key: CacheKey) -> Optional[CacheEntry]:
         """Return the entry iff present and fingerprint-valid, else None.
 
-        Corrupt entry files are treated as misses with a logged warning, so
-        the cache heals itself on the next put.
+        An index miss first catches up on other writers' segments, then
+        falls back to a format-1 entry file. Corrupt entries are treated as
+        misses with a logged warning, so the cache heals itself on the next
+        put.
         """
-        path = self._entry_path(key)
+        key_string = key.key_string
+        index_key = key_string.encode("utf-8")
+        raw = self._index.get(index_key)
+        if raw is None:
+            with self._lock:
+                self._catch_up()
+            raw = self._index.get(index_key)
+        if raw is not None:
+            return self._parse(key, key_string, raw, self.root)
+        if not self._has_format1:
+            return None
+        path = self.root / key.text_digest[:2] / (key_string + ".json")
         try:
-            raw = path.read_text(encoding="utf-8")
+            raw = path.read_bytes()
         except FileNotFoundError:
             return None
         except OSError as exc:
             logger.warning("unreadable cache entry %s: %s", path, exc)
             return None
+        return self._parse(key, key_string, raw, path)
+
+    def _parse(self, key: CacheKey, key_string: str, raw: bytes,
+               source: Path) -> Optional[CacheEntry]:
         try:
-            doc = json.loads(raw)
+            doc = json.loads(raw.decode("utf-8"))
             entry = CacheEntry(
                 key=key,
                 scores=tuple(float(s) for s in doc["scores"]),
@@ -127,34 +224,84 @@ class ScoreCache:
                 created_at=datetime.fromisoformat(doc["created_at"]),
                 dataset_fingerprint=doc["dataset_fingerprint"],
             )
-            if doc["key"] != key.key_string:
+            if doc["key"] != key_string:
                 raise ValueError("key mismatch")
         except (ValueError, KeyError, TypeError) as exc:
-            logger.warning("corrupt cache entry %s: %s", path, exc)
+            logger.warning("corrupt cache entry %s in %s: %s", key_string,
+                           source, exc)
             return None
         if entry.dataset_fingerprint != self.fingerprint:
             return None
         return entry
 
     def put(self, entry: CacheEntry) -> None:
-        """Durable write; overwrites an existing entry for the same key."""
+        """Append the entry to this handle's segment; it overrides an
+        earlier entry for the same key. A failed append raises
+        CacheWriteError and moves later puts to a fresh segment, so a torn
+        line never swallows the next one."""
         if any(not math.isfinite(s) or not 0.0 <= s <= 1.0
                for s in entry.scores):
             raise ValueError("cache entry scores must be finite and in [0, 1]")
-        path = self._entry_path(entry.key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise CacheWriteError(f"cannot create shard dir {path.parent}: {exc}") from exc
-        doc = {
+        key_string = entry.key.key_string
+        doc = json.dumps({
             "format_version": ENTRY_FORMAT_VERSION,
-            "key": entry.key.key_string,
+            "key": key_string,
             "scores": list(entry.scores),
             "parse_ok": entry.parse_ok,
             "created_at": entry.created_at.isoformat(),
             "dataset_fingerprint": entry.dataset_fingerprint,
-        }
-        _atomic_write_text(path, json.dumps(doc, sort_keys=True))
+        }, sort_keys=True).encode("utf-8")
+        index_key = key_string.encode("utf-8")
+        head = index_key + b"\t" + doc
+        line = b"%s\t%08x\n" % (head, zlib.crc32(head))
+        with self._lock:
+            try:
+                if self._fd is None:
+                    self._open_segment()
+                written = os.write(self._fd, line)
+                if written != len(line):
+                    raise OSError(f"wrote {written} of {len(line)} bytes")
+            except OSError as exc:
+                self._abandon_segment()
+                raise CacheWriteError(
+                    f"cannot append to cache {self.root}: {exc}") from exc
+            self._indexed_bytes[self._segment] += len(line)
+            self._index[index_key] = doc
+
+    def _open_segment(self) -> None:
+        name = (f"{_SEGMENT_PREFIX}{os.getpid()}-{os.urandom(4).hex()}"
+                f"{_SEGMENT_SUFFIX}")
+        self._fd = os.open(self.root / name,
+                           os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_APPEND,
+                           0o644)
+        self._close_fd = weakref.finalize(self, os.close, self._fd)
+        self._segment = name
+        self._indexed_bytes[name] = 0
+
+    def _abandon_segment(self) -> None:
+        if self._close_fd is not None:
+            self._close_fd()
+        self._fd = self._close_fd = None
+
+
+def _read_manifest(manifest_path: Path) -> str:
+    """The dataset fingerprint a manifest records. Raises FileNotFoundError
+    when there is none and CorruptCacheError when it cannot be used."""
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        stored = manifest["dataset_fingerprint"]
+        version = manifest["format_version"]
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise CorruptCacheError(
+            f"corrupt cache manifest {manifest_path}: {exc}"
+        ) from exc
+    if version not in _READABLE_FORMATS:
+        raise CorruptCacheError(
+            f"cache manifest {manifest_path} has unknown format_version "
+            f"{version!r}")
+    return stored
 
 
 def cache_open(path: str | Path, expected_dataset_fingerprint: str,
@@ -176,48 +323,43 @@ def cache_open(path: str | Path, expected_dataset_fingerprint: str,
     except OSError as exc:
         raise CacheWriteError(f"cannot create cache dir {root}: {exc}") from exc
 
-    if manifest_path.exists():
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-            stored = manifest["dataset_fingerprint"]
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise CorruptCacheError(
-                f"corrupt cache manifest {manifest_path}: {exc}"
-            ) from exc
-        if stored != expected_dataset_fingerprint:
-            if policy == "strict":
-                raise StaleCacheError(
-                    f"cache at {root} was built for dataset {stored[:12]}..., "
-                    f"expected {expected_dataset_fingerprint[:12]}...; "
-                    "delete the directory or open with policy='warn'"
-                )
-            logger.warning(
-                "cache at %s is stale (fingerprint changed); entries will be "
-                "refetched", root,
+    try:
+        stored = _read_manifest(manifest_path)
+    except FileNotFoundError:
+        stored = None
+    if stored == expected_dataset_fingerprint:
+        return ScoreCache(root, expected_dataset_fingerprint)
+    if stored is not None:
+        if policy == "strict":
+            raise StaleCacheError(
+                f"cache at {root} was built for dataset {stored[:12]}..., "
+                f"expected {expected_dataset_fingerprint[:12]}...; "
+                "delete the directory or open with policy='warn'"
             )
-        else:
-            return ScoreCache(root, expected_dataset_fingerprint)
+        logger.warning(
+            "cache at %s is stale (fingerprint changed); entries will be "
+            "refetched", root,
+        )
 
     manifest = {
         "format_version": MANIFEST_FORMAT_VERSION,
         "dataset_fingerprint": expected_dataset_fingerprint,
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
-    _atomic_write_text(manifest_path, json.dumps(manifest, sort_keys=True))
+    try:
+        atomic_write_text(manifest_path, json.dumps(manifest, sort_keys=True))
+    except OSError as exc:
+        raise CacheWriteError(f"cannot write {manifest_path}: {exc}") from exc
     return ScoreCache(root, expected_dataset_fingerprint)
 
 
 def cache_open_adopt(path: str | Path) -> ScoreCache:
     """Open an existing cache, adopting whatever fingerprint its manifest
     holds (used at predict time, when no dataset is in hand)."""
-    manifest_path = Path(path) / _MANIFEST_NAME
+    root = Path(path)
+    manifest_path = root / _MANIFEST_NAME
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        stored = manifest["dataset_fingerprint"]
+        stored = _read_manifest(manifest_path)
     except FileNotFoundError:
         raise CorruptCacheError(f"no cache manifest at {manifest_path}") from None
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise CorruptCacheError(
-            f"corrupt cache manifest {manifest_path}: {exc}"
-        ) from exc
-    return cache_open(path, stored, policy="strict")
+    return ScoreCache(root, stored)

@@ -489,9 +489,12 @@ def score_batch(texts: Sequence[str], schema: LabelSchema, mode: TaskMode,
     every position it holds. At most llm_batch_size requests are in flight
     at once, and each fetched score is written to the cache as it arrives,
     so neither an interrupt nor a failure elsewhere in the batch loses the
-    scores already paid for. If any text still fails after retries the
-    whole batch fails with every position of the failing texts; partial
-    results are never returned silently.
+    scores already paid for. A reply that does not parse is never cached,
+    and a cached entry with parse_ok False (older caches hold some) reads
+    as a miss: the uniform fallback fills this call's positions, and the
+    next call asks the provider again. If any text still fails after
+    retries the whole batch fails with every position of the failing texts;
+    partial results are never returned silently.
     """
     template = prompt_template_digest(schema, mode)
 
@@ -508,7 +511,7 @@ def score_batch(texts: Sequence[str], schema: LabelSchema, mode: TaskMode,
     for text, where in positions.items():
         entry = None if cache is None \
             else cache.get(key(text))
-        if entry is None:
+        if entry is None or not entry.parse_ok:
             missing.append(text)
             continue
         for i in where:
@@ -525,7 +528,7 @@ def score_batch(texts: Sequence[str], schema: LabelSchema, mode: TaskMode,
             return
         for i in positions[text]:
             results[i] = score
-        if cache is None:
+        if cache is None or not score.parse_ok:
             return
         try:
             cache.put(CacheEntry.fresh(key(text),

@@ -611,6 +611,8 @@ def llm_only_predict(per_provider: Sequence[Sequence[LLMScore]],
         raise ValueError("at least one provider score list is required")
     mean = np.mean([[s.scores for s in scores] for scores in per_provider],
                    axis=0)
+    if mean.size == 0:  # zero texts: shape (0,), and no K to shape it by
+        return Predictions(np.zeros((0, 0)), np.zeros((0, 0), dtype=bool))
     return decide(mean, mode, threshold)
 
 

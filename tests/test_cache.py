@@ -1,9 +1,13 @@
-"""Disk score cache: keys, round trips, sharding, staleness policies."""
+"""Disk score cache: keys, round trips, segments, the format-1 reader,
+staleness policies."""
 
 from __future__ import annotations
 
 import json
+import logging
 import os
+import sys
+import zlib
 
 import pytest
 from hypothesis import given
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 
 import scorefusion as sf
 from scorefusion.cache import CacheEntry, CacheKey, _MANIFEST_NAME
+from scorefusion.llm import make_cache_key
 
 FP_A = "a" * 64
 FP_B = "b" * 64
@@ -23,6 +28,38 @@ def _key(text_digest="1234" + "0" * 60, provider="mock", model="m1",
 
 def _entry(cache, key=None, scores=(0.25, 0.75), parse_ok=True):
     return CacheEntry.fresh(key or _key(), scores, parse_ok, cache.fingerprint)
+
+
+def _write_format1(root, key, text, fingerprint=FP_A):
+    """One entry file of a format-1 cache (one JSON file per entry in a
+    shard directory), written by hand; the manifest too if absent."""
+    manifest = root / _MANIFEST_NAME
+    if not manifest.exists():
+        root.mkdir(parents=True, exist_ok=True)
+        manifest.write_text(json.dumps({
+            "created_at": "2026-01-01T00:00:00+00:00",
+            "dataset_fingerprint": fingerprint, "format_version": 1},
+            sort_keys=True), encoding="utf-8")
+    path = root / key.text_digest[:2] / (key.key_string + ".json")
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _format1_doc(key, scores=(0.25, 0.75), parse_ok=True, fingerprint=FP_A):
+    return {"created_at": "2026-01-01T00:00:00+00:00",
+            "dataset_fingerprint": fingerprint, "format_version": 1,
+            "key": key.key_string, "parse_ok": parse_ok,
+            "scores": list(scores)}
+
+
+def _segments(root):
+    return sorted(root.glob("log-*.jsonl"))
+
+
+def _snapshot(root):
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 class TestCacheKey:
@@ -62,12 +99,15 @@ class TestPutGet:
         assert cache.get(_key()) is None
 
     def test_shard_is_text_digest_prefix(self, tmp_path):
-        cache = sf.cache_open(tmp_path / "c", FP_A)
+        # the format-1 reader finds an entry in the shard named by the
+        # first two hex characters of its text digest
         key = _key(text_digest="ab" + "0" * 62)
-        cache.put(_entry(cache, key))
+        _write_format1(tmp_path / "c", key, json.dumps(_format1_doc(key)))
+        cache = sf.cache_open(tmp_path / "c", FP_A)
         shard = tmp_path / "c" / "ab"
         assert shard.is_dir()
         assert (shard / (key.key_string + ".json")).is_file()
+        assert cache.get(key).scores == (0.25, 0.75)
 
     def test_no_temp_files_left_behind(self, tmp_path):
         cache = sf.cache_open(tmp_path / "c", FP_A)
@@ -78,24 +118,20 @@ class TestPutGet:
         assert leftovers == []
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
-        cache = sf.cache_open(tmp_path / "c", FP_A)
         key = _key()
-        cache.put(_entry(cache, key))
-        path = cache._entry_path(key)
-        path.write_text("{ not json", encoding="utf-8")
+        _write_format1(tmp_path / "c", key, "{ not json")
+        cache = sf.cache_open(tmp_path / "c", FP_A)
         assert cache.get(key) is None
         # and a fresh put heals it
         cache.put(_entry(cache, key, scores=(0.5, 0.5)))
         assert cache.get(key).scores == (0.5, 0.5)
 
     def test_entry_missing_field_is_miss(self, tmp_path):
-        cache = sf.cache_open(tmp_path / "c", FP_A)
         key = _key()
-        cache.put(_entry(cache, key))
-        path = cache._entry_path(key)
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = _format1_doc(key)
         del doc["scores"]
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        _write_format1(tmp_path / "c", key, json.dumps(doc))
+        cache = sf.cache_open(tmp_path / "c", FP_A)
         assert cache.get(key) is None
 
     def test_entry_fingerprint_mismatch_is_miss(self, tmp_path):
@@ -136,6 +172,178 @@ class TestPutGet:
         assert got.parse_ok is parse_ok
 
 
+class TestSegments:
+    def test_reopened_handle_sees_every_entry(self, tmp_path):
+        cache = sf.cache_open(tmp_path / "c", FP_A)
+        keys = [_key(text_digest=f"{i:064x}") for i in range(20)]
+        for i, key in enumerate(keys):
+            cache.put(_entry(cache, key, scores=(i / 20, 1 - i / 20)))
+        cache.put(_entry(cache, keys[3], scores=(1.0, 0.0)))  # last wins
+        assert len(_segments(tmp_path / "c")) == 1
+        for reopened in (sf.cache_open(tmp_path / "c", FP_A),
+                         sf.cache_open_adopt(tmp_path / "c")):
+            for i, key in enumerate(keys):
+                want = (1.0, 0.0) if i == 3 else (i / 20, 1 - i / 20)
+                assert reopened.get(key).scores == want
+
+    def test_line_layout(self, tmp_path):
+        cache = sf.cache_open(tmp_path / "c", FP_A)
+        entry = _entry(cache)
+        cache.put(entry)
+        [segment] = _segments(tmp_path / "c")
+        assert segment.name.startswith(f"log-{os.getpid()}-")
+        line = segment.read_bytes()
+        assert line.endswith(b"\n") and line.count(b"\n") == 1
+        head, crc = line[:-1].rsplit(b"\t", 1)
+        key, doc = head.split(b"\t")
+        assert key == entry.key.key_string.encode()
+        assert crc == b"%08x" % zlib.crc32(head)
+        assert json.loads(doc) == {
+            "created_at": entry.created_at.isoformat(),
+            "dataset_fingerprint": FP_A, "format_version": 1,
+            "key": entry.key.key_string, "parse_ok": True,
+            "scores": [0.25, 0.75]}
+
+    def test_crc_flipped_line_is_miss_until_put_again(self, tmp_path,
+                                                      caplog):
+        cache = sf.cache_open(tmp_path / "c", FP_A)
+        k1, k2 = _key(text_digest="1" * 64), _key(text_digest="2" * 64)
+        cache.put(_entry(cache, k1, scores=(0.25, 0.75)))
+        cache.put(_entry(cache, k2))
+        [segment] = _segments(tmp_path / "c")
+        data = segment.read_bytes()
+        assert data.count(b"0.25") == 2
+        segment.write_bytes(data.replace(b"0.25", b"0.35", 1))
+        with caplog.at_level(logging.WARNING, logger="scorefusion.cache"):
+            reopened = sf.cache_open(tmp_path / "c", FP_A)
+        assert len(caplog.records) == 1
+        assert "bad CRC" in caplog.records[0].getMessage()
+        assert reopened.get(k1) is None
+        assert reopened.get(k2).scores == (0.25, 0.75)
+        reopened.put(_entry(reopened, k1, scores=(0.5, 0.5)))
+        assert sf.cache_open(tmp_path / "c", FP_A).get(k1).scores == (0.5, 0.5)
+
+    def test_torn_last_line_skipped_with_warning(self, tmp_path, caplog):
+        cache = sf.cache_open(tmp_path / "c", FP_A)
+        k1, k2 = _key(text_digest="1" * 64), _key(text_digest="2" * 64)
+        cache.put(_entry(cache, k1))
+        cache.put(_entry(cache, k2))
+        [segment] = _segments(tmp_path / "c")
+        data = segment.read_bytes()
+        segment.write_bytes(data[:-20])  # the kill came mid-append
+        with caplog.at_level(logging.WARNING, logger="scorefusion.cache"):
+            reopened = sf.cache_open(tmp_path / "c", FP_A)
+            assert reopened.get(k2) is None  # a catch-up warns no more
+        assert len(caplog.records) == 1
+        assert "torn last line" in caplog.records[0].getMessage()
+        assert reopened.get(k1) is not None
+        reopened.put(_entry(reopened, k2, scores=(1.0, 0.0)))
+        assert len(_segments(tmp_path / "c")) == 2
+        again = sf.cache_open(tmp_path / "c", FP_A)
+        assert again.get(k1).scores == (0.25, 0.75)
+        assert again.get(k2).scores == (1.0, 0.0)
+
+    def test_failed_append_moves_to_a_fresh_segment(self, tmp_path,
+                                                    monkeypatch):
+        cache = sf.cache_open(tmp_path / "c", FP_A)
+        k1, k2, k3 = (_key(text_digest=c * 64) for c in "123")
+        cache.put(_entry(cache, k1))
+        real_write = os.write
+
+        def torn_write(fd, data):
+            real_write(fd, data[:30])  # half a line reaches the file
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(os, "write", torn_write)
+        with pytest.raises(sf.CacheWriteError, match="No space"):
+            cache.put(_entry(cache, k2))
+        monkeypatch.setattr(os, "write", real_write)
+        cache.put(_entry(cache, k3, scores=(0.5, 0.5)))
+        assert len(_segments(tmp_path / "c")) == 2
+        reopened = sf.cache_open(tmp_path / "c", FP_A)
+        assert reopened.get(k1).scores == (0.25, 0.75)
+        assert reopened.get(k2) is None
+        assert reopened.get(k3).scores == (0.5, 0.5)
+
+    def test_put_on_another_handle_hits_after_catch_up(self, tmp_path):
+        a = sf.cache_open(tmp_path / "c", FP_A)
+        b = sf.cache_open(tmp_path / "c", FP_A)
+        k1, k2 = _key(text_digest="1" * 64), _key(text_digest="2" * 64)
+        assert a.get(k1) is None
+        b.put(_entry(b, k1, scores=(0.0, 1.0)))
+        assert a.get(k1).scores == (0.0, 1.0)
+        # a line another writer has only half written is left for later
+        b.put(_entry(b, k2))
+        [segment] = _segments(tmp_path / "c")
+        data = segment.read_bytes()
+        cut = data.rfind(b"\n", 0, len(data) - 1) + 1 + 40
+        segment.write_bytes(data[:cut])
+        assert a.get(k2) is None
+        segment.write_bytes(data)
+        assert a.get(k2).scores == (0.25, 0.75)
+
+    def test_reader_creates_no_file(self, tmp_path):
+        cache = sf.cache_open(tmp_path / "c", FP_A)
+        cache.put(_entry(cache))
+        before = _snapshot(tmp_path / "c")
+        reader = sf.cache_open(tmp_path / "c", FP_A)
+        assert reader.get(_key()) is not None
+        assert reader.get(_key(text_digest="9" * 64)) is None
+        assert _snapshot(tmp_path / "c") == before
+
+    def test_threaded_score_batch_writes_one_line_per_text(self, tmp_path):
+        schema = sf.LabelSchema(("a", "b", "c"))
+        texts = [f"text {i}" for i in range(120)]
+        table = {t: (0.5, 0.25, 0.25) if i % 2 else (0.0, 0.0, 1.0)
+                 for i, t in enumerate(texts)}
+        pcfg = sf.ProviderConfig(provider_id="mock", llm_batch_size=8)
+        mc = sf.TaskMode.MULTI_CLASS
+        cache = sf.cache_open(tmp_path / "c", FP_A)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sf.score_batch(texts + texts[::-1], schema, mc, pcfg, cache=cache,
+                           provider=sf.MockProvider(table, schema))
+        finally:
+            sys.setswitchinterval(old)
+        [segment] = _segments(tmp_path / "c")
+        lines = segment.read_bytes().split(b"\n")
+        assert lines.pop() == b""
+        keys = [line.split(b"\t")[0] for line in lines]
+        assert sorted(keys) == sorted(
+            make_cache_key(pcfg, schema, mc, t).key_string.encode()
+            for t in texts)
+        provider = sf.MockProvider(table, schema)
+        out = sf.score_batch(texts, schema, mc, pcfg,
+                             cache=sf.cache_open(tmp_path / "c", FP_A),
+                             provider=provider)
+        assert provider.calls == 0
+        assert [s.scores for s in out] == [table[t] for t in texts]
+
+    def test_format1_and_segments_serve_together(self, tmp_path):
+        schema = sf.LabelSchema(("a", "b"))
+        mc = sf.TaskMode.MULTI_CLASS
+        pcfg = sf.ProviderConfig(provider_id="mock")
+        root = tmp_path / "c"
+        old = {"old 0": (0.9, 0.1), "old 1": (0.2, 0.8)}
+        for text, scores in old.items():
+            key = make_cache_key(pcfg, schema, mc, text)
+            _write_format1(root, key, json.dumps(_format1_doc(key, scores)))
+        manifest = (root / _MANIFEST_NAME).read_bytes()
+        new = {"new 0": (0.6, 0.4), "new 1": (0.3, 0.7)}
+        writer = sf.MockProvider(new, schema)
+        sf.score_batch(list(new), schema, mc, pcfg,
+                       cache=sf.cache_open(root, FP_A), provider=writer)
+        assert writer.calls == 2
+        assert len(_segments(root)) == 1
+        assert (root / _MANIFEST_NAME).read_bytes() == manifest
+        provider = sf.MockProvider({}, schema)
+        out = sf.score_batch([*old, *new], schema, mc, pcfg,
+                             cache=sf.cache_open_adopt(root),
+                             provider=provider)
+        assert provider.calls == 0
+        assert [s.scores for s in out] == [*old.values(), *new.values()]
+
+
 class TestCacheOpen:
     def test_fresh_directory_adopts_fingerprint(self, tmp_path):
         cache = sf.cache_open(tmp_path / "new", FP_A)
@@ -168,6 +376,18 @@ class TestCacheOpen:
         (root / _MANIFEST_NAME).write_text("???", encoding="utf-8")
         with pytest.raises(sf.CorruptCacheError):
             sf.cache_open(root, FP_A)
+
+    def test_unknown_format_version_raises(self, tmp_path):
+        root = tmp_path / "c"
+        sf.cache_open(root, FP_A)
+        manifest = json.loads((root / _MANIFEST_NAME).read_text("utf-8"))
+        assert manifest["format_version"] == 2
+        manifest["format_version"] = 3
+        (root / _MANIFEST_NAME).write_text(json.dumps(manifest), "utf-8")
+        with pytest.raises(sf.CorruptCacheError, match="format_version 3"):
+            sf.cache_open(root, FP_A)
+        with pytest.raises(sf.CorruptCacheError, match="format_version 3"):
+            sf.cache_open_adopt(root)
 
     def test_unknown_policy_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="policy"):

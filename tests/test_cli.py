@@ -319,6 +319,32 @@ class TestCacheFlows:
         assert out == "yes"
 
 
+    def test_warm_predict_and_evaluate_leave_cache_untouched(self, workdir,
+                                                             capsys):
+        # MockProvider answers unknown texts with uniform scores, so only
+        # the cache's bytes show whether a warm run fetched and stored
+        _set_config(workdir, cache_dir=str(workdir / "cache"))
+        assert _train(workdir, capsys)[0] == 0
+        cache = workdir / "cache"
+
+        def snapshot():
+            return {p.relative_to(cache): p.read_bytes()
+                    for p in sorted(cache.rglob("*")) if p.is_file()}
+        before = snapshot()
+        assert len([p for p in before if p.name.startswith("log-")]) == 1
+        inp = workdir / "texts.csv"
+        inp.write_text("text\n" + "\n".join(TOY_TEXTS) + "\n",
+                       encoding="utf-8")
+        assert main(["predict", "--model", str(workdir / "model.json"),
+                     "--input", str(inp), "--output", str(workdir / "p.csv"),
+                     "--cache-dir", str(cache)]) == 0
+        assert main(["evaluate", "--model", str(workdir / "model.json"),
+                     "--eval-csv", str(workdir / "train.csv"),
+                     "--runs-dir", str(workdir / "eval-runs"),
+                     "--cache-dir", str(cache)]) == 0
+        assert snapshot() == before
+
+
 class TestProviderFailure:
     def test_unreachable_provider_exit_3(self, workdir, capsys,
                                          monkeypatch):

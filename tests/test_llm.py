@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import scorefusion as sf
+from scorefusion.cache import CacheEntry
 from scorefusion.llm import (
     TEXT_BEGIN,
     TEXT_END,
@@ -547,6 +548,48 @@ class TestScoreBatch:
             entry = cache.get(make_cache_key(pcfg, SCHEMA, MC, text))
             assert entry is not None and entry.scores == self.TABLE[text]
         assert cache.get(make_cache_key(pcfg, SCHEMA, MC, "t2")) is None
+
+    def test_fallback_is_not_cached(self, tmp_path):
+        class GarbageFirst:
+            def __init__(self, inner):
+                self.inner = inner
+                self.calls = 0
+
+            def complete(self, prompt):
+                self.calls += 1
+                if self.calls == 1:
+                    return "no scores in this reply"
+                return self.inner.complete(prompt)
+
+        cache = sf.cache_open(tmp_path / "c", "f" * 64)
+        pcfg = self._pcfg()
+        provider = GarbageFirst(sf.MockProvider(self.TABLE, SCHEMA))
+        [first] = sf.score_batch(["t1"], SCHEMA, MC, pcfg, cache=cache,
+                                 provider=provider)
+        assert first == sf.LLMScore.uniform_fallback(3, first.raw_excerpt)
+        assert list((tmp_path / "c").glob("log-*")) == []
+        [second] = sf.score_batch(["t1"], SCHEMA, MC, pcfg, cache=cache,
+                                  provider=provider)
+        assert provider.calls == 2
+        assert second.parse_ok and second.scores == self.TABLE["t1"]
+        [third] = sf.score_batch(["t1"], SCHEMA, MC, pcfg, cache=cache,
+                                 provider=provider)
+        assert provider.calls == 2
+        assert third.scores == self.TABLE["t1"]
+
+    def test_cached_fallback_reads_as_miss(self, tmp_path):
+        # caches written before fallbacks stopped being cached hold some
+        cache = sf.cache_open(tmp_path / "c", "f" * 64)
+        pcfg = self._pcfg()
+        key = make_cache_key(pcfg, SCHEMA, MC, "t1")
+        cache.put(CacheEntry.fresh(key, (1 / 3,) * 3, False,
+                                   cache.fingerprint))
+        provider = sf.MockProvider(self.TABLE, SCHEMA)
+        [out] = sf.score_batch(["t1"], SCHEMA, MC, pcfg, cache=cache,
+                               provider=provider)
+        assert provider.calls == 1
+        assert out.parse_ok and out.scores == self.TABLE["t1"]
+        assert cache.get(key).parse_ok
 
     def test_retry_recovers_inside_batch(self):
         provider = _FlakyProvider(self.TABLE, SCHEMA, fail_first=2)

@@ -712,6 +712,12 @@ class TestBaselines:
                                     threshold=0.5)
         assert preds[0].decided.bits == (1, 0)
 
+    def test_llm_only_zero_texts(self):
+        for mode in (MC, sf.TaskMode.MULTI_LABEL):
+            for providers in ([[]], [[], []]):
+                preds = sf.llm_only_predict(providers, mode)
+                assert len(preds) == 0 and list(preds) == []
+
     def test_llm_only_empty_providers(self):
         with pytest.raises(ValueError):
             sf.llm_only_predict([], MC)
