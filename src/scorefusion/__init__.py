@@ -1,31 +1,13 @@
 """Fusion text classification: trainable text encoder + per-class LLM
-scores, combined by a compact jointly trained MLP."""
+scores, combined by a compact jointly trained MLP.
+
+This namespace is the documented surface. The module-level API (for
+example `scorefusion.cache.cache_open` or `scorefusion.results.load_run`)
+is imported from its module."""
 
 from ._version import __version__
-from .cache import (
-    CacheEntry,
-    CacheKey,
-    ScoreCache,
-    cache_open,
-    cache_open_adopt,
-)
-from .core import (
-    Dataset,
-    LabelSchema,
-    LabelVector,
-    ScoreVector,
-    TaskMode,
-    TextExample,
-    dataset_fingerprint,
-    make_dataset,
-    validate_dataset,
-)
-from .encoder import (
-    EncoderConfig,
-    FrozenLookupEncoder,
-    HashedNgramEncoder,
-    load_precomputed_embeddings,
-)
+from .core import Dataset, LabelSchema, LabelVector, TaskMode, make_dataset
+from .encoder import EncoderConfig
 from .errors import (
     CacheWriteError,
     ConfigurationError,
@@ -41,13 +23,8 @@ from .errors import (
 )
 from .fusion import (
     FusionConfig,
-    FusionParams,
-    FusionTape,
-    GradientBundle,
     Prediction,
     Predictions,
-    batch_loss_and_dlogits,
-    fusion_step,
     grad_loss_multiclass,
     grad_loss_multilabel,
     init_fusion_params,
@@ -59,23 +36,17 @@ from .fusion import (
 from .fusion import backward as fusion_backward
 from .fusion import forward as fusion_forward
 from .llm import (
-    LLMScore,
     MockProvider,
     ProviderConfig,
-    build_prompt,
-    load_mock_table,
-    make_provider_config,
     parse_scores,
     score_batch,
-    score_text,
     write_mock_table,
 )
-from .metrics import LabelMetrics, MetricsReport, compute_metrics
+from .metrics import compute_metrics
 from .pipeline import (
     AutoFusionClassifier,
     AutoFusionConfig,
     FusionModel,
-    build_config,
     evaluate,
     evaluate_as_run,
     fit,
@@ -86,64 +57,41 @@ from .pipeline import (
     predict_encoder_baseline,
     save_model,
 )
-from .results import RunRecord, load_run, run_compare, run_create
-from .synthetic import ComplementaritySplit, make_complementary_data
+from .synthetic import make_complementary_data
 
 __all__ = [
     "__version__",
     "AutoFusionClassifier",
     "AutoFusionConfig",
-    "CacheEntry",
-    "CacheKey",
     "CacheWriteError",
-    "ComplementaritySplit",
     "ConfigurationError",
     "CorruptCacheError",
     "DataError",
     "Dataset",
     "EncoderConfig",
-    "FrozenLookupEncoder",
     "FusionConfig",
     "FusionModel",
-    "FusionParams",
-    "FusionTape",
-    "GradientBundle",
-    "HashedNgramEncoder",
     "InvalidDatasetError",
-    "LLMScore",
-    "LabelMetrics",
     "LabelSchema",
     "LabelVector",
-    "MetricsReport",
     "MockProvider",
     "ModelFormatError",
     "Prediction",
     "Predictions",
     "ProviderConfig",
     "ProviderUnavailableError",
-    "RunRecord",
     "RunStateError",
-    "ScoreCache",
     "ScoreFusionError",
-    "ScoreVector",
     "StaleCacheError",
     "TaskMode",
-    "TextExample",
     "UnknownTextError",
-    "batch_loss_and_dlogits",
-    "build_config",
-    "build_prompt",
-    "cache_open",
-    "cache_open_adopt",
     "compute_metrics",
-    "dataset_fingerprint",
     "evaluate",
     "evaluate_as_run",
     "fit",
     "fit_encoder_baseline",
     "fusion_backward",
     "fusion_forward",
-    "fusion_step",
     "grad_loss_multiclass",
     "grad_loss_multilabel",
     "init_fusion_params",
@@ -151,22 +99,14 @@ __all__ = [
     "loss_multiclass",
     "loss_multilabel",
     "load_model",
-    "load_mock_table",
-    "load_precomputed_embeddings",
-    "load_run",
     "make_complementary_data",
     "make_dataset",
-    "make_provider_config",
     "parse_scores",
     "predict",
     "predict_encoder_baseline",
-    "run_compare",
-    "run_create",
     "save_model",
     "score_batch",
-    "score_text",
     "sigmoid",
     "softmax",
-    "validate_dataset",
     "write_mock_table",
 ]

@@ -13,7 +13,6 @@ import argparse
 import csv
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -21,7 +20,6 @@ import yaml
 
 from .cache import cache_open_adopt
 from .core import Dataset, LabelSchema, TaskMode
-from .encoder import HashedNgramEncoder
 from .errors import (
     ConfigurationError,
     DataError,
@@ -31,12 +29,12 @@ from .errors import (
     StaleCacheError,
 )
 from .pipeline import (
-    FusionModel,
     build_config,
     dataset_from_records,
     evaluate_as_run,
     fit,
     load_model,
+    model_config_doc,
     save_model,
 )
 from .pipeline import predict as pipeline_predict
@@ -139,23 +137,6 @@ def _read_texts_csv(path: str, text_column: str) -> list[str]:
         return [record[text_column] or "" for record in reader]
 
 
-def _model_config_doc(model: FusionModel, extra: dict) -> dict:
-    """A config snapshot reconstructed from a loaded model (evaluate runs)."""
-    if isinstance(model.encoder, HashedNgramEncoder):
-        enc = model.encoder.cfg.to_dict()
-    else:
-        enc = {"kind": "frozen_lookup", "dim": model.encoder.dim}
-    doc = {
-        "label_columns": list(model.schema.labels),
-        "multi_label": model.mode is TaskMode.MULTI_LABEL,
-        "llm_providers": [asdict(p) for p in model.providers],
-        "encoder": enc,
-        "fusion": model.fusion_cfg.to_dict(),
-    }
-    doc.update(extra)
-    return doc
-
-
 def _cmd_train(args) -> int:
     doc = _load_yaml_config(args.config)
     for spec in args.overrides:
@@ -202,11 +183,9 @@ def _cmd_evaluate(args) -> int:
     ds = load_csv_dataset(args.eval_csv, model.schema, model.mode,
                           args.text_column)
     cache = None if args.cache_dir is None else cache_open_adopt(args.cache_dir)
-    config_doc = _model_config_doc(model, {
-        "command": "evaluate",
-        "model_path": str(args.model),
-        "eval_csv": str(args.eval_csv),
-    })
+    config_doc = {**model_config_doc(model), "command": "evaluate",
+                  "model_path": str(args.model),
+                  "eval_csv": str(args.eval_csv)}
     record = evaluate_as_run(model, ds, args.runs_dir, config_doc, cache=cache)
     report = record.metrics
     print(record.run_id)

@@ -92,9 +92,6 @@ class LabelSchema:
     def K(self) -> int:
         return len(self.labels)
 
-    def index_of(self, name: str) -> int:
-        return self.labels.index(name)
-
 
 @dataclass(frozen=True)
 class LabelVector:

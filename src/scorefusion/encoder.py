@@ -1,7 +1,7 @@
 """Text encoders: the trainable hashed n-gram encoder and a frozen
 precomputed-embedding lookup.
 
-The trainable encoder maps lowercased character n-grams through a seeded
+The trainable encoder maps lowercased character n-grams through a
 64-bit FNV-1a hash into `buckets` counting bins, L1-normalizes the counts,
 and multiplies by a trainable projection matrix. It is the desk-scale
 stand-in for a transformer backbone: it produces a dense embedding and
@@ -19,17 +19,14 @@ import numpy as np
 from .core import DictCodec, check_int
 from .errors import DataError, UnknownTextError
 
-# FNV-1a, 64-bit. The seed is XORed into the offset basis; seed 0 (the fixed
-# default) gives the standard FNV-1a stream.
+# FNV-1a, 64-bit.
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _U64 = 0xFFFFFFFFFFFFFFFF
 
-HASH_SEED = 0
 
-
-def fnv1a64(data: bytes, seed: int = HASH_SEED) -> int:
-    h = (_FNV_OFFSET ^ seed) & _U64
+def fnv1a64(data: bytes) -> int:
+    h = _FNV_OFFSET
     for byte in data:
         h ^= byte
         h = (h * _FNV_PRIME) & _U64
@@ -63,22 +60,6 @@ class EncoderConfig(DictCodec):
             raise ValueError("lr_small must be > 0")
         if not self.ngram_sizes or any(n < 1 for n in self.ngram_sizes):
             raise ValueError("ngram_sizes needs at least one size >= 1")
-
-
-@dataclass
-class EncoderParams:
-    """Trainable projection matrix, shape (buckets, dim)."""
-
-    projection: np.ndarray
-
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(self.projection.copy())
-
-
-def init_encoder_params(cfg: EncoderConfig, seed: int) -> EncoderParams:
-    """Random-projection style init: i.i.d. standard normal entries."""
-    rng = np.random.default_rng(seed)
-    return EncoderParams(rng.standard_normal((cfg.buckets, cfg.dim)))
 
 
 def featurize(text: str, cfg: EncoderConfig) -> dict[int, int]:
@@ -144,7 +125,7 @@ def _fnv1a64_spans(data: np.ndarray, starts: np.ndarray,
     byte over the whole group; uint64 arithmetic wraps like the & _U64 mask.
     """
     out = np.empty(starts.size, dtype=np.uint64)
-    basis = np.uint64((_FNV_OFFSET ^ HASH_SEED) & _U64)
+    basis = np.uint64(_FNV_OFFSET)
     prime = np.uint64(_FNV_PRIME)
     for length in np.unique(lengths).tolist():
         sel = np.flatnonzero(lengths == length)
@@ -217,10 +198,15 @@ class HashedNgramEncoder:
 
     trainable = True
 
-    def __init__(self, cfg: EncoderConfig, params: EncoderParams | None = None,
+    def __init__(self, cfg: EncoderConfig, projection: np.ndarray | None = None,
                  seed: int = 0):
+        """`projection` is the trainable (buckets, dim) matrix; without one,
+        its entries are drawn i.i.d. standard normal from `seed`."""
+        if projection is None:
+            rng = np.random.default_rng(seed)
+            projection = rng.standard_normal((cfg.buckets, cfg.dim))
         self.cfg = cfg
-        self.params = params if params is not None else init_encoder_params(cfg, seed)
+        self.projection = projection
 
     @property
     def dim(self) -> int:
@@ -236,7 +222,7 @@ class HashedNgramEncoder:
         trained and checked with; a batched gather-reduce rounds differently.
         """
         out = np.zeros((len(feats), self.cfg.dim))
-        projection, idx, w = self.params.projection, feats.idx, feats.w
+        projection, idx, w = self.projection, feats.idx, feats.w
         indptr = feats.indptr.tolist()
         for i in range(len(feats)):
             a, b = indptr[i], indptr[i + 1]
@@ -252,7 +238,7 @@ class HashedNgramEncoder:
 
     def training_batches(self, feats: CsrRows) -> "TrainingBatches":
         """A TrainingBatch builder over the rows of one fit's features."""
-        return TrainingBatches(feats, self.params.projection)
+        return TrainingBatches(feats, self.projection)
 
     def embed_batch(self, batch: "TrainingBatch") -> np.ndarray:
         """(len(batch), dim) embeddings of a training batch, M @ P[u].
@@ -276,7 +262,7 @@ class HashedNgramEncoder:
         step = batch.weights.T @ embedding_grads
         step *= lr_small
         np.subtract(batch.projection_rows, step, out=step)
-        self.params.projection[batch.touched] = step
+        self.projection[batch.touched] = step
 
 
 @dataclass(frozen=True)
@@ -334,11 +320,9 @@ class FrozenLookupEncoder:
 
     trainable = False
 
-    def __init__(self, table: dict[str, np.ndarray], dim: int,
-                 source_path: str | None = None):
+    def __init__(self, table: dict[str, np.ndarray], dim: int):
         self.table = table
         self._dim = dim
-        self.source_path = source_path
 
     @property
     def dim(self) -> int:
@@ -396,4 +380,4 @@ def load_precomputed_embeddings(path: str) -> FrozenLookupEncoder:
         raise DataError(f"embedding file not found: {path}") from None
     if dim is None:
         raise DataError(f"{path}: no embedding rows")
-    return FrozenLookupEncoder(table, dim, source_path=path)
+    return FrozenLookupEncoder(table, dim)

@@ -27,7 +27,25 @@ import logging
 
 logger = logging.getLogger(__name__)
 
-PROVIDER_IDS = ("openai-compatible", "gemini-compatible", "deepseek-compatible", "mock")
+# Every provider id, with its ProviderConfig defaults (all overridable).
+_PROVIDER_DEFAULTS = {
+    "openai-compatible": {
+        "model_name": "gpt-4o-mini",
+        "endpoint_url": "https://api.openai.com/v1/chat/completions",
+        "api_key_env": "OPENAI_API_KEY",
+    },
+    "gemini-compatible": {
+        "model_name": "gemini-2.0-flash",
+        "endpoint_url": "https://generativelanguage.googleapis.com/v1beta/models/{model}:generateContent",
+        "api_key_env": "GEMINI_API_KEY",
+    },
+    "deepseek-compatible": {
+        "model_name": "deepseek-chat",
+        "endpoint_url": "https://api.deepseek.com/chat/completions",
+        "api_key_env": "DEEPSEEK_API_KEY",
+    },
+    "mock": {"model_name": "mock", "endpoint_url": "", "api_key_env": ""},
+}
 
 _PROVIDER_ALIASES = {
     "openai": "openai-compatible",
@@ -35,33 +53,14 @@ _PROVIDER_ALIASES = {
     "deepseek": "deepseek-compatible",
 }
 
-# Reasonable endpoint/key defaults per provider family; all overridable.
-DEFAULT_ENDPOINTS = {
-    "openai-compatible": "https://api.openai.com/v1/chat/completions",
-    "deepseek-compatible": "https://api.deepseek.com/chat/completions",
-    "gemini-compatible": "https://generativelanguage.googleapis.com/v1beta/models/{model}:generateContent",
-    "mock": "",
-}
-DEFAULT_KEY_ENVS = {
-    "openai-compatible": "OPENAI_API_KEY",
-    "deepseek-compatible": "DEEPSEEK_API_KEY",
-    "gemini-compatible": "GEMINI_API_KEY",
-    "mock": "",
-}
-DEFAULT_MODELS = {
-    "openai-compatible": "gpt-4o-mini",
-    "deepseek-compatible": "deepseek-chat",
-    "gemini-compatible": "gemini-2.0-flash",
-    "mock": "mock",
-}
-
 
 def resolve_provider_id(name: str) -> str:
     """Map a provider name or short alias to a canonical provider id."""
     resolved = _PROVIDER_ALIASES.get(name, name)
-    if resolved not in PROVIDER_IDS:
+    if resolved not in _PROVIDER_DEFAULTS:
         raise ConfigurationError(
-            f"unknown provider {name!r}; expected one of {', '.join(PROVIDER_IDS)}"
+            f"unknown provider {name!r}; expected one of "
+            f"{', '.join(_PROVIDER_DEFAULTS)}"
         )
     return resolved
 
@@ -82,10 +81,10 @@ class ProviderConfig:
     mock_table_path: Optional[str] = None
 
     def __post_init__(self):
-        if self.provider_id not in PROVIDER_IDS:
+        if self.provider_id not in _PROVIDER_DEFAULTS:
             raise ConfigurationError(
                 f"unknown provider_id {self.provider_id!r}; "
-                f"expected one of {', '.join(PROVIDER_IDS)}"
+                f"expected one of {', '.join(_PROVIDER_DEFAULTS)}"
             )
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
@@ -102,14 +101,8 @@ class ProviderConfig:
 def make_provider_config(name: str, **overrides) -> ProviderConfig:
     """Build a ProviderConfig from a provider name/alias plus defaults."""
     pid = resolve_provider_id(name)
-    fields = {
-        "provider_id": pid,
-        "model_name": DEFAULT_MODELS[pid],
-        "endpoint_url": DEFAULT_ENDPOINTS[pid],
-        "api_key_env": DEFAULT_KEY_ENVS[pid],
-    }
-    fields.update(overrides)
-    return ProviderConfig(**fields)
+    return ProviderConfig(**{"provider_id": pid, **_PROVIDER_DEFAULTS[pid],
+                             **overrides})
 
 
 @dataclass(frozen=True)
@@ -118,17 +111,13 @@ class LLMScore:
 
     parse_ok is False exactly when no label -> number mapping could be
     extracted, in which case the scores are the uniform fallback 1/K.
-    raw_excerpt keeps the first 256 chars of the raw response for audit
-    (empty for cache hits).
     """
 
     scores: tuple[float, ...]
     parse_ok: bool
-    raw_excerpt: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "scores", tuple(float(s) for s in self.scores))
-        object.__setattr__(self, "raw_excerpt", self.raw_excerpt[:256])
         if any(not (0.0 <= s <= 1.0) for s in self.scores):
             raise ValueError("LLM scores must lie in [0, 1]")
         if not self.parse_ok:
@@ -137,8 +126,8 @@ class LLMScore:
                 raise ValueError("parse_ok=False requires the uniform fallback")
 
     @staticmethod
-    def uniform_fallback(k: int, raw_excerpt: str = "") -> "LLMScore":
-        return LLMScore((1.0 / k,) * k, parse_ok=False, raw_excerpt=raw_excerpt)
+    def uniform_fallback(k: int) -> "LLMScore":
+        return LLMScore((1.0 / k,) * k, parse_ok=False)
 
 
 # Bump when the prompt wording changes; part of every cache key, so stale
@@ -231,7 +220,6 @@ def parse_scores(response_text: str, schema: LabelSchema) -> LLMScore:
     qualifies the result is the uniform 1/K fallback with parse_ok=False.
     Total: never raises, whatever the input bytes decode to.
     """
-    excerpt = response_text[:256]
     decoder = json.JSONDecoder()
     labels = set(schema.labels)
     pos = response_text.find("{")
@@ -245,9 +233,9 @@ def parse_scores(response_text: str, schema: LabelSchema) -> LLMScore:
             if matched and all(v is not None for v in matched.values()):
                 clamped = {k: min(1.0, max(0.0, v)) for k, v in matched.items()}
                 scores = tuple(clamped.get(name, 0.0) for name in schema.labels)
-                return LLMScore(scores, parse_ok=True, raw_excerpt=excerpt)
+                return LLMScore(scores, parse_ok=True)
         pos = response_text.find("{", pos + 1)
-    return LLMScore.uniform_fallback(schema.K, raw_excerpt=excerpt)
+    return LLMScore.uniform_fallback(schema.K)
 
 
 class TransientProviderError(Exception):
@@ -428,17 +416,16 @@ def write_mock_table(table: dict[str, Sequence[float]], path: str) -> None:
                      + "\n")
 
 
-def make_provider(pcfg: ProviderConfig, schema: LabelSchema,
-                  transport: Callable[..., tuple[int, str]] | None = None):
+def make_provider(pcfg: ProviderConfig, schema: LabelSchema):
     """Instantiate the provider client described by a ProviderConfig."""
     if pcfg.provider_id == "mock":
         table = load_mock_table(pcfg.mock_table_path) if pcfg.mock_table_path else {}
         return MockProvider(table, schema)
-    return HttpChatProvider(pcfg, transport=transport)
+    return HttpChatProvider(pcfg)
 
 
 def score_text(text: str, schema: LabelSchema, mode: TaskMode,
-               pcfg: ProviderConfig, provider=None,
+               pcfg: ProviderConfig, provider,
                _sleep: Callable[[float], None] = time.sleep) -> LLMScore:
     """Score one text with retries.
 
@@ -449,8 +436,6 @@ def score_text(text: str, schema: LabelSchema, mode: TaskMode,
     raises ProviderUnavailableError once retries are exhausted, and at once
     for any other non-success status.
     """
-    if provider is None:
-        provider = make_provider(pcfg, schema)
     prompt = build_prompt(text, schema, mode)
     last: TransientProviderError | None = None
     for attempt in range(pcfg.max_retries + 1):
@@ -469,14 +454,12 @@ def score_text(text: str, schema: LabelSchema, mode: TaskMode,
     )
 
 
-def make_cache_key(pcfg: ProviderConfig, schema: LabelSchema, mode: TaskMode,
+def make_cache_key(pcfg: ProviderConfig, template_digest: str,
                    text: str) -> CacheKey:
-    return CacheKey(
-        provider_id=pcfg.provider_id,
-        model_name=pcfg.model_name,
-        prompt_template_digest=prompt_template_digest(schema, mode),
-        text_digest=text_digest(text),
-    )
+    """The cache key of a text; `template_digest` is
+    prompt_template_digest(schema, mode), computed once per batch."""
+    return CacheKey(pcfg.provider_id, pcfg.model_name, template_digest,
+                    text_digest(text))
 
 
 def score_batch(texts: Sequence[str], schema: LabelSchema, mode: TaskMode,
@@ -497,12 +480,6 @@ def score_batch(texts: Sequence[str], schema: LabelSchema, mode: TaskMode,
     partial results are never returned silently.
     """
     template = prompt_template_digest(schema, mode)
-
-    def key(text: str) -> CacheKey:
-        """make_cache_key with the template digest hashed once per call."""
-        return CacheKey(pcfg.provider_id, pcfg.model_name, template,
-                        text_digest(text))
-
     positions: dict[str, list[int]] = {}
     for i, text in enumerate(texts):
         positions.setdefault(text, []).append(i)
@@ -510,7 +487,7 @@ def score_batch(texts: Sequence[str], schema: LabelSchema, mode: TaskMode,
     missing: list[str] = []
     for text, where in positions.items():
         entry = None if cache is None \
-            else cache.get(key(text))
+            else cache.get(make_cache_key(pcfg, template, text))
         if entry is None or not entry.parse_ok:
             missing.append(text)
             continue
@@ -531,7 +508,7 @@ def score_batch(texts: Sequence[str], schema: LabelSchema, mode: TaskMode,
         if cache is None or not score.parse_ok:
             return
         try:
-            cache.put(CacheEntry.fresh(key(text),
+            cache.put(CacheEntry.fresh(make_cache_key(pcfg, template, text),
                                        score.scores, score.parse_ok,
                                        cache.fingerprint))
         except CacheWriteError as exc:

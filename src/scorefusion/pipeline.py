@@ -32,7 +32,6 @@ from .core import (
 )
 from .encoder import (
     EncoderConfig,
-    EncoderParams,
     FrozenLookupEncoder,
     HashedNgramEncoder,
     load_precomputed_embeddings,
@@ -295,9 +294,21 @@ class FusionModel:
                 f"K = {self.schema.K}"
             )
 
-    @property
-    def input_dim(self) -> int:
-        return self.fusion_params.input_dim
+
+def model_config_doc(model: FusionModel) -> dict:
+    """A config snapshot reconstructed from a model, for the runs of a
+    model loaded without its config."""
+    if isinstance(model.encoder, HashedNgramEncoder):
+        enc = model.encoder.cfg.to_dict()
+    else:
+        enc = {"kind": "frozen_lookup", "dim": model.encoder.dim}
+    return {
+        "label_columns": list(model.schema.labels),
+        "multi_label": model.mode is TaskMode.MULTI_LABEL,
+        "llm_providers": [asdict(p) for p in model.providers],
+        "encoder": enc,
+        "fusion": model.fusion_cfg.to_dict(),
+    }
 
 
 def _derive_seeds(seed: int) -> tuple[int, int, int]:
@@ -538,16 +549,13 @@ def predict(model: FusionModel, texts: Sequence[str],
 
 def evaluate(model: FusionModel, ds: Dataset,
              cache: Optional[ScoreCache] = None,
-             providers: Optional[Sequence] = None,
-             run: Optional[RunHandle] = None) -> MetricsReport:
+             providers: Optional[Sequence] = None) -> MetricsReport:
     """Predict over a labeled dataset and score the decisions.
-
-    When a RunHandle is supplied the predictions and report are stored on it
-    and the run is finalized. `evaluate_as_run` creates the run itself, and
-    only once the data has passed the check.
-    """
+    `evaluate_as_run` also records them as a run."""
     _check_labeled_dataset(ds, model.schema, model.mode)
-    return _evaluate_checked(model, ds, cache, providers, run)
+    preds = predict(model, ds.texts(), cache=cache, providers=providers)
+    return compute_metrics(preds.decided, [row.target for row in ds.rows],
+                           ds.mode, model.schema.labels)
 
 
 def evaluate_as_run(model: FusionModel, ds: Dataset,
@@ -564,22 +572,11 @@ def evaluate_as_run(model: FusionModel, ds: Dataset,
     _check_labeled_dataset(ds, model.schema, model.mode)
     run = run_create(runs_root, config_doc, dataset_fingerprint(ds),
                      model.schema.labels)
-    _evaluate_checked(model, ds, cache, providers, run)
-    return run.record
-
-
-def _evaluate_checked(model: FusionModel, ds: Dataset,
-                      cache: Optional[ScoreCache],
-                      providers: Optional[Sequence],
-                      run: Optional[RunHandle]) -> MetricsReport:
     preds = predict(model, ds.texts(), cache=cache, providers=providers)
     targets = [row.target for row in ds.rows]
-    report = compute_metrics(preds.decided, targets, ds.mode,
-                             model.schema.labels)
-    if run is not None:
-        run.store_predictions(preds, targets)
-        run.finalize(report)
-    return report
+    run.store_predictions(preds, targets)
+    return run.finalize(compute_metrics(preds.decided, targets, ds.mode,
+                                        model.schema.labels))
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +655,7 @@ def _encoder_to_doc(encoder) -> dict:
         return {
             "kind": "hashed_ngram",
             **encoder.cfg.to_dict(),
-            "projection": _encode_array(encoder.params.projection),
+            "projection": _encode_array(encoder.projection),
         }
     if isinstance(encoder, FrozenLookupEncoder):
         return {
@@ -686,8 +683,7 @@ def _encoder_from_model_doc(doc: dict, version: int):
                 f"projection has {flat.size} values, expected "
                 f"{cfg.buckets * cfg.dim}"
             )
-        params = EncoderParams(flat.reshape(cfg.buckets, cfg.dim))
-        return HashedNgramEncoder(cfg, params=params)
+        return HashedNgramEncoder(cfg, flat.reshape(cfg.buckets, cfg.dim))
     if kind == "frozen_lookup":
         table = {text: _decode_array(vec, version)
                  for text, vec in doc["table"].items()}
@@ -770,7 +766,7 @@ def load_model(path: Union[str, Path]) -> FusionModel:
             weights.append(flat.reshape(shape))
             biases.append(_decode_array(layer["bias"], version))
         stored = list(encoder.table.values()) if isinstance(
-            encoder, FrozenLookupEncoder) else [encoder.params.projection]
+            encoder, FrozenLookupEncoder) else [encoder.projection]
         if not all(np.isfinite(a).all() for a in (*stored, *weights, *biases)):
             raise ModelFormatError("model holds a non-finite weight")
         params = FusionParams(weights, biases)
@@ -803,15 +799,27 @@ class AutoFusionClassifier:
         self.model: Optional[FusionModel] = None
         self.last_run: Optional[RunRecord] = None
         self._cache: Optional[ScoreCache] = None
+        # The run snapshot of a model loaded without its config: the
+        # model's own settings, not defaults filled in around them.
+        self._loaded_config_doc: Optional[dict] = None
 
     def fit(self, data, runs_root: Optional[Union[str, Path]] = None,
             providers: Optional[Sequence] = None) -> "AutoFusionClassifier":
+        if self._loaded_config_doc is not None \
+                and isinstance(self.model.encoder, FrozenLookupEncoder):
+            raise ConfigurationError(
+                "this classifier holds a frozen-lookup model loaded without "
+                "its config, so its embedding file is unknown; to fit, pass "
+                "from_model_file a config whose encoder sets "
+                "encoder.precomputed_path"
+            )
         ds = self._as_dataset(data)
         # fit opens the cache for this dataset; predict adopts its manifest.
         self._cache = None
         self.model, self.last_run = fit(ds, self.config,
                                         runs_root=runs_root,
                                         providers=providers)
+        self._loaded_config_doc = None
         return self
 
     def predict(self, texts: Sequence[str],
@@ -821,9 +829,11 @@ class AutoFusionClassifier:
 
     def evaluate(self, data, runs_root: Optional[Union[str, Path]] = None,
                  providers: Optional[Sequence] = None) -> MetricsReport:
+        config_doc = self._loaded_config_doc
+        if config_doc is None:
+            config_doc = self.config.to_dict()
         record = evaluate_as_run(self._require_model(),
-                                 self._as_dataset(data), runs_root,
-                                 self.config.to_dict(),
+                                 self._as_dataset(data), runs_root, config_doc,
                                  cache=self._open_cache(), providers=providers)
         return record.metrics
 
@@ -834,9 +844,16 @@ class AutoFusionClassifier:
     def from_model_file(cls, path: Union[str, Path],
                         config: Optional[Union[dict, AutoFusionConfig]] = None,
                         ) -> "AutoFusionClassifier":
+        """A classifier holding a saved model. Without `config`, one is
+        built from the model's settings; a frozen-lookup model built that
+        way predicts and evaluates but cannot fit again."""
         model = load_model(path)
-        if config is None:
-            config = AutoFusionConfig(
+        if config is not None:
+            clf = cls(config)
+        else:
+            # A frozen model's table path is not in the model file; its
+            # EncoderConfig is a placeholder that fit refuses to use.
+            clf = cls(AutoFusionConfig(
                 label_columns=model.schema.labels,
                 multi_label=model.mode is TaskMode.MULTI_LABEL,
                 llm_providers=model.providers,
@@ -844,8 +861,8 @@ class AutoFusionClassifier:
                 if isinstance(model.encoder, HashedNgramEncoder)
                 else EncoderConfig(),
                 fusion=model.fusion_cfg,
-            )
-        clf = cls(config)
+            ))
+            clf._loaded_config_doc = model_config_doc(model)
         clf.model = model
         return clf
 

@@ -133,7 +133,12 @@ def prediction_rows(predictions: Predictions,
 
 def write_predictions_csv(path: Path | str, rows: Sequence[PredictionRow],
                           label_names: Sequence[str]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot write predictions CSV {path}: {exc}") \
+            from None
+    with fh:
         writer = csv.writer(fh)
         writer.writerow(["row", *[f"score_{name}" for name in label_names],
                          "decided", "target"])
@@ -145,7 +150,8 @@ def run_create(root_dir: str | Path | None, config: dict,
                fingerprint: str, label_names: Sequence[str]) -> RunHandle:
     """Start a run: allocate an id and snapshot the config.
 
-    root_dir None keeps the run in memory only.
+    root_dir None keeps the run in memory only. A run directory that cannot
+    be created is a DataError.
     """
     record = RunRecord(
         run_id=_new_run_id(),
@@ -156,7 +162,11 @@ def run_create(root_dir: str | Path | None, config: dict,
     run_dir: Optional[Path] = None
     if root_dir is not None:
         run_dir = Path(root_dir) / record.run_id
-        run_dir.mkdir(parents=True, exist_ok=False)
+        try:
+            run_dir.mkdir(parents=True, exist_ok=False)
+        except OSError as exc:
+            raise DataError(f"cannot create run directory {run_dir}: {exc}") \
+                from None
         snapshot = {
             "format_version": RUN_FORMAT_VERSION,
             "run_id": record.run_id,
@@ -172,12 +182,21 @@ def run_create(root_dir: str | Path | None, config: dict,
 
 
 def load_run(root_dir: str | Path, run_id: str) -> RunRecord:
-    """Reload a persisted run; fields round-trip losslessly."""
+    """Reload a persisted run; fields round-trip losslessly. An unknown run
+    id, or a run file that cannot be read or parsed, is a DataError."""
     run_dir = Path(root_dir) / run_id
-    config_path = run_dir / "config.json"
-    if not config_path.exists():
+    if not (run_dir / "config.json").exists():
         raise DataError(f"unknown run id {run_id!r} under {root_dir}")
-    snapshot = json.loads(config_path.read_text(encoding="utf-8"))
+    try:
+        return _read_run(run_dir)
+    except (OSError, ValueError, KeyError, TypeError, IndexError,
+            AttributeError, csv.Error) as exc:
+        raise DataError(f"run {run_id!r} under {root_dir} has a malformed "
+                        f"run file: {exc}") from None
+
+
+def _read_run(run_dir: Path) -> RunRecord:
+    snapshot = json.loads((run_dir / "config.json").read_text(encoding="utf-8"))
     record = RunRecord(
         run_id=snapshot["run_id"],
         created_at=snapshot["created_at"],

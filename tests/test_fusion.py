@@ -11,10 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scorefusion as sf
+from scorefusion.core import ScoreVector
 from scorefusion.fusion import (
     FusionParams,
+    GradientBundle,
     batch_loss_and_dlogits,
     decide,
+    fusion_step,
     grad_loss_multiclass,
     grad_loss_multilabel,
     probabilities,
@@ -207,12 +210,12 @@ class TestFusionStep:
     def test_updates_in_place(self):
         params = sf.init_fusion_params(3, (2,), 2, seed=0)
         before = params.copy()
-        grads = sf.GradientBundle(
+        grads = GradientBundle(
             weights=[np.ones_like(w) for w in params.weights],
             biases=[np.ones_like(b) for b in params.biases],
             embedding_grad=np.zeros(3),
         )
-        out = sf.fusion_step(params, grads, lr_high=0.1)
+        out = fusion_step(params, grads, lr_high=0.1)
         assert out is params
         for w0, w1 in zip(before.weights, params.weights):
             assert np.allclose(w0 - 0.1, w1)
@@ -221,13 +224,13 @@ class TestFusionStep:
 
     def test_shape_mismatch_rejected(self):
         params = sf.init_fusion_params(3, (2,), 2, seed=0)
-        grads = sf.GradientBundle(
+        grads = GradientBundle(
             weights=[np.zeros((3, 3)), np.zeros((2, 2))],
             biases=[np.zeros(2), np.zeros(2)],
             embedding_grad=np.zeros(3),
         )
         with pytest.raises(ValueError, match="shape"):
-            sf.fusion_step(params, grads, 0.1)
+            fusion_step(params, grads, 0.1)
 
 
 class TestSoftmax:
@@ -397,7 +400,7 @@ def _decide_scores(probs, mode, thresholds=0.5):
         if th.shape[0] != k:
             raise ValueError(f"{th.shape[0]} thresholds for K={k}")
         bits = tuple(int(p >= t) for p, t in zip(probs, th))
-    return sf.Prediction(sf.ScoreVector(probs.tolist()), sf.LabelVector(bits))
+    return sf.Prediction(ScoreVector(probs.tolist()), sf.LabelVector(bits))
 
 
 def _decide_logits(logits, mode, **kw):

@@ -13,26 +13,32 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import scorefusion as sf
-from scorefusion.cache import CacheEntry
+from scorefusion.cache import CacheEntry, cache_open
 from scorefusion.llm import (
     TEXT_BEGIN,
     TEXT_END,
     HttpChatProvider,
+    LLMScore,
+    build_prompt,
     extract_prompt_text,
+    load_mock_table,
     make_cache_key,
     make_provider,
+    make_provider_config,
     prompt_template_digest,
     resolve_provider_id,
+    score_text,
 )
 
 SCHEMA = sf.LabelSchema(("positive", "negative", "neutral"))
 MC = sf.TaskMode.MULTI_CLASS
 ML = sf.TaskMode.MULTI_LABEL
+TEMPLATE = prompt_template_digest(SCHEMA, MC)
 
 
 class TestBuildPrompt:
     def test_contains_labels_text_and_delimiters(self):
-        prompt = sf.build_prompt("some input", SCHEMA, MC)
+        prompt = build_prompt("some input", SCHEMA, MC)
         for name in SCHEMA.labels:
             assert f"- {name}" in prompt
         assert TEXT_BEGIN in prompt and TEXT_END in prompt
@@ -40,18 +46,18 @@ class TestBuildPrompt:
         assert "JSON" in prompt
 
     def test_mode_sentences_differ(self):
-        mc = sf.build_prompt("x", SCHEMA, MC)
-        ml = sf.build_prompt("x", SCHEMA, ML)
+        mc = build_prompt("x", SCHEMA, MC)
+        ml = build_prompt("x", SCHEMA, ML)
         assert mc != ml
         assert "Exactly one label" in mc
         assert "independent" in ml
 
     def test_deterministic(self):
-        assert sf.build_prompt("x", SCHEMA, MC) == sf.build_prompt("x", SCHEMA, MC)
+        assert build_prompt("x", SCHEMA, MC) == build_prompt("x", SCHEMA, MC)
 
     @given(st.text(max_size=200))
     def test_text_round_trips(self, text):
-        prompt = sf.build_prompt(text, SCHEMA, MC)
+        prompt = build_prompt(text, SCHEMA, MC)
         assert extract_prompt_text(prompt) == text
 
 
@@ -127,11 +133,6 @@ class TestParseScores:
         out = sf.parse_scores('["positive", 0.9]', SCHEMA)
         assert not out.parse_ok
 
-    def test_raw_excerpt_truncated(self):
-        body = "y" * 1000
-        out = sf.parse_scores(body, SCHEMA)
-        assert out.raw_excerpt == "y" * 256
-
     def test_skips_object_without_labels_then_matches_later_one(self):
         body = '{"foo": 1} and then {"neutral": 0.4}'
         out = sf.parse_scores(body, SCHEMA)
@@ -153,14 +154,14 @@ class TestParseScores:
 class TestLLMScore:
     def test_range_enforced(self):
         with pytest.raises(ValueError):
-            sf.LLMScore((1.2, 0.0), parse_ok=True)
+            LLMScore((1.2, 0.0), parse_ok=True)
 
     def test_fallback_is_uniform(self):
-        fb = sf.LLMScore.uniform_fallback(4)
+        fb = LLMScore.uniform_fallback(4)
         assert fb.scores == (0.25,) * 4
         assert not fb.parse_ok
         with pytest.raises(ValueError):
-            sf.LLMScore((0.9, 0.1), parse_ok=False)
+            LLMScore((0.9, 0.1), parse_ok=False)
 
 
 class TestProviderConfig:
@@ -175,7 +176,7 @@ class TestProviderConfig:
             resolve_provider_id("nonesuch")
 
     def test_make_provider_config_defaults(self):
-        pcfg = sf.make_provider_config("openai")
+        pcfg = make_provider_config("openai")
         assert pcfg.provider_id == "openai-compatible"
         assert pcfg.api_key_env == "OPENAI_API_KEY"
         assert pcfg.endpoint_url.startswith("https://")
@@ -206,7 +207,7 @@ class TestHttpChatProvider:
 
     def test_missing_key_env_rejected_at_construction(self, monkeypatch):
         monkeypatch.delenv("OPENAI_API_KEY", raising=False)
-        pcfg = sf.make_provider_config("openai")
+        pcfg = make_provider_config("openai")
         with pytest.raises(sf.ConfigurationError, match="OPENAI_API_KEY"):
             HttpChatProvider(pcfg)
 
@@ -219,7 +220,7 @@ class TestHttpChatProvider:
                         timeout_s=timeout_s)
             return 200, _openai_body(self.PAYLOAD)
 
-        pcfg = sf.make_provider_config("openai", temperature=0.25,
+        pcfg = make_provider_config("openai", temperature=0.25,
                                        timeout_ms=5000)
         provider = HttpChatProvider(pcfg, transport=transport)
         out = provider.complete("PROMPT")
@@ -240,7 +241,7 @@ class TestHttpChatProvider:
             seen.update(url=url, headers=headers, body=body)
             return 200, _gemini_body(self.PAYLOAD)
 
-        pcfg = sf.make_provider_config("gemini")
+        pcfg = make_provider_config("gemini")
         provider = HttpChatProvider(pcfg, transport=transport)
         out = provider.complete("PROMPT")
         assert json.loads(out) == self.PAYLOAD
@@ -254,7 +255,7 @@ class TestScoreTextRetries:
     def _pcfg(self, **kw):
         fields = dict(max_retries=3, backoff_base_ms=100)
         fields.update(kw)
-        return sf.make_provider_config("openai", **fields)
+        return make_provider_config("openai", **fields)
 
     def test_retries_then_succeeds_with_backoff(self, monkeypatch):
         monkeypatch.setenv("OPENAI_API_KEY", "k")
@@ -269,7 +270,7 @@ class TestScoreTextRetries:
 
         sleeps = []
         provider = HttpChatProvider(self._pcfg(), transport=transport)
-        out = sf.score_text("x", SCHEMA, MC, self._pcfg(), provider=provider,
+        out = score_text("x", SCHEMA, MC, self._pcfg(), provider=provider,
                             _sleep=sleeps.append)
         assert out.parse_ok and out.scores[0] == 1.0
         assert len(attempts) == 3
@@ -286,7 +287,7 @@ class TestScoreTextRetries:
         provider = HttpChatProvider(pcfg, transport=transport)
         sleeps = []
         with pytest.raises(sf.ProviderUnavailableError) as info:
-            sf.score_text("x", SCHEMA, MC, pcfg, provider=provider,
+            score_text("x", SCHEMA, MC, pcfg, provider=provider,
                           _sleep=sleeps.append)
         assert info.value.last_status == 503
         assert provider.calls == 3  # initial + 2 retries
@@ -303,7 +304,7 @@ class TestScoreTextRetries:
         provider = HttpChatProvider(pcfg, transport=transport)
         sleeps = []
         with pytest.raises(sf.ProviderUnavailableError) as info:
-            sf.score_text("x", SCHEMA, MC, pcfg, provider=provider,
+            score_text("x", SCHEMA, MC, pcfg, provider=provider,
                           _sleep=sleeps.append)
         assert info.value.last_status == status
         assert provider.calls == 1
@@ -320,7 +321,7 @@ class TestScoreTextRetries:
         provider = HttpChatProvider(pcfg, transport=transport)
         sleeps = []
         with pytest.raises(sf.ProviderUnavailableError) as info:
-            sf.score_text("x", SCHEMA, MC, pcfg, provider=provider,
+            score_text("x", SCHEMA, MC, pcfg, provider=provider,
                           _sleep=sleeps.append)
         assert info.value.last_status == status
         assert provider.calls == pcfg.max_retries + 1
@@ -335,7 +336,7 @@ class TestScoreTextRetries:
         pcfg = self._pcfg(max_retries=0)
         provider = HttpChatProvider(pcfg, transport=transport)
         with pytest.raises(sf.ProviderUnavailableError) as info:
-            sf.score_text("x", SCHEMA, MC, pcfg, provider=provider,
+            score_text("x", SCHEMA, MC, pcfg, provider=provider,
                           _sleep=lambda s: None)
         assert info.value.last_status is None
 
@@ -348,7 +349,7 @@ class TestScoreTextRetries:
         pcfg = self._pcfg(max_retries=0)
         provider = HttpChatProvider(pcfg, transport=transport)
         with pytest.raises(sf.ProviderUnavailableError):
-            sf.score_text("x", SCHEMA, MC, pcfg, provider=provider,
+            score_text("x", SCHEMA, MC, pcfg, provider=provider,
                           _sleep=lambda s: None)
 
 
@@ -357,7 +358,7 @@ class TestMockProvider:
         table = {"good text": (0.875, 0.0625, 0.0625)}
         provider = sf.MockProvider(table, SCHEMA)
         pcfg = sf.ProviderConfig(provider_id="mock")
-        out = sf.score_text("good text", SCHEMA, MC, pcfg, provider=provider)
+        out = score_text("good text", SCHEMA, MC, pcfg, provider=provider)
         assert out.parse_ok
         assert out.scores == (0.875, 0.0625, 0.0625)
         assert provider.calls == 1
@@ -365,7 +366,7 @@ class TestMockProvider:
     def test_absent_text_scores_uniform(self):
         provider = sf.MockProvider({}, SCHEMA)
         pcfg = sf.ProviderConfig(provider_id="mock")
-        out = sf.score_text("anything", SCHEMA, MC, pcfg, provider=provider)
+        out = score_text("anything", SCHEMA, MC, pcfg, provider=provider)
         assert out.scores == (1 / 3, 1 / 3, 1 / 3)
         assert out.parse_ok  # uniform JSON parses fine
 
@@ -379,19 +380,19 @@ class TestMockTableIO:
         table = {"first text": (0.25, 0.5, 0.25), "second": (1.0, 0.0, 0.0)}
         path = tmp_path / "table.tsv"
         sf.write_mock_table(table, str(path))
-        assert sf.load_mock_table(str(path)) == table
+        assert load_mock_table(str(path)) == table
 
     def test_load_rejects_width_mismatch(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("a\t0.5\t0.5\nb\t0.5\n", encoding="utf-8")
         with pytest.raises(sf.ConfigurationError, match="differs"):
-            sf.load_mock_table(str(path))
+            load_mock_table(str(path))
 
     def test_load_rejects_non_numeric(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("a\tx\n", encoding="utf-8")
         with pytest.raises(sf.ConfigurationError, match="non-numeric"):
-            sf.load_mock_table(str(path))
+            load_mock_table(str(path))
 
     def test_write_rejects_tabs_in_text(self, tmp_path):
         with pytest.raises(sf.ConfigurationError):
@@ -449,7 +450,7 @@ class TestScoreBatch:
         assert [s.scores for s in out] == [self.TABLE[t] for t in self.TEXTS]
 
     def test_cache_first_and_write_back(self, tmp_path):
-        cache = sf.cache_open(tmp_path / "c", "f" * 64)
+        cache = cache_open(tmp_path / "c", "f" * 64)
         pcfg = self._pcfg()
         p1 = sf.MockProvider(self.TABLE, SCHEMA)
         out1 = sf.score_batch(self.TEXTS, SCHEMA, MC, pcfg, cache=cache,
@@ -471,15 +472,15 @@ class TestScoreBatch:
             return real(schema, mode)
 
         monkeypatch.setattr(llm_mod, "prompt_template_digest", counting)
-        cache = sf.cache_open(tmp_path / "c", "f" * 64)
+        cache = cache_open(tmp_path / "c", "f" * 64)
         pcfg = self._pcfg()
         for _ in range(2):  # a cold call that puts, then a warm one that gets
             sf.score_batch(self.TEXTS, SCHEMA, MC, pcfg, cache=cache,
                            provider=sf.MockProvider(self.TABLE, SCHEMA))
         assert len(calls) == 2
         monkeypatch.undo()
-        for text in self.TEXTS:  # the keys of the one-text helper
-            assert cache.get(make_cache_key(pcfg, SCHEMA, MC, text)) is not None
+        for text in self.TEXTS:  # stored under make_cache_key keys
+            assert cache.get(make_cache_key(pcfg, TEMPLATE, text)) is not None
 
     def test_whole_batch_failure_lists_indices(self):
         provider = _FlakyProvider(self.TABLE, SCHEMA,
@@ -493,7 +494,7 @@ class TestScoreBatch:
     def test_partial_failure_keeps_fetched_scores(self, tmp_path):
         texts = [f"t{i}" for i in range(6)]
         table = {t: (0.2, 0.3, 0.5) for t in texts}
-        cache = sf.cache_open(tmp_path / "c", "f" * 64)
+        cache = cache_open(tmp_path / "c", "f" * 64)
         pcfg = self._pcfg(max_retries=0)
         flaky = _FlakyProvider(table, SCHEMA, fail_texts={"t4"})
         with pytest.raises(sf.ProviderUnavailableError) as info:
@@ -538,16 +539,16 @@ class TestScoreBatch:
                     raise RuntimeError("not a provider error")
                 return self.inner.complete(prompt)
 
-        cache = sf.cache_open(tmp_path / "c", "f" * 64)
+        cache = cache_open(tmp_path / "c", "f" * 64)
         pcfg = self._pcfg(llm_batch_size=1)
         provider = BreaksOnThirdCall(sf.MockProvider(self.TABLE, SCHEMA))
         with pytest.raises(RuntimeError):
             sf.score_batch(self.TEXTS, SCHEMA, MC, pcfg, cache=cache,
                            provider=provider)
         for text in self.TEXTS[:2]:
-            entry = cache.get(make_cache_key(pcfg, SCHEMA, MC, text))
+            entry = cache.get(make_cache_key(pcfg, TEMPLATE, text))
             assert entry is not None and entry.scores == self.TABLE[text]
-        assert cache.get(make_cache_key(pcfg, SCHEMA, MC, "t2")) is None
+        assert cache.get(make_cache_key(pcfg, TEMPLATE, "t2")) is None
 
     def test_fallback_is_not_cached(self, tmp_path):
         class GarbageFirst:
@@ -561,12 +562,12 @@ class TestScoreBatch:
                     return "no scores in this reply"
                 return self.inner.complete(prompt)
 
-        cache = sf.cache_open(tmp_path / "c", "f" * 64)
+        cache = cache_open(tmp_path / "c", "f" * 64)
         pcfg = self._pcfg()
         provider = GarbageFirst(sf.MockProvider(self.TABLE, SCHEMA))
         [first] = sf.score_batch(["t1"], SCHEMA, MC, pcfg, cache=cache,
                                  provider=provider)
-        assert first == sf.LLMScore.uniform_fallback(3, first.raw_excerpt)
+        assert first == LLMScore.uniform_fallback(3)
         assert list((tmp_path / "c").glob("log-*")) == []
         [second] = sf.score_batch(["t1"], SCHEMA, MC, pcfg, cache=cache,
                                   provider=provider)
@@ -579,9 +580,9 @@ class TestScoreBatch:
 
     def test_cached_fallback_reads_as_miss(self, tmp_path):
         # caches written before fallbacks stopped being cached hold some
-        cache = sf.cache_open(tmp_path / "c", "f" * 64)
+        cache = cache_open(tmp_path / "c", "f" * 64)
         pcfg = self._pcfg()
-        key = make_cache_key(pcfg, SCHEMA, MC, "t1")
+        key = make_cache_key(pcfg, TEMPLATE, "t1")
         cache.put(CacheEntry.fresh(key, (1 / 3,) * 3, False,
                                    cache.fingerprint))
         provider = sf.MockProvider(self.TABLE, SCHEMA)
@@ -616,7 +617,7 @@ class TestScoreBatch:
 class TestMockProviderCalls:
     def test_exact_count_across_threads(self):
         provider = sf.MockProvider({"x": (0.2, 0.3, 0.5)}, SCHEMA)
-        prompt = sf.build_prompt("x", SCHEMA, MC)
+        prompt = build_prompt("x", SCHEMA, MC)
         n_threads, per_thread = 8, 500
         barrier = threading.Barrier(n_threads)
 
@@ -641,14 +642,14 @@ class TestMockProviderCalls:
 class TestMakeCacheKey:
     def test_key_parts(self):
         pcfg = sf.ProviderConfig(provider_id="mock", model_name="m")
-        key = make_cache_key(pcfg, SCHEMA, MC, "hello")
+        key = make_cache_key(pcfg, TEMPLATE, "hello")
         assert key.provider_id == "mock"
         assert key.model_name == "m"
-        assert key.prompt_template_digest == prompt_template_digest(SCHEMA, MC)
+        assert key.prompt_template_digest == TEMPLATE
         assert len(key.text_digest) == 64
 
     def test_distinct_texts_distinct_keys(self):
         pcfg = sf.ProviderConfig(provider_id="mock")
-        k1 = make_cache_key(pcfg, SCHEMA, MC, "a")
-        k2 = make_cache_key(pcfg, SCHEMA, MC, "b")
+        k1 = make_cache_key(pcfg, TEMPLATE, "a")
+        k2 = make_cache_key(pcfg, TEMPLATE, "b")
         assert k1 != k2

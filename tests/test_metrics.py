@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scorefusion as sf
+from scorefusion.metrics import MetricsReport
 
 MC = sf.TaskMode.MULTI_CLASS
 ML = sf.TaskMode.MULTI_LABEL
@@ -128,9 +129,9 @@ class TestSerialization:
         rep = sf.compute_metrics([_lv(1, 0), _lv(1, 0)],
                                  [_lv(1, 0), _lv(0, 1)], MC, ("a", "b"))
         doc = rep.to_dict()
-        back = sf.MetricsReport.from_dict(doc)
+        back = MetricsReport.from_dict(doc)
         assert back == rep
-        assert sf.MetricsReport.from_dict(json.loads(json.dumps(doc))) == rep
+        assert MetricsReport.from_dict(json.loads(json.dumps(doc))) == rep
 
 
 class TestOracleAgreement:

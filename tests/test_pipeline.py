@@ -14,13 +14,19 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import scorefusion as sf
-from scorefusion.llm import PROMPT_TEMPLATE_VERSION
+from scorefusion.cache import cache_open_adopt
+from scorefusion.encoder import FrozenLookupEncoder, HashedNgramEncoder
+from scorefusion.fusion import FusionParams
+from scorefusion.llm import PROMPT_TEMPLATE_VERSION, LLMScore
 from scorefusion.pipeline import (
     MODEL_FORMAT_VERSION,
     _decode_array,
     _encode_array,
+    build_config,
     dataset_from_records,
+    model_config_doc,
 )
+from scorefusion.results import load_run
 
 from conftest import TOY_TEXTS, small_fusion_config
 
@@ -38,7 +44,7 @@ class TestBuildConfig:
     BASE = {"label_columns": ["yes", "no"]}
 
     def test_minimal(self):
-        cfg = sf.build_config(dict(self.BASE))
+        cfg = build_config(dict(self.BASE))
         assert cfg.label_columns == ("yes", "no")
         assert not cfg.multi_label
         assert len(cfg.llm_providers) == 1
@@ -46,79 +52,79 @@ class TestBuildConfig:
 
     def test_unknown_top_key_named(self):
         with pytest.raises(sf.ConfigurationError, match="lable_columns"):
-            sf.build_config({"lable_columns": ["a", "b"]})
+            build_config({"lable_columns": ["a", "b"]})
 
     def test_unknown_nested_keys_named(self):
         with pytest.raises(sf.ConfigurationError, match="dims"):
-            sf.build_config(dict(self.BASE, encoder={"dims": 8}))
+            build_config(dict(self.BASE, encoder={"dims": 8}))
         with pytest.raises(sf.ConfigurationError, match="epoch"):
-            sf.build_config(dict(self.BASE, fusion={"epoch": 5}))
+            build_config(dict(self.BASE, fusion={"epoch": 5}))
         with pytest.raises(sf.ConfigurationError, match="provder"):
-            sf.build_config(dict(self.BASE,
+            build_config(dict(self.BASE,
                                  llm_provider={"provder": "mock"}))
 
     def test_label_columns_required(self):
         with pytest.raises(sf.ConfigurationError, match="label_columns"):
-            sf.build_config({"multi_label": True})
+            build_config({"multi_label": True})
 
     def test_seed_shorthand_wins(self):
-        cfg = sf.build_config(dict(self.BASE, seed=7,
+        cfg = build_config(dict(self.BASE, seed=7,
                                    fusion={"seed": 99}))
         assert cfg.fusion.seed == 7
 
     def test_fusion_seed_without_shorthand(self):
-        cfg = sf.build_config(dict(self.BASE, fusion={"seed": 99}))
+        cfg = build_config(dict(self.BASE, fusion={"seed": 99}))
         assert cfg.fusion.seed == 99
 
     def test_provider_string_with_model_name(self):
-        cfg = sf.build_config(dict(self.BASE, llm_provider="openai",
+        cfg = build_config(dict(self.BASE, llm_provider="openai",
                                    model_name="gpt-x"))
         assert cfg.llm_providers[0].provider_id == "openai-compatible"
         assert cfg.llm_providers[0].model_name == "gpt-x"
 
     def test_provider_list_pairs_model_names(self):
-        cfg = sf.build_config(dict(self.BASE,
+        cfg = build_config(dict(self.BASE,
                                    llm_provider=["openai", "gemini"],
                                    model_name=["m1", "m2"]))
         assert [p.model_name for p in cfg.llm_providers] == ["m1", "m2"]
 
     def test_model_name_length_mismatch(self):
         with pytest.raises(sf.ConfigurationError, match="length"):
-            sf.build_config(dict(self.BASE,
+            build_config(dict(self.BASE,
                                  llm_provider=["openai", "gemini"],
                                  model_name=["m1"]))
 
     def test_provider_mapping(self):
-        cfg = sf.build_config(dict(self.BASE, llm_provider={
+        cfg = build_config(dict(self.BASE, llm_provider={
             "provider": "openai", "temperature": 0.5, "max_retries": 7}))
         assert cfg.llm_providers[0].temperature == 0.5
         assert cfg.llm_providers[0].max_retries == 7
 
     def test_encoder_fields(self):
-        cfg = sf.build_config(dict(self.BASE,
+        cfg = build_config(dict(self.BASE,
                                    encoder={"dim": 8, "buckets": 256,
                                             "ngram_sizes": [2, 3]}))
         assert cfg.encoder.dim == 8
         assert cfg.encoder.ngram_sizes == (2, 3)
 
     def test_precomputed_path_excludes_other_encoder_keys(self):
-        cfg = sf.build_config(dict(self.BASE,
+        cfg = build_config(dict(self.BASE,
                                    encoder={"precomputed_path": "/e.tsv"}))
         assert cfg.encoder == "/e.tsv"
         with pytest.raises(sf.ConfigurationError, match="excludes"):
-            sf.build_config(dict(self.BASE,
+            build_config(dict(self.BASE,
                                  encoder={"precomputed_path": "/e.tsv",
                                           "dim": 4}))
 
     def test_validation_errors_become_config_errors(self):
         with pytest.raises(sf.ConfigurationError):
-            sf.build_config(dict(self.BASE, fusion={"epochs": 0}))
+            build_config(dict(self.BASE, fusion={"epochs": 0}))
         with pytest.raises(sf.ConfigurationError):
-            sf.build_config(dict(self.BASE, validation_fraction=1.0))
+            build_config(dict(self.BASE, validation_fraction=1.0))
         with pytest.raises(sf.ConfigurationError):
-            sf.build_config({"label_columns": ["only"]})
+            build_config({"label_columns": ["only"]})
         with pytest.raises(sf.ConfigurationError):
-            sf.build_config({"label_columns": ["a", "a"]})
+            build_config({"label_columns": ["a", "a"]})
 
     @pytest.mark.parametrize("doc", [
         {"label_columns": ["", "b"]},
@@ -143,7 +149,7 @@ class TestBuildConfig:
     ])
     def test_bad_values_become_config_errors(self, doc):
         with pytest.raises(sf.ConfigurationError):
-            sf.build_config(doc)
+            build_config(doc)
 
     @pytest.mark.parametrize("extra, match", [
         ({"encoder": {"dim": 4.5}}, "encoder: dim must be an integer"),
@@ -156,11 +162,11 @@ class TestBuildConfig:
     ])
     def test_wrong_type_is_named(self, extra, match):
         with pytest.raises(sf.ConfigurationError, match=match):
-            sf.build_config({"label_columns": ["a", "b"], **extra})
+            build_config({"label_columns": ["a", "b"], **extra})
 
     def test_non_mapping_rejected(self):
         with pytest.raises(sf.ConfigurationError, match="mapping"):
-            sf.build_config(["label_columns"])
+            build_config(["label_columns"])
 
     def test_to_dict_reflects_fields(self):
         cfg = small_fusion_config()
@@ -197,7 +203,7 @@ class TestFit:
     def test_returns_model_and_finalized_record(self, toy_dataset, toy_table):
         model, record, _ = _fit_toy(toy_dataset, toy_table)
         assert isinstance(model, sf.FusionModel)
-        assert model.input_dim == 16 + 1 * 2
+        assert model.fusion_params.input_dim == 16 + 1 * 2
         assert record.finalized
         assert len(record.epoch_logs) == 30
         assert all("train_loss" in e for e in record.epoch_logs)
@@ -266,7 +272,7 @@ class TestFit:
         assert (run_dir / "epochs.jsonl").is_file()
         assert (run_dir / "predictions.csv").is_file()
         assert (run_dir / "metrics.json").is_file()
-        loaded = sf.load_run(tmp_path / "runs", record.run_id)
+        loaded = load_run(tmp_path / "runs", record.run_id)
         assert loaded.epoch_logs == record.epoch_logs
 
 
@@ -335,7 +341,7 @@ class TestPredict:
         cfg = small_fusion_config(cache_dir=str(tmp_path / "cache"))
         provider = sf.MockProvider(toy_table, toy_dataset.schema)
         model, _ = sf.fit(toy_dataset, cfg, providers=[provider])
-        cache = sf.cache_open_adopt(tmp_path / "cache")
+        cache = cache_open_adopt(tmp_path / "cache")
         empty = sf.MockProvider({}, model.schema)  # would give uniform
         preds = sf.predict(model, list(TOY_TEXTS), cache=cache,
                            providers=[empty])
@@ -350,12 +356,12 @@ class TestFusedInput:
         scores]: a one-layer head that copies chosen input columns to the
         logits exposes the layout."""
         schema = sf.LabelSchema(("yes", "no"))
-        encoder = sf.HashedNgramEncoder(
+        encoder = HashedNgramEncoder(
             sf.EncoderConfig(dim=2, ngram_sizes=(3,), buckets=16), seed=0)
         weights = np.zeros((6, 2))
         weights[4, 0] = 1.0  # logit 0 <- provider 2, class "yes"
         weights[1, 1] = 1.0  # logit 1 <- embedding column 1
-        params = sf.FusionParams([weights], [np.zeros(2)])
+        params = FusionParams([weights], [np.zeros(2)])
         model = sf.FusionModel(
             schema, sf.TaskMode.MULTI_LABEL, encoder,
             (sf.ProviderConfig(provider_id="mock"),
@@ -416,16 +422,14 @@ class TestEvaluate:
 
     def test_records_run_when_given(self, toy_dataset, toy_table, tmp_path):
         model, _, _ = _fit_toy(toy_dataset, toy_table)
-        from scorefusion.results import run_create
-        run = run_create(tmp_path, {"note": "eval"}, "0" * 64,
-                         model.schema.labels)
-        report = sf.evaluate(model, toy_dataset,
-                             providers=[sf.MockProvider(toy_table,
-                                                        model.schema)],
-                             run=run)
-        loaded = sf.load_run(tmp_path, run.run_id)
+        providers = [sf.MockProvider(toy_table, model.schema)]
+        record = sf.evaluate_as_run(model, toy_dataset, tmp_path,
+                                    {"note": "eval"}, providers=providers)
+        loaded = load_run(tmp_path, record.run_id)
         assert loaded.finalized
-        assert loaded.metrics.accuracy == report.accuracy
+        assert loaded.config == {"note": "eval"}
+        assert loaded.metrics == sf.evaluate(model, toy_dataset,
+                                             providers=providers)
         assert len(loaded.predictions) == len(toy_dataset)
 
 
@@ -483,7 +487,7 @@ class TestSaveLoad:
         doc = json.loads((tmp_path / "a.json").read_text(encoding="utf-8"))
         assert doc["format_version"] == MODEL_FORMAT_VERSION == 2
         v2 = sf.load_model(tmp_path / "a.json")
-        arrays = lambda m: [m.encoder.params.projection,
+        arrays = lambda m: [m.encoder.projection,
                             *m.fusion_params.weights, *m.fusion_params.biases]
         for a, b in zip(arrays(v1), arrays(v2), strict=True):
             assert a.shape == b.shape
@@ -636,7 +640,7 @@ class TestFrozenEncoder:
         cfg = small_fusion_config(encoder=str(path))
         provider = sf.MockProvider(toy_table, toy_dataset.schema)
         model, record = sf.fit(toy_dataset, cfg, providers=[provider])
-        assert isinstance(model.encoder, sf.FrozenLookupEncoder)
+        assert isinstance(model.encoder, FrozenLookupEncoder)
         preds = sf.predict(model, list(TOY_TEXTS[:2]),
                            providers=[sf.MockProvider(toy_table,
                                                       model.schema)])
@@ -659,9 +663,30 @@ class TestFrozenEncoder:
         out = tmp_path / "model.json"
         sf.save_model(model, out)
         loaded = sf.load_model(out)
-        assert isinstance(loaded.encoder, sf.FrozenLookupEncoder)
+        assert isinstance(loaded.encoder, FrozenLookupEncoder)
         for t, v in vecs.items():
             assert np.array_equal(loaded.encoder.encode(t), v)
+
+    def test_classifier_from_model_file(self, toy_dataset, toy_table,
+                                        tmp_path):
+        """A frozen model loaded without its config records its own encoder
+        in runs and refuses to fit rather than switch to a hashed one."""
+        path, _ = self._embeddings_file(tmp_path, TOY_TEXTS, dim=3)
+        cfg = small_fusion_config(encoder=str(path))
+        providers = [sf.MockProvider(toy_table, toy_dataset.schema)]
+        model, _ = sf.fit(toy_dataset, cfg, providers=providers)
+        sf.save_model(model, tmp_path / "model.json")
+        clf = sf.AutoFusionClassifier.from_model_file(tmp_path / "model.json")
+        clf.evaluate(toy_dataset, runs_root=tmp_path / "runs",
+                     providers=providers)
+        [run_dir] = (tmp_path / "runs").iterdir()
+        config = load_run(tmp_path / "runs", run_dir.name).config
+        assert config["encoder"] == {"kind": "frozen_lookup", "dim": 3}
+        assert config == model_config_doc(clf.model)
+        with pytest.raises(sf.ConfigurationError,
+                           match="encoder.precomputed_path"):
+            clf.fit(toy_dataset, providers=providers)
+        assert isinstance(clf.model.encoder, FrozenLookupEncoder)
 
     def test_non_finite_vector_rejected(self, toy_dataset, toy_table,
                                         tmp_path):
@@ -685,7 +710,7 @@ class TestBaselines:
         model, record = sf.fit_encoder_baseline(toy_dataset, cfg)
         assert isinstance(model, sf.FusionModel)
         assert model.providers == ()
-        assert model.input_dim == cfg.encoder.dim
+        assert model.fusion_params.input_dim == cfg.encoder.dim
         assert not (tmp_path / "cache").exists()  # no scores, no cache
         assert record.config["baseline"] == "encoder_only"
         preds = sf.predict_encoder_baseline(model, list(TOY_TEXTS))
@@ -693,21 +718,21 @@ class TestBaselines:
         assert [p.decided.bits for p in preds] == want
 
     def test_llm_only_argmax(self):
-        scores = [[sf.LLMScore((0.9, 0.1), parse_ok=True),
-                   sf.LLMScore((0.2, 0.8), parse_ok=True)]]
+        scores = [[LLMScore((0.9, 0.1), parse_ok=True),
+                   LLMScore((0.2, 0.8), parse_ok=True)]]
         preds = sf.llm_only_predict(scores, MC)
         assert [p.decided.bits for p in preds] == [(1, 0), (0, 1)]
 
     def test_llm_only_averages_providers(self):
-        p0 = [sf.LLMScore((0.9, 0.1), parse_ok=True)]
-        p1 = [sf.LLMScore((0.0, 1.0), parse_ok=True)]
+        p0 = [LLMScore((0.9, 0.1), parse_ok=True)]
+        p1 = [LLMScore((0.0, 1.0), parse_ok=True)]
         preds = sf.llm_only_predict([p0, p1], MC)
         # mean = (0.45, 0.55)
         assert preds[0].decided.bits == (0, 1)
         assert preds[0].scores.values == pytest.approx((0.45, 0.55))
 
     def test_llm_only_multilabel_threshold(self):
-        scores = [[sf.LLMScore((0.5, 0.49), parse_ok=True)]]
+        scores = [[LLMScore((0.5, 0.49), parse_ok=True)]]
         preds = sf.llm_only_predict(scores, sf.TaskMode.MULTI_LABEL,
                                     threshold=0.5)
         assert preds[0].decided.bits == (1, 0)

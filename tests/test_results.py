@@ -9,7 +9,13 @@ import pytest
 
 import scorefusion as sf
 from scorefusion.fusion import Predictions
-from scorefusion.results import PredictionRow, prediction_rows, run_create
+from scorefusion.results import (
+    PredictionRow,
+    load_run,
+    prediction_rows,
+    run_compare,
+    run_create,
+)
 
 FP = "c" * 64
 CONFIG = {"label_columns": ["a", "b"], "multi_label": False,
@@ -116,7 +122,7 @@ class TestLoadRun:
                                      _targets(), sf.TaskMode.MULTI_CLASS)
         record = run.finalize(metrics)
 
-        loaded = sf.load_run(tmp_path, run.run_id)
+        loaded = load_run(tmp_path, run.run_id)
         assert loaded.run_id == record.run_id
         assert loaded.config == CONFIG
         assert loaded.dataset_fingerprint == FP
@@ -131,19 +137,19 @@ class TestLoadRun:
         run = run_create(tmp_path, CONFIG, FP, ("a", "b"))
         run.store_predictions(preds)
         run.finalize(None)
-        loaded = sf.load_run(tmp_path, run.run_id)
+        loaded = load_run(tmp_path, run.run_id)
         assert loaded.predictions[0].scores == odd
 
     def test_unfinalized_run_loads_as_such(self, tmp_path):
         run = run_create(tmp_path, CONFIG, FP, ("a", "b"))
         run.log_epoch(0, 0.5)
-        loaded = sf.load_run(tmp_path, run.run_id)
+        loaded = load_run(tmp_path, run.run_id)
         assert not loaded.finalized
         assert loaded.metrics is None
 
     def test_unknown_run_id(self, tmp_path):
         with pytest.raises(sf.DataError, match="nope"):
-            sf.load_run(tmp_path, "nope")
+            load_run(tmp_path, "nope")
 
 
 class TestRunCompare:
@@ -165,7 +171,7 @@ class TestRunCompare:
         id1 = self._finalized_run(tmp_path, CONFIG, perfect)
         cfg2 = dict(CONFIG, fusion=dict(CONFIG["fusion"], epochs=9))
         id2 = self._finalized_run(tmp_path, cfg2, wrong)
-        rows = sf.run_compare(tmp_path, [id1, id2])
+        rows = run_compare(tmp_path, [id1, id2])
         assert [r["run_id"] for r in rows] == [id1, id2]
         assert rows[0]["accuracy"] == 1.0 and rows[1]["accuracy"] == 0.0
         assert rows[0]["epochs"] == 3 and rows[1]["epochs"] == 9
@@ -176,7 +182,7 @@ class TestRunCompare:
         perfect = ([sf.LabelVector((1, 0))], [sf.LabelVector((1, 0))])
         id1 = self._finalized_run(tmp_path, CONFIG, perfect)
         id2 = self._finalized_run(tmp_path, CONFIG, perfect)
-        r1, r2 = sf.run_compare(tmp_path, [id1, id2])
+        r1, r2 = run_compare(tmp_path, [id1, id2])
         varying = {"run_id"}
         differing = {k for k in r1 if r1[k] != r2[k]}
         assert differing <= varying | {"accuracy", "macro_f1"}
@@ -186,7 +192,7 @@ class TestRunCompare:
         run = run_create(tmp_path, CONFIG, FP, ("a", "b"))
         run.log_epoch(0, 1.0)
         with pytest.raises(sf.RunStateError, match="finalized"):
-            sf.run_compare(tmp_path, [run.run_id])
+            run_compare(tmp_path, [run.run_id])
 
     def test_providers_column_from_real_config_snapshot(self, tmp_path):
         # fit() snapshots AutoFusionConfig.to_dict(), which spells the key
@@ -202,7 +208,7 @@ class TestRunCompare:
         )
         perfect = ([sf.LabelVector((1, 0))], [sf.LabelVector((1, 0))])
         run_id = self._finalized_run(tmp_path, cfg.to_dict(), perfect)
-        (row,) = sf.run_compare(tmp_path, [run_id])
+        (row,) = run_compare(tmp_path, [run_id])
         assert row["providers"] == ["mock", "openai-compatible:gpt-test"]
 
 

@@ -4,6 +4,7 @@ resolves, and the scripts run against the current API."""
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,24 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_every_export_resolves():
     missing = [name for name in sf.__all__ if not hasattr(sf, name)]
     assert missing == []
+
+
+def test_exports_are_the_documented_surface():
+    """Every export is named in README or used as `sf.<name>` by the gate
+    or a script, and every `sf.<name>` README writes is an export."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    users = [ROOT / "tests" / "test_acceptance.py",
+             *sorted((ROOT / "scripts").glob("*.py"))]
+    used = {name for path in users
+            for name in re.findall(r"\bsf\.(\w+)",
+                                   path.read_text(encoding="utf-8"))}
+    undocumented = [name for name in sf.__all__
+                    if name != "__version__" and name not in used
+                    and not re.search(rf"\b{name}\b", readme)]
+    assert undocumented == []
+    unknown = [name for name in re.findall(r"\bsf\.(\w+)", readme)
+               if name not in sf.__all__]
+    assert unknown == []
 
 
 def test_run_complementarity_script_smoke():
