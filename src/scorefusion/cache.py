@@ -8,9 +8,9 @@ Layout, format 2 (documented byte-exactly so other tooling can read caches):
                                           "format_version": 2}
     <root>/log-<writer id>.jsonl         append-only segments of entry lines
 
-`key` is the dot-joined hex form of the four key parts: hex-encoded provider
-id, hex-encoded model name, prompt template digest, text digest. Each line
-of a segment is one entry, key first:
+`key` is the dot-joined form of the four key parts, built by `cache_key`:
+hex-encoded provider id, hex-encoded model name, prompt template digest,
+text digest. Each line of a segment is one entry, key first:
 
     <key> TAB <entry JSON> TAB <crc> LF
 
@@ -49,15 +49,13 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 import threading
 import weakref
 import zlib
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import atomic_write_text
 from .errors import CacheWriteError, CorruptCacheError, StaleCacheError
@@ -71,45 +69,13 @@ _MANIFEST_NAME = "manifest.json"
 _SEGMENT_PREFIX, _SEGMENT_SUFFIX = "log-", ".jsonl"
 
 
-@dataclass(frozen=True)
-class CacheKey:
-    """Identity of one cached score: provider, model, prompt template, text."""
-
-    provider_id: str
-    model_name: str
-    prompt_template_digest: str
-    text_digest: str
-
-    def __post_init__(self):
-        for part in (self.provider_id, self.model_name,
-                     self.prompt_template_digest, self.text_digest):
-            if not part:
-                raise ValueError("cache key parts must be non-empty")
-
-    @property
-    def key_string(self) -> str:
-        """Dot-joined hex form of the four parts."""
-        return ".".join((
-            self.provider_id.encode("utf-8").hex(),
-            self.model_name.encode("utf-8").hex(),
-            self.prompt_template_digest,
-            self.text_digest,
-        ))
-
-
-@dataclass(frozen=True)
-class CacheEntry:
-    key: CacheKey
-    scores: tuple[float, ...]
-    parse_ok: bool
-    created_at: datetime
-    dataset_fingerprint: str
-
-    @staticmethod
-    def fresh(key: CacheKey, scores, parse_ok: bool,
-              dataset_fingerprint: str) -> "CacheEntry":
-        return CacheEntry(key, tuple(float(s) for s in scores), parse_ok,
-                          datetime.now(timezone.utc), dataset_fingerprint)
+def cache_key(provider_id: str, model_name: str, template_digest: str,
+              text_digest: str) -> str:
+    """The documented key string: the four parts dot-joined, provider id and
+    model name hex-encoded so no part can run into the next."""
+    return ".".join((provider_id.encode("utf-8").hex(),
+                     model_name.encode("utf-8").hex(),
+                     template_digest, text_digest))
 
 
 class ScoreCache:
@@ -184,26 +150,28 @@ class ScoreCache:
                 "later put of their keys heals them", path, bad,
                 " and a torn last line" if torn else "")
 
-    def get(self, key: CacheKey) -> Optional[CacheEntry]:
-        """Return the entry iff present and fingerprint-valid, else None.
+    def get(self, key: str) -> Optional[tuple[float, ...]]:
+        """The scores stored under `key`, or None.
 
         An index miss first catches up on other writers' segments, then
-        falls back to a format-1 entry file. Corrupt entries are treated as
-        misses with a logged warning, so the cache heals itself on the next
-        put.
+        falls back to a format-1 entry file. An entry fetched for another
+        dataset fingerprint, or holding a fallback (`parse_ok` false), is a
+        miss. So is a corrupt one, with a logged warning, so the cache heals
+        itself on the next put: bad JSON, a missing field, another key, an
+        unparseable `created_at`, or a score that is not a number in [0, 1].
         """
-        key_string = key.key_string
-        index_key = key_string.encode("utf-8")
+        index_key = key.encode("utf-8")
         raw = self._index.get(index_key)
         if raw is None:
             with self._lock:
                 self._catch_up()
             raw = self._index.get(index_key)
         if raw is not None:
-            return self._parse(key, key_string, raw, self.root)
+            return self._parse(key, raw, self.root)
         if not self._has_format1:
             return None
-        path = self.root / key.text_digest[:2] / (key_string + ".json")
+        shard = key.rpartition(".")[2][:2]  # of the text digest
+        path = self.root / shard / (key + ".json")
         try:
             raw = path.read_bytes()
         except FileNotFoundError:
@@ -211,47 +179,45 @@ class ScoreCache:
         except OSError as exc:
             logger.warning("unreadable cache entry %s: %s", path, exc)
             return None
-        return self._parse(key, key_string, raw, path)
+        return self._parse(key, raw, path)
 
-    def _parse(self, key: CacheKey, key_string: str, raw: bytes,
-               source: Path) -> Optional[CacheEntry]:
+    def _parse(self, key: str, raw: bytes,
+               source: Path) -> Optional[tuple[float, ...]]:
         try:
             doc = json.loads(raw.decode("utf-8"))
-            entry = CacheEntry(
-                key=key,
-                scores=tuple(float(s) for s in doc["scores"]),
-                parse_ok=bool(doc["parse_ok"]),
-                created_at=datetime.fromisoformat(doc["created_at"]),
-                dataset_fingerprint=doc["dataset_fingerprint"],
-            )
-            if doc["key"] != key_string:
+            scores = tuple(float(s) for s in doc["scores"])
+            parse_ok = bool(doc["parse_ok"])
+            datetime.fromisoformat(doc["created_at"])
+            fingerprint = doc["dataset_fingerprint"]
+            if doc["key"] != key:
                 raise ValueError("key mismatch")
+            if not all(0.0 <= s <= 1.0 for s in scores):
+                raise ValueError("a score is not a number in [0, 1]")
         except (ValueError, KeyError, TypeError) as exc:
-            logger.warning("corrupt cache entry %s in %s: %s", key_string,
-                           source, exc)
+            logger.warning("corrupt cache entry %s in %s: %s", key, source,
+                           exc)
             return None
-        if entry.dataset_fingerprint != self.fingerprint:
+        if fingerprint != self.fingerprint or not parse_ok:
             return None
-        return entry
+        return scores
 
-    def put(self, entry: CacheEntry) -> None:
-        """Append the entry to this handle's segment; it overrides an
-        earlier entry for the same key. A failed append raises
-        CacheWriteError and moves later puts to a fresh segment, so a torn
-        line never swallows the next one."""
-        if any(not math.isfinite(s) or not 0.0 <= s <= 1.0
-               for s in entry.scores):
+    def put(self, key: str, scores: Sequence[float]) -> None:
+        """Append a parsed score for `key`, stamped with this handle's
+        fingerprint; it overrides an earlier entry for the key. A failed
+        append raises CacheWriteError and moves later puts to a fresh
+        segment, so a torn line never swallows the next one."""
+        scores = [float(s) for s in scores]
+        if not all(0.0 <= s <= 1.0 for s in scores):
             raise ValueError("cache entry scores must be finite and in [0, 1]")
-        key_string = entry.key.key_string
         doc = json.dumps({
             "format_version": ENTRY_FORMAT_VERSION,
-            "key": key_string,
-            "scores": list(entry.scores),
-            "parse_ok": entry.parse_ok,
-            "created_at": entry.created_at.isoformat(),
-            "dataset_fingerprint": entry.dataset_fingerprint,
+            "key": key,
+            "scores": scores,
+            "parse_ok": True,
+            "created_at": datetime.now(timezone.utc).isoformat(),
+            "dataset_fingerprint": self.fingerprint,
         }, sort_keys=True).encode("utf-8")
-        index_key = key_string.encode("utf-8")
+        index_key = key.encode("utf-8")
         head = index_key + b"\t" + doc
         line = b"%s\t%08x\n" % (head, zlib.crc32(head))
         with self._lock:

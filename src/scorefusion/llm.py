@@ -19,7 +19,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .cache import CacheEntry, CacheKey, ScoreCache
+import numpy as np
+
+from .cache import ScoreCache, cache_key
 from .core import LabelSchema, TaskMode, text_digest
 from .errors import CacheWriteError, ConfigurationError, ProviderUnavailableError
 
@@ -86,6 +88,8 @@ class ProviderConfig:
                 f"unknown provider_id {self.provider_id!r}; "
                 f"expected one of {', '.join(_PROVIDER_DEFAULTS)}"
             )
+        if not isinstance(self.model_name, str) or not self.model_name:
+            raise ConfigurationError("model_name must be a non-empty string")
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
         if self.temperature < 0:
@@ -454,45 +458,41 @@ def score_text(text: str, schema: LabelSchema, mode: TaskMode,
     )
 
 
-def make_cache_key(pcfg: ProviderConfig, template_digest: str,
-                   text: str) -> CacheKey:
-    """The cache key of a text; `template_digest` is
-    prompt_template_digest(schema, mode), computed once per batch."""
-    return CacheKey(pcfg.provider_id, pcfg.model_name, template_digest,
-                    text_digest(text))
-
-
 def score_batch(texts: Sequence[str], schema: LabelSchema, mode: TaskMode,
                 pcfg: ProviderConfig, cache: ScoreCache | None = None,
                 provider=None,
-                _sleep: Callable[[float], None] = time.sleep) -> list[LLMScore]:
-    """Score many texts, cache-first, preserving input order.
+                _sleep: Callable[[float], None] = time.sleep) -> np.ndarray:
+    """Score many texts, cache-first: the (len(texts), K) float64 score
+    matrix whose row i is for texts[i]; no texts give (0, K).
 
     Each distinct text is looked up and fetched once, and its score fills
-    every position it holds. At most llm_batch_size requests are in flight
+    every row it holds. At most llm_batch_size requests are in flight
     at once, and each fetched score is written to the cache as it arrives,
     so neither an interrupt nor a failure elsewhere in the batch loses the
     scores already paid for. A reply that does not parse is never cached,
     and a cached entry with parse_ok False (older caches hold some) reads
-    as a miss: the uniform fallback fills this call's positions, and the
+    as a miss: the uniform fallback fills this call's rows, and the
     next call asks the provider again. If any text still fails after
     retries the whole batch fails with every position of the failing texts;
     partial results are never returned silently.
     """
     template = prompt_template_digest(schema, mode)
+
+    def key(text: str) -> str:
+        return cache_key(pcfg.provider_id, pcfg.model_name, template,
+                         text_digest(text))
+
     positions: dict[str, list[int]] = {}
     for i, text in enumerate(texts):
         positions.setdefault(text, []).append(i)
-    results: list[LLMScore | None] = [None] * len(texts)
+    scores = np.empty((len(texts), schema.K))
     missing: list[str] = []
     for text, where in positions.items():
-        entry = None if cache is None \
-            else cache.get(make_cache_key(pcfg, template, text))
-        if entry is None or not entry.parse_ok:
+        hit = None if cache is None else cache.get(key(text))
+        if hit is None:
             missing.append(text)
-            continue
-        for i in where:
-            results[i] = LLMScore(entry.scores, entry.parse_ok)
+        else:
+            scores[where] = hit
 
     failures: list[tuple[str, ProviderUnavailableError]] = []
 
@@ -503,14 +503,11 @@ def score_batch(texts: Sequence[str], schema: LabelSchema, mode: TaskMode,
         except ProviderUnavailableError as exc:
             failures.append((text, exc))
             return
-        for i in positions[text]:
-            results[i] = score
+        scores[positions[text]] = score.scores
         if cache is None or not score.parse_ok:
             return
         try:
-            cache.put(CacheEntry.fresh(make_cache_key(pcfg, template, text),
-                                       score.scores, score.parse_ok,
-                                       cache.fingerprint))
+            cache.put(key(text), score.scores)
         except CacheWriteError as exc:
             logger.warning("cache write failed, continuing uncached: %s", exc)
 
@@ -532,4 +529,4 @@ def score_batch(texts: Sequence[str], schema: LabelSchema, mode: TaskMode,
             failed_indices=indices,
         )
 
-    return [score for score in results if score is not None]
+    return scores

@@ -57,7 +57,6 @@ from .fusion import (
 )
 from .llm import (
     PROMPT_TEMPLATE_VERSION,
-    LLMScore,
     ProviderConfig,
     make_provider_config,
     score_batch,
@@ -474,14 +473,10 @@ def _fetch_scores(texts: list[str], schema: LabelSchema, mode: TaskMode,
                   providers) -> np.ndarray:
     """The (n, P*K) provider-score block, cache-first, providers in
     configured order; width 0 when there are no providers."""
-    blocks = [np.empty((len(texts), 0))]
-    for j, pcfg in enumerate(pcfgs):
-        client = providers[j] if providers is not None else None
-        scores = score_batch(texts, schema, mode, pcfg, cache=cache,
-                             provider=client)
-        blocks.append(np.array([s.scores for s in scores],
-                               dtype=np.float64).reshape(len(texts), schema.K))
-    return np.hstack(blocks)
+    blocks = [score_batch(texts, schema, mode, pcfg, cache=cache,
+                          provider=None if providers is None else providers[j])
+              for j, pcfg in enumerate(pcfgs)]
+    return np.hstack([np.empty((len(texts), 0)), *blocks])
 
 
 def _fit(ds: Dataset, cfg: AutoFusionConfig,
@@ -598,19 +593,14 @@ def fit_encoder_baseline(ds: Dataset, cfg: AutoFusionConfig,
 predict_encoder_baseline = predict
 
 
-def llm_only_predict(per_provider: Sequence[Sequence[LLMScore]],
-                     mode: TaskMode,
+def llm_only_predict(per_provider: Sequence[np.ndarray], mode: TaskMode,
                      threshold: Union[float, Sequence[float]] = 0.5,
                      ) -> Predictions:
-    """Apply the decision rule directly to LLM scores, averaged across
-    providers."""
+    """Apply the decision rule directly to LLM scores: one (n, K)
+    `score_batch` matrix per provider, averaged across providers."""
     if not per_provider:
-        raise ValueError("at least one provider score list is required")
-    mean = np.mean([[s.scores for s in scores] for scores in per_provider],
-                   axis=0)
-    if mean.size == 0:  # zero texts: shape (0,), and no K to shape it by
-        return Predictions(np.zeros((0, 0)), np.zeros((0, 0), dtype=bool))
-    return decide(mean, mode, threshold)
+        raise ValueError("at least one provider score matrix is required")
+    return decide(np.mean(per_provider, axis=0), mode, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -805,14 +795,20 @@ class AutoFusionClassifier:
 
     def fit(self, data, runs_root: Optional[Union[str, Path]] = None,
             providers: Optional[Sequence] = None) -> "AutoFusionClassifier":
-        if self._loaded_config_doc is not None \
-                and isinstance(self.model.encoder, FrozenLookupEncoder):
-            raise ConfigurationError(
-                "this classifier holds a frozen-lookup model loaded without "
-                "its config, so its embedding file is unknown; to fit, pass "
-                "from_model_file a config whose encoder sets "
-                "encoder.precomputed_path"
-            )
+        if self._loaded_config_doc is not None:
+            if isinstance(self.model.encoder, FrozenLookupEncoder):
+                raise ConfigurationError(
+                    "this classifier holds a frozen-lookup model loaded "
+                    "without its config, so its embedding file is unknown; to "
+                    "fit, pass from_model_file a config whose encoder sets "
+                    "encoder.precomputed_path"
+                )
+            if not self.model.providers:
+                raise ConfigurationError(
+                    "this classifier holds an encoder-only model loaded "
+                    "without its config, so it has no LLM provider to fit a "
+                    "fused model with; to fit, pass from_model_file a config"
+                )
         ds = self._as_dataset(data)
         # fit opens the cache for this dataset; predict adopts its manifest.
         self._cache = None
@@ -845,18 +841,19 @@ class AutoFusionClassifier:
                         config: Optional[Union[dict, AutoFusionConfig]] = None,
                         ) -> "AutoFusionClassifier":
         """A classifier holding a saved model. Without `config`, one is
-        built from the model's settings; a frozen-lookup model built that
-        way predicts and evaluates but cannot fit again."""
+        built from the model's settings; a frozen-lookup or encoder-only
+        model built that way predicts and evaluates but cannot fit again."""
         model = load_model(path)
         if config is not None:
             clf = cls(config)
         else:
-            # A frozen model's table path is not in the model file; its
-            # EncoderConfig is a placeholder that fit refuses to use.
+            # A frozen model's table path is not in the model file, and an
+            # encoder-only model has no providers; the EncoderConfig and the
+            # provider put in their place are placeholders fit refuses.
             clf = cls(AutoFusionConfig(
                 label_columns=model.schema.labels,
                 multi_label=model.mode is TaskMode.MULTI_LABEL,
-                llm_providers=model.providers,
+                llm_providers=model.providers or (ProviderConfig(),),
                 encoder=model.encoder.cfg
                 if isinstance(model.encoder, HashedNgramEncoder)
                 else EncoderConfig(),

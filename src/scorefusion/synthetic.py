@@ -40,7 +40,6 @@ class ComplementaritySplit:
     train: Dataset
     eval: Dataset
     mock_table: dict[str, tuple[float, ...]]
-    encoder_visible_texts: frozenset[str]
 
 
 def _draw_unique(rng: np.random.Generator, make_text, used: set[str]) -> str:
@@ -89,7 +88,6 @@ def make_complementary_data(n_rows: int = 2000, k: int = 4,
 
     used: set[str] = set()
     mock_table: dict[str, tuple[float, ...]] = {}
-    visible: list[str] = []
     # (text, class_index, is_signal) per row, grouped per (class, subset)
     buckets: dict[tuple[int, bool], list[tuple[str, int]]] = {}
     for c in range(k):
@@ -101,7 +99,6 @@ def make_complementary_data(n_rows: int = 2000, k: int = 4,
                     text = _draw_unique(
                         rng, lambda r: _signal_text(r, c), used)
                     mock_table[text] = uniform
-                    visible.append(text)
                 else:
                     text = _draw_unique(rng, _noise_text, used)
                     mock_table[text] = peaked
@@ -123,5 +120,4 @@ def make_complementary_data(n_rows: int = 2000, k: int = 4,
 
     train = Dataset(schema, TaskMode.MULTI_CLASS, shuffled(train_rows))
     eval_ds = Dataset(schema, TaskMode.MULTI_CLASS, shuffled(eval_rows))
-    return ComplementaritySplit(train, eval_ds, mock_table,
-                                frozenset(visible))
+    return ComplementaritySplit(train, eval_ds, mock_table)

@@ -8,32 +8,37 @@ import logging
 import os
 import sys
 import zlib
+from datetime import datetime
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import scorefusion as sf
 from scorefusion.cache import (
-    CacheEntry,
-    CacheKey,
     _MANIFEST_NAME,
+    cache_key,
     cache_open,
     cache_open_adopt,
 )
-from scorefusion.llm import make_cache_key, prompt_template_digest
+from scorefusion.core import text_digest as digest_of
+from scorefusion.llm import prompt_template_digest
 
 FP_A = "a" * 64
 FP_B = "b" * 64
+SCORES = (0.25, 0.75)
 
 
 def _key(text_digest="1234" + "0" * 60, provider="mock", model="m1",
          template="e" * 64):
-    return CacheKey(provider, model, template, text_digest)
+    return cache_key(provider, model, template, text_digest)
 
 
-def _entry(cache, key=None, scores=(0.25, 0.75), parse_ok=True):
-    return CacheEntry.fresh(key or _key(), scores, parse_ok, cache.fingerprint)
+def _mock_key(schema, mode, text):
+    """The key score_batch stores a default mock provider's score under."""
+    return cache_key("mock", "mock", prompt_template_digest(schema, mode),
+                     digest_of(text))
 
 
 def _write_format1(root, key, text, fingerprint=FP_A):
@@ -46,17 +51,16 @@ def _write_format1(root, key, text, fingerprint=FP_A):
             "created_at": "2026-01-01T00:00:00+00:00",
             "dataset_fingerprint": fingerprint, "format_version": 1},
             sort_keys=True), encoding="utf-8")
-    path = root / key.text_digest[:2] / (key.key_string + ".json")
+    path = root / key.rpartition(".")[2][:2] / (key + ".json")
     path.parent.mkdir(exist_ok=True)
     path.write_text(text, encoding="utf-8")
     return path
 
 
-def _format1_doc(key, scores=(0.25, 0.75), parse_ok=True, fingerprint=FP_A):
+def _format1_doc(key, scores=SCORES, parse_ok=True, fingerprint=FP_A):
     return {"created_at": "2026-01-01T00:00:00+00:00",
             "dataset_fingerprint": fingerprint, "format_version": 1,
-            "key": key.key_string, "parse_ok": parse_ok,
-            "scores": list(scores)}
+            "key": key, "parse_ok": parse_ok, "scores": list(scores)}
 
 
 def _segments(root):
@@ -70,35 +74,30 @@ def _snapshot(root):
 
 class TestCacheKey:
     def test_key_string_layout(self):
-        key = CacheKey("mock", "m1", "t" * 64, "d" * 64)
-        parts = key.key_string.split(".")
+        parts = cache_key("mock", "m1", "t" * 64, "d" * 64).split(".")
         assert parts == [b"mock".hex(), b"m1".hex(), "t" * 64, "d" * 64]
 
     def test_key_string_distinguishes_parts(self):
         # hex-encoding the free-form parts: no joiner collision between
         # ("ab", "c") and ("a", "bc")
-        k1 = CacheKey("ab", "c", "t" * 64, "d" * 64)
-        k2 = CacheKey("a", "bc", "t" * 64, "d" * 64)
-        assert k1.key_string != k2.key_string
+        assert cache_key("ab", "c", "t" * 64, "d" * 64) \
+            != cache_key("a", "bc", "t" * 64, "d" * 64)
 
     def test_empty_part_rejected(self):
-        with pytest.raises(ValueError):
-            CacheKey("", "m", "t", "d")
-        with pytest.raises(ValueError):
-            CacheKey("p", "m", "t", "")
+        # the digests are sha256 hex; the config refuses the other two empty
+        with pytest.raises(sf.ConfigurationError, match="provider_id"):
+            sf.ProviderConfig(provider_id="")
+        with pytest.raises(sf.ConfigurationError, match="model_name"):
+            sf.ProviderConfig(model_name="")
 
 
 class TestPutGet:
     def test_round_trip_exact_floats(self, tmp_path):
         cache = cache_open(tmp_path / "c", FP_A)
         scores = (0.1, 0.2, 0.7)  # not exactly representable; must survive
-        entry = _entry(cache, scores=scores, parse_ok=False)
-        cache.put(entry)
-        got = cache.get(entry.key)
-        assert got is not None
-        assert got.scores == scores
-        assert got.parse_ok is False
-        assert got.dataset_fingerprint == FP_A
+        cache.put(_key(), scores)
+        assert cache.get(_key()) == scores
+        assert cache_open(tmp_path / "c", FP_A).get(_key()) == scores
 
     def test_miss_on_absent_key(self, tmp_path):
         cache = cache_open(tmp_path / "c", FP_A)
@@ -112,14 +111,13 @@ class TestPutGet:
         cache = cache_open(tmp_path / "c", FP_A)
         shard = tmp_path / "c" / "ab"
         assert shard.is_dir()
-        assert (shard / (key.key_string + ".json")).is_file()
-        assert cache.get(key).scores == (0.25, 0.75)
+        assert (shard / (key + ".json")).is_file()
+        assert cache.get(key) == SCORES
 
     def test_no_temp_files_left_behind(self, tmp_path):
         cache = cache_open(tmp_path / "c", FP_A)
         for i in range(10):
-            key = _key(text_digest=f"{i:02d}" + "0" * 62)
-            cache.put(_entry(cache, key))
+            cache.put(_key(text_digest=f"{i:02d}" + "0" * 62), SCORES)
         leftovers = [p for p in (tmp_path / "c").rglob("*") if ".tmp" in p.name]
         assert leftovers == []
 
@@ -129,8 +127,8 @@ class TestPutGet:
         cache = cache_open(tmp_path / "c", FP_A)
         assert cache.get(key) is None
         # and a fresh put heals it
-        cache.put(_entry(cache, key, scores=(0.5, 0.5)))
-        assert cache.get(key).scores == (0.5, 0.5)
+        cache.put(key, (0.5, 0.5))
+        assert cache.get(key) == (0.5, 0.5)
 
     def test_entry_missing_field_is_miss(self, tmp_path):
         key = _key()
@@ -140,42 +138,57 @@ class TestPutGet:
         cache = cache_open(tmp_path / "c", FP_A)
         assert cache.get(key) is None
 
+    @pytest.mark.parametrize("bad", [1.5, -0.25, float("nan"), float("inf")])
+    def test_out_of_range_score_is_refetched(self, tmp_path, caplog, bad):
+        schema = sf.LabelSchema(("a", "b"))
+        mc = sf.TaskMode.MULTI_CLASS
+        key = _mock_key(schema, mc, "t")
+        _write_format1(tmp_path / "c", key,
+                       json.dumps(_format1_doc(key, scores=(bad, 0.5))))
+        provider = sf.MockProvider({"t": (0.3, 0.7)}, schema)
+        with caplog.at_level(logging.WARNING, logger="scorefusion.cache"):
+            out = sf.score_batch(["t"], schema, mc, sf.ProviderConfig(),
+                                 cache=cache_open(tmp_path / "c", FP_A),
+                                 provider=provider)
+        assert len(caplog.records) == 1
+        assert "corrupt cache entry" in caplog.records[0].getMessage()
+        assert provider.calls == 1
+        assert out.tolist() == [[0.3, 0.7]]
+        assert cache_open(tmp_path / "c", FP_A).get(key) == (0.3, 0.7)
+
     def test_entry_fingerprint_mismatch_is_miss(self, tmp_path):
         # simulate a stale entry surviving a warn-policy reopen
         cache_a = cache_open(tmp_path / "c", FP_A)
         key = _key()
-        cache_a.put(_entry(cache_a, key))
+        cache_a.put(key, SCORES)
         cache_b = cache_open(tmp_path / "c", FP_B, policy="warn")
         assert cache_b.get(key) is None
         # refetched entry under the new fingerprint hits again
-        cache_b.put(_entry(cache_b, key, scores=(0.0, 1.0)))
-        assert cache_b.get(key).scores == (0.0, 1.0)
+        cache_b.put(key, (0.0, 1.0))
+        assert cache_b.get(key) == (0.0, 1.0)
 
     def test_put_rejects_out_of_range_scores(self, tmp_path):
         cache = cache_open(tmp_path / "c", FP_A)
         with pytest.raises(ValueError):
-            cache.put(_entry(cache, scores=(1.5, 0.0)))
+            cache.put(_key(), (1.5, 0.0))
         with pytest.raises(ValueError):
-            cache.put(_entry(cache, scores=(float("nan"), 0.0)))
+            cache.put(_key(), (float("nan"), 0.0))
 
     def test_overwrite_same_key(self, tmp_path):
         cache = cache_open(tmp_path / "c", FP_A)
         key = _key()
-        cache.put(_entry(cache, key, scores=(0.0, 1.0)))
-        cache.put(_entry(cache, key, scores=(1.0, 0.0)))
-        assert cache.get(key).scores == (1.0, 0.0)
+        cache.put(key, (0.0, 1.0))
+        cache.put(key, (1.0, 0.0))
+        assert cache.get(key) == (1.0, 0.0)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0,
-                              allow_nan=False), min_size=1, max_size=6),
-           st.booleans())
-    def test_round_trip_property(self, tmp_path_factory, scores, parse_ok):
+                              allow_nan=False), min_size=1, max_size=6))
+    def test_round_trip_property(self, tmp_path_factory, scores):
         root = tmp_path_factory.mktemp("cc")
         cache = cache_open(root, FP_A)
-        entry = _entry(cache, scores=tuple(scores), parse_ok=parse_ok)
-        cache.put(entry)
-        got = cache.get(entry.key)
-        assert got.scores == tuple(scores)
-        assert got.parse_ok is parse_ok
+        cache.put(_key(), scores)
+        assert cache.get(_key()) == tuple(scores)
+        assert cache_open(root, FP_A).get(_key()) == tuple(scores)
 
 
 class TestSegments:
@@ -183,39 +196,38 @@ class TestSegments:
         cache = cache_open(tmp_path / "c", FP_A)
         keys = [_key(text_digest=f"{i:064x}") for i in range(20)]
         for i, key in enumerate(keys):
-            cache.put(_entry(cache, key, scores=(i / 20, 1 - i / 20)))
-        cache.put(_entry(cache, keys[3], scores=(1.0, 0.0)))  # last wins
+            cache.put(key, (i / 20, 1 - i / 20))
+        cache.put(keys[3], (1.0, 0.0))  # last wins
         assert len(_segments(tmp_path / "c")) == 1
         for reopened in (cache_open(tmp_path / "c", FP_A),
                          cache_open_adopt(tmp_path / "c")):
             for i, key in enumerate(keys):
                 want = (1.0, 0.0) if i == 3 else (i / 20, 1 - i / 20)
-                assert reopened.get(key).scores == want
+                assert reopened.get(key) == want
 
     def test_line_layout(self, tmp_path):
         cache = cache_open(tmp_path / "c", FP_A)
-        entry = _entry(cache)
-        cache.put(entry)
+        cache.put(_key(), SCORES)
         [segment] = _segments(tmp_path / "c")
         assert segment.name.startswith(f"log-{os.getpid()}-")
         line = segment.read_bytes()
         assert line.endswith(b"\n") and line.count(b"\n") == 1
         head, crc = line[:-1].rsplit(b"\t", 1)
         key, doc = head.split(b"\t")
-        assert key == entry.key.key_string.encode()
+        assert key == _key().encode()
         assert crc == b"%08x" % zlib.crc32(head)
-        assert json.loads(doc) == {
-            "created_at": entry.created_at.isoformat(),
+        doc = json.loads(doc)
+        assert datetime.fromisoformat(doc.pop("created_at")).tzinfo
+        assert doc == {
             "dataset_fingerprint": FP_A, "format_version": 1,
-            "key": entry.key.key_string, "parse_ok": True,
-            "scores": [0.25, 0.75]}
+            "key": _key(), "parse_ok": True, "scores": [0.25, 0.75]}
 
     def test_crc_flipped_line_is_miss_until_put_again(self, tmp_path,
                                                       caplog):
         cache = cache_open(tmp_path / "c", FP_A)
         k1, k2 = _key(text_digest="1" * 64), _key(text_digest="2" * 64)
-        cache.put(_entry(cache, k1, scores=(0.25, 0.75)))
-        cache.put(_entry(cache, k2))
+        cache.put(k1, (0.25, 0.75))
+        cache.put(k2, SCORES)
         [segment] = _segments(tmp_path / "c")
         data = segment.read_bytes()
         assert data.count(b"0.25") == 2
@@ -225,15 +237,15 @@ class TestSegments:
         assert len(caplog.records) == 1
         assert "bad CRC" in caplog.records[0].getMessage()
         assert reopened.get(k1) is None
-        assert reopened.get(k2).scores == (0.25, 0.75)
-        reopened.put(_entry(reopened, k1, scores=(0.5, 0.5)))
-        assert cache_open(tmp_path / "c", FP_A).get(k1).scores == (0.5, 0.5)
+        assert reopened.get(k2) == (0.25, 0.75)
+        reopened.put(k1, (0.5, 0.5))
+        assert cache_open(tmp_path / "c", FP_A).get(k1) == (0.5, 0.5)
 
     def test_torn_last_line_skipped_with_warning(self, tmp_path, caplog):
         cache = cache_open(tmp_path / "c", FP_A)
         k1, k2 = _key(text_digest="1" * 64), _key(text_digest="2" * 64)
-        cache.put(_entry(cache, k1))
-        cache.put(_entry(cache, k2))
+        cache.put(k1, SCORES)
+        cache.put(k2, SCORES)
         [segment] = _segments(tmp_path / "c")
         data = segment.read_bytes()
         segment.write_bytes(data[:-20])  # the kill came mid-append
@@ -243,17 +255,17 @@ class TestSegments:
         assert len(caplog.records) == 1
         assert "torn last line" in caplog.records[0].getMessage()
         assert reopened.get(k1) is not None
-        reopened.put(_entry(reopened, k2, scores=(1.0, 0.0)))
+        reopened.put(k2, (1.0, 0.0))
         assert len(_segments(tmp_path / "c")) == 2
         again = cache_open(tmp_path / "c", FP_A)
-        assert again.get(k1).scores == (0.25, 0.75)
-        assert again.get(k2).scores == (1.0, 0.0)
+        assert again.get(k1) == (0.25, 0.75)
+        assert again.get(k2) == (1.0, 0.0)
 
     def test_failed_append_moves_to_a_fresh_segment(self, tmp_path,
                                                     monkeypatch):
         cache = cache_open(tmp_path / "c", FP_A)
         k1, k2, k3 = (_key(text_digest=c * 64) for c in "123")
-        cache.put(_entry(cache, k1))
+        cache.put(k1, SCORES)
         real_write = os.write
 
         def torn_write(fd, data):
@@ -261,35 +273,35 @@ class TestSegments:
             raise OSError(28, "No space left on device")
         monkeypatch.setattr(os, "write", torn_write)
         with pytest.raises(sf.CacheWriteError, match="No space"):
-            cache.put(_entry(cache, k2))
+            cache.put(k2, SCORES)
         monkeypatch.setattr(os, "write", real_write)
-        cache.put(_entry(cache, k3, scores=(0.5, 0.5)))
+        cache.put(k3, (0.5, 0.5))
         assert len(_segments(tmp_path / "c")) == 2
         reopened = cache_open(tmp_path / "c", FP_A)
-        assert reopened.get(k1).scores == (0.25, 0.75)
+        assert reopened.get(k1) == (0.25, 0.75)
         assert reopened.get(k2) is None
-        assert reopened.get(k3).scores == (0.5, 0.5)
+        assert reopened.get(k3) == (0.5, 0.5)
 
     def test_put_on_another_handle_hits_after_catch_up(self, tmp_path):
         a = cache_open(tmp_path / "c", FP_A)
         b = cache_open(tmp_path / "c", FP_A)
         k1, k2 = _key(text_digest="1" * 64), _key(text_digest="2" * 64)
         assert a.get(k1) is None
-        b.put(_entry(b, k1, scores=(0.0, 1.0)))
-        assert a.get(k1).scores == (0.0, 1.0)
+        b.put(k1, (0.0, 1.0))
+        assert a.get(k1) == (0.0, 1.0)
         # a line another writer has only half written is left for later
-        b.put(_entry(b, k2))
+        b.put(k2, SCORES)
         [segment] = _segments(tmp_path / "c")
         data = segment.read_bytes()
         cut = data.rfind(b"\n", 0, len(data) - 1) + 1 + 40
         segment.write_bytes(data[:cut])
         assert a.get(k2) is None
         segment.write_bytes(data)
-        assert a.get(k2).scores == (0.25, 0.75)
+        assert a.get(k2) == (0.25, 0.75)
 
     def test_reader_creates_no_file(self, tmp_path):
         cache = cache_open(tmp_path / "c", FP_A)
-        cache.put(_entry(cache))
+        cache.put(_key(), SCORES)
         before = _snapshot(tmp_path / "c")
         reader = cache_open(tmp_path / "c", FP_A)
         assert reader.get(_key()) is not None
@@ -315,16 +327,14 @@ class TestSegments:
         lines = segment.read_bytes().split(b"\n")
         assert lines.pop() == b""
         keys = [line.split(b"\t")[0] for line in lines]
-        template = prompt_template_digest(schema, mc)
-        assert sorted(keys) == sorted(
-            make_cache_key(pcfg, template, t).key_string.encode()
-            for t in texts)
+        assert sorted(keys) == sorted(_mock_key(schema, mc, t).encode()
+                                      for t in texts)
         provider = sf.MockProvider(table, schema)
         out = sf.score_batch(texts, schema, mc, pcfg,
                              cache=cache_open(tmp_path / "c", FP_A),
                              provider=provider)
         assert provider.calls == 0
-        assert [s.scores for s in out] == [table[t] for t in texts]
+        assert np.array_equal(out, [table[t] for t in texts])
 
     def test_format1_and_segments_serve_together(self, tmp_path):
         schema = sf.LabelSchema(("a", "b"))
@@ -333,8 +343,7 @@ class TestSegments:
         root = tmp_path / "c"
         old = {"old 0": (0.9, 0.1), "old 1": (0.2, 0.8)}
         for text, scores in old.items():
-            key = make_cache_key(pcfg, prompt_template_digest(schema, mc),
-                                 text)
+            key = _mock_key(schema, mc, text)
             _write_format1(root, key, json.dumps(_format1_doc(key, scores)))
         manifest = (root / _MANIFEST_NAME).read_bytes()
         new = {"new 0": (0.6, 0.4), "new 1": (0.3, 0.7)}
@@ -349,7 +358,7 @@ class TestSegments:
                              cache=cache_open_adopt(root),
                              provider=provider)
         assert provider.calls == 0
-        assert [s.scores for s in out] == [*old.values(), *new.values()]
+        assert np.array_equal(out, [*old.values(), *new.values()])
 
 
 class TestCacheOpen:

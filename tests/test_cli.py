@@ -448,6 +448,11 @@ def _empty_label_name(workdir, monkeypatch):
     return _train_argv(workdir)
 
 
+def _empty_model_name(workdir, monkeypatch):
+    _set_config(workdir, model_name="", cache_dir=str(workdir / "cache"))
+    return _train_argv(workdir)
+
+
 def _bad_value_type(workdir, monkeypatch):
     _set_config(workdir, encoder={"dim": "sixteen"})
     return _train_argv(workdir)
@@ -585,6 +590,7 @@ def _corrupt_run_metrics(workdir, monkeypatch):
     (_bad_yaml, 1, "config"),
     (_unknown_key, 1, "config"),
     (_empty_label_name, 1, "config"),
+    (_empty_model_name, 1, "config"),
     (_bad_value_type, 1, "config"),
     (_quoted_multi_label, 1, "config"),
     (_float_dim, 1, "config"),

@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import scorefusion as sf
-from scorefusion.cache import CacheEntry, cache_open
+from scorefusion.cache import cache_key, cache_open
+from scorefusion.core import text_digest
 from scorefusion.llm import (
     TEXT_BEGIN,
     TEXT_END,
@@ -22,7 +24,6 @@ from scorefusion.llm import (
     build_prompt,
     extract_prompt_text,
     load_mock_table,
-    make_cache_key,
     make_provider,
     make_provider_config,
     prompt_template_digest,
@@ -34,6 +35,12 @@ SCHEMA = sf.LabelSchema(("positive", "negative", "neutral"))
 MC = sf.TaskMode.MULTI_CLASS
 ML = sf.TaskMode.MULTI_LABEL
 TEMPLATE = prompt_template_digest(SCHEMA, MC)
+
+
+def _key(pcfg, text):
+    """The key score_batch stores a multi-class score of `text` under."""
+    return cache_key(pcfg.provider_id, pcfg.model_name, TEMPLATE,
+                     text_digest(text))
 
 
 class TestBuildPrompt:
@@ -436,18 +443,36 @@ class TestScoreBatch:
     def _pcfg(self, **kw):
         return sf.ProviderConfig(provider_id="mock", **kw)
 
+    def _rows(self, texts):
+        return np.array([self.TABLE[t] for t in texts])
+
     def test_order_preserved(self):
         provider = sf.MockProvider(self.TABLE, SCHEMA)
         out = sf.score_batch(self.TEXTS, SCHEMA, MC, self._pcfg(),
                              provider=provider)
-        assert [s.scores for s in out] == [self.TABLE[t] for t in self.TEXTS]
+        assert np.array_equal(out, self._rows(self.TEXTS))
+
+    @pytest.mark.parametrize("mode", [MC, ML])
+    def test_matrix_rows_equal_score_text(self, mode):
+        table = {"a": (0.9, 0.05, 0.05), "b": (0.2, 0.7, 0.6)}
+        texts = ["b", "a", "unlisted", "b", "a", "b"]
+        out = sf.score_batch(texts, SCHEMA, mode, self._pcfg(),
+                             provider=sf.MockProvider(table, SCHEMA))
+        assert isinstance(out, np.ndarray)
+        assert out.dtype == np.float64 and out.shape == (len(texts), 3)
+        provider = sf.MockProvider(table, SCHEMA)
+        for row, text in zip(out, texts):
+            want = score_text(text, SCHEMA, mode, self._pcfg(), provider)
+            assert tuple(row) == want.scores
+        for i, j in ((0, 3), (0, 5), (1, 4)):  # repeated texts
+            assert np.array_equal(out[i], out[j])
 
     def test_sequential_when_batch_size_one(self):
         provider = sf.MockProvider(self.TABLE, SCHEMA)
         out = sf.score_batch(self.TEXTS, SCHEMA, MC,
                              self._pcfg(llm_batch_size=1), provider=provider)
         assert provider.calls == 4
-        assert [s.scores for s in out] == [self.TABLE[t] for t in self.TEXTS]
+        assert np.array_equal(out, self._rows(self.TEXTS))
 
     def test_cache_first_and_write_back(self, tmp_path):
         cache = cache_open(tmp_path / "c", "f" * 64)
@@ -460,7 +485,7 @@ class TestScoreBatch:
         out2 = sf.score_batch(self.TEXTS, SCHEMA, MC, pcfg, cache=cache,
                               provider=p2)
         assert p2.calls == 0
-        assert [s.scores for s in out1] == [s.scores for s in out2]
+        assert np.array_equal(out1, out2)
 
     def test_template_digest_hashed_once_per_call(self, tmp_path,
                                                   monkeypatch):
@@ -479,8 +504,8 @@ class TestScoreBatch:
                            provider=sf.MockProvider(self.TABLE, SCHEMA))
         assert len(calls) == 2
         monkeypatch.undo()
-        for text in self.TEXTS:  # stored under make_cache_key keys
-            assert cache.get(make_cache_key(pcfg, TEMPLATE, text)) is not None
+        for text in self.TEXTS:  # stored under cache_key keys
+            assert cache.get(_key(pcfg, text)) == self.TABLE[text]
 
     def test_whole_batch_failure_lists_indices(self):
         provider = _FlakyProvider(self.TABLE, SCHEMA,
@@ -506,7 +531,7 @@ class TestScoreBatch:
         out = sf.score_batch(texts, SCHEMA, MC, pcfg, cache=cache,
                              provider=healthy)
         assert healthy.calls == 1  # only the text that failed
-        assert [s.scores for s in out] == [table[t] for t in texts]
+        assert np.array_equal(out, [table[t] for t in texts])
 
     @pytest.mark.parametrize("batch_size", [1, 8])
     def test_repeated_text_fetched_once(self, batch_size):
@@ -516,7 +541,7 @@ class TestScoreBatch:
                              self._pcfg(llm_batch_size=batch_size),
                              provider=provider)
         assert provider.calls == 2
-        assert [s.scores for s in out] == [self.TABLE[t] for t in texts]
+        assert np.array_equal(out, self._rows(texts))
 
     def test_repeated_failing_text_reported_at_each_position(self):
         provider = _FlakyProvider(self.TABLE, SCHEMA, fail_texts={"t1"})
@@ -546,9 +571,8 @@ class TestScoreBatch:
             sf.score_batch(self.TEXTS, SCHEMA, MC, pcfg, cache=cache,
                            provider=provider)
         for text in self.TEXTS[:2]:
-            entry = cache.get(make_cache_key(pcfg, TEMPLATE, text))
-            assert entry is not None and entry.scores == self.TABLE[text]
-        assert cache.get(make_cache_key(pcfg, TEMPLATE, "t2")) is None
+            assert cache.get(_key(pcfg, text)) == self.TABLE[text]
+        assert cache.get(_key(pcfg, "t2")) is None
 
     def test_fallback_is_not_cached(self, tmp_path):
         class GarbageFirst:
@@ -567,37 +591,45 @@ class TestScoreBatch:
         provider = GarbageFirst(sf.MockProvider(self.TABLE, SCHEMA))
         [first] = sf.score_batch(["t1"], SCHEMA, MC, pcfg, cache=cache,
                                  provider=provider)
-        assert first == LLMScore.uniform_fallback(3)
+        assert tuple(first) == LLMScore.uniform_fallback(3).scores
         assert list((tmp_path / "c").glob("log-*")) == []
         [second] = sf.score_batch(["t1"], SCHEMA, MC, pcfg, cache=cache,
                                   provider=provider)
         assert provider.calls == 2
-        assert second.parse_ok and second.scores == self.TABLE["t1"]
+        assert tuple(second) == self.TABLE["t1"]
         [third] = sf.score_batch(["t1"], SCHEMA, MC, pcfg, cache=cache,
                                  provider=provider)
         assert provider.calls == 2
-        assert third.scores == self.TABLE["t1"]
+        assert tuple(third) == self.TABLE["t1"]
 
     def test_cached_fallback_reads_as_miss(self, tmp_path):
         # caches written before fallbacks stopped being cached hold some
-        cache = cache_open(tmp_path / "c", "f" * 64)
+        root = tmp_path / "c"
+        cache_open(root, "f" * 64)
         pcfg = self._pcfg()
-        key = make_cache_key(pcfg, TEMPLATE, "t1")
-        cache.put(CacheEntry.fresh(key, (1 / 3,) * 3, False,
-                                   cache.fingerprint))
+        key = _key(pcfg, "t1")
+        head = key.encode() + b"\t" + json.dumps({
+            "created_at": "2026-01-01T00:00:00+00:00",
+            "dataset_fingerprint": "f" * 64, "format_version": 1,
+            "key": key, "parse_ok": False, "scores": [1 / 3] * 3},
+            sort_keys=True).encode()
+        (root / "log-1-00000000.jsonl").write_bytes(
+            b"%s\t%08x\n" % (head, zlib.crc32(head)))
+        cache = cache_open(root, "f" * 64)
+        assert cache.get(key) is None
         provider = sf.MockProvider(self.TABLE, SCHEMA)
         [out] = sf.score_batch(["t1"], SCHEMA, MC, pcfg, cache=cache,
                                provider=provider)
         assert provider.calls == 1
-        assert out.parse_ok and out.scores == self.TABLE["t1"]
-        assert cache.get(key).parse_ok
+        assert tuple(out) == self.TABLE["t1"]
+        assert cache_open(root, "f" * 64).get(key) == self.TABLE["t1"]
 
     def test_retry_recovers_inside_batch(self):
         provider = _FlakyProvider(self.TABLE, SCHEMA, fail_first=2)
         pcfg = self._pcfg(max_retries=2, llm_batch_size=1)
         out = sf.score_batch(self.TEXTS, SCHEMA, MC, pcfg, provider=provider,
                              _sleep=lambda s: None)
-        assert [s.scores for s in out] == [self.TABLE[t] for t in self.TEXTS]
+        assert np.array_equal(out, self._rows(self.TEXTS))
 
     def test_concurrent_path_matches_sequential(self):
         p_seq = sf.MockProvider(self.TABLE, SCHEMA)
@@ -606,12 +638,13 @@ class TestScoreBatch:
                              self._pcfg(llm_batch_size=1), provider=p_seq)
         par = sf.score_batch(self.TEXTS, SCHEMA, MC,
                              self._pcfg(llm_batch_size=4), provider=p_par)
-        assert [s.scores for s in seq] == [s.scores for s in par]
+        assert np.array_equal(seq, par)
 
     def test_empty_input(self):
         provider = sf.MockProvider({}, SCHEMA)
-        assert sf.score_batch([], SCHEMA, MC, self._pcfg(),
-                              provider=provider) == []
+        out = sf.score_batch([], SCHEMA, MC, self._pcfg(), provider=provider)
+        assert out.shape == (0, 3) and out.dtype == np.float64
+        assert provider.calls == 0
 
 
 class TestMockProviderCalls:
@@ -640,16 +673,21 @@ class TestMockProviderCalls:
 
 
 class TestMakeCacheKey:
-    def test_key_parts(self):
+    """The key score_batch makes for each text with `cache_key`."""
+
+    def test_key_parts(self, tmp_path):
+        # score_batch stores each text under the documented key string
         pcfg = sf.ProviderConfig(provider_id="mock", model_name="m")
-        key = make_cache_key(pcfg, TEMPLATE, "hello")
-        assert key.provider_id == "mock"
-        assert key.model_name == "m"
-        assert key.prompt_template_digest == TEMPLATE
-        assert len(key.text_digest) == 64
+        cache = cache_open(tmp_path / "c", "f" * 64)
+        sf.score_batch(["hello"], SCHEMA, MC, pcfg, cache=cache,
+                       provider=sf.MockProvider({}, SCHEMA))
+        [segment] = (tmp_path / "c").glob("log-*.jsonl")
+        key = segment.read_bytes().split(b"\t")[0].decode()
+        assert key == _key(pcfg, "hello")
+        assert key.split(".") == [b"mock".hex(), b"m".hex(), TEMPLATE,
+                                  text_digest("hello")]
+        assert len(text_digest("hello")) == 64
 
     def test_distinct_texts_distinct_keys(self):
         pcfg = sf.ProviderConfig(provider_id="mock")
-        k1 = make_cache_key(pcfg, TEMPLATE, "a")
-        k2 = make_cache_key(pcfg, TEMPLATE, "b")
-        assert k1 != k2
+        assert _key(pcfg, "a") != _key(pcfg, "b")

@@ -17,7 +17,7 @@ import scorefusion as sf
 from scorefusion.cache import cache_open_adopt
 from scorefusion.encoder import FrozenLookupEncoder, HashedNgramEncoder
 from scorefusion.fusion import FusionParams
-from scorefusion.llm import PROMPT_TEMPLATE_VERSION, LLMScore
+from scorefusion.llm import PROMPT_TEMPLATE_VERSION
 from scorefusion.pipeline import (
     MODEL_FORMAT_VERSION,
     _decode_array,
@@ -93,6 +93,16 @@ class TestBuildConfig:
             build_config(dict(self.BASE,
                                  llm_provider=["openai", "gemini"],
                                  model_name=["m1"]))
+
+    @pytest.mark.parametrize("extra", [
+        {"model_name": ""},
+        {"llm_provider": {"provider": "mock", "model_name": ""}},
+        {"llm_provider": ["mock", "mock"], "model_name": ["m", ""]},
+        {"llm_provider": {"provider": "mock", "model_name": None}},
+    ])
+    def test_empty_model_name_rejected(self, extra):
+        with pytest.raises(sf.ConfigurationError, match="model_name"):
+            build_config(dict(self.BASE, **extra))
 
     def test_provider_mapping(self):
         cfg = build_config(dict(self.BASE, llm_provider={
@@ -718,30 +728,30 @@ class TestBaselines:
         assert [p.decided.bits for p in preds] == want
 
     def test_llm_only_argmax(self):
-        scores = [[LLMScore((0.9, 0.1), parse_ok=True),
-                   LLMScore((0.2, 0.8), parse_ok=True)]]
+        scores = [np.array([[0.9, 0.1], [0.2, 0.8]])]
         preds = sf.llm_only_predict(scores, MC)
         assert [p.decided.bits for p in preds] == [(1, 0), (0, 1)]
 
     def test_llm_only_averages_providers(self):
-        p0 = [LLMScore((0.9, 0.1), parse_ok=True)]
-        p1 = [LLMScore((0.0, 1.0), parse_ok=True)]
+        p0 = np.array([[0.9, 0.1]])
+        p1 = np.array([[0.0, 1.0]])
         preds = sf.llm_only_predict([p0, p1], MC)
         # mean = (0.45, 0.55)
         assert preds[0].decided.bits == (0, 1)
         assert preds[0].scores.values == pytest.approx((0.45, 0.55))
 
     def test_llm_only_multilabel_threshold(self):
-        scores = [[LLMScore((0.5, 0.49), parse_ok=True)]]
+        scores = [np.array([[0.5, 0.49]])]
         preds = sf.llm_only_predict(scores, sf.TaskMode.MULTI_LABEL,
                                     threshold=0.5)
         assert preds[0].decided.bits == (1, 0)
 
     def test_llm_only_zero_texts(self):
         for mode in (MC, sf.TaskMode.MULTI_LABEL):
-            for providers in ([[]], [[], []]):
-                preds = sf.llm_only_predict(providers, mode)
+            for count in (1, 2):
+                preds = sf.llm_only_predict([np.empty((0, 2))] * count, mode)
                 assert len(preds) == 0 and list(preds) == []
+                assert preds.decided.shape == (0, 2)
 
     def test_llm_only_empty_providers(self):
         with pytest.raises(ValueError):
@@ -832,6 +842,28 @@ class TestAutoFusionClassifier:
         clf = sf.AutoFusionClassifier(self._config_doc())
         with pytest.raises(sf.DataError, match="no"):
             clf.fit(rows, providers=self._providers(toy_table))
+
+    def test_from_encoder_only_model_file(self, toy_dataset, tmp_path):
+        """An encoder-only model loaded without its config serves like
+        load_model plus predict, records its own settings in runs, and
+        refuses to fit a fused model the file never held."""
+        model, _ = sf.fit_encoder_baseline(toy_dataset, small_fusion_config())
+        path = tmp_path / "model.json"
+        sf.save_model(model, path)
+        clf = sf.AutoFusionClassifier.from_model_file(path)
+        want = sf.predict(sf.load_model(path), list(TOY_TEXTS))
+        got = clf.predict(list(TOY_TEXTS))
+        assert np.array_equal(got.scores, want.scores)
+        assert np.array_equal(got.decided, want.decided)
+        report = clf.evaluate(toy_dataset, runs_root=tmp_path / "runs")
+        assert report == sf.evaluate(sf.load_model(path), toy_dataset)
+        [run_dir] = (tmp_path / "runs").iterdir()
+        config = load_run(tmp_path / "runs", run_dir.name).config
+        assert config == model_config_doc(clf.model)
+        assert config["llm_providers"] == []
+        with pytest.raises(sf.ConfigurationError, match="encoder-only"):
+            clf.fit(toy_dataset)
+        assert clf.model.providers == ()
 
     def test_save_and_reload(self, toy_table, tmp_path):
         clf = sf.AutoFusionClassifier(self._config_doc())

@@ -1,8 +1,10 @@
 """The public surface stays in sync with the code: every exported name
-resolves, and the scripts run against the current API."""
+resolves, the scripts run against the current API, and the sources parse
+as the oldest supported Python."""
 
 from __future__ import annotations
 
+import ast
 import os
 import re
 import subprocess
@@ -61,3 +63,12 @@ def test_cli_import_does_not_load_requests():
         capture_output=True, text=True, env=env, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_sources_parse_as_python_3_10():
+    """pyproject promises Python >= 3.10; catch 3.11-only syntax early."""
+    sources = sorted((ROOT / "src" / "scorefusion").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=(3, 10))
