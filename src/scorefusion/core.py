@@ -1,6 +1,6 @@
 """Domain types shared by every module: label schemas, examples, datasets,
-task modes, score vectors, dataset fingerprinting, the config codec and
-the atomic file write.
+task modes, score vectors, dataset fingerprinting, the config codec, the
+atomic file write and the text-TAB-number table reader.
 
 All types here are immutable after construction and safe to share across
 threads. Label order is frozen at schema creation; every vector in the
@@ -18,6 +18,10 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
+
+from .errors import DataError
 
 
 class TaskMode(Enum):
@@ -69,6 +73,43 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
+def read_vector_table(path: str) -> dict[str, np.ndarray]:
+    """{text: float64 vector} from a UTF-8 file of LF-terminated rows, each
+    the text then at least one number, TAB-separated. A CR before the LF is
+    dropped (CRLF files load); any other CR belongs to the text. Blank lines
+    are skipped, all rows share one width, every value is finite, and a
+    repeated text keeps its last row. Any failure, an unreadable file
+    included, is a DataError naming the file and, if any, the line."""
+    table: dict[str, np.ndarray] = {}
+    width: int | None = None
+    try:
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n").removesuffix("\r")
+                if not line:
+                    continue
+                text, *parts = line.split("\t")
+                where = f"{path}:{lineno}"
+                if not parts:
+                    raise DataError(
+                        f"{where}: expected text plus at least one value")
+                try:
+                    values = np.array([float(v) for v in parts])
+                except ValueError as exc:
+                    raise DataError(f"{where}: non-numeric value ({exc})") \
+                        from None
+                if not np.isfinite(values).all():
+                    raise DataError(f"{where}: non-finite value")
+                width = width or values.size
+                if values.size != width:
+                    raise DataError(f"{where}: dimension {values.size} "
+                                    f"differs from earlier rows ({width})")
+                table[text] = values
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    return table
+
+
 @dataclass(frozen=True)
 class LabelSchema:
     """The ordered universe of K label names.
@@ -81,6 +122,12 @@ class LabelSchema:
 
     def __init__(self, labels: Iterable[str]):
         object.__setattr__(self, "labels", tuple(labels))
+        for name in self.labels:
+            if not isinstance(name, str):
+                raise ValueError(
+                    f"label names must be strings, got {name!r} (YAML reads "
+                    "unquoted yes/no/on/off/true/false as booleans: quote "
+                    "label names)")
         if len(self.labels) < 2:
             raise ValueError("a label schema needs at least 2 labels")
         if len(set(self.labels)) != len(self.labels):

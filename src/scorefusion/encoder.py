@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DictCodec, check_int
+from .core import DictCodec, check_int, read_vector_table
 from .errors import DataError, UnknownTextError
 
 # FNV-1a, 64-bit.
@@ -342,42 +342,10 @@ class FrozenLookupEncoder:
 
 
 def load_precomputed_embeddings(path: str) -> FrozenLookupEncoder:
-    """Load a frozen lookup encoder from a TSV file.
-
-    Format: UTF-8, one record per line, tab-separated: the text, then `dim`
-    floats in decimal. All rows must share one dimension. Duplicate texts are
-    legal; the last record wins.
-    """
-    table: dict[str, np.ndarray] = {}
-    dim: int | None = None
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) < 2:
-                    raise DataError(
-                        f"{path}:{lineno}: expected text plus at least one value"
-                    )
-                text = parts[0]
-                try:
-                    values = np.array([float(v) for v in parts[1:]])
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: non-numeric value ({exc})") from None
-                if not np.all(np.isfinite(values)):
-                    raise DataError(f"{path}:{lineno}: non-finite embedding value")
-                if dim is None:
-                    dim = values.size
-                elif values.size != dim:
-                    raise DataError(
-                        f"{path}:{lineno}: dimension {values.size} differs from "
-                        f"earlier rows ({dim})"
-                    )
-                table[text] = values
-    except FileNotFoundError:
-        raise DataError(f"embedding file not found: {path}") from None
-    if dim is None:
+    """A frozen lookup encoder from a `read_vector_table` file of text and
+    embedding rows; `dim` is the row width. A file with no rows is a
+    DataError."""
+    table = read_vector_table(path)
+    if not table:
         raise DataError(f"{path}: no embedding rows")
-    return FrozenLookupEncoder(table, dim)
+    return FrozenLookupEncoder(table, next(iter(table.values())).size)

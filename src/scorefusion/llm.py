@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .cache import ScoreCache, cache_key
-from .core import LabelSchema, TaskMode, text_digest
+from .core import LabelSchema, TaskMode, read_vector_table, text_digest
 from .errors import CacheWriteError, ConfigurationError, ProviderUnavailableError
 
 import logging
@@ -373,39 +373,8 @@ class MockProvider:
                            for name, score in zip(self.schema.labels, scores)})
 
 
-def load_mock_table(path: str) -> dict[str, tuple[float, ...]]:
-    """Read a mock lookup table: UTF-8 lines of text TAB K scores."""
-    table: dict[str, tuple[float, ...]] = {}
-    width: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected text TAB scores"
-                )
-            try:
-                scores = tuple(float(v) for v in parts[1:])
-            except ValueError:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: non-numeric score"
-                ) from None
-            if width is None:
-                width = len(scores)
-            elif len(scores) != width:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: score count {len(scores)} differs from "
-                    f"earlier rows ({width})"
-                )
-            table[parts[0]] = scores
-    return table
-
-
 def write_mock_table(table: dict[str, Sequence[float]], path: str) -> None:
-    """Write a mock lookup table in the load_mock_table format.
+    """Write a mock lookup table in the read_vector_table format.
 
     Texts containing tabs or newlines cannot be represented and are
     rejected.
@@ -423,7 +392,7 @@ def write_mock_table(table: dict[str, Sequence[float]], path: str) -> None:
 def make_provider(pcfg: ProviderConfig, schema: LabelSchema):
     """Instantiate the provider client described by a ProviderConfig."""
     if pcfg.provider_id == "mock":
-        table = load_mock_table(pcfg.mock_table_path) if pcfg.mock_table_path else {}
+        table = read_vector_table(pcfg.mock_table_path) if pcfg.mock_table_path else {}
         return MockProvider(table, schema)
     return HttpChatProvider(pcfg)
 
@@ -472,9 +441,11 @@ def score_batch(texts: Sequence[str], schema: LabelSchema, mode: TaskMode,
     scores already paid for. A reply that does not parse is never cached,
     and a cached entry with parse_ok False (older caches hold some) reads
     as a miss: the uniform fallback fills this call's rows, and the
-    next call asks the provider again. If any text still fails after
-    retries the whole batch fails with every position of the failing texts;
-    partial results are never returned silently.
+    next call asks the provider again. A cached entry without K scores is
+    corrupt: a miss with a warning, healed by the refetched score's put.
+    If any text still fails after retries the whole batch fails with every
+    position of the failing texts; partial results are never returned
+    silently.
     """
     template = prompt_template_digest(schema, mode)
 
@@ -489,6 +460,10 @@ def score_batch(texts: Sequence[str], schema: LabelSchema, mode: TaskMode,
     missing: list[str] = []
     for text, where in positions.items():
         hit = None if cache is None else cache.get(key(text))
+        if hit is not None and len(hit) != schema.K:
+            logger.warning("corrupt cache entry %s: %d scores, expected %d",
+                           key(text), len(hit), schema.K)
+            hit = None
         if hit is None:
             missing.append(text)
         else:

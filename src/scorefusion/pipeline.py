@@ -13,6 +13,7 @@ from __future__ import annotations
 import base64
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
@@ -403,8 +404,9 @@ def _train(encoder, texts: Sequence[str], targets: Sequence[LabelVector],
            scores: np.ndarray, schema: LabelSchema, mode: TaskMode,
            fcfg: FusionConfig, lr_small: float, validation_fraction: float,
            run: Optional[RunHandle],
-           ) -> tuple[FusionParams, Optional[MetricsReport]]:
-    """The two-rate loop over inputs [embedding | scores row]."""
+           ) -> tuple[FusionParams, Optional[MetricsReport], Predictions]:
+    """The two-rate loop over inputs [embedding | scores row]; returns the
+    head, the last validation report and the predictions for every row."""
     n = len(texts)
     d = encoder.dim
     k = schema.K
@@ -455,16 +457,24 @@ def _train(encoder, texts: Sequence[str], targets: Sequence[LabelVector],
         if val_idx.size:
             embs = encoder.embed_features(val_feats) if trainable \
                 else fixed[val_idx]
-            vlogits, _ = forward(np.hstack([embs, val_scores]), params)
             last_report = compute_metrics(
-                decide(probabilities(vlogits, mode), mode,
-                       fcfg.threshold).decided,
+                _decide_inputs(embs, val_scores, params, mode,
+                               fcfg.threshold).decided,
                 y[val_idx], mode, schema.labels)
             log_extra = {"val_accuracy": last_report.accuracy,
                          "val_macro_f1": last_report.f1}
         if run is not None:
             run.log_epoch(epoch, loss_sum / order.size, **log_extra)
-    return params, last_report
+    embs = encoder.embed_features(feats) if trainable else fixed
+    return params, last_report, _decide_inputs(embs, scores, params, mode,
+                                               fcfg.threshold)
+
+
+def _decide_inputs(embs: np.ndarray, scores: np.ndarray, params: FusionParams,
+                   mode: TaskMode, threshold) -> Predictions:
+    """The head's decisions on inputs [embedding | scores row]."""
+    logits, _ = forward(np.hstack([embs, scores]), params)
+    return decide(probabilities(logits, mode), mode, threshold)
 
 
 def _fetch_scores(texts: list[str], schema: LabelSchema, mode: TaskMode,
@@ -495,11 +505,10 @@ def _fit(ds: Dataset, cfg: AutoFusionConfig,
         else 0.0
     run = run_create(runs_root, config_doc, fingerprint, ds.schema.labels)
     targets = [row.target for row in ds.rows]
-    params, last_report = _train(
+    params, last_report, preds = _train(
         encoder, texts, targets, scores, ds.schema, ds.mode,
         cfg.fusion, lr_small, cfg.validation_fraction, run)
     model = FusionModel(ds.schema, ds.mode, encoder, pcfgs, cfg.fusion, params)
-    preds = _predict_from_scores(model, texts, scores)
     run.store_predictions(preds, targets)
     record = run.finalize(last_report)
     return model, record
@@ -523,14 +532,6 @@ def fit(ds: Dataset, cfg: AutoFusionConfig,
                 providers)
 
 
-def _predict_from_scores(model: FusionModel, texts: Sequence[str],
-                         scores: np.ndarray) -> Predictions:
-    embs = model.encoder.encode_batch(texts)
-    logits, _ = forward(np.hstack([embs, scores]), model.fusion_params)
-    return decide(probabilities(logits, model.mode), model.mode,
-                  model.fusion_cfg.threshold)
-
-
 def predict(model: FusionModel, texts: Sequence[str],
             cache: Optional[ScoreCache] = None,
             providers: Optional[Sequence] = None) -> Predictions:
@@ -539,7 +540,9 @@ def predict(model: FusionModel, texts: Sequence[str],
     texts = list(texts)
     scores = _fetch_scores(texts, model.schema, model.mode, model.providers,
                            cache, providers)
-    return _predict_from_scores(model, texts, scores)
+    return _decide_inputs(model.encoder.encode_batch(texts), scores,
+                          model.fusion_params, model.mode,
+                          model.fusion_cfg.threshold)
 
 
 def evaluate(model: FusionModel, ds: Dataset,
@@ -640,6 +643,18 @@ def _decode_array(value, version: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
 
+def _read_array(value, version: int, shape: tuple[int, ...]) -> np.ndarray:
+    """A stored array as `shape`, checked: as many values as the shape
+    holds, every one finite."""
+    flat = _decode_array(value, version)
+    if flat.size != math.prod(shape):
+        raise ModelFormatError(f"array of shape {shape} has {flat.size} "
+                               f"values, expected {math.prod(shape)}")
+    if not np.isfinite(flat).all():
+        raise ModelFormatError("model holds a non-finite weight")
+    return flat.reshape(shape)
+
+
 def _encoder_to_doc(encoder) -> dict:
     if isinstance(encoder, HashedNgramEncoder):
         return {
@@ -667,17 +682,13 @@ def _encoder_from_model_doc(doc: dict, version: int):
     kind = doc["kind"]
     if kind == "hashed_ngram":
         cfg = _config_from_model_doc(EncoderConfig, doc)
-        flat = _decode_array(doc["projection"], version)
-        if flat.size != cfg.buckets * cfg.dim:
-            raise ModelFormatError(
-                f"projection has {flat.size} values, expected "
-                f"{cfg.buckets * cfg.dim}"
-            )
-        return HashedNgramEncoder(cfg, flat.reshape(cfg.buckets, cfg.dim))
+        return HashedNgramEncoder(cfg, _read_array(
+            doc["projection"], version, (cfg.buckets, cfg.dim)))
     if kind == "frozen_lookup":
-        table = {text: _decode_array(vec, version)
+        dim = doc["dim"]
+        table = {text: _read_array(vec, version, (dim,))
                  for text, vec in doc["table"].items()}
-        return FrozenLookupEncoder(table, dim=doc["dim"])
+        return FrozenLookupEncoder(table, dim)
     raise ModelFormatError(f"unknown encoder kind {kind!r}")
 
 
@@ -745,20 +756,15 @@ def load_model(path: Union[str, Path]) -> FusionModel:
         fdoc = doc["fusion"]
         fusion_cfg = _config_from_model_doc(FusionConfig, fdoc)
         weights, biases = [], []
-        for layer in fdoc["layers"]:
-            shape = tuple(layer["shape"])
-            flat = _decode_array(layer["weight"], version)
-            if flat.size != shape[0] * shape[1]:
+        for i, layer in enumerate(fdoc["layers"]):
+            fan_in, fan_out = layer["shape"]
+            if weights and fan_in != weights[-1].shape[1]:
                 raise ModelFormatError(
-                    f"layer weight has {flat.size} values, expected "
-                    f"{shape[0] * shape[1]}"
-                )
-            weights.append(flat.reshape(shape))
-            biases.append(_decode_array(layer["bias"], version))
-        stored = list(encoder.table.values()) if isinstance(
-            encoder, FrozenLookupEncoder) else [encoder.projection]
-        if not all(np.isfinite(a).all() for a in (*stored, *weights, *biases)):
-            raise ModelFormatError("model holds a non-finite weight")
+                    f"layer {i} has fan-in {fan_in}, expected the previous "
+                    f"layer's fan-out {weights[-1].shape[1]}")
+            weights.append(_read_array(layer["weight"], version,
+                                       (fan_in, fan_out)))
+            biases.append(_read_array(layer["bias"], version, (fan_out,)))
         params = FusionParams(weights, biases)
         return FusionModel(schema, mode, encoder, providers,
                            fusion_cfg, params)

@@ -156,6 +156,22 @@ class TestPutGet:
         assert out.tolist() == [[0.3, 0.7]]
         assert cache_open(tmp_path / "c", FP_A).get(key) == (0.3, 0.7)
 
+    def test_wrong_score_count_is_refetched(self, tmp_path, caplog):
+        schema = sf.LabelSchema(("a", "b", "c"))
+        mc = sf.TaskMode.MULTI_CLASS
+        key = _mock_key(schema, mc, "t")
+        _write_format1(tmp_path / "c", key, json.dumps(_format1_doc(key)))
+        provider = sf.MockProvider({"t": (0.2, 0.3, 0.5)}, schema)
+        with caplog.at_level(logging.WARNING):
+            out = sf.score_batch(["t", "t"], schema, mc, sf.ProviderConfig(),
+                                 cache=cache_open(tmp_path / "c", FP_A),
+                                 provider=provider)
+        assert len(caplog.records) == 1
+        assert "2 scores, expected 3" in caplog.records[0].getMessage()
+        assert provider.calls == 1
+        assert out.tolist() == [[0.2, 0.3, 0.5]] * 2
+        assert cache_open(tmp_path / "c", FP_A).get(key) == (0.2, 0.3, 0.5)
+
     def test_entry_fingerprint_mismatch_is_miss(self, tmp_path):
         # simulate a stale entry surviving a warn-policy reopen
         cache_a = cache_open(tmp_path / "c", FP_A)

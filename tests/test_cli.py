@@ -522,6 +522,29 @@ def _non_finite_model(workdir, monkeypatch):
     return ["predict", "--model", str(path), "--text", "x"]
 
 
+def _int_label_names(workdir, monkeypatch):
+    _set_config(workdir, label_columns=[1, 2])
+    return _train_argv(workdir)
+
+
+def _unreadable_input(key, how):
+    """A setup pointing the mock table or the embedding file at a missing
+    file, a directory, or a file of non-UTF-8 bytes."""
+    def setup(workdir, monkeypatch):
+        path = workdir / "input.tsv"
+        if how == "directory":
+            path.mkdir()
+        elif how == "not_utf8":
+            path.write_bytes(b"\xff\xfe\t0.5\t0.5\n")
+        if key == "mock_table":
+            _set_config(workdir, mock_table=str(path))
+        else:
+            _set_config(workdir, encoder={"precomputed_path": str(path)})
+        return _train_argv(workdir)
+    setup.__name__ = f"_{key}_{how}"
+    return setup
+
+
 def _unwritable_model_path(workdir, monkeypatch):
     (workdir / "afile").write_text("not a directory", encoding="utf-8")
     _set_config(workdir, model_out=str(workdir / "afile" / "model.json"))
@@ -594,12 +617,16 @@ def _corrupt_run_metrics(workdir, monkeypatch):
     (_bad_value_type, 1, "config"),
     (_quoted_multi_label, 1, "config"),
     (_float_dim, 1, "config"),
+    (_int_label_names, 1, "config"),
     (_missing_csv, 2, "data"),
     (_undecodable_csv, 2, "data"),
     (_bad_label_cell, 2, "data"),
     (_partial_label_columns, 2, "data"),
     (_unlabeled_eval_rows, 2, "data"),
     (_header_only_eval, 2, "data"),
+    *((_unreadable_input(key, how), 2, "data")
+      for key in ("mock_table", "embeddings")
+      for how in ("missing", "directory", "not_utf8")),
     (_corrupt_model, 1, "config"),
     (_corrupt_base64_model, 1, "config"),
     (_non_finite_model, 1, "config"),

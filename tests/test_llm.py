@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import scorefusion as sf
 from scorefusion.cache import cache_key, cache_open
-from scorefusion.core import text_digest
+from scorefusion.core import read_vector_table, text_digest
 from scorefusion.llm import (
     TEXT_BEGIN,
     TEXT_END,
@@ -23,7 +23,6 @@ from scorefusion.llm import (
     LLMScore,
     build_prompt,
     extract_prompt_text,
-    load_mock_table,
     make_provider,
     make_provider_config,
     prompt_template_digest,
@@ -382,24 +381,56 @@ class TestMockProvider:
             sf.MockProvider({"x": (0.5, 0.5)}, SCHEMA)
 
 
+def _read_table(path) -> dict:
+    return {text: tuple(v) for text, v in read_vector_table(str(path)).items()}
+
+
 class TestMockTableIO:
     def test_write_then_load_round_trip(self, tmp_path):
-        table = {"first text": (0.25, 0.5, 0.25), "second": (1.0, 0.0, 0.0)}
+        table = {"first text": (0.25, 0.5, 0.25), "second": (1.0, 0.0, 0.0),
+                 "carriage\rreturn\r": (0.5, 0.5, 0.0)}
         path = tmp_path / "table.tsv"
         sf.write_mock_table(table, str(path))
-        assert load_mock_table(str(path)) == table
+        assert _read_table(path) == table
 
     def test_load_rejects_width_mismatch(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("a\t0.5\t0.5\nb\t0.5\n", encoding="utf-8")
-        with pytest.raises(sf.ConfigurationError, match="differs"):
-            load_mock_table(str(path))
+        with pytest.raises(sf.DataError, match="bad.tsv:2: .*differs"):
+            read_vector_table(str(path))
 
     def test_load_rejects_non_numeric(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("a\tx\n", encoding="utf-8")
-        with pytest.raises(sf.ConfigurationError, match="non-numeric"):
-            load_mock_table(str(path))
+        with pytest.raises(sf.DataError, match="non-numeric"):
+            read_vector_table(str(path))
+
+    def test_load_rejects_non_finite_score(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("a\t0.5\tnan\n", encoding="utf-8")
+        pcfg = sf.ProviderConfig(provider_id="mock",
+                                 mock_table_path=str(path))
+        with pytest.raises(sf.DataError, match="bad.tsv:1: non-finite"):
+            make_provider(pcfg, sf.LabelSchema(("a", "b")))
+
+    def test_crlf_file_loads_like_its_lf_twin(self, tmp_path):
+        rows = ["a\t0.25\t0.75", "", "b\rc\t1.0\t0.0", "a\t0.5\t0.5"]
+        lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+        lf.write_bytes("\n".join(rows).encode() + b"\n")
+        crlf.write_bytes("\r\n".join(rows).encode() + b"\r\n")
+        assert _read_table(crlf) == _read_table(lf) == {
+            "a": (0.5, 0.5), "b\rc": (1.0, 0.0)}
+
+    @pytest.mark.parametrize("make", [
+        lambda p: None,
+        lambda p: p.mkdir(),
+        lambda p: p.write_bytes(b"\xff\xfe\t0.5\n"),
+    ], ids=["missing", "directory", "not-utf8"])
+    def test_unreadable_file_is_a_data_error(self, tmp_path, make):
+        path = tmp_path / "table.tsv"
+        make(path)
+        with pytest.raises(sf.DataError, match="table.tsv"):
+            read_vector_table(str(path))
 
     def test_write_rejects_tabs_in_text(self, tmp_path):
         with pytest.raises(sf.ConfigurationError):

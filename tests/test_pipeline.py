@@ -67,6 +67,12 @@ class TestBuildConfig:
         with pytest.raises(sf.ConfigurationError, match="label_columns"):
             build_config({"multi_label": True})
 
+    @pytest.mark.parametrize("labels", [[True, False], [1, 2]])
+    def test_label_names_must_be_strings(self, labels):
+        with pytest.raises(sf.ConfigurationError,
+                           match=rf"strings, got {labels[0]}.*yes/no"):
+            build_config({"label_columns": labels})
+
     def test_seed_shorthand_wins(self):
         cfg = build_config(dict(self.BASE, seed=7,
                                    fusion={"seed": 99}))
@@ -548,6 +554,31 @@ class TestSaveLoad:
         with pytest.raises(sf.ModelFormatError, match="expected"):
             sf.load_model(path)
 
+    @staticmethod
+    def _resize_first_bias(size):
+        def edit(doc):
+            doc["fusion"]["layers"][0]["bias"] = _encode_array(np.zeros(size))
+        return edit
+
+    @staticmethod
+    def _shrink_last_fan_in(doc):
+        layer = doc["fusion"]["layers"][-1]
+        fan_in, fan_out = layer["shape"]
+        layer["shape"] = [fan_in - 1, fan_out]
+        layer["weight"] = _encode_array(np.zeros((fan_in - 1) * fan_out))
+
+    @pytest.mark.parametrize("edit, match", [
+        (_resize_first_bias(1), r"shape \(16,\) has 1 values, expected 16"),
+        (_resize_first_bias(2), r"shape \(16,\) has 2 values, expected 16"),
+        (_shrink_last_fan_in, "layer 1 has fan-in 15, expected the previous "
+                              "layer's fan-out 16"),
+    ], ids=["bias_of_one", "short_bias", "fan_in_mismatch"])
+    def test_layer_shapes_checked(self, toy_dataset, toy_table, tmp_path,
+                                  edit, match):
+        path = self._doctored(toy_dataset, toy_table, tmp_path, edit)
+        with pytest.raises(sf.ModelFormatError, match=match):
+            sf.load_model(path)
+
     @pytest.mark.parametrize("value, match", [
         ("AAAAAAAAAAA*", "base64"),
         ("AAAAAAAAAAA", "base64"),
@@ -711,6 +742,20 @@ class TestFrozenEncoder:
             np.array([0.0, np.nan, 1.0, 2.0]))
         out.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(sf.ModelFormatError, match="non-finite weight"):
+            sf.load_model(out)
+
+
+    def test_short_vector_rejected(self, toy_dataset, toy_table, tmp_path):
+        path, _ = self._embeddings_file(tmp_path, TOY_TEXTS)
+        cfg = small_fusion_config(encoder=str(path))
+        provider = sf.MockProvider(toy_table, toy_dataset.schema)
+        model, _ = sf.fit(toy_dataset, cfg, providers=[provider])
+        out = tmp_path / "model.json"
+        sf.save_model(model, out)
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        doc["encoder"]["table"][TOY_TEXTS[3]] = _encode_array(np.zeros(3))
+        out.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(sf.ModelFormatError, match="has 3 values, expected 4"):
             sf.load_model(out)
 
 

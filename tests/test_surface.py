@@ -72,3 +72,26 @@ def test_sources_parse_as_python_3_10():
     for path in sources:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
                   feature_version=(3, 10))
+
+
+# Tracer targets that name no callable today; the benchmark side retargets
+# them (ROADMAP item 1).
+_UNRESOLVED_TRACER_TARGETS = {
+    "scorefusion.cli:dataset_fingerprint",
+    "scorefusion.cli:evaluate",
+    "scorefusion.cli:run_create",
+    "scorefusion.encoder:encode",
+    "scorefusion.pipeline:assemble_input",
+}
+
+
+def test_benchmark_tracer_targets_resolve(monkeypatch):
+    """Every module:attribute the benchmark's tracer wraps is a callable its
+    owner defines, so renaming or dropping a traced binding fails here
+    instead of reading 0 in a per-layer benchmark metric."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import tracing
+
+    unresolved = {target for _, targets, _ in tracing.LAYERS
+                  for target in targets if tracing._resolve(target) is None}
+    assert unresolved - _UNRESOLVED_TRACER_TARGETS == set()
