@@ -107,8 +107,8 @@ class CsrRows:
         """The row of every stored entry."""
         return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
-    def take(self, rows: np.ndarray) -> "CsrRows":
-        """The given rows, in the given order."""
+    def __getitem__(self, rows: np.ndarray) -> "CsrRows":
+        """feats[rows]: the given rows, in the given order."""
         starts = self.indptr[rows]
         lengths = self.indptr[rows + 1] - starts
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
@@ -196,8 +196,6 @@ class HashedNgramEncoder:
     gradient.
     """
 
-    trainable = True
-
     def __init__(self, cfg: EncoderConfig, projection: np.ndarray | None = None,
                  seed: int = 0):
         """`projection` is the trainable (buckets, dim) matrix; without one,
@@ -211,6 +209,10 @@ class HashedNgramEncoder:
     @property
     def dim(self) -> int:
         return self.cfg.dim
+
+    @property
+    def lr_small(self) -> float:
+        return self.cfg.lr_small
 
     def features(self, texts: Sequence[str]) -> CsrRows:
         return featurize_rows(texts, self.cfg)
@@ -249,9 +251,8 @@ class HashedNgramEncoder:
         return batch.weights @ batch.projection_rows
 
     def apply_sparse_gradients(self, batch: "TrainingBatch",
-                               embedding_grads: np.ndarray,
-                               lr_small: float) -> None:
-        """SGD step from per-example embedding gradients, shape (B, dim).
+                               embedding_grads: np.ndarray) -> None:
+        """SGD step at lr_small from per-example embedding grads (B, dim).
 
         dL/dP[b, :] = sum over rows r of weight_rb * dL/d(embedding_r); the
         embedding grads must already carry any 1/batch factor from the loss.
@@ -260,7 +261,7 @@ class HashedNgramEncoder:
         rows P[u] the batch read when it was built.
         """
         step = batch.weights.T @ embedding_grads
-        step *= lr_small
+        step *= self.lr_small
         np.subtract(batch.projection_rows, step, out=step)
         self.projection[batch.touched] = step
 
@@ -301,7 +302,7 @@ class TrainingBatches:
 
     def __call__(self, rows: np.ndarray) -> TrainingBatch:
         """The given rows of the features, in the given order."""
-        picked = self.feats.take(rows)
+        picked = self.feats[rows]
         self._mask[picked.idx] = True
         touched = np.flatnonzero(self._mask)
         self._mask[touched] = False
@@ -314,11 +315,12 @@ class TrainingBatches:
 class FrozenLookupEncoder:
     """Frozen encoder backed by a text -> embedding table.
 
-    Receives no gradient updates; querying a text absent from the table is
-    an error naming the text.
+    Querying a text absent from the table is an error naming the text. In
+    training its features are the (n, dim) embeddings, a batch is some of
+    their rows, and the update does nothing.
     """
 
-    trainable = False
+    lr_small = 0.0
 
     def __init__(self, table: dict[str, np.ndarray], dim: int):
         self.table = table
@@ -339,6 +341,19 @@ class FrozenLookupEncoder:
     def encode_batch(self, texts: Sequence[str]) -> np.ndarray:
         return np.array([self.encode(t) for t in texts]).reshape(
             len(texts), self._dim)
+
+    features = encode_batch
+
+    def training_batches(self, feats: np.ndarray):
+        return feats.__getitem__
+
+    def embed_features(self, feats: np.ndarray) -> np.ndarray:
+        return feats
+
+    embed_batch = embed_features
+
+    def apply_sparse_gradients(self, batch, embedding_grads) -> None:
+        """Frozen: no update."""
 
 
 def load_precomputed_embeddings(path: str) -> FrozenLookupEncoder:

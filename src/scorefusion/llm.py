@@ -22,7 +22,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .cache import ScoreCache, cache_key
-from .core import LabelSchema, TaskMode, read_vector_table, text_digest
+from .core import (
+    LabelSchema,
+    TaskMode,
+    check_int,
+    read_vector_table,
+    text_digest,
+)
 from .errors import CacheWriteError, ConfigurationError, ProviderUnavailableError
 
 import logging
@@ -90,16 +96,16 @@ class ProviderConfig:
             )
         if not isinstance(self.model_name, str) or not self.model_name:
             raise ConfigurationError("model_name must be a non-empty string")
-        if self.max_retries < 0:
-            raise ConfigurationError("max_retries must be >= 0")
+        for name, least in (("max_retries", 0), ("backoff_base_ms", 0),
+                            ("llm_batch_size", 1), ("timeout_ms", 1)):
+            try:
+                check_int(name, getattr(self, name))
+            except TypeError as exc:
+                raise ConfigurationError(str(exc)) from None
+            if getattr(self, name) < least:
+                raise ConfigurationError(f"{name} must be >= {least}")
         if self.temperature < 0:
             raise ConfigurationError("temperature must be >= 0")
-        if self.llm_batch_size < 1:
-            raise ConfigurationError("llm_batch_size must be >= 1")
-        if self.backoff_base_ms < 0:
-            raise ConfigurationError("backoff_base_ms must be >= 0")
-        if self.timeout_ms <= 0:
-            raise ConfigurationError("timeout_ms must be > 0")
 
 
 def make_provider_config(name: str, **overrides) -> ProviderConfig:

@@ -75,7 +75,8 @@ class AutoFusionConfig:
     """Everything needed to train and apply one fusion classifier.
 
     `encoder` is either hashed-n-gram settings (trainable) or a path to a
-    precomputed-embedding TSV (frozen).
+    precomputed-embedding TSV (frozen). With no `llm_providers` the model
+    is the encoder-only baseline.
     """
 
     label_columns: tuple[str, ...] = ()
@@ -99,8 +100,6 @@ class AutoFusionConfig:
             LabelSchema(self.label_columns)
         except ValueError as exc:
             raise ConfigurationError(f"label_columns: {exc}") from None
-        if not self.llm_providers:
-            raise ConfigurationError("at least one LLM provider is required")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ConfigurationError("validation_fraction must lie in [0, 1)")
         if self.cache_policy not in ("strict", "warn"):
@@ -293,6 +292,12 @@ class FusionModel:
                 f"fusion output width {self.fusion_params.output_dim} != "
                 f"K = {self.schema.K}"
             )
+        hidden = tuple(w.shape[1] for w in self.fusion_params.weights[:-1])
+        if hidden != self.fusion_cfg.hidden_sizes:
+            raise ConfigurationError(
+                f"fusion hidden_sizes {list(self.fusion_cfg.hidden_sizes)} != "
+                f"the layers' widths {list(hidden)}"
+            )
 
 
 def model_config_doc(model: FusionModel) -> dict:
@@ -402,7 +407,7 @@ def _bit(value, where: str, row: int, column: str) -> int:
 @np.errstate(over="ignore", invalid="ignore")
 def _train(encoder, texts: Sequence[str], targets: Sequence[LabelVector],
            scores: np.ndarray, schema: LabelSchema, mode: TaskMode,
-           fcfg: FusionConfig, lr_small: float, validation_fraction: float,
+           fcfg: FusionConfig, validation_fraction: float,
            run: Optional[RunHandle],
            ) -> tuple[FusionParams, Optional[MetricsReport], Predictions]:
     """The two-rate loop over inputs [embedding | scores row]; returns the
@@ -414,19 +419,14 @@ def _train(encoder, texts: Sequence[str], targets: Sequence[LabelVector],
     params = init_fusion_params(d + scores.shape[1], fcfg.hidden_sizes, k,
                                 fus_seed)
 
-    trainable = encoder.trainable
     y = np.array([t.bits for t in targets], dtype=np.float64)
     rng = np.random.default_rng(shuffle_seed)
     perm = rng.permutation(n)
     n_val = min(int(validation_fraction * n), n - 1)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
-    if trainable:
-        feats = encoder.features(texts)
-        batches = encoder.training_batches(feats)
-        val_feats = feats.take(val_idx)
-    else:
-        fixed = encoder.encode_batch(texts)
-    val_scores = scores[val_idx]
+    feats = encoder.features(texts)
+    batches = encoder.training_batches(feats)
+    val_feats, val_scores = feats[val_idx], scores[val_idx]
 
     last_report: Optional[MetricsReport] = None
     for epoch in range(1, fcfg.epochs + 1):
@@ -434,40 +434,33 @@ def _train(encoder, texts: Sequence[str], targets: Sequence[LabelVector],
         loss_sum = 0.0
         for start in range(0, order.size, fcfg.train_batch_size):
             batch = order[start:start + fcfg.train_batch_size]
-            if trainable:
-                sparse = batches(batch)
-                embs = encoder.embed_batch(sparse)
-            else:
-                embs = fixed[batch]
+            enc_batch = batches(batch)
+            embs = encoder.embed_batch(enc_batch)
             logits, tape = forward(np.hstack([embs, scores[batch]]), params)
             mean_loss, dlogits = batch_loss_and_dlogits(logits, y[batch], mode)
             if not np.isfinite(mean_loss):
                 raise ConfigurationError(
                     f"training diverged in epoch {epoch}: non-finite loss "
-                    f"with lr_high={fcfg.lr_high:g} and lr_small={lr_small:g}; "
+                    f"with lr_high={fcfg.lr_high:g} and "
+                    f"lr_small={encoder.lr_small:g}; "
                     "lower the learning rates"
                 )
             bundle = backward(tape, dlogits, d, params)
             fusion_step(params, bundle, fcfg.lr_high)
-            if trainable:
-                encoder.apply_sparse_gradients(sparse, bundle.embedding_grad,
-                                               lr_small)
+            encoder.apply_sparse_gradients(enc_batch, bundle.embedding_grad)
             loss_sum += mean_loss * batch.size
         log_extra: dict = {}
         if val_idx.size:
-            embs = encoder.embed_features(val_feats) if trainable \
-                else fixed[val_idx]
             last_report = compute_metrics(
-                _decide_inputs(embs, val_scores, params, mode,
-                               fcfg.threshold).decided,
+                _decide_inputs(encoder.embed_features(val_feats), val_scores,
+                               params, mode, fcfg.threshold).decided,
                 y[val_idx], mode, schema.labels)
             log_extra = {"val_accuracy": last_report.accuracy,
                          "val_macro_f1": last_report.f1}
         if run is not None:
             run.log_epoch(epoch, loss_sum / order.size, **log_extra)
-    embs = encoder.embed_features(feats) if trainable else fixed
-    return params, last_report, _decide_inputs(embs, scores, params, mode,
-                                               fcfg.threshold)
+    return params, last_report, _decide_inputs(
+        encoder.embed_features(feats), scores, params, mode, fcfg.threshold)
 
 
 def _decide_inputs(embs: np.ndarray, scores: np.ndarray, params: FusionParams,
@@ -489,31 +482,6 @@ def _fetch_scores(texts: list[str], schema: LabelSchema, mode: TaskMode,
     return np.hstack([np.empty((len(texts), 0)), *blocks])
 
 
-def _fit(ds: Dataset, cfg: AutoFusionConfig,
-         pcfgs: tuple[ProviderConfig, ...], config_doc: dict,
-         runs_root: Optional[Union[str, Path]],
-         cache: Optional[ScoreCache], providers: Optional[Sequence],
-         ) -> tuple[FusionModel, RunRecord]:
-    _check_labeled_dataset(ds, cfg.schema, cfg.mode)
-    fingerprint = dataset_fingerprint(ds)
-    if pcfgs and cache is None and cfg.cache_dir is not None:
-        cache = cache_open(cfg.cache_dir, fingerprint, policy=cfg.cache_policy)
-    texts = ds.texts()
-    scores = _fetch_scores(texts, ds.schema, ds.mode, pcfgs, cache, providers)
-    encoder = _build_encoder(cfg)
-    lr_small = cfg.encoder.lr_small if isinstance(cfg.encoder, EncoderConfig) \
-        else 0.0
-    run = run_create(runs_root, config_doc, fingerprint, ds.schema.labels)
-    targets = [row.target for row in ds.rows]
-    params, last_report, preds = _train(
-        encoder, texts, targets, scores, ds.schema, ds.mode,
-        cfg.fusion, lr_small, cfg.validation_fraction, run)
-    model = FusionModel(ds.schema, ds.mode, encoder, pcfgs, cfg.fusion, params)
-    run.store_predictions(preds, targets)
-    record = run.finalize(last_report)
-    return model, record
-
-
 def fit(ds: Dataset, cfg: AutoFusionConfig,
         runs_root: Optional[Union[str, Path]] = None,
         cache: Optional[ScoreCache] = None,
@@ -528,8 +496,22 @@ def fit(ds: Dataset, cfg: AutoFusionConfig,
     Returns the model plus the finalized RunRecord (epoch losses, validation
     metrics when validation_fraction > 0, and final whole-set predictions).
     """
-    return _fit(ds, cfg, cfg.llm_providers, cfg.to_dict(), runs_root, cache,
-                providers)
+    _check_labeled_dataset(ds, cfg.schema, cfg.mode)
+    fingerprint = dataset_fingerprint(ds)
+    pcfgs = cfg.llm_providers
+    if pcfgs and cache is None and cfg.cache_dir is not None:
+        cache = cache_open(cfg.cache_dir, fingerprint, policy=cfg.cache_policy)
+    texts = ds.texts()
+    scores = _fetch_scores(texts, ds.schema, ds.mode, pcfgs, cache, providers)
+    encoder = _build_encoder(cfg)
+    run = run_create(runs_root, cfg.to_dict(), fingerprint, ds.schema.labels)
+    targets = [row.target for row in ds.rows]
+    params, last_report, preds = _train(
+        encoder, texts, targets, scores, ds.schema, ds.mode,
+        cfg.fusion, cfg.validation_fraction, run)
+    model = FusionModel(ds.schema, ds.mode, encoder, pcfgs, cfg.fusion, params)
+    run.store_predictions(preds, targets)
+    return model, run.finalize(last_report)
 
 
 def predict(model: FusionModel, texts: Sequence[str],
@@ -585,10 +567,9 @@ def evaluate_as_run(model: FusionModel, ds: Dataset,
 def fit_encoder_baseline(ds: Dataset, cfg: AutoFusionConfig,
                          runs_root: Optional[Union[str, Path]] = None,
                          ) -> tuple[FusionModel, RunRecord]:
-    """Train the encoder-only baseline, a FusionModel with no providers,
-    with the same loop and seeds. Opens no cache and calls no provider."""
-    config_doc = dict(cfg.to_dict(), baseline="encoder_only")
-    return _fit(ds, cfg, (), config_doc, runs_root, None, None)
+    """Train the encoder-only baseline: `cfg` with no providers, so the
+    same loop and seeds, no cache and no provider call."""
+    return fit(ds, replace(cfg, llm_providers=()), runs_root)
 
 
 # A model from fit_encoder_baseline has no providers, so predict needs no
@@ -801,20 +782,14 @@ class AutoFusionClassifier:
 
     def fit(self, data, runs_root: Optional[Union[str, Path]] = None,
             providers: Optional[Sequence] = None) -> "AutoFusionClassifier":
-        if self._loaded_config_doc is not None:
-            if isinstance(self.model.encoder, FrozenLookupEncoder):
-                raise ConfigurationError(
-                    "this classifier holds a frozen-lookup model loaded "
-                    "without its config, so its embedding file is unknown; to "
-                    "fit, pass from_model_file a config whose encoder sets "
-                    "encoder.precomputed_path"
-                )
-            if not self.model.providers:
-                raise ConfigurationError(
-                    "this classifier holds an encoder-only model loaded "
-                    "without its config, so it has no LLM provider to fit a "
-                    "fused model with; to fit, pass from_model_file a config"
-                )
+        if self._loaded_config_doc is not None \
+                and isinstance(self.model.encoder, FrozenLookupEncoder):
+            raise ConfigurationError(
+                "this classifier holds a frozen-lookup model loaded "
+                "without its config, so its embedding file is unknown; to "
+                "fit, pass from_model_file a config whose encoder sets "
+                "encoder.precomputed_path"
+            )
         ds = self._as_dataset(data)
         # fit opens the cache for this dataset; predict adopts its manifest.
         self._cache = None
@@ -847,19 +822,18 @@ class AutoFusionClassifier:
                         config: Optional[Union[dict, AutoFusionConfig]] = None,
                         ) -> "AutoFusionClassifier":
         """A classifier holding a saved model. Without `config`, one is
-        built from the model's settings; a frozen-lookup or encoder-only
-        model built that way predicts and evaluates but cannot fit again."""
+        built from the model's settings; a frozen-lookup model built that
+        way predicts and evaluates but cannot fit again."""
         model = load_model(path)
         if config is not None:
             clf = cls(config)
         else:
-            # A frozen model's table path is not in the model file, and an
-            # encoder-only model has no providers; the EncoderConfig and the
-            # provider put in their place are placeholders fit refuses.
+            # A frozen model's table path is not in the model file; the
+            # EncoderConfig put in its place is a placeholder fit refuses.
             clf = cls(AutoFusionConfig(
                 label_columns=model.schema.labels,
                 multi_label=model.mode is TaskMode.MULTI_LABEL,
-                llm_providers=model.providers or (ProviderConfig(),),
+                llm_providers=model.providers,
                 encoder=model.encoder.cfg
                 if isinstance(model.encoder, HashedNgramEncoder)
                 else EncoderConfig(),

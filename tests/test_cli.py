@@ -130,6 +130,26 @@ class TestTrain:
         assert code == 1
         assert "KEY=VALUE" in err
 
+    def test_no_providers_trains_the_encoder_only_baseline(self, workdir,
+                                                           capsys):
+        """`llm_provider: []` trains a model with no providers, which
+        predict and evaluate then serve with no cache and no score table."""
+        _set_config(workdir, llm_provider=[], mock_table=None)
+        code, run_id, err = _train(workdir, capsys)
+        assert code == 0, err
+        model = workdir / "model.json"
+        assert json.loads(model.read_text(encoding="utf-8"))["providers"] == []
+        assert load_run(workdir / "runs", run_id).config["llm_providers"] == []
+        (workdir / "table.tsv").unlink()
+        assert main(["predict", "--model", str(model),
+                     "--text", TOY_TEXTS[0], "--text", TOY_TEXTS[1]]) == 0
+        assert capsys.readouterr().out.splitlines() == ["yes", "no"]
+        assert main(["evaluate", "--model", str(model),
+                     "--eval-csv", str(workdir / "train.csv"),
+                     "--runs-dir", str(workdir / "eval-runs")]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "accuracy=1.0", "macro_f1=1.0"]
+
     def test_diverging_fit_exit_1(self, workdir, capsys):
         code, _, err = _train(workdir, capsys,
                               "--set", "fusion.lr_high=1000000.0")
@@ -468,6 +488,13 @@ def _float_dim(workdir, monkeypatch):
     return _train_argv(workdir)
 
 
+def _float_max_retries(workdir, monkeypatch):
+    table = str(workdir / "table.tsv")
+    _set_config(workdir, llm_provider={"provider": "mock", "mock_table": table,
+                                       "max_retries": 2.5})
+    return _train_argv(workdir)
+
+
 def _missing_csv(workdir, monkeypatch):
     _set_config(workdir, train_csv=str(workdir / "nope.csv"))
     return _train_argv(workdir)
@@ -618,6 +645,7 @@ def _corrupt_run_metrics(workdir, monkeypatch):
     (_quoted_multi_label, 1, "config"),
     (_float_dim, 1, "config"),
     (_int_label_names, 1, "config"),
+    (_float_max_retries, 1, "config"),
     (_missing_csv, 2, "data"),
     (_undecodable_csv, 2, "data"),
     (_bad_label_cell, 2, "data"),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import scorefusion as sf
 from scorefusion.encoder import (
     CsrRows,
+    FrozenLookupEncoder,
     HashedNgramEncoder,
     featurize,
     featurize_rows,
@@ -39,7 +40,7 @@ def _whole_batch(enc, feats):
 def _reference_batch(feats, rows):
     """The touched buckets and (B, U) weight matrix of the given rows, by
     np.unique."""
-    picked = feats.take(rows)
+    picked = feats[rows]
     touched, col = np.unique(picked.idx, return_inverse=True)
     weights = np.zeros((len(rows), touched.size))
     weights[picked.row_ids(), col] = picked.w
@@ -166,7 +167,7 @@ class TestFeaturizeRows:
     def test_take_selects_rows_in_order(self):
         texts = ["first text", "", "second one", "third"]
         rows = featurize_rows(texts, self.CFG)
-        picked = rows.take(np.array([2, 1, 2, 0]))
+        picked = rows[np.array([2, 1, 2, 0])]
         assert len(picked) == 4
         for got, src in zip(range(4), (2, 1, 2, 0)):
             for a, b in zip(picked.row(got), rows.row(src)):
@@ -237,10 +238,9 @@ class TestEncoderGradients:
             idx, weights = feats.row(i)
             for j, w in zip(idx, weights):
                 dense[j] += w * g
-        encoder_gradient_step(enc_b.projection, dense, lr_small=0.05)
+        encoder_gradient_step(enc_b.projection, dense, lr_small=0.1)
 
-        enc_a.apply_sparse_gradients(_whole_batch(enc_a, feats), gs,
-                                     lr_small=0.05)
+        enc_a.apply_sparse_gradients(_whole_batch(enc_a, feats), gs)
         np.testing.assert_allclose(enc_a.projection,
                                    enc_b.projection, rtol=0, atol=1e-15)
 
@@ -270,7 +270,7 @@ class TestEncoderGradients:
         enc = HashedNgramEncoder(self.CFG, seed=1)
         before = enc.projection.copy()
         enc.apply_sparse_gradients(_whole_batch(enc, enc.features([""])),
-                                   np.ones((1, 4)), lr_small=0.5)
+                                   np.ones((1, 4)))
         np.testing.assert_array_equal(enc.projection, before)
 
 
@@ -290,7 +290,7 @@ class TestTrainingBatch:
         np.testing.assert_array_equal(batch.projection_rows,
                                       enc.projection[touched])
         np.testing.assert_allclose(enc.embed_batch(batch),
-                                   enc.embed_features(feats.take(rows)),
+                                   enc.embed_features(feats[rows]),
                                    rtol=0, atol=self.EMBED_ATOL)
 
     @given(data=st.data(), buckets=st.sampled_from([64, 2 ** 15]))
@@ -307,9 +307,9 @@ class TestTrainingBatch:
         enc = HashedNgramEncoder(cfg, seed=4)
         feats = enc.features(["alpha beta", "alpha gamma", "zzzz", "qqqq",
                               "", "beta alpha"])
-        first = set(feats.take(np.array([0, 1])).idx.tolist())
-        assert first & set(feats.take(np.array([5, 4])).idx.tolist())
-        assert not first & set(feats.take(np.array([2, 3])).idx.tolist())
+        first = set(feats[np.array([0, 1])].idx.tolist())
+        assert first & set(feats[np.array([5, 4])].idx.tolist())
+        assert not first & set(feats[np.array([2, 3])].idx.tolist())
         build = enc.training_batches(feats)
         for rows in ([0, 1], [5, 4], [0, 1], [2, 3], [4], [0, 1, 2, 3, 4, 5]):
             self._check(enc, build, feats, np.array(rows))
@@ -320,7 +320,7 @@ class TestTrainingBatch:
         before = enc.projection.copy()
         batch = _whole_batch(enc, enc.features(["", "ab", ""]))
         np.testing.assert_array_equal(enc.embed_batch(batch), np.zeros((3, 4)))
-        enc.apply_sparse_gradients(batch, np.ones((3, 4)), lr_small=0.5)
+        enc.apply_sparse_gradients(batch, np.ones((3, 4)))
         np.testing.assert_array_equal(enc.projection, before)
 
     def test_len_is_row_count(self):
@@ -371,10 +371,23 @@ class TestFrozenLookupEncoder:
                         encoding="utf-8")
         enc = load_precomputed_embeddings(str(path))
         assert enc.dim == 2
-        assert enc.trainable is False
         np.testing.assert_array_equal(enc.encode("hello"), [1.0, 2.0])
         with pytest.raises(sf.UnknownTextError, match="missing"):
             enc.encode("missing")
+
+    def test_training_calls_select_rows_and_change_nothing(self):
+        """The frozen encoder's features are its embeddings, a batch is
+        their rows, and the update leaves the table as it was."""
+        table = {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])}
+        enc = FrozenLookupEncoder(table, 2)
+        feats = enc.features(["b", "a", "b"])
+        np.testing.assert_array_equal(feats, [[3, 4], [1, 2], [3, 4]])
+        batch = enc.training_batches(feats)(np.array([2, 1]))
+        np.testing.assert_array_equal(enc.embed_batch(batch), [[3, 4], [1, 2]])
+        assert enc.embed_features(feats) is feats
+        enc.apply_sparse_gradients(batch, np.ones((2, 2)))
+        np.testing.assert_array_equal(enc.encode("a"), [1.0, 2.0])
+        assert enc.lr_small == 0.0
 
     def test_missing_file(self):
         with pytest.raises(sf.DataError):

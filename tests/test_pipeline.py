@@ -162,6 +162,11 @@ class TestBuildConfig:
         {"label_columns": ["a", "b"], "fusion": {"seed": 1.5}},
         {"label_columns": ["a", "b"], "seed": 4.5},
         {"label_columns": ["a", "b"], "seed": True},
+        *({"label_columns": ["a", "b"],
+           "llm_provider": {"provider": "mock", key: value}}
+          for key in ("max_retries", "backoff_base_ms", "llm_batch_size",
+                      "timeout_ms")
+          for value in (2.5, True, "3")),
     ])
     def test_bad_values_become_config_errors(self, doc):
         with pytest.raises(sf.ConfigurationError):
@@ -567,12 +572,19 @@ class TestSaveLoad:
         layer["shape"] = [fan_in - 1, fan_out]
         layer["weight"] = _encode_array(np.zeros((fan_in - 1) * fan_out))
 
+    @staticmethod
+    def _claim_other_hidden_sizes(doc):
+        doc["fusion"]["hidden_sizes"] = [99, 7]
+
     @pytest.mark.parametrize("edit, match", [
         (_resize_first_bias(1), r"shape \(16,\) has 1 values, expected 16"),
         (_resize_first_bias(2), r"shape \(16,\) has 2 values, expected 16"),
         (_shrink_last_fan_in, "layer 1 has fan-in 15, expected the previous "
                               "layer's fan-out 16"),
-    ], ids=["bias_of_one", "short_bias", "fan_in_mismatch"])
+        (_claim_other_hidden_sizes,
+         r"hidden_sizes \[99, 7\] != the layers' widths \[16\]"),
+    ], ids=["bias_of_one", "short_bias", "fan_in_mismatch",
+            "hidden_sizes_mismatch"])
     def test_layer_shapes_checked(self, toy_dataset, toy_table, tmp_path,
                                   edit, match):
         path = self._doctored(toy_dataset, toy_table, tmp_path, edit)
@@ -767,7 +779,7 @@ class TestBaselines:
         assert model.providers == ()
         assert model.fusion_params.input_dim == cfg.encoder.dim
         assert not (tmp_path / "cache").exists()  # no scores, no cache
-        assert record.config["baseline"] == "encoder_only"
+        assert record.config["llm_providers"] == []
         preds = sf.predict_encoder_baseline(model, list(TOY_TEXTS))
         want = [(1, 0) if i % 2 == 0 else (0, 1) for i in range(8)]
         assert [p.decided.bits for p in preds] == want
@@ -890,8 +902,8 @@ class TestAutoFusionClassifier:
 
     def test_from_encoder_only_model_file(self, toy_dataset, tmp_path):
         """An encoder-only model loaded without its config serves like
-        load_model plus predict, records its own settings in runs, and
-        refuses to fit a fused model the file never held."""
+        load_model plus predict, records its own settings in runs, and fits
+        another encoder-only model."""
         model, _ = sf.fit_encoder_baseline(toy_dataset, small_fusion_config())
         path = tmp_path / "model.json"
         sf.save_model(model, path)
@@ -906,9 +918,10 @@ class TestAutoFusionClassifier:
         config = load_run(tmp_path / "runs", run_dir.name).config
         assert config == model_config_doc(clf.model)
         assert config["llm_providers"] == []
-        with pytest.raises(sf.ConfigurationError, match="encoder-only"):
-            clf.fit(toy_dataset)
-        assert clf.model.providers == ()
+        loaded = clf.model
+        clf.fit(toy_dataset, runs_root=tmp_path / "fit-runs")
+        assert clf.model is not loaded and clf.model.providers == ()
+        assert clf.last_run.config["llm_providers"] == []
 
     def test_save_and_reload(self, toy_table, tmp_path):
         clf = sf.AutoFusionClassifier(self._config_doc())

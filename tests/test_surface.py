@@ -11,7 +11,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import yaml
+
 import scorefusion as sf
+from scorefusion.pipeline import build_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,6 +40,18 @@ def test_exports_are_the_documented_surface():
     unknown = [name for name in re.findall(r"\bsf\.(\w+)", readme)
                if name not in sf.__all__]
     assert unknown == []
+
+
+def test_readme_config_example_decodes():
+    """README's train config, less the keys the CLI consumes itself, is a
+    config build_config accepts."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"```yaml\n(.*?)```", readme, flags=re.S)
+    doc = yaml.safe_load(block)
+    for key in ("train_csv", "model_out", "runs_dir"):
+        del doc[key]
+    cfg = build_config(doc)
+    assert cfg.label_columns == tuple(doc["label_columns"])
 
 
 def test_run_complementarity_script_smoke():
