@@ -57,6 +57,14 @@ def check_int(name: str, value) -> None:
         raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
+def check_number(name: str, value) -> None:
+    """A TypeError unless `value` is a finite real number: bools and
+    strings are rejected, so `temperature: true` never reaches a provider."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise TypeError(f"{name} must be a finite number, got {value!r}")
+
+
 def atomic_write_text(path: Path, text: str) -> None:
     """Write `text` (UTF-8) to a temp file beside `path`, then rename it
     over `path`: readers see the old file or the new one, never a partial

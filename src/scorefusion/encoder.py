@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DictCodec, check_int, read_vector_table
+from .core import DictCodec, check_int, check_number, read_vector_table
 from .errors import DataError, UnknownTextError
 
 # FNV-1a, 64-bit.
@@ -52,6 +52,7 @@ class EncoderConfig(DictCodec):
         check_int("buckets", self.buckets)
         for n in self.ngram_sizes:
             check_int("ngram_sizes items", n)
+        check_number("lr_small", self.lr_small)
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if self.buckets < self.dim:
@@ -236,7 +237,16 @@ class HashedNgramEncoder:
         return self.encode_batch([text])[0]
 
     def encode_batch(self, texts: Sequence[str]) -> np.ndarray:
-        return self.embed_features(self.features(texts))
+        """embed_features(features(texts)), featurized and embedded one
+        chunk of rows at a time, so memory stays bounded by the chunk."""
+        out = np.empty((len(texts), self.cfg.dim))
+        for s in range(0, len(texts), _FEATURIZE_CHUNK_ROWS):
+            # Bound to a name, a chunk's features live until the next
+            # chunk's are built; as a temporary, freeing them let malloc
+            # trim its heap, and every chunk page-faulted it back in.
+            feats = self.features(texts[s:s + _FEATURIZE_CHUNK_ROWS])
+            out[s:s + len(feats)] = self.embed_features(feats)
+        return out
 
     def training_batches(self, feats: CsrRows) -> "TrainingBatches":
         """A TrainingBatch builder over the rows of one fit's features."""

@@ -20,7 +20,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DictCodec, LabelVector, ScoreVector, TaskMode, check_int
+from .core import (
+    DictCodec,
+    LabelVector,
+    ScoreVector,
+    TaskMode,
+    check_int,
+    check_number,
+)
 
 
 @dataclass(frozen=True)
@@ -42,6 +49,7 @@ class FusionConfig(DictCodec):
         check_int("epochs", self.epochs)
         check_int("train_batch_size", self.train_batch_size)
         check_int("seed", self.seed)
+        check_number("lr_high", self.lr_high)
         if isinstance(self.threshold, (list, tuple)):
             object.__setattr__(self, "threshold",
                                tuple(float(t) for t in self.threshold))

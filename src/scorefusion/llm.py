@@ -15,6 +15,7 @@ import math
 import os
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -26,6 +27,7 @@ from .core import (
     LabelSchema,
     TaskMode,
     check_int,
+    check_number,
     read_vector_table,
     text_digest,
 )
@@ -96,16 +98,17 @@ class ProviderConfig:
             )
         if not isinstance(self.model_name, str) or not self.model_name:
             raise ConfigurationError("model_name must be a non-empty string")
-        for name, least in (("max_retries", 0), ("backoff_base_ms", 0),
-                            ("llm_batch_size", 1), ("timeout_ms", 1)):
+        for name, least, check in (("max_retries", 0, check_int),
+                                   ("backoff_base_ms", 0, check_int),
+                                   ("llm_batch_size", 1, check_int),
+                                   ("timeout_ms", 1, check_int),
+                                   ("temperature", 0, check_number)):
             try:
-                check_int(name, getattr(self, name))
+                check(name, getattr(self, name))
             except TypeError as exc:
                 raise ConfigurationError(str(exc)) from None
             if getattr(self, name) < least:
                 raise ConfigurationError(f"{name} must be >= {least}")
-        if self.temperature < 0:
-            raise ConfigurationError("temperature must be >= 0")
 
 
 def make_provider_config(name: str, **overrides) -> ProviderConfig:
@@ -437,74 +440,115 @@ def score_batch(texts: Sequence[str], schema: LabelSchema, mode: TaskMode,
                 pcfg: ProviderConfig, cache: ScoreCache | None = None,
                 provider=None,
                 _sleep: Callable[[float], None] = time.sleep) -> np.ndarray:
-    """Score many texts, cache-first: the (len(texts), K) float64 score
-    matrix whose row i is for texts[i]; no texts give (0, K).
+    """Score many texts with one provider, cache-first: the (len(texts), K)
+    float64 score matrix whose row i is for texts[i]; no texts give (0, K).
 
-    Each distinct text is looked up and fetched once, and its score fills
-    every row it holds. At most llm_batch_size requests are in flight
-    at once, and each fetched score is written to the cache as it arrives,
-    so neither an interrupt nor a failure elsewhere in the batch loses the
-    scores already paid for. A reply that does not parse is never cached,
-    and a cached entry with parse_ok False (older caches hold some) reads
-    as a miss: the uniform fallback fills this call's rows, and the
+    The one-provider call of `score_providers`, which documents the cache,
+    concurrency and failure rules.
+    """
+    return score_providers(texts, schema, mode, (pcfg,), cache,
+                           None if provider is None else (provider,), _sleep)
+
+
+def score_providers(texts: Sequence[str], schema: LabelSchema,
+                    mode: TaskMode, pcfgs: Sequence[ProviderConfig],
+                    cache: ScoreCache | None = None,
+                    providers: Sequence | None = None,
+                    _sleep: Callable[[float], None] = time.sleep,
+                    ) -> np.ndarray:
+    """One scoring pass over every provider: the (len(texts), P*K) float64
+    block whose row i is for texts[i], provider j in columns j*K:(j+1)*K.
+
+    Every (provider, distinct text) pair is looked up in the cache first,
+    and each miss is fetched once; its score fills every row of its text.
+    All providers' misses are fetched at the same time from one thread
+    pool, where provider j's min(llm_batch_size, misses) workers drain its
+    own list: llm_batch_size caps one provider's requests in flight, and a
+    cold batch waits for the slowest provider. Each fetched score is
+    cached as it arrives, so neither an interrupt nor a failure elsewhere
+    loses the scores already paid for. A reply that does not parse is never
+    cached, and a cached entry with parse_ok False (older caches hold some)
+    reads as a miss: the uniform fallback fills this call's rows, and the
     next call asks the provider again. A cached entry without K scores is
     corrupt: a miss with a warning, healed by the refetched score's put.
-    If any text still fails after retries the whole batch fails with every
-    position of the failing texts; partial results are never returned
-    silently.
+    `providers` optionally injects one client per config (testing hook).
+
+    If a text still fails after retries, on any provider, the pass raises
+    ProviderUnavailableError once every provider is done. It names the
+    failing providers, failed_indices holds the sorted rows of every
+    failing text, and its cause is the failure of the lowest such row
+    (first provider first); partial results are never returned silently.
     """
     template = prompt_template_digest(schema, mode)
-
-    def key(text: str) -> str:
-        return cache_key(pcfg.provider_id, pcfg.model_name, template,
-                         text_digest(text))
-
+    k = schema.K
     positions: dict[str, list[int]] = {}
     for i, text in enumerate(texts):
         positions.setdefault(text, []).append(i)
-    scores = np.empty((len(texts), schema.K))
-    missing: list[str] = []
-    for text, where in positions.items():
-        hit = None if cache is None else cache.get(key(text))
-        if hit is not None and len(hit) != schema.K:
-            logger.warning("corrupt cache entry %s: %d scores, expected %d",
-                           key(text), len(hit), schema.K)
-            hit = None
-        if hit is None:
-            missing.append(text)
-        else:
-            scores[where] = hit
+    scores = np.empty((len(texts), len(pcfgs) * k))
 
-    failures: list[tuple[str, ProviderUnavailableError]] = []
+    def key(pcfg: ProviderConfig, text: str) -> str:
+        return cache_key(pcfg.provider_id, pcfg.model_name, template,
+                         text_digest(text))
 
-    def fetch(text: str) -> None:
-        try:
-            score = score_text(text, schema, mode, pcfg, provider=provider,
-                               _sleep=_sleep)
-        except ProviderUnavailableError as exc:
-            failures.append((text, exc))
-            return
-        scores[positions[text]] = score.scores
-        if cache is None or not score.parse_ok:
-            return
-        try:
-            cache.put(key(text), score.scores)
-        except CacheWriteError as exc:
-            logger.warning("cache write failed, continuing uncached: %s", exc)
+    misses: list[deque[str]] = []
+    for j, pcfg in enumerate(pcfgs):
+        missing: deque[str] = deque()
+        for text, where in positions.items():
+            hit = None if cache is None else cache.get(key(pcfg, text))
+            if hit is not None and len(hit) != k:
+                logger.warning("corrupt cache entry %s: %d scores, expected %d",
+                               key(pcfg, text), len(hit), k)
+                hit = None
+            if hit is None:
+                missing.append(text)
+            else:
+                scores[where, j * k:(j + 1) * k] = hit
+        misses.append(missing)
 
-    if missing:
-        if provider is None:
-            provider = make_provider(pcfg, schema)
-        workers = min(pcfg.llm_batch_size, len(missing))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fetch, missing))
+    if providers is None:
+        providers = [make_provider(pcfg, schema) if missing else None
+                     for pcfg, missing in zip(pcfgs, misses)]
+    failures: list[tuple[int, int, str, ProviderUnavailableError]] = []
+
+    def drain(j: int) -> None:
+        pcfg, provider, missing = pcfgs[j], providers[j], misses[j]
+        while True:
+            try:
+                text = missing.popleft()
+            except IndexError:
+                return
+            try:
+                score = score_text(text, schema, mode, pcfg, provider,
+                                   _sleep=_sleep)
+            except ProviderUnavailableError as exc:
+                failures.append((positions[text][0], j, text, exc))
+                continue
+            scores[positions[text], j * k:(j + 1) * k] = score.scores
+            if cache is None or not score.parse_ok:
+                continue
+            try:
+                cache.put(key(pcfg, text), score.scores)
+            except CacheWriteError as exc:
+                logger.warning("cache write failed, continuing uncached: %s",
+                               exc)
+
+    workers = [j for j, (pcfg, missing) in enumerate(zip(pcfgs, misses))
+               for _ in range(min(pcfg.llm_batch_size, len(missing)))]
+    if workers:
+        with ThreadPoolExecutor(max_workers=len(workers)) as pool:
+            for future in [pool.submit(drain, j) for j in workers]:
+                future.result()
 
     if failures:
-        failures.sort(key=lambda pair: positions[pair[0]][0])
-        indices = sorted(i for text, _ in failures for i in positions[text])
-        first = failures[0][1]
+        failures.sort(key=lambda failure: failure[:2])
+        indices = sorted({i for _, _, text, _ in failures
+                          for i in positions[text]})
+        failed = {j for _, j, _, _ in failures}
+        names = ", ".join(f"{pcfg.provider_id}/{pcfg.model_name}"
+                          for j, pcfg in enumerate(pcfgs) if j in failed)
+        first = failures[0][3]
         raise ProviderUnavailableError(
-            f"{len(indices)} of {len(texts)} texts failed "
+            f"{len(indices)} of {len(texts)} texts failed on {names} "
             f"(indices {indices}): {first}",
             last_status=first.last_status,
             failed_indices=indices,

@@ -60,7 +60,7 @@ from .llm import (
     PROMPT_TEMPLATE_VERSION,
     ProviderConfig,
     make_provider_config,
-    score_batch,
+    score_providers,
 )
 from .metrics import MetricsReport, compute_metrics
 from .results import RunHandle, RunRecord, run_create
@@ -470,18 +470,6 @@ def _decide_inputs(embs: np.ndarray, scores: np.ndarray, params: FusionParams,
     return decide(probabilities(logits, mode), mode, threshold)
 
 
-def _fetch_scores(texts: list[str], schema: LabelSchema, mode: TaskMode,
-                  pcfgs: Sequence[ProviderConfig],
-                  cache: Optional[ScoreCache],
-                  providers) -> np.ndarray:
-    """The (n, P*K) provider-score block, cache-first, providers in
-    configured order; width 0 when there are no providers."""
-    blocks = [score_batch(texts, schema, mode, pcfg, cache=cache,
-                          provider=None if providers is None else providers[j])
-              for j, pcfg in enumerate(pcfgs)]
-    return np.hstack([np.empty((len(texts), 0)), *blocks])
-
-
 def fit(ds: Dataset, cfg: AutoFusionConfig,
         runs_root: Optional[Union[str, Path]] = None,
         cache: Optional[ScoreCache] = None,
@@ -502,7 +490,8 @@ def fit(ds: Dataset, cfg: AutoFusionConfig,
     if pcfgs and cache is None and cfg.cache_dir is not None:
         cache = cache_open(cfg.cache_dir, fingerprint, policy=cfg.cache_policy)
     texts = ds.texts()
-    scores = _fetch_scores(texts, ds.schema, ds.mode, pcfgs, cache, providers)
+    scores = score_providers(texts, ds.schema, ds.mode, pcfgs, cache,
+                             providers)
     encoder = _build_encoder(cfg)
     run = run_create(runs_root, cfg.to_dict(), fingerprint, ds.schema.labels)
     targets = [row.target for row in ds.rows]
@@ -520,8 +509,8 @@ def predict(model: FusionModel, texts: Sequence[str],
     """Classify texts in order: LLM scores (cache-first) -> encode ->
     fuse -> decide. An empty input yields (0, K) arrays."""
     texts = list(texts)
-    scores = _fetch_scores(texts, model.schema, model.mode, model.providers,
-                           cache, providers)
+    scores = score_providers(texts, model.schema, model.mode,
+                             model.providers, cache, providers)
     return _decide_inputs(model.encoder.encode_batch(texts), scores,
                           model.fusion_params, model.mode,
                           model.fusion_cfg.threshold)

@@ -495,6 +495,18 @@ def _float_max_retries(workdir, monkeypatch):
     return _train_argv(workdir)
 
 
+def _bool_temperature(workdir, monkeypatch):
+    table = str(workdir / "table.tsv")
+    _set_config(workdir, llm_provider={"provider": "mock", "mock_table": table,
+                                       "temperature": True})
+    return _train_argv(workdir)
+
+
+def _bool_lr_high(workdir, monkeypatch):
+    _set_config(workdir, fusion={"lr_high": True})
+    return _train_argv(workdir)
+
+
 def _missing_csv(workdir, monkeypatch):
     _set_config(workdir, train_csv=str(workdir / "nope.csv"))
     return _train_argv(workdir)
@@ -646,6 +658,8 @@ def _corrupt_run_metrics(workdir, monkeypatch):
     (_float_dim, 1, "config"),
     (_int_label_names, 1, "config"),
     (_float_max_retries, 1, "config"),
+    (_bool_temperature, 1, "config"),
+    (_bool_lr_high, 1, "config"),
     (_missing_csv, 2, "data"),
     (_undecodable_csv, 2, "data"),
     (_bad_label_cell, 2, "data"),

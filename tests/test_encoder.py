@@ -196,6 +196,41 @@ class TestEncode:
         for text, row in zip(texts, batch):
             np.testing.assert_array_equal(row, enc.encode(text))
 
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 600])
+    def test_chunked_batch_is_bit_identical(self, n):
+        # 256 = _FEATURIZE_CHUNK_ROWS: empty, one row, and either side of
+        # one and two chunk boundaries
+        enc = HashedNgramEncoder(sf.EncoderConfig(dim=8, buckets=2 ** 10),
+                                 seed=2)
+        rng = np.random.default_rng(n)
+        texts = ["".join(rng.choice(list("abcd eé"), rng.integers(0, 40)))
+                 for _ in range(n)]
+        got = enc.encode_batch(texts)
+        want = enc.embed_features(enc.features(texts))
+        assert got.shape == (n, 8) and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    def test_batch_memory_does_not_grow_with_rows(self):
+        import tracemalloc
+
+        enc = HashedNgramEncoder(sf.EncoderConfig(dim=4), seed=3)
+        rng = np.random.default_rng(4)
+        # random letters: nearly every n-gram is its own feature
+        texts = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz "), 100))
+                 for _ in range(8 * 256)]
+
+        def peak(batch):
+            tracemalloc.start()
+            try:
+                enc.encode_batch(batch)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # eight chunks peak at about one chunk's intermediates; featurizing
+        # all rows before embedding any would hold all eight chunks' features
+        assert peak(texts) < 1.25 * peak(texts[:256])
+
     def test_init_deterministic_by_seed(self):
         a = HashedNgramEncoder(self.CFG, seed=7)
         b = HashedNgramEncoder(self.CFG, seed=7)

@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import threading
+import time
 import zlib
 
 import numpy as np
@@ -27,6 +28,7 @@ from scorefusion.llm import (
     make_provider_config,
     prompt_template_digest,
     resolve_provider_id,
+    score_providers,
     score_text,
 )
 
@@ -446,12 +448,16 @@ class TestMockTableIO:
 
 
 class _FlakyProvider:
-    """Fails the first `fail_first` completions, then delegates to a mock."""
+    """Fails the first `fail_first` completions with status 500 and every
+    completion of a text in `fail_texts` with `status`; otherwise delegates
+    to a mock."""
 
-    def __init__(self, table, schema, fail_first=0, fail_texts=()):
+    def __init__(self, table, schema, fail_first=0, fail_texts=(),
+                 status=503):
         self._inner = sf.MockProvider(table, schema)
         self.fail_first = fail_first
         self.fail_texts = set(fail_texts)
+        self.status = status
         self.calls = 0
 
     def complete(self, prompt: str) -> str:
@@ -462,7 +468,8 @@ class _FlakyProvider:
             raise TransientProviderError(500, "flaky")
         text = extract_prompt_text(prompt)
         if text in self.fail_texts:
-            raise TransientProviderError(503, f"always fails: {text}")
+            raise TransientProviderError(self.status,
+                                         f"always fails: {text}")
         return self._inner.complete(prompt)
 
 
@@ -676,6 +683,171 @@ class TestScoreBatch:
         out = sf.score_batch([], SCHEMA, MC, self._pcfg(), provider=provider)
         assert out.shape == (0, 3) and out.dtype == np.float64
         assert provider.calls == 0
+
+
+class _InFlight:
+    """Delegates to a mock and records, under a lock, the most calls it had
+    in flight at once. With a barrier, calls wait for each other in groups
+    of the barrier's size, which proves that many ran at the same time."""
+
+    def __init__(self, table, schema, barrier=None):
+        self._inner = sf.MockProvider(table, schema)
+        self.barrier = barrier
+        self.now = self.most = 0
+        self._lock = threading.Lock()
+
+    @property
+    def calls(self):
+        return self._inner.calls
+
+    def complete(self, prompt: str) -> str:
+        with self._lock:
+            self.now += 1
+            self.most = max(self.most, self.now)
+        try:
+            if self.barrier is not None:
+                self.barrier.wait(timeout=10)
+            time.sleep(0.001)  # widen the window for a cap breach
+            return self._inner.complete(prompt)
+        finally:
+            with self._lock:
+                self.now -= 1
+
+
+class TestScoreProviders:
+    """One scoring pass over several providers."""
+
+    TEXTS = [f"t{i}" for i in range(12)]
+    TABLES = ({t: (0.2, 0.3, 0.5) for t in TEXTS},
+              {t: (0.6, 0.1, 0.3) for t in TEXTS})
+
+    def _pcfgs(self, *batch_sizes, **kw):
+        return tuple(sf.ProviderConfig(provider_id="mock", model_name=f"m{j}",
+                                       llm_batch_size=b, **kw)
+                     for j, b in enumerate(batch_sizes))
+
+    def _block(self, texts):
+        return np.array([self.TABLES[0][t] + self.TABLES[1][t]
+                         for t in texts])
+
+    def test_block_equals_score_batch_per_provider(self, tmp_path):
+        cache = cache_open(tmp_path / "c", "f" * 64)
+        pcfgs = self._pcfgs(2, 3)
+        texts = ["t3", "t1", "t3", "t0", "t7", "t1"]
+        # a warm entry for one provider only
+        sf.score_batch(["t1"], SCHEMA, MC, pcfgs[1], cache=cache,
+                       provider=sf.MockProvider(self.TABLES[1], SCHEMA))
+        providers = [sf.MockProvider(t, SCHEMA) for t in self.TABLES]
+        out = score_providers(texts, SCHEMA, MC, pcfgs, cache, providers)
+        assert out.shape == (6, 6) and out.dtype == np.float64
+        assert np.array_equal(out, self._block(texts))
+        assert [p.calls for p in providers] == [4, 3]
+        singles = [sf.score_batch(texts, SCHEMA, MC, pcfg, cache=cache,
+                                  provider=sf.MockProvider({}, SCHEMA))
+                   for pcfg in pcfgs]
+        assert np.array_equal(out, np.hstack(singles))
+
+    def test_no_providers_is_an_empty_block(self):
+        out = score_providers(["a", "b"], SCHEMA, MC, ())
+        assert out.shape == (2, 0) and out.dtype == np.float64
+
+    def test_providers_are_queried_at_the_same_time(self):
+        b_called = threading.Event()
+        waited = []
+
+        class WaitsForB(sf.MockProvider):
+            def complete(self, prompt):
+                if not waited:  # one worker: only the first call waits
+                    waited.append(b_called.wait(timeout=10))
+                return super().complete(prompt)
+
+        class SetsEvent(sf.MockProvider):
+            def complete(self, prompt):
+                b_called.set()
+                return super().complete(prompt)
+
+        providers = [WaitsForB(self.TABLES[0], SCHEMA),
+                     SetsEvent(self.TABLES[1], SCHEMA)]
+        out = score_providers(self.TEXTS, SCHEMA, MC, self._pcfgs(1, 1),
+                              None, providers)
+        assert waited == [True]  # A's call was in flight when B's began
+        assert np.array_equal(out, self._block(self.TEXTS))
+
+    def test_each_provider_keeps_its_own_cap(self):
+        providers = [_InFlight(self.TABLES[0], SCHEMA),
+                     _InFlight(self.TABLES[1], SCHEMA,
+                               barrier=threading.Barrier(3))]
+        out = score_providers(self.TEXTS, SCHEMA, MC, self._pcfgs(1, 3),
+                              None, providers)
+        assert [p.most for p in providers] == [1, 3]
+        assert [p.calls for p in providers] == [12, 12]
+        assert np.array_equal(out, self._block(self.TEXTS))
+
+    def test_failure_on_one_provider_keeps_the_others(self, tmp_path):
+        cache = cache_open(tmp_path / "c", "f" * 64)
+        pcfgs = self._pcfgs(2, 2, max_retries=0)
+        texts = self.TEXTS[:6]
+        providers = [_FlakyProvider(self.TABLES[0], SCHEMA,
+                                    fail_texts={"t1", "t4"}),
+                     sf.MockProvider(self.TABLES[1], SCHEMA)]
+        with pytest.raises(sf.ProviderUnavailableError) as info:
+            score_providers(texts, SCHEMA, MC, pcfgs, cache, providers,
+                            _sleep=lambda s: None)
+        assert info.value.failed_indices == [1, 4]
+        assert "failed on mock/m0 (" in str(info.value)
+        assert "mock/m1" not in str(info.value)
+        assert providers[1].calls == 6
+        for text in texts:
+            assert cache.get(_key(pcfgs[1], text)) == self.TABLES[1][text]
+            want = None if text in ("t1", "t4") else self.TABLES[0][text]
+            assert cache.get(_key(pcfgs[0], text)) == want
+        retry = [sf.MockProvider(table, SCHEMA) for table in self.TABLES]
+        out = score_providers(texts, SCHEMA, MC, pcfgs, cache, retry)
+        assert [p.calls for p in retry] == [2, 0]  # only what failed
+        assert np.array_equal(out, self._block(texts))
+
+    def test_stress_every_miss_fetched_once(self, tmp_path):
+        # 16 workers on 4 providers share deques, the failure list and the
+        # score block; a lost or doubled pop would change a count
+        texts = [f"s{i % 150}" for i in range(200)]
+        table = {t: (0.1, 0.2, 0.7) for t in texts}
+        failing = {f"s{i}" for i in range(0, 150, 7)}
+        pcfgs = self._pcfgs(4, 4, 4, 4, max_retries=0)
+        providers = [sf.MockProvider(table, SCHEMA) for _ in range(3)]
+        providers.append(_FlakyProvider(table, SCHEMA, fail_texts=failing))
+        cache = cache_open(tmp_path / "c", "f" * 64)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.raises(sf.ProviderUnavailableError) as info:
+                score_providers(texts, SCHEMA, MC, pcfgs, cache, providers,
+                                _sleep=lambda s: None)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [p.calls for p in providers[:3]] == [150] * 3
+        assert providers[3]._inner.calls == 150 - 22  # its locked count
+        assert info.value.failed_indices == [i for i, t in enumerate(texts)
+                                             if t in failing]
+        assert sum(cache.get(_key(pcfg, t)) is not None
+                   for pcfg in pcfgs for t in set(texts)) == 4 * 150 - 22
+
+    @pytest.mark.parametrize("fail0, fail1, status, indices", [
+        ({"t3"}, {"t1"}, 502, [1, 3]),        # lowest row first
+        ({"t1"}, {"t1", "t2"}, 501, [1, 2]),  # same row: first provider
+    ])
+    def test_first_failure_is_chosen_by_row_then_provider(
+            self, fail0, fail1, status, indices):
+        providers = [_FlakyProvider(self.TABLES[0], SCHEMA, fail_texts=fail0,
+                                    status=501),
+                     _FlakyProvider(self.TABLES[1], SCHEMA, fail_texts=fail1,
+                                    status=502)]
+        with pytest.raises(sf.ProviderUnavailableError) as info:
+            score_providers(self.TEXTS[:4], SCHEMA, MC,
+                            self._pcfgs(2, 2, max_retries=0),
+                            None, providers, _sleep=lambda s: None)
+        assert info.value.failed_indices == indices
+        assert info.value.last_status == status
+        assert "failed on mock/m0, mock/m1 (" in str(info.value)
 
 
 class TestMockProviderCalls:

@@ -167,6 +167,12 @@ class TestBuildConfig:
           for key in ("max_retries", "backoff_base_ms", "llm_batch_size",
                       "timeout_ms")
           for value in (2.5, True, "3")),
+        *({"label_columns": ["a", "b"], **section}
+          for value in (True, "0.5", float("inf"), float("nan"))
+          for section in ({"fusion": {"lr_high": value}},
+                          {"encoder": {"lr_small": value}},
+                          {"llm_provider": {"provider": "mock",
+                                            "temperature": value}})),
     ])
     def test_bad_values_become_config_errors(self, doc):
         with pytest.raises(sf.ConfigurationError):
@@ -180,10 +186,24 @@ class TestBuildConfig:
         ({"fusion": {"hidden_sizes": [8.0]}},
          "fusion: hidden_sizes items must be an integer"),
         ({"multi_label": "false"}, "multi_label must be true or false"),
+        ({"fusion": {"lr_high": True}}, "fusion: lr_high must be a finite "
+                                        "number, got True"),
+        ({"encoder": {"lr_small": True}}, "encoder: lr_small must be a finite"),
+        ({"llm_provider": {"provider": "mock", "temperature": True}},
+         "temperature must be a finite number"),
     ])
     def test_wrong_type_is_named(self, extra, match):
         with pytest.raises(sf.ConfigurationError, match=match):
             build_config({"label_columns": ["a", "b"], **extra})
+
+    def test_integer_rates_are_numbers(self):
+        cfg = build_config({"label_columns": ["a", "b"],
+                            "fusion": {"lr_high": 1},
+                            "encoder": {"lr_small": 1},
+                            "llm_provider": {"provider": "mock",
+                                             "temperature": 0}})
+        assert (cfg.fusion.lr_high, cfg.encoder.lr_small) == (1, 1)
+        assert cfg.llm_providers[0].temperature == 0
 
     def test_non_mapping_rejected(self):
         with pytest.raises(sf.ConfigurationError, match="mapping"):
