@@ -28,14 +28,13 @@ from .errors import (
     ScoreFusionError,
     StaleCacheError,
 )
+from .model import load_model, save_model
 from .pipeline import (
     build_config,
     dataset_from_records,
     evaluate_as_run,
     fit,
-    load_model,
     model_config_doc,
-    save_model,
 )
 from .pipeline import predict as pipeline_predict
 from .results import prediction_rows, run_compare, write_predictions_csv

@@ -1,7 +1,7 @@
 """End-to-end orchestration: fetch LLM scores (cache-first), encode texts,
 and train the fusion head jointly with the encoder under the two-rate
-scheme. Also prediction, evaluation, single-signal baselines, and model
-persistence.
+scheme. Also prediction, evaluation and single-signal baselines; the
+model type and its file format are in `model`.
 
 Training is deterministic given (data, config, provider responses): all
 randomness flows from the fusion seed, and LLM scores are fetched once up
@@ -10,10 +10,7 @@ front, never per epoch.
 
 from __future__ import annotations
 
-import base64
-import json
 import logging
-import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
@@ -27,7 +24,6 @@ from .core import (
     LabelVector,
     TaskMode,
     TextExample,
-    atomic_write_text,
     dataset_fingerprint,
     validate_dataset,
 )
@@ -41,7 +37,6 @@ from .errors import (
     ConfigurationError,
     DataError,
     InvalidDatasetError,
-    ModelFormatError,
     RunStateError,
 )
 from .fusion import (
@@ -56,18 +51,12 @@ from .fusion import (
     init_fusion_params,
     probabilities,
 )
-from .llm import (
-    PROMPT_TEMPLATE_VERSION,
-    ProviderConfig,
-    make_provider_config,
-    score_providers,
-)
+from .llm import ProviderConfig, make_provider_config, score_providers
 from .metrics import MetricsReport, compute_metrics
+from .model import FusionModel, load_model, save_model
 from .results import RunHandle, RunRecord, run_create
 
 logger = logging.getLogger(__name__)
-
-MODEL_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -263,41 +252,6 @@ def build_config(doc: dict) -> AutoFusionConfig:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(str(exc)) from None
-
-
-@dataclass
-class FusionModel:
-    """A trained classifier: encoder state + provider list + fusion head.
-
-    The head's input is [embedding | P*K provider scores]; with no providers
-    the model is the encoder-only baseline.
-    """
-
-    schema: LabelSchema
-    mode: TaskMode
-    encoder: Union[HashedNgramEncoder, FrozenLookupEncoder]
-    providers: tuple[ProviderConfig, ...]
-    fusion_cfg: FusionConfig
-    fusion_params: FusionParams
-
-    def __post_init__(self):
-        expected = self.encoder.dim + len(self.providers) * self.schema.K
-        if self.fusion_params.input_dim != expected:
-            raise ConfigurationError(
-                f"fusion input width {self.fusion_params.input_dim} != "
-                f"D + P*K = {expected}"
-            )
-        if self.fusion_params.output_dim != self.schema.K:
-            raise ConfigurationError(
-                f"fusion output width {self.fusion_params.output_dim} != "
-                f"K = {self.schema.K}"
-            )
-        hidden = tuple(w.shape[1] for w in self.fusion_params.weights[:-1])
-        if hidden != self.fusion_cfg.hidden_sizes:
-            raise ConfigurationError(
-                f"fusion hidden_sizes {list(self.fusion_cfg.hidden_sizes)} != "
-                f"the layers' widths {list(hidden)}"
-            )
 
 
 def model_config_doc(model: FusionModel) -> dict:
@@ -574,177 +528,6 @@ def llm_only_predict(per_provider: Sequence[np.ndarray], mode: TaskMode,
     if not per_provider:
         raise ValueError("at least one provider score matrix is required")
     return decide(np.mean(per_provider, axis=0), mode, threshold)
-
-
-# ---------------------------------------------------------------------------
-# Model persistence. One JSON document, keys sorted, no timestamps or
-# environment fields: saving the same model twice yields identical bytes,
-# and load(save(m)) predicts bit-identically. Format 2 stores every float
-# array as one base64 string of its little-endian float64 bytes; format 1
-# (JSON lists of repr floats) is still read.
-
-def _encode_array(a: np.ndarray) -> str:
-    """The format-2 form of a float array: base64 of its flattened
-    little-endian float64 bytes, exact for every bit pattern."""
-    raw = np.asarray(a, dtype="<f8").tobytes()
-    return base64.b64encode(raw).decode("ascii")
-
-
-def _decode_array(value, version: int) -> np.ndarray:
-    """A flat float64 array from its form in a file of `version`: a list
-    of numbers in format 1, an `_encode_array` string in format 2."""
-    if version == 1:
-        if not isinstance(value, list):
-            raise ModelFormatError(
-                f"expected a list of numbers, got {type(value).__name__}")
-        return np.asarray(value, dtype=np.float64)
-    if not isinstance(value, str):
-        raise ModelFormatError(
-            f"expected a base64 string, got {type(value).__name__}")
-    try:
-        # validate=True rejects characters outside the alphabet, bad padding
-        # and data after the padding; binascii.Error is a ValueError.
-        raw = base64.b64decode(value, validate=True)
-    except ValueError as exc:
-        raise ModelFormatError(f"array is not valid base64: {exc}") from None
-    if len(raw) % 8:
-        raise ModelFormatError(
-            f"array has {len(raw)} bytes, not a multiple of 8")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
-
-
-def _read_array(value, version: int, shape: tuple[int, ...]) -> np.ndarray:
-    """A stored array as `shape`, checked: as many values as the shape
-    holds, every one finite."""
-    flat = _decode_array(value, version)
-    if flat.size != math.prod(shape):
-        raise ModelFormatError(f"array of shape {shape} has {flat.size} "
-                               f"values, expected {math.prod(shape)}")
-    if not np.isfinite(flat).all():
-        raise ModelFormatError("model holds a non-finite weight")
-    return flat.reshape(shape)
-
-
-def _encoder_to_doc(encoder) -> dict:
-    if isinstance(encoder, HashedNgramEncoder):
-        return {
-            "kind": "hashed_ngram",
-            **encoder.cfg.to_dict(),
-            "projection": _encode_array(encoder.projection),
-        }
-    if isinstance(encoder, FrozenLookupEncoder):
-        return {
-            "kind": "frozen_lookup",
-            "dim": encoder.dim,
-            "table": {text: _encode_array(vec)
-                      for text, vec in encoder.table.items()},
-        }
-    raise ModelFormatError(f"unsupported encoder type {type(encoder).__name__}")
-
-
-def _config_from_model_doc(cls, doc: dict):
-    """A model file holds every config field (missing ones are an error)
-    beside other keys."""
-    return cls.from_dict({f.name: doc[f.name] for f in fields(cls)})
-
-
-def _encoder_from_model_doc(doc: dict, version: int):
-    kind = doc["kind"]
-    if kind == "hashed_ngram":
-        cfg = _config_from_model_doc(EncoderConfig, doc)
-        return HashedNgramEncoder(cfg, _read_array(
-            doc["projection"], version, (cfg.buckets, cfg.dim)))
-    if kind == "frozen_lookup":
-        dim = doc["dim"]
-        table = {text: _read_array(vec, version, (dim,))
-                 for text, vec in doc["table"].items()}
-        return FrozenLookupEncoder(table, dim)
-    raise ModelFormatError(f"unknown encoder kind {kind!r}")
-
-
-def save_model(model: FusionModel, path: Union[str, Path]) -> None:
-    """Persist a model as a single self-contained JSON file, written to a
-    temp file and renamed over `path`, so a failed save leaves any earlier
-    file there intact."""
-    doc = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "prompt_template_version": PROMPT_TEMPLATE_VERSION,
-        "labels": list(model.schema.labels),
-        "mode": model.mode.value,
-        "providers": [asdict(p) for p in model.providers],
-        "encoder": _encoder_to_doc(model.encoder),
-        "fusion": {
-            **model.fusion_cfg.to_dict(),
-            "layers": [
-                {
-                    "shape": list(w.shape),
-                    "weight": _encode_array(w),
-                    "bias": _encode_array(b),
-                }
-                for w, b in zip(model.fusion_params.weights,
-                                model.fusion_params.biases)
-            ],
-        },
-    }
-    try:
-        atomic_write_text(Path(path), json.dumps(doc, sort_keys=True))
-    except OSError as exc:
-        raise DataError(f"cannot write model file {path}: {exc}") from None
-
-
-def load_model(path: Union[str, Path]) -> FusionModel:
-    """Read a model file (format 1 or 2) back; predictions match the saved
-    model exactly."""
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ModelFormatError(f"cannot read model file {path}: {exc}") from None
-    try:
-        doc = json.loads(raw)
-    except ValueError as exc:
-        raise ModelFormatError(f"model file {path} is not valid JSON: {exc}") \
-            from None
-    try:
-        version = doc["format_version"]
-        if version not in (1, MODEL_FORMAT_VERSION):
-            raise ModelFormatError(
-                f"model format version {version} unsupported "
-                f"(expected 1 or {MODEL_FORMAT_VERSION})"
-            )
-        # Format 1 predates the recorded prompt version.
-        if version > 1 \
-                and doc["prompt_template_version"] != PROMPT_TEMPLATE_VERSION:
-            raise ModelFormatError(
-                f"model was trained with prompt template version "
-                f"{doc['prompt_template_version']!r}, but this scorefusion "
-                f"prompts with version {PROMPT_TEMPLATE_VERSION}"
-            )
-        schema = LabelSchema(doc["labels"])
-        mode = TaskMode(doc["mode"])
-        providers = tuple(ProviderConfig(**p) for p in doc["providers"])
-        encoder = _encoder_from_model_doc(doc["encoder"], version)
-        fdoc = doc["fusion"]
-        fusion_cfg = _config_from_model_doc(FusionConfig, fdoc)
-        weights, biases = [], []
-        for i, layer in enumerate(fdoc["layers"]):
-            fan_in, fan_out = layer["shape"]
-            if weights and fan_in != weights[-1].shape[1]:
-                raise ModelFormatError(
-                    f"layer {i} has fan-in {fan_in}, expected the previous "
-                    f"layer's fan-out {weights[-1].shape[1]}")
-            weights.append(_read_array(layer["weight"], version,
-                                       (fan_in, fan_out)))
-            biases.append(_read_array(layer["bias"], version, (fan_out,)))
-        params = FusionParams(weights, biases)
-        return FusionModel(schema, mode, encoder, providers,
-                           fusion_cfg, params)
-    except ModelFormatError as exc:
-        raise ModelFormatError(f"model file {path}: {exc}") from None
-    except (KeyError, TypeError, ValueError, IndexError,
-            ConfigurationError) as exc:
-        raise ModelFormatError(
-            f"model file {path} is structurally invalid: {exc}"
-        ) from None
 
 
 # ---------------------------------------------------------------------------

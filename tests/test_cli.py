@@ -11,11 +11,7 @@ import yaml
 
 import scorefusion as sf
 from scorefusion.cli import main
-from scorefusion.pipeline import (
-    MODEL_FORMAT_VERSION,
-    _decode_array,
-    _encode_array,
-)
+from scorefusion.model import MODEL_FORMAT_VERSION, _decode_array, _encode_array
 from scorefusion.results import load_run
 
 from conftest import TOY_TEXTS

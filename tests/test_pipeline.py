@@ -18,10 +18,8 @@ from scorefusion.cache import cache_open_adopt
 from scorefusion.encoder import FrozenLookupEncoder, HashedNgramEncoder
 from scorefusion.fusion import FusionParams
 from scorefusion.llm import PROMPT_TEMPLATE_VERSION
+from scorefusion.model import MODEL_FORMAT_VERSION, _decode_array, _encode_array
 from scorefusion.pipeline import (
-    MODEL_FORMAT_VERSION,
-    _decode_array,
-    _encode_array,
     build_config,
     dataset_from_records,
     model_config_doc,
@@ -512,9 +510,13 @@ class TestSaveLoad:
     # written by the format-1 writer, plus its decisions on three texts.
     V1_MODEL = Path(__file__).parent / "data" / "model_v1.json"
     V1_EXPECTED = Path(__file__).parent / "data" / "model_v1_expected.json"
+    # A multi-class one-provider model written by the format-2 writer, its
+    # projection holding an all-zero row and a -0.0 entry.
+    V2_MODEL = Path(__file__).parent / "data" / "model_v2.json"
+    V2_EXPECTED = Path(__file__).parent / "data" / "model_v2_expected.json"
 
-    def _assert_v1_decisions(self, model):
-        expected = json.loads(self.V1_EXPECTED.read_text(encoding="utf-8"))
+    def _assert_decisions(self, model, expected_path=V1_EXPECTED):
+        expected = json.loads(expected_path.read_text(encoding="utf-8"))
         texts = expected["texts"]
         providers = [sf.MockProvider(dict(zip(texts, rows)), model.schema)
                      for rows in expected["provider_tables"]]
@@ -533,13 +535,17 @@ class TestSaveLoad:
         for a, b in zip(arrays(v1), arrays(v2), strict=True):
             assert a.shape == b.shape
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
-        self._assert_v1_decisions(v2)
+        self._assert_decisions(v2)
         sf.save_model(v2, tmp_path / "b.json")
         assert (tmp_path / "b.json").read_bytes() == \
             (tmp_path / "a.json").read_bytes()
 
     def test_v1_file_decisions(self):
-        self._assert_v1_decisions(sf.load_model(self.V1_MODEL))
+        self._assert_decisions(sf.load_model(self.V1_MODEL))
+
+    def test_v2_file_decisions(self):
+        self._assert_decisions(sf.load_model(self.V2_MODEL),
+                                  self.V2_EXPECTED)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(sf.ModelFormatError, match="cannot read"):
