@@ -3,7 +3,8 @@ precomputed-embedding lookup.
 
 The trainable encoder maps lowercased character n-grams through a
 64-bit FNV-1a hash into `buckets` counting bins, L1-normalizes the counts,
-and multiplies by a trainable projection matrix. It is the desk-scale
+and multiplies by a trainable projection matrix that starts as a seeded
+±1 sign matrix (`sign_init`). It is the desk-scale
 stand-in for a transformer backbone: it produces a dense embedding and
 receives gradient updates at the small learning rate. Real transformer
 vectors can be substituted via the frozen lookup encoder.
@@ -31,6 +32,51 @@ def fnv1a64(data: bytes) -> int:
         h ^= byte
         h = (h * _FNV_PRIME) & _U64
     return h
+
+
+# SplitMix64 (Steele, Lea and Flood 2014): the state increment and the two
+# multipliers of the output mix.
+_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+_SPLITMIX_M1 = 0xBF58476D1CE4E5B9
+_SPLITMIX_M2 = 0x94D049BB133111EB
+
+
+def sign_init_words(seed: int, buckets: int, dim: int) -> np.ndarray:
+    """The (buckets, ceil(dim / 64)) uint64 words `sign_init` expands.
+
+    Word w of row b is SplitMix64 of seed + (b * ceil(dim / 64) + w + 1) *
+    0x9E3779B97F4A7C15, in wrapping uint64 arithmetic only, so every numpy
+    version yields the same words. `seed` is an integer in [0, 2**64).
+    """
+    if isinstance(seed, bool) or not isinstance(seed, int) \
+            or not 0 <= seed <= _U64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    n_words = -(-dim // 64)
+    z = np.arange(1, buckets * n_words + 1, dtype=np.uint64)
+    z *= np.uint64(_SPLITMIX_GAMMA)
+    z += np.uint64(seed)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_SPLITMIX_M1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_SPLITMIX_M2)
+    z ^= z >> np.uint64(31)
+    return z.reshape(buckets, n_words)
+
+
+def sign_init(seed: int, buckets: int, dim: int) -> np.ndarray:
+    """A (buckets, dim) float64 matrix of ±1: entry (b, c) is +1 where bit
+    c % 64 of word c // 64 of row b of `sign_init_words` is set.
+
+    A sign random projection preserves distances as well as a Gaussian one
+    (Achlioptas 2003), and this one is defined here bit for bit, so a model
+    file can store the seed in place of the rows training left alone.
+    """
+    words = sign_init_words(seed, buckets, dim).astype("<u8", copy=False)
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+    out = bits[:, :dim].astype(np.float64)
+    out *= 2.0
+    out -= 1.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -198,12 +244,18 @@ class HashedNgramEncoder:
     """
 
     def __init__(self, cfg: EncoderConfig, projection: np.ndarray | None = None,
-                 seed: int = 0):
-        """`projection` is the trainable (buckets, dim) matrix; without one,
-        its entries are drawn i.i.d. standard normal from `seed`."""
+                 seed: int | None = 0):
+        """`projection` is the trainable (buckets, dim) matrix. Without one
+        it starts as `sign_init(seed, buckets, dim)`, or as zeros when
+        `seed` is None, and `init_seed` records that start, so a model file
+        stores only the rows that moved from it. A given projection has no
+        recorded start: its `init_seed` is None."""
         if projection is None:
-            rng = np.random.default_rng(seed)
-            projection = rng.standard_normal((cfg.buckets, cfg.dim))
+            projection = np.zeros((cfg.buckets, cfg.dim)) if seed is None \
+                else sign_init(seed, cfg.buckets, cfg.dim)
+            self.init_seed = seed
+        else:
+            self.init_seed = None
         self.cfg = cfg
         self.projection = projection
 

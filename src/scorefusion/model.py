@@ -2,14 +2,19 @@
 
 A model file is one JSON document, keys sorted, with no timestamps or
 environment fields: saving the same model twice yields identical bytes,
-and load(save(m)) predicts bit-identically. Format 2 stores every float
-array as one base64 string of its little-endian float64 bytes; format 1
-(JSON lists of repr floats) is still read.
+and load(save(m)) predicts bit-identically. Every float array is one
+base64 string of its little-endian float64 bytes. Format 3 stores a hashed
+encoder's projection as its start, `sign_init(init_seed)` (zeros when
+`init_seed` is null), plus the rows that differ from it bitwise; training
+moves only the rows its texts touch, so the file grows with the fit
+vocabulary, not the bucket count. Formats 2 (the whole projection in
+base64) and 1 (JSON lists of repr floats) are still read.
 """
 
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -19,12 +24,17 @@ from typing import Union
 import numpy as np
 
 from .core import LabelSchema, TaskMode, atomic_write_text
-from .encoder import EncoderConfig, FrozenLookupEncoder, HashedNgramEncoder
+from .encoder import (
+    EncoderConfig,
+    FrozenLookupEncoder,
+    HashedNgramEncoder,
+    sign_init_words,
+)
 from .errors import ConfigurationError, DataError, ModelFormatError
 from .fusion import FusionConfig, FusionParams
 from .llm import PROMPT_TEMPLATE_VERSION, ProviderConfig
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 
 @dataclass
@@ -63,7 +73,7 @@ class FusionModel:
 
 
 def _encode_array(a: np.ndarray) -> str:
-    """The format-2 form of a float array: base64 of its flattened
+    """The stored form of a float array: base64 of its flattened
     little-endian float64 bytes, exact for every bit pattern."""
     raw = np.asarray(a, dtype="<f8").tobytes()
     return base64.b64encode(raw).decode("ascii")
@@ -71,7 +81,7 @@ def _encode_array(a: np.ndarray) -> str:
 
 def _decode_array(value, version: int) -> np.ndarray:
     """A flat float64 array from its form in a file of `version`: a list
-    of numbers in format 1, an `_encode_array` string in format 2."""
+    of numbers in format 1, an `_encode_array` string from format 2 on."""
     if version == 1:
         if not isinstance(value, list):
             raise ModelFormatError(
@@ -104,12 +114,30 @@ def _read_array(value, version: int, shape: tuple[int, ...]) -> np.ndarray:
     return flat.reshape(shape)
 
 
+def _init_sha256(seed, cfg: EncoderConfig):
+    """The sha256 of the little-endian words of `sign_init(seed)`, or None
+    for the zero start."""
+    if seed is None:
+        return None
+    words = sign_init_words(seed, cfg.buckets, cfg.dim)
+    return hashlib.sha256(words.astype("<u8", copy=False).tobytes()).hexdigest()
+
+
 def _encoder_to_doc(encoder) -> dict:
     if isinstance(encoder, HashedNgramEncoder):
+        cfg, seed = encoder.cfg, encoder.init_seed
+        start = HashedNgramEncoder(cfg, seed=seed).projection
+        # Compared as bits, so a -0.0 or a NaN payload counts as a change.
+        projection = np.ascontiguousarray(encoder.projection, dtype=np.float64)
+        rows = np.flatnonzero((projection.view(np.uint64)
+                               != start.view(np.uint64)).any(axis=1))
         return {
             "kind": "hashed_ngram",
-            **encoder.cfg.to_dict(),
-            "projection": _encode_array(encoder.projection),
+            **cfg.to_dict(),
+            "init_seed": seed,
+            "init_sha256": _init_sha256(seed, cfg),
+            "rows": rows.tolist(),
+            "projection_rows": _encode_array(projection[rows]),
         }
     if isinstance(encoder, FrozenLookupEncoder):
         return {
@@ -127,10 +155,38 @@ def _config_from_model_doc(cls, doc: dict):
     return cls.from_dict({f.name: doc[f.name] for f in fields(cls)})
 
 
+def _hashed_encoder_from_rows(doc: dict, cfg: EncoderConfig,
+                              version: int) -> HashedNgramEncoder:
+    """A format-3 hashed encoder: its start, regenerated and checked
+    against the recorded digest, with the stored rows written over it."""
+    seed = doc["init_seed"]
+    if seed is not None and (type(seed) is not int or not 0 <= seed < 2 ** 64):
+        raise ModelFormatError(
+            f"init_seed must be null or an integer in [0, 2**64), got {seed!r}")
+    encoder = HashedNgramEncoder(cfg, seed=seed)
+    if doc["init_sha256"] != _init_sha256(seed, cfg):
+        raise ModelFormatError(
+            f"init_sha256 {doc['init_sha256']!r} does not match the "
+            f"regenerated init of init_seed {seed!r}")
+    rows = doc["rows"]
+    if type(rows) is not list or any(type(r) is not int for r in rows):
+        raise ModelFormatError("rows must be a list of integers")
+    if rows and not (0 <= min(rows) and max(rows) < cfg.buckets):
+        raise ModelFormatError(f"rows must lie in [0, {cfg.buckets})")
+    ids = np.array(rows, dtype=np.int64)
+    if (np.diff(ids) <= 0).any():
+        raise ModelFormatError("rows must be strictly increasing")
+    encoder.projection[ids] = _read_array(doc["projection_rows"], version,
+                                          (ids.size, cfg.dim))
+    return encoder
+
+
 def _encoder_from_model_doc(doc: dict, version: int):
     kind = doc["kind"]
     if kind == "hashed_ngram":
         cfg = _config_from_model_doc(EncoderConfig, doc)
+        if version >= 3:
+            return _hashed_encoder_from_rows(doc, cfg, version)
         return HashedNgramEncoder(cfg, _read_array(
             doc["projection"], version, (cfg.buckets, cfg.dim)))
     if kind == "frozen_lookup":
@@ -172,8 +228,14 @@ def save_model(model: FusionModel, path: Union[str, Path]) -> None:
 
 
 def load_model(path: Union[str, Path]) -> FusionModel:
-    """Read a model file (format 1 or 2) back; predictions match the saved
-    model exactly."""
+    """Read a model file (format 1, 2 or 3) back; predictions match the
+    saved model exactly.
+
+    A format-3 hashed encoder is rebuilt from `sign_init(init_seed)`, which
+    must hash to the recorded `init_sha256`, with the stored rows written
+    over it. An encoder read from format 1 or 2 has `init_seed` None, so
+    saving it again writes format 3 with every non-zero row.
+    """
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -185,10 +247,10 @@ def load_model(path: Union[str, Path]) -> FusionModel:
             from None
     try:
         version = doc["format_version"]
-        if version not in (1, MODEL_FORMAT_VERSION):
+        if version not in (1, 2, MODEL_FORMAT_VERSION):
             raise ModelFormatError(
                 f"model format version {version} unsupported "
-                f"(expected 1 or {MODEL_FORMAT_VERSION})"
+                f"(expected 1, 2 or {MODEL_FORMAT_VERSION})"
             )
         # Format 1 predates the recorded prompt version.
         if version > 1 \

@@ -540,9 +540,49 @@ def _corrupt_base64_model(workdir, monkeypatch):
     assert main(_train_argv(workdir)) == 0
     path = workdir / "model.json"
     doc = json.loads(path.read_text(encoding="utf-8"))
-    doc["encoder"]["projection"] = "not*base64"
+    doc["encoder"]["projection_rows"] = "not*base64"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return ["predict", "--model", str(path), "--text", "x"]
+
+
+def _doctored_encoder(name, edit):
+    """A setup that trains, applies `edit` to the model file's encoder
+    section, and predicts with the file."""
+    def setup(workdir, monkeypatch):
+        assert main(_train_argv(workdir)) == 0
+        path = workdir / "model.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        edit(doc["encoder"])
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return ["predict", "--model", str(path), "--text", "x"]
+    setup.__name__ = f"_{name}"
+    return setup
+
+
+def _swap_first_rows(enc):
+    enc["rows"][:2] = enc["rows"][1::-1]
+
+
+def _non_finite_row(enc):
+    flat = _decode_array(enc["projection_rows"], MODEL_FORMAT_VERSION)
+    flat[0] = np.inf
+    enc["projection_rows"] = _encode_array(flat)
+
+
+_FORMAT3_FAULTS = (
+    _doctored_encoder("unsorted_rows", _swap_first_rows),
+    _doctored_encoder("duplicate_rows",
+                      lambda enc: enc["rows"].__setitem__(1, enc["rows"][0])),
+    _doctored_encoder("row_past_buckets",
+                      lambda enc: enc["rows"].__setitem__(-1, enc["buckets"])),
+    _doctored_encoder("negative_init_seed",
+                      lambda enc: enc.__setitem__("init_seed", -1)),
+    _doctored_encoder("wrong_init_sha256",
+                      lambda enc: enc.__setitem__("init_sha256", "0" * 64)),
+    _doctored_encoder("non_finite_projection_row", _non_finite_row),
+    _doctored_encoder("short_projection_rows",
+                      lambda enc: enc["rows"].pop()),
+)
 
 
 def _non_finite_model(workdir, monkeypatch):
@@ -668,6 +708,7 @@ def _corrupt_run_metrics(workdir, monkeypatch):
     (_corrupt_model, 1, "config"),
     (_corrupt_base64_model, 1, "config"),
     (_non_finite_model, 1, "config"),
+    *((setup, 1, "config") for setup in _FORMAT3_FAULTS),
     (_unwritable_model_path, 2, "data"),
     (_output_in_missing_dir, 2, "data"),
     (_output_under_a_file, 2, "data"),

@@ -17,6 +17,7 @@ from scorefusion.encoder import (
     featurize_rows,
     fnv1a64,
     load_precomputed_embeddings,
+    sign_init,
 )
 
 
@@ -86,6 +87,49 @@ class TestFnv1a64:
     @given(st.binary(max_size=64))
     def test_stays_in_64_bits(self, data):
         assert 0 <= fnv1a64(data) < 2 ** 64
+
+
+def _splitmix64_sign_oracle(seed: int, buckets: int, dim: int) -> np.ndarray:
+    """sign_init from its definition, in Python ints masked to 64 bits."""
+    mask = 2 ** 64 - 1
+    n_words = -(-dim // 64)
+    out = np.empty((buckets, dim))
+    for b in range(buckets):
+        for c in range(dim):
+            z = (seed + (b * n_words + c // 64 + 1) * 0x9E3779B97F4A7C15) & mask
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            z ^= z >> 31
+            out[b, c] = 1.0 if (z >> (c % 64)) & 1 else -1.0
+    return out
+
+
+class TestSignInit:
+    @pytest.mark.parametrize("dim", [1, 64, 130])
+    @pytest.mark.parametrize("seed", [2 ** 63 + 12345, 2 ** 64 - 1, 0])
+    def test_matches_python_int_splitmix64(self, seed, dim):
+        got = sign_init(seed, 6, dim)
+        assert got.dtype == np.float64 and got.shape == (6, dim)
+        assert np.array_equal(got, _splitmix64_sign_oracle(seed, 6, dim))
+
+    def test_balanced_signs(self):
+        p = sign_init(3, 2 ** 12, 64)
+        assert set(np.unique(p)) == {-1.0, 1.0}
+        assert abs(p.mean()) < 0.01
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.0, True])
+    def test_seed_must_be_uint64(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sign_init(seed, 4, 4)
+
+    def test_encoder_starts_from_sign_init_and_records_it(self):
+        cfg = sf.EncoderConfig(dim=3, buckets=32)
+        enc = HashedNgramEncoder(cfg, seed=2 ** 63 + 1)
+        assert enc.init_seed == 2 ** 63 + 1
+        assert np.array_equal(enc.projection, sign_init(2 ** 63 + 1, 32, 3))
+        assert HashedNgramEncoder(cfg, enc.projection).init_seed is None
+        zero = HashedNgramEncoder(cfg, seed=None)
+        assert zero.init_seed is None and not zero.projection.any()
 
 
 class TestFeaturize:

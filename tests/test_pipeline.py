@@ -15,7 +15,11 @@ from hypothesis.extra import numpy as hnp
 
 import scorefusion as sf
 from scorefusion.cache import cache_open_adopt
-from scorefusion.encoder import FrozenLookupEncoder, HashedNgramEncoder
+from scorefusion.encoder import (
+    FrozenLookupEncoder,
+    HashedNgramEncoder,
+    sign_init,
+)
 from scorefusion.fusion import FusionParams
 from scorefusion.llm import PROMPT_TEMPLATE_VERSION
 from scorefusion.model import MODEL_FORMAT_VERSION, _decode_array, _encode_array
@@ -524,21 +528,39 @@ class TestSaveLoad:
         assert [list(p.decided.bits) for p in preds] == expected["decided"]
         assert [list(p.scores.values) for p in preds] == expected["scores"]
 
-    def test_v1_file_resaves_as_stable_v2(self, tmp_path):
-        v1 = sf.load_model(self.V1_MODEL)
-        sf.save_model(v1, tmp_path / "a.json")
+    def _assert_resaves_as_stable_v3(self, tmp_path, path, expected_path):
+        """An older file re-saves as format 3 with every non-zero row, its
+        arrays bit for bit, and that file re-saves to the same bytes."""
+        old = sf.load_model(path)
+        assert old.encoder.init_seed is None
+        sf.save_model(old, tmp_path / "a.json")
         doc = json.loads((tmp_path / "a.json").read_text(encoding="utf-8"))
-        assert doc["format_version"] == MODEL_FORMAT_VERSION == 2
-        v2 = sf.load_model(tmp_path / "a.json")
+        assert doc["format_version"] == MODEL_FORMAT_VERSION == 3
+        enc = doc["encoder"]
+        assert enc["init_seed"] is None and enc["init_sha256"] is None
+        nonzero = old.encoder.projection.view(np.uint64).any(axis=1)
+        assert enc["rows"] == np.flatnonzero(nonzero).tolist()
+        v3 = sf.load_model(tmp_path / "a.json")
         arrays = lambda m: [m.encoder.projection,
                             *m.fusion_params.weights, *m.fusion_params.biases]
-        for a, b in zip(arrays(v1), arrays(v2), strict=True):
+        for a, b in zip(arrays(old), arrays(v3), strict=True):
             assert a.shape == b.shape
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
-        self._assert_decisions(v2)
-        sf.save_model(v2, tmp_path / "b.json")
+        self._assert_decisions(v3, expected_path)
+        sf.save_model(v3, tmp_path / "b.json")
         assert (tmp_path / "b.json").read_bytes() == \
             (tmp_path / "a.json").read_bytes()
+
+    def test_v1_file_resaves_as_stable_v3(self, tmp_path):
+        self._assert_resaves_as_stable_v3(tmp_path, self.V1_MODEL,
+                                          self.V1_EXPECTED)
+
+    def test_v2_file_resaves_as_stable_v3(self, tmp_path):
+        self._assert_resaves_as_stable_v3(tmp_path, self.V2_MODEL,
+                                          self.V2_EXPECTED)
+        doc = json.loads((tmp_path / "a.json").read_text(encoding="utf-8"))
+        # The fixture's all-zero row is left out; its -0.0 row is kept.
+        assert 5 not in doc["encoder"]["rows"] and 9 in doc["encoder"]["rows"]
 
     def test_v1_file_decisions(self):
         self._assert_decisions(sf.load_model(self.V1_MODEL))
@@ -628,7 +650,7 @@ class TestSaveLoad:
     def test_bad_array_field(self, toy_dataset, toy_table, tmp_path, value,
                              match):
         def edit(doc):
-            doc["encoder"]["projection"] = value
+            doc["encoder"]["projection_rows"] = value
         path = self._doctored(toy_dataset, toy_table, tmp_path, edit)
         with pytest.raises(sf.ModelFormatError, match=match):
             sf.load_model(path)
@@ -668,7 +690,7 @@ class TestSaveLoad:
     def test_non_finite_weight_rejected(self, toy_dataset, toy_table,
                                         tmp_path, where, value):
         def edit(doc):
-            holder, key = (doc["encoder"], "projection") \
+            holder, key = (doc["encoder"], "projection_rows") \
                 if where == "projection" else (doc["fusion"]["layers"][-1], where)
             flat = _decode_array(holder[key], MODEL_FORMAT_VERSION)
             flat[-1] = value
@@ -676,6 +698,130 @@ class TestSaveLoad:
         path = self._doctored(toy_dataset, toy_table, tmp_path, edit)
         with pytest.raises(sf.ModelFormatError, match="non-finite weight"):
             sf.load_model(path)
+
+    def test_format3_stores_the_rows_training_moved(self, toy_dataset,
+                                                    toy_table, tmp_path):
+        model, _, _ = _fit_toy(toy_dataset, toy_table)
+        sf.save_model(model, tmp_path / "m.json")
+        enc = json.loads((tmp_path / "m.json").read_text())["encoder"]
+        cfg = model.encoder.cfg
+        start = sign_init(model.encoder.init_seed, cfg.buckets, cfg.dim)
+        moved = np.flatnonzero((model.encoder.projection != start).any(axis=1))
+        assert enc["init_seed"] == model.encoder.init_seed
+        assert 0 < len(enc["rows"]) < cfg.buckets
+        assert enc["rows"] == moved.tolist()
+        assert np.array_equal(
+            _decode_array(enc["projection_rows"], MODEL_FORMAT_VERSION),
+            model.encoder.projection[moved].ravel())
+        assert "projection" not in enc
+
+    def _assert_resave_stable(self, model, tmp_path):
+        sf.save_model(model, tmp_path / "a.json")
+        loaded = sf.load_model(tmp_path / "a.json")
+        assert np.array_equal(loaded.encoder.projection.view(np.uint64),
+                              model.encoder.projection.view(np.uint64))
+        sf.save_model(loaded, tmp_path / "b.json")
+        assert (tmp_path / "b.json").read_bytes() == \
+            (tmp_path / "a.json").read_bytes()
+        return json.loads((tmp_path / "a.json").read_text())["encoder"]
+
+    def test_negative_zero_survives(self, toy_dataset, toy_table, tmp_path):
+        model, _, _ = _fit_toy(toy_dataset, toy_table)
+        model.encoder.projection[7, 3] = -0.0
+        enc = self._assert_resave_stable(model, tmp_path)
+        assert 7 in enc["rows"]
+
+    def test_row_set_back_to_its_init_is_not_stored(self, toy_dataset,
+                                                     toy_table, tmp_path):
+        model, _, _ = _fit_toy(toy_dataset, toy_table)
+        cfg = model.encoder.cfg
+        start = sign_init(model.encoder.init_seed, cfg.buckets, cfg.dim)
+        [row, *_] = np.flatnonzero((model.encoder.projection != start)
+                                   .any(axis=1))
+        model.encoder.projection[row] = start[row]
+        enc = self._assert_resave_stable(model, tmp_path)
+        assert row not in enc["rows"]
+
+    @staticmethod
+    def _edit_rows(how):
+        def edit(doc):
+            rows = doc["encoder"]["rows"]
+            if how == "unsorted":
+                rows[0], rows[1] = rows[1], rows[0]
+            elif how == "duplicate":
+                rows[1] = rows[0]
+            elif how == "negative":
+                rows[0] = -1
+            elif how == "past_buckets":
+                rows[-1] = doc["encoder"]["buckets"]
+            elif how == "float":
+                rows[0] = float(rows[0])
+            elif how == "bool":
+                rows[0] = True
+            elif how == "not_a_list":
+                doc["encoder"]["rows"] = {"0": rows[0]}
+        return edit
+
+    @pytest.mark.parametrize("how, match", [
+        ("unsorted", "strictly increasing"),
+        ("duplicate", "strictly increasing"),
+        ("negative", r"rows must lie in \[0, 1024\)"),
+        ("past_buckets", r"rows must lie in \[0, 1024\)"),
+        ("float", "list of integers"),
+        ("bool", "list of integers"),
+        ("not_a_list", "list of integers"),
+    ])
+    def test_bad_rows(self, toy_dataset, toy_table, tmp_path, how, match):
+        path = self._doctored(toy_dataset, toy_table, tmp_path,
+                              self._edit_rows(how))
+        with pytest.raises(sf.ModelFormatError, match=match):
+            sf.load_model(path)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 7.0, True, "7"],
+                             ids=["negative", "2**64", "float", "bool", "str"])
+    def test_init_seed_must_be_uint64(self, toy_dataset, toy_table, tmp_path,
+                                      seed):
+        def edit(doc):
+            doc["encoder"]["init_seed"] = seed
+        path = self._doctored(toy_dataset, toy_table, tmp_path, edit)
+        with pytest.raises(sf.ModelFormatError, match="init_seed must be"):
+            sf.load_model(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("init_sha256", "0" * 64), ("init_sha256", None),
+        ("init_seed", 2 ** 64 - 1)])
+    def test_init_digest_checked(self, toy_dataset, toy_table, tmp_path,
+                                 field, value):
+        """A digest that does not match the regenerated init fails, as does
+        a seed that is not the one the digest was taken of."""
+        def edit(doc):
+            doc["encoder"][field] = value
+        path = self._doctored(toy_dataset, toy_table, tmp_path, edit)
+        with pytest.raises(sf.ModelFormatError, match="init_sha256"):
+            sf.load_model(path)
+
+    def test_projection_rows_sized_by_rows(self, toy_dataset, toy_table,
+                                           tmp_path):
+        def edit(doc):
+            doc["encoder"]["rows"].pop()
+        path = self._doctored(toy_dataset, toy_table, tmp_path, edit)
+        with pytest.raises(sf.ModelFormatError, match=r"shape \(\d+, 16\)"):
+            sf.load_model(path)
+
+    def test_default_encoder_file_stays_small(self, tmp_path):
+        """The file grows with the fit vocabulary: a default 2^15 x 64
+        encoder fit on 500 rows is far below the 16 MiB of its projection."""
+        data = sf.make_complementary_data(n_rows=1000, k=4, seed=7)
+        cfg = sf.AutoFusionConfig(
+            label_columns=data.train.schema.labels,
+            llm_providers=(sf.ProviderConfig(provider_id="mock"),),
+            fusion=sf.FusionConfig(epochs=2), validation_fraction=0.0)
+        provider = sf.MockProvider(data.mock_table, data.train.schema)
+        model, _ = sf.fit(data.train, cfg, providers=[provider])
+        assert len(data.train) == 500
+        assert model.encoder.cfg == sf.EncoderConfig()
+        sf.save_model(model, tmp_path / "m.json")
+        assert (tmp_path / "m.json").stat().st_size < 2 * 2 ** 20
 
     def test_missing_section(self, toy_dataset, toy_table, tmp_path):
         path = self._doctored(toy_dataset, toy_table, tmp_path,
