@@ -127,7 +127,7 @@ def _encoder_to_doc(encoder) -> dict:
     if isinstance(encoder, HashedNgramEncoder):
         cfg, seed = encoder.cfg, encoder.init_seed
         start = HashedNgramEncoder(cfg, seed=seed).projection
-        # Compared as bits, so a -0.0 or a NaN payload counts as a change.
+        # Compared as bits, so a -0.0 entry counts as a change.
         projection = np.ascontiguousarray(encoder.projection, dtype=np.float64)
         rows = np.flatnonzero((projection.view(np.uint64)
                                != start.view(np.uint64)).any(axis=1))
@@ -160,9 +160,6 @@ def _hashed_encoder_from_rows(doc: dict, cfg: EncoderConfig,
     """A format-3 hashed encoder: its start, regenerated and checked
     against the recorded digest, with the stored rows written over it."""
     seed = doc["init_seed"]
-    if seed is not None and (type(seed) is not int or not 0 <= seed < 2 ** 64):
-        raise ModelFormatError(
-            f"init_seed must be null or an integer in [0, 2**64), got {seed!r}")
     encoder = HashedNgramEncoder(cfg, seed=seed)
     if doc["init_sha256"] != _init_sha256(seed, cfg):
         raise ModelFormatError(

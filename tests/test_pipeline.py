@@ -784,7 +784,8 @@ class TestSaveLoad:
         def edit(doc):
             doc["encoder"]["init_seed"] = seed
         path = self._doctored(toy_dataset, toy_table, tmp_path, edit)
-        with pytest.raises(sf.ModelFormatError, match="init_seed must be"):
+        with pytest.raises(sf.ModelFormatError,
+                           match=r"seed must be an integer in \[0, 2\*\*64\)"):
             sf.load_model(path)
 
     @pytest.mark.parametrize("field, value", [
