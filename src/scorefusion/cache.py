@@ -263,7 +263,7 @@ def _read_manifest(manifest_path: Path) -> str:
         raise CorruptCacheError(
             f"corrupt cache manifest {manifest_path}: {exc}"
         ) from exc
-    if version not in _READABLE_FORMATS:
+    if isinstance(version, bool) or version not in _READABLE_FORMATS:
         raise CorruptCacheError(
             f"cache manifest {manifest_path} has unknown format_version "
             f"{version!r}")

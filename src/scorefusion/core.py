@@ -14,14 +14,14 @@ import math
 import numbers
 import os
 import uuid
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigurationError, DataError
 
 
 class TaskMode(Enum):
@@ -36,18 +36,33 @@ class TaskMode(Enum):
 
 
 class DictCodec:
-    """The plain-mapping form of a config dataclass (YAML, run snapshots,
-    model files): one key per field, tuples written as lists. from_dict
-    relies on the dataclass's own __post_init__ to turn lists back into
-    tuples and to validate every value."""
+    """The plain-mapping form of a settings or report dataclass (YAML,
+    run snapshots and metrics files, model files): one key per field,
+    tuples written as lists, nested dataclasses as mappings.
+
+    from_dict is the one decoder of every such section. It rejects a
+    non-mapping and every key that is not a field, and turns a value the
+    dataclass's own __post_init__ rejects (which also turns lists back into
+    tuples) into a ConfigurationError. Each message starts with `where`,
+    the section's name."""
 
     def to_dict(self) -> dict:
         return {key: list(value) if isinstance(value, tuple) else value
                 for key, value in asdict(self).items()}
 
     @classmethod
-    def from_dict(cls, doc: dict):
-        return cls(**doc)
+    def from_dict(cls, doc, where: str):
+        if not isinstance(doc, dict):
+            raise ConfigurationError(
+                f"{where} must be a mapping, got {type(doc).__name__}")
+        names = {f.name for f in fields(cls)}
+        for key in doc:
+            if key not in names:
+                raise ConfigurationError(f"unknown {where} key {key!r}")
+        try:
+            return cls(**doc)
+        except (TypeError, ValueError, ConfigurationError) as exc:
+            raise ConfigurationError(f"{where}: {exc}") from None
 
 
 def check_int(name: str, value) -> None:

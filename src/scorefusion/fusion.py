@@ -51,14 +51,19 @@ class FusionConfig(DictCodec):
         check_int("seed", self.seed)
         check_number("lr_high", self.lr_high)
         if isinstance(self.threshold, (list, tuple)):
+            for t in self.threshold:
+                check_number("threshold items", t)
             object.__setattr__(self, "threshold",
                                tuple(float(t) for t in self.threshold))
             bad = any(not 0.0 < t < 1.0 for t in self.threshold)
         else:
+            check_number("threshold", self.threshold)
             object.__setattr__(self, "threshold", float(self.threshold))
             bad = not 0.0 < self.threshold < 1.0
         if bad:
             raise ValueError("thresholds must lie in (0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.train_batch_size < 1:

@@ -18,12 +18,13 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from .cache import ScoreCache, cache_key
 from .core import (
+    DictCodec,
     LabelSchema,
     TaskMode,
     check_int,
@@ -64,25 +65,23 @@ _PROVIDER_ALIASES = {
 }
 
 
-def resolve_provider_id(name: str) -> str:
-    """Map a provider name or short alias to a canonical provider id."""
-    resolved = _PROVIDER_ALIASES.get(name, name)
-    if resolved not in _PROVIDER_DEFAULTS:
-        raise ConfigurationError(
-            f"unknown provider {name!r}; expected one of "
-            f"{', '.join(_PROVIDER_DEFAULTS)}"
-        )
-    return resolved
+# The unset value of a provider-default field: None and "" are values a
+# config may give, and model_name rejects them.
+_UNSET: Any = object()
 
 
 @dataclass(frozen=True)
-class ProviderConfig:
-    """One LLM provider endpoint and its calling discipline."""
+class ProviderConfig(DictCodec):
+    """One LLM provider endpoint and its calling discipline.
+
+    `provider_id` may be a short alias ("openai"); it is stored as its
+    canonical id. `model_name`, `endpoint_url` and `api_key_env` left unset
+    take that provider's defaults."""
 
     provider_id: str = "mock"
-    model_name: str = "mock"
-    endpoint_url: str = ""
-    api_key_env: str = ""
+    model_name: str = _UNSET
+    endpoint_url: str = _UNSET
+    api_key_env: str = _UNSET
     temperature: float = 0.0
     max_retries: int = 3
     backoff_base_ms: int = 500
@@ -91,11 +90,16 @@ class ProviderConfig:
     mock_table_path: Optional[str] = None
 
     def __post_init__(self):
-        if self.provider_id not in _PROVIDER_DEFAULTS:
+        pid = _PROVIDER_ALIASES.get(self.provider_id, self.provider_id)
+        if pid not in _PROVIDER_DEFAULTS:
             raise ConfigurationError(
                 f"unknown provider_id {self.provider_id!r}; "
                 f"expected one of {', '.join(_PROVIDER_DEFAULTS)}"
             )
+        object.__setattr__(self, "provider_id", pid)
+        for name, value in _PROVIDER_DEFAULTS[pid].items():
+            if getattr(self, name) is _UNSET:
+                object.__setattr__(self, name, value)
         if not isinstance(self.model_name, str) or not self.model_name:
             raise ConfigurationError("model_name must be a non-empty string")
         for name, least, check in (("max_retries", 0, check_int),
@@ -109,13 +113,6 @@ class ProviderConfig:
                 raise ConfigurationError(str(exc)) from None
             if getattr(self, name) < least:
                 raise ConfigurationError(f"{name} must be >= {least}")
-
-
-def make_provider_config(name: str, **overrides) -> ProviderConfig:
-    """Build a ProviderConfig from a provider name/alias plus defaults."""
-    pid = resolve_provider_id(name)
-    return ProviderConfig(**{"provider_id": pid, **_PROVIDER_DEFAULTS[pid],
-                             **overrides})
 
 
 @dataclass(frozen=True)

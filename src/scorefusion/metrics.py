@@ -14,29 +14,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LabelVector, TaskMode
+from .core import DictCodec, LabelVector, TaskMode
 
 
 @dataclass(frozen=True)
-class LabelMetrics:
+class LabelMetrics(DictCodec):
     label: str
     precision: float
     recall: float
     f1: float
     support: int
 
-    def to_dict(self) -> dict:
-        return {"label": self.label, "precision": self.precision,
-                "recall": self.recall, "f1": self.f1, "support": self.support}
-
-    @staticmethod
-    def from_dict(doc: dict) -> "LabelMetrics":
-        return LabelMetrics(doc["label"], doc["precision"], doc["recall"],
-                            doc["f1"], doc["support"])
-
 
 @dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(DictCodec):
     accuracy: float
     precision: float
     recall: float
@@ -46,27 +37,11 @@ class MetricsReport:
     micro_recall: float
     micro_f1: float
 
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "per_label": [m.to_dict() for m in self.per_label],
-            "micro_precision": self.micro_precision,
-            "micro_recall": self.micro_recall,
-            "micro_f1": self.micro_f1,
-        }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "MetricsReport":
-        return MetricsReport(
-            accuracy=doc["accuracy"], precision=doc["precision"],
-            recall=doc["recall"], f1=doc["f1"],
-            per_label=tuple(LabelMetrics.from_dict(m) for m in doc["per_label"]),
-            micro_precision=doc["micro_precision"],
-            micro_recall=doc["micro_recall"], micro_f1=doc["micro_f1"],
-        )
+    def __post_init__(self):
+        object.__setattr__(self, "per_label", tuple(
+            m if isinstance(m, LabelMetrics)
+            else LabelMetrics.from_dict(m, "per_label")
+            for m in self.per_label))
 
 
 def _safe_div(num: float, den: float) -> float:

@@ -17,7 +17,7 @@ import base64
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Union
 
@@ -149,10 +149,10 @@ def _encoder_to_doc(encoder) -> dict:
     raise ModelFormatError(f"unsupported encoder type {type(encoder).__name__}")
 
 
-def _config_from_model_doc(cls, doc: dict):
+def _config_from_model_doc(cls, doc: dict, where: str):
     """A model file holds every config field (missing ones are an error)
     beside other keys."""
-    return cls.from_dict({f.name: doc[f.name] for f in fields(cls)})
+    return cls.from_dict({f.name: doc[f.name] for f in fields(cls)}, where)
 
 
 def _hashed_encoder_from_rows(doc: dict, cfg: EncoderConfig,
@@ -181,7 +181,7 @@ def _hashed_encoder_from_rows(doc: dict, cfg: EncoderConfig,
 def _encoder_from_model_doc(doc: dict, version: int):
     kind = doc["kind"]
     if kind == "hashed_ngram":
-        cfg = _config_from_model_doc(EncoderConfig, doc)
+        cfg = _config_from_model_doc(EncoderConfig, doc, "encoder")
         if version >= 3:
             return _hashed_encoder_from_rows(doc, cfg, version)
         return HashedNgramEncoder(cfg, _read_array(
@@ -203,7 +203,7 @@ def save_model(model: FusionModel, path: Union[str, Path]) -> None:
         "prompt_template_version": PROMPT_TEMPLATE_VERSION,
         "labels": list(model.schema.labels),
         "mode": model.mode.value,
-        "providers": [asdict(p) for p in model.providers],
+        "providers": [p.to_dict() for p in model.providers],
         "encoder": _encoder_to_doc(model.encoder),
         "fusion": {
             **model.fusion_cfg.to_dict(),
@@ -244,7 +244,8 @@ def load_model(path: Union[str, Path]) -> FusionModel:
             from None
     try:
         version = doc["format_version"]
-        if version not in (1, 2, MODEL_FORMAT_VERSION):
+        if isinstance(version, bool) \
+                or version not in (1, 2, MODEL_FORMAT_VERSION):
             raise ModelFormatError(
                 f"model format version {version} unsupported "
                 f"(expected 1, 2 or {MODEL_FORMAT_VERSION})"
@@ -259,10 +260,11 @@ def load_model(path: Union[str, Path]) -> FusionModel:
             )
         schema = LabelSchema(doc["labels"])
         mode = TaskMode(doc["mode"])
-        providers = tuple(ProviderConfig(**p) for p in doc["providers"])
+        providers = tuple(ProviderConfig.from_dict(p, "provider")
+                          for p in doc["providers"])
         encoder = _encoder_from_model_doc(doc["encoder"], version)
         fdoc = doc["fusion"]
-        fusion_cfg = _config_from_model_doc(FusionConfig, fdoc)
+        fusion_cfg = _config_from_model_doc(FusionConfig, fdoc, "fusion")
         weights, biases = [], []
         for i, layer in enumerate(fdoc["layers"]):
             fan_in, fan_out = layer["shape"]

@@ -11,7 +11,8 @@ front, never per epoch.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, fields, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -24,6 +25,7 @@ from .core import (
     LabelVector,
     TaskMode,
     TextExample,
+    check_number,
     dataset_fingerprint,
     validate_dataset,
 )
@@ -51,7 +53,7 @@ from .fusion import (
     init_fusion_params,
     probabilities,
 )
-from .llm import ProviderConfig, make_provider_config, score_providers
+from .llm import ProviderConfig, score_providers
 from .metrics import MetricsReport, compute_metrics
 from .model import FusionModel, load_model, save_model
 from .results import RunHandle, RunRecord, run_create
@@ -89,14 +91,20 @@ class AutoFusionConfig:
             LabelSchema(self.label_columns)
         except ValueError as exc:
             raise ConfigurationError(f"label_columns: {exc}") from None
+        try:
+            check_number("validation_fraction", self.validation_fraction)
+        except TypeError as exc:
+            raise ConfigurationError(str(exc)) from None
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ConfigurationError("validation_fraction must lie in [0, 1)")
         if self.cache_policy not in ("strict", "warn"):
             raise ConfigurationError(
                 f"cache_policy must be 'strict' or 'warn', got {self.cache_policy!r}"
             )
-        if not self.text_column:
-            raise ConfigurationError("text_column must be non-empty")
+        if not isinstance(self.text_column, str) or not self.text_column:
+            raise ConfigurationError(
+                f"text_column must be a non-empty string, got "
+                f"{self.text_column!r}")
         if isinstance(self.encoder, EncoderConfig) \
                 and self.fusion.lr_high <= self.encoder.lr_small:
             logger.warning(
@@ -118,7 +126,7 @@ class AutoFusionConfig:
             "label_columns": list(self.label_columns),
             "multi_label": self.multi_label,
             "text_column": self.text_column,
-            "llm_providers": [asdict(p) for p in self.llm_providers],
+            "llm_providers": [p.to_dict() for p in self.llm_providers],
             "encoder": {"precomputed_path": self.encoder}
                        if isinstance(self.encoder, str)
                        else self.encoder.to_dict(),
@@ -153,19 +161,16 @@ def _provider_from_value(value, model_name, mock_table) -> ProviderConfig:
     if isinstance(value, ProviderConfig):
         return value
     if isinstance(value, str):
-        overrides = {}
-        if model_name is not None:
-            overrides["model_name"] = model_name
-        if mock_table is not None:
-            overrides["mock_table_path"] = mock_table
-        return make_provider_config(value, **overrides)
+        value = {"provider": value, "model_name": model_name,
+                 "mock_table": mock_table}
+        value = {k: v for k, v in value.items() if v is not None}
     if isinstance(value, dict):
         _reject_unknown(value, _PROVIDER_KEYS, "provider")
         if "provider" not in value:
             raise ConfigurationError("provider entry needs a 'provider' name")
-        overrides = {_PROVIDER_SPELLINGS.get(k, k): v for k, v in value.items()
-                     if k != "provider"}
-        return make_provider_config(value["provider"], **overrides)
+        return ProviderConfig.from_dict(
+            {_PROVIDER_SPELLINGS.get(k, k): v for k, v in value.items()},
+            "provider")
     raise ConfigurationError(
         f"provider entries must be names or mappings, got {type(value).__name__}"
     )
@@ -190,21 +195,6 @@ def _providers_from_doc(doc: dict) -> tuple[ProviderConfig, ...]:
                  for v, n in zip(raw, names))
 
 
-def _section_from_doc(value, cls, where: str):
-    """A config dataclass from its mapping form; keys are its field names."""
-    if isinstance(value, cls):
-        return value
-    if not isinstance(value, dict):
-        raise ConfigurationError(
-            f"{where} must be a mapping, got {type(value).__name__}"
-        )
-    _reject_unknown(value, [f.name for f in fields(cls)], where)
-    try:
-        return cls.from_dict(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{where}: {exc}") from None
-
-
 def _encoder_from_doc(value) -> Union[EncoderConfig, str]:
     """Hashed-n-gram settings, or the path of a precomputed-embedding TSV
     given as a bare string or as the mapping's only key."""
@@ -216,7 +206,7 @@ def _encoder_from_doc(value) -> Union[EncoderConfig, str]:
                 "encoder.precomputed_path excludes other encoder keys"
             )
         return str(value["precomputed_path"])
-    return _section_from_doc(value, EncoderConfig, "encoder")
+    return EncoderConfig.from_dict(value, "encoder")
 
 
 def build_config(doc: dict) -> AutoFusionConfig:
@@ -235,7 +225,7 @@ def build_config(doc: dict) -> AutoFusionConfig:
     _reject_unknown(doc, _TOP_KEYS, "config")
     if "label_columns" not in doc:
         raise ConfigurationError("config key 'label_columns' is required")
-    fusion = _section_from_doc(doc.get("fusion", {}), FusionConfig, "fusion")
+    fusion = FusionConfig.from_dict(doc.get("fusion", {}), "fusion")
     try:
         if "seed" in doc:
             fusion = replace(fusion, seed=doc["seed"])
@@ -247,8 +237,8 @@ def build_config(doc: dict) -> AutoFusionConfig:
             fusion=fusion,
             cache_dir=doc.get("cache_dir"),
             cache_policy=doc.get("cache_policy", "strict"),
-            validation_fraction=float(doc.get("validation_fraction", 0.1)),
-            text_column=str(doc.get("text_column", "text")),
+            validation_fraction=doc.get("validation_fraction", 0.1),
+            text_column=doc.get("text_column", "text"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(str(exc)) from None
@@ -264,7 +254,7 @@ def model_config_doc(model: FusionModel) -> dict:
     return {
         "label_columns": list(model.schema.labels),
         "multi_label": model.mode is TaskMode.MULTI_LABEL,
-        "llm_providers": [asdict(p) for p in model.providers],
+        "llm_providers": [p.to_dict() for p in model.providers],
         "encoder": enc,
         "fusion": model.fusion_cfg.to_dict(),
     }
@@ -316,8 +306,9 @@ def dataset_from_records(records: Iterable, schema: LabelSchema,
 
     A record with every label column is labeled, one with none is not, and
     one with some fails naming the absent columns. A missing cell (None)
-    reads as "". Label cells must be 0/1 numbers, booleans or the strings
-    "0"/"1" (surrounding spaces allowed). `source` prefixes every message.
+    reads as "". Label cells must be 0/1 numbers or booleans, numpy scalars
+    included, or the strings "0"/"1" (surrounding spaces allowed). `source`
+    prefixes every message.
     """
     where = f"{source}: " if source else ""
     rows: list[TextExample] = []
@@ -344,12 +335,10 @@ def dataset_from_records(records: Iterable, schema: LabelSchema,
 
 def _bit(value, where: str, row: int, column: str) -> int:
     """A label cell as 0/1, or a DataError naming the cell."""
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (int, float)) and value in (0, 1):
-        return int(value)
     if isinstance(value, str) and value.strip() in ("0", "1"):
         return int(value.strip())
+    if isinstance(value, (numbers.Real, np.bool_)) and value in (0, 1):
+        return int(value)
     raise DataError(
         f"{where}record {row}: label column {column!r} must be 0 or 1, "
         f"got {value!r}"

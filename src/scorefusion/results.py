@@ -29,7 +29,7 @@ import numpy as np
 
 from ._version import __version__
 from .core import LabelVector
-from .errors import DataError, RunStateError
+from .errors import ConfigurationError, DataError, RunStateError
 from .fusion import Predictions
 from .metrics import MetricsReport
 
@@ -190,7 +190,7 @@ def load_run(root_dir: str | Path, run_id: str) -> RunRecord:
     try:
         return _read_run(run_dir)
     except (OSError, ValueError, KeyError, TypeError, IndexError,
-            AttributeError, csv.Error) as exc:
+            AttributeError, csv.Error, ConfigurationError) as exc:
         raise DataError(f"run {run_id!r} under {root_dir} has a malformed "
                         f"run file: {exc}") from None
 
@@ -225,7 +225,8 @@ def _read_run(run_dir: Path) -> RunRecord:
     if metrics_path.exists():
         doc = json.loads(metrics_path.read_text(encoding="utf-8"))
         if doc.get("metrics") is not None:
-            record.metrics = MetricsReport.from_dict(doc["metrics"])
+            record.metrics = MetricsReport.from_dict(doc["metrics"],
+                                                     "metrics")
         record.finalized = True
     return record
 

@@ -422,6 +422,16 @@ class TestCacheOpen:
         with pytest.raises(sf.CorruptCacheError, match="format_version 3"):
             cache_open_adopt(root)
 
+    def test_bool_format_version_raises(self, tmp_path):
+        # true == 1, so a membership test alone reads it as format 1
+        root = tmp_path / "c"
+        cache_open(root, FP_A)
+        manifest = json.loads((root / _MANIFEST_NAME).read_text("utf-8"))
+        manifest["format_version"] = True
+        (root / _MANIFEST_NAME).write_text(json.dumps(manifest), "utf-8")
+        with pytest.raises(sf.CorruptCacheError, match="format_version True"):
+            cache_open(root, FP_A)
+
     def test_unknown_policy_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="policy"):
             cache_open(tmp_path / "c", FP_A, policy="lenient")

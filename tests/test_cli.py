@@ -503,6 +503,10 @@ def _bool_lr_high(workdir, monkeypatch):
     return _train_argv(workdir)
 
 
+def _negative_seed(workdir, monkeypatch):
+    return [*_train_argv(workdir), "--seed", "-1"]
+
+
 def _missing_csv(workdir, monkeypatch):
     _set_config(workdir, train_csv=str(workdir / "nope.csv"))
     return _train_argv(workdir)
@@ -696,6 +700,7 @@ def _corrupt_run_metrics(workdir, monkeypatch):
     (_float_max_retries, 1, "config"),
     (_bool_temperature, 1, "config"),
     (_bool_lr_high, 1, "config"),
+    (_negative_seed, 1, "config"),
     (_missing_csv, 2, "data"),
     (_undecodable_csv, 2, "data"),
     (_bad_label_cell, 2, "data"),

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +18,52 @@ from scorefusion.core import (
     text_digest,
     validate_dataset,
 )
+from scorefusion.metrics import LabelMetrics, MetricsReport
+
+
+_LABEL = LabelMetrics("a", 0.5, 1 / 3, 0.4, 3)
+_CODEC_VALUES = [
+    sf.EncoderConfig(dim=8, ngram_sizes=(2, 5), buckets=64, lr_small=0.25),
+    sf.FusionConfig(hidden_sizes=(4, 3), threshold=(0.25, 0.75), seed=0),
+    sf.ProviderConfig(provider_id="gemini", temperature=0.5,
+                      mock_table_path="t.tsv"),
+    _LABEL,
+    MetricsReport(0.5, 0.25, 0.75, 0.3, (_LABEL, _LABEL), 0.1, 0.2, 0.3),
+]
+
+
+class TestDictCodec:
+    """Every settings and report section goes through one codec."""
+
+    @pytest.mark.parametrize("value", _CODEC_VALUES,
+                             ids=lambda v: type(v).__name__)
+    def test_round_trip(self, value):
+        doc = json.loads(json.dumps(value.to_dict()))
+        assert type(value).from_dict(doc, "section") == value
+
+    @pytest.mark.parametrize("value", _CODEC_VALUES,
+                             ids=lambda v: type(v).__name__)
+    def test_unknown_key_named(self, value):
+        doc = {**value.to_dict(), "stray": 1}
+        with pytest.raises(sf.ConfigurationError,
+                           match="unknown section key 'stray'"):
+            type(value).from_dict(doc, "section")
+
+    def test_non_mapping_named(self):
+        with pytest.raises(sf.ConfigurationError,
+                           match="section must be a mapping, got list"):
+            sf.FusionConfig.from_dict([], "section")
+
+    @pytest.mark.parametrize("cls, doc, match", [
+        (sf.FusionConfig, {"epochs": 0}, "section: epochs must be >= 1"),
+        (sf.EncoderConfig, {"dim": "8"}, "section: dim must be an integer"),
+        (sf.ProviderConfig, {"provider_id": "nope"},
+         "section: unknown provider_id 'nope'"),
+        (LabelMetrics, {"label": "a"}, "section: .*missing"),
+    ])
+    def test_rejected_value_names_the_section(self, cls, doc, match):
+        with pytest.raises(sf.ConfigurationError, match=match):
+            cls.from_dict(doc, "section")
 
 
 class TestLabelSchema:

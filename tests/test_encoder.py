@@ -440,7 +440,7 @@ class TestEncoderConfig:
                                buckets=dim + extra_buckets, lr_small=lr_small)
         doc = cfg.to_dict()
         assert doc["ngram_sizes"] == list(ngram_sizes)
-        assert sf.EncoderConfig.from_dict(doc) == cfg
+        assert sf.EncoderConfig.from_dict(doc, "encoder") == cfg
 
 
 class TestFrozenLookupEncoder:

@@ -528,4 +528,4 @@ class TestFusionConfig:
         assert doc["threshold"] == (list(threshold)
                                     if isinstance(threshold, tuple)
                                     else threshold)
-        assert sf.FusionConfig.from_dict(doc) == cfg
+        assert sf.FusionConfig.from_dict(doc, "fusion") == cfg

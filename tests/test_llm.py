@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import scorefusion as sf
 from scorefusion.cache import cache_key, cache_open
 from scorefusion.core import read_vector_table, text_digest
+from scorefusion.pipeline import build_config
 from scorefusion.llm import (
     TEXT_BEGIN,
     TEXT_END,
@@ -25,9 +26,7 @@ from scorefusion.llm import (
     build_prompt,
     extract_prompt_text,
     make_provider,
-    make_provider_config,
     prompt_template_digest,
-    resolve_provider_id,
     score_providers,
     score_text,
 )
@@ -172,22 +171,57 @@ class TestLLMScore:
             LLMScore((0.9, 0.1), parse_ok=False)
 
 
+_OPENAI = {"provider_id": "openai-compatible", "model_name": "gpt-4o-mini",
+           "endpoint_url": "https://api.openai.com/v1/chat/completions",
+           "api_key_env": "OPENAI_API_KEY"}
+_GEMINI = {"provider_id": "gemini-compatible",
+           "model_name": "gemini-2.0-flash",
+           "endpoint_url": "https://generativelanguage.googleapis.com/v1beta/"
+                           "models/{model}:generateContent",
+           "api_key_env": "GEMINI_API_KEY"}
+_DEEPSEEK = {"provider_id": "deepseek-compatible", "model_name": "deepseek-chat",
+             "endpoint_url": "https://api.deepseek.com/chat/completions",
+             "api_key_env": "DEEPSEEK_API_KEY"}
+_MOCK = {"provider_id": "mock", "model_name": "mock", "endpoint_url": "",
+         "api_key_env": ""}
+_CALLING = {"temperature": 0.0, "max_retries": 3, "backoff_base_ms": 500,
+            "llm_batch_size": 8, "timeout_ms": 30000, "mock_table_path": None}
+
+
 class TestProviderConfig:
     def test_aliases_resolve(self):
-        assert resolve_provider_id("openai") == "openai-compatible"
-        assert resolve_provider_id("gemini") == "gemini-compatible"
-        assert resolve_provider_id("deepseek") == "deepseek-compatible"
-        assert resolve_provider_id("mock") == "mock"
+        assert sf.ProviderConfig(provider_id="openai").provider_id \
+            == "openai-compatible"
+        assert sf.ProviderConfig(provider_id="gemini").provider_id \
+            == "gemini-compatible"
+        assert sf.ProviderConfig(provider_id="deepseek").provider_id \
+            == "deepseek-compatible"
+        assert sf.ProviderConfig(provider_id="mock").provider_id == "mock"
 
     def test_unknown_provider(self):
         with pytest.raises(sf.ConfigurationError, match="nonesuch"):
-            resolve_provider_id("nonesuch")
+            sf.ProviderConfig(provider_id="nonesuch")
 
-    def test_make_provider_config_defaults(self):
-        pcfg = make_provider_config("openai")
-        assert pcfg.provider_id == "openai-compatible"
-        assert pcfg.api_key_env == "OPENAI_API_KEY"
-        assert pcfg.endpoint_url.startswith("https://")
+    # The values the YAML path (`llm_provider: <name>`) has always built.
+    DEFAULTS = {"openai": _OPENAI, "openai-compatible": _OPENAI,
+                "gemini": _GEMINI, "gemini-compatible": _GEMINI,
+                "deepseek": _DEEPSEEK, "deepseek-compatible": _DEEPSEEK,
+                "mock": _MOCK}
+
+    @pytest.mark.parametrize("name", DEFAULTS)
+    def test_provider_defaults(self, name):
+        assert sf.ProviderConfig(provider_id=name).to_dict() \
+            == {**self.DEFAULTS[name], **_CALLING}
+        assert build_config({"label_columns": ["a", "b"],
+                             "llm_provider": name}).llm_providers \
+            == (sf.ProviderConfig(provider_id=name),)
+
+    def test_given_fields_win_over_defaults(self):
+        pcfg = sf.ProviderConfig(provider_id="openai", model_name="gpt-x",
+                                 endpoint_url="")
+        assert (pcfg.model_name, pcfg.endpoint_url, pcfg.api_key_env) \
+            == ("gpt-x", "", "OPENAI_API_KEY")
+        assert sf.ProviderConfig() == sf.ProviderConfig(**_MOCK)
 
     def test_validation(self):
         with pytest.raises(sf.ConfigurationError):
@@ -215,7 +249,7 @@ class TestHttpChatProvider:
 
     def test_missing_key_env_rejected_at_construction(self, monkeypatch):
         monkeypatch.delenv("OPENAI_API_KEY", raising=False)
-        pcfg = make_provider_config("openai")
+        pcfg = sf.ProviderConfig(provider_id="openai")
         with pytest.raises(sf.ConfigurationError, match="OPENAI_API_KEY"):
             HttpChatProvider(pcfg)
 
@@ -228,8 +262,8 @@ class TestHttpChatProvider:
                         timeout_s=timeout_s)
             return 200, _openai_body(self.PAYLOAD)
 
-        pcfg = make_provider_config("openai", temperature=0.25,
-                                       timeout_ms=5000)
+        pcfg = sf.ProviderConfig(provider_id="openai", temperature=0.25,
+                                 timeout_ms=5000)
         provider = HttpChatProvider(pcfg, transport=transport)
         out = provider.complete("PROMPT")
         assert json.loads(out) == self.PAYLOAD
@@ -249,7 +283,7 @@ class TestHttpChatProvider:
             seen.update(url=url, headers=headers, body=body)
             return 200, _gemini_body(self.PAYLOAD)
 
-        pcfg = make_provider_config("gemini")
+        pcfg = sf.ProviderConfig(provider_id="gemini")
         provider = HttpChatProvider(pcfg, transport=transport)
         out = provider.complete("PROMPT")
         assert json.loads(out) == self.PAYLOAD
@@ -263,7 +297,7 @@ class TestScoreTextRetries:
     def _pcfg(self, **kw):
         fields = dict(max_retries=3, backoff_base_ms=100)
         fields.update(kw)
-        return make_provider_config("openai", **fields)
+        return sf.ProviderConfig(provider_id="openai", **fields)
 
     def test_retries_then_succeeds_with_backoff(self, monkeypatch):
         monkeypatch.setenv("OPENAI_API_KEY", "k")

@@ -129,9 +129,10 @@ class TestSerialization:
         rep = sf.compute_metrics([_lv(1, 0), _lv(1, 0)],
                                  [_lv(1, 0), _lv(0, 1)], MC, ("a", "b"))
         doc = rep.to_dict()
-        back = MetricsReport.from_dict(doc)
+        back = MetricsReport.from_dict(doc, "metrics")
         assert back == rep
-        assert MetricsReport.from_dict(json.loads(json.dumps(doc))) == rep
+        assert MetricsReport.from_dict(json.loads(json.dumps(doc)),
+                                       "metrics") == rep
 
 
 class TestOracleAgreement:

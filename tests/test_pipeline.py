@@ -175,6 +175,7 @@ class TestBuildConfig:
                           {"encoder": {"lr_small": value}},
                           {"llm_provider": {"provider": "mock",
                                             "temperature": value}})),
+        {"label_columns": ["a", "b"], "fusion": {"seed": -1}},
     ])
     def test_bad_values_become_config_errors(self, doc):
         with pytest.raises(sf.ConfigurationError):
@@ -193,6 +194,14 @@ class TestBuildConfig:
         ({"encoder": {"lr_small": True}}, "encoder: lr_small must be a finite"),
         ({"llm_provider": {"provider": "mock", "temperature": True}},
          "temperature must be a finite number"),
+        ({"fusion": {"threshold": "0.5"}},
+         "fusion: threshold must be a finite number, got '0.5'"),
+        ({"fusion": {"threshold": [0.5, "0.5"]}},
+         "fusion: threshold items must be a finite number"),
+        ({"validation_fraction": "0.2"},
+         "validation_fraction must be a finite number, got '0.2'"),
+        ({"text_column": 5}, "text_column must be a non-empty string, got 5"),
+        ({"seed": -1}, "seed must be >= 0"),
     ])
     def test_wrong_type_is_named(self, extra, match):
         with pytest.raises(sf.ConfigurationError, match=match):
@@ -210,6 +219,26 @@ class TestBuildConfig:
     def test_non_mapping_rejected(self):
         with pytest.raises(sf.ConfigurationError, match="mapping"):
             build_config(["label_columns"])
+        with pytest.raises(sf.ConfigurationError,
+                           match="fusion must be a mapping, got list"):
+            build_config(dict(self.BASE, fusion=[1]))
+
+    def test_yaml_provider_spellings_only(self):
+        for key, value in (("provider_id", "mock"),
+                           ("mock_table_path", "t.tsv")):
+            with pytest.raises(sf.ConfigurationError,
+                               match=f"unknown provider key '{key}'"):
+                build_config(dict(self.BASE, llm_provider={
+                    "provider": "mock", key: value}))
+
+    def test_python_config_checks_its_own_types(self):
+        with pytest.raises(sf.ConfigurationError, match="validation_fraction"):
+            sf.AutoFusionConfig(label_columns=("a", "b"),
+                                validation_fraction="0.1")
+        with pytest.raises(sf.ConfigurationError, match="text_column"):
+            sf.AutoFusionConfig(label_columns=("a", "b"), text_column=5)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            sf.FusionConfig(seed=-1)
 
     def test_to_dict_reflects_fields(self):
         cfg = small_fusion_config()
@@ -317,6 +346,24 @@ class TestFit:
         assert (run_dir / "metrics.json").is_file()
         loaded = load_run(tmp_path / "runs", record.run_id)
         assert loaded.epoch_logs == record.epoch_logs
+
+    def test_config_snapshot_sections_decode_back(self, toy_dataset,
+                                                  toy_table, tmp_path):
+        cfg = small_fusion_config(llm_providers=(
+            sf.ProviderConfig(provider_id="mock"),
+            sf.ProviderConfig(provider_id="mock", model_name="second",
+                              temperature=0.5, timeout_ms=7)))
+        providers = [sf.MockProvider(toy_table, toy_dataset.schema)] * 2
+        _, record = sf.fit(toy_dataset, cfg, providers=providers,
+                           runs_root=tmp_path)
+        doc = json.loads((tmp_path / record.run_id / "config.json")
+                         .read_text(encoding="utf-8"))["config"]
+        assert tuple(sf.ProviderConfig.from_dict(p, "provider")
+                     for p in doc["llm_providers"]) == cfg.llm_providers
+        assert sf.EncoderConfig.from_dict(doc["encoder"], "encoder") \
+            == cfg.encoder
+        assert sf.FusionConfig.from_dict(doc["fusion"], "fusion") \
+            == cfg.fusion
 
 
 class TestFitCaching:
@@ -586,6 +633,22 @@ class TestSaveLoad:
         doc["format_version"] = MODEL_FORMAT_VERSION + 1
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(sf.ModelFormatError, match="version"):
+            sf.load_model(path)
+
+    def test_bool_version_rejected(self, toy_dataset, toy_table, tmp_path):
+        # true == 1, so a membership test alone reads it as format 1
+        path = self._doctored(toy_dataset, toy_table, tmp_path,
+                              lambda doc: doc.update(format_version=True))
+        with pytest.raises(sf.ModelFormatError, match="version True"):
+            sf.load_model(path)
+
+    def test_unknown_provider_key_named(self, toy_dataset, toy_table,
+                                        tmp_path):
+        path = self._doctored(toy_dataset, toy_table, tmp_path,
+                              lambda doc: doc["providers"][0].update(
+                                  stray=1))
+        with pytest.raises(sf.ModelFormatError,
+                           match="unknown provider key 'stray'"):
             sf.load_model(path)
 
     def _doctored(self, toy_dataset, toy_table, tmp_path, edit):
@@ -1063,6 +1126,23 @@ class TestAutoFusionClassifier:
         clf = sf.AutoFusionClassifier(self._config_doc())
         with pytest.raises(sf.DataError, match="'text'"):
             clf.fit(rows, providers=self._providers(toy_table))
+
+    @pytest.mark.parametrize("one, zero", [
+        (np.int64(1), np.int64(0)), (np.int32(1), np.uint8(0)),
+        (np.bool_(True), np.bool_(False)),
+        (np.float32(1.0), np.float64(0.0)),
+    ], ids=lambda v: type(v).__name__)
+    def test_numpy_label_cells(self, one, zero):
+        ds = dataset_from_records([{"text": "x", "yes": one, "no": zero}],
+                                  sf.LabelSchema(("yes", "no")), MC)
+        assert ds.rows[0].target.bits == (1, 0)
+
+    @pytest.mark.parametrize("cell", [2, 0.5, "yes", None, np.int64(2),
+                                      np.float32(0.5), np.float64("nan")])
+    def test_non_bit_label_cells_rejected(self, cell):
+        with pytest.raises(sf.DataError, match="must be 0 or 1"):
+            dataset_from_records([{"text": "x", "yes": cell, "no": 0}],
+                                 sf.LabelSchema(("yes", "no")), MC)
 
     def test_missing_text_cell_reads_as_empty(self):
         ds = dataset_from_records([{"text": None, "yes": 1, "no": 0}],

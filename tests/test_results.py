@@ -147,6 +147,24 @@ class TestLoadRun:
         assert not loaded.finalized
         assert loaded.metrics is None
 
+    @pytest.mark.parametrize("edit, match", [
+        (lambda m: m.update(stray=1), "unknown metrics key 'stray'"),
+        (lambda m: m.pop("micro_f1"), "micro_f1"),
+        (lambda m: m["per_label"][0].update(stray=1),
+         "unknown per_label key 'stray'"),
+    ], ids=["extra", "missing", "extra_per_label"])
+    def test_bad_metrics_keys_are_data_errors(self, tmp_path, edit, match):
+        run = run_create(tmp_path, CONFIG, FP, ("a", "b"))
+        run.store_predictions(_preds(), _targets())
+        run.finalize(sf.compute_metrics(_preds().decided, _targets(),
+                                        sf.TaskMode.MULTI_CLASS))
+        path = tmp_path / run.run_id / "metrics.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        edit(doc["metrics"])
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(sf.DataError, match=match):
+            load_run(tmp_path, run.run_id)
+
     def test_unknown_run_id(self, tmp_path):
         with pytest.raises(sf.DataError, match="nope"):
             load_run(tmp_path, "nope")
