@@ -32,7 +32,16 @@ key wins. A line whose CRC fails and a torn last line (no LF) are skipped
 with one logged warning per segment; a later put of the key heals it. On an
 index miss the handle first indexes the complete lines other writers have
 appended since it last looked, so a score another process has already paid
-for is not fetched again.
+for is not fetched again. `get_many` looks up many keys with at most one
+such catch-up.
+
+Each entry is parsed at most once per handle: its first read replaces the
+raw entry JSON in the index slot with what the read found, its scores (a
+float64 array) or a miss, and a put stores its scores there directly. A
+newer line for the key, from a catch-up or a put, replaces the slot, so a
+stale parse is never served. The index costs about 0.6 KB per entry until
+the entry is read and about 0.3 KB after (measured with tracemalloc at 10^4
+entries of 4 scores, keys and dict included).
 
 Format 1 (read only): `<root>/<shard>/<key>.json`, one entry JSON per file,
 where `shard` is the first two hex characters of the text digest. A
@@ -53,9 +62,12 @@ import os
 import threading
 import weakref
 import zlib
+from array import array
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .core import atomic_write_text
 from .errors import CacheWriteError, CorruptCacheError, StaleCacheError
@@ -67,6 +79,8 @@ MANIFEST_FORMAT_VERSION = 2
 _READABLE_FORMATS = (1, 2)
 _MANIFEST_NAME = "manifest.json"
 _SEGMENT_PREFIX, _SEGMENT_SUFFIX = "log-", ".jsonl"
+# An index slot's value once its entry has been read and is not a hit.
+_MISS: Any = object()
 
 
 def cache_key(provider_id: str, model_name: str, template_digest: str,
@@ -92,7 +106,8 @@ class ScoreCache:
         self.root = root
         self.fingerprint = fingerprint
         self._lock = threading.Lock()
-        self._index: dict[bytes, bytes] = {}  # key string -> entry JSON
+        # key string -> entry JSON; after a read, its scores or _MISS
+        self._index: dict[bytes, Any] = {}
         self._indexed_bytes: dict[str, int] = {}  # segment name -> offset
         self._warned: set[str] = set()  # segments already warned about
         self._segment: Optional[str] = None  # this handle's, once it puts
@@ -160,32 +175,71 @@ class ScoreCache:
         itself on the next put: bad JSON, a missing field, another key, an
         unparseable `created_at`, or a score that is not a number in [0, 1].
         """
-        index_key = key.encode("utf-8")
-        raw = self._index.get(index_key)
-        if raw is None:
-            with self._lock:
-                self._catch_up()
-            raw = self._index.get(index_key)
-        if raw is not None:
-            return self._parse(key, raw, self.root)
-        if not self._has_format1:
-            return None
+        [(_, hit)] = self._lookup((key,))
+        return None if hit is None else tuple(hit)
+
+    def get_many(self, keys: Iterable[str],
+                 k: int) -> tuple[np.ndarray, np.ndarray]:
+        """`get` for every key at once: the (n, k) float64 scores, row i for
+        the i-th key and zero where not found, and the (n,) bool array of the
+        rows found. `keys` is read once, so a generator holds no key list.
+        At most one catch-up runs, at the first key that is not indexed. An
+        entry without k scores is corrupt: not found, with a warning."""
+        rows, flags = [], []
+        for key, hit in self._lookup(keys):
+            if hit is not None and len(hit) != k:
+                logger.warning("corrupt cache entry %s: %d scores, expected %d",
+                               key, len(hit), k)
+                hit = None
+            flags.append(hit is not None)
+            if hit is not None:
+                rows.append(hit)
+        found = np.array(flags, dtype=bool)
+        scores = np.zeros((len(flags), k))
+        if rows:
+            scores[found] = np.frombuffer(b"".join(rows)).reshape(-1, k)
+        return scores, found
+
+    def _lookup(self, keys: Iterable[str]
+                ) -> Iterator[tuple[str, Optional[array]]]:
+        """Each key with its scores as a float64 array, or None for a miss.
+        The first key that is not indexed makes the one catch-up."""
+        index = self._index
+        caught_up = False
+        for key in keys:
+            index_key = key.encode("utf-8")
+            slot = index.get(index_key)
+            if slot is None and not caught_up:
+                with self._lock:
+                    self._catch_up()
+                caught_up = True
+                slot = index.get(index_key)
+            if slot is None:
+                slot = self._read_format1(key) if self._has_format1 else _MISS
+            elif isinstance(slot, bytes):
+                raw, slot = slot, self._parse(key, slot, self.root)
+                with self._lock:  # unless a catch-up or put replaced it
+                    if index.get(index_key) is raw:
+                        index[index_key] = slot
+            yield key, None if slot is _MISS else slot
+
+    def _read_format1(self, key: str):
         shard = key.rpartition(".")[2][:2]  # of the text digest
         path = self.root / shard / (key + ".json")
         try:
             raw = path.read_bytes()
         except FileNotFoundError:
-            return None
+            return _MISS
         except OSError as exc:
             logger.warning("unreadable cache entry %s: %s", path, exc)
-            return None
+            return _MISS
         return self._parse(key, raw, path)
 
-    def _parse(self, key: str, raw: bytes,
-               source: Path) -> Optional[tuple[float, ...]]:
+    def _parse(self, key: str, raw: bytes, source: Path):
+        """What an entry reads as: its scores as a float64 array, or _MISS."""
         try:
             doc = json.loads(raw.decode("utf-8"))
-            scores = tuple(float(s) for s in doc["scores"])
+            scores = array("d", map(float, doc["scores"]))
             parse_ok = bool(doc["parse_ok"])
             datetime.fromisoformat(doc["created_at"])
             fingerprint = doc["dataset_fingerprint"]
@@ -193,12 +247,12 @@ class ScoreCache:
                 raise ValueError("key mismatch")
             if not all(0.0 <= s <= 1.0 for s in scores):
                 raise ValueError("a score is not a number in [0, 1]")
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             logger.warning("corrupt cache entry %s in %s: %s", key, source,
                            exc)
-            return None
+            return _MISS
         if fingerprint != self.fingerprint or not parse_ok:
-            return None
+            return _MISS
         return scores
 
     def put(self, key: str, scores: Sequence[float]) -> None:
@@ -232,7 +286,7 @@ class ScoreCache:
                 raise CacheWriteError(
                     f"cannot append to cache {self.root}: {exc}") from exc
             self._indexed_bytes[self._segment] += len(line)
-            self._index[index_key] = doc
+            self._index[index_key] = array("d", scores)
 
     def _open_segment(self) -> None:
         name = (f"{_SEGMENT_PREFIX}{os.getpid()}-{os.urandom(4).hex()}"

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import threading
 import time
 from collections import deque
@@ -250,11 +251,18 @@ def parse_scores(response_text: str, schema: LabelSchema) -> LLMScore:
 
 class TransientProviderError(Exception):
     """Internal: a single attempt failed in a way worth retrying (transport
-    error, retryable status, or a malformed response envelope)."""
+    error, retryable status, or a malformed response envelope).
+    `retry_after_s` is the delay a 429 or 503 reply asked for, if any."""
 
-    def __init__(self, status: int | None, detail: str):
+    def __init__(self, status: int | None, detail: str,
+                 retry_after_s: float | None = None):
         super().__init__(detail)
         self.status = status
+        self.retry_after_s = retry_after_s
+
+
+# The longest Retry-After a retry waits for; a longer one waits this long.
+RETRY_AFTER_CAP_S = 60.0
 
 
 def _retryable_status(status: int) -> bool:
@@ -263,23 +271,37 @@ def _retryable_status(status: int) -> bool:
     return status in (408, 429) or status >= 500
 
 
+def _retry_after_s(status: int, header: str | None) -> float | None:
+    """The seconds a 429 or 503 reply's Retry-After asks to wait, when given
+    as delta-seconds; None for an HTTP-date, anything unparseable, or
+    another status."""
+    if status not in (429, 503) or header is None:
+        return None
+    value = header.strip()
+    if not (value.isascii() and value.isdigit()):
+        return None
+    return float(value)
+
+
 def _requests_transport(url: str, headers: dict, body: dict,
-                        timeout_s: float) -> tuple[int, str]:
+                        timeout_s: float) -> tuple[int, str, str | None]:
     import requests  # deferred: it costs about a third of the CLI import
 
     resp = requests.post(url, headers=headers, json=body, timeout=timeout_s)
-    return resp.status_code, resp.text
+    return resp.status_code, resp.text, resp.headers.get("Retry-After")
 
 
 class HttpChatProvider:
     """Chat-completions client for the OpenAI/DeepSeek/Gemini families.
 
     The transport is injectable for tests: a callable
-    (url, headers, json_body, timeout_s) -> (status_code, body_text).
+    (url, headers, json_body, timeout_s) -> (status_code, body_text) or
+    (status_code, body_text, retry_after), where retry_after is the reply's
+    Retry-After header or None.
     """
 
     def __init__(self, pcfg: ProviderConfig,
-                 transport: Callable[..., tuple[int, str]] | None = None):
+                 transport: Callable[..., tuple] | None = None):
         if not pcfg.api_key_env:
             raise ConfigurationError(
                 f"provider {pcfg.provider_id} needs api_key_env set"
@@ -297,11 +319,11 @@ class HttpChatProvider:
 
     def complete(self, prompt: str) -> str:
         url, headers, body = self._build_request(prompt)
-        with self._calls_lock:  # score_batch calls from worker threads
+        with self._calls_lock:  # score_providers calls from worker threads
             self.calls += 1
         try:
-            status, text = self.transport(url, headers, body,
-                                          self.pcfg.timeout_ms / 1000.0)
+            status, text, *header = self.transport(
+                url, headers, body, self.pcfg.timeout_ms / 1000.0)
         except Exception as exc:
             raise TransientProviderError(None, f"transport error: {exc}") from exc
         if not 200 <= status < 300:
@@ -312,7 +334,9 @@ class HttpChatProvider:
                     f"(not retried): {detail}",
                     last_status=status,
                 )
-            raise TransientProviderError(status, detail)
+            raise TransientProviderError(
+                status, detail,
+                _retry_after_s(status, header[0] if header else None))
         try:
             return self._extract_message(text)
         except (ValueError, KeyError, IndexError, TypeError) as exc:
@@ -369,7 +393,7 @@ class MockProvider:
         self._calls_lock = threading.Lock()
 
     def complete(self, prompt: str) -> str:
-        with self._calls_lock:  # score_batch calls from worker threads
+        with self._calls_lock:  # score_providers calls from worker threads
             self.calls += 1
         text = extract_prompt_text(prompt)
         scores = self.table.get(text)
@@ -405,15 +429,20 @@ def make_provider(pcfg: ProviderConfig, schema: LabelSchema):
 
 def score_text(text: str, schema: LabelSchema, mode: TaskMode,
                pcfg: ProviderConfig, provider,
-               _sleep: Callable[[float], None] = time.sleep) -> LLMScore:
+               _sleep: Callable[[float], None] = time.sleep,
+               _uniform: Callable[[float, float], float] = random.uniform,
+               ) -> LLMScore:
     """Score one text with retries.
 
     Sends the build_prompt output to the provider at the configured
     temperature. On a transport error, a malformed envelope or status 408,
-    429 or 5xx, retries up to max_retries with exponential backoff
-    (backoff_base_ms * 2^attempt). Returns parse_scores of the final body;
-    raises ProviderUnavailableError once retries are exhausted, and at once
-    for any other non-success status.
+    429 or 5xx, retries up to max_retries. Before retry n (from 0) it waits
+    what a 429 or 503 reply's delta-seconds Retry-After asks, at most
+    RETRY_AFTER_CAP_S, or else a uniform random time in
+    [0, backoff_base_ms * 2^n] (exponential backoff with full jitter).
+    Returns parse_scores of the final body; raises ProviderUnavailableError
+    once retries are exhausted, and at once for any other non-success
+    status.
     """
     prompt = build_prompt(text, schema, mode)
     last: TransientProviderError | None = None
@@ -423,8 +452,13 @@ def score_text(text: str, schema: LabelSchema, mode: TaskMode,
             return parse_scores(body, schema)
         except TransientProviderError as exc:
             last = exc
-            if attempt < pcfg.max_retries:
-                _sleep(pcfg.backoff_base_ms * (2 ** attempt) / 1000.0)
+            if attempt == pcfg.max_retries:
+                break
+            if exc.retry_after_s is not None:
+                _sleep(min(exc.retry_after_s, RETRY_AFTER_CAP_S))
+            else:
+                _sleep(_uniform(0.0, pcfg.backoff_base_ms * 2 ** attempt
+                                / 1000.0))
     assert last is not None
     raise ProviderUnavailableError(
         f"provider {pcfg.provider_id} unavailable after "
@@ -436,7 +470,9 @@ def score_text(text: str, schema: LabelSchema, mode: TaskMode,
 def score_batch(texts: Sequence[str], schema: LabelSchema, mode: TaskMode,
                 pcfg: ProviderConfig, cache: ScoreCache | None = None,
                 provider=None,
-                _sleep: Callable[[float], None] = time.sleep) -> np.ndarray:
+                _sleep: Callable[[float], None] = time.sleep,
+                _uniform: Callable[[float, float], float] = random.uniform,
+                ) -> np.ndarray:
     """Score many texts with one provider, cache-first: the (len(texts), K)
     float64 score matrix whose row i is for texts[i]; no texts give (0, K).
 
@@ -444,7 +480,8 @@ def score_batch(texts: Sequence[str], schema: LabelSchema, mode: TaskMode,
     concurrency and failure rules.
     """
     return score_providers(texts, schema, mode, (pcfg,), cache,
-                           None if provider is None else (provider,), _sleep)
+                           None if provider is None else (provider,), _sleep,
+                           _uniform)
 
 
 def score_providers(texts: Sequence[str], schema: LabelSchema,
@@ -452,12 +489,14 @@ def score_providers(texts: Sequence[str], schema: LabelSchema,
                     cache: ScoreCache | None = None,
                     providers: Sequence | None = None,
                     _sleep: Callable[[float], None] = time.sleep,
+                    _uniform: Callable[[float, float], float] = random.uniform,
                     ) -> np.ndarray:
     """One scoring pass over every provider: the (len(texts), P*K) float64
     block whose row i is for texts[i], provider j in columns j*K:(j+1)*K.
 
     Every (provider, distinct text) pair is looked up in the cache first,
-    and each miss is fetched once; its score fills every row of its text.
+    one `get_many` per provider, and each miss is fetched once; its score
+    fills every row of its text.
     All providers' misses are fetched at the same time from one thread
     pool, where provider j's min(llm_batch_size, misses) workers drain its
     own list: llm_batch_size caps one provider's requests in flight, and a
@@ -478,53 +517,52 @@ def score_providers(texts: Sequence[str], schema: LabelSchema,
     """
     template = prompt_template_digest(schema, mode)
     k = schema.K
-    positions: dict[str, list[int]] = {}
-    for i, text in enumerate(texts):
-        positions.setdefault(text, []).append(i)
-    scores = np.empty((len(texts), len(pcfgs) * k))
+    # The distinct texts in order of first use; row i is for
+    # distinct[inverse[i]].
+    first: dict[str, int] = {}
+    inverse = np.fromiter((first.setdefault(t, len(first)) for t in texts),
+                          dtype=np.intp, count=len(texts))
+    distinct = list(first)
 
     def key(pcfg: ProviderConfig, text: str) -> str:
         return cache_key(pcfg.provider_id, pcfg.model_name, template,
                          text_digest(text))
 
-    misses: list[deque[str]] = []
-    for j, pcfg in enumerate(pcfgs):
-        missing: deque[str] = deque()
-        for text, where in positions.items():
-            hit = None if cache is None else cache.get(key(pcfg, text))
-            if hit is not None and len(hit) != k:
-                logger.warning("corrupt cache entry %s: %d scores, expected %d",
-                               key(pcfg, text), len(hit), k)
-                hit = None
-            if hit is None:
-                missing.append(text)
-            else:
-                scores[where, j * k:(j + 1) * k] = hit
-        misses.append(missing)
+    blocks: list[np.ndarray] = []  # per provider, row d for distinct[d]
+    misses: list[deque[int]] = []  # per provider, the d to fetch
+    for pcfg in pcfgs:
+        if cache is None:
+            block = np.empty((len(distinct), k))
+            found = np.zeros(len(distinct), dtype=bool)
+        else:
+            block, found = cache.get_many(
+                (key(pcfg, text) for text in distinct), k)
+        blocks.append(block)
+        misses.append(deque(np.flatnonzero(~found).tolist()))
 
     if providers is None:
         providers = [make_provider(pcfg, schema) if missing else None
                      for pcfg, missing in zip(pcfgs, misses)]
-    failures: list[tuple[int, int, str, ProviderUnavailableError]] = []
+    failures: list[tuple[int, int, ProviderUnavailableError]] = []
 
     def drain(j: int) -> None:
         pcfg, provider, missing = pcfgs[j], providers[j], misses[j]
         while True:
             try:
-                text = missing.popleft()
+                d = missing.popleft()
             except IndexError:
                 return
             try:
-                score = score_text(text, schema, mode, pcfg, provider,
-                                   _sleep=_sleep)
+                score = score_text(distinct[d], schema, mode, pcfg, provider,
+                                   _sleep=_sleep, _uniform=_uniform)
             except ProviderUnavailableError as exc:
-                failures.append((positions[text][0], j, text, exc))
+                failures.append((d, j, exc))
                 continue
-            scores[positions[text], j * k:(j + 1) * k] = score.scores
+            blocks[j][d] = score.scores
             if cache is None or not score.parse_ok:
                 continue
             try:
-                cache.put(key(pcfg, text), score.scores)
+                cache.put(key(pcfg, distinct[d]), score.scores)
             except CacheWriteError as exc:
                 logger.warning("cache write failed, continuing uncached: %s",
                                exc)
@@ -537,18 +575,23 @@ def score_providers(texts: Sequence[str], schema: LabelSchema,
                 future.result()
 
     if failures:
+        # distinct[d] first appears before distinct[d + 1]: by (d, j) is by
+        # (lowest row, provider)
         failures.sort(key=lambda failure: failure[:2])
-        indices = sorted({i for _, _, text, _ in failures
-                          for i in positions[text]})
-        failed = {j for _, j, _, _ in failures}
+        indices = np.flatnonzero(
+            np.isin(inverse, [d for d, _, _ in failures])).tolist()
+        failed = {j for _, j, _ in failures}
         names = ", ".join(f"{pcfg.provider_id}/{pcfg.model_name}"
                           for j, pcfg in enumerate(pcfgs) if j in failed)
-        first = failures[0][3]
+        first_failure = failures[0][2]
         raise ProviderUnavailableError(
             f"{len(indices)} of {len(texts)} texts failed on {names} "
-            f"(indices {indices}): {first}",
-            last_status=first.last_status,
+            f"(indices {indices}): {first_failure}",
+            last_status=first_failure.last_status,
             failed_indices=indices,
         )
 
+    scores = np.empty((len(texts), len(pcfgs) * k))
+    for j, block in enumerate(blocks):
+        scores[:, j * k:(j + 1) * k] = block[inverse]
     return scores

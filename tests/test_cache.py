@@ -7,6 +7,7 @@ import json
 import logging
 import os
 import sys
+import threading
 import zlib
 from datetime import datetime
 
@@ -18,12 +19,13 @@ from hypothesis import strategies as st
 import scorefusion as sf
 from scorefusion.cache import (
     _MANIFEST_NAME,
+    ScoreCache,
     cache_key,
     cache_open,
     cache_open_adopt,
 )
 from scorefusion.core import text_digest as digest_of
-from scorefusion.llm import prompt_template_digest
+from scorefusion.llm import prompt_template_digest, score_providers
 
 FP_A = "a" * 64
 FP_B = "b" * 64
@@ -138,7 +140,9 @@ class TestPutGet:
         cache = cache_open(tmp_path / "c", FP_A)
         assert cache.get(key) is None
 
-    @pytest.mark.parametrize("bad", [1.5, -0.25, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [
+        1.5, -0.25, float("nan"), float("inf"),
+        pytest.param(10 ** 400, id="int_beyond_float")])
     def test_out_of_range_score_is_refetched(self, tmp_path, caplog, bad):
         schema = sf.LabelSchema(("a", "b"))
         mc = sf.TaskMode.MULTI_CLASS
@@ -375,6 +379,232 @@ class TestSegments:
                              provider=provider)
         assert provider.calls == 0
         assert np.array_equal(out, [*old.values(), *new.values()])
+
+
+def _line(key, doc, crc_ok=True):
+    """One segment line holding entry bytes `doc`; a flipped CRC bit when
+    not crc_ok."""
+    head = key.encode() + b"\t" + doc
+    return b"%s\t%08x\n" % (head, zlib.crc32(head) ^ (not crc_ok))
+
+
+def _entry(key, scores, **fields):
+    return json.dumps({**_format1_doc(key, scores), **fields},
+                      sort_keys=True).encode()
+
+
+# How each kind of entry is stored: (segment line or None, format-1 file
+# text or None), for `key` with the k scores `scores`.
+ENTRY_KINDS = {
+    "valid": lambda key, s: (_line(key, _entry(key, s)), None),
+    "bad_crc": lambda key, s: (_line(key, _entry(key, s), crc_ok=False),
+                               None),
+    "bad_json": lambda key, s: (_line(key, _entry(key, s)[:-7]), None),
+    "wrong_key": lambda key, s: (_line(key, _entry(key + "0", s)), None),
+    "out_of_range": lambda key, s: (
+        _line(key, _entry(key, [*s[:-1], 1.5])), None),
+    "other_fingerprint": lambda key, s: (
+        _line(key, _entry(key, s, dataset_fingerprint=FP_B)), None),
+    "parse_ok_false": lambda key, s: (
+        _line(key, _entry(key, s, parse_ok=False)), None),
+    "wrong_count": lambda key, s: (_line(key, _entry(key, [*s, 0.5])), None),
+    "format1": lambda key, s: (None, _entry(key, s).decode()),
+    "format1_bad_json": lambda key, s: (None, "{ not json"),
+}
+
+
+class TestGetMany:
+    K = 3
+
+    def _keys(self, n):
+        return [_key(text_digest=f"{i:064x}") for i in range(n)]
+
+    def _per_key(self, cache, keys, k):
+        """get_many's answer from per-key get plus the score-count check."""
+        hits = [cache.get(key) for key in keys]
+        found = [hit is not None and len(hit) == k for hit in hits]
+        rows = [hit if ok else (0.0,) * k for hit, ok in zip(hits, found)]
+        return np.array(rows, dtype=float).reshape(len(keys), k), found
+
+    @given(entries=st.lists(
+               st.tuples(st.sampled_from(sorted(ENTRY_KINDS)),
+                         st.integers(0, 5), st.integers(0, 1),
+                         st.lists(st.floats(0.0, 1.0), min_size=3,
+                                  max_size=3)),
+               max_size=14),
+           lookups=st.lists(st.integers(0, 6), max_size=10))
+    def test_equals_per_key_get(self, tmp_path_factory, entries, lookups):
+        root = tmp_path_factory.mktemp("gm")
+        keys = self._keys(7)  # key 6 never has an entry
+        segments = {0: b"", 1: b""}
+        for kind, i, segment, scores in entries:
+            line, format1 = ENTRY_KINDS[kind](keys[i], scores)
+            if line is not None:
+                segments[segment] += line
+            else:
+                _write_format1(root, keys[i], format1)
+        for segment, data in segments.items():
+            if data:
+                (root / f"log-{segment}.jsonl").write_bytes(data)
+        asked = [keys[i] for i in lookups]
+        want_scores, want_found = self._per_key(cache_open(root, FP_A),
+                                                asked, self.K)
+        cache = cache_open(root, FP_A)
+        for _ in range(2):  # a fresh handle, then its memo
+            scores, found = cache.get_many(asked, self.K)
+            assert scores.shape == (len(asked), self.K)
+            assert scores.dtype == np.float64
+            assert found.dtype == bool and found.tolist() == want_found
+            assert np.array_equal(scores, want_scores)
+        assert self._per_key(cache, asked, self.K)[1] == want_found
+
+    def test_second_read_parses_nothing(self, tmp_path, monkeypatch):
+        import scorefusion.cache as cache_mod
+
+        keys = self._keys(4)
+        writer = cache_open(tmp_path / "c", FP_A)
+        for i, key in enumerate(keys[:3]):
+            writer.put(key, (i / 4, 0.5, 0.25))
+        cache = cache_open(tmp_path / "c", FP_A)
+        first = cache.get_many(keys, self.K)
+
+        def no_parse(self, key, raw, source):
+            raise AssertionError("parsed an entry twice")
+        monkeypatch.setattr(cache_mod.ScoreCache, "_parse", no_parse)
+        second = cache.get_many(keys, self.K)
+        assert first[1].tolist() == second[1].tolist() \
+            == [True, True, True, False]
+        assert np.array_equal(first[0], second[0])
+        assert first[0].tolist() == [[0.0, 0.5, 0.25], [0.25, 0.5, 0.25],
+                                     [0.5, 0.5, 0.25], [0.0, 0.0, 0.0]]
+        assert cache.get(keys[1]) == (0.25, 0.5, 0.25)
+
+    def test_no_keys(self, tmp_path):
+        scores, found = cache_open(tmp_path / "c", FP_A).get_many([], 4)
+        assert scores.shape == (0, 4) and found.shape == (0,)
+
+    def test_newer_line_replaces_the_memo(self, tmp_path):
+        k1, k2 = self._keys(2)
+        a = cache_open(tmp_path / "c", FP_A)
+        a.put(k1, (0.0, 1.0))
+        reader = cache_open(tmp_path / "c", FP_A)
+        assert reader.get(k1) == (0.0, 1.0)  # parsed and memoized
+        b = cache_open(tmp_path / "c", FP_A)
+        b.put(k1, (1.0, 0.0))
+        assert reader.get(k1) == (0.0, 1.0)  # a hit does not catch up
+        assert reader.get(k2) is None  # a miss catches up on b's segment
+        assert reader.get(k1) == (1.0, 0.0)
+        scores, found = reader.get_many([k1], 2)
+        assert found.tolist() == [True] and scores.tolist() == [[1.0, 0.0]]
+
+    def test_parse_never_overwrites_a_newer_line(self, tmp_path,
+                                                 monkeypatch):
+        # Another thread's catch-up indexes a newer line for the key while
+        # this read parses the old one: the older parse is not kept.
+        k1, k2 = self._keys(2)
+        cache_open(tmp_path / "c", FP_A).put(k1, (0.0, 1.0))
+        reader = cache_open(tmp_path / "c", FP_A)
+        real_parse = ScoreCache._parse
+
+        def parse_during_catch_up(self, key, raw, source):
+            cache_open(tmp_path / "c", FP_A).put(k1, (1.0, 0.0))
+            assert self.get(k2) is None  # its miss catches up
+            return real_parse(self, key, raw, source)
+        monkeypatch.setattr(ScoreCache, "_parse", parse_during_catch_up)
+        assert reader.get(k1) == (0.0, 1.0)  # the line it read
+        monkeypatch.setattr(ScoreCache, "_parse", real_parse)
+        assert reader.get(k1) == (1.0, 0.0)
+
+    def test_threaded_reads_keep_up_with_a_writer(self, tmp_path):
+        # Readers parse, catch up and write back memos on one handle while
+        # another handle appends newer lines: a parse kept over a newer
+        # line would outlive the final catch-up.
+        keys = self._keys(13)
+        keys, absent = keys[:12], keys[12]
+        writer = cache_open(tmp_path / "c", FP_A)
+        reader = cache_open(tmp_path / "c", FP_A)
+        versions = 40
+        errors = []
+
+        def read():
+            try:
+                for _ in range(versions):
+                    scores, found = reader.get_many([*keys, absent], 2)
+                    assert not found[-1]
+                    assert np.all(scores.sum(axis=1)[found] == 1.0)
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        def write():
+            for version in range(1, versions + 1):
+                for key in keys:
+                    writer.put(key, (version / 64, 1 - version / 64))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write)] + [
+                threading.Thread(target=read) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert reader.get(absent) is None  # catches up on the last lines
+        scores, found = reader.get_many(keys, 2)
+        last = (versions / 64, 1 - versions / 64)
+        assert found.tolist() == [True] * len(keys)
+        assert scores.tolist() == [list(last)] * len(keys)
+
+    def test_corrupt_entry_warns_once_and_put_heals(self, tmp_path, caplog):
+        k1, k2 = self._keys(2)
+        root = tmp_path / "c"
+        cache_open(root, FP_A)
+        (root / "log-0.jsonl").write_bytes(
+            _line(k1, _entry(k1, SCORES)[:-7])
+            + _line(k2, _entry(k2, SCORES)))
+        cache = cache_open(root, FP_A)
+        with caplog.at_level(logging.WARNING, logger="scorefusion.cache"):
+            assert cache.get(k1) is None
+            assert cache.get_many([k1, k2], 2)[1].tolist() == [False, True]
+            assert cache.get(k1) is None
+        assert len(caplog.records) == 1
+        assert "corrupt cache entry" in caplog.records[0].getMessage()
+        cache.put(k1, (0.5, 0.5))
+        assert cache.get(k1) == (0.5, 0.5)
+        assert cache_open(root, FP_A).get_many([k1], 2)[1].tolist() == [True]
+
+    def test_wrong_count_warns_and_reads_as_missing(self, tmp_path, caplog):
+        cache = cache_open(tmp_path / "c", FP_A)
+        cache.put(_key(), SCORES)
+        with caplog.at_level(logging.WARNING, logger="scorefusion.cache"):
+            scores, found = cache.get_many([_key()], 3)
+        assert found.tolist() == [False] and scores.tolist() == [[0.0] * 3]
+        assert "2 scores, expected 3" in caplog.records[0].getMessage()
+        assert cache.get(_key()) == SCORES
+
+    def test_cold_pass_lists_the_directory_once_per_provider(
+            self, tmp_path, monkeypatch):
+        schema = sf.LabelSchema(("a", "b"))
+        texts = [f"text {i}" for i in range(30)]
+        pcfgs = (sf.ProviderConfig(provider_id="mock"),
+                 sf.ProviderConfig(provider_id="mock", model_name="other"))
+        providers = [sf.MockProvider({}, schema) for _ in pcfgs]
+        cache = cache_open(tmp_path / "c", FP_A)
+        listings = []
+        real_scandir = os.scandir
+
+        def counting_scandir(path):
+            listings.append(path)
+            return real_scandir(path)
+        monkeypatch.setattr(os, "scandir", counting_scandir)
+        score_providers(texts + texts, schema, sf.TaskMode.MULTI_CLASS,
+                        pcfgs, cache, providers)
+        assert [p.calls for p in providers] == [30, 30]
+        assert len(listings) == len(pcfgs)
 
 
 class TestCacheOpen:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import sys
 import threading
 import time
@@ -19,6 +20,7 @@ from scorefusion.cache import cache_key, cache_open
 from scorefusion.core import read_vector_table, text_digest
 from scorefusion.pipeline import build_config
 from scorefusion.llm import (
+    RETRY_AFTER_CAP_S,
     TEXT_BEGIN,
     TEXT_END,
     HttpChatProvider,
@@ -294,6 +296,10 @@ class TestHttpChatProvider:
 
 
 class TestScoreTextRetries:
+    # random.Random(0).uniform(0, 0.1), then .uniform(0, 0.2): full jitter
+    # over backoff_base_ms=100 doubled per retry, in seconds
+    JITTERED = [0.08444218515250482, 0.1515908805880605]
+
     def _pcfg(self, **kw):
         fields = dict(max_retries=3, backoff_base_ms=100)
         fields.update(kw)
@@ -313,11 +319,12 @@ class TestScoreTextRetries:
         sleeps = []
         provider = HttpChatProvider(self._pcfg(), transport=transport)
         out = score_text("x", SCHEMA, MC, self._pcfg(), provider=provider,
-                            _sleep=sleeps.append)
+                         _sleep=sleeps.append,
+                         _uniform=random.Random(0).uniform)
         assert out.parse_ok and out.scores[0] == 1.0
         assert len(attempts) == 3
-        # backoff_base_ms * 2^attempt, in seconds
-        assert sleeps == [pytest.approx(0.1), pytest.approx(0.2)]
+        # uniform in [0, backoff_base_ms * 2^attempt], in seconds
+        assert sleeps == self.JITTERED
 
     def test_exhaustion_raises_with_last_status(self, monkeypatch):
         monkeypatch.setenv("OPENAI_API_KEY", "k")
@@ -330,10 +337,49 @@ class TestScoreTextRetries:
         sleeps = []
         with pytest.raises(sf.ProviderUnavailableError) as info:
             score_text("x", SCHEMA, MC, pcfg, provider=provider,
-                          _sleep=sleeps.append)
+                       _sleep=sleeps.append,
+                       _uniform=random.Random(0).uniform)
         assert info.value.last_status == 503
         assert provider.calls == 3  # initial + 2 retries
-        assert sleeps == [pytest.approx(0.1), pytest.approx(0.2)]
+        assert sleeps == self.JITTERED
+
+    def _sleeps_on(self, monkeypatch, status, retry_after):
+        """The waits of two retries of a reply with this Retry-After."""
+        monkeypatch.setenv("OPENAI_API_KEY", "k")
+
+        def transport(url, headers, body, timeout_s):
+            return status, "later", retry_after
+
+        pcfg = self._pcfg(max_retries=2)
+        provider = HttpChatProvider(pcfg, transport=transport)
+        sleeps = []
+        with pytest.raises(sf.ProviderUnavailableError) as info:
+            score_text("x", SCHEMA, MC, pcfg, provider=provider,
+                       _sleep=sleeps.append,
+                       _uniform=random.Random(0).uniform)
+        assert info.value.last_status == status
+        return sleeps
+
+    @pytest.mark.parametrize("status", [429, 503])
+    @pytest.mark.parametrize("header", ["7", " 7 ", "0"])
+    def test_retry_after_seconds_honored(self, monkeypatch, status, header):
+        want = float(header)
+        assert self._sleeps_on(monkeypatch, status, header) == [want, want]
+
+    def test_retry_after_capped(self, monkeypatch):
+        sleeps = self._sleeps_on(monkeypatch, 429, "86400")
+        assert sleeps == [RETRY_AFTER_CAP_S] * 2
+
+    @pytest.mark.parametrize("header", [
+        "Wed, 21 Oct 2015 07:28:00 GMT", "soon", "-5", "1.5", "", "\u0667",
+        None])
+    def test_unusable_retry_after_falls_back_to_backoff(self, monkeypatch,
+                                                        header):
+        assert self._sleeps_on(monkeypatch, 503, header) == self.JITTERED
+
+    @pytest.mark.parametrize("status", [408, 500, 502])
+    def test_retry_after_only_on_429_and_503(self, monkeypatch, status):
+        assert self._sleeps_on(monkeypatch, status, "7") == self.JITTERED
 
     @pytest.mark.parametrize("status", [401, 404])
     def test_permanent_status_fails_without_retry(self, monkeypatch, status):
@@ -839,6 +885,22 @@ class TestScoreProviders:
         out = score_providers(texts, SCHEMA, MC, pcfgs, cache, retry)
         assert [p.calls for p in retry] == [2, 0]  # only what failed
         assert np.array_equal(out, self._block(texts))
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_retry_waits_use_the_given_random_source(self, batch):
+        pcfg = self._pcfgs(1, max_retries=2, backoff_base_ms=100)[0]
+        provider = _FlakyProvider(self.TABLES[0], SCHEMA, fail_first=2)
+        sleeps = []
+        waits = dict(_sleep=sleeps.append, _uniform=random.Random(0).uniform)
+        if batch:
+            out = sf.score_batch(["t0"], SCHEMA, MC, pcfg, None, provider,
+                                 **waits)
+        else:
+            out = score_providers(["t0"], SCHEMA, MC, (pcfg,), None,
+                                  (provider,), **waits)
+        assert out.tolist() == [list(self.TABLES[0]["t0"])]
+        assert provider.calls == 3
+        assert sleeps == TestScoreTextRetries.JITTERED
 
     def test_stress_every_miss_fetched_once(self, tmp_path):
         # 16 workers on 4 providers share deques, the failure list and the
