@@ -12,6 +12,7 @@ vectors can be substituted via the frozen lookup encoder.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -129,6 +130,11 @@ def featurize(text: str, cfg: EncoderConfig) -> dict[int, int]:
 # with its text volume, so chunking bounds peak memory on large corpora.
 _FEATURIZE_CHUNK_ROWS = 256
 
+# Projection values (float64) gathered per stacked product in
+# embed_features: 8 MiB, so rows of equal entry count embed in bounded
+# memory however many and however long they are.
+_EMBED_BLOCK_VALUES = 2 ** 20
+
 
 @dataclass(frozen=True)
 class CsrRows:
@@ -164,58 +170,77 @@ class CsrRows:
         return CsrRows(indptr, self.idx[pos], self.w[pos])
 
 
-def _fnv1a64_spans(data: np.ndarray, starts: np.ndarray,
-                   lengths: np.ndarray) -> np.ndarray:
-    """fnv1a64 of every byte span data[start:start+length], as uint64.
-
-    Spans are hashed in groups of equal length, one xor-multiply round per
-    byte over the whole group; uint64 arithmetic wraps like the & _U64 mask.
-    """
-    out = np.empty(starts.size, dtype=np.uint64)
-    basis = np.uint64(_FNV_OFFSET)
-    prime = np.uint64(_FNV_PRIME)
-    for length in np.unique(lengths).tolist():
-        sel = np.flatnonzero(lengths == length)
-        first = starts[sel]
-        h = np.full(sel.size, basis, dtype=np.uint64)
-        for k in range(length):
-            h ^= data[first + k]
-            h *= prime
-        out[sel] = h
-    return out
-
-
-def _featurize_chunk(texts: Sequence[str], cfg: EncoderConfig) -> CsrRows:
-    lowered = [t.lower() for t in texts]
-    n_rows = len(lowered)
-    n_chars = np.fromiter(map(len, lowered), dtype=np.int64, count=n_rows)
+def _gram_keys(lowered: list[str],
+               cfg: EncoderConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The key row * buckets + bucket (int64) of every n-gram of the
+    lowercased texts in featurize's order (by row, then size in cfg order,
+    then position), and each row's n-gram count."""
+    n_chars = np.fromiter(map(len, lowered), dtype=np.int64,
+                          count=len(lowered))
     data = np.frombuffer("".join(lowered).encode("utf-8"), dtype=np.uint8)
     # Byte offset of every character (its UTF-8 lead byte), plus the end.
     bounds = np.append(np.flatnonzero((data & 0xC0) != 0x80), data.size)
-    char_row = np.repeat(np.arange(n_rows), n_chars)
-    row_end = np.repeat(np.cumsum(n_chars), n_chars)
-    char_pos = np.arange(char_row.size)
-    rows, buckets = [], []
-    for n in cfg.ngram_sizes:
-        pos = np.flatnonzero(char_pos + n <= row_end)
-        starts = bounds[pos]
-        hashes = _fnv1a64_spans(data, starts, bounds[pos + n] - starts)
-        rows.append(char_row[pos])
-        buckets.append((hashes % np.uint64(cfg.buckets)).astype(np.int64))
-    # Grams in featurize's order: by row, then n-gram size, then position.
-    row = np.concatenate(rows)
-    order = np.argsort(row, kind="stable")
-    keys = row[order] * cfg.buckets + np.concatenate(buckets)[order]
-    uniq, first, counts = np.unique(keys, return_index=True,
-                                    return_counts=True)
-    by_first = np.argsort(first)
-    uniq, counts = uniq[by_first], counts[by_first]
-    entry_row = uniq // cfg.buckets
+    # Row r has per_size[r, s] grams of size s, one at each of its first
+    # characters, and the first of them has rank first_rank[r, s].
+    per_size = np.maximum(
+        n_chars[:, None] - np.array(cfg.ngram_sizes, dtype=np.int64) + 1, 0)
+    first_rank = np.cumsum(per_size).reshape(per_size.shape) - per_size
+    row_first_char = np.cumsum(n_chars) - n_chars
+    spans = []  # per size: its grams' start bytes, byte lengths and ranks
+    for s, n in enumerate(cfg.ngram_sizes):
+        count = per_size[:, s]
+        before = np.cumsum(count) - count
+        at = np.arange(int(count.sum()))
+        pos = at + np.repeat(row_first_char - before, count)
+        start = bounds[pos]
+        length = bounds[pos + n] - start
+        if length.size:
+            spans.append((start, length,
+                          at + np.repeat(first_rank[:, s] - before, count),
+                          int(length.min()), int(length.max())))
+    # One rolling FNV-1a pass for every size: after step k, h[b] is the hash
+    # of the k bytes from offset b, so a gram's hash is h at its start byte
+    # at the step its byte length is reached; a size whose grams are all one
+    # byte length (ASCII text) records them all at one step. uint64
+    # arithmetic wraps like the & _U64 mask.
+    grams_per_row = per_size.sum(axis=1)
+    hashes = np.empty(int(grams_per_row.sum()), dtype=np.uint64)
+    h = np.full(data.size, _FNV_OFFSET, dtype=np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    for k in range(1, max((hi for *_, hi in spans), default=0) + 1):
+        h[:data.size - k + 1] ^= data[k - 1:]
+        h[:data.size - k + 1] *= prime
+        for start, length, rank, lo, hi in spans:
+            if lo <= k <= hi:
+                sel = slice(None) if lo == hi else np.flatnonzero(length == k)
+                hashes[rank[sel]] = h[start[sel]]
+    keys = np.repeat(np.arange(len(lowered)) * cfg.buckets, grams_per_row)
+    keys += (hashes % np.uint64(cfg.buckets)).astype(np.int64)
+    return keys, grams_per_row
+
+
+def _featurize_chunk(texts: Sequence[str], cfg: EncoderConfig) -> CsrRows:
+    n_rows = len(texts)
+    keys, grams_per_row = _gram_keys([t.lower() for t in texts], cfg)
+    # Count each key with one unstable sort. A key's smallest rank is its
+    # first occurrence, and its row's entries are the first occurrences in
+    # rank order, which is featurize's order.
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new_key = np.empty(keys.size, dtype=bool)
+    new_key[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new_key[1:])
+    group = np.flatnonzero(new_key)
+    count_at = np.zeros(keys.size, dtype=np.int64)
+    count_at[np.minimum.reduceat(order, group)] = np.diff(
+        np.append(group, keys.size))
+    entries = np.flatnonzero(count_at)
+    entry_keys = keys[entries]
+    entry_row = entry_keys // cfg.buckets
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(entry_row, minlength=n_rows), out=indptr[1:])
-    grams_per_row = np.bincount(row, minlength=n_rows)
-    return CsrRows(indptr, uniq % cfg.buckets,
-                   counts / grams_per_row[entry_row])
+    return CsrRows(indptr, entry_keys - entry_row * cfg.buckets,
+                   count_at[entries] / grams_per_row[entry_row])
 
 
 def featurize_rows(texts: Sequence[str], cfg: EncoderConfig) -> CsrRows:
@@ -271,18 +296,32 @@ class HashedNgramEncoder:
         return featurize_rows(texts, self.cfg)
 
     def embed_features(self, feats: CsrRows) -> np.ndarray:
-        """(len(feats), dim) embeddings, one `w @ P[idx]` per row.
+        """(len(feats), dim) embeddings: row i is `w @ P[idx]` over its
+        entries, the zero vector for an empty row.
 
-        The per-row product keeps the exact arithmetic saved models were
-        trained and checked with; a batched gather-reduce rounds differently.
+        The R rows with the same entry count L are computed together, as
+        one stacked (R, 1, L) @ (R, L, dim) matmul per block of at most
+        _EMBED_BLOCK_VALUES gathered projection values. numpy hands each
+        stacked item to the gemv the per-row product calls, so the bits are
+        the per-row product's, which saved models were trained and checked
+        with; a gather-reduce such as np.add.reduceat rounds differently.
         """
-        out = np.zeros((len(feats), self.cfg.dim))
-        projection, idx, w = self.projection, feats.idx, feats.w
-        indptr = feats.indptr.tolist()
-        for i in range(len(feats)):
-            a, b = indptr[i], indptr[i + 1]
-            if a < b:
-                out[i] = w[a:b] @ projection[idx[a:b]]
+        dim = self.cfg.dim
+        out = np.zeros((len(feats), dim))
+        lengths = np.diff(feats.indptr)
+        rows = np.argsort(lengths)
+        rows = rows[np.count_nonzero(lengths == 0):]
+        n_entries = lengths[rows].tolist()
+        a = 0
+        while a < rows.size:
+            n = n_entries[a]
+            b = min(a + max(1, _EMBED_BLOCK_VALUES // (n * dim)),
+                    bisect_right(n_entries, n, a))
+            block = rows[a:b]
+            at = feats.indptr[block][:, None] + np.arange(n)
+            out[block] = np.matmul(feats.w[at][:, None, :],
+                                   self.projection[feats.idx[at]])[:, 0]
+            a = b
         return out
 
     def encode(self, text: str) -> np.ndarray:

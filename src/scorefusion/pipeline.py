@@ -81,6 +81,11 @@ class AutoFusionConfig:
     text_column: str = "text"
 
     def __post_init__(self):
+        if isinstance(self.label_columns, str):
+            raise ConfigurationError(
+                "label_columns must be a list of column names, got the "
+                f"string {self.label_columns!r}"
+            )
         object.__setattr__(self, "label_columns", tuple(self.label_columns))
         object.__setattr__(self, "llm_providers", tuple(self.llm_providers))
         if not isinstance(self.multi_label, bool):
@@ -205,7 +210,13 @@ def _encoder_from_doc(value) -> Union[EncoderConfig, str]:
             raise ConfigurationError(
                 "encoder.precomputed_path excludes other encoder keys"
             )
-        return str(value["precomputed_path"])
+        path = value["precomputed_path"]
+        if not isinstance(path, str) or not path:
+            raise ConfigurationError(
+                "encoder.precomputed_path must be a non-empty string, "
+                f"got {path!r}"
+            )
+        return path
     return EncoderConfig.from_dict(value, "encoder")
 
 
@@ -230,7 +241,7 @@ def build_config(doc: dict) -> AutoFusionConfig:
         if "seed" in doc:
             fusion = replace(fusion, seed=doc["seed"])
         return AutoFusionConfig(
-            label_columns=tuple(doc["label_columns"]),
+            label_columns=doc["label_columns"],
             multi_label=doc.get("multi_label", False),
             llm_providers=_providers_from_doc(doc),
             encoder=_encoder_from_doc(doc.get("encoder", {})),

@@ -84,6 +84,21 @@ class TestTrain:
         assert err.startswith("error[config]:")
         assert "lable_columns" in err
 
+    @pytest.mark.parametrize("changes, named", [
+        ({"label_columns": "spam"}, "label_columns"),
+        ({"encoder": {"precomputed_path": None}}, "encoder.precomputed_path"),
+        ({"encoder": {"precomputed_path": 5}}, "encoder.precomputed_path"),
+    ])
+    def test_misread_value_exit_1_naming_key(self, workdir, capsys, changes,
+                                             named):
+        """A string label_columns is not split into one-letter labels, and
+        a non-string precomputed_path is not read as a file named 'None'."""
+        _set_config(workdir, **changes)
+        code, _, err = _train(workdir, capsys)
+        assert code == 1
+        assert err.startswith("error[config]:")
+        assert named in err
+
     def test_missing_train_csv_key(self, workdir, capsys):
         doc = yaml.safe_load((workdir / "config.yaml").read_text())
         del doc["train_csv"]

@@ -3,6 +3,8 @@ and the frozen lookup encoder."""
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -181,7 +183,8 @@ class TestFeaturizeRows:
         assert len(featurize_rows([], self.CFG)) == 0
 
     @given(texts=st.lists(st.text(max_size=30), max_size=12),
-           ngram_sizes=st.sampled_from([(3, 4), (1, 2, 5), (2,), (4, 4)]),
+           ngram_sizes=st.sampled_from([(3, 4), (4, 3), (1, 2, 5), (2,),
+                                        (4, 4)]),
            buckets=st.sampled_from([2 ** 6, 97, 2 ** 15]))
     def test_rows_equal_scalar_featurize(self, texts, ngram_sizes, buckets):
         cfg = sf.EncoderConfig(dim=4, ngram_sizes=ngram_sizes,
@@ -218,8 +221,51 @@ class TestFeaturizeRows:
                 assert a.tolist() == b.tolist()
 
 
+def _per_row_embed(feats, projection):
+    """The reference embedding: `weights @ projection[idx]` one row at a
+    time, the zero vector for an empty row."""
+    out = np.zeros((len(feats), projection.shape[1]))
+    for i in range(len(feats)):
+        idx, weights = feats.row(i)
+        if idx.size:
+            out[i] = weights @ projection[idx]
+    return out
+
+
+# Empty and too-short texts and non-ASCII ones, then a run of equal-length
+# texts, so that many rows share an entry count and embed in one stacked
+# product.
+_MIXED_TEXTS = st.lists(
+    st.one_of(st.text(max_size=40), st.sampled_from(["", "a", "ab"]),
+              st.text(alphabet="aé日😀 b", max_size=12)), max_size=12)
+_EQUAL_LENGTH_TEXTS = st.integers(0, 30).flatmap(
+    lambda n: st.lists(st.text(alphabet="abcdefghij", min_size=n,
+                               max_size=n), max_size=12))
+
+
 class TestEncode:
     CFG = sf.EncoderConfig(dim=3, ngram_sizes=(3,), buckets=32)
+
+    @given(mixed=_MIXED_TEXTS, equal=_EQUAL_LENGTH_TEXTS,
+           dim=st.sampled_from([1, 3, 32, 64]),
+           block_values=st.sampled_from([1, 200, 2 ** 20]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_embed_is_the_per_row_product_bit_for_bit(self, mixed, equal, dim,
+                                                      block_values, seed):
+        import scorefusion.encoder as encoder_mod
+
+        texts = mixed + equal
+        cfg = sf.EncoderConfig(dim=dim, ngram_sizes=(3, 4), buckets=2 ** 10)
+        projection = np.random.default_rng(seed).standard_normal(
+            (cfg.buckets, dim))
+        enc = HashedNgramEncoder(cfg, projection)
+        feats = enc.features(texts)
+        want = _per_row_embed(feats, projection).tobytes()
+        # block_values 1 and 200 split equal-count rows into many blocks
+        with mock.patch.object(encoder_mod, "_EMBED_BLOCK_VALUES",
+                               block_values):
+            assert enc.embed_features(feats).tobytes() == want
+            assert enc.encode_batch(texts).tobytes() == want
 
     def test_matches_manual_matmul(self):
         projection = np.random.default_rng(0).standard_normal((32, 3))
@@ -274,6 +320,31 @@ class TestEncode:
         # eight chunks peak at about one chunk's intermediates; featurizing
         # all rows before embedding any would hold all eight chunks' features
         assert peak(texts) < 1.25 * peak(texts[:256])
+
+    def test_equal_count_rows_embed_in_bounded_memory(self):
+        import tracemalloc
+
+        from scorefusion.encoder import _EMBED_BLOCK_VALUES
+
+        enc = HashedNgramEncoder(sf.EncoderConfig(), seed=3)
+        rng = np.random.default_rng(5)
+        text = "".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz "), 2000))
+        # One entry count for all 256 rows, about 3.7k entries each: one
+        # stacked product of the whole chunk would gather 256 x 3.7k x 64
+        # float64, about 480 MB.
+        texts = [text] * 256
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        block_bytes = _EMBED_BLOCK_VALUES * 8
+        assert peak(lambda: enc.encode_batch(texts)) < \
+            peak(lambda: enc.features(texts)) + 2 * block_bytes
 
     def test_init_deterministic_by_seed(self):
         a = HashedNgramEncoder(self.CFG, seed=7)

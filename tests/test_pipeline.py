@@ -202,6 +202,13 @@ class TestBuildConfig:
          "validation_fraction must be a finite number, got '0.2'"),
         ({"text_column": 5}, "text_column must be a non-empty string, got 5"),
         ({"seed": -1}, "seed must be >= 0"),
+        ({"label_columns": "spam"}, "label_columns must be a list of column "
+                                    "names, got the string 'spam'"),
+        *(({"encoder": {"precomputed_path": value}},
+           rf"encoder.precomputed_path must be a non-empty string, "
+           rf"got {shown}")
+          for value, shown in ((None, "None"), (5, "5"), ("", "''"),
+                               (["e.tsv"], r"\['e.tsv'\]"))),
     ])
     def test_wrong_type_is_named(self, extra, match):
         with pytest.raises(sf.ConfigurationError, match=match):
@@ -237,6 +244,8 @@ class TestBuildConfig:
                                 validation_fraction="0.1")
         with pytest.raises(sf.ConfigurationError, match="text_column"):
             sf.AutoFusionConfig(label_columns=("a", "b"), text_column=5)
+        with pytest.raises(sf.ConfigurationError, match="label_columns"):
+            sf.AutoFusionConfig(label_columns="ab")
         with pytest.raises(ValueError, match="seed must be >= 0"):
             sf.FusionConfig(seed=-1)
 

@@ -94,6 +94,29 @@ def test_cli_import_does_not_load_yaml():
     assert result.stdout.strip() == "False"
 
 
+def test_encoder_does_not_load_numpy_ma():
+    """Featurizing and embedding leave numpy.ma unimported; `np.unique`
+    imports it lazily, about 10 ms of every CLI train, evaluate and predict
+    process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys\n"
+        "from scorefusion.encoder import (EncoderConfig, HashedNgramEncoder,"
+        " featurize_rows)\n"
+        "cfg = EncoderConfig(dim=4, buckets=64)\n"
+        "texts = ['hello world', '', 'ab', 'straße 日本', 'hello world']\n"
+        "featurize_rows(texts, cfg)\n"
+        "HashedNgramEncoder(cfg).encode_batch(texts)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 def test_sources_parse_as_python_3_10():
     """pyproject promises Python >= 3.10; catch 3.11-only syntax early."""
     sources = sorted((ROOT / "src" / "scorefusion").glob("*.py"))
