@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 from .cache import cache_open_adopt
-from .core import Dataset, LabelSchema, TaskMode
+from .core import Dataset, LabelSchema, NonEmptyStr, TaskMode, check_value
 from .errors import (
     ConfigurationError,
     DataError,
@@ -88,11 +88,12 @@ def _apply_override(doc: dict, spec: str) -> None:
         value = raw
     node = doc
     for part in parts[:-1]:
-        child = node.get(part)
-        if not isinstance(child, dict):
-            child = {}
-            node[part] = child
-        node = child
+        if node.get(part) is None:
+            node[part] = {}
+        elif not isinstance(node[part], dict):
+            raise ConfigurationError(
+                f"--set {key}: {part} is {node[part]!r}, not a mapping")
+        node = node[part]
     node[parts[-1]] = value
 
 
@@ -146,7 +147,8 @@ def _cmd_train(args) -> int:
         _apply_override(doc, spec)
     if args.seed is not None:
         doc["seed"] = args.seed
-    paths = {key: doc.pop(key) for key in _PATH_KEYS if key in doc}
+    paths = {key: check_value(key, NonEmptyStr, doc.pop(key))
+             for key in _PATH_KEYS if key in doc}
     cfg = build_config(doc)
     if "train_csv" not in paths:
         raise ConfigurationError("config key 'train_csv' is required to train")

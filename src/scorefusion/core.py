@@ -9,15 +9,19 @@ package is positional against that order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import numbers
 import os
 import uuid
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from types import UnionType
+from typing import (Annotated, Iterable, Iterator, Optional, Sequence,
+                    Union, get_args, get_origin, get_type_hints)
 
 import numpy as np
 
@@ -35,49 +39,106 @@ class TaskMode(Enum):
         return TaskMode.MULTI_LABEL if multi_label else TaskMode.MULTI_CLASS
 
 
-class DictCodec:
-    """The plain-mapping form of a settings or report dataclass (YAML,
-    run snapshots and metrics files, model files): one key per field,
-    tuples written as lists, nested dataclasses as mappings.
+# A str field that must not be empty (a model name, a column name).
+NonEmptyStr = Annotated[str, "non-empty"]
+# A class's field annotations, resolved on first use, not at import.
+_type_hints = functools.cache(get_type_hints)
 
-    from_dict is the one decoder of every such section. It rejects a
-    non-mapping and every key that is not a field, and turns a value the
-    dataclass's own __post_init__ rejects (which also turns lists back into
-    tuples) into a ConfigurationError. Each message starts with `where`,
-    the section's name."""
+
+class DictCodec:
+    """A settings or report dataclass whose fields check_value checks
+    against their annotations, and its plain-mapping form (YAML, run
+    snapshots and metrics files, model files): one key per field, tuples as
+    lists, nested dataclasses as mappings. A subclass's __post_init__ calls
+    this one first, then checks value ranges only.
+
+    from_dict is the one decoder of every such section. It rejects what
+    check_keys rejects and turns a value the dataclass rejects into a
+    ConfigurationError starting with `where`, the section's name."""
+
+    def __post_init__(self):
+        hints = _type_hints(type(self), include_extras=True)
+        for f in fields(self):
+            object.__setattr__(self, f.name, check_value(
+                f.name, hints[f.name], getattr(self, f.name)))
 
     def to_dict(self) -> dict:
-        return {key: list(value) if isinstance(value, tuple) else value
-                for key, value in asdict(self).items()}
+        return asdict(self, dict_factory=lambda items: {
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in items})
 
     @classmethod
     def from_dict(cls, doc, where: str):
-        if not isinstance(doc, dict):
-            raise ConfigurationError(
-                f"{where} must be a mapping, got {type(doc).__name__}")
-        names = {f.name for f in fields(cls)}
-        for key in doc:
-            if key not in names:
-                raise ConfigurationError(f"unknown {where} key {key!r}")
+        check_keys(doc, {f.name for f in fields(cls)}, where)
         try:
             return cls(**doc)
         except (TypeError, ValueError, ConfigurationError) as exc:
             raise ConfigurationError(f"{where}: {exc}") from None
 
 
+def check_keys(doc, allowed, where: str) -> None:
+    """A ConfigurationError naming `where` unless `doc` is a mapping whose
+    every key is in `allowed`."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(
+            f"{where} must be a mapping, got {type(doc).__name__}")
+    for key in doc:
+        if key not in allowed:
+            raise ConfigurationError(f"unknown {where} key {key!r}")
+
+
 def check_int(name: str, value) -> None:
-    """A TypeError unless `value` is an integer: bools and floats (4.0
-    included) are rejected, so a config never truncates or coerces."""
+    """A ConfigurationError unless `value` is an integer: bools and floats
+    (4.0 included) are rejected, so a config never truncates or coerces."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
 def check_number(name: str, value) -> None:
-    """A TypeError unless `value` is a finite real number: bools and
-    strings are rejected, so `temperature: true` never reaches a provider."""
+    """A ConfigurationError unless `value` is a finite real number: bools
+    and strings are rejected, so `temperature: true` reaches no provider."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not math.isfinite(value)):
-        raise TypeError(f"{name} must be a finite number, got {value!r}")
+        raise ConfigurationError(
+            f"{name} must be a finite number, got {value!r}")
+
+
+_TYPE_NAMES = {str: "a string", bool: "true or false",
+               NonEmptyStr: "a non-empty string"}
+
+
+def check_value(name: str, tp, value):
+    """The value to store for `value` under `name`, annotated `tp`, or a
+    ConfigurationError naming `name`. `int` goes through check_int, `float`
+    through check_number; `str`, `bool` and classes take their instances;
+    `Optional[T]` adds None; `tuple[T, ...]` takes a list or tuple of T and
+    stores a tuple; a union sends a list or tuple to its tuple member and
+    anything else to its first other member that takes it."""
+    if tp is int:
+        check_int(name, value)
+    elif tp is float:
+        check_number(name, value)
+    elif get_origin(tp) in (Union, UnionType):
+        args = get_args(tp)
+        if value is None and type(None) in args:
+            return value
+        is_list = isinstance(value, (list, tuple))
+        *others, last = [a for a in args if a is not type(None)
+                         and (get_origin(a) is tuple) == is_list] or args[:1]
+        for member in others:
+            with suppress(ConfigurationError):
+                return check_value(name, member, value)
+        return check_value(name, last, value)
+    elif get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigurationError(f"{name} must be a list, got {value!r}")
+        item = get_args(tp)[0]
+        return tuple(check_value(f"{name} items", item, v) for v in value)
+    elif not isinstance(value, getattr(tp, "__origin__", tp)) \
+            or (tp is NonEmptyStr and not value):
+        what = _TYPE_NAMES.get(tp) or f"an instance of {tp.__name__}"
+        raise ConfigurationError(f"{name} must be {what}, got {value!r}")
+    return value
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -290,14 +351,30 @@ def dataset_fingerprint(ds: Dataset) -> str:
         _put_str(h, name)
     _put_str(h, ds.mode.value)
     h.update(len(ds.rows).to_bytes(8, "big"))
-    for row in ds.rows:
-        _put_str(h, row.text)
-        if row.target is None:
-            h.update(_NO_TARGET)
-        else:
-            h.update(_HAS_TARGET)
-            h.update("".join(str(b) for b in row.target.bits).encode("ascii"))
+    with utf8_rows(row.text for row in ds.rows):
+        for row in ds.rows:
+            _put_str(h, row.text)
+            if row.target is None:
+                h.update(_NO_TARGET)
+            else:
+                h.update(_HAS_TARGET)
+                h.update("".join(str(b) for b in row.target.bits).encode("ascii"))
     return h.hexdigest()
+
+
+@contextmanager
+def utf8_rows(texts: Iterable[str]) -> Iterator[None]:
+    """A UnicodeEncodeError in the block as a DataError naming the first
+    row of `texts` that is not valid UTF-8 (a lone surrogate, as Python
+    decodes a bad command-line byte); rows are searched only then."""
+    try:
+        yield
+    except UnicodeEncodeError:
+        for i, text in enumerate(texts):
+            if text.encode("utf-8", "ignore").decode("utf-8") != text:
+                raise DataError(f"row {i}: text is not valid UTF-8 (it "
+                                "holds a lone surrogate)") from None
+        raise
 
 
 def text_digest(text: str) -> str:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DictCodec, check_int, check_number, read_vector_table
+from .core import DictCodec, read_vector_table
 from .errors import DataError, UnknownTextError
 
 # FNV-1a, 64-bit.
@@ -94,12 +94,7 @@ class EncoderConfig(DictCodec):
     lr_small: float = 1e-3
 
     def __post_init__(self):
-        object.__setattr__(self, "ngram_sizes", tuple(self.ngram_sizes))
-        check_int("dim", self.dim)
-        check_int("buckets", self.buckets)
-        for n in self.ngram_sizes:
-            check_int("ngram_sizes items", n)
-        check_number("lr_small", self.lr_small)
+        super().__post_init__()
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if self.buckets < self.dim:

@@ -20,14 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    DictCodec,
-    LabelVector,
-    ScoreVector,
-    TaskMode,
-    check_int,
-    check_number,
-)
+from .core import DictCodec, LabelVector, ScoreVector, TaskMode
 
 
 @dataclass(frozen=True)
@@ -43,31 +36,16 @@ class FusionConfig(DictCodec):
     threshold: float | tuple[float, ...] = 0.5
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
-        for h in self.hidden_sizes:
-            check_int("hidden_sizes items", h)
-        check_int("epochs", self.epochs)
-        check_int("train_batch_size", self.train_batch_size)
-        check_int("seed", self.seed)
-        check_number("lr_high", self.lr_high)
-        if isinstance(self.threshold, (list, tuple)):
-            for t in self.threshold:
-                check_number("threshold items", t)
-            object.__setattr__(self, "threshold",
-                               tuple(float(t) for t in self.threshold))
-            bad = any(not 0.0 < t < 1.0 for t in self.threshold)
-        else:
-            check_number("threshold", self.threshold)
-            object.__setattr__(self, "threshold", float(self.threshold))
-            bad = not 0.0 < self.threshold < 1.0
-        if bad:
+        super().__post_init__()
+        th = self.threshold
+        th = tuple(map(float, th)) if isinstance(th, tuple) else float(th)
+        object.__setattr__(self, "threshold", th)
+        if not all(0.0 < t < 1.0 for t in np.atleast_1d(th)):
             raise ValueError("thresholds must lie in (0, 1)")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.train_batch_size < 1:
-            raise ValueError("train_batch_size must be >= 1")
+        for name, least in (("seed", 0), ("epochs", 1),
+                            ("train_batch_size", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
         if not self.lr_high > 0:
             raise ValueError("lr_high must be > 0")
         if any(h < 1 for h in self.hidden_sizes):

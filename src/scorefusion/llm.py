@@ -27,9 +27,8 @@ from .cache import ScoreCache, cache_key
 from .core import (
     DictCodec,
     LabelSchema,
+    NonEmptyStr,
     TaskMode,
-    check_int,
-    check_number,
     read_vector_table,
     text_digest,
 )
@@ -80,7 +79,7 @@ class ProviderConfig(DictCodec):
     take that provider's defaults."""
 
     provider_id: str = "mock"
-    model_name: str = _UNSET
+    model_name: NonEmptyStr = _UNSET
     endpoint_url: str = _UNSET
     api_key_env: str = _UNSET
     temperature: float = 0.0
@@ -91,7 +90,8 @@ class ProviderConfig(DictCodec):
     mock_table_path: Optional[str] = None
 
     def __post_init__(self):
-        pid = _PROVIDER_ALIASES.get(self.provider_id, self.provider_id)
+        pid = _PROVIDER_ALIASES.get(self.provider_id, self.provider_id) \
+            if isinstance(self.provider_id, str) else None
         if pid not in _PROVIDER_DEFAULTS:
             raise ConfigurationError(
                 f"unknown provider_id {self.provider_id!r}; "
@@ -101,17 +101,10 @@ class ProviderConfig(DictCodec):
         for name, value in _PROVIDER_DEFAULTS[pid].items():
             if getattr(self, name) is _UNSET:
                 object.__setattr__(self, name, value)
-        if not isinstance(self.model_name, str) or not self.model_name:
-            raise ConfigurationError("model_name must be a non-empty string")
-        for name, least, check in (("max_retries", 0, check_int),
-                                   ("backoff_base_ms", 0, check_int),
-                                   ("llm_batch_size", 1, check_int),
-                                   ("timeout_ms", 1, check_int),
-                                   ("temperature", 0, check_number)):
-            try:
-                check(name, getattr(self, name))
-            except TypeError as exc:
-                raise ConfigurationError(str(exc)) from None
+        super().__post_init__()
+        for name, least in (("max_retries", 0), ("backoff_base_ms", 0),
+                            ("llm_batch_size", 1), ("timeout_ms", 1),
+                            ("temperature", 0)):
             if getattr(self, name) < least:
                 raise ConfigurationError(f"{name} must be >= {least}")
 

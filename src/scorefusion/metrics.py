@@ -37,11 +37,12 @@ class MetricsReport(DictCodec):
     micro_recall: float
     micro_f1: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "per_label", tuple(
-            m if isinstance(m, LabelMetrics)
-            else LabelMetrics.from_dict(m, "per_label")
-            for m in self.per_label))
+    @classmethod
+    def from_dict(cls, doc, where: str):
+        if isinstance(doc, dict) and isinstance(doc.get("per_label"), list):
+            doc = {**doc, "per_label": [LabelMetrics.from_dict(m, "per_label")
+                                        for m in doc["per_label"]]}
+        return super().from_dict(doc, where)
 
 
 def _safe_div(num: float, den: float) -> float:

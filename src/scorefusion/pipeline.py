@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -21,12 +21,16 @@ import numpy as np
 from .cache import _MANIFEST_NAME, ScoreCache, cache_open, cache_open_adopt
 from .core import (
     Dataset,
+    DictCodec,
     LabelSchema,
     LabelVector,
+    NonEmptyStr,
     TaskMode,
     TextExample,
-    check_number,
+    check_keys,
+    check_value,
     dataset_fingerprint,
+    utf8_rows,
     validate_dataset,
 )
 from .encoder import (
@@ -62,7 +66,7 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class AutoFusionConfig:
+class AutoFusionConfig(DictCodec):
     """Everything needed to train and apply one fusion classifier.
 
     `encoder` is either hashed-n-gram settings (trainable) or a path to a
@@ -72,13 +76,14 @@ class AutoFusionConfig:
 
     label_columns: tuple[str, ...] = ()
     multi_label: bool = False
-    llm_providers: tuple[ProviderConfig, ...] = (ProviderConfig(),)
-    encoder: Union[EncoderConfig, str] = EncoderConfig()
-    fusion: FusionConfig = FusionConfig()
+    llm_providers: tuple[ProviderConfig, ...] = field(
+        default_factory=lambda: (ProviderConfig(),))
+    encoder: Union[EncoderConfig, str] = field(default_factory=EncoderConfig)
+    fusion: FusionConfig = field(default_factory=FusionConfig)
     cache_dir: Optional[str] = None
     cache_policy: str = "strict"
     validation_fraction: float = 0.1
-    text_column: str = "text"
+    text_column: NonEmptyStr = "text"
 
     def __post_init__(self):
         if isinstance(self.label_columns, str):
@@ -86,30 +91,19 @@ class AutoFusionConfig:
                 "label_columns must be a list of column names, got the "
                 f"string {self.label_columns!r}"
             )
-        object.__setattr__(self, "label_columns", tuple(self.label_columns))
-        object.__setattr__(self, "llm_providers", tuple(self.llm_providers))
-        if not isinstance(self.multi_label, bool):
-            raise ConfigurationError(
-                f"multi_label must be true or false, got {self.multi_label!r}"
-            )
-        try:
-            LabelSchema(self.label_columns)
-        except ValueError as exc:
-            raise ConfigurationError(f"label_columns: {exc}") from None
-        try:
-            check_number("validation_fraction", self.validation_fraction)
-        except TypeError as exc:
-            raise ConfigurationError(str(exc)) from None
+        # Before the field types, so a label YAML read as a bool gets a hint.
+        if isinstance(self.label_columns, (list, tuple)):
+            try:
+                LabelSchema(self.label_columns)
+            except ValueError as exc:
+                raise ConfigurationError(f"label_columns: {exc}") from None
+        super().__post_init__()
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ConfigurationError("validation_fraction must lie in [0, 1)")
         if self.cache_policy not in ("strict", "warn"):
             raise ConfigurationError(
                 f"cache_policy must be 'strict' or 'warn', got {self.cache_policy!r}"
             )
-        if not isinstance(self.text_column, str) or not self.text_column:
-            raise ConfigurationError(
-                f"text_column must be a non-empty string, got "
-                f"{self.text_column!r}")
         if isinstance(self.encoder, EncoderConfig) \
                 and self.fusion.lr_high <= self.encoder.lr_small:
             logger.warning(
@@ -127,38 +121,23 @@ class AutoFusionConfig:
         return TaskMode.from_multi_label(self.multi_label)
 
     def to_dict(self) -> dict:
-        return {
-            "label_columns": list(self.label_columns),
-            "multi_label": self.multi_label,
-            "text_column": self.text_column,
-            "llm_providers": [p.to_dict() for p in self.llm_providers],
-            "encoder": {"precomputed_path": self.encoder}
-                       if isinstance(self.encoder, str)
-                       else self.encoder.to_dict(),
-            "fusion": self.fusion.to_dict(),
-            "cache_dir": self.cache_dir,
-            "cache_policy": self.cache_policy,
-            "validation_fraction": self.validation_fraction,
-        }
+        doc = super().to_dict()
+        if isinstance(self.encoder, str):
+            doc["encoder"] = {"precomputed_path": self.encoder}
+        return doc
 
 
-_TOP_KEYS = (
-    "label_columns", "multi_label", "text_column", "llm_provider",
-    "model_name", "mock_table", "encoder", "fusion", "seed", "cache_dir",
-    "cache_policy", "validation_fraction",
-)
+# The top-level keys that are AutoFusionConfig fields, and all of them.
+_FIELD_KEYS = ("label_columns", "multi_label", "text_column", "cache_dir",
+               "cache_policy", "validation_fraction")
+_TOP_KEYS = (*_FIELD_KEYS, "llm_provider", "model_name", "mock_table",
+             "encoder", "fusion", "seed")
 # YAML spells two ProviderConfig fields differently; the rest keep their
 # field names.
 _PROVIDER_SPELLINGS = {"provider": "provider_id", "mock_table": "mock_table_path"}
 _PROVIDER_KEYS = (*_PROVIDER_SPELLINGS,
                   *(f.name for f in fields(ProviderConfig)
                     if f.name not in _PROVIDER_SPELLINGS.values()))
-
-
-def _reject_unknown(doc: dict, allowed: Sequence[str], where: str) -> None:
-    for key in doc:
-        if key not in allowed:
-            raise ConfigurationError(f"unknown {where} key {key!r}")
 
 
 def _provider_from_value(value, model_name, mock_table) -> ProviderConfig:
@@ -170,7 +149,7 @@ def _provider_from_value(value, model_name, mock_table) -> ProviderConfig:
                  "mock_table": mock_table}
         value = {k: v for k, v in value.items() if v is not None}
     if isinstance(value, dict):
-        _reject_unknown(value, _PROVIDER_KEYS, "provider")
+        check_keys(value, _PROVIDER_KEYS, "provider")
         if "provider" not in value:
             raise ConfigurationError("provider entry needs a 'provider' name")
         return ProviderConfig.from_dict(
@@ -182,21 +161,15 @@ def _provider_from_value(value, model_name, mock_table) -> ProviderConfig:
 
 
 def _providers_from_doc(doc: dict) -> tuple[ProviderConfig, ...]:
-    raw = doc.get("llm_provider", "mock")
-    model_name = doc.get("model_name")
-    mock_table = doc.get("mock_table")
+    raw, names = doc.get("llm_provider", "mock"), doc.get("model_name")
     if not isinstance(raw, (list, tuple)):
-        return (_provider_from_value(raw, model_name, mock_table),)
-    if isinstance(model_name, (list, tuple)):
-        if len(model_name) != len(raw):
-            raise ConfigurationError(
-                f"model_name list length {len(model_name)} != "
-                f"llm_provider list length {len(raw)}"
-            )
-        names = list(model_name)
-    else:
-        names = [model_name] * len(raw)
-    return tuple(_provider_from_value(v, n, mock_table)
+        raw, names = [raw], [names]
+    elif not isinstance(names, (list, tuple)):
+        names = [names] * len(raw)
+    elif len(names) != len(raw):
+        raise ConfigurationError(f"model_name list length {len(names)} != "
+                                 f"llm_provider list length {len(raw)}")
+    return tuple(_provider_from_value(v, n, doc.get("mock_table"))
                  for v, n in zip(raw, names))
 
 
@@ -208,51 +181,30 @@ def _encoder_from_doc(value) -> Union[EncoderConfig, str]:
     if isinstance(value, dict) and "precomputed_path" in value:
         if len(value) > 1:
             raise ConfigurationError(
-                "encoder.precomputed_path excludes other encoder keys"
-            )
-        path = value["precomputed_path"]
-        if not isinstance(path, str) or not path:
-            raise ConfigurationError(
-                "encoder.precomputed_path must be a non-empty string, "
-                f"got {path!r}"
-            )
-        return path
+                "encoder.precomputed_path excludes other encoder keys")
+        return check_value("encoder.precomputed_path", NonEmptyStr,
+                           value["precomputed_path"])
     return EncoderConfig.from_dict(value, "encoder")
 
 
 def build_config(doc: dict) -> AutoFusionConfig:
-    """Build an AutoFusionConfig from a plain mapping (YAML/dict form).
-
-    Unknown keys are rejected by name at every level, and a value the
-    config types reject (out of range, or of the wrong type: multi_label
-    must be a bool, counts and sizes must be ints) fails as a
-    ConfigurationError. `seed` is shorthand for fusion.seed and
-    wins over a seed inside the fusion mapping.
-    """
-    if not isinstance(doc, dict):
-        raise ConfigurationError(
-            f"config must be a mapping, got {type(doc).__name__}"
-        )
-    _reject_unknown(doc, _TOP_KEYS, "config")
+    """Build an AutoFusionConfig from a plain mapping (YAML/dict form),
+    rejecting unknown keys by name at every level. Only the YAML spellings
+    are read here: the provider shorthand (`llm_provider`, `model_name`,
+    `mock_table`), `seed` (shorthand for fusion.seed, which it wins over)
+    and the `precomputed_path` form of `encoder`."""
+    check_keys(doc, _TOP_KEYS, "config")
     if "label_columns" not in doc:
         raise ConfigurationError("config key 'label_columns' is required")
-    fusion = FusionConfig.from_dict(doc.get("fusion", {}), "fusion")
-    try:
-        if "seed" in doc:
-            fusion = replace(fusion, seed=doc["seed"])
-        return AutoFusionConfig(
-            label_columns=doc["label_columns"],
-            multi_label=doc.get("multi_label", False),
-            llm_providers=_providers_from_doc(doc),
-            encoder=_encoder_from_doc(doc.get("encoder", {})),
-            fusion=fusion,
-            cache_dir=doc.get("cache_dir"),
-            cache_policy=doc.get("cache_policy", "strict"),
-            validation_fraction=doc.get("validation_fraction", 0.1),
-            text_column=doc.get("text_column", "text"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(str(exc)) from None
+    fusion = doc.get("fusion", {})
+    if "seed" in doc and isinstance(fusion, dict):
+        fusion = {**fusion, "seed": doc["seed"]}
+    return AutoFusionConfig(
+        **{key: doc[key] for key in _FIELD_KEYS if key in doc},
+        llm_providers=_providers_from_doc(doc),
+        encoder=_encoder_from_doc(doc.get("encoder", {})),
+        fusion=FusionConfig.from_dict(fusion, "fusion"),
+    )
 
 
 def model_config_doc(model: FusionModel) -> dict:
@@ -463,10 +415,11 @@ def predict(model: FusionModel, texts: Sequence[str],
     """Classify texts in order: LLM scores (cache-first) -> encode ->
     fuse -> decide. An empty input yields (0, K) arrays."""
     texts = list(texts)
-    scores = score_providers(texts, model.schema, model.mode,
-                             model.providers, cache, providers)
-    return _decide_inputs(model.encoder.encode_batch(texts), scores,
-                          model.fusion_params, model.mode,
+    with utf8_rows(texts):
+        scores = score_providers(texts, model.schema, model.mode,
+                                 model.providers, cache, providers)
+        embs = model.encoder.encode_batch(texts)
+    return _decide_inputs(embs, scores, model.fusion_params, model.mode,
                           model.fusion_cfg.threshold)
 
 

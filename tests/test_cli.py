@@ -178,6 +178,43 @@ class TestTrain:
         assert (workdir / "model.json").read_bytes() != first
 
 
+class TestConfigTypes:
+    """Every key the CLI or the library reads has its type checked up
+    front: a wrong one is one typed line naming the key, never a traceback
+    and never a silent default."""
+
+    @pytest.mark.parametrize("override, named", [
+        ("cache_dir=5", "cache_dir"),
+        ("llm_provider={provider: openai, api_key_env: 5}", "api_key_env"),
+        ("llm_provider={provider: mock, endpoint_url: 5}", "endpoint_url"),
+        ('label_columns={"yes": 1, "no": 2}', "label_columns"),
+        ("train_csv=0", "train_csv"),
+        ("train_csv=", "train_csv"),
+        ("model_out=5", "model_out"),
+        ("runs_dir=5", "runs_dir"),
+    ])
+    def test_wrong_type_exit_1_naming_key(self, workdir, capsys, override,
+                                          named):
+        code, _, err = _train(workdir, capsys, "--set", override)
+        assert code == 1
+        assert err.startswith("error[config]:") and err.count("\n") == 1
+        assert named in err
+
+    def test_set_below_a_non_mapping_exit_1(self, workdir, capsys):
+        """--set A.B=V fills in a missing or null A but does not replace
+        a value that is not a mapping."""
+        _set_config(workdir, encoder="emb.tsv")
+        code, _, err = _train(workdir, capsys, "--set", "encoder.dim=8")
+        assert code == 1
+        assert err.startswith("error[config]:")
+        assert "encoder.dim: encoder is 'emb.tsv', not a mapping" in err
+        _set_config(workdir, encoder={"dim": 16})
+        code, run_id, _ = _train(workdir, capsys, "--set", "fusion=null",
+                                 "--set", "fusion.epochs=3")
+        assert code == 0
+        assert len(load_run(workdir / "runs", run_id).epoch_logs) == 3
+
+
 class TestPredict:
     @pytest.fixture
     def trained(self, workdir, capsys):
@@ -238,6 +275,15 @@ class TestPredict:
         err = capsys.readouterr().err
         assert code == 1
         assert "--output" in err
+
+    def test_text_not_utf8_exit_2_naming_row(self, trained, capsys):
+        """Python decodes an undecodable argv byte to a lone surrogate."""
+        code = main(["predict", "--model", str(trained),
+                     "--text", TOY_TEXTS[0], "--text", "bad \udcff text"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error[data]: row 1: text is not valid UTF-8")
+        assert err.count("\n") == 1
 
     def test_corrupted_model_exit_1(self, workdir, capsys):
         bad = workdir / "bad.json"

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import re
+from dataclasses import fields
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import json
 
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 
 import scorefusion as sf
 from scorefusion.core import (
+    DictCodec,
     ScoreVector,
     TextExample,
     dataset_fingerprint,
@@ -64,6 +69,49 @@ class TestDictCodec:
     def test_rejected_value_names_the_section(self, cls, doc, match):
         with pytest.raises(sf.ConfigurationError, match=match):
             cls.from_dict(doc, "section")
+
+
+# One valid instance of every DictCodec; the walk below checks each field.
+_WALKED = [*_CODEC_VALUES, sf.AutoFusionConfig(label_columns=("a", "b"))]
+_SAMPLES = (True, "1", 1.5, None, [], {})
+
+
+def _admits(annotation, value) -> bool:
+    """Whether a field annotated `annotation` takes `value`, one of
+    _SAMPLES, by its type alone (a list stands for a tuple)."""
+    if get_origin(annotation) in (Union, UnionType):
+        return any(_admits(a, value) for a in get_args(annotation))
+    if get_origin(annotation) is tuple:
+        return isinstance(value, list)
+    return type(value) is annotation
+
+
+def _wrong_type_cases():
+    for base in _WALKED:
+        hints = get_type_hints(type(base))
+        for f in fields(base):
+            for value in _SAMPLES:
+                if not _admits(hints[f.name], value):
+                    yield pytest.param(
+                        base, f.name, value,
+                        id=f"{type(base).__name__}.{f.name}={value!r}")
+
+
+def test_every_codec_is_walked():
+    assert {type(v) for v in _WALKED} == set(DictCodec.__subclasses__())
+
+
+@pytest.mark.parametrize("base, name, value", _wrong_type_cases())
+def test_wrong_type_is_a_config_error_naming_the_field(base, name, value):
+    """Every field of every codec rejects a value of the wrong type, built
+    in Python or decoded, without a type check written for that field."""
+    doc = {f.name: getattr(base, f.name) for f in fields(base)}
+    doc[name] = value
+    named = rf"(^|\W){re.escape(name)}\W"
+    with pytest.raises(sf.ConfigurationError, match=named):
+        type(base)(**doc)
+    with pytest.raises(sf.ConfigurationError, match=rf"^section:.*{named}"):
+        type(base).from_dict(doc, "section")
 
 
 class TestLabelSchema:

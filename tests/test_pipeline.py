@@ -532,6 +532,34 @@ class TestEvaluate:
         assert len(loaded.predictions) == len(toy_dataset)
 
 
+class TestTextNotUtf8:
+    """A text holding a lone surrogate, as Python decodes an undecodable
+    command-line byte, is a DataError naming its row, and no run is left
+    behind."""
+
+    @pytest.mark.parametrize("op", ["fit", "predict", "evaluate",
+                                    "evaluate_as_run"])
+    def test_named_by_row(self, op, toy_dataset, toy_table, tmp_path):
+        model, _, _ = _fit_toy(toy_dataset, toy_table)
+        texts = list(TOY_TEXTS)
+        texts[2] = "bad \udcff text"
+        ds = sf.make_dataset(toy_dataset.schema, MC, texts,
+                             [row.target for row in toy_dataset.rows])
+        providers = [sf.MockProvider(toy_table, model.schema)]
+        calls = {
+            "fit": lambda: sf.fit(ds, small_fusion_config(), tmp_path,
+                                  providers=providers),
+            "predict": lambda: sf.predict(model, texts, providers=providers),
+            "evaluate": lambda: sf.evaluate(model, ds, providers=providers),
+            "evaluate_as_run": lambda: sf.evaluate_as_run(
+                model, ds, tmp_path, {}, providers=providers),
+        }
+        with pytest.raises(sf.DataError, match="row 2: text is not valid "
+                                               "UTF-8"):
+            calls[op]()
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSaveLoad:
     def test_round_trip_predictions_identical(self, toy_dataset, toy_table,
                                               tmp_path):
