@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 from .cache import cache_open_adopt
-from .core import Dataset, LabelSchema, NonEmptyStr, TaskMode, check_value
+from .core import Dataset, LabelSchema, NonEmptyPath, TaskMode, check_value
 from .errors import (
     ConfigurationError,
     DataError,
@@ -39,7 +39,7 @@ from .results import prediction_rows, run_compare, write_predictions_csv
 
 # YAML keys consumed by the CLI itself; everything else is handed to
 # build_config, which rejects unknown keys by name.
-_PATH_KEYS = ("train_csv", "eval_csv", "runs_dir", "model_out")
+_PATH_KEYS = ("train_csv", "runs_dir", "model_out")
 
 
 def _eprint_error(kind: str, message: str) -> None:
@@ -147,7 +147,7 @@ def _cmd_train(args) -> int:
         _apply_override(doc, spec)
     if args.seed is not None:
         doc["seed"] = args.seed
-    paths = {key: check_value(key, NonEmptyStr, doc.pop(key))
+    paths = {key: check_value(key, NonEmptyPath, doc.pop(key))
              for key in _PATH_KEYS if key in doc}
     cfg = build_config(doc)
     if "train_csv" not in paths:

@@ -39,8 +39,10 @@ class TaskMode(Enum):
         return TaskMode.MULTI_LABEL if multi_label else TaskMode.MULTI_CLASS
 
 
-# A str field that must not be empty (a model name, a column name).
+# A non-empty, valid UTF-8 str field (a model name, a column name).
 NonEmptyStr = Annotated[str, "non-empty"]
+# A non-empty path; it may hold bytes POSIX allows but UTF-8 does not.
+NonEmptyPath = Annotated[str, "non-empty path"]
 # A class's field annotations, resolved on first use, not at import.
 _type_hints = functools.cache(get_type_hints)
 
@@ -52,9 +54,9 @@ class DictCodec:
     lists, nested dataclasses as mappings. A subclass's __post_init__ calls
     this one first, then checks value ranges only.
 
-    from_dict is the one decoder of every such section. It rejects what
-    check_keys rejects and turns a value the dataclass rejects into a
-    ConfigurationError starting with `where`, the section's name."""
+    from_dict decodes every such section, nested ones included, from its
+    mapping form. It rejects what check_keys rejects and turns a value the
+    dataclass rejects into a ConfigurationError starting with `where`."""
 
     def __post_init__(self):
         hints = _type_hints(type(self), include_extras=True)
@@ -70,10 +72,37 @@ class DictCodec:
     @classmethod
     def from_dict(cls, doc, where: str):
         check_keys(doc, {f.name for f in fields(cls)}, where)
+        hints = _type_hints(cls, include_extras=True)
         try:
-            return cls(**doc)
+            return cls(**{k: _decode(k, hints[k], v) for k, v in doc.items()})
         except (TypeError, ValueError, ConfigurationError) as exc:
             raise ConfigurationError(f"{where}: {exc}") from None
+
+
+def _is_codec(tp) -> bool:
+    return type(tp) is type and issubclass(tp, DictCodec)
+
+
+def _decode(name: str, tp, value, index=None):
+    """`value` for the field `name` annotated `tp`, its sections decoded
+    by from_dict: a mapping for a codec or a union's codec member, any
+    other non-instance for a codec, and each mapping in a list, whose
+    errors start `name[index]: ` (an unknown key is still a `name` key)."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is tuple and isinstance(value, (list, tuple)):
+        return [_decode(name, args[0], v, i) if isinstance(v, dict) else v
+                for i, v in enumerate(value)]
+    if origin in (Union, UnionType) and isinstance(value, dict):
+        tp = next(filter(_is_codec, args), tp)
+    if not _is_codec(tp) or isinstance(value, tp):
+        return value
+    try:
+        return tp.from_dict(value, name)
+    except ConfigurationError as exc:
+        if index is None:
+            raise
+        raise ConfigurationError(f"{name}[{index}]: "
+                                 + str(exc).removeprefix(f"{name}: ")) from None
 
 
 def check_keys(doc, allowed, where: str) -> None:
@@ -87,37 +116,26 @@ def check_keys(doc, allowed, where: str) -> None:
             raise ConfigurationError(f"unknown {where} key {key!r}")
 
 
-def check_int(name: str, value) -> None:
-    """A ConfigurationError unless `value` is an integer: bools and floats
-    (4.0 included) are rejected, so a config never truncates or coerces."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-
-
-def check_number(name: str, value) -> None:
-    """A ConfigurationError unless `value` is a finite real number: bools
-    and strings are rejected, so `temperature: true` reaches no provider."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
-        raise ConfigurationError(
-            f"{name} must be a finite number, got {value!r}")
-
-
-_TYPE_NAMES = {str: "a string", bool: "true or false",
-               NonEmptyStr: "a non-empty string"}
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+               bool: "true or false", NonEmptyStr: "a non-empty string",
+               NonEmptyPath: "a non-empty string"}
 
 
 def check_value(name: str, tp, value):
     """The value to store for `value` under `name`, annotated `tp`, or a
-    ConfigurationError naming `name`. `int` goes through check_int, `float`
-    through check_number; `str`, `bool` and classes take their instances;
+    ConfigurationError naming `name`. `int` takes integers and `float`
+    finite real numbers, never bools (nor 4.0 for `int`), so a config never
+    truncates or coerces; `str`, `bool` and classes take their instances;
     `Optional[T]` adds None; `tuple[T, ...]` takes a list or tuple of T and
     stores a tuple; a union sends a list or tuple to its tuple member and
-    anything else to its first other member that takes it."""
-    if tp is int:
-        check_int(name, value)
-    elif tp is float:
-        check_number(name, value)
+    anything else to its first other member that takes it. A NonEmptyStr
+    must also be valid UTF-8."""
+    if tp in (int, float):
+        if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral if tp is int else numbers.Real) \
+                or tp is float and not math.isfinite(value):
+            raise ConfigurationError(
+                f"{name} must be {_TYPE_NAMES[tp]}, got {value!r}")
     elif get_origin(tp) in (Union, UnionType):
         args = get_args(tp)
         if value is None and type(None) in args:
@@ -135,9 +153,12 @@ def check_value(name: str, tp, value):
         item = get_args(tp)[0]
         return tuple(check_value(f"{name} items", item, v) for v in value)
     elif not isinstance(value, getattr(tp, "__origin__", tp)) \
-            or (tp is NonEmptyStr and not value):
+            or (tp in (NonEmptyStr, NonEmptyPath) and not value):
         what = _TYPE_NAMES.get(tp) or f"an instance of {tp.__name__}"
         raise ConfigurationError(f"{name} must be {what}, got {value!r}")
+    elif tp is NonEmptyStr \
+            and value.encode("utf-8", "ignore").decode("utf-8") != value:
+        raise ConfigurationError(f"{name} must be valid UTF-8, got {value!r}")
     return value
 
 

@@ -37,13 +37,6 @@ class MetricsReport(DictCodec):
     micro_recall: float
     micro_f1: float
 
-    @classmethod
-    def from_dict(cls, doc, where: str):
-        if isinstance(doc, dict) and isinstance(doc.get("per_label"), list):
-            doc = {**doc, "per_label": [LabelMetrics.from_dict(m, "per_label")
-                                        for m in doc["per_label"]]}
-        return super().from_dict(doc, where)
-
 
 def _safe_div(num: float, den: float) -> float:
     return num / den if den else 0.0

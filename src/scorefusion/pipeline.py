@@ -14,7 +14,7 @@ import logging
 import numbers
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .core import (
     DictCodec,
     LabelSchema,
     LabelVector,
+    NonEmptyPath,
     NonEmptyStr,
     TaskMode,
     TextExample,
@@ -126,12 +127,24 @@ class AutoFusionConfig(DictCodec):
             doc["encoder"] = {"precomputed_path": self.encoder}
         return doc
 
+    @classmethod
+    def from_dict(cls, doc, where: str):
+        """Also reads the `{precomputed_path: P}` encoder to_dict writes."""
+        enc = doc.get("encoder") if isinstance(doc, dict) else None
+        if isinstance(enc, dict) and "precomputed_path" in enc:
+            if len(enc) > 1:
+                raise ConfigurationError(
+                    "encoder.precomputed_path excludes other encoder keys")
+            doc = {**doc, "encoder": check_value(
+                "encoder.precomputed_path", NonEmptyPath,
+                enc["precomputed_path"])}
+        return super().from_dict(doc, where)
 
-# The top-level keys that are AutoFusionConfig fields, and all of them.
-_FIELD_KEYS = ("label_columns", "multi_label", "text_column", "cache_dir",
-               "cache_policy", "validation_fraction")
-_TOP_KEYS = (*_FIELD_KEYS, "llm_provider", "model_name", "mock_table",
-             "encoder", "fusion", "seed")
+
+# The YAML shorthand build_config rewrites, and every top-level YAML key.
+_SHORTHAND_KEYS = ("llm_provider", "model_name", "mock_table", "seed")
+_TOP_KEYS = (*_SHORTHAND_KEYS, *(f.name for f in fields(AutoFusionConfig)
+                                 if f.name != "llm_providers"))
 # YAML spells two ProviderConfig fields differently; the rest keep their
 # field names.
 _PROVIDER_SPELLINGS = {"provider": "provider_id", "mock_table": "mock_table_path"}
@@ -140,10 +153,8 @@ _PROVIDER_KEYS = (*_PROVIDER_SPELLINGS,
                     if f.name not in _PROVIDER_SPELLINGS.values()))
 
 
-def _provider_from_value(value, model_name, mock_table) -> ProviderConfig:
-    """One provider spec: a name string, a mapping, or a ready config."""
-    if isinstance(value, ProviderConfig):
-        return value
+def _provider_from_value(value, model_name, mock_table) -> dict:
+    """One provider spec, a name or a mapping, as a ProviderConfig mapping."""
     if isinstance(value, str):
         value = {"provider": value, "model_name": model_name,
                  "mock_table": mock_table}
@@ -152,15 +163,12 @@ def _provider_from_value(value, model_name, mock_table) -> ProviderConfig:
         check_keys(value, _PROVIDER_KEYS, "provider")
         if "provider" not in value:
             raise ConfigurationError("provider entry needs a 'provider' name")
-        return ProviderConfig.from_dict(
-            {_PROVIDER_SPELLINGS.get(k, k): v for k, v in value.items()},
-            "provider")
-    raise ConfigurationError(
-        f"provider entries must be names or mappings, got {type(value).__name__}"
-    )
+        return {_PROVIDER_SPELLINGS.get(k, k): v for k, v in value.items()}
+    raise ConfigurationError("provider entries must be names or mappings, "
+                             f"got {type(value).__name__}")
 
 
-def _providers_from_doc(doc: dict) -> tuple[ProviderConfig, ...]:
+def _providers_from_doc(doc: dict) -> list:
     raw, names = doc.get("llm_provider", "mock"), doc.get("model_name")
     if not isinstance(raw, (list, tuple)):
         raw, names = [raw], [names]
@@ -169,42 +177,24 @@ def _providers_from_doc(doc: dict) -> tuple[ProviderConfig, ...]:
     elif len(names) != len(raw):
         raise ConfigurationError(f"model_name list length {len(names)} != "
                                  f"llm_provider list length {len(raw)}")
-    return tuple(_provider_from_value(v, n, doc.get("mock_table"))
-                 for v, n in zip(raw, names))
-
-
-def _encoder_from_doc(value) -> Union[EncoderConfig, str]:
-    """Hashed-n-gram settings, or the path of a precomputed-embedding TSV
-    given as a bare string or as the mapping's only key."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, dict) and "precomputed_path" in value:
-        if len(value) > 1:
-            raise ConfigurationError(
-                "encoder.precomputed_path excludes other encoder keys")
-        return check_value("encoder.precomputed_path", NonEmptyStr,
-                           value["precomputed_path"])
-    return EncoderConfig.from_dict(value, "encoder")
+    return [_provider_from_value(v, n, doc.get("mock_table"))
+            for v, n in zip(raw, names)]
 
 
 def build_config(doc: dict) -> AutoFusionConfig:
     """Build an AutoFusionConfig from a plain mapping (YAML/dict form),
-    rejecting unknown keys by name at every level. Only the YAML spellings
-    are read here: the provider shorthand (`llm_provider`, `model_name`,
-    `mock_table`), `seed` (shorthand for fusion.seed, which it wins over)
-    and the `precomputed_path` form of `encoder`."""
+    rejecting unknown keys by name at every level. It rewrites only the
+    YAML shorthand, `llm_provider`, `model_name`, `mock_table` and `seed`
+    (fusion.seed, which it wins over), for AutoFusionConfig.from_dict."""
     check_keys(doc, _TOP_KEYS, "config")
     if "label_columns" not in doc:
         raise ConfigurationError("config key 'label_columns' is required")
+    fields_doc = {k: v for k, v in doc.items() if k not in _SHORTHAND_KEYS}
+    fields_doc["llm_providers"] = _providers_from_doc(doc)
     fusion = doc.get("fusion", {})
     if "seed" in doc and isinstance(fusion, dict):
-        fusion = {**fusion, "seed": doc["seed"]}
-    return AutoFusionConfig(
-        **{key: doc[key] for key in _FIELD_KEYS if key in doc},
-        llm_providers=_providers_from_doc(doc),
-        encoder=_encoder_from_doc(doc.get("encoder", {})),
-        fusion=FusionConfig.from_dict(fusion, "fusion"),
-    )
+        fields_doc["fusion"] = {**fusion, "seed": doc["seed"]}
+    return AutoFusionConfig.from_dict(fields_doc, "config")
 
 
 def model_config_doc(model: FusionModel) -> dict:
@@ -493,11 +483,11 @@ class AutoFusionClassifier:
     pandas' to_dict("records").
     """
 
-    def __init__(self, config: Union[dict, AutoFusionConfig]):
-        if isinstance(config, AutoFusionConfig):
-            self.config = config
-        else:
-            self.config = build_config(dict(config))
+    def __init__(self, config: Union[Mapping, AutoFusionConfig]):
+        if not isinstance(config, AutoFusionConfig):
+            config = build_config(
+                dict(config) if isinstance(config, Mapping) else config)
+        self.config = config
         self.model: Optional[FusionModel] = None
         self.last_run: Optional[RunRecord] = None
         self._cache: Optional[ScoreCache] = None
@@ -554,17 +544,12 @@ class AutoFusionClassifier:
             clf = cls(config)
         else:
             # A frozen model's table path is not in the model file; the
-            # EncoderConfig put in its place is a placeholder fit refuses.
-            clf = cls(AutoFusionConfig(
-                label_columns=model.schema.labels,
-                multi_label=model.mode is TaskMode.MULTI_LABEL,
-                llm_providers=model.providers,
-                encoder=model.encoder.cfg
-                if isinstance(model.encoder, HashedNgramEncoder)
-                else EncoderConfig(),
-                fusion=model.fusion_cfg,
-            ))
-            clf._loaded_config_doc = model_config_doc(model)
+            # default encoder put in its place is a placeholder fit refuses.
+            doc = model_config_doc(model)
+            frozen = isinstance(model.encoder, FrozenLookupEncoder)
+            clf = cls(AutoFusionConfig.from_dict(
+                {**doc, "encoder": {}} if frozen else doc, "config"))
+            clf._loaded_config_doc = doc
         clf.model = model
         return clf
 

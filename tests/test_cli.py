@@ -200,6 +200,28 @@ class TestConfigTypes:
         assert err.startswith("error[config]:") and err.count("\n") == 1
         assert named in err
 
+    @pytest.mark.parametrize("override, named", [
+        ("model_name=m\udcff", "model_name"),
+        ("text_column=t\udcff", "text_column"),
+    ])
+    def test_name_not_utf8_exit_1_naming_key(self, workdir, capsys,
+                                             override, named):
+        """A command-line byte that is not UTF-8 reaches a name field as a
+        lone surrogate; it is a config error, not a traceback."""
+        code, _, err = _train(workdir, capsys, "--set", override, "--set",
+                              f"cache_dir={workdir / 'cache'}")
+        assert code == 1
+        assert err.startswith("error[config]:") and err.count("\n") == 1
+        assert f"{named} must be valid UTF-8" in err
+
+    def test_eval_csv_in_train_config_exit_1(self, workdir, capsys):
+        """train reads no evaluation CSV, so the key is unknown."""
+        _set_config(workdir, eval_csv="nothing-here.csv")
+        code, _, err = _train(workdir, capsys)
+        assert code == 1
+        assert err.startswith("error[config]:")
+        assert "unknown config key 'eval_csv'" in err
+
     def test_set_below_a_non_mapping_exit_1(self, workdir, capsys):
         """--set A.B=V fills in a missing or null A but does not replace
         a value that is not a mapping."""

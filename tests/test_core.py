@@ -101,17 +101,143 @@ def test_every_codec_is_walked():
     assert {type(v) for v in _WALKED} == set(DictCodec.__subclasses__())
 
 
+def _section_class(annotation):
+    """The DictCodec class a field annotated `annotation` decodes a
+    mapping into, or None."""
+    members = get_args(annotation) \
+        if get_origin(annotation) in (Union, UnionType) else (annotation,)
+    return next((m for m in members
+                 if type(m) is type and issubclass(m, DictCodec)), None)
+
+
 @pytest.mark.parametrize("base, name, value", _wrong_type_cases())
 def test_wrong_type_is_a_config_error_naming_the_field(base, name, value):
     """Every field of every codec rejects a value of the wrong type, built
-    in Python or decoded, without a type check written for that field."""
+    in Python or decoded, without a type check written for that field.
+    Decoded, a mapping for a section field is that section's mapping form,
+    so `{}` is the default section."""
     doc = {f.name: getattr(base, f.name) for f in fields(base)}
     doc[name] = value
     named = rf"(^|\W){re.escape(name)}\W"
     with pytest.raises(sf.ConfigurationError, match=named):
         type(base)(**doc)
+    section = _section_class(get_type_hints(type(base))[name])
+    if value == {} and section is not None:
+        decoded = type(base).from_dict(doc, "section")
+        assert getattr(decoded, name) == section()
+        return
     with pytest.raises(sf.ConfigurationError, match=rf"^section:.*{named}"):
         type(base).from_dict(doc, "section")
+
+
+@pytest.mark.parametrize("cls, doc, match", [
+    (sf.AutoFusionConfig, {"label_columns": ["a", "b"],
+                           "fusion": {"epochs": "3"}},
+     "^section: fusion: epochs must be an integer, got '3'$"),
+    (sf.AutoFusionConfig, {"label_columns": ["a", "b"],
+                           "encoder": {"dim": True}},
+     "^section: encoder: dim must be an integer, got True$"),
+    (sf.AutoFusionConfig, {"label_columns": ["a", "b"],
+                           "llm_providers": [{}, {"max_retries": 1.5}]},
+     r"^section: llm_providers\[1\]: max_retries must be an integer, "
+     "got 1.5$"),
+    (sf.AutoFusionConfig, {"label_columns": ["a", "b"],
+                           "llm_providers": [{"stray": 1}]},
+     r"^section: llm_providers\[0\]: unknown llm_providers key 'stray'$"),
+    (MetricsReport, {**_CODEC_VALUES[-1].to_dict(),
+                     "per_label": [_LABEL.to_dict(),
+                                   {**_LABEL.to_dict(), "support": "3"}]},
+     r"^section: per_label\[1\]: support must be an integer, got '3'$"),
+])
+def test_nested_wrong_type_names_both_sections(cls, doc, match):
+    with pytest.raises(sf.ConfigurationError, match=match):
+        cls.from_dict(doc, "section")
+
+
+# Generated valid instances of every DictCodec.
+_name = st.text(min_size=1, max_size=8)
+_rate = st.floats(1e-9, 10.0)
+_unit = st.floats(0.0, 1.0)
+_prob = st.floats(0.01, 0.99)
+_encoders = st.integers(1, 64).flatmap(lambda dim: st.builds(
+    sf.EncoderConfig, dim=st.just(dim), buckets=st.integers(dim, 2 ** 16),
+    ngram_sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4)
+    .map(tuple), lr_small=_rate))
+_fusions = st.builds(
+    sf.FusionConfig,
+    hidden_sizes=st.lists(st.integers(1, 256), max_size=3).map(tuple),
+    lr_high=_rate, epochs=st.integers(1, 500),
+    train_batch_size=st.integers(1, 512), seed=st.integers(0, 2 ** 32),
+    threshold=_prob | st.lists(_prob, min_size=1, max_size=5).map(tuple))
+_providers = st.fixed_dictionaries(
+    {"provider_id": st.sampled_from(["mock", "openai", "gemini-compatible",
+                                     "deepseek"])},
+    optional={"model_name": _name, "endpoint_url": st.text(max_size=8),
+              "api_key_env": st.text(max_size=8),
+              "temperature": st.floats(0.0, 2.0),
+              "max_retries": st.integers(0, 9),
+              "backoff_base_ms": st.integers(0, 10 ** 4),
+              "llm_batch_size": st.integers(1, 64),
+              "timeout_ms": st.integers(1, 10 ** 5),
+              "mock_table_path": st.none() | _name},
+).map(lambda kw: sf.ProviderConfig(**kw))
+_configs = st.builds(
+    sf.AutoFusionConfig,
+    label_columns=st.lists(_name, min_size=2, max_size=4, unique=True)
+    .map(tuple),
+    multi_label=st.booleans(),
+    llm_providers=st.lists(_providers, max_size=3).map(tuple),
+    encoder=_encoders | _name, fusion=_fusions,
+    cache_dir=st.none() | _name,
+    cache_policy=st.sampled_from(["strict", "warn"]),
+    validation_fraction=st.floats(0.0, 0.99), text_column=_name)
+_label_metrics = st.builds(LabelMetrics, label=st.text(max_size=8),
+                           precision=_unit, recall=_unit, f1=_unit,
+                           support=st.integers(0, 10 ** 6))
+_reports = st.builds(
+    MetricsReport, accuracy=_unit, precision=_unit, recall=_unit, f1=_unit,
+    per_label=st.lists(_label_metrics, max_size=3).map(tuple),
+    micro_precision=_unit, micro_recall=_unit, micro_f1=_unit)
+_GENERATED = {sf.EncoderConfig: _encoders, sf.FusionConfig: _fusions,
+              sf.ProviderConfig: _providers, sf.AutoFusionConfig: _configs,
+              LabelMetrics: _label_metrics, MetricsReport: _reports}
+
+
+def test_every_codec_is_generated():
+    assert set(_GENERATED) == set(DictCodec.__subclasses__())
+
+
+@pytest.mark.parametrize("strategy", _GENERATED.values(),
+                         ids=[cls.__name__ for cls in _GENERATED])
+@given(data=st.data())
+def test_generated_values_round_trip_through_json(strategy, data):
+    """from_dict reads back what to_dict writes, nested sections included."""
+    value = data.draw(strategy)
+    doc = json.loads(json.dumps(value.to_dict()))
+    assert type(value).from_dict(doc, "s") == value
+
+
+class TestUtf8Strings:
+    """A name or column string must encode as UTF-8; a path need not, as
+    POSIX opens a surrogate-escaped file name."""
+
+    @pytest.mark.parametrize("build, named", [
+        (lambda v: sf.ProviderConfig(model_name=v), "model_name"),
+        (lambda v: sf.AutoFusionConfig(label_columns=("a", "b"),
+                                       text_column=v), "text_column"),
+    ])
+    def test_name_fields_reject_lone_surrogates(self, build, named):
+        assert build("caf\u00e9")
+        with pytest.raises(sf.ConfigurationError,
+                           match=rf"^{named} must be valid UTF-8, got 'm\\udcff'$"):
+            build("m\udcff")
+
+    def test_path_fields_keep_surrogate_escaped_bytes(self):
+        path = "emb-\udcff.tsv"
+        cfg = sf.AutoFusionConfig(label_columns=("a", "b"), cache_dir=path,
+                                  encoder=path)
+        assert sf.AutoFusionConfig.from_dict(cfg.to_dict(), "c") == cfg
+        assert sf.ProviderConfig(mock_table_path=path).mock_table_path == path
 
 
 class TestLabelSchema:

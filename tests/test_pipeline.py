@@ -6,6 +6,7 @@ from __future__ import annotations
 import errno
 import json
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -373,6 +374,38 @@ class TestFit:
             == cfg.encoder
         assert sf.FusionConfig.from_dict(doc["fusion"], "fusion") \
             == cfg.fusion
+
+    @pytest.mark.parametrize("variant", ["hashed", "frozen", "multi_label",
+                                         "no_providers"])
+    def test_config_snapshot_decodes_to_the_fitted_config(
+            self, variant, toy_dataset, toy_table, tmp_path):
+        """A run's own config.json reads back as the config that trained
+        it, with one AutoFusionConfig.from_dict call."""
+        ds, fusion = toy_dataset, dict(hidden_sizes=(4,), epochs=2)
+        overrides = {"cache_dir": str(tmp_path / "cache"),
+                     "text_column": "body"}
+        if variant == "frozen":
+            path = tmp_path / "emb.tsv"
+            sf.write_mock_table({t: (i / 8, 1 - i / 8)
+                                 for i, t in enumerate(TOY_TEXTS)}, str(path))
+            overrides["encoder"] = str(path)
+        elif variant == "multi_label":
+            ds = sf.make_dataset(ds.schema, sf.TaskMode.MULTI_LABEL,
+                                 list(TOY_TEXTS),
+                                 [sf.LabelVector((i % 2, int(i % 3 == 0)))
+                                  for i in range(len(TOY_TEXTS))])
+            overrides["multi_label"] = True
+            fusion["threshold"] = (0.25, 0.75)
+        elif variant == "no_providers":
+            overrides["llm_providers"] = ()
+        cfg = small_fusion_config(fusion=sf.FusionConfig(**fusion),
+                                  **overrides)
+        providers = [sf.MockProvider(toy_table, ds.schema)] \
+            if cfg.llm_providers else None
+        _, record = sf.fit(ds, cfg, runs_root=tmp_path / "runs",
+                           providers=providers)
+        config = load_run(tmp_path / "runs", record.run_id).config
+        assert sf.AutoFusionConfig.from_dict(config, "config") == cfg
 
 
 class TestFitCaching:
@@ -1237,6 +1270,17 @@ class TestAutoFusionClassifier:
         preds = clf.predict(list(TOY_TEXTS), providers=[empty])
         assert empty.calls == 0  # cache answered everything
         assert len(preds) == 8
+
+    @pytest.mark.parametrize("config, kind", [(5, "int"), ("abc", "str"),
+                                              (["label_columns"], "list")])
+    def test_non_mapping_config_is_a_config_error(self, config, kind):
+        with pytest.raises(sf.ConfigurationError,
+                           match=f"^config must be a mapping, got {kind}$"):
+            sf.AutoFusionClassifier(config)
+
+    def test_any_mapping_config_accepted(self):
+        clf = sf.AutoFusionClassifier(MappingProxyType(self._config_doc()))
+        assert clf.config == build_config(self._config_doc())
 
     def test_dataset_passthrough(self, toy_dataset, toy_table):
         clf = sf.AutoFusionClassifier(self._config_doc())

@@ -67,6 +67,21 @@ def test_run_complementarity_script_smoke():
         assert f"{name} accuracy:" in result.stdout
 
 
+def test_demo_cli_script_smoke():
+    """The demo drives train, predict, evaluate and compare through
+    `python -m scorefusion.cli` with the README's config spellings."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "demo_cli.py")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    for command in ("train", "predict", "evaluate", "compare"):
+        assert f"-m scorefusion.cli {command} " in result.stdout
+    assert result.stdout.endswith("demo finished cleanly\n")
+
+
 def test_cli_import_does_not_load_requests():
     """requests is imported only when an HTTP provider sends a request."""
     env = dict(os.environ)
