@@ -1,10 +1,9 @@
 """Command-line front end: YAML-configured train / predict / evaluate /
 compare over CSV data.
 
-Exit codes: 0 success, 1 configuration or model-format problem, 2 data
-problem, 3 provider unavailable, 4 stale cache. Every failure prints one
-line to stderr starting with error[config] / error[data] / error[provider]
-/ error[stale-cache].
+Exit code 0 is success. Every failure prints one line to stderr,
+`error[<kind>]: <prefix><message>`, and exits with the code its error class
+declares (see errors.py).
 """
 
 from __future__ import annotations
@@ -18,14 +17,7 @@ from typing import Iterator, Optional, Sequence
 
 from .cache import cache_open_adopt
 from .core import Dataset, LabelSchema, NonEmptyPath, TaskMode, check_value
-from .errors import (
-    ConfigurationError,
-    DataError,
-    ModelFormatError,
-    ProviderUnavailableError,
-    ScoreFusionError,
-    StaleCacheError,
-)
+from .errors import ConfigurationError, DataError, ScoreFusionError
 from .model import load_model, save_model
 from .pipeline import (
     build_config,
@@ -57,9 +49,10 @@ def _load_yaml_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") \
             from None
+    # ValueError: an integer past Python's int-to-string digit limit.
     try:
         doc = yaml.safe_load(raw)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
         raise ConfigurationError(
             f"config file {path} is not valid YAML: {exc}"
         ) from None
@@ -84,7 +77,7 @@ def _apply_override(doc: dict, spec: str) -> None:
         raise ConfigurationError(f"--set key {key!r} has an empty segment")
     try:
         value = yaml.safe_load(raw)
-    except yaml.YAMLError:
+    except (yaml.YAMLError, ValueError):
         value = raw
     node = doc
     for part in parts[:-1]:
@@ -255,21 +248,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except StaleCacheError as exc:
-        _eprint_error("stale-cache", str(exc))
-        return 4
-    except ProviderUnavailableError as exc:
-        _eprint_error("provider", str(exc))
-        return 3
-    except DataError as exc:
-        _eprint_error("data", str(exc))
-        return 2
-    except ModelFormatError as exc:
-        _eprint_error("config", f"model format error: {exc}")
-        return 1
     except ScoreFusionError as exc:
-        _eprint_error("config", str(exc))
-        return 1
+        _eprint_error(exc.kind, exc.prefix + str(exc))
+        return exc.exit_code
 
 
 def entrypoint() -> None:

@@ -14,6 +14,7 @@ import hashlib
 import math
 import numbers
 import os
+import sys
 import uuid
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field, fields
@@ -127,26 +128,29 @@ def check_value(name: str, tp, value):
     finite real numbers, never bools (nor 4.0 for `int`), so a config never
     truncates or coerces; `str`, `bool` and classes take their instances;
     `Optional[T]` adds None; `tuple[T, ...]` takes a list or tuple of T and
-    stores a tuple; a union sends a list or tuple to its tuple member and
-    anything else to its first other member that takes it. A NonEmptyStr
-    must also be valid UTF-8."""
+    stores a tuple; a union tries its tuple members on a list or tuple and
+    its others on anything else (all, if none fits), and if none takes it,
+    names each (a codec as a mapping). A NonEmptyStr must be valid UTF-8."""
     if tp in (int, float):
         if isinstance(value, bool) or not isinstance(
                 value, numbers.Integral if tp is int else numbers.Real) \
-                or tp is float and not math.isfinite(value):
+                or tp is float and not abs(value) <= sys.float_info.max:
             raise ConfigurationError(
                 f"{name} must be {_TYPE_NAMES[tp]}, got {value!r}")
     elif get_origin(tp) in (Union, UnionType):
-        args = get_args(tp)
-        if value is None and type(None) in args:
+        args = [a for a in get_args(tp) if a is not type(None)]
+        if value is None and len(args) < len(get_args(tp)):
             return value
-        is_list = isinstance(value, (list, tuple))
-        *others, last = [a for a in args if a is not type(None)
-                         and (get_origin(a) is tuple) == is_list] or args[:1]
-        for member in others:
+        tried = [a for a in args if (get_origin(a) is tuple)
+                 == isinstance(value, (list, tuple))] or args
+        if len(tried) == 1:
+            return check_value(name, tried[0], value)
+        for member in tried:
             with suppress(ConfigurationError):
                 return check_value(name, member, value)
-        return check_value(name, last, value)
+        what = " or ".join("a mapping" if _is_codec(a) else _TYPE_NAMES[a]
+                           for a in tried)
+        raise ConfigurationError(f"{name} must be {what}, got {value!r}")
     elif get_origin(tp) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigurationError(f"{name} must be a list, got {value!r}")

@@ -1,15 +1,17 @@
 """Exception taxonomy shared across the package.
 
-Every error the library raises deliberately derives from ScoreFusionError so
-callers (and the CLI exit-code mapping) can distinguish failure classes
-without string matching.
-"""
+Every error the library raises on purpose is a ScoreFusionError, so callers
+tell failures apart without string matching. Each class also declares how
+the CLI reports it (the `error[kind]` tag, exit code and message prefix):
+this is the package's one table of exit codes."""
 
 from __future__ import annotations
 
 
 class ScoreFusionError(Exception):
     """Base class for all errors raised by this package."""
+
+    kind, exit_code, prefix = "config", 1, ""
 
 
 class ConfigurationError(ScoreFusionError):
@@ -19,6 +21,8 @@ class ConfigurationError(ScoreFusionError):
 class DataError(ScoreFusionError):
     """Problems with data files (unreadable input, an unwritable model file)
     or datasets."""
+
+    kind, exit_code = "data", 2
 
 
 class InvalidDatasetError(DataError):
@@ -45,6 +49,8 @@ class ProviderUnavailableError(ScoreFusionError):
         failed_indices: input positions that failed, when raised for a batch.
     """
 
+    kind, exit_code = "provider", 3
+
     def __init__(self, message: str, last_status: int | None = None,
                  failed_indices: list[int] | None = None):
         super().__init__(message)
@@ -54,6 +60,8 @@ class ProviderUnavailableError(ScoreFusionError):
 
 class StaleCacheError(ScoreFusionError):
     """Cache directory belongs to a different dataset fingerprint."""
+
+    kind, exit_code = "stale-cache", 4
 
 
 class CorruptCacheError(ScoreFusionError):
@@ -66,6 +74,8 @@ class CacheWriteError(ScoreFusionError):
 
 class ModelFormatError(ScoreFusionError):
     """A model file is missing, truncated, or structurally invalid."""
+
+    prefix = "model format error: "
 
 
 class RunStateError(ScoreFusionError):

@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import DictCodec, LabelVector, ScoreVector, TaskMode
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,12 @@ class FusionConfig(DictCodec):
             raise ValueError("lr_high must be > 0")
         if any(h < 1 for h in self.hidden_sizes):
             raise ValueError("hidden sizes must be >= 1")
+
+    def check_label_count(self, k: int) -> None:
+        """A ConfigurationError unless a per-class threshold has k values."""
+        if isinstance(self.threshold, tuple) and len(self.threshold) != k:
+            raise ConfigurationError(f"fusion.threshold needs one value per "
+                                     f"label ({k}), got {len(self.threshold)}")
 
 
 @dataclass
@@ -166,17 +173,15 @@ def backward(tape: FusionTape, dlogits: np.ndarray,
 
 def fusion_step(params: FusionParams, grads: GradientBundle,
                 lr_high: float) -> FusionParams:
-    """Plain gradient descent at the high rate on every fusion parameter."""
-    for w, gw in zip(params.weights, grads.weights):
-        if w.shape != gw.shape:
-            raise ValueError(f"weight grad shape {gw.shape} != {w.shape}")
-    for b, gb in zip(params.biases, grads.biases):
-        if b.shape != gb.shape:
-            raise ValueError(f"bias grad shape {gb.shape} != {b.shape}")
-    for w, gw in zip(params.weights, grads.weights):
-        w -= lr_high * gw
-    for b, gb in zip(params.biases, grads.biases):
-        b -= lr_high * gb
+    """Plain gradient descent at the high rate on every fusion parameter;
+    every shape is checked before any parameter moves."""
+    pairs = [*zip(params.weights, grads.weights),
+             *zip(params.biases, grads.biases)]
+    for p, g in pairs:
+        if p.shape != g.shape:
+            raise ValueError(f"grad shape {g.shape} != parameter shape {p.shape}")
+    for p, g in pairs:
+        p -= lr_high * g
     return params
 
 
@@ -199,53 +204,50 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _one_row(logits, target, mode: TaskMode) -> tuple[float, np.ndarray]:
+    """batch_loss_and_dlogits on one row; `target` is a class index or a LabelVector."""
+    z = np.asarray(logits, dtype=np.float64)
+    if mode is TaskMode.MULTI_LABEL:
+        y = np.asarray(target.bits, dtype=np.float64)
+        if z.shape[-1] != y.shape[-1]:
+            raise ValueError(f"logits length {z.shape[-1]} != target length {y.shape[-1]}")
+    elif not 0 <= target < z.shape[-1]:
+        raise IndexError(f"target index {target} out of range")
+    else:
+        y = np.arange(z.shape[-1]) == target
+    loss, dlogits = batch_loss_and_dlogits(z[None], y[None], mode)
+    return loss, dlogits[0]
+
+
 def loss_multiclass(logits: np.ndarray, target_index: int) -> float:
     """-log softmax(logits)[target], computed via a max-subtracted
     log-sum-exp so huge logits cannot overflow."""
-    z = np.asarray(logits, dtype=np.float64)
-    if not 0 <= target_index < z.shape[-1]:
-        raise IndexError(f"target index {target_index} out of range")
-    m = z.max()
-    lse = m + np.log(np.exp(z - m).sum())
-    return float(lse - z[target_index])
+    return _one_row(logits, target_index, TaskMode.MULTI_CLASS)[0]
 
 
 def grad_loss_multiclass(logits: np.ndarray, target_index: int) -> np.ndarray:
     """d loss_multiclass / d logits = softmax - one_hot(target)."""
-    if not 0 <= target_index < np.asarray(logits).shape[-1]:
-        raise IndexError(f"target index {target_index} out of range")
-    p = softmax(logits)
-    p[target_index] -= 1.0
-    return p
+    return _one_row(logits, target_index, TaskMode.MULTI_CLASS)[1]
 
 
 def loss_multilabel(logits: np.ndarray, target: LabelVector) -> float:
     """Mean over classes of BCE(sigmoid(logit_k), y_k) in the stable logit
     form max(z,0) - z*y + log1p(exp(-|z|))."""
-    z = np.asarray(logits, dtype=np.float64)
-    y = np.asarray(target.bits, dtype=np.float64)
-    if z.shape[-1] != y.shape[-1]:
-        raise ValueError(f"logits length {z.shape[-1]} != target length {y.shape[-1]}")
-    per_class = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    return float(per_class.mean())
+    return _one_row(logits, target, TaskMode.MULTI_LABEL)[0]
 
 
 def grad_loss_multilabel(logits: np.ndarray, target: LabelVector) -> np.ndarray:
     """d loss_multilabel / d logits = (sigmoid(z) - y) / K."""
-    z = np.asarray(logits, dtype=np.float64)
-    y = np.asarray(target.bits, dtype=np.float64)
-    if z.shape[-1] != y.shape[-1]:
-        raise ValueError(f"logits length {z.shape[-1]} != target length {y.shape[-1]}")
-    return (sigmoid(z) - y) / z.shape[-1]
+    return _one_row(logits, target, TaskMode.MULTI_LABEL)[1]
 
 
 def batch_loss_and_dlogits(logits: np.ndarray, targets: np.ndarray,
                            mode: TaskMode) -> tuple[float, np.ndarray]:
     """Mean loss over a batch plus d(mean loss)/d logits, row per example.
 
-    `targets` is the (B, K) 0/1 target matrix. Each row's loss and dlogits
-    use the arithmetic of loss_*/grad_loss_*, and the mean is summed in
-    row order, so the result matches a loop over the single-row functions.
+    `targets` is the (B, K) 0/1 target matrix. The single-row loss_* and
+    grad_loss_* functions are this on a one-row batch, and the mean is
+    summed in row order, so the result matches a loop over them.
     """
     z = np.asarray(logits, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)

@@ -64,6 +64,7 @@ class FusionModel:
                 f"fusion output width {self.fusion_params.output_dim} != "
                 f"K = {self.schema.K}"
             )
+        self.fusion_cfg.check_label_count(self.schema.K)
         hidden = tuple(w.shape[1] for w in self.fusion_params.weights[:-1])
         if hidden != self.fusion_cfg.hidden_sizes:
             raise ConfigurationError(

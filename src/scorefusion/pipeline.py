@@ -99,6 +99,7 @@ class AutoFusionConfig(DictCodec):
             except ValueError as exc:
                 raise ConfigurationError(f"label_columns: {exc}") from None
         super().__post_init__()
+        self.fusion.check_label_count(len(self.label_columns))
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ConfigurationError("validation_fraction must lie in [0, 1)")
         if self.cache_policy not in ("strict", "warn"):

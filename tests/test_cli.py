@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -823,3 +824,67 @@ def test_rejected_eval_data_leaves_no_run(workdir, monkeypatch):
     assert main(argv) == 2
     runs_dir = workdir / "eval-runs"
     assert not runs_dir.exists() or not any(runs_dir.iterdir())
+
+
+def _threshold_model(workdir, monkeypatch):
+    """A trained model file whose per-class threshold has one value for
+    two labels."""
+    assert main(_train_argv(workdir)) == 0
+    path = workdir / "model.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["fusion"]["threshold"] = [0.5]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return ["predict", "--model", str(path), "--text", "x"]
+
+
+def _overrides(*specs):
+    """A setup that trains with each KEY=VALUE spec given to --set."""
+    def setup(workdir, monkeypatch):
+        return [*_train_argv(workdir),
+                *(arg for spec in specs for arg in ("--set", spec))]
+    return setup
+
+
+@pytest.mark.parametrize("setup, code, line", [
+    pytest.param(_unknown_key, 1,
+                 r"error\[config\]: unknown config key 'lable_columns'$",
+                 id="config"),
+    pytest.param(_corrupt_model, 1, r"error\[config\]: model format error: "
+                 r"model file \S+ is not valid JSON", id="model-format"),
+    pytest.param(_missing_csv, 2, r"error\[data\]: cannot read CSV ",
+                 id="data"),
+    pytest.param(_provider_401, 3, r"error\[provider\]: ", id="provider"),
+    pytest.param(_stale_cache, 4, r"error\[stale-cache\]: ",
+                 id="stale-cache"),
+    pytest.param(_overrides("multi_label=true", "fusion.threshold=[0.5]"), 1,
+                 r"error\[config\]: config: fusion.threshold needs one value "
+                 r"per label \(2\), got 1$", id="threshold-count"),
+    pytest.param(_threshold_model, 1, r"error\[config\]: model format error: "
+                 r"model file \S+ is structurally invalid: fusion.threshold "
+                 r"needs one value per label \(2\), got 1$",
+                 id="threshold-count-in-model"),
+    pytest.param(_overrides("fusion.lr_high=1" + "0" * 400), 1,
+                 r"error\[config\]: config: fusion: lr_high must be a finite "
+                 r"number, got 10{400}$", id="huge-integer"),
+    pytest.param(_overrides("encoder=5"), 1,
+                 r"error\[config\]: config: encoder must be a mapping or a "
+                 r"string, got 5$", id="union"),
+])
+def test_exit_code_and_line_per_error_class(workdir, capsys, monkeypatch,
+                                            setup, code, line):
+    """Each documented exit code and prefix once, and inputs that used to
+    end in a bare traceback."""
+    argv = setup(workdir, monkeypatch)
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    assert re.match(line, err)
+
+
+def test_wrong_threshold_count_fails_before_the_run(workdir, capsys):
+    code, _, _ = _train(workdir, capsys, "--set", "multi_label=true",
+                        "--set", "fusion.threshold=[0.5]")
+    assert code == 1
+    assert not (workdir / "runs").exists()

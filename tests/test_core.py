@@ -163,12 +163,18 @@ _encoders = st.integers(1, 64).flatmap(lambda dim: st.builds(
     sf.EncoderConfig, dim=st.just(dim), buckets=st.integers(dim, 2 ** 16),
     ngram_sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4)
     .map(tuple), lr_small=_rate))
-_fusions = st.builds(
-    sf.FusionConfig,
-    hidden_sizes=st.lists(st.integers(1, 256), max_size=3).map(tuple),
-    lr_high=_rate, epochs=st.integers(1, 500),
-    train_batch_size=st.integers(1, 512), seed=st.integers(0, 2 ** 32),
-    threshold=_prob | st.lists(_prob, min_size=1, max_size=5).map(tuple))
+
+
+def _fusions(k=st.integers(1, 5)):
+    """FusionConfigs whose per-class threshold, if drawn, has k values."""
+    return k.flatmap(lambda k: st.builds(
+        sf.FusionConfig,
+        hidden_sizes=st.lists(st.integers(1, 256), max_size=3).map(tuple),
+        lr_high=_rate, epochs=st.integers(1, 500),
+        train_batch_size=st.integers(1, 512), seed=st.integers(0, 2 ** 32),
+        threshold=_prob | st.lists(_prob, min_size=k, max_size=k).map(tuple)))
+
+
 _providers = st.fixed_dictionaries(
     {"provider_id": st.sampled_from(["mock", "openai", "gemini-compatible",
                                      "deepseek"])},
@@ -181,16 +187,16 @@ _providers = st.fixed_dictionaries(
               "timeout_ms": st.integers(1, 10 ** 5),
               "mock_table_path": st.none() | _name},
 ).map(lambda kw: sf.ProviderConfig(**kw))
-_configs = st.builds(
-    sf.AutoFusionConfig,
-    label_columns=st.lists(_name, min_size=2, max_size=4, unique=True)
-    .map(tuple),
-    multi_label=st.booleans(),
-    llm_providers=st.lists(_providers, max_size=3).map(tuple),
-    encoder=_encoders | _name, fusion=_fusions,
-    cache_dir=st.none() | _name,
-    cache_policy=st.sampled_from(["strict", "warn"]),
-    validation_fraction=st.floats(0.0, 0.99), text_column=_name)
+_configs = st.lists(_name, min_size=2, max_size=4, unique=True).flatmap(
+    lambda labels: st.builds(
+        sf.AutoFusionConfig,
+        label_columns=st.just(tuple(labels)),
+        multi_label=st.booleans(),
+        llm_providers=st.lists(_providers, max_size=3).map(tuple),
+        encoder=_encoders | _name, fusion=_fusions(st.just(len(labels))),
+        cache_dir=st.none() | _name,
+        cache_policy=st.sampled_from(["strict", "warn"]),
+        validation_fraction=st.floats(0.0, 0.99), text_column=_name))
 _label_metrics = st.builds(LabelMetrics, label=st.text(max_size=8),
                            precision=_unit, recall=_unit, f1=_unit,
                            support=st.integers(0, 10 ** 6))
@@ -198,7 +204,7 @@ _reports = st.builds(
     MetricsReport, accuracy=_unit, precision=_unit, recall=_unit, f1=_unit,
     per_label=st.lists(_label_metrics, max_size=3).map(tuple),
     micro_precision=_unit, micro_recall=_unit, micro_f1=_unit)
-_GENERATED = {sf.EncoderConfig: _encoders, sf.FusionConfig: _fusions,
+_GENERATED = {sf.EncoderConfig: _encoders, sf.FusionConfig: _fusions(),
               sf.ProviderConfig: _providers, sf.AutoFusionConfig: _configs,
               LabelMetrics: _label_metrics, MetricsReport: _reports}
 

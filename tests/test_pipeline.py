@@ -210,6 +210,14 @@ class TestBuildConfig:
            rf"got {shown}")
           for value, shown in ((None, "None"), (5, "5"), ("", "''"),
                                (["e.tsv"], r"\['e.tsv'\]"))),
+        *(({"encoder": value}, rf"^config: encoder must be a mapping or a "
+                               rf"string, got {shown}$")
+          for value, shown in ((5, "5"), (None, "None"), ([1], r"\[1\]"))),
+        ({"fusion": {"lr_high": 10 ** 400}},
+         r"^config: fusion: lr_high must be a finite number, got 10{400}$"),
+        *(({"multi_label": multi_label, "fusion": {"threshold": [0.5]}},
+           r"^config: fusion.threshold needs one value per label \(2\), "
+           r"got 1$") for multi_label in (False, True)),
     ])
     def test_wrong_type_is_named(self, extra, match):
         with pytest.raises(sf.ConfigurationError, match=match):
@@ -249,6 +257,24 @@ class TestBuildConfig:
             sf.AutoFusionConfig(label_columns="ab")
         with pytest.raises(ValueError, match="seed must be >= 0"):
             sf.FusionConfig(seed=-1)
+        with pytest.raises(sf.ConfigurationError,
+                           match="^lr_high must be a finite number"):
+            sf.FusionConfig(lr_high=10 ** 400)
+
+    @pytest.mark.parametrize("multi_label", [False, True])
+    @pytest.mark.parametrize("threshold", [(0.5,), (0.5, 0.5, 0.5)])
+    def test_per_class_threshold_needs_one_value_per_label(
+            self, multi_label, threshold):
+        fusion = sf.FusionConfig(threshold=threshold)
+        with pytest.raises(sf.ConfigurationError,
+                           match=r"^fusion.threshold needs one value per "
+                                 rf"label \(2\), got {len(threshold)}$"):
+            sf.AutoFusionConfig(label_columns=("a", "b"),
+                                multi_label=multi_label, fusion=fusion)
+        assert sf.AutoFusionConfig(label_columns=("a", "b", "c"),
+                                   multi_label=multi_label,
+                                   fusion=sf.FusionConfig(
+                                       threshold=(0.5, 0.5, 0.5)))
 
     def test_to_dict_reflects_fields(self):
         cfg = small_fusion_config()
