@@ -19,13 +19,7 @@ from .cache import cache_open_adopt
 from .core import Dataset, LabelSchema, NonEmptyPath, TaskMode, check_value
 from .errors import ConfigurationError, DataError, ScoreFusionError
 from .model import load_model, save_model
-from .pipeline import (
-    build_config,
-    dataset_from_records,
-    evaluate_as_run,
-    fit,
-    model_config_doc,
-)
+from .pipeline import build_config, dataset_from_records, evaluate_as_run, fit
 from .pipeline import predict as pipeline_predict
 from .results import prediction_rows, run_compare, write_predictions_csv
 
@@ -181,7 +175,7 @@ def _cmd_evaluate(args) -> int:
     ds = load_csv_dataset(args.eval_csv, model.schema, model.mode,
                           args.text_column)
     cache = None if args.cache_dir is None else cache_open_adopt(args.cache_dir)
-    config_doc = {**model_config_doc(model), "command": "evaluate",
+    config_doc = {**model.config.to_dict(), "command": "evaluate",
                   "model_path": str(args.model),
                   "eval_csv": str(args.eval_csv)}
     record = evaluate_as_run(model, ds, args.runs_dir, config_doc, cache=cache)

@@ -122,6 +122,18 @@ _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string",
                NonEmptyPath: "a non-empty string"}
 
 
+def _rejected(name: str, what: str, value) -> ConfigurationError:
+    """The error for a value of `name` that is not `what`. An int of more
+    than 50 digits, which repr may refuse to print, shows its digit count."""
+    if type(value) is not int or abs(value) < 10 ** 50:
+        return ConfigurationError(f"{name} must be {what}, got {value!r}")
+    digits = abs(value).bit_length() * 30102 // 100000  # 0.30102 < log10 2
+    while abs(value) >= 10 ** digits:
+        digits += 1
+    return ConfigurationError(
+        f"{name} must be {what}, got an integer of {digits} digits")
+
+
 def check_value(name: str, tp, value):
     """The value to store for `value` under `name`, annotated `tp`, or a
     ConfigurationError naming `name`. `int` takes integers and `float`
@@ -135,8 +147,7 @@ def check_value(name: str, tp, value):
         if isinstance(value, bool) or not isinstance(
                 value, numbers.Integral if tp is int else numbers.Real) \
                 or tp is float and not abs(value) <= sys.float_info.max:
-            raise ConfigurationError(
-                f"{name} must be {_TYPE_NAMES[tp]}, got {value!r}")
+            raise _rejected(name, _TYPE_NAMES[tp], value)
     elif get_origin(tp) in (Union, UnionType):
         args = [a for a in get_args(tp) if a is not type(None)]
         if value is None and len(args) < len(get_args(tp)):
@@ -150,16 +161,16 @@ def check_value(name: str, tp, value):
                 return check_value(name, member, value)
         what = " or ".join("a mapping" if _is_codec(a) else _TYPE_NAMES[a]
                            for a in tried)
-        raise ConfigurationError(f"{name} must be {what}, got {value!r}")
+        raise _rejected(name, what, value)
     elif get_origin(tp) is tuple:
         if not isinstance(value, (list, tuple)):
-            raise ConfigurationError(f"{name} must be a list, got {value!r}")
+            raise _rejected(name, "a list", value)
         item = get_args(tp)[0]
         return tuple(check_value(f"{name} items", item, v) for v in value)
     elif not isinstance(value, getattr(tp, "__origin__", tp)) \
             or (tp in (NonEmptyStr, NonEmptyPath) and not value):
         what = _TYPE_NAMES.get(tp) or f"an instance of {tp.__name__}"
-        raise ConfigurationError(f"{name} must be {what}, got {value!r}")
+        raise _rejected(name, what, value)
     elif tp is NonEmptyStr \
             and value.encode("utf-8", "ignore").decode("utf-8") != value:
         raise ConfigurationError(f"{name} must be valid UTF-8, got {value!r}")

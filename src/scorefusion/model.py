@@ -1,14 +1,19 @@
-"""The trained model and its file format.
+"""The trained model, the config it carries, and its file format.
 
-A model file is one JSON document, keys sorted, with no timestamps or
-environment fields: saving the same model twice yields identical bytes,
-and load(save(m)) predicts bit-identically. Every float array is one
-base64 string of its little-endian float64 bytes. Format 3 stores a hashed
-encoder's projection as its start, `sign_init(init_seed)` (zeros when
+A `FusionModel` is the `AutoFusionConfig` it was trained with, the
+encoder's state and the fusion head. A model file is one JSON document,
+keys sorted, with no timestamps or environment fields: saving the same
+model twice yields identical bytes, and load(save(m)) predicts
+bit-identically. Format 4 stores `config.to_dict()` under `config`; the
+`encoder` and `fusion` sections hold only state. Every float array is one
+base64 string of its little-endian float64 bytes. A hashed encoder's
+projection is stored as its start, `sign_init(init_seed)` (zeros when
 `init_seed` is null), plus the rows that differ from it bitwise; training
 moves only the rows its texts touch, so the file grows with the fit
-vocabulary, not the bucket count. Formats 2 (the whole projection in
-base64) and 1 (JSON lists of repr floats) are still read.
+vocabulary, not the bucket count. Formats 3 (the config in pieces), 2 (the
+whole projection in base64) and 1 (JSON lists of repr floats) are still
+read; a config field they never stored takes its default, and a frozen
+encoder's path, which they never stored, reads as a path saying so.
 """
 
 from __future__ import annotations
@@ -17,13 +22,21 @@ import base64
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .core import LabelSchema, TaskMode, atomic_write_text
+from .core import (
+    DictCodec,
+    LabelSchema,
+    NonEmptyPath,
+    NonEmptyStr,
+    TaskMode,
+    atomic_write_text,
+    check_value,
+)
 from .encoder import (
     EncoderConfig,
     FrozenLookupEncoder,
@@ -34,41 +47,123 @@ from .errors import ConfigurationError, DataError, ModelFormatError
 from .fusion import FusionConfig, FusionParams
 from .llm import PROMPT_TEMPLATE_VERSION, ProviderConfig
 
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
+
+
+@dataclass(frozen=True)
+class AutoFusionConfig(DictCodec):
+    """Everything needed to train and apply one fusion classifier.
+
+    `encoder` is either hashed-n-gram settings (trainable) or a path to a
+    precomputed-embedding TSV (frozen). With no `llm_providers` the model
+    is the encoder-only baseline.
+    """
+
+    label_columns: tuple[str, ...] = ()
+    multi_label: bool = False
+    llm_providers: tuple[ProviderConfig, ...] = field(
+        default_factory=lambda: (ProviderConfig(),))
+    encoder: Union[EncoderConfig, str] = field(default_factory=EncoderConfig)
+    fusion: FusionConfig = field(default_factory=FusionConfig)
+    cache_dir: Optional[str] = None
+    cache_policy: str = "strict"
+    validation_fraction: float = 0.1
+    text_column: NonEmptyStr = "text"
+
+    def __post_init__(self):
+        if isinstance(self.label_columns, str):
+            raise ConfigurationError(
+                "label_columns must be a list of column names, got the "
+                f"string {self.label_columns!r}"
+            )
+        # Before the field types, so a label YAML read as a bool gets a hint.
+        if isinstance(self.label_columns, (list, tuple)):
+            try:
+                LabelSchema(self.label_columns)
+            except ValueError as exc:
+                raise ConfigurationError(f"label_columns: {exc}") from None
+        super().__post_init__()
+        self.fusion.check_label_count(len(self.label_columns))
+        if not 0.0 <= self.validation_fraction < 1.0:
+            raise ConfigurationError("validation_fraction must lie in [0, 1)")
+        if self.cache_policy not in ("strict", "warn"):
+            raise ConfigurationError(
+                f"cache_policy must be 'strict' or 'warn', got {self.cache_policy!r}"
+            )
+
+    @property
+    def schema(self) -> LabelSchema:
+        return LabelSchema(self.label_columns)
+
+    @property
+    def mode(self) -> TaskMode:
+        return TaskMode.from_multi_label(self.multi_label)
+
+    def to_dict(self) -> dict:
+        doc = super().to_dict()
+        if isinstance(self.encoder, str):
+            doc["encoder"] = {"precomputed_path": self.encoder}
+        return doc
+
+    @classmethod
+    def from_dict(cls, doc, where: str):
+        """Also reads the `{precomputed_path: P}` encoder to_dict writes."""
+        enc = doc.get("encoder") if isinstance(doc, dict) else None
+        if isinstance(enc, dict) and "precomputed_path" in enc:
+            if len(enc) > 1:
+                raise ConfigurationError(
+                    "encoder.precomputed_path excludes other encoder keys")
+            doc = {**doc, "encoder": check_value(
+                "encoder.precomputed_path", NonEmptyPath,
+                enc["precomputed_path"])}
+        return super().from_dict(doc, where)
 
 
 @dataclass
 class FusionModel:
-    """A trained classifier: encoder state + provider list + fusion head.
+    """A trained classifier: the config it was trained with, the encoder's
+    state and the fusion head.
 
     The head's input is [embedding | P*K provider scores]; with no providers
-    the model is the encoder-only baseline.
+    the model is the encoder-only baseline. A hashed encoder's settings are
+    `config.encoder`; a frozen one's `config.encoder` is its table's path.
     """
 
-    schema: LabelSchema
-    mode: TaskMode
+    config: AutoFusionConfig
     encoder: Union[HashedNgramEncoder, FrozenLookupEncoder]
-    providers: tuple[ProviderConfig, ...]
-    fusion_cfg: FusionConfig
     fusion_params: FusionParams
 
+    @property
+    def schema(self) -> LabelSchema:
+        return self.config.schema
+
+    @property
+    def mode(self) -> TaskMode:
+        return self.config.mode
+
     def __post_init__(self):
-        expected = self.encoder.dim + len(self.providers) * self.schema.K
+        cfg, k = self.config, self.schema.K
+        if not (cfg.encoder == self.encoder.cfg
+                if isinstance(self.encoder, HashedNgramEncoder)
+                else isinstance(cfg.encoder, str)):
+            raise ConfigurationError(
+                f"config.encoder {cfg.encoder!r} does not describe the "
+                f"model's {type(self.encoder).__name__}")
+        expected = self.encoder.dim + len(cfg.llm_providers) * k
         if self.fusion_params.input_dim != expected:
             raise ConfigurationError(
                 f"fusion input width {self.fusion_params.input_dim} != "
                 f"D + P*K = {expected}"
             )
-        if self.fusion_params.output_dim != self.schema.K:
+        if self.fusion_params.output_dim != k:
             raise ConfigurationError(
                 f"fusion output width {self.fusion_params.output_dim} != "
-                f"K = {self.schema.K}"
+                f"K = {k}"
             )
-        self.fusion_cfg.check_label_count(self.schema.K)
         hidden = tuple(w.shape[1] for w in self.fusion_params.weights[:-1])
-        if hidden != self.fusion_cfg.hidden_sizes:
+        if hidden != cfg.fusion.hidden_sizes:
             raise ConfigurationError(
-                f"fusion hidden_sizes {list(self.fusion_cfg.hidden_sizes)} != "
+                f"fusion hidden_sizes {list(cfg.fusion.hidden_sizes)} != "
                 f"the layers' widths {list(hidden)}"
             )
 
@@ -125,6 +220,7 @@ def _init_sha256(seed, cfg: EncoderConfig):
 
 
 def _encoder_to_doc(encoder) -> dict:
+    """The encoder's state; its settings are in the config."""
     if isinstance(encoder, HashedNgramEncoder):
         cfg, seed = encoder.cfg, encoder.init_seed
         start = HashedNgramEncoder(cfg, seed=seed).projection
@@ -133,8 +229,6 @@ def _encoder_to_doc(encoder) -> dict:
         rows = np.flatnonzero((projection.view(np.uint64)
                                != start.view(np.uint64)).any(axis=1))
         return {
-            "kind": "hashed_ngram",
-            **cfg.to_dict(),
             "init_seed": seed,
             "init_sha256": _init_sha256(seed, cfg),
             "rows": rows.tolist(),
@@ -142,7 +236,6 @@ def _encoder_to_doc(encoder) -> dict:
         }
     if isinstance(encoder, FrozenLookupEncoder):
         return {
-            "kind": "frozen_lookup",
             "dim": encoder.dim,
             "table": {text: _encode_array(vec)
                       for text, vec in encoder.table.items()},
@@ -150,16 +243,39 @@ def _encoder_to_doc(encoder) -> dict:
     raise ModelFormatError(f"unsupported encoder type {type(encoder).__name__}")
 
 
-def _config_from_model_doc(cls, doc: dict, where: str):
-    """A model file holds every config field (missing ones are an error)
-    beside other keys."""
-    return cls.from_dict({f.name: doc[f.name] for f in fields(cls)}, where)
+def _stored_fields(cls, doc: dict) -> dict:
+    """The fields of `cls` from a format 1-3 section, which holds every
+    one of them (a missing one is an error) beside other keys."""
+    return {f.name: doc[f.name] for f in fields(cls)}
+
+
+def _config_from_old_doc(doc: dict, version: int) -> AutoFusionConfig:
+    """The config of a format 1-3 file, which stored it in pieces: labels,
+    mode, providers, and the encoder and fusion settings beside their
+    arrays. A frozen encoder's path was not stored; its config reads as a
+    path that says so."""
+    kind = doc["encoder"]["kind"]
+    if kind == "hashed_ngram":
+        encoder = _stored_fields(EncoderConfig, doc["encoder"])
+    elif kind == "frozen_lookup":
+        encoder = {"precomputed_path":
+                   f"<not recorded by model format {version}>"}
+    else:
+        raise ModelFormatError(f"unknown encoder kind {kind!r}")
+    return AutoFusionConfig.from_dict({
+        "label_columns": doc["labels"],
+        "multi_label": TaskMode(doc["mode"]) is TaskMode.MULTI_LABEL,
+        "llm_providers": doc["providers"],
+        "encoder": encoder,
+        "fusion": _stored_fields(FusionConfig, doc["fusion"]),
+    }, "config")
 
 
 def _hashed_encoder_from_rows(doc: dict, cfg: EncoderConfig,
                               version: int) -> HashedNgramEncoder:
-    """A format-3 hashed encoder: its start, regenerated and checked
-    against the recorded digest, with the stored rows written over it."""
+    """A hashed encoder from format 3 on: its start, regenerated and
+    checked against the recorded digest, with the stored rows written
+    over it."""
     seed = doc["init_seed"]
     encoder = HashedNgramEncoder(cfg, seed=seed)
     if doc["init_sha256"] != _init_sha256(seed, cfg):
@@ -179,20 +295,18 @@ def _hashed_encoder_from_rows(doc: dict, cfg: EncoderConfig,
     return encoder
 
 
-def _encoder_from_model_doc(doc: dict, version: int):
-    kind = doc["kind"]
-    if kind == "hashed_ngram":
-        cfg = _config_from_model_doc(EncoderConfig, doc, "encoder")
-        if version >= 3:
-            return _hashed_encoder_from_rows(doc, cfg, version)
-        return HashedNgramEncoder(cfg, _read_array(
-            doc["projection"], version, (cfg.buckets, cfg.dim)))
-    if kind == "frozen_lookup":
+def _encoder_from_model_doc(doc: dict, version: int,
+                            cfg: Union[EncoderConfig, str]):
+    """The encoder `cfg` describes, its state read from `doc`."""
+    if isinstance(cfg, str):
         dim = doc["dim"]
         table = {text: _read_array(vec, version, (dim,))
                  for text, vec in doc["table"].items()}
         return FrozenLookupEncoder(table, dim)
-    raise ModelFormatError(f"unknown encoder kind {kind!r}")
+    if version >= 3:
+        return _hashed_encoder_from_rows(doc, cfg, version)
+    return HashedNgramEncoder(cfg, _read_array(
+        doc["projection"], version, (cfg.buckets, cfg.dim)))
 
 
 def save_model(model: FusionModel, path: Union[str, Path]) -> None:
@@ -202,12 +316,9 @@ def save_model(model: FusionModel, path: Union[str, Path]) -> None:
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "prompt_template_version": PROMPT_TEMPLATE_VERSION,
-        "labels": list(model.schema.labels),
-        "mode": model.mode.value,
-        "providers": [p.to_dict() for p in model.providers],
+        "config": model.config.to_dict(),
         "encoder": _encoder_to_doc(model.encoder),
         "fusion": {
-            **model.fusion_cfg.to_dict(),
             "layers": [
                 {
                     "shape": list(w.shape),
@@ -226,13 +337,13 @@ def save_model(model: FusionModel, path: Union[str, Path]) -> None:
 
 
 def load_model(path: Union[str, Path]) -> FusionModel:
-    """Read a model file (format 1, 2 or 3) back; predictions match the
-    saved model exactly.
+    """Read a model file (format 1 to 4) back; predictions match the saved
+    model exactly.
 
-    A format-3 hashed encoder is rebuilt from `sign_init(init_seed)`, which
-    must hash to the recorded `init_sha256`, with the stored rows written
-    over it. An encoder read from format 1 or 2 has `init_seed` None, so
-    saving it again writes format 3 with every non-zero row.
+    A hashed encoder from format 3 on is rebuilt from
+    `sign_init(init_seed)`, which must hash to the recorded `init_sha256`,
+    with the stored rows written over it. An encoder read from format 1 or
+    2 has `init_seed` None, so saving it again writes every non-zero row.
     """
     try:
         raw = Path(path).read_text(encoding="utf-8")
@@ -246,10 +357,10 @@ def load_model(path: Union[str, Path]) -> FusionModel:
     try:
         version = doc["format_version"]
         if isinstance(version, bool) \
-                or version not in (1, 2, MODEL_FORMAT_VERSION):
+                or version not in (1, 2, 3, MODEL_FORMAT_VERSION):
             raise ModelFormatError(
                 f"model format version {version} unsupported "
-                f"(expected 1, 2 or {MODEL_FORMAT_VERSION})"
+                f"(expected 1 to {MODEL_FORMAT_VERSION})"
             )
         # Format 1 predates the recorded prompt version.
         if version > 1 \
@@ -259,15 +370,13 @@ def load_model(path: Union[str, Path]) -> FusionModel:
                 f"{doc['prompt_template_version']!r}, but this scorefusion "
                 f"prompts with version {PROMPT_TEMPLATE_VERSION}"
             )
-        schema = LabelSchema(doc["labels"])
-        mode = TaskMode(doc["mode"])
-        providers = tuple(ProviderConfig.from_dict(p, "provider")
-                          for p in doc["providers"])
-        encoder = _encoder_from_model_doc(doc["encoder"], version)
-        fdoc = doc["fusion"]
-        fusion_cfg = _config_from_model_doc(FusionConfig, fdoc, "fusion")
+        config = AutoFusionConfig.from_dict(doc["config"], "config") \
+            if version == MODEL_FORMAT_VERSION \
+            else _config_from_old_doc(doc, version)
+        encoder = _encoder_from_model_doc(doc["encoder"], version,
+                                          config.encoder)
         weights, biases = [], []
-        for i, layer in enumerate(fdoc["layers"]):
+        for i, layer in enumerate(doc["fusion"]["layers"]):
             fan_in, fan_out = layer["shape"]
             if weights and fan_in != weights[-1].shape[1]:
                 raise ModelFormatError(
@@ -276,9 +385,7 @@ def load_model(path: Union[str, Path]) -> FusionModel:
             weights.append(_read_array(layer["weight"], version,
                                        (fan_in, fan_out)))
             biases.append(_read_array(layer["bias"], version, (fan_out,)))
-        params = FusionParams(weights, biases)
-        return FusionModel(schema, mode, encoder, providers,
-                           fusion_cfg, params)
+        return FusionModel(config, encoder, FusionParams(weights, biases))
     except ModelFormatError as exc:
         raise ModelFormatError(f"model file {path}: {exc}") from None
     except (KeyError, TypeError, ValueError, IndexError,

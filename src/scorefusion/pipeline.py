@@ -1,7 +1,7 @@
 """End-to-end orchestration: fetch LLM scores (cache-first), encode texts,
 and train the fusion head jointly with the encoder under the two-rate
-scheme. Also prediction, evaluation and single-signal baselines; the
-model type and its file format are in `model`.
+scheme. Also prediction, evaluation, single-signal baselines and the YAML
+config reader; the config, the model and its file format are in `model`.
 
 Training is deterministic given (data, config, provider responses): all
 randomness flows from the fusion seed, and LLM scores are fetched once up
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -21,25 +21,16 @@ import numpy as np
 from .cache import _MANIFEST_NAME, ScoreCache, cache_open, cache_open_adopt
 from .core import (
     Dataset,
-    DictCodec,
     LabelSchema,
     LabelVector,
-    NonEmptyPath,
-    NonEmptyStr,
     TaskMode,
     TextExample,
     check_keys,
-    check_value,
     dataset_fingerprint,
     utf8_rows,
     validate_dataset,
 )
-from .encoder import (
-    EncoderConfig,
-    FrozenLookupEncoder,
-    HashedNgramEncoder,
-    load_precomputed_embeddings,
-)
+from .encoder import HashedNgramEncoder, load_precomputed_embeddings
 from .errors import (
     ConfigurationError,
     DataError,
@@ -60,86 +51,10 @@ from .fusion import (
 )
 from .llm import ProviderConfig, score_providers
 from .metrics import MetricsReport, compute_metrics
-from .model import FusionModel, load_model, save_model
+from .model import AutoFusionConfig, FusionModel, load_model, save_model
 from .results import RunHandle, RunRecord, run_create
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class AutoFusionConfig(DictCodec):
-    """Everything needed to train and apply one fusion classifier.
-
-    `encoder` is either hashed-n-gram settings (trainable) or a path to a
-    precomputed-embedding TSV (frozen). With no `llm_providers` the model
-    is the encoder-only baseline.
-    """
-
-    label_columns: tuple[str, ...] = ()
-    multi_label: bool = False
-    llm_providers: tuple[ProviderConfig, ...] = field(
-        default_factory=lambda: (ProviderConfig(),))
-    encoder: Union[EncoderConfig, str] = field(default_factory=EncoderConfig)
-    fusion: FusionConfig = field(default_factory=FusionConfig)
-    cache_dir: Optional[str] = None
-    cache_policy: str = "strict"
-    validation_fraction: float = 0.1
-    text_column: NonEmptyStr = "text"
-
-    def __post_init__(self):
-        if isinstance(self.label_columns, str):
-            raise ConfigurationError(
-                "label_columns must be a list of column names, got the "
-                f"string {self.label_columns!r}"
-            )
-        # Before the field types, so a label YAML read as a bool gets a hint.
-        if isinstance(self.label_columns, (list, tuple)):
-            try:
-                LabelSchema(self.label_columns)
-            except ValueError as exc:
-                raise ConfigurationError(f"label_columns: {exc}") from None
-        super().__post_init__()
-        self.fusion.check_label_count(len(self.label_columns))
-        if not 0.0 <= self.validation_fraction < 1.0:
-            raise ConfigurationError("validation_fraction must lie in [0, 1)")
-        if self.cache_policy not in ("strict", "warn"):
-            raise ConfigurationError(
-                f"cache_policy must be 'strict' or 'warn', got {self.cache_policy!r}"
-            )
-        if isinstance(self.encoder, EncoderConfig) \
-                and self.fusion.lr_high <= self.encoder.lr_small:
-            logger.warning(
-                "lr_high (%g) <= lr_small (%g): the fusion head is meant to "
-                "move faster than the encoder",
-                self.fusion.lr_high, self.encoder.lr_small,
-            )
-
-    @property
-    def schema(self) -> LabelSchema:
-        return LabelSchema(self.label_columns)
-
-    @property
-    def mode(self) -> TaskMode:
-        return TaskMode.from_multi_label(self.multi_label)
-
-    def to_dict(self) -> dict:
-        doc = super().to_dict()
-        if isinstance(self.encoder, str):
-            doc["encoder"] = {"precomputed_path": self.encoder}
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc, where: str):
-        """Also reads the `{precomputed_path: P}` encoder to_dict writes."""
-        enc = doc.get("encoder") if isinstance(doc, dict) else None
-        if isinstance(enc, dict) and "precomputed_path" in enc:
-            if len(enc) > 1:
-                raise ConfigurationError(
-                    "encoder.precomputed_path excludes other encoder keys")
-            doc = {**doc, "encoder": check_value(
-                "encoder.precomputed_path", NonEmptyPath,
-                enc["precomputed_path"])}
-        return super().from_dict(doc, where)
 
 
 # The YAML shorthand build_config rewrites, and every top-level YAML key.
@@ -196,22 +111,6 @@ def build_config(doc: dict) -> AutoFusionConfig:
     if "seed" in doc and isinstance(fusion, dict):
         fields_doc["fusion"] = {**fusion, "seed": doc["seed"]}
     return AutoFusionConfig.from_dict(fields_doc, "config")
-
-
-def model_config_doc(model: FusionModel) -> dict:
-    """A config snapshot reconstructed from a model, for the runs of a
-    model loaded without its config."""
-    if isinstance(model.encoder, HashedNgramEncoder):
-        enc = model.encoder.cfg.to_dict()
-    else:
-        enc = {"kind": "frozen_lookup", "dim": model.encoder.dim}
-    return {
-        "label_columns": list(model.schema.labels),
-        "multi_label": model.mode is TaskMode.MULTI_LABEL,
-        "llm_providers": [p.to_dict() for p in model.providers],
-        "encoder": enc,
-        "fusion": model.fusion_cfg.to_dict(),
-    }
 
 
 def _derive_seeds(seed: int) -> tuple[int, int, int]:
@@ -374,14 +273,22 @@ def fit(ds: Dataset, cfg: AutoFusionConfig,
         ) -> tuple[FusionModel, RunRecord]:
     """Train a fusion classifier.
 
-    Order of work: validate, fingerprint, open cache, prefetch LLM scores
-    for every text, then run the joint two-rate loop. `providers` optionally
-    injects one client object per configured provider (testing hook).
+    Order of work: validate, build the encoder (so a bad embedding file
+    fails before any score is paid for), fingerprint, open cache, prefetch
+    LLM scores for every text, then run the joint two-rate loop.
+    `providers` optionally injects one client object per configured
+    provider (testing hook).
 
     Returns the model plus the finalized RunRecord (epoch losses, validation
     metrics when validation_fraction > 0, and final whole-set predictions).
     """
     _check_labeled_dataset(ds, cfg.schema, cfg.mode)
+    encoder = _build_encoder(cfg)
+    # Said when training, not each time a model's config is read back.
+    if cfg.fusion.lr_high <= encoder.lr_small:
+        logger.warning("lr_high (%g) <= lr_small (%g): the fusion head is "
+                       "meant to move faster than the encoder",
+                       cfg.fusion.lr_high, encoder.lr_small)
     fingerprint = dataset_fingerprint(ds)
     pcfgs = cfg.llm_providers
     if pcfgs and cache is None and cfg.cache_dir is not None:
@@ -389,13 +296,12 @@ def fit(ds: Dataset, cfg: AutoFusionConfig,
     texts = ds.texts()
     scores = score_providers(texts, ds.schema, ds.mode, pcfgs, cache,
                              providers)
-    encoder = _build_encoder(cfg)
     run = run_create(runs_root, cfg.to_dict(), fingerprint, ds.schema.labels)
     targets = [row.target for row in ds.rows]
     params, last_report, preds = _train(
         encoder, texts, targets, scores, ds.schema, ds.mode,
         cfg.fusion, cfg.validation_fraction, run)
-    model = FusionModel(ds.schema, ds.mode, encoder, pcfgs, cfg.fusion, params)
+    model = FusionModel(cfg, encoder, params)
     run.store_predictions(preds, targets)
     return model, run.finalize(last_report)
 
@@ -408,10 +314,10 @@ def predict(model: FusionModel, texts: Sequence[str],
     texts = list(texts)
     with utf8_rows(texts):
         scores = score_providers(texts, model.schema, model.mode,
-                                 model.providers, cache, providers)
+                                 model.config.llm_providers, cache, providers)
         embs = model.encoder.encode_batch(texts)
     return _decide_inputs(embs, scores, model.fusion_params, model.mode,
-                          model.fusion_cfg.threshold)
+                          model.config.fusion.threshold)
 
 
 def evaluate(model: FusionModel, ds: Dataset,
@@ -492,27 +398,15 @@ class AutoFusionClassifier:
         self.model: Optional[FusionModel] = None
         self.last_run: Optional[RunRecord] = None
         self._cache: Optional[ScoreCache] = None
-        # The run snapshot of a model loaded without its config: the
-        # model's own settings, not defaults filled in around them.
-        self._loaded_config_doc: Optional[dict] = None
 
     def fit(self, data, runs_root: Optional[Union[str, Path]] = None,
             providers: Optional[Sequence] = None) -> "AutoFusionClassifier":
-        if self._loaded_config_doc is not None \
-                and isinstance(self.model.encoder, FrozenLookupEncoder):
-            raise ConfigurationError(
-                "this classifier holds a frozen-lookup model loaded "
-                "without its config, so its embedding file is unknown; to "
-                "fit, pass from_model_file a config whose encoder sets "
-                "encoder.precomputed_path"
-            )
         ds = self._as_dataset(data)
         # fit opens the cache for this dataset; predict adopts its manifest.
         self._cache = None
         self.model, self.last_run = fit(ds, self.config,
                                         runs_root=runs_root,
                                         providers=providers)
-        self._loaded_config_doc = None
         return self
 
     def predict(self, texts: Sequence[str],
@@ -522,11 +416,9 @@ class AutoFusionClassifier:
 
     def evaluate(self, data, runs_root: Optional[Union[str, Path]] = None,
                  providers: Optional[Sequence] = None) -> MetricsReport:
-        config_doc = self._loaded_config_doc
-        if config_doc is None:
-            config_doc = self.config.to_dict()
-        record = evaluate_as_run(self._require_model(),
-                                 self._as_dataset(data), runs_root, config_doc,
+        model = self._require_model()
+        record = evaluate_as_run(model, self._as_dataset(data), runs_root,
+                                 model.config.to_dict(),
                                  cache=self._open_cache(), providers=providers)
         return record.metrics
 
@@ -537,20 +429,10 @@ class AutoFusionClassifier:
     def from_model_file(cls, path: Union[str, Path],
                         config: Optional[Union[dict, AutoFusionConfig]] = None,
                         ) -> "AutoFusionClassifier":
-        """A classifier holding a saved model. Without `config`, one is
-        built from the model's settings; a frozen-lookup model built that
-        way predicts and evaluates but cannot fit again."""
+        """A classifier holding a saved model, configured by `config` or,
+        without one, by the config the model was trained with."""
         model = load_model(path)
-        if config is not None:
-            clf = cls(config)
-        else:
-            # A frozen model's table path is not in the model file; the
-            # default encoder put in its place is a placeholder fit refuses.
-            doc = model_config_doc(model)
-            frozen = isinstance(model.encoder, FrozenLookupEncoder)
-            clf = cls(AutoFusionConfig.from_dict(
-                {**doc, "encoder": {}} if frozen else doc, "config"))
-            clf._loaded_config_doc = doc
+        clf = cls(model.config if config is None else config)
         clf.model = model
         return clf
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from scorefusion.results import load_run
 from conftest import TOY_TEXTS
 
 LABELS = ("yes", "no")
+DATA = Path(__file__).parent / "data"
 
 
 def _write_train_csv(path, texts=TOY_TEXTS):
@@ -150,7 +152,8 @@ class TestTrain:
         code, run_id, err = _train(workdir, capsys)
         assert code == 0, err
         model = workdir / "model.json"
-        assert json.loads(model.read_text(encoding="utf-8"))["providers"] == []
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        assert doc["config"]["llm_providers"] == []
         assert load_run(workdir / "runs", run_id).config["llm_providers"] == []
         (workdir / "table.tsv").unlink()
         assert main(["predict", "--model", str(model),
@@ -661,8 +664,9 @@ _FORMAT3_FAULTS = (
     _doctored_encoder("unsorted_rows", _swap_first_rows),
     _doctored_encoder("duplicate_rows",
                       lambda enc: enc["rows"].__setitem__(1, enc["rows"][0])),
+    # 1024 is the config's encoder.buckets.
     _doctored_encoder("row_past_buckets",
-                      lambda enc: enc["rows"].__setitem__(-1, enc["buckets"])),
+                      lambda enc: enc["rows"].__setitem__(-1, 1024)),
     _doctored_encoder("negative_init_seed",
                       lambda enc: enc.__setitem__("init_seed", -1)),
     _doctored_encoder("wrong_init_sha256",
@@ -832,9 +836,42 @@ def _threshold_model(workdir, monkeypatch):
     assert main(_train_argv(workdir)) == 0
     path = workdir / "model.json"
     doc = json.loads(path.read_text(encoding="utf-8"))
-    doc["fusion"]["threshold"] = [0.5]
+    doc["config"]["fusion"]["threshold"] = [0.5]
     path.write_text(json.dumps(doc), encoding="utf-8")
     return ["predict", "--model", str(path), "--text", "x"]
+
+
+@pytest.mark.parametrize("kind", ["hashed", "frozen", "frozen_v3"])
+def test_evaluate_run_config_decodes_to_the_model_config(kind, workdir,
+                                                         capsys):
+    """An evaluate run records the model's config, which decodes once its
+    three CLI keys are taken out; a format-3 frozen-lookup model, whose
+    embedding path was never recorded, still evaluates."""
+    model, eval_csv = workdir / "model.json", workdir / "train.csv"
+    if kind == "frozen_v3":
+        model = DATA / "model_v3_frozen.json"
+        expected = json.loads((DATA / "model_v3_frozen_expected.json")
+                              .read_text(encoding="utf-8"))
+        eval_csv = workdir / "eval.csv"
+        _write_train_csv(eval_csv, expected["texts"])
+    else:
+        if kind == "frozen":
+            emb = workdir / "emb.tsv"
+            sf.write_mock_table({t: (i / 8, 1 - i / 8)
+                                 for i, t in enumerate(TOY_TEXTS)}, str(emb))
+            _set_config(workdir, encoder={"precomputed_path": str(emb)})
+        assert main(_train_argv(workdir)) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(model), "--eval-csv",
+                 str(eval_csv), "--runs-dir", str(workdir / "eval-runs")]) == 0
+    run_id = capsys.readouterr().out.splitlines()[0]
+    config = load_run(workdir / "eval-runs", run_id).config
+    cli_keys = {key: config.pop(key)
+                for key in ("command", "model_path", "eval_csv")}
+    assert cli_keys == {"command": "evaluate", "model_path": str(model),
+                        "eval_csv": str(eval_csv)}
+    assert sf.AutoFusionConfig.from_dict(config, "config") \
+        == sf.load_model(model).config
 
 
 def _overrides(*specs):
@@ -860,12 +897,12 @@ def _overrides(*specs):
                  r"error\[config\]: config: fusion.threshold needs one value "
                  r"per label \(2\), got 1$", id="threshold-count"),
     pytest.param(_threshold_model, 1, r"error\[config\]: model format error: "
-                 r"model file \S+ is structurally invalid: fusion.threshold "
-                 r"needs one value per label \(2\), got 1$",
+                 r"model file \S+ is structurally invalid: config: "
+                 r"fusion.threshold needs one value per label \(2\), got 1$",
                  id="threshold-count-in-model"),
     pytest.param(_overrides("fusion.lr_high=1" + "0" * 400), 1,
                  r"error\[config\]: config: fusion: lr_high must be a finite "
-                 r"number, got 10{400}$", id="huge-integer"),
+                 r"number, got an integer of 401 digits$", id="huge-integer"),
     pytest.param(_overrides("encoder=5"), 1,
                  r"error\[config\]: config: encoder must be a mapping or a "
                  r"string, got 5$", id="union"),

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import errno
 import json
+from dataclasses import replace
 from pathlib import Path
 from types import MappingProxyType
 
@@ -24,16 +25,21 @@ from scorefusion.encoder import (
 from scorefusion.fusion import FusionParams
 from scorefusion.llm import PROMPT_TEMPLATE_VERSION
 from scorefusion.model import MODEL_FORMAT_VERSION, _decode_array, _encode_array
-from scorefusion.pipeline import (
-    build_config,
-    dataset_from_records,
-    model_config_doc,
-)
+from scorefusion.pipeline import build_config, dataset_from_records
 from scorefusion.results import load_run
 
 from conftest import TOY_TEXTS, small_fusion_config
 
 MC = sf.TaskMode.MULTI_CLASS
+DATA = Path(__file__).parent / "data"
+
+
+def _model_arrays(model):
+    """Every float array of a model: the encoder's, then the head's."""
+    enc = model.encoder
+    vectors = [enc.projection] if isinstance(enc, HashedNgramEncoder) \
+        else [enc.table[text] for text in sorted(enc.table)]
+    return [*vectors, *model.fusion_params.weights, *model.fusion_params.biases]
 
 
 def _fit_toy(toy_dataset, toy_table, cfg=None, **fit_kw):
@@ -214,7 +220,8 @@ class TestBuildConfig:
                                rf"string, got {shown}$")
           for value, shown in ((5, "5"), (None, "None"), ([1], r"\[1\]"))),
         ({"fusion": {"lr_high": 10 ** 400}},
-         r"^config: fusion: lr_high must be a finite number, got 10{400}$"),
+         r"^config: fusion: lr_high must be a finite number, got an "
+         r"integer of 401 digits$"),
         *(({"multi_label": multi_label, "fusion": {"threshold": [0.5]}},
            r"^config: fusion.threshold needs one value per label \(2\), "
            r"got 1$") for multi_label in (False, True)),
@@ -260,6 +267,20 @@ class TestBuildConfig:
         with pytest.raises(sf.ConfigurationError,
                            match="^lr_high must be a finite number"):
             sf.FusionConfig(lr_high=10 ** 400)
+
+    @pytest.mark.parametrize("make", [
+        lambda value: sf.FusionConfig(lr_high=value),
+        lambda value: sf.EncoderConfig(lr_small=value),
+        lambda value: sf.ProviderConfig(temperature=value),
+    ], ids=["fusion", "encoder", "provider"])
+    def test_huge_integer_named_by_its_digits(self, make):
+        """An int past the float range is a config error that names it by
+        its digit count, also past Python's int-to-string limit."""
+        for value, digits in ((10 ** 5000, 5001), (-10 ** 400, 401)):
+            with pytest.raises(sf.ConfigurationError,
+                               match=r"must be a finite number, got an "
+                                     rf"integer of {digits} digits$"):
+                make(value)
 
     @pytest.mark.parametrize("multi_label", [False, True])
     @pytest.mark.parametrize("threshold", [(0.5,), (0.5, 0.5, 0.5)])
@@ -520,17 +541,34 @@ class TestFusedInput:
         weights[4, 0] = 1.0  # logit 0 <- provider 2, class "yes"
         weights[1, 1] = 1.0  # logit 1 <- embedding column 1
         params = FusionParams([weights], [np.zeros(2)])
-        model = sf.FusionModel(
-            schema, sf.TaskMode.MULTI_LABEL, encoder,
-            (sf.ProviderConfig(provider_id="mock"),
-             sf.ProviderConfig(provider_id="mock", model_name="second")),
-            sf.FusionConfig(hidden_sizes=()), params)
+        model = sf.FusionModel(sf.AutoFusionConfig(
+            label_columns=schema.labels, multi_label=True,
+            llm_providers=(
+                sf.ProviderConfig(provider_id="mock"),
+                sf.ProviderConfig(provider_id="mock", model_name="second")),
+            encoder=encoder.cfg, fusion=sf.FusionConfig(hidden_sizes=())),
+            encoder, params)
         text = "layout check"
         providers = [sf.MockProvider({text: (0.1, 0.9)}, schema),
                      sf.MockProvider({text: (0.4, 0.6)}, schema)]
         (pred,) = sf.predict(model, [text], providers=providers)
         want = sf.sigmoid(np.array([0.4, encoder.encode(text)[1]]))
         assert list(pred.scores.values) == want.tolist()
+
+    def test_config_must_describe_the_encoder(self):
+        """A model's config.encoder is its hashed encoder's settings, or a
+        path for a frozen one; anything else would not survive a save."""
+        encoder = HashedNgramEncoder(
+            sf.EncoderConfig(dim=2, ngram_sizes=(3,), buckets=16), seed=0)
+        params = FusionParams([np.zeros((2, 2))], [np.zeros(2)])
+        for described in (replace(encoder.cfg, lr_small=0.5), "emb.tsv"):
+            cfg = sf.AutoFusionConfig(
+                label_columns=("yes", "no"), llm_providers=(),
+                encoder=described, fusion=sf.FusionConfig(hidden_sizes=()))
+            with pytest.raises(sf.ConfigurationError,
+                               match="does not describe the model's "
+                                     "HashedNgramEncoder"):
+                sf.FusionModel(cfg, encoder, params)
 
 
 class TestEvaluate:
@@ -645,24 +683,25 @@ class TestSaveLoad:
         path = tmp_path / "model.json"
         sf.save_model(model, path)
         loaded = sf.load_model(path)
+        assert loaded.config == model.config
         assert loaded.schema.labels == model.schema.labels
         assert loaded.mode is model.mode
-        assert loaded.providers == model.providers
-        assert loaded.fusion_cfg == model.fusion_cfg
         for w1, w2 in zip(model.fusion_params.weights,
                           loaded.fusion_params.weights):
             assert np.array_equal(w1, w2)
 
-    # A multi-label model with two providers and per-class thresholds,
-    # written by the format-1 writer, plus its decisions on three texts.
-    V1_MODEL = Path(__file__).parent / "data" / "model_v1.json"
-    V1_EXPECTED = Path(__file__).parent / "data" / "model_v1_expected.json"
-    # A multi-class one-provider model written by the format-2 writer, its
-    # projection holding an all-zero row and a -0.0 entry.
-    V2_MODEL = Path(__file__).parent / "data" / "model_v2.json"
-    V2_EXPECTED = Path(__file__).parent / "data" / "model_v2_expected.json"
+    # Files written by the writers of earlier formats, each beside the
+    # scores and decisions it gave on some texts (`<name>_expected.json`):
+    # - model_v1: multi-label, two providers, per-class thresholds;
+    # - model_v2: multi-class, one provider, its projection holding an
+    #   all-zero row and a -0.0 entry;
+    # - model_v3: multi-label, two providers, per-class thresholds, a
+    #   sign_init start with some rows moved;
+    # - model_v3_frozen: multi-class, one provider, a frozen-lookup encoder.
+    OLD_MODELS = sorted(p for p in DATA.glob("model_v*.json")
+                        if not p.stem.endswith("_expected"))
 
-    def _assert_decisions(self, model, expected_path=V1_EXPECTED):
+    def _assert_decisions(self, model, expected_path):
         expected = json.loads(expected_path.read_text(encoding="utf-8"))
         texts = expected["texts"]
         providers = [sf.MockProvider(dict(zip(texts, rows)), model.schema)
@@ -671,45 +710,68 @@ class TestSaveLoad:
         assert [list(p.decided.bits) for p in preds] == expected["decided"]
         assert [list(p.scores.values) for p in preds] == expected["scores"]
 
-    def _assert_resaves_as_stable_v3(self, tmp_path, path, expected_path):
-        """An older file re-saves as format 3 with every non-zero row, its
-        arrays bit for bit, and that file re-saves to the same bytes."""
+    def test_a_fixture_for_every_earlier_format(self):
+        versions = {json.loads(p.read_text(encoding="utf-8"))["format_version"]
+                    for p in self.OLD_MODELS}
+        assert versions == set(range(1, MODEL_FORMAT_VERSION))
+
+    @pytest.mark.parametrize("path", OLD_MODELS, ids=lambda p: p.stem)
+    def test_old_format_file(self, path, tmp_path):
+        """A file of an earlier format predicts its expected file exactly
+        and re-saves as the current format, its config and arrays bit for
+        bit; that file predicts the same and re-saves to the same bytes."""
+        expected = path.with_name(f"{path.stem}_expected.json")
         old = sf.load_model(path)
-        assert old.encoder.init_seed is None
+        self._assert_decisions(old, expected)
         sf.save_model(old, tmp_path / "a.json")
         doc = json.loads((tmp_path / "a.json").read_text(encoding="utf-8"))
-        assert doc["format_version"] == MODEL_FORMAT_VERSION == 3
-        enc = doc["encoder"]
-        assert enc["init_seed"] is None and enc["init_sha256"] is None
-        nonzero = old.encoder.projection.view(np.uint64).any(axis=1)
-        assert enc["rows"] == np.flatnonzero(nonzero).tolist()
-        v3 = sf.load_model(tmp_path / "a.json")
-        arrays = lambda m: [m.encoder.projection,
-                            *m.fusion_params.weights, *m.fusion_params.biases]
-        for a, b in zip(arrays(old), arrays(v3), strict=True):
+        assert doc["format_version"] == MODEL_FORMAT_VERSION == 4
+        if json.loads(path.read_text(encoding="utf-8"))["format_version"] < 3:
+            # No init seed: every non-zero row is stored over a zero start.
+            assert old.encoder.init_seed is None
+            nonzero = old.encoder.projection.view(np.uint64).any(axis=1)
+            assert doc["encoder"]["rows"] == np.flatnonzero(nonzero).tolist()
+        new = sf.load_model(tmp_path / "a.json")
+        assert new.config == old.config
+        for a, b in zip(_model_arrays(old), _model_arrays(new), strict=True):
             assert a.shape == b.shape
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
-        self._assert_decisions(v3, expected_path)
-        sf.save_model(v3, tmp_path / "b.json")
+        self._assert_decisions(new, expected)
+        sf.save_model(new, tmp_path / "b.json")
         assert (tmp_path / "b.json").read_bytes() == \
             (tmp_path / "a.json").read_bytes()
 
-    def test_v1_file_resaves_as_stable_v3(self, tmp_path):
-        self._assert_resaves_as_stable_v3(tmp_path, self.V1_MODEL,
-                                          self.V1_EXPECTED)
-
-    def test_v2_file_resaves_as_stable_v3(self, tmp_path):
-        self._assert_resaves_as_stable_v3(tmp_path, self.V2_MODEL,
-                                          self.V2_EXPECTED)
-        doc = json.loads((tmp_path / "a.json").read_text(encoding="utf-8"))
-        # The fixture's all-zero row is left out.
-        assert 5 not in doc["encoder"]["rows"]
-
-    def test_v1_file_decisions(self):
-        self._assert_decisions(sf.load_model(self.V1_MODEL))
-
-    def test_v2_file_decisions(self):
-        self._assert_decisions(sf.load_model(self.V2_MODEL), self.V2_EXPECTED)
+    def test_old_frozen_file_cannot_fit(self, tmp_path):
+        """A format-3 frozen-lookup file never recorded its embedding path:
+        it predicts and evaluates through the classifier, and a fit from it
+        fails with a DataError naming the fact, before any provider call,
+        cache or run directory."""
+        clf = sf.AutoFusionClassifier.from_model_file(
+            DATA / "model_v3_frozen.json")
+        assert clf.config.encoder == "<not recorded by model format 3>"
+        expected = json.loads((DATA / "model_v3_frozen_expected.json")
+                              .read_text(encoding="utf-8"))
+        texts, [rows] = expected["texts"], expected["provider_tables"]
+        table = dict(zip(texts, rows))
+        schema = clf.config.schema
+        preds = clf.predict(texts, providers=[sf.MockProvider(table, schema)])
+        assert preds.decided.astype(int).tolist() == expected["decided"]
+        ds = sf.make_dataset(schema, MC, texts,
+                             [sf.LabelVector(d) for d in expected["decided"]])
+        report = clf.evaluate(ds, runs_root=tmp_path / "runs",
+                              providers=[sf.MockProvider(table, schema)])
+        assert report.accuracy == 1.0
+        provider = sf.MockProvider(table, schema)
+        cached = replace(clf.config, cache_dir=str(tmp_path / "cache"))
+        for fit in (lambda: clf.fit(ds, tmp_path / "fit-runs", [provider]),
+                    lambda: sf.fit(ds, cached, tmp_path / "fit-runs",
+                                   providers=[provider])):
+            with pytest.raises(sf.DataError,
+                               match="not recorded by model format 3"):
+                fit()
+        assert provider.calls == 0
+        assert not (tmp_path / "cache").exists()
+        assert not (tmp_path / "fit-runs").exists()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(sf.ModelFormatError, match="cannot read"):
@@ -741,10 +803,11 @@ class TestSaveLoad:
     def test_unknown_provider_key_named(self, toy_dataset, toy_table,
                                         tmp_path):
         path = self._doctored(toy_dataset, toy_table, tmp_path,
-                              lambda doc: doc["providers"][0].update(
-                                  stray=1))
+                              lambda doc: doc["config"]["llm_providers"][0]
+                              .update(stray=1))
         with pytest.raises(sf.ModelFormatError,
-                           match="unknown provider key 'stray'"):
+                           match=r"llm_providers\[0\]: unknown llm_providers "
+                                 "key 'stray'"):
             sf.load_model(path)
 
     def _doctored(self, toy_dataset, toy_table, tmp_path, edit):
@@ -780,7 +843,7 @@ class TestSaveLoad:
 
     @staticmethod
     def _claim_other_hidden_sizes(doc):
-        doc["fusion"]["hidden_sizes"] = [99, 7]
+        doc["config"]["fusion"]["hidden_sizes"] = [99, 7]
 
     @pytest.mark.parametrize("edit, match", [
         (_resize_first_bias(1), r"shape \(16,\) has 1 values, expected 16"),
@@ -886,7 +949,7 @@ class TestSaveLoad:
     def test_negative_zero_survives(self, tmp_path):
         """Rows are compared as bits: over a zero start, a row whose only
         set bit is the sign of a -0.0 is stored and reads back as -0.0."""
-        model = sf.load_model(self.V2_MODEL)
+        model = sf.load_model(DATA / "model_v2.json")
         assert not model.encoder.projection[5].any()
         model.encoder.projection[5, 1] = -0.0
         enc = self._assert_resave_stable(model, tmp_path)
@@ -914,7 +977,7 @@ class TestSaveLoad:
             elif how == "negative":
                 rows[0] = -1
             elif how == "past_buckets":
-                rows[-1] = doc["encoder"]["buckets"]
+                rows[-1] = doc["config"]["encoder"]["buckets"]
             elif how == "float":
                 rows[0] = float(rows[0])
             elif how == "bool":
@@ -1056,24 +1119,37 @@ class TestFrozenEncoder:
 
     def test_classifier_from_model_file(self, toy_dataset, toy_table,
                                         tmp_path):
-        """A frozen model loaded without its config records its own encoder
-        in runs and refuses to fit rather than switch to a hashed one."""
+        """A frozen model loaded without its config carries its embedding
+        path: its runs record the fitted config, and it fits again from the
+        recorded file."""
         path, _ = self._embeddings_file(tmp_path, TOY_TEXTS, dim=3)
         cfg = small_fusion_config(encoder=str(path))
         providers = [sf.MockProvider(toy_table, toy_dataset.schema)]
         model, _ = sf.fit(toy_dataset, cfg, providers=providers)
         sf.save_model(model, tmp_path / "model.json")
         clf = sf.AutoFusionClassifier.from_model_file(tmp_path / "model.json")
+        assert clf.config == clf.model.config == cfg
         clf.evaluate(toy_dataset, runs_root=tmp_path / "runs",
                      providers=providers)
         [run_dir] = (tmp_path / "runs").iterdir()
         config = load_run(tmp_path / "runs", run_dir.name).config
-        assert config["encoder"] == {"kind": "frozen_lookup", "dim": 3}
-        assert config == model_config_doc(clf.model)
-        with pytest.raises(sf.ConfigurationError,
-                           match="encoder.precomputed_path"):
-            clf.fit(toy_dataset, providers=providers)
+        assert sf.AutoFusionConfig.from_dict(config, "config") == cfg
+        clf.fit(toy_dataset, providers=providers)
         assert isinstance(clf.model.encoder, FrozenLookupEncoder)
+        assert clf.model.config == cfg
+
+    def test_missing_file_fails_before_scoring(self, toy_dataset, toy_table,
+                                               tmp_path):
+        """The embedding file is read before any score is fetched, so a
+        missing one costs no provider call and leaves no cache or run."""
+        cfg = small_fusion_config(encoder=str(tmp_path / "absent.tsv"),
+                                  cache_dir=str(tmp_path / "cache"))
+        provider = sf.MockProvider(toy_table, toy_dataset.schema)
+        with pytest.raises(sf.DataError, match="cannot read .*absent.tsv"):
+            sf.fit(toy_dataset, cfg, tmp_path / "runs", providers=[provider])
+        assert provider.calls == 0
+        assert not (tmp_path / "cache").exists()
+        assert not (tmp_path / "runs").exists()
 
     def test_non_finite_vector_rejected(self, toy_dataset, toy_table,
                                         tmp_path):
@@ -1110,7 +1186,7 @@ class TestBaselines:
         cfg = small_fusion_config(cache_dir=str(tmp_path / "cache"))
         model, record = sf.fit_encoder_baseline(toy_dataset, cfg)
         assert isinstance(model, sf.FusionModel)
-        assert model.providers == ()
+        assert model.config.llm_providers == ()
         assert model.fusion_params.input_dim == cfg.encoder.dim
         assert not (tmp_path / "cache").exists()  # no scores, no cache
         assert record.config["llm_providers"] == []
@@ -1267,12 +1343,33 @@ class TestAutoFusionClassifier:
         assert report == sf.evaluate(sf.load_model(path), toy_dataset)
         [run_dir] = (tmp_path / "runs").iterdir()
         config = load_run(tmp_path / "runs", run_dir.name).config
-        assert config == model_config_doc(clf.model)
+        assert config == clf.model.config.to_dict()
         assert config["llm_providers"] == []
         loaded = clf.model
         clf.fit(toy_dataset, runs_root=tmp_path / "fit-runs")
-        assert clf.model is not loaded and clf.model.providers == ()
+        assert clf.model is not loaded and clf.model.config.llm_providers == ()
         assert clf.last_run.config["llm_providers"] == []
+
+    @pytest.mark.parametrize("variant", ["hashed", "frozen", "encoder_only"])
+    def test_from_model_file_keeps_the_fitted_config(
+            self, variant, toy_dataset, toy_table, tmp_path):
+        """Loaded without a config, a classifier has the config that fit
+        the model, cache directory and frozen embedding path included."""
+        overrides = {"cache_dir": str(tmp_path / "cache"),
+                     "text_column": "body", "validation_fraction": 0.25}
+        if variant == "frozen":
+            path = tmp_path / "emb.tsv"
+            sf.write_mock_table({t: (i / 8, 1 - i / 8)
+                                 for i, t in enumerate(TOY_TEXTS)}, str(path))
+            overrides["encoder"] = str(path)
+        elif variant == "encoder_only":
+            overrides["llm_providers"] = ()
+        cfg = small_fusion_config(**overrides)
+        providers = self._providers(toy_table) if cfg.llm_providers else None
+        model, _ = sf.fit(toy_dataset, cfg, providers=providers)
+        sf.save_model(model, tmp_path / "model.json")
+        clf = sf.AutoFusionClassifier.from_model_file(tmp_path / "model.json")
+        assert clf.config == cfg
 
     def test_save_and_reload(self, toy_table, tmp_path):
         clf = sf.AutoFusionClassifier(self._config_doc())
