@@ -715,14 +715,12 @@ class TestSaveLoad:
                     for p in self.OLD_MODELS}
         assert versions == set(range(1, MODEL_FORMAT_VERSION))
 
-    @pytest.mark.parametrize("path", OLD_MODELS, ids=lambda p: p.stem)
-    def test_old_format_file(self, path, tmp_path):
-        """A file of an earlier format predicts its expected file exactly
-        and re-saves as the current format, its config and arrays bit for
-        bit; that file predicts the same and re-saves to the same bytes."""
+    def _assert_resaves_stable(self, path, tmp_path):
+        """A file of an earlier format re-saves as the current format, its
+        config and arrays bit for bit; that file predicts as the old one did
+        and re-saves to the same bytes. Returns the first re-saved document."""
         expected = path.with_name(f"{path.stem}_expected.json")
         old = sf.load_model(path)
-        self._assert_decisions(old, expected)
         sf.save_model(old, tmp_path / "a.json")
         doc = json.loads((tmp_path / "a.json").read_text(encoding="utf-8"))
         assert doc["format_version"] == MODEL_FORMAT_VERSION == 4
@@ -740,6 +738,35 @@ class TestSaveLoad:
         sf.save_model(new, tmp_path / "b.json")
         assert (tmp_path / "b.json").read_bytes() == \
             (tmp_path / "a.json").read_bytes()
+        return doc
+
+    def test_v1_file_decisions(self):
+        self._assert_decisions(sf.load_model(DATA / "model_v1.json"),
+                               DATA / "model_v1_expected.json")
+
+    def test_v2_file_decisions(self):
+        self._assert_decisions(sf.load_model(DATA / "model_v2.json"),
+                               DATA / "model_v2_expected.json")
+
+    # The names of the two tests below date from when format 3 was the
+    # current one; they check a re-save as the current format.
+    def test_v1_file_resaves_as_stable_v3(self, tmp_path):
+        self._assert_resaves_stable(DATA / "model_v1.json", tmp_path)
+
+    def test_v2_file_resaves_as_stable_v3(self, tmp_path):
+        doc = self._assert_resaves_stable(DATA / "model_v2.json", tmp_path)
+        # The fixture's all-zero row is left out.
+        assert 5 not in doc["encoder"]["rows"]
+
+    @pytest.mark.parametrize(
+        "path", [p for p in OLD_MODELS if p.stem.startswith("model_v3")],
+        ids=lambda p: p.stem)
+    def test_old_format_file(self, path, tmp_path):
+        """A format-3 file predicts its expected file exactly and re-saves
+        stably as the current format."""
+        self._assert_decisions(
+            sf.load_model(path), path.with_name(f"{path.stem}_expected.json"))
+        self._assert_resaves_stable(path, tmp_path)
 
     def test_old_frozen_file_cannot_fit(self, tmp_path):
         """A format-3 frozen-lookup file never recorded its embedding path:
