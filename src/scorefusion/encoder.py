@@ -4,7 +4,10 @@ precomputed-embedding lookup.
 The trainable encoder maps lowercased character n-grams through a
 64-bit FNV-1a hash into `buckets` counting bins, L1-normalizes the counts,
 and multiplies by a trainable projection matrix that starts as a seeded
-±1 sign matrix (`sign_init`). It is the desk-scale
+±1 sign matrix (`sign_init`). That (buckets, dim) float64 projection is
+the encoder's one large array: `sign_init` fills it one row block
+(`init_row_blocks`, 512 KiB) at a time, and training reuses per-fit batch
+buffers sized by the largest batch, never by `buckets`. It is the desk-scale
 stand-in for a transformer backbone: it produces a dense embedding and
 receives gradient updates at the small learning rate. Real transformer
 vectors can be substituted via the frozen lookup encoder.
@@ -14,12 +17,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .core import DictCodec, read_vector_table
-from .errors import DataError, UnknownTextError
+from .errors import ConfigurationError, DataError, UnknownTextError
 
 # FNV-1a, 64-bit.
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -42,18 +45,47 @@ _SPLITMIX_M1 = 0xBF58476D1CE4E5B9
 _SPLITMIX_M2 = 0x94D049BB133111EB
 
 
-def sign_init_words(seed: int, buckets: int, dim: int) -> np.ndarray:
-    """The (buckets, ceil(dim / 64)) uint64 words `sign_init` expands.
+# Float64 values of sign_init made per pass, 512 KiB: a whole init, or a
+# model save's compare against it, holds one such block of rows beside its
+# projection.
+_INIT_BLOCK_VALUES = 2 ** 16
+
+
+def init_row_blocks(start: int, stop: int,
+                    dim: int) -> Iterator[tuple[int, int]]:
+    """Consecutive row ranges [a, b) covering [start, stop), each of at
+    most _INIT_BLOCK_VALUES values of `dim` columns (at least one row)."""
+    step = max(1, _INIT_BLOCK_VALUES // dim)
+    for a in range(start, stop, step):
+        yield a, min(a + step, stop)
+
+
+def _checked_stop(seed: int, buckets: int, start: int,
+                  stop: int | None) -> int:
+    """The end of the rows a sign_init call names, once its seed and its
+    rows [start, stop) of [0, buckets) are checked."""
+    if isinstance(seed, bool) or not isinstance(seed, int) \
+            or not 0 <= seed <= _U64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    stop = buckets if stop is None else stop
+    if not 0 <= start <= stop <= buckets:
+        raise ValueError(f"rows [{start}, {stop}) do not lie in "
+                         f"[0, {buckets})")
+    return stop
+
+
+def sign_init_words(seed: int, buckets: int, dim: int, start: int = 0,
+                    stop: int | None = None) -> np.ndarray:
+    """Rows [start, stop) (all by default) of the (buckets, ceil(dim / 64))
+    uint64 words `sign_init` expands.
 
     Word w of row b is SplitMix64 of seed + (b * ceil(dim / 64) + w + 1) *
     0x9E3779B97F4A7C15, in wrapping uint64 arithmetic only, so every numpy
     version yields the same words. `seed` is an integer in [0, 2**64).
     """
-    if isinstance(seed, bool) or not isinstance(seed, int) \
-            or not 0 <= seed <= _U64:
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    stop = _checked_stop(seed, buckets, start, stop)
     n_words = -(-dim // 64)
-    z = np.arange(1, buckets * n_words + 1, dtype=np.uint64)
+    z = np.arange(start * n_words + 1, stop * n_words + 1, dtype=np.uint64)
     z *= np.uint64(_SPLITMIX_GAMMA)
     z += np.uint64(seed)
     z ^= z >> np.uint64(30)
@@ -61,23 +93,47 @@ def sign_init_words(seed: int, buckets: int, dim: int) -> np.ndarray:
     z ^= z >> np.uint64(27)
     z *= np.uint64(_SPLITMIX_M2)
     z ^= z >> np.uint64(31)
-    return z.reshape(buckets, n_words)
+    return z.reshape(stop - start, n_words)
 
 
-def sign_init(seed: int, buckets: int, dim: int) -> np.ndarray:
-    """A (buckets, dim) float64 matrix of ±1: entry (b, c) is +1 where bit
-    c % 64 of word c // 64 of row b of `sign_init_words` is set.
+def sign_init(seed: int, buckets: int, dim: int, start: int = 0,
+              stop: int | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Rows [start, stop) (all by default) of a (buckets, dim) float64
+    matrix of ±1: entry (b, c) is +1 where bit c % 64 of word c // 64 of
+    row b of `sign_init_words` is set. Written into `out` when given.
 
     A sign random projection preserves distances as well as a Gaussian one
     (Achlioptas 2003), and this one is defined here bit for bit, so a model
-    file can store the seed in place of the rows training left alone.
+    file can store the seed in place of the rows training left alone. The
+    rows are made one `init_row_blocks` block at a time, so beside its
+    output a call holds one block's words and bits.
     """
-    words = sign_init_words(seed, buckets, dim).astype("<u8", copy=False)
-    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
-    out = bits[:, :dim].astype(np.float64)
-    out *= 2.0
-    out -= 1.0
+    stop = _checked_stop(seed, buckets, start, stop)
+    if out is None:
+        out = np.empty((stop - start, dim))
+    for a, b in init_row_blocks(start, stop, dim):
+        words = sign_init_words(seed, buckets, dim, a, b).astype(
+            "<u8", copy=False)
+        bits = np.unpackbits(words.view(np.uint8), axis=1, count=dim,
+                             bitorder="little")
+        block = out[a - start:b - start]
+        np.multiply(bits, 2.0, out=block)
+        block -= 1.0
     return out
+
+
+def zero_projection(cfg: "EncoderConfig") -> np.ndarray:
+    """A zero (buckets, dim) float64 projection. Its pages are committed
+    only as they are written; a size that cannot be allocated at all is a
+    ConfigurationError naming it, not a numpy MemoryError."""
+    try:
+        return np.zeros((cfg.buckets, cfg.dim))
+    except MemoryError:
+        raise ConfigurationError(
+            f"the encoder projection, buckets x dim = {cfg.buckets} x "
+            f"{cfg.dim} float64 values ({8 * cfg.buckets * cfg.dim} bytes), "
+            "cannot be allocated") from None
 
 
 @dataclass(frozen=True)
@@ -269,10 +325,12 @@ class HashedNgramEncoder:
         it starts as `sign_init(seed, buckets, dim)`, or as zeros when
         `seed` is None, and `init_seed` records that start, so a model file
         stores only the rows that moved from it. A given projection has no
-        recorded start: its `init_seed` is None."""
+        recorded start: its `init_seed` is None. A projection too large to
+        allocate is a ConfigurationError (see `zero_projection`)."""
         if projection is None:
-            projection = np.zeros((cfg.buckets, cfg.dim)) if seed is None \
-                else sign_init(seed, cfg.buckets, cfg.dim)
+            projection = zero_projection(cfg)
+            if seed is not None:
+                sign_init(seed, cfg.buckets, cfg.dim, out=projection)
             self.init_seed = seed
         else:
             self.init_seed = None
@@ -338,13 +396,15 @@ class HashedNgramEncoder:
         """A TrainingBatch builder over the rows of one fit's features."""
         return TrainingBatches(feats, self.projection)
 
-    def embed_batch(self, batch: "TrainingBatch") -> np.ndarray:
-        """(len(batch), dim) embeddings of a training batch, M @ P[u].
+    def embed_batch(self, batch: "TrainingBatch",
+                    out: np.ndarray | None = None) -> np.ndarray:
+        """(len(batch), dim) embeddings of a training batch, M @ P[u],
+        written into `out` when given.
 
         Equals embed_features on the same rows up to round-off: the sum runs
         over the sorted touched buckets, with zeros where a row lacks one.
         """
-        return batch.weights @ batch.projection_rows
+        return np.matmul(batch.weights, batch.projection_rows, out=out)
 
     def apply_sparse_gradients(self, batch: "TrainingBatch",
                                embedding_grads: np.ndarray) -> None:
@@ -354,9 +414,9 @@ class HashedNgramEncoder:
         embedding grads must already carry any 1/batch factor from the loss.
         With the batch's (B, U) weight matrix M over its touched buckets u,
         the whole step is P[u] -= lr_small * (M.T @ G), computed from the
-        rows P[u] the batch read when it was built.
+        rows P[u] the batch read when it was built, in the batch's `step`.
         """
-        step = batch.weights.T @ embedding_grads
+        step = np.matmul(batch.weights.T, embedding_grads, out=batch.step)
         step *= self.lr_small
         np.subtract(batch.projection_rows, step, out=step)
         self.projection[batch.touched] = step
@@ -369,14 +429,16 @@ class TrainingBatch:
 
     touched is sorted and holds each bucket once; weights[r, c] is row r's
     weight on bucket touched[c], 0 where the row lacks it; projection_rows
-    is P[touched] as read at build time. The embedding and the update of one
-    training step share all three, so a batch must be applied before the
-    next one is built.
+    is P[touched] as read at build time, and step is room of the same shape
+    for the update. The embedding and the update of one training step share
+    them, and the next batch built reuses their memory, so a batch must be
+    applied before the next one is built.
     """
 
     touched: np.ndarray
     weights: np.ndarray
     projection_rows: np.ndarray
+    step: np.ndarray
 
     def __len__(self) -> int:
         return self.weights.shape[0]
@@ -387,7 +449,10 @@ class TrainingBatches:
 
     The touched buckets are found without a sort: a boolean mask over all
     buckets, allocated once and all-False again after every batch, is set
-    at the batch's entries and read back with flatnonzero.
+    at the batch's entries and read back with flatnonzero. A batch's
+    weights, projection rows and step are contiguous views of flat buffers
+    that grow to hold the largest batch built and are then reused, so a fit
+    does not allocate (and page-fault in) fresh arrays every batch.
     """
 
     def __init__(self, feats: CsrRows, projection: np.ndarray):
@@ -395,6 +460,19 @@ class TrainingBatches:
         self.projection = projection
         self._mask = np.zeros(projection.shape[0], dtype=bool)
         self._column = np.zeros(projection.shape[0], dtype=np.int64)
+        self._buffers = {name: np.empty(0)
+                         for name in ("weights", "rows", "step")}
+
+    def _buffer(self, name: str, shape: tuple[int, int]) -> np.ndarray:
+        """The first shape[0] * shape[1] values of a grow-only buffer, as
+        a C-contiguous array of that shape."""
+        size = shape[0] * shape[1]
+        if self._buffers[name].size < size:
+            # Rounded up to a power of two, so a fit reallocates each buffer
+            # a few times rather than at every new largest batch, and the
+            # freed sizes leave few heap holes.
+            self._buffers[name] = np.empty(1 << (size - 1).bit_length())
+        return self._buffers[name][:size].reshape(shape)
 
     def __call__(self, rows: np.ndarray) -> TrainingBatch:
         """The given rows of the features, in the given order."""
@@ -403,9 +481,16 @@ class TrainingBatches:
         touched = np.flatnonzero(self._mask)
         self._mask[touched] = False
         self._column[touched] = np.arange(touched.size)
-        weights = np.zeros((len(picked), touched.size))
+        weights = self._buffer("weights", (len(picked), touched.size))
+        weights.fill(0.0)
         weights[picked.row_ids(), self._column[picked.idx]] = picked.w
-        return TrainingBatch(touched, weights, self.projection[touched])
+        shape = (touched.size, self.projection.shape[1])
+        # touched lies in range by construction; mode="raise" would write
+        # through a temporary copy of `out`.
+        projection_rows = np.take(self.projection, touched, axis=0,
+                                  out=self._buffer("rows", shape), mode="clip")
+        return TrainingBatch(touched, weights, projection_rows,
+                             self._buffer("step", shape))
 
 
 class FrozenLookupEncoder:
@@ -446,7 +531,12 @@ class FrozenLookupEncoder:
     def embed_features(self, feats: np.ndarray) -> np.ndarray:
         return feats
 
-    embed_batch = embed_features
+    def embed_batch(self, batch: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            return batch
+        out[...] = batch
+        return out
 
     def apply_sparse_gradients(self, batch, embedding_grads) -> None:
         """Frozen: no update."""

@@ -10,7 +10,11 @@ base64 string of its little-endian float64 bytes. A hashed encoder's
 projection is stored as its start, `sign_init(init_seed)` (zeros when
 `init_seed` is null), plus the rows that differ from it bitwise; training
 moves only the rows its texts touch, so the file grows with the fit
-vocabulary, not the bucket count. Formats 3 (the config in pieces), 2 (the
+vocabulary, not the bucket count. Saving finds those rows by comparing
+the projection with its start one row block of `sign_init` at a time,
+and loading checks the rows and the digest before it writes the init
+into the one projection it allocates, so neither holds a second
+projection. Formats 3 (the config in pieces), 2 (the
 whole projection in base64) and 1 (JSON lists of repr floats) are still
 read; a config field they never stored takes its default, and a frozen
 encoder's path, which they never stored, reads as a path saying so.
@@ -41,7 +45,10 @@ from .encoder import (
     EncoderConfig,
     FrozenLookupEncoder,
     HashedNgramEncoder,
+    init_row_blocks,
+    sign_init,
     sign_init_words,
+    zero_projection,
 )
 from .errors import ConfigurationError, DataError, ModelFormatError
 from .fusion import FusionConfig, FusionParams
@@ -211,23 +218,38 @@ def _read_array(value, version: int, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _init_sha256(seed, cfg: EncoderConfig):
-    """The sha256 of the little-endian words of `sign_init(seed)`, or None
-    for the zero start."""
+    """The sha256 of the little-endian words of `sign_init(seed)`, hashed
+    one row block at a time, or None for the zero start."""
     if seed is None:
         return None
-    words = sign_init_words(seed, cfg.buckets, cfg.dim)
-    return hashlib.sha256(words.astype("<u8", copy=False).tobytes()).hexdigest()
+    digest = hashlib.sha256()
+    for a, b in init_row_blocks(0, cfg.buckets, cfg.dim):
+        words = sign_init_words(seed, cfg.buckets, cfg.dim, a, b)
+        digest.update(words.astype("<u8", copy=False).tobytes())
+    return digest.hexdigest()
+
+
+def _moved_rows(projection: np.ndarray, seed, cfg: EncoderConfig) -> np.ndarray:
+    """The rows of `projection` that differ from its start, `sign_init(seed)`
+    or zeros when `seed` is None, compared one row block at a time as
+    uint64 bits, so a -0.0 entry counts as a change."""
+    bits = projection.view(np.uint64)
+    moved = [np.zeros(0, dtype=np.int64)]
+    for a, b in init_row_blocks(0, cfg.buckets, cfg.dim):
+        block = bits[a:b]
+        if seed is not None:
+            start = sign_init(seed, cfg.buckets, cfg.dim, a, b)
+            block = block != start.view(np.uint64)
+        moved.append(a + np.flatnonzero(block.any(axis=1)))
+    return np.concatenate(moved)
 
 
 def _encoder_to_doc(encoder) -> dict:
     """The encoder's state; its settings are in the config."""
     if isinstance(encoder, HashedNgramEncoder):
         cfg, seed = encoder.cfg, encoder.init_seed
-        start = HashedNgramEncoder(cfg, seed=seed).projection
-        # Compared as bits, so a -0.0 entry counts as a change.
         projection = np.ascontiguousarray(encoder.projection, dtype=np.float64)
-        rows = np.flatnonzero((projection.view(np.uint64)
-                               != start.view(np.uint64)).any(axis=1))
+        rows = _moved_rows(projection, seed, cfg)
         return {
             "init_seed": seed,
             "init_sha256": _init_sha256(seed, cfg),
@@ -275,13 +297,12 @@ def _hashed_encoder_from_rows(doc: dict, cfg: EncoderConfig,
                               version: int) -> HashedNgramEncoder:
     """A hashed encoder from format 3 on: its start, regenerated and
     checked against the recorded digest, with the stored rows written
-    over it."""
+    over it.
+
+    The rows and the digest are checked before the init is written. The
+    projection is allocated first, untouched, so a size that cannot be
+    allocated fails at once rather than after hashing all its rows."""
     seed = doc["init_seed"]
-    encoder = HashedNgramEncoder(cfg, seed=seed)
-    if doc["init_sha256"] != _init_sha256(seed, cfg):
-        raise ModelFormatError(
-            f"init_sha256 {doc['init_sha256']!r} does not match the "
-            f"regenerated init of init_seed {seed!r}")
     rows = doc["rows"]
     if type(rows) is not list or any(type(r) is not int for r in rows):
         raise ModelFormatError("rows must be a list of integers")
@@ -290,8 +311,17 @@ def _hashed_encoder_from_rows(doc: dict, cfg: EncoderConfig,
     ids = np.array(rows, dtype=np.int64)
     if (np.diff(ids) <= 0).any():
         raise ModelFormatError("rows must be strictly increasing")
-    encoder.projection[ids] = _read_array(doc["projection_rows"], version,
-                                          (ids.size, cfg.dim))
+    projection = zero_projection(cfg)
+    if doc["init_sha256"] != _init_sha256(seed, cfg):
+        raise ModelFormatError(
+            f"init_sha256 {doc['init_sha256']!r} does not match the "
+            f"regenerated init of init_seed {seed!r}")
+    if seed is not None:
+        sign_init(seed, cfg.buckets, cfg.dim, out=projection)
+    projection[ids] = _read_array(doc["projection_rows"], version,
+                                  (ids.size, cfg.dim))
+    encoder = HashedNgramEncoder(cfg, projection)
+    encoder.init_seed = seed
     return encoder
 
 

@@ -223,6 +223,10 @@ def _train(encoder, texts: Sequence[str], targets: Sequence[LabelVector],
     feats = encoder.features(texts)
     batches = encoder.training_batches(feats)
     val_feats, val_scores = feats[val_idx], scores[val_idx]
+    # Every batch's input [embedding | scores row] is written into the
+    # leading rows of one matrix sized for the largest batch.
+    inputs = np.empty((min(fcfg.train_batch_size, train_idx.size),
+                       d + scores.shape[1]))
 
     last_report: Optional[MetricsReport] = None
     for epoch in range(1, fcfg.epochs + 1):
@@ -231,8 +235,10 @@ def _train(encoder, texts: Sequence[str], targets: Sequence[LabelVector],
         for start in range(0, order.size, fcfg.train_batch_size):
             batch = order[start:start + fcfg.train_batch_size]
             enc_batch = batches(batch)
-            embs = encoder.embed_batch(enc_batch)
-            logits, tape = forward(np.hstack([embs, scores[batch]]), params)
+            x = inputs[:batch.size]
+            encoder.embed_batch(enc_batch, out=x[:, :d])
+            np.take(scores, batch, axis=0, out=x[:, d:])
+            logits, tape = forward(x, params)
             mean_loss, dlogits = batch_loss_and_dlogits(logits, y[batch], mode)
             if not np.isfinite(mean_loss):
                 raise ConfigurationError(
@@ -255,6 +261,8 @@ def _train(encoder, texts: Sequence[str], targets: Sequence[LabelVector],
                          "val_macro_f1": last_report.f1}
         if run is not None:
             run.log_epoch(epoch, loss_sum / order.size, **log_extra)
+    # The batch buffers are not needed for the final predictions.
+    del batches, enc_batch
     return params, last_report, _decide_inputs(
         encoder.embed_features(feats), scores, params, mode, fcfg.threshold)
 

@@ -173,6 +173,20 @@ class TestTrain:
         assert err.count("\n") == 1
         assert "lr_high=1e+06" in err
 
+    def test_projection_too_large_exit_1(self, workdir, capsys):
+        """2^50 x 16 float64 values exceed every 64-bit address space: one
+        typed line naming the size, and no cache, run or model."""
+        code, _, err = _train(workdir, capsys,
+                              "--set", f"encoder.buckets={2 ** 50}",
+                              "--set", f"cache_dir={workdir / 'cache'}")
+        assert code == 1
+        assert err.startswith("error[config]:") and err.count("\n") == 1
+        assert ("buckets x dim = 1125899906842624 x 16 float64 values "
+                "(144115188075855872 bytes), cannot be allocated") in err
+        assert not (workdir / "cache").exists()
+        assert not (workdir / "runs").exists()
+        assert not (workdir / "model.json").exists()
+
     def test_seed_flag_changes_model(self, workdir, capsys):
         _train(workdir, capsys, "--seed", "1")
         first = (workdir / "model.json").read_bytes()
@@ -677,6 +691,21 @@ _FORMAT3_FAULTS = (
 )
 
 
+def _projection_too_large_to_load(workdir, monkeypatch):
+    """2^50 x 16 float64 values exceed every 64-bit address space."""
+    assert main(_train_argv(workdir)) == 0
+    path = workdir / "model.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["config"]["encoder"]["buckets"] = 2 ** 50
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return ["predict", "--model", str(path), "--text", "x"]
+
+
+def _projection_too_large_to_train(workdir, monkeypatch):
+    _set_config(workdir, encoder={"buckets": 2 ** 50, "dim": 16})
+    return _train_argv(workdir)
+
+
 def _non_finite_model(workdir, monkeypatch):
     assert main(_train_argv(workdir)) == 0
     path = workdir / "model.json"
@@ -801,6 +830,8 @@ def _corrupt_run_metrics(workdir, monkeypatch):
     (_corrupt_model, 1, "config"),
     (_corrupt_base64_model, 1, "config"),
     (_non_finite_model, 1, "config"),
+    (_projection_too_large_to_load, 1, "config"),
+    (_projection_too_large_to_train, 1, "config"),
     *((setup, 1, "config") for setup in _FORMAT3_FAULTS),
     (_unwritable_model_path, 2, "data"),
     (_output_in_missing_dir, 2, "data"),

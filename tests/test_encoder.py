@@ -3,6 +3,7 @@ and the frozen lookup encoder."""
 
 from __future__ import annotations
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,8 +19,10 @@ from scorefusion.encoder import (
     featurize,
     featurize_rows,
     fnv1a64,
+    init_row_blocks,
     load_precomputed_embeddings,
     sign_init,
+    sign_init_words,
 )
 
 
@@ -123,6 +126,67 @@ class TestSignInit:
     def test_seed_must_be_uint64(self, seed):
         with pytest.raises(ValueError, match="seed must be an integer"):
             sign_init(seed, 4, 4)
+
+    # A 256-value block: block multiples at every dim stay small enough
+    # for the Python-int oracle.
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize("dim", [1, 63, 64, 65, 130])
+    def test_block_boundaries_match_the_definition(self, dim, extra):
+        with mock.patch("scorefusion.encoder._INIT_BLOCK_VALUES", 2 ** 8):
+            block = next(init_row_blocks(0, 2 ** 20, dim))[1]
+            assert block == max(1, 2 ** 8 // dim)
+            buckets = 2 * block + extra
+            got = sign_init(2 ** 63 + 7, buckets, dim)
+        assert got.shape == (buckets, dim)
+        assert np.array_equal(got,
+                              _splitmix64_sign_oracle(2 ** 63 + 7, buckets, dim))
+
+    def test_default_block_boundary_matches_the_definition(self):
+        # 1,024 rows of 64 values per block at the module's block size.
+        assert next(init_row_blocks(0, 2 ** 15, 64)) == (0, 1024)
+        got = sign_init(11, 1025, 64)
+        assert np.array_equal(got, _splitmix64_sign_oracle(11, 1025, 64))
+
+    @pytest.mark.parametrize("start, stop", [(0, 0), (0, 37), (5, 6),
+                                             (13, 50), (49, 50)])
+    def test_row_range_is_a_slice_of_the_whole(self, start, stop):
+        whole = sign_init(3, 50, 70)
+        words = sign_init_words(3, 50, 70)
+        with mock.patch("scorefusion.encoder._INIT_BLOCK_VALUES", 2 ** 8):
+            assert np.array_equal(sign_init(3, 50, 70, start, stop),
+                                  whole[start:stop])
+        assert np.array_equal(sign_init_words(3, 50, 70, start, stop),
+                              words[start:stop])
+        out = np.full((stop - start, 70), np.nan)
+        assert sign_init(3, 50, 70, start, stop, out=out) is out
+        assert np.array_equal(out, whole[start:stop])
+
+    @pytest.mark.parametrize("start, stop", [(-1, 4), (3, 2), (0, 51)])
+    def test_row_range_must_lie_in_buckets(self, start, stop):
+        with pytest.raises(ValueError, match=r"do not lie in \[0, 50\)"):
+            sign_init(3, 50, 4, start, stop)
+
+    def test_peak_memory_is_the_output_plus_one_block(self):
+        """numpy reports its buffers to tracemalloc: a default-size init
+        holds its 16 MiB output and less than 1 MiB besides."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = sign_init(2 ** 63 + 1, 2 ** 15, 64)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == 16 * 2 ** 20
+        assert peak < out.nbytes + 2 ** 20
+
+    def test_projection_too_large_is_a_config_error(self):
+        # 2^48 x 64 float64 values exceed every 64-bit address space.
+        cfg = sf.EncoderConfig(buckets=2 ** 48)
+        with pytest.raises(sf.ConfigurationError,
+                           match=r"buckets x dim = 281474976710656 x 64 "
+                                 r"float64 values \(144115188075855872 "
+                                 r"bytes\), cannot be allocated"):
+            HashedNgramEncoder(cfg, seed=1)
 
     def test_encoder_starts_from_sign_init_and_records_it(self):
         cfg = sf.EncoderConfig(dim=3, buckets=32)
@@ -463,6 +527,54 @@ class TestTrainingBatch:
         build = enc.training_batches(feats)
         for rows in ([0, 1], [5, 4], [0, 1], [2, 3], [4], [0, 1, 2, 3, 4, 5]):
             self._check(enc, build, feats, np.array(rows))
+
+    def test_reused_buffers_keep_no_stale_values(self):
+        """A batch built after a larger one from the same builder equals a
+        batch from a fresh builder; the buffers grow to hold the largest
+        batch built (rounded up to a power of two), never the bucket
+        count."""
+        cfg = sf.EncoderConfig(dim=4, ngram_sizes=(3,), buckets=2 ** 15)
+        enc = HashedNgramEncoder(cfg, seed=4)
+        feats = enc.features(["alpha beta gamma delta", "epsilon zeta eta",
+                              "theta iota", "kappa", "", "lambda mu nu xi"])
+        build = enc.training_batches(feats)
+        b, u = build(np.arange(6)).weights.shape
+        sizes = {name: buf.size for name, buf in build._buffers.items()}
+        for rows in ([3], [4], [1, 3], [5, 0, 2]):
+            got = build(np.array(rows))
+            fresh = enc.training_batches(feats)(np.array(rows))
+            assert got.touched.tolist() == fresh.touched.tolist()
+            np.testing.assert_array_equal(got.weights, fresh.weights)
+            np.testing.assert_array_equal(got.projection_rows,
+                                          fresh.projection_rows)
+            assert got.step.shape == fresh.step.shape
+        assert {name: buf.size for name, buf in build._buffers.items()} \
+            == sizes
+        assert b * u <= sizes["weights"] < 2 * b * u
+        assert u * cfg.dim <= sizes["rows"] == sizes["step"] < 2 * u * cfg.dim
+
+    def test_step_out_matches_a_fresh_product(self):
+        """The update written into the batch's step buffer has the bits of
+        the plain product it replaced."""
+        cfg = sf.EncoderConfig(dim=8, ngram_sizes=(3, 4), buckets=2 ** 10,
+                               lr_small=0.1)
+        texts = ["one two three", "four five six", "seven", "eight nine"]
+        grads = np.random.default_rng(3).standard_normal((len(texts), 8))
+        enc = HashedNgramEncoder(cfg, seed=9)
+        feats = enc.features(texts)
+        build = enc.training_batches(feats)
+        build(np.arange(len(texts)))  # grow the buffers first
+        batch = build(np.array([2, 0]))
+        expected = enc.projection.copy()
+        step = batch.weights.T @ grads[:2] * cfg.lr_small
+        expected[batch.touched] = batch.projection_rows - step
+        emb = batch.weights @ batch.projection_rows
+        out = np.full((2, 11), np.nan)
+        enc.embed_batch(batch, out=out[:, :8])
+        assert np.array_equal(out[:, :8], emb)
+        enc.apply_sparse_gradients(batch, grads[:2])
+        assert np.array_equal(enc.projection.view(np.uint64),
+                              expected.view(np.uint64))
 
     def test_empty_texts_embed_to_zero_and_leave_projection(self):
         enc = HashedNgramEncoder(

@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import errno
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from types import MappingProxyType
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +26,12 @@ from scorefusion.encoder import (
 )
 from scorefusion.fusion import FusionParams
 from scorefusion.llm import PROMPT_TEMPLATE_VERSION
-from scorefusion.model import MODEL_FORMAT_VERSION, _decode_array, _encode_array
+from scorefusion.model import (
+    MODEL_FORMAT_VERSION,
+    _decode_array,
+    _encode_array,
+    _moved_rows,
+)
 from scorefusion.pipeline import build_config, dataset_from_records
 from scorefusion.results import load_run
 
@@ -326,6 +333,23 @@ class TestFitValidation:
         cfg = small_fusion_config(multi_label=True)
         with pytest.raises(sf.DataError, match="mode"):
             sf.fit(toy_dataset, cfg)
+
+
+    def test_projection_too_large_fails_before_scoring(self, toy_dataset,
+                                                      toy_table, tmp_path):
+        """2^48 x 64 float64 values exceed every 64-bit address space: a
+        config error naming the size, before any provider call, cache or
+        run directory."""
+        cfg = small_fusion_config(encoder=sf.EncoderConfig(buckets=2 ** 48),
+                                  cache_dir=str(tmp_path / "cache"))
+        provider = sf.MockProvider(toy_table, toy_dataset.schema)
+        with pytest.raises(sf.ConfigurationError,
+                           match=r"281474976710656 x 64 float64 values "
+                                 r"\(144115188075855872 bytes\)"):
+            sf.fit(toy_dataset, cfg, tmp_path / "runs", providers=[provider])
+        assert provider.calls == 0
+        assert not (tmp_path / "cache").exists()
+        assert not (tmp_path / "runs").exists()
 
 
 class TestFit:
@@ -1074,6 +1098,69 @@ class TestSaveLoad:
         assert model.encoder.cfg == sf.EncoderConfig()
         sf.save_model(model, tmp_path / "m.json")
         assert (tmp_path / "m.json").stat().st_size < 2 * 2 ** 20
+
+    def test_save_holds_no_second_projection(self, toy_dataset, toy_table,
+                                             tmp_path):
+        """numpy reports its buffers to tracemalloc: saving a default
+        2^15 x 64 model compares its 16 MiB projection with the init one
+        row block at a time, so the save peaks under 4 MiB above its
+        start."""
+        cfg = small_fusion_config(encoder=sf.EncoderConfig())
+        model, _, _ = _fit_toy(toy_dataset, toy_table, cfg)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sf.save_model(model, tmp_path / "m.json")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+        loaded = sf.load_model(tmp_path / "m.json")
+        assert np.array_equal(loaded.encoder.projection.view(np.uint64),
+                              model.encoder.projection.view(np.uint64))
+
+    # 16 rows of 16 values per block: rows 0 and 15 open and close the
+    # first block, 16 opens the second, and rows 32-39 are a short last
+    # block.
+    @pytest.mark.parametrize("seed", [None, 2 ** 63 + 5])
+    def test_moved_rows_at_block_boundaries(self, seed, tmp_path):
+        cfg = sf.EncoderConfig(dim=16, ngram_sizes=(3,), buckets=40)
+        enc = HashedNgramEncoder(cfg, seed=seed)
+        moved = [0, 15, 16, 31, 32, 39]
+        for row in moved:
+            # A lone -0.0 over a zero start, a sign flip over sign_init.
+            enc.projection[row, row % 16] = -0.0 if seed is None \
+                else -enc.projection[row, row % 16]
+        with mock.patch("scorefusion.encoder._INIT_BLOCK_VALUES", 256):
+            assert _moved_rows(enc.projection, seed, cfg).tolist() == moved
+            model = sf.FusionModel(
+                small_fusion_config(encoder=cfg), enc,
+                sf.init_fusion_params(16 + 2, (16,), 2, seed=0))
+            sf.save_model(model, tmp_path / "m.json")
+            loaded = sf.load_model(tmp_path / "m.json")
+        enc_doc = json.loads((tmp_path / "m.json").read_text())["encoder"]
+        assert enc_doc["rows"] == moved
+        assert loaded.encoder.init_seed == seed
+        assert np.array_equal(loaded.encoder.projection.view(np.uint64),
+                              enc.projection.view(np.uint64))
+
+    def test_moved_rows_unchanged_projection(self):
+        cfg = sf.EncoderConfig(dim=3, ngram_sizes=(3,), buckets=2 ** 12)
+        for seed in (None, 0):
+            enc = HashedNgramEncoder(cfg, seed=seed)
+            assert _moved_rows(enc.projection, seed, cfg).tolist() == []
+
+    def test_projection_too_large_to_load(self, toy_dataset, toy_table,
+                                          tmp_path):
+        """A config whose projection cannot be allocated (2^50 x 16 float64
+        values exceed every 64-bit address space) is a model-format error."""
+        def edit(doc):
+            doc["config"]["encoder"]["buckets"] = 2 ** 50
+        path = self._doctored(toy_dataset, toy_table, tmp_path, edit)
+        with pytest.raises(sf.ModelFormatError,
+                           match=r"buckets x dim = 1125899906842624 x 16 .* "
+                                 r"cannot be allocated"):
+            sf.load_model(path)
 
     def test_missing_section(self, toy_dataset, toy_table, tmp_path):
         path = self._doctored(toy_dataset, toy_table, tmp_path,
