@@ -87,9 +87,17 @@ def cache_key(provider_id: str, model_name: str, template_digest: str,
               text_digest: str) -> str:
     """The documented key string: the four parts dot-joined, provider id and
     model name hex-encoded so no part can run into the next."""
+    return cache_key_prefix(provider_id, model_name,
+                            template_digest) + text_digest
+
+
+def cache_key_prefix(provider_id: str, model_name: str,
+                     template_digest: str) -> str:
+    """The key string up to its text digest: a text's key is this prefix
+    followed by the text digest, so a scoring pass builds it once per
+    provider."""
     return ".".join((provider_id.encode("utf-8").hex(),
-                     model_name.encode("utf-8").hex(),
-                     template_digest, text_digest))
+                     model_name.encode("utf-8").hex(), template_digest, ""))
 
 
 class ScoreCache:

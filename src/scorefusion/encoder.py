@@ -3,11 +3,16 @@ precomputed-embedding lookup.
 
 The trainable encoder maps lowercased character n-grams through a
 64-bit FNV-1a hash into `buckets` counting bins, L1-normalizes the counts,
-and multiplies by a trainable projection matrix that starts as a seeded
-±1 sign matrix (`sign_init`). That (buckets, dim) float64 projection is
-the encoder's one large array: `sign_init` fills it one row block
-(`init_row_blocks`, 512 KiB) at a time, and training reuses per-fit batch
-buffers sized by the largest batch, never by `buckets`. It is the desk-scale
+and multiplies by a trainable (buckets, dim) projection that starts as a
+seeded ±1 sign matrix (`sign_init`), or as zeros. The encoder holds that
+projection the way a model file stores it: its start, plus a store of the
+rows its texts have touched. A buckets-long int32 slot map (4 bytes per
+bucket) gives each stored row's slot in a grow-only (capacity, dim)
+float64 row array, and a row is written from its start (`sign_init` of
+its row id) the first time a text touches it, so memory grows with the
+vocabulary seen, not with `buckets`. Texts are featurized in chunks
+bounded by a row count and a UTF-8 byte budget, and training reuses
+per-fit batch buffers sized by the largest batch. It is the desk-scale
 stand-in for a transformer backbone: it produces a dense embedding and
 receives gradient updates at the small learning rate. Real transformer
 vectors can be substituted via the frozen lookup encoder.
@@ -15,6 +20,7 @@ vectors can be substituted via the frozen lookup encoder.
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -45,9 +51,8 @@ _SPLITMIX_M1 = 0xBF58476D1CE4E5B9
 _SPLITMIX_M2 = 0x94D049BB133111EB
 
 
-# Float64 values of sign_init made per pass, 512 KiB: a whole init, or a
-# model save's compare against it, holds one such block of rows beside its
-# projection.
+# Float64 values of sign_init made per pass, 512 KiB: a whole init holds
+# one such block of rows beside its output.
 _INIT_BLOCK_VALUES = 2 ** 16
 
 
@@ -60,32 +65,37 @@ def init_row_blocks(start: int, stop: int,
         yield a, min(a + step, stop)
 
 
-def _checked_stop(seed: int, buckets: int, start: int,
-                  stop: int | None) -> int:
-    """The end of the rows a sign_init call names, once its seed and its
-    rows [start, stop) of [0, buckets) are checked."""
+def _check_seed(seed: int) -> None:
     if isinstance(seed, bool) or not isinstance(seed, int) \
             or not 0 <= seed <= _U64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
+def _row_ids(seed: int, buckets: int, start: int, stop: int | None,
+             rows: np.ndarray | None) -> np.ndarray:
+    """The int64 row ids a sign_init call names, rows [start, stop) of
+    [0, buckets) or the ids in `rows`, once they and the seed are checked."""
+    _check_seed(seed)
+    if rows is not None:
+        if start or stop is not None:
+            raise ValueError("give rows or [start, stop), not both")
+        ids = np.asarray(rows)
+        if ids.ndim != 1 or ids.dtype.kind not in "iu":
+            raise ValueError("rows must be a 1-d integer array")
+        if ids.size and not (ids.min() >= 0 and ids.max() < buckets):
+            raise ValueError(f"row ids must lie in [0, {buckets})")
+        return ids.astype(np.int64, copy=False)
     stop = buckets if stop is None else stop
     if not 0 <= start <= stop <= buckets:
         raise ValueError(f"rows [{start}, {stop}) do not lie in "
                          f"[0, {buckets})")
-    return stop
+    return np.arange(start, stop, dtype=np.int64)
 
 
-def sign_init_words(seed: int, buckets: int, dim: int, start: int = 0,
-                    stop: int | None = None) -> np.ndarray:
-    """Rows [start, stop) (all by default) of the (buckets, ceil(dim / 64))
-    uint64 words `sign_init` expands.
-
-    Word w of row b is SplitMix64 of seed + (b * ceil(dim / 64) + w + 1) *
-    0x9E3779B97F4A7C15, in wrapping uint64 arithmetic only, so every numpy
-    version yields the same words. `seed` is an integer in [0, 2**64).
-    """
-    stop = _checked_stop(seed, buckets, start, stop)
-    n_words = -(-dim // 64)
-    z = np.arange(start * n_words + 1, stop * n_words + 1, dtype=np.uint64)
+def _splitmix_words(seed: int, ids: np.ndarray, n_words: int) -> np.ndarray:
+    """The (len(ids), n_words) words of sign_init_words for row ids `ids`."""
+    z = ids.astype(np.uint64)[:, None] * np.uint64(n_words) \
+        + np.arange(1, n_words + 1, dtype=np.uint64)
     z *= np.uint64(_SPLITMIX_GAMMA)
     z += np.uint64(seed)
     z ^= z >> np.uint64(30)
@@ -93,47 +103,70 @@ def sign_init_words(seed: int, buckets: int, dim: int, start: int = 0,
     z ^= z >> np.uint64(27)
     z *= np.uint64(_SPLITMIX_M2)
     z ^= z >> np.uint64(31)
-    return z.reshape(stop - start, n_words)
+    return z
+
+
+def sign_init_words(seed: int, buckets: int, dim: int, start: int = 0,
+                    stop: int | None = None, *,
+                    rows: np.ndarray | None = None) -> np.ndarray:
+    """Rows [start, stop) (all by default), or the rows whose ids `rows`
+    lists (in any order, repeats allowed), of the (buckets,
+    ceil(dim / 64)) uint64 words `sign_init` expands.
+
+    Word w of row b is SplitMix64 of seed + (b * ceil(dim / 64) + w + 1) *
+    0x9E3779B97F4A7C15, in wrapping uint64 arithmetic only, so every numpy
+    version yields the same words. `seed` is an integer in [0, 2**64).
+    """
+    return _splitmix_words(seed, _row_ids(seed, buckets, start, stop, rows),
+                           -(-dim // 64))
 
 
 def sign_init(seed: int, buckets: int, dim: int, start: int = 0,
-              stop: int | None = None,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """Rows [start, stop) (all by default) of a (buckets, dim) float64
-    matrix of ±1: entry (b, c) is +1 where bit c % 64 of word c // 64 of
-    row b of `sign_init_words` is set. Written into `out` when given.
+              stop: int | None = None, out: np.ndarray | None = None, *,
+              rows: np.ndarray | None = None) -> np.ndarray:
+    """Rows [start, stop) (all by default), or the rows whose ids `rows`
+    lists, of a (buckets, dim) float64 matrix of ±1: entry (b, c) is +1
+    where bit c % 64 of word c // 64 of row b of `sign_init_words` is set.
+    Written into `out` when given.
 
     A sign random projection preserves distances as well as a Gaussian one
     (Achlioptas 2003), and this one is defined here bit for bit, so a model
-    file can store the seed in place of the rows training left alone. The
-    rows are made one `init_row_blocks` block at a time, so beside its
-    output a call holds one block's words and bits.
+    file can store the seed in place of the rows training left alone, and
+    an encoder can write a row from its id when a text first touches it.
+    The rows are made one `init_row_blocks` block at a time, so beside its
+    output a call holds its row ids and one block's words and bits.
     """
-    stop = _checked_stop(seed, buckets, start, stop)
+    ids = _row_ids(seed, buckets, start, stop, rows)
     if out is None:
-        out = np.empty((stop - start, dim))
-    for a, b in init_row_blocks(start, stop, dim):
-        words = sign_init_words(seed, buckets, dim, a, b).astype(
+        out = np.empty((ids.size, dim))
+    for a, b in init_row_blocks(0, ids.size, dim):
+        words = _splitmix_words(seed, ids[a:b], -(-dim // 64)).astype(
             "<u8", copy=False)
         bits = np.unpackbits(words.view(np.uint8), axis=1, count=dim,
                              bitorder="little")
-        block = out[a - start:b - start]
+        block = out[a:b]
         np.multiply(bits, 2.0, out=block)
         block -= 1.0
     return out
 
 
-def zero_projection(cfg: "EncoderConfig") -> np.ndarray:
-    """A zero (buckets, dim) float64 projection. Its pages are committed
-    only as they are written; a size that cannot be allocated at all is a
-    ConfigurationError naming it, not a numpy MemoryError."""
+def _empty_slot_map(buckets: int) -> np.ndarray:
+    """A slot map of `buckets` int32 -1s (no row stored). A size that
+    cannot be allocated is a ConfigurationError naming it, not a numpy
+    MemoryError."""
     try:
-        return np.zeros((cfg.buckets, cfg.dim))
+        return np.full(buckets, -1, dtype=np.int32)
     except MemoryError:
         raise ConfigurationError(
-            f"the encoder projection, buckets x dim = {cfg.buckets} x "
-            f"{cfg.dim} float64 values ({8 * cfg.buckets * cfg.dim} bytes), "
-            "cannot be allocated") from None
+            f"the encoder slot map, buckets = {buckets} int32 values "
+            f"({4 * buckets} bytes), cannot be allocated") from None
+
+
+def _grown_size(size: int) -> int:
+    """`size` rounded up to a power of two: a buffer grown to it is
+    reallocated a few times as it grows, and the freed sizes leave few
+    heap holes."""
+    return 1 << (size - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -177,9 +210,12 @@ def featurize(text: str, cfg: EncoderConfig) -> dict[int, int]:
     return counts
 
 
-# Rows featurized per bulk pass. The per-gram intermediates of a pass grow
-# with its text volume, so chunking bounds peak memory on large corpora.
+# Rows and UTF-8 text bytes featurized per bulk pass. The per-gram
+# intermediates of a pass take about 150-180 bytes per text byte at the
+# default n-gram sizes, so a pass of 128 KiB of text peaks near 23 MiB
+# however long its texts are; a longer text is a pass of its own.
 _FEATURIZE_CHUNK_ROWS = 256
+_FEATURIZE_CHUNK_BYTES = 2 ** 17
 
 # Projection values (float64) gathered per stacked product in
 # embed_features: 8 MiB, so rows of equal entry count embed in bounded
@@ -294,14 +330,30 @@ def _featurize_chunk(texts: Sequence[str], cfg: EncoderConfig) -> CsrRows:
                    count_at[entries] / grams_per_row[entry_row])
 
 
+def _text_chunks(texts: Sequence[str]) -> Iterator[tuple[int, int]]:
+    """Consecutive row ranges [a, b) covering the texts (one empty range
+    when there are none), each of at most _FEATURIZE_CHUNK_ROWS texts and
+    _FEATURIZE_CHUNK_BYTES UTF-8 bytes, or one longer text alone."""
+    ends = np.cumsum(np.fromiter(map(len, map(str.encode, texts)),
+                                 dtype=np.int64, count=len(texts)))
+    a = 0
+    while True:
+        budget = (ends[a - 1] if a else 0) + _FEATURIZE_CHUNK_BYTES
+        b = int(np.searchsorted(ends, budget, side="right"))
+        b = min(max(b, a + 1), a + _FEATURIZE_CHUNK_ROWS, len(texts))
+        yield a, b
+        a = b
+        if a >= len(texts):
+            return
+
+
 def featurize_rows(texts: Sequence[str], cfg: EncoderConfig) -> CsrRows:
     """featurize for many texts at once, L1-normalized into CSR rows.
 
     Row i equals featurize(texts[i]) element for element: the same buckets
     in the same order, with weights counts / counts.sum().
     """
-    parts = [_featurize_chunk(texts[s:s + _FEATURIZE_CHUNK_ROWS], cfg)
-             for s in range(0, max(len(texts), 1), _FEATURIZE_CHUNK_ROWS)]
+    parts = [_featurize_chunk(texts[a:b], cfg) for a, b in _text_chunks(texts)]
     indptr = np.zeros(len(texts) + 1, dtype=np.int64)
     np.cumsum(np.concatenate([np.diff(p.indptr) for p in parts]),
               out=indptr[1:])
@@ -317,25 +369,51 @@ class HashedNgramEncoder:
     CsrRows. A training step works on a TrainingBatch and touches only the
     buckets the batch uses, never materializing a dense (buckets, dim)
     gradient.
+
+    The projection is held as its start, `sign_init(init_seed)` or zeros
+    when `init_seed` is None, plus a row store: `_slot[b]` is the slot of
+    bucket b's row in `_rows`, or -1 while that row is at its start, and
+    `_rows[:_size]` holds the stored rows. A row is stored the first time
+    a text, a fit or `set_rows` touches it, under the encoder's lock, and
+    is never dropped, so several threads may embed at once. A fit may
+    reorder the store (see `training_batches`), so it must not run beside
+    other calls on the same encoder.
     """
 
     def __init__(self, cfg: EncoderConfig, projection: np.ndarray | None = None,
                  seed: int | None = 0):
-        """`projection` is the trainable (buckets, dim) matrix. Without one
-        it starts as `sign_init(seed, buckets, dim)`, or as zeros when
-        `seed` is None, and `init_seed` records that start, so a model file
-        stores only the rows that moved from it. A given projection has no
-        recorded start: its `init_seed` is None. A projection too large to
-        allocate is a ConfigurationError (see `zero_projection`)."""
-        if projection is None:
-            projection = zero_projection(cfg)
-            if seed is not None:
-                sign_init(seed, cfg.buckets, cfg.dim, out=projection)
-            self.init_seed = seed
-        else:
-            self.init_seed = None
+        """`projection` is the whole trainable (buckets, dim) matrix, used
+        as the store, every row stored. Without one the projection starts as
+        `sign_init(seed, buckets, dim)`, or as zeros when `seed` is None,
+        and `init_seed` records that start, so a model file stores only the
+        rows that moved from it. A given projection has no recorded start:
+        its `init_seed` is None. A slot map too large to allocate is a
+        ConfigurationError."""
+        if projection is None and seed is not None:
+            _check_seed(seed)
         self.cfg = cfg
-        self.projection = projection
+        self.init_seed = seed if projection is None else None
+        self._lock = threading.RLock()
+        self._slot = _empty_slot_map(cfg.buckets)
+        if projection is None:
+            self._rows = np.empty((0, cfg.dim))
+            self._size = 0
+        else:
+            self._rows = np.asarray(projection, dtype=np.float64)
+            if self._rows.shape != (cfg.buckets, cfg.dim):
+                raise ValueError(f"projection shape {self._rows.shape} != "
+                                 f"(buckets, dim) = {(cfg.buckets, cfg.dim)}")
+            self._slot[:] = np.arange(cfg.buckets)
+            self._size = cfg.buckets
+
+    def __getstate__(self) -> dict:
+        # A lock cannot be pickled or copied; a copy gets a lock of its own.
+        state = self.__dict__.copy()
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _lock=threading.RLock())
 
     @property
     def dim(self) -> int:
@@ -344,6 +422,59 @@ class HashedNgramEncoder:
     @property
     def lr_small(self) -> float:
         return self.cfg.lr_small
+
+    @property
+    def projection(self) -> np.ndarray:
+        """The whole (buckets, dim) projection, built on demand, read-only:
+        the start with the stored rows written over it. The encoder's own
+        paths never build it; `set_rows` writes rows."""
+        cfg = self.cfg
+        out = np.zeros((cfg.buckets, cfg.dim)) if self.init_seed is None \
+            else sign_init(self.init_seed, cfg.buckets, cfg.dim)
+        ids, rows = self.stored_rows()
+        out[ids] = rows
+        out.flags.writeable = False
+        return out
+
+    def stored_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The buckets whose rows are in the store, ascending, and a copy of
+        those rows; every other row is at its start."""
+        with self._lock:
+            ids = np.flatnonzero(self._slot >= 0)
+            return ids, self._rows[self._slot[ids]]
+
+    def set_rows(self, buckets: np.ndarray, values: np.ndarray) -> None:
+        """Write values[i] as the projection row of bucket buckets[i]."""
+        with self._lock:
+            slots = self._slots(np.asarray(buckets, dtype=np.int64))
+            self._rows[slots] = values
+
+    def _slots(self, buckets: np.ndarray) -> np.ndarray:
+        """The store slot (int64) of each bucket in `buckets` (int64).
+
+        Rows not yet stored are first written from their start, in
+        ascending bucket order, under the lock. Stored rows never move
+        here: a grown store is a copy, so a caller may gather from `_rows`,
+        read after this returns, while another thread stores more rows."""
+        with self._lock:
+            slots = self._slot[buckets].astype(np.int64)
+            if not slots.size or slots.min() >= 0:
+                return slots
+            new = np.sort(buckets[slots < 0])
+            new = new[np.append(True, new[1:] != new[:-1])]
+            cfg, a, b = self.cfg, self._size, self._size + new.size
+            if b > self._rows.shape[0]:
+                grown = np.empty((min(_grown_size(b), cfg.buckets), cfg.dim))
+                grown[:a] = self._rows[:a]
+                self._rows = grown
+            if self.init_seed is None:
+                self._rows[a:b] = 0.0
+            else:
+                sign_init(self.init_seed, cfg.buckets, cfg.dim, rows=new,
+                          out=self._rows[a:b])
+            self._slot[new] = np.arange(a, b)
+            self._size = b
+            return self._slot[buckets].astype(np.int64)
 
     def features(self, texts: Sequence[str]) -> CsrRows:
         return featurize_rows(texts, self.cfg)
@@ -360,6 +491,8 @@ class HashedNgramEncoder:
         with; a gather-reduce such as np.add.reduceat rounds differently.
         """
         dim = self.cfg.dim
+        slots = self._slots(feats.idx)
+        store = self._rows
         out = np.zeros((len(feats), dim))
         lengths = np.diff(feats.indptr)
         rows = np.argsort(lengths)
@@ -373,7 +506,7 @@ class HashedNgramEncoder:
             block = rows[a:b]
             at = feats.indptr[block][:, None] + np.arange(n)
             out[block] = np.matmul(feats.w[at][:, None, :],
-                                   self.projection[feats.idx[at]])[:, 0]
+                                   store[slots[at]])[:, 0]
             a = b
         return out
 
@@ -382,19 +515,34 @@ class HashedNgramEncoder:
 
     def encode_batch(self, texts: Sequence[str]) -> np.ndarray:
         """embed_features(features(texts)), featurized and embedded one
-        chunk of rows at a time, so memory stays bounded by the chunk."""
+        chunk of texts at a time, so memory stays bounded by the chunk."""
         out = np.empty((len(texts), self.cfg.dim))
-        for s in range(0, len(texts), _FEATURIZE_CHUNK_ROWS):
+        for a, b in _text_chunks(texts):
             # Bound to a name, a chunk's features live until the next
             # chunk's are built; as a temporary, freeing them let malloc
             # trim its heap, and every chunk page-faulted it back in.
-            feats = self.features(texts[s:s + _FEATURIZE_CHUNK_ROWS])
-            out[s:s + len(feats)] = self.embed_features(feats)
+            feats = self.features(texts[a:b])
+            out[a:b] = self.embed_features(feats)
         return out
 
     def training_batches(self, feats: CsrRows) -> "TrainingBatches":
-        """A TrainingBatch builder over the rows of one fit's features."""
-        return TrainingBatches(feats, self.projection)
+        """A TrainingBatch builder over the rows of one fit's features.
+
+        The fit vocabulary, found with a mask over the buckets, is stored
+        once in ascending bucket order, and the store is put in bucket
+        order if it is not (an encoder that embedded other texts first), so
+        the sorted slots of a batch's buckets are in bucket order. The
+        features' buckets are mapped to their slots once per fit."""
+        mask = np.zeros(self.cfg.buckets, dtype=bool)
+        mask[feats.idx] = True
+        with self._lock:
+            self._slots(np.flatnonzero(mask))
+            stored = np.flatnonzero(self._slot >= 0)
+            if (np.diff(self._slot[stored]) < 0).any():
+                self._rows[:stored.size] = self._rows[self._slot[stored]]
+                self._slot[stored] = np.arange(stored.size)
+            slots = self._slots(feats.idx)
+        return TrainingBatches(CsrRows(feats.indptr, slots, feats.w), self)
 
     def embed_batch(self, batch: "TrainingBatch",
                     out: np.ndarray | None = None) -> np.ndarray:
@@ -419,7 +567,7 @@ class HashedNgramEncoder:
         step = np.matmul(batch.weights.T, embedding_grads, out=batch.step)
         step *= self.lr_small
         np.subtract(batch.projection_rows, step, out=step)
-        self.projection[batch.touched] = step
+        self._rows[batch.touched] = step
 
 
 @dataclass(frozen=True)
@@ -427,12 +575,13 @@ class TrainingBatch:
     """Some rows of CsrRows as a dense weight matrix over the buckets they
     touch, with the projection rows of those buckets.
 
-    touched is sorted and holds each bucket once; weights[r, c] is row r's
-    weight on bucket touched[c], 0 where the row lacks it; projection_rows
-    is P[touched] as read at build time, and step is room of the same shape
-    for the update. The embedding and the update of one training step share
-    them, and the next batch built reuses their memory, so a batch must be
-    applied before the next one is built.
+    touched holds the store slots of those buckets, sorted and each once,
+    which is their bucket order (see `training_batches`); weights[r, c] is
+    row r's weight on the bucket of slot touched[c], 0 where the row lacks
+    it; projection_rows is those rows as read at build time, and step is
+    room of the same shape for the update. The embedding and the update of
+    one training step share them, and the next batch built reuses their
+    memory, so a batch must be applied before the next one is built.
     """
 
     touched: np.ndarray
@@ -445,21 +594,22 @@ class TrainingBatch:
 
 
 class TrainingBatches:
-    """Builds TrainingBatch values from the rows of one fit's features.
+    """Builds TrainingBatch values from the rows of one fit's features,
+    whose entries are store slots of the encoder's fit vocabulary.
 
-    The touched buckets are found without a sort: a boolean mask over all
-    buckets, allocated once and all-False again after every batch, is set
-    at the batch's entries and read back with flatnonzero. A batch's
+    The touched slots are found without a sort: a boolean mask over the
+    stored rows, allocated once and all-False again after every batch, is
+    set at the batch's entries and read back with flatnonzero. A batch's
     weights, projection rows and step are contiguous views of flat buffers
     that grow to hold the largest batch built and are then reused, so a fit
     does not allocate (and page-fault in) fresh arrays every batch.
     """
 
-    def __init__(self, feats: CsrRows, projection: np.ndarray):
+    def __init__(self, feats: CsrRows, encoder: HashedNgramEncoder):
         self.feats = feats
-        self.projection = projection
-        self._mask = np.zeros(projection.shape[0], dtype=bool)
-        self._column = np.zeros(projection.shape[0], dtype=np.int64)
+        self.encoder = encoder
+        self._mask = np.zeros(encoder._size, dtype=bool)
+        self._column = np.zeros(encoder._size, dtype=np.int64)
         self._buffers = {name: np.empty(0)
                          for name in ("weights", "rows", "step")}
 
@@ -468,10 +618,7 @@ class TrainingBatches:
         a C-contiguous array of that shape."""
         size = shape[0] * shape[1]
         if self._buffers[name].size < size:
-            # Rounded up to a power of two, so a fit reallocates each buffer
-            # a few times rather than at every new largest batch, and the
-            # freed sizes leave few heap holes.
-            self._buffers[name] = np.empty(1 << (size - 1).bit_length())
+            self._buffers[name] = np.empty(_grown_size(size))
         return self._buffers[name][:size].reshape(shape)
 
     def __call__(self, rows: np.ndarray) -> TrainingBatch:
@@ -484,10 +631,10 @@ class TrainingBatches:
         weights = self._buffer("weights", (len(picked), touched.size))
         weights.fill(0.0)
         weights[picked.row_ids(), self._column[picked.idx]] = picked.w
-        shape = (touched.size, self.projection.shape[1])
+        shape = (touched.size, self.encoder.cfg.dim)
         # touched lies in range by construction; mode="raise" would write
         # through a temporary copy of `out`.
-        projection_rows = np.take(self.projection, touched, axis=0,
+        projection_rows = np.take(self.encoder._rows, touched, axis=0,
                                   out=self._buffer("rows", shape), mode="clip")
         return TrainingBatch(touched, weights, projection_rows,
                              self._buffer("step", shape))

@@ -23,7 +23,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from .cache import ScoreCache, cache_key
+from .cache import ScoreCache, cache_key_prefix
 from .core import (
     DictCodec,
     LabelSchema,
@@ -517,19 +517,18 @@ def score_providers(texts: Sequence[str], schema: LabelSchema,
                           dtype=np.intp, count=len(texts))
     distinct = list(first)
 
-    def key(pcfg: ProviderConfig, text: str) -> str:
-        return cache_key(pcfg.provider_id, pcfg.model_name, template,
-                         text_digest(text))
-
+    # Per provider, the cache key of a text is its prefix + text digest.
+    prefixes = [cache_key_prefix(pcfg.provider_id, pcfg.model_name, template)
+                for pcfg in pcfgs]
     blocks: list[np.ndarray] = []  # per provider, row d for distinct[d]
     misses: list[deque[int]] = []  # per provider, the d to fetch
-    for pcfg in pcfgs:
+    for prefix in prefixes:
         if cache is None:
             block = np.empty((len(distinct), k))
             found = np.zeros(len(distinct), dtype=bool)
         else:
             block, found = cache.get_many(
-                (key(pcfg, text) for text in distinct), k)
+                (prefix + text_digest(text) for text in distinct), k)
         blocks.append(block)
         misses.append(deque(np.flatnonzero(~found).tolist()))
 
@@ -555,7 +554,8 @@ def score_providers(texts: Sequence[str], schema: LabelSchema,
             if cache is None or not score.parse_ok:
                 continue
             try:
-                cache.put(key(pcfg, distinct[d]), score.scores)
+                cache.put(prefixes[j] + text_digest(distinct[d]),
+                          score.scores)
             except CacheWriteError as exc:
                 logger.warning("cache write failed, continuing uncached: %s",
                                exc)

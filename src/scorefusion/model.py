@@ -10,14 +10,15 @@ base64 string of its little-endian float64 bytes. A hashed encoder's
 projection is stored as its start, `sign_init(init_seed)` (zeros when
 `init_seed` is null), plus the rows that differ from it bitwise; training
 moves only the rows its texts touch, so the file grows with the fit
-vocabulary, not the bucket count. Saving finds those rows by comparing
-the projection with its start one row block of `sign_init` at a time,
-and loading checks the rows and the digest before it writes the init
-into the one projection it allocates, so neither holds a second
-projection. Formats 3 (the config in pieces), 2 (the
-whole projection in base64) and 1 (JSON lists of repr floats) are still
-read; a config field they never stored takes its default, and a frozen
-encoder's path, which they never stored, reads as a path saying so.
+vocabulary, not the bucket count. The encoder holds its projection the
+same way, as its start plus a store of the rows its texts touched: saving
+compares only the stored rows with their start, and loading checks the
+rows and the digest, then stores the file's rows and no other, so
+neither allocates a (buckets, dim) array. Formats 3 (the config in
+pieces), 2 (the whole projection in base64) and 1 (JSON lists of repr
+floats) are still read; a config field they never stored takes its
+default, and a frozen encoder's path, which they never stored, reads as a
+path saying so.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .encoder import (
     init_row_blocks,
     sign_init,
     sign_init_words,
-    zero_projection,
 )
 from .errors import ConfigurationError, DataError, ModelFormatError
 from .fusion import FusionConfig, FusionParams
@@ -229,32 +229,31 @@ def _init_sha256(seed, cfg: EncoderConfig):
     return digest.hexdigest()
 
 
-def _moved_rows(projection: np.ndarray, seed, cfg: EncoderConfig) -> np.ndarray:
-    """The rows of `projection` that differ from its start, `sign_init(seed)`
-    or zeros when `seed` is None, compared one row block at a time as
-    uint64 bits, so a -0.0 entry counts as a change."""
-    bits = projection.view(np.uint64)
-    moved = [np.zeros(0, dtype=np.int64)]
-    for a, b in init_row_blocks(0, cfg.buckets, cfg.dim):
-        block = bits[a:b]
-        if seed is not None:
-            start = sign_init(seed, cfg.buckets, cfg.dim, a, b)
-            block = block != start.view(np.uint64)
-        moved.append(a + np.flatnonzero(block.any(axis=1)))
-    return np.concatenate(moved)
+def _moved_rows(encoder: HashedNgramEncoder) -> tuple[np.ndarray, np.ndarray]:
+    """The projection rows that differ from the encoder's start,
+    `sign_init(init_seed)` or zeros when `init_seed` is None: their bucket
+    ids, ascending, and their values. Only a stored row can differ; each
+    is compared with its start as uint64 bits, so a -0.0 entry counts as a
+    change."""
+    cfg, seed = encoder.cfg, encoder.init_seed
+    ids, rows = encoder.stored_rows()
+    bits = rows.view(np.uint64)
+    if seed is not None:
+        start = sign_init(seed, cfg.buckets, cfg.dim, rows=ids)
+        bits = bits != start.view(np.uint64)
+    moved = bits.any(axis=1)
+    return ids[moved], rows[moved]
 
 
 def _encoder_to_doc(encoder) -> dict:
     """The encoder's state; its settings are in the config."""
     if isinstance(encoder, HashedNgramEncoder):
-        cfg, seed = encoder.cfg, encoder.init_seed
-        projection = np.ascontiguousarray(encoder.projection, dtype=np.float64)
-        rows = _moved_rows(projection, seed, cfg)
+        ids, rows = _moved_rows(encoder)
         return {
-            "init_seed": seed,
-            "init_sha256": _init_sha256(seed, cfg),
-            "rows": rows.tolist(),
-            "projection_rows": _encode_array(projection[rows]),
+            "init_seed": encoder.init_seed,
+            "init_sha256": _init_sha256(encoder.init_seed, encoder.cfg),
+            "rows": ids.tolist(),
+            "projection_rows": _encode_array(rows),
         }
     if isinstance(encoder, FrozenLookupEncoder):
         return {
@@ -295,13 +294,14 @@ def _config_from_old_doc(doc: dict, version: int) -> AutoFusionConfig:
 
 def _hashed_encoder_from_rows(doc: dict, cfg: EncoderConfig,
                               version: int) -> HashedNgramEncoder:
-    """A hashed encoder from format 3 on: its start, regenerated and
-    checked against the recorded digest, with the stored rows written
-    over it.
+    """A hashed encoder from format 3 on: its start, `init_seed`, checked
+    against the recorded digest, with the stored rows written into its
+    row store.
 
-    The rows and the digest are checked before the init is written. The
-    projection is allocated first, untouched, so a size that cannot be
-    allocated fails at once rather than after hashing all its rows."""
+    The rows are checked first, then the encoder is built, which checks
+    the seed and allocates only its slot map, so a size that cannot be
+    allocated fails at once rather than after hashing every bucket's
+    words. The digest covers every bucket; no other row is made."""
     seed = doc["init_seed"]
     rows = doc["rows"]
     if type(rows) is not list or any(type(r) is not int for r in rows):
@@ -311,17 +311,13 @@ def _hashed_encoder_from_rows(doc: dict, cfg: EncoderConfig,
     ids = np.array(rows, dtype=np.int64)
     if (np.diff(ids) <= 0).any():
         raise ModelFormatError("rows must be strictly increasing")
-    projection = zero_projection(cfg)
+    encoder = HashedNgramEncoder(cfg, seed=seed)
     if doc["init_sha256"] != _init_sha256(seed, cfg):
         raise ModelFormatError(
             f"init_sha256 {doc['init_sha256']!r} does not match the "
             f"regenerated init of init_seed {seed!r}")
-    if seed is not None:
-        sign_init(seed, cfg.buckets, cfg.dim, out=projection)
-    projection[ids] = _read_array(doc["projection_rows"], version,
-                                  (ids.size, cfg.dim))
-    encoder = HashedNgramEncoder(cfg, projection)
-    encoder.init_seed = seed
+    encoder.set_rows(ids, _read_array(doc["projection_rows"], version,
+                                      (ids.size, cfg.dim)))
     return encoder
 
 
@@ -370,10 +366,11 @@ def load_model(path: Union[str, Path]) -> FusionModel:
     """Read a model file (format 1 to 4) back; predictions match the saved
     model exactly.
 
-    A hashed encoder from format 3 on is rebuilt from
-    `sign_init(init_seed)`, which must hash to the recorded `init_sha256`,
-    with the stored rows written over it. An encoder read from format 1 or
-    2 has `init_seed` None, so saving it again writes every non-zero row.
+    A hashed encoder from format 3 on starts from `sign_init(init_seed)`,
+    which must hash to the recorded `init_sha256`, with the stored rows
+    written over it. An encoder read from format 1 or 2 stores every row
+    and has `init_seed` None, so saving it again writes every non-zero
+    row.
     """
     try:
         raw = Path(path).read_text(encoding="utf-8")

@@ -21,6 +21,7 @@ from scorefusion.cache import (
     _MANIFEST_NAME,
     ScoreCache,
     cache_key,
+    cache_key_prefix,
     cache_open,
     cache_open_adopt,
 )
@@ -84,6 +85,12 @@ class TestCacheKey:
         # ("ab", "c") and ("a", "bc")
         assert cache_key("ab", "c", "t" * 64, "d" * 64) \
             != cache_key("a", "bc", "t" * 64, "d" * 64)
+
+    @pytest.mark.parametrize("provider, model", [
+        ("mock", "m1"), ("プロバイダ", "mödel-β"), ("a.b", "c.d")])
+    def test_prefix_is_the_key_before_its_text_digest(self, provider, model):
+        assert cache_key_prefix(provider, model, "t" * 64) + "d" * 64 \
+            == cache_key(provider, model, "t" * 64, "d" * 64)
 
     def test_empty_part_rejected(self):
         # the digests are sha256 hex; the config refuses the other two empty

@@ -174,15 +174,16 @@ class TestTrain:
         assert "lr_high=1e+06" in err
 
     def test_projection_too_large_exit_1(self, workdir, capsys):
-        """2^50 x 16 float64 values exceed every 64-bit address space: one
-        typed line naming the size, and no cache, run or model."""
+        """A slot map of 2^50 int32 values exceeds every 64-bit address
+        space: one typed line naming the size, and no cache, run or
+        model."""
         code, _, err = _train(workdir, capsys,
                               "--set", f"encoder.buckets={2 ** 50}",
                               "--set", f"cache_dir={workdir / 'cache'}")
         assert code == 1
         assert err.startswith("error[config]:") and err.count("\n") == 1
-        assert ("buckets x dim = 1125899906842624 x 16 float64 values "
-                "(144115188075855872 bytes), cannot be allocated") in err
+        assert ("slot map, buckets = 1125899906842624 int32 values "
+                "(4503599627370496 bytes), cannot be allocated") in err
         assert not (workdir / "cache").exists()
         assert not (workdir / "runs").exists()
         assert not (workdir / "model.json").exists()
@@ -692,7 +693,8 @@ _FORMAT3_FAULTS = (
 
 
 def _projection_too_large_to_load(workdir, monkeypatch):
-    """2^50 x 16 float64 values exceed every 64-bit address space."""
+    """A slot map of 2^50 int32 values exceeds every 64-bit address
+    space."""
     assert main(_train_argv(workdir)) == 0
     path = workdir / "model.json"
     doc = json.loads(path.read_text(encoding="utf-8"))

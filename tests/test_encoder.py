@@ -3,6 +3,10 @@ and the frozen lookup encoder."""
 
 from __future__ import annotations
 
+import copy
+import pickle
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -16,6 +20,7 @@ from scorefusion.encoder import (
     CsrRows,
     FrozenLookupEncoder,
     HashedNgramEncoder,
+    _text_chunks,
     featurize,
     featurize_rows,
     fnv1a64,
@@ -36,6 +41,21 @@ def encoder_gradient_step(projection: np.ndarray, grads: np.ndarray,
         )
     projection -= lr_small * grads
     return projection
+
+
+def _set_entry(enc, bucket, col, value):
+    """Write one projection entry through the encoder's row path."""
+    row = enc.projection[bucket].copy()
+    row[col] = value
+    enc.set_rows(np.array([bucket]), row[None])
+
+
+def _buckets_of(enc, slots):
+    """The buckets whose rows are in the given store slots."""
+    stored = np.flatnonzero(enc._slot >= 0)
+    bucket = np.empty(stored.size, dtype=np.int64)
+    bucket[enc._slot[stored]] = stored
+    return bucket[slots]
 
 
 def _whole_batch(enc, feats):
@@ -161,6 +181,39 @@ class TestSignInit:
         assert sign_init(3, 50, 70, start, stop, out=out) is out
         assert np.array_equal(out, whole[start:stop])
 
+    @pytest.mark.parametrize("ids", [[], [7], [49, 3, 3, 0, 17, 3],
+                                     list(range(49, -1, -1))])
+    def test_row_ids_are_rows_of_the_whole(self, ids):
+        """Unsorted and repeated row ids, across several 256-value blocks,
+        give those rows of the whole matrix and of its definition."""
+        ids = np.array(ids, dtype=np.int64)
+        whole = sign_init(3, 50, 70)
+        with mock.patch("scorefusion.encoder._INIT_BLOCK_VALUES", 2 ** 8):
+            got = sign_init(3, 50, 70, rows=ids)
+        assert got.shape == (ids.size, 70)
+        assert np.array_equal(got, whole[ids])
+        assert np.array_equal(got, _splitmix64_sign_oracle(3, 50, 70)[ids])
+        assert np.array_equal(sign_init_words(3, 50, 70, rows=ids),
+                              sign_init_words(3, 50, 70)[ids])
+        out = np.full((ids.size, 70), np.nan)
+        assert sign_init(3, 50, 70, out=out, rows=ids.astype(np.int32)) \
+            is out
+        assert np.array_equal(out, whole[ids])
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"rows": np.array([0, 50])}, r"row ids must lie in \[0, 50\)"),
+        ({"rows": np.array([-1])}, r"row ids must lie in \[0, 50\)"),
+        ({"rows": np.array([1.0])}, "1-d integer array"),
+        ({"rows": np.array([[1]])}, "1-d integer array"),
+        ({"rows": np.array([1]), "start": 1}, "not both"),
+        ({"rows": np.array([1]), "stop": 2}, "not both"),
+    ])
+    def test_row_ids_are_checked(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            sign_init(3, 50, 4, **kwargs)
+        with pytest.raises(ValueError, match=match):
+            sign_init_words(3, 50, 4, **kwargs)
+
     @pytest.mark.parametrize("start, stop", [(-1, 4), (3, 2), (0, 51)])
     def test_row_range_must_lie_in_buckets(self, start, stop):
         with pytest.raises(ValueError, match=r"do not lie in \[0, 50\)"):
@@ -180,12 +233,13 @@ class TestSignInit:
         assert peak < out.nbytes + 2 ** 20
 
     def test_projection_too_large_is_a_config_error(self):
-        # 2^48 x 64 float64 values exceed every 64-bit address space.
+        # A slot map of 2^48 int32 values exceeds every 64-bit address
+        # space.
         cfg = sf.EncoderConfig(buckets=2 ** 48)
         with pytest.raises(sf.ConfigurationError,
-                           match=r"buckets x dim = 281474976710656 x 64 "
-                                 r"float64 values \(144115188075855872 "
-                                 r"bytes\), cannot be allocated"):
+                           match=r"slot map, buckets = 281474976710656 int32 "
+                                 r"values \(1125899906842624 bytes\), "
+                                 r"cannot be allocated"):
             HashedNgramEncoder(cfg, seed=1)
 
     def test_encoder_starts_from_sign_init_and_records_it(self):
@@ -196,6 +250,133 @@ class TestSignInit:
         assert HashedNgramEncoder(cfg, enc.projection).init_seed is None
         zero = HashedNgramEncoder(cfg, seed=None)
         assert zero.init_seed is None and not zero.projection.any()
+
+
+class TestRowStore:
+    """The encoder holds its start plus the rows its texts touched."""
+
+    CFG = sf.EncoderConfig(dim=8, ngram_sizes=(3, 4), buckets=2 ** 12)
+    TEXTS = ["the first text", "a second one", "", "ab", "straße 日本語",
+             "the first text again", "zzzz qqqq"]
+
+    @staticmethod
+    def _assert_each_bucket_once(enc):
+        stored = np.flatnonzero(enc._slot >= 0)
+        assert stored.size == enc._size <= enc._rows.shape[0]
+        assert sorted(enc._slot[stored].tolist()) == list(range(enc._size))
+
+    def test_new_encoder_allocates_under_1_mib(self):
+        """numpy reports its buffers to tracemalloc: a default 2^15 x 64
+        encoder holds its 128 KiB slot map, not a 16 MiB projection."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            enc = HashedNgramEncoder(sf.EncoderConfig(), seed=2 ** 63 + 1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert enc._slot.nbytes == 2 ** 17
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("seed", [None, 2 ** 63 + 1])
+    def test_rows_are_stored_as_texts_touch_them(self, seed):
+        enc = HashedNgramEncoder(self.CFG, seed=seed)
+        start = enc.projection.copy()
+        assert enc.stored_rows()[0].size == 0
+        got = enc.encode_batch(self.TEXTS)
+        ids, rows = enc.stored_rows()
+        assert ids.tolist() == np.unique(enc.features(self.TEXTS).idx).tolist()
+        assert np.array_equal(rows, start[ids])
+        assert np.array_equal(enc.projection, start)
+        assert got.tobytes() == _per_row_embed(enc.features(self.TEXTS),
+                                               start).tobytes()
+        self._assert_each_bucket_once(enc)
+
+    def test_projection_is_read_only(self):
+        enc = HashedNgramEncoder(self.CFG, seed=1)
+        with pytest.raises(ValueError, match="read-only"):
+            enc.projection[0, 0] = 2.0
+
+    def test_set_rows_writes_through_the_store(self):
+        enc = HashedNgramEncoder(self.CFG, seed=1)
+        enc.encode_batch(self.TEXTS)
+        values = np.arange(24.0).reshape(3, 8)
+        enc.set_rows(np.array([4000, 7, 4000]), values)
+        assert np.array_equal(enc.projection[7], values[1])
+        assert np.array_equal(enc.projection[4000], values[2])
+        self._assert_each_bucket_once(enc)
+
+    def test_given_projection_must_be_buckets_by_dim(self):
+        with pytest.raises(ValueError, match="projection shape"):
+            HashedNgramEncoder(self.CFG, np.zeros((2 ** 12, 4)))
+
+    def test_pickled_and_copied_encoders_embed_alike(self):
+        enc = HashedNgramEncoder(self.CFG, seed=4)
+        want = enc.encode_batch(self.TEXTS)
+        for other in (pickle.loads(pickle.dumps(enc)), copy.deepcopy(enc)):
+            assert other._lock is not enc._lock
+            assert other.encode_batch(self.TEXTS[::-1] + ["new text"])[
+                :len(self.TEXTS)][::-1].tobytes() == want.tobytes()
+            assert other.stored_rows()[0].size > enc.stored_rows()[0].size
+
+    def test_threads_embedding_at_once_equal_a_sequential_run(self):
+        """Four threads embed overlapping texts at once while the store
+        grows; each result equals one encoder's sequential result, and the
+        store holds every bucket once."""
+        rng = np.random.default_rng(1)
+        texts = ["".join(rng.choice(list("abcdefgh ij"), 30))
+                 for _ in range(400)]
+        parts = [texts[i::3] + texts[:20] for i in range(4)]
+        want = [HashedNgramEncoder(self.CFG, seed=5).encode_batch(part)
+                for part in parts]
+        enc = HashedNgramEncoder(self.CFG, seed=5)
+        got: list = [None] * 4
+        barrier = threading.Barrier(4)
+
+        def run(i):
+            barrier.wait(timeout=10)
+            # One row at a time: many small stores race each other.
+            got[i] = np.vstack([enc.encode_batch([t]) for t in parts[i]])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,))
+                       for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        self._assert_each_bucket_once(enc)
+        assert enc.stored_rows()[0].tolist() == \
+            np.unique(enc.features(texts).idx).tolist()
+
+    def test_fit_after_embedding_puts_the_store_in_bucket_order(self):
+        """An encoder that embedded other texts first stores rows out of
+        bucket order; its training batches equal a fresh encoder's."""
+        train = ["alpha beta gamma", "delta epsilon", "zeta eta theta",
+                 "iota kappa lambda"]
+        used = HashedNgramEncoder(self.CFG, seed=6)
+        for text in ("mu nu xi", "omicron pi", "alpha rho"):
+            used.encode_batch([text])
+        stored = np.flatnonzero(used._slot >= 0)
+        assert (np.diff(used._slot[stored]) < 0).any()
+        fresh = HashedNgramEncoder(self.CFG, seed=6)
+        feats = fresh.features(train)
+        builds = [enc.training_batches(feats) for enc in (used, fresh)]
+        stored = np.flatnonzero(used._slot >= 0)
+        assert used._slot[stored].tolist() == list(range(stored.size))
+        for rows in ([0, 1], [3, 2, 1, 0], [2]):
+            a, b = (build(np.array(rows)) for build in builds)
+            assert _buckets_of(used, a.touched).tolist() == \
+                _buckets_of(fresh, b.touched).tolist()
+            assert np.array_equal(a.weights, b.weights)
+            assert np.array_equal(a.projection_rows, b.projection_rows)
 
 
 class TestFeaturize:
@@ -274,6 +455,31 @@ class TestFeaturizeRows:
             want_idx, want_weights = _scalar_row(text, cfg)
             assert idx.tolist() == want_idx.tolist()
             assert weights.tolist() == want_weights.tolist()
+
+    def test_chunks_are_capped_by_rows_and_bytes(self, monkeypatch):
+        import scorefusion.encoder as encoder_mod
+        monkeypatch.setattr(encoder_mod, "_FEATURIZE_CHUNK_ROWS", 4)
+        monkeypatch.setattr(encoder_mod, "_FEATURIZE_CHUNK_BYTES", 10)
+        # UTF-8 bytes 3, 3, 3, 14, 0, 10, then 1 each: a text past the
+        # budget is a chunk of its own, and "é" counts two bytes.
+        texts = ["aaa", "bbb", "ccc", "d" * 14, "", "é" * 5,
+                 "f", "g", "h", "i", "j"]
+        assert list(_text_chunks(texts)) == [(0, 3), (3, 4), (4, 6),
+                                             (6, 10), (10, 11)]
+        assert list(_text_chunks([])) == [(0, 0)]
+        cfg = sf.EncoderConfig(dim=4, ngram_sizes=(1, 3), buckets=2 ** 10)
+        rows = featurize_rows(texts, cfg)
+        for i, text in enumerate(texts):
+            idx, weights = rows.row(i)
+            want_idx, want_weights = _scalar_row(text, cfg)
+            assert idx.tolist() == want_idx.tolist()
+            assert weights.tolist() == want_weights.tolist()
+
+    def test_short_texts_chunk_by_rows_alone(self):
+        # Benchmark-length texts: 256 rows are far below the byte budget.
+        texts = ["x" * 33] * 600
+        assert list(_text_chunks(texts)) == [(0, 256), (256, 512),
+                                             (512, 600)]
 
     def test_take_selects_rows_in_order(self):
         texts = ["first text", "", "second one", "third"]
@@ -381,9 +587,33 @@ class TestEncode:
             finally:
                 tracemalloc.stop()
 
+        # The row store grows with the vocabulary, not with the rows: store
+        # every row the texts touch before measuring.
+        enc.encode_batch(texts)
         # eight chunks peak at about one chunk's intermediates; featurizing
         # all rows before embedding any would hold all eight chunks' features
         assert peak(texts) < 1.25 * peak(texts[:256])
+
+    def test_long_texts_embed_in_bounded_memory(self):
+        """A chunk is capped by its text bytes too: 256 texts of 5,000
+        characters (Reuters-length articles) peak under 48 MiB, where one
+        256-row chunk peaks near 190 MiB, and each row has the bits of
+        the text encoded alone."""
+        enc = HashedNgramEncoder(sf.EncoderConfig(), seed=3)
+        letters = np.frombuffer(b"abcdefghijklmnopqrstuvwxyz ", dtype=np.uint8)
+        codes = letters[np.random.default_rng(6).integers(0, 27, (256, 5000))]
+        texts = [row.tobytes().decode("ascii") for row in codes]
+        # Also stores every row the texts touch before measuring.
+        want = np.vstack([enc.encode_batch([text]) for text in texts])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = enc.encode_batch(texts)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2 ** 20
+        assert got.tobytes() == want.tobytes()
 
     def test_equal_count_rows_embed_in_bounded_memory(self):
         import tracemalloc
@@ -423,7 +653,7 @@ class TestEncoderGradients:
     CFG = sf.EncoderConfig(dim=4, ngram_sizes=(3,), buckets=64, lr_small=0.1)
 
     def test_dense_step_updates_in_place(self):
-        projection = HashedNgramEncoder(self.CFG, seed=0).projection
+        projection = HashedNgramEncoder(self.CFG, seed=0).projection.copy()
         before = projection.copy()
         grads = np.ones_like(before)
         encoder_gradient_step(projection, grads, lr_small=0.1)
@@ -439,7 +669,7 @@ class TestEncoderGradients:
         that is the sum of per-example outer(weights, g), also where rows
         share buckets."""
         enc_a = HashedNgramEncoder(self.CFG, seed=3)
-        enc_b = HashedNgramEncoder(self.CFG, seed=3)
+        projection_b = enc_a.projection.copy()
         texts = ["sparse path test", "sparse path rest", "another path here",
                  "", "test the sparse path"]
         rng = np.random.default_rng(0)
@@ -447,16 +677,16 @@ class TestEncoderGradients:
         feats = enc_a.features(texts)
         assert np.unique(feats.idx).size < feats.idx.size  # buckets repeat
 
-        dense = np.zeros_like(enc_b.projection)
+        dense = np.zeros_like(projection_b)
         for i, g in enumerate(gs):
             idx, weights = feats.row(i)
             for j, w in zip(idx, weights):
                 dense[j] += w * g
-        encoder_gradient_step(enc_b.projection, dense, lr_small=0.1)
+        encoder_gradient_step(projection_b, dense, lr_small=0.1)
 
         enc_a.apply_sparse_gradients(_whole_batch(enc_a, feats), gs)
         np.testing.assert_allclose(enc_a.projection,
-                                   enc_b.projection, rtol=0, atol=1e-15)
+                                   projection_b, rtol=0, atol=1e-15)
 
     def test_finite_difference_through_projection(self):
         """d(loss)/d(projection) via the sparse path vs central differences
@@ -472,11 +702,11 @@ class TestEncoderGradients:
             for col in range(4):
                 analytic = w * g[col]
                 orig = enc.projection[j, col]
-                enc.projection[j, col] = orig + h
+                _set_entry(enc, j, col, orig + h)
                 up = float(v @ enc.encode(text))
-                enc.projection[j, col] = orig - h
+                _set_entry(enc, j, col, orig - h)
                 down = float(v @ enc.encode(text))
-                enc.projection[j, col] = orig
+                _set_entry(enc, j, col, orig)
                 fd = (up - down) / (2 * h)
                 assert abs(analytic - fd) < 1e-6, (pos, col)
 
@@ -499,7 +729,8 @@ class TestTrainingBatch:
     def _check(self, enc, build, feats, rows):
         batch = build(rows)
         touched, weights = _reference_batch(feats, rows)
-        assert batch.touched.tolist() == touched.tolist()
+        # touched holds store slots, sorted: their buckets in bucket order
+        assert _buckets_of(enc, batch.touched).tolist() == touched.tolist()
         np.testing.assert_array_equal(batch.weights, weights)
         np.testing.assert_array_equal(batch.projection_rows,
                                       enc.projection[touched])
@@ -567,7 +798,8 @@ class TestTrainingBatch:
         batch = build(np.array([2, 0]))
         expected = enc.projection.copy()
         step = batch.weights.T @ grads[:2] * cfg.lr_small
-        expected[batch.touched] = batch.projection_rows - step
+        expected[_buckets_of(enc, batch.touched)] = \
+            batch.projection_rows - step
         emb = batch.weights @ batch.projection_rows
         out = np.full((2, 11), np.nan)
         enc.embed_batch(batch, out=out[:, :8])

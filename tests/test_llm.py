@@ -827,6 +827,29 @@ class TestScoreProviders:
                    for pcfg in pcfgs]
         assert np.array_equal(out, np.hstack(singles))
 
+    def test_keys_are_cache_key_strings(self, tmp_path):
+        """The pass builds each provider's key prefix once; its keys equal
+        cache_key's byte for byte, non-ASCII model names included: the
+        puts land under them and a second pass reads every score back."""
+        cache = cache_open(tmp_path / "c", "f" * 64)
+        pcfgs = (sf.ProviderConfig(provider_id="mock", model_name="mödel-β"),
+                 sf.ProviderConfig(provider_id="mock", model_name="模型"))
+        texts = ["t0", "t1", "ünïcode text", "t0"]
+        tables = [{t: (0.2, 0.3, 0.5) for t in texts},
+                  {t: (0.6, 0.1, 0.3) for t in texts}]
+        first = score_providers(texts, SCHEMA, MC, pcfgs, cache,
+                                [sf.MockProvider(t, SCHEMA) for t in tables])
+        keys = {line.split(b"\t")[0].decode("utf-8")
+                for segment in (tmp_path / "c").glob("log-*.jsonl")
+                for line in segment.read_bytes().splitlines()}
+        assert keys == {cache_key(pcfg.provider_id, pcfg.model_name,
+                                  TEMPLATE, text_digest(text))
+                        for pcfg in pcfgs for text in texts}
+        providers = [sf.MockProvider({}, SCHEMA) for _ in pcfgs]
+        again = score_providers(texts, SCHEMA, MC, pcfgs, cache, providers)
+        assert [p.calls for p in providers] == [0, 0]
+        assert np.array_equal(again, first)
+
     def test_no_providers_is_an_empty_block(self):
         out = score_providers(["a", "b"], SCHEMA, MC, ())
         assert out.shape == (2, 0) and out.dtype == np.float64

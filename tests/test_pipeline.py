@@ -337,15 +337,15 @@ class TestFitValidation:
 
     def test_projection_too_large_fails_before_scoring(self, toy_dataset,
                                                       toy_table, tmp_path):
-        """2^48 x 64 float64 values exceed every 64-bit address space: a
-        config error naming the size, before any provider call, cache or
-        run directory."""
+        """A slot map of 2^48 int32 values exceeds every 64-bit address
+        space: a config error naming the size, before any provider call,
+        cache or run directory."""
         cfg = small_fusion_config(encoder=sf.EncoderConfig(buckets=2 ** 48),
                                   cache_dir=str(tmp_path / "cache"))
         provider = sf.MockProvider(toy_table, toy_dataset.schema)
         with pytest.raises(sf.ConfigurationError,
-                           match=r"281474976710656 x 64 float64 values "
-                                 r"\(144115188075855872 bytes\)"):
+                           match=r"buckets = 281474976710656 int32 values "
+                                 r"\(1125899906842624 bytes\)"):
             sf.fit(toy_dataset, cfg, tmp_path / "runs", providers=[provider])
         assert provider.calls == 0
         assert not (tmp_path / "cache").exists()
@@ -1002,7 +1002,9 @@ class TestSaveLoad:
         set bit is the sign of a -0.0 is stored and reads back as -0.0."""
         model = sf.load_model(DATA / "model_v2.json")
         assert not model.encoder.projection[5].any()
-        model.encoder.projection[5, 1] = -0.0
+        row = np.zeros((1, model.encoder.dim))
+        row[0, 1] = -0.0
+        model.encoder.set_rows(np.array([5]), row)
         enc = self._assert_resave_stable(model, tmp_path)
         assert 5 in enc["rows"]
 
@@ -1013,7 +1015,7 @@ class TestSaveLoad:
         start = sign_init(model.encoder.init_seed, cfg.buckets, cfg.dim)
         [row, *_] = np.flatnonzero((model.encoder.projection != start)
                                    .any(axis=1))
-        model.encoder.projection[row] = start[row]
+        model.encoder.set_rows(np.array([row]), start[row][None])
         enc = self._assert_resave_stable(model, tmp_path)
         assert row not in enc["rows"]
 
@@ -1119,6 +1121,63 @@ class TestSaveLoad:
         assert np.array_equal(loaded.encoder.projection.view(np.uint64),
                               model.encoder.projection.view(np.uint64))
 
+    def test_load_holds_no_projection(self, toy_dataset, toy_table,
+                                      tmp_path):
+        """numpy reports its buffers to tracemalloc: loading a default
+        2^15 x 64 model stores only the file's rows beside the 128 KiB slot
+        map, so the load peaks under 4 MiB above its start."""
+        cfg = small_fusion_config(encoder=sf.EncoderConfig())
+        model, _, _ = _fit_toy(toy_dataset, toy_table, cfg)
+        sf.save_model(model, tmp_path / "m.json")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = sf.load_model(tmp_path / "m.json")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+        ids, _ = loaded.encoder.stored_rows()
+        assert ids.tolist() == json.loads(
+            (tmp_path / "m.json").read_text())["encoder"]["rows"]
+
+    def test_save_after_predict_is_unchanged(self, toy_dataset, toy_table,
+                                             tmp_path):
+        """Predicting stores the start of every row its texts touch; those
+        rows did not move, so the saved bytes stay the same."""
+        model, _, _ = _fit_toy(toy_dataset, toy_table)
+        sf.save_model(model, tmp_path / "a.json")
+        texts = ["texts the fit never saw", "zq xj vk", "ünïcödé wörds"]
+        sf.predict(model, texts, providers=[sf.MockProvider(
+            {t: (0.5, 0.5) for t in texts}, model.schema)])
+        sf.save_model(model, tmp_path / "b.json")
+        assert (tmp_path / "b.json").read_bytes() == \
+            (tmp_path / "a.json").read_bytes()
+
+    def test_fit_after_predict_saves_a_fresh_fits_bytes(
+            self, toy_dataset, toy_table, tmp_path, monkeypatch):
+        """A fit whose encoder embedded other texts first, so its store is
+        out of bucket order, saves the bytes of a fit from a fresh one."""
+        model, _, _ = _fit_toy(toy_dataset, toy_table)
+        sf.save_model(model, tmp_path / "fresh.json")
+        import scorefusion.pipeline as pipeline_mod
+
+        build = pipeline_mod._build_encoder
+
+        def used_encoder(cfg):
+            encoder = build(cfg)
+            for text in ("zq xj vk", *TOY_TEXTS[::-3], "other words"):
+                encoder.encode_batch([text])
+            stored = np.flatnonzero(encoder._slot >= 0)
+            assert (np.diff(encoder._slot[stored]) < 0).any()
+            return encoder
+
+        monkeypatch.setattr(pipeline_mod, "_build_encoder", used_encoder)
+        model, _, _ = _fit_toy(toy_dataset, toy_table)
+        sf.save_model(model, tmp_path / "used.json")
+        assert (tmp_path / "used.json").read_bytes() == \
+            (tmp_path / "fresh.json").read_bytes()
+
     # 16 rows of 16 values per block: rows 0 and 15 open and close the
     # first block, 16 opens the second, and rows 32-39 are a short last
     # block.
@@ -1127,12 +1186,20 @@ class TestSaveLoad:
         cfg = sf.EncoderConfig(dim=16, ngram_sizes=(3,), buckets=40)
         enc = HashedNgramEncoder(cfg, seed=seed)
         moved = [0, 15, 16, 31, 32, 39]
-        for row in moved:
+        values = enc.projection[moved]
+        for i, row in enumerate(moved):
             # A lone -0.0 over a zero start, a sign flip over sign_init.
-            enc.projection[row, row % 16] = -0.0 if seed is None \
-                else -enc.projection[row, row % 16]
+            values[i, row % 16] = -0.0 if seed is None \
+                else -values[i, row % 16]
+        # Rows stored at their start are not moved; the moved rows are
+        # stored after them, so the store is out of bucket order.
+        enc.set_rows(np.array([38, 1, 20]), enc.projection[[38, 1, 20]])
+        enc.set_rows(np.array(moved), values)
         with mock.patch("scorefusion.encoder._INIT_BLOCK_VALUES", 256):
-            assert _moved_rows(enc.projection, seed, cfg).tolist() == moved
+            ids, rows = _moved_rows(enc)
+            assert ids.tolist() == moved
+            assert np.array_equal(rows.view(np.uint64),
+                                  values.view(np.uint64))
             model = sf.FusionModel(
                 small_fusion_config(encoder=cfg), enc,
                 sf.init_fusion_params(16 + 2, (16,), 2, seed=0))
@@ -1148,17 +1215,19 @@ class TestSaveLoad:
         cfg = sf.EncoderConfig(dim=3, ngram_sizes=(3,), buckets=2 ** 12)
         for seed in (None, 0):
             enc = HashedNgramEncoder(cfg, seed=seed)
-            assert _moved_rows(enc.projection, seed, cfg).tolist() == []
+            enc.encode_batch(["rows stored at their start"])
+            assert enc.stored_rows()[0].size > 0
+            assert _moved_rows(enc)[0].tolist() == []
 
     def test_projection_too_large_to_load(self, toy_dataset, toy_table,
                                           tmp_path):
-        """A config whose projection cannot be allocated (2^50 x 16 float64
-        values exceed every 64-bit address space) is a model-format error."""
+        """A config whose slot map cannot be allocated (2^50 int32 values
+        exceed every 64-bit address space) is a model-format error."""
         def edit(doc):
             doc["config"]["encoder"]["buckets"] = 2 ** 50
         path = self._doctored(toy_dataset, toy_table, tmp_path, edit)
         with pytest.raises(sf.ModelFormatError,
-                           match=r"buckets x dim = 1125899906842624 x 16 .* "
+                           match=r"buckets = 1125899906842624 int32 .* "
                                  r"cannot be allocated"):
             sf.load_model(path)
 

@@ -132,6 +132,34 @@ def test_encoder_does_not_load_numpy_ma():
     assert result.stdout.strip() == "False"
 
 
+def test_model_round_trip_does_not_load_numpy_ma(tmp_path):
+    """A hashed-encoder fit, save_model, load_model and predict leave
+    numpy.ma unimported too."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys\n"
+        "import scorefusion as sf\n"
+        "data = sf.make_complementary_data(n_rows=60, k=3, seed=1)\n"
+        "schema = data.train.schema\n"
+        "cfg = sf.AutoFusionConfig(label_columns=schema.labels,"
+        " fusion=sf.FusionConfig(epochs=2))\n"
+        "provider = sf.MockProvider(data.mock_table, schema)\n"
+        "model, _ = sf.fit(data.train, cfg, providers=[provider])\n"
+        f"path = {str(tmp_path / 'm.json')!r}\n"
+        "sf.save_model(model, path)\n"
+        "loaded = sf.load_model(path)\n"
+        "sf.predict(loaded, data.eval.texts() + ['unseen words'],"
+        " providers=[sf.MockProvider(data.mock_table, schema)])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 def test_sources_parse_as_python_3_10():
     """pyproject promises Python >= 3.10; catch 3.11-only syntax early."""
     sources = sorted((ROOT / "src" / "scorefusion").glob("*.py"))
