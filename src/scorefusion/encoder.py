@@ -20,6 +20,8 @@ vectors can be substituted via the frozen lookup encoder.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -56,13 +58,12 @@ _SPLITMIX_M2 = 0x94D049BB133111EB
 _INIT_BLOCK_VALUES = 2 ** 16
 
 
-def init_row_blocks(start: int, stop: int,
-                    dim: int) -> Iterator[tuple[int, int]]:
-    """Consecutive row ranges [a, b) covering [start, stop), each of at
-    most _INIT_BLOCK_VALUES values of `dim` columns (at least one row)."""
+def _init_row_blocks(n: int, dim: int) -> Iterator[tuple[int, int]]:
+    """Consecutive ranges [a, b) covering [0, n), each of at most
+    _INIT_BLOCK_VALUES values of `dim` columns (at least one row)."""
     step = max(1, _INIT_BLOCK_VALUES // dim)
-    for a in range(start, stop, step):
-        yield a, min(a + step, stop)
+    for a in range(0, n, step):
+        yield a, min(a + step, n)
 
 
 def _check_seed(seed: int) -> None:
@@ -71,29 +72,11 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
-def _row_ids(seed: int, buckets: int, start: int, stop: int | None,
-             rows: np.ndarray | None) -> np.ndarray:
-    """The int64 row ids a sign_init call names, rows [start, stop) of
-    [0, buckets) or the ids in `rows`, once they and the seed are checked."""
-    _check_seed(seed)
-    if rows is not None:
-        if start or stop is not None:
-            raise ValueError("give rows or [start, stop), not both")
-        ids = np.asarray(rows)
-        if ids.ndim != 1 or ids.dtype.kind not in "iu":
-            raise ValueError("rows must be a 1-d integer array")
-        if ids.size and not (ids.min() >= 0 and ids.max() < buckets):
-            raise ValueError(f"row ids must lie in [0, {buckets})")
-        return ids.astype(np.int64, copy=False)
-    stop = buckets if stop is None else stop
-    if not 0 <= start <= stop <= buckets:
-        raise ValueError(f"rows [{start}, {stop}) do not lie in "
-                         f"[0, {buckets})")
-    return np.arange(start, stop, dtype=np.int64)
-
-
 def _splitmix_words(seed: int, ids: np.ndarray, n_words: int) -> np.ndarray:
-    """The (len(ids), n_words) words of sign_init_words for row ids `ids`."""
+    """The (len(ids), n_words) uint64 words of rows `ids` of a start: word
+    w of row b is SplitMix64 of seed + (b * n_words + w + 1) *
+    0x9E3779B97F4A7C15, in wrapping uint64 arithmetic only, so every numpy
+    version yields the same words."""
     z = ids.astype(np.uint64)[:, None] * np.uint64(n_words) \
         + np.arange(1, n_words + 1, dtype=np.uint64)
     z *= np.uint64(_SPLITMIX_GAMMA)
@@ -106,40 +89,34 @@ def _splitmix_words(seed: int, ids: np.ndarray, n_words: int) -> np.ndarray:
     return z
 
 
-def sign_init_words(seed: int, buckets: int, dim: int, start: int = 0,
-                    stop: int | None = None, *,
-                    rows: np.ndarray | None = None) -> np.ndarray:
-    """Rows [start, stop) (all by default), or the rows whose ids `rows`
-    lists (in any order, repeats allowed), of the (buckets,
-    ceil(dim / 64)) uint64 words `sign_init` expands.
-
-    Word w of row b is SplitMix64 of seed + (b * ceil(dim / 64) + w + 1) *
-    0x9E3779B97F4A7C15, in wrapping uint64 arithmetic only, so every numpy
-    version yields the same words. `seed` is an integer in [0, 2**64).
-    """
-    return _splitmix_words(seed, _row_ids(seed, buckets, start, stop, rows),
-                           -(-dim // 64))
-
-
-def sign_init(seed: int, buckets: int, dim: int, start: int = 0,
-              stop: int | None = None, out: np.ndarray | None = None, *,
-              rows: np.ndarray | None = None) -> np.ndarray:
-    """Rows [start, stop) (all by default), or the rows whose ids `rows`
-    lists, of a (buckets, dim) float64 matrix of ±1: entry (b, c) is +1
-    where bit c % 64 of word c // 64 of row b of `sign_init_words` is set.
-    Written into `out` when given.
+def sign_init(seed: int, buckets: int, dim: int, *,
+              rows: np.ndarray | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """The (buckets, dim) float64 matrix of ±1, or the rows of it whose ids
+    `rows` lists (in any order, repeats allowed), written into `out` when
+    given. Entry (b, c) is +1 where bit c % 64 of word c // 64 of row b of
+    `_splitmix_words`, with ceil(dim / 64) words a row, is set. `seed` is
+    an integer in [0, 2**64).
 
     A sign random projection preserves distances as well as a Gaussian one
     (Achlioptas 2003), and this one is defined here bit for bit, so a model
     file can store the seed in place of the rows training left alone, and
     an encoder can write a row from its id when a text first touches it.
-    The rows are made one `init_row_blocks` block at a time, so beside its
+    The rows are made one `_init_row_blocks` block at a time, so beside its
     output a call holds its row ids and one block's words and bits.
     """
-    ids = _row_ids(seed, buckets, start, stop, rows)
+    _check_seed(seed)
+    if rows is None:
+        ids = np.arange(buckets, dtype=np.int64)
+    else:
+        ids = np.asarray(rows)
+        if ids.ndim != 1 or ids.dtype.kind not in "iu":
+            raise ValueError("rows must be a 1-d integer array")
+        if ids.size and not (ids.min() >= 0 and ids.max() < buckets):
+            raise ValueError(f"row ids must lie in [0, {buckets})")
     if out is None:
         out = np.empty((ids.size, dim))
-    for a, b in init_row_blocks(0, ids.size, dim):
+    for a, b in _init_row_blocks(ids.size, dim):
         words = _splitmix_words(seed, ids[a:b], -(-dim // 64)).astype(
             "<u8", copy=False)
         bits = np.unpackbits(words.view(np.uint8), axis=1, count=dim,
@@ -148,6 +125,18 @@ def sign_init(seed: int, buckets: int, dim: int, start: int = 0,
         np.multiply(bits, 2.0, out=block)
         block -= 1.0
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def _init_sha256(seed: int, buckets: int, dim: int) -> str:
+    """The sha256 of the little-endian words of sign_init(seed, buckets,
+    dim), row by row, hashed one `_init_row_blocks` block at a time. It
+    depends only on its arguments, so a process makes it once per start."""
+    digest = hashlib.sha256()
+    for a, b in _init_row_blocks(buckets, dim):
+        words = _splitmix_words(seed, np.arange(a, b), -(-dim // 64))
+        digest.update(words.astype("<u8", copy=False).tobytes())
+    return digest.hexdigest()
 
 
 def _empty_slot_map(buckets: int) -> np.ndarray:
@@ -192,6 +181,11 @@ class EncoderConfig(DictCodec):
             raise ValueError("lr_small must be > 0")
         if not self.ngram_sizes or any(n < 1 for n in self.ngram_sizes):
             raise ValueError("ngram_sizes needs at least one size >= 1")
+        # Both are int64 values in featurize and the slot map.
+        if self.buckets >= 2 ** 63:
+            raise ValueError("buckets must be < 2**63")
+        if any(n >= 2 ** 63 for n in self.ngram_sizes):
+            raise ValueError("ngram_sizes must each be < 2**63")
 
 
 def featurize(text: str, cfg: EncoderConfig) -> dict[int, int]:
@@ -442,6 +436,28 @@ class HashedNgramEncoder:
         with self._lock:
             ids = np.flatnonzero(self._slot >= 0)
             return ids, self._rows[self._slot[ids]]
+
+    @property
+    def init_sha256(self) -> str | None:
+        """The digest of the start a model file records, `_init_sha256` of
+        `init_seed`, or None for a zero start."""
+        if self.init_seed is None:
+            return None
+        return _init_sha256(self.init_seed, self.cfg.buckets, self.cfg.dim)
+
+    def moved_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The projection rows that differ from the start: their bucket
+        ids, ascending, and their values. Only a stored row can differ;
+        each is compared with its start as uint64 bits, so a -0.0 entry
+        counts as a change."""
+        cfg, seed = self.cfg, self.init_seed
+        ids, rows = self.stored_rows()
+        bits = rows.view(np.uint64)
+        if seed is not None:
+            start = sign_init(seed, cfg.buckets, cfg.dim, rows=ids)
+            bits = bits != start.view(np.uint64)
+        moved = bits.any(axis=1)
+        return ids[moved], rows[moved]
 
     def set_rows(self, buckets: np.ndarray, values: np.ndarray) -> None:
         """Write values[i] as the projection row of bucket buckets[i]."""

@@ -7,24 +7,21 @@ model twice yields identical bytes, and load(save(m)) predicts
 bit-identically. Format 4 stores `config.to_dict()` under `config`; the
 `encoder` and `fusion` sections hold only state. Every float array is one
 base64 string of its little-endian float64 bytes. A hashed encoder's
-projection is stored as its start, `sign_init(init_seed)` (zeros when
-`init_seed` is null), plus the rows that differ from it bitwise; training
-moves only the rows its texts touch, so the file grows with the fit
-vocabulary, not the bucket count. The encoder holds its projection the
-same way, as its start plus a store of the rows its texts touched: saving
-compares only the stored rows with their start, and loading checks the
-rows and the digest, then stores the file's rows and no other, so
-neither allocates a (buckets, dim) array. Formats 3 (the config in
-pieces), 2 (the whole projection in base64) and 1 (JSON lists of repr
-floats) are still read; a config field they never stored takes its
-default, and a frozen encoder's path, which they never stored, reads as a
-path saying so.
+projection is stored as its start, `init_seed` with the digest the encoder
+gives (`init_sha256`; zeros when `init_seed` is null), plus the rows the
+encoder reports as moved from it bitwise; training moves only the rows its
+texts touch, so the file grows with the fit vocabulary, not the bucket
+count. Loading checks the rows and the digest, then stores the file's rows
+and no other, so neither save nor load allocates a (buckets, dim) array.
+Formats 3 (the config in pieces), 2 (the whole projection in base64) and
+1 (JSON lists of repr floats) are still read; a config field they never
+stored takes its default, and a frozen encoder's path, which they never
+stored, reads as a path saying so.
 """
 
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -42,14 +39,7 @@ from .core import (
     atomic_write_text,
     check_value,
 )
-from .encoder import (
-    EncoderConfig,
-    FrozenLookupEncoder,
-    HashedNgramEncoder,
-    init_row_blocks,
-    sign_init,
-    sign_init_words,
-)
+from .encoder import EncoderConfig, FrozenLookupEncoder, HashedNgramEncoder
 from .errors import ConfigurationError, DataError, ModelFormatError
 from .fusion import FusionConfig, FusionParams
 from .llm import PROMPT_TEMPLATE_VERSION, ProviderConfig
@@ -62,14 +52,13 @@ class AutoFusionConfig(DictCodec):
     """Everything needed to train and apply one fusion classifier.
 
     `encoder` is either hashed-n-gram settings (trainable) or a path to a
-    precomputed-embedding TSV (frozen). With no `llm_providers` the model
-    is the encoder-only baseline.
+    precomputed-embedding TSV (frozen). With no `llm_providers`, the
+    default, the model is the encoder-only baseline.
     """
 
     label_columns: tuple[str, ...] = ()
     multi_label: bool = False
-    llm_providers: tuple[ProviderConfig, ...] = field(
-        default_factory=lambda: (ProviderConfig(),))
+    llm_providers: tuple[ProviderConfig, ...] = ()
     encoder: Union[EncoderConfig, str] = field(default_factory=EncoderConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
     cache_dir: Optional[str] = None
@@ -217,41 +206,13 @@ def _read_array(value, version: int, shape: tuple[int, ...]) -> np.ndarray:
     return flat.reshape(shape)
 
 
-def _init_sha256(seed, cfg: EncoderConfig):
-    """The sha256 of the little-endian words of `sign_init(seed)`, hashed
-    one row block at a time, or None for the zero start."""
-    if seed is None:
-        return None
-    digest = hashlib.sha256()
-    for a, b in init_row_blocks(0, cfg.buckets, cfg.dim):
-        words = sign_init_words(seed, cfg.buckets, cfg.dim, a, b)
-        digest.update(words.astype("<u8", copy=False).tobytes())
-    return digest.hexdigest()
-
-
-def _moved_rows(encoder: HashedNgramEncoder) -> tuple[np.ndarray, np.ndarray]:
-    """The projection rows that differ from the encoder's start,
-    `sign_init(init_seed)` or zeros when `init_seed` is None: their bucket
-    ids, ascending, and their values. Only a stored row can differ; each
-    is compared with its start as uint64 bits, so a -0.0 entry counts as a
-    change."""
-    cfg, seed = encoder.cfg, encoder.init_seed
-    ids, rows = encoder.stored_rows()
-    bits = rows.view(np.uint64)
-    if seed is not None:
-        start = sign_init(seed, cfg.buckets, cfg.dim, rows=ids)
-        bits = bits != start.view(np.uint64)
-    moved = bits.any(axis=1)
-    return ids[moved], rows[moved]
-
-
 def _encoder_to_doc(encoder) -> dict:
     """The encoder's state; its settings are in the config."""
     if isinstance(encoder, HashedNgramEncoder):
-        ids, rows = _moved_rows(encoder)
+        ids, rows = encoder.moved_rows()
         return {
             "init_seed": encoder.init_seed,
-            "init_sha256": _init_sha256(encoder.init_seed, encoder.cfg),
+            "init_sha256": encoder.init_sha256,
             "rows": ids.tolist(),
             "projection_rows": _encode_array(rows),
         }
@@ -296,12 +257,9 @@ def _hashed_encoder_from_rows(doc: dict, cfg: EncoderConfig,
                               version: int) -> HashedNgramEncoder:
     """A hashed encoder from format 3 on: its start, `init_seed`, checked
     against the recorded digest, with the stored rows written into its
-    row store.
-
-    The rows are checked first, then the encoder is built, which checks
-    the seed and allocates only its slot map, so a size that cannot be
-    allocated fails at once rather than after hashing every bucket's
-    words. The digest covers every bucket; no other row is made."""
+    row store. The rows are checked first, then the encoder is built,
+    which checks the seed and allocates only its slot map, so a size that
+    cannot be allocated fails before the digest is made."""
     seed = doc["init_seed"]
     rows = doc["rows"]
     if type(rows) is not list or any(type(r) is not int for r in rows):
@@ -312,10 +270,10 @@ def _hashed_encoder_from_rows(doc: dict, cfg: EncoderConfig,
     if (np.diff(ids) <= 0).any():
         raise ModelFormatError("rows must be strictly increasing")
     encoder = HashedNgramEncoder(cfg, seed=seed)
-    if doc["init_sha256"] != _init_sha256(seed, cfg):
+    if doc["init_sha256"] != encoder.init_sha256:
         raise ModelFormatError(
-            f"init_sha256 {doc['init_sha256']!r} does not match the "
-            f"regenerated init of init_seed {seed!r}")
+            f"init_sha256 {doc['init_sha256']!r} does not match the init "
+            f"of init_seed {seed!r}")
     encoder.set_rows(ids, _read_array(doc["projection_rows"], version,
                                       (ids.size, cfg.dim)))
     return encoder
@@ -366,8 +324,8 @@ def load_model(path: Union[str, Path]) -> FusionModel:
     """Read a model file (format 1 to 4) back; predictions match the saved
     model exactly.
 
-    A hashed encoder from format 3 on starts from `sign_init(init_seed)`,
-    which must hash to the recorded `init_sha256`, with the stored rows
+    A hashed encoder from format 3 on starts from `init_seed`, whose
+    digest must be the recorded `init_sha256`, with the stored rows
     written over it. An encoder read from format 1 or 2 stores every row
     and has `init_seed` None, so saving it again writes every non-zero
     row.

@@ -85,7 +85,16 @@ def _provider_from_value(value, model_name, mock_table) -> dict:
 
 
 def _providers_from_doc(doc: dict) -> list:
-    raw, names = doc.get("llm_provider", "mock"), doc.get("model_name")
+    """The providers `llm_provider` names, none when it is absent (the
+    encoder-only baseline); `model_name` or `mock_table` without it is an
+    error, not a provider chosen for the user."""
+    if "llm_provider" not in doc:
+        for key in ("model_name", "mock_table"):
+            if key in doc:
+                raise ConfigurationError(
+                    f"config key {key!r} needs 'llm_provider'")
+        return []
+    raw, names = doc["llm_provider"], doc.get("model_name")
     if not isinstance(raw, (list, tuple)):
         raw, names = [raw], [names]
     elif not isinstance(names, (list, tuple)):

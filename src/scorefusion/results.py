@@ -11,8 +11,10 @@ Layout:
                                             presence marks the run finalized
 
 Floats are serialized with repr (17 significant digits), so every field
-round-trips losslessly. A handle created without a root directory keeps the
-same record purely in memory (used when callers do not track runs).
+round-trips losslessly. config.json and metrics.json are written whole or
+not at all (temp file and rename), and a run file that cannot be written is
+a DataError. A handle created without a root directory keeps the same
+record purely in memory (used when callers do not track runs).
 """
 
 from __future__ import annotations
@@ -28,12 +30,20 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._version import __version__
-from .core import LabelVector
+from .core import LabelVector, atomic_write_text
 from .errors import ConfigurationError, DataError, RunStateError
 from .fusion import Predictions
 from .metrics import MetricsReport
 
 RUN_FORMAT_VERSION = 1
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    """Write a run's JSON file atomically; a failure is a DataError."""
+    try:
+        atomic_write_text(path, json.dumps(doc, sort_keys=True, indent=2))
+    except OSError as exc:
+        raise DataError(f"cannot write run file {path}: {exc}") from None
 
 
 def _new_run_id() -> str:
@@ -90,8 +100,13 @@ class RunHandle:
         entry = {"epoch": epoch, "train_loss": train_loss, **extra}
         self.record.epoch_logs.append(entry)
         if self.run_dir is not None:
-            with open(self.run_dir / "epochs.jsonl", "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+            path = self.run_dir / "epochs.jsonl"
+            try:
+                with open(path, "a", encoding="utf-8") as fh:
+                    fh.write(json.dumps(entry, sort_keys=True) + "\n")
+            except OSError as exc:
+                raise DataError(f"cannot write run file {path}: {exc}") \
+                    from None
 
     def store_predictions(self, predictions: Predictions,
                           targets: Sequence[Optional[LabelVector]] | None = None) -> None:
@@ -100,20 +115,19 @@ class RunHandle:
         self.record.predictions = prediction_rows(predictions, targets)
 
     def finalize(self, metrics: Optional[MetricsReport]) -> RunRecord:
-        """Write predictions and metrics, then freeze the record."""
+        """Write predictions and metrics, then freeze the record. metrics.json
+        marks the run finalized, so it is written last."""
         if self.record.finalized:
             raise RunStateError(f"run {self.run_id} is already finalized")
         self.record.metrics = metrics
-        self.record.finalized = True
         if self.run_dir is not None:
             write_predictions_csv(self.run_dir / "predictions.csv",
                                   self.record.predictions, self.label_names)
-            doc = {
+            _write_json(self.run_dir / "metrics.json", {
                 "format_version": RUN_FORMAT_VERSION,
                 "metrics": metrics.to_dict() if metrics is not None else None,
-            }
-            (self.run_dir / "metrics.json").write_text(
-                json.dumps(doc, sort_keys=True, indent=2), encoding="utf-8")
+            })
+        self.record.finalized = True
         return self.record
 
 
@@ -133,25 +147,24 @@ def prediction_rows(predictions: Predictions,
 
 def write_predictions_csv(path: Path | str, rows: Sequence[PredictionRow],
                           label_names: Sequence[str]) -> None:
+    """A failure to open or write the file is a DataError."""
     try:
-        fh = open(path, "w", newline="", encoding="utf-8")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["row", *[f"score_{name}" for name in label_names],
+                             "decided", "target"])
+            writer.writerows(row.to_csv_row() for row in rows)
     except OSError as exc:
         raise DataError(f"cannot write predictions CSV {path}: {exc}") \
             from None
-    with fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", *[f"score_{name}" for name in label_names],
-                         "decided", "target"])
-        for row in rows:
-            writer.writerow(row.to_csv_row())
 
 
 def run_create(root_dir: str | Path | None, config: dict,
                fingerprint: str, label_names: Sequence[str]) -> RunHandle:
     """Start a run: allocate an id and snapshot the config.
 
-    root_dir None keeps the run in memory only. A run directory that cannot
-    be created is a DataError.
+    root_dir None keeps the run in memory only. A run directory or config
+    snapshot that cannot be written is a DataError.
     """
     record = RunRecord(
         run_id=_new_run_id(),
@@ -167,7 +180,7 @@ def run_create(root_dir: str | Path | None, config: dict,
         except OSError as exc:
             raise DataError(f"cannot create run directory {run_dir}: {exc}") \
                 from None
-        snapshot = {
+        _write_json(run_dir / "config.json", {
             "format_version": RUN_FORMAT_VERSION,
             "run_id": record.run_id,
             "created_at": record.created_at,
@@ -175,9 +188,7 @@ def run_create(root_dir: str | Path | None, config: dict,
             "dataset_fingerprint": fingerprint,
             "label_names": list(label_names),
             "config": config,
-        }
-        (run_dir / "config.json").write_text(
-            json.dumps(snapshot, sort_keys=True, indent=2), encoding="utf-8")
+        })
     return RunHandle(record, run_dir, label_names)
 
 

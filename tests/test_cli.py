@@ -4,8 +4,16 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 import numpy as np
 import pytest
@@ -188,6 +196,23 @@ class TestTrain:
         assert not (workdir / "runs").exists()
         assert not (workdir / "model.json").exists()
 
+    @pytest.mark.parametrize("override, named", [
+        ("encoder.ngram_sizes=[3, 18446744073709551616]", "ngram_sizes"),
+        ("encoder.ngram_sizes=[9223372036854775808]", "ngram_sizes"),
+        ("encoder.buckets=1180591620717411303424", "buckets"),
+        ("encoder.buckets=9223372036854775808", "buckets"),
+    ])
+    def test_size_numpy_cannot_hold_exit_1(self, workdir, capsys, override,
+                                           named):
+        """An n-gram size or bucket count of 2^63 or more is no int64: one
+        typed line naming the field, not an OverflowError or numpy's
+        dimension error."""
+        code, _, err = _train(workdir, capsys, "--set", override)
+        assert code == 1
+        assert err.startswith("error[config]:") and err.count("\n") == 1
+        assert f"{named} must" in err and "< 2**63" in err
+        assert not (workdir / "model.json").exists()
+
     def test_seed_flag_changes_model(self, workdir, capsys):
         _train(workdir, capsys, "--seed", "1")
         first = (workdir / "model.json").read_bytes()
@@ -355,6 +380,29 @@ class TestEvaluate:
         assert record.finalized
         assert record.metrics.accuracy == 1.0
         assert record.config["command"] == "evaluate"
+
+    @pytest.mark.skipif(resource is None, reason="needs RLIMIT_FSIZE")
+    def test_run_file_write_failure_exit_2(self, workdir, capsys):
+        """In a process that may write no file byte (RLIMIT_FSIZE 0, set in
+        that child only), evaluate fails on its run files with one typed
+        line and no traceback."""
+        assert _train(workdir, capsys)[0] == 0
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(sf.__file__).parents[1]),
+                        env.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-m", "scorefusion.cli", "evaluate",
+             "--model", str(workdir / "model.json"),
+             "--eval-csv", str(workdir / "train.csv"),
+             "--runs-dir", str(workdir / "eval-runs")],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE,
+                                                  (0, 0)))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error[data]: cannot write run file")
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
 
     def test_missing_label_column_exit_2(self, workdir, capsys):
         assert _train(workdir, capsys)[0] == 0

@@ -4,6 +4,7 @@ and the frozen lookup encoder."""
 from __future__ import annotations
 
 import copy
+import hashlib
 import pickle
 import sys
 import threading
@@ -20,14 +21,14 @@ from scorefusion.encoder import (
     CsrRows,
     FrozenLookupEncoder,
     HashedNgramEncoder,
+    _init_row_blocks,
+    _init_sha256,
     _text_chunks,
     featurize,
     featurize_rows,
     fnv1a64,
-    init_row_blocks,
     load_precomputed_embeddings,
     sign_init,
-    sign_init_words,
 )
 
 
@@ -114,18 +115,31 @@ class TestFnv1a64:
         assert 0 <= fnv1a64(data) < 2 ** 64
 
 
-def _splitmix64_sign_oracle(seed: int, buckets: int, dim: int) -> np.ndarray:
-    """sign_init from its definition, in Python ints masked to 64 bits."""
+def _splitmix64_words_oracle(seed: int, buckets: int,
+                             dim: int) -> list[list[int]]:
+    """The words of sign_init's rows from their definition, in Python ints
+    masked to 64 bits."""
     mask = 2 ** 64 - 1
     n_words = -(-dim // 64)
+    rows = []
+    for b in range(buckets):
+        row = []
+        for w in range(n_words):
+            z = (seed + (b * n_words + w + 1) * 0x9E3779B97F4A7C15) & mask
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            row.append(z ^ (z >> 31))
+        rows.append(row)
+    return rows
+
+
+def _splitmix64_sign_oracle(seed: int, buckets: int, dim: int) -> np.ndarray:
+    """sign_init from its definition: +1 where the word's bit is set."""
+    words = _splitmix64_words_oracle(seed, buckets, dim)
     out = np.empty((buckets, dim))
     for b in range(buckets):
         for c in range(dim):
-            z = (seed + (b * n_words + c // 64 + 1) * 0x9E3779B97F4A7C15) & mask
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-            z ^= z >> 31
-            out[b, c] = 1.0 if (z >> (c % 64)) & 1 else -1.0
+            out[b, c] = 1.0 if (words[b][c // 64] >> (c % 64)) & 1 else -1.0
     return out
 
 
@@ -153,7 +167,7 @@ class TestSignInit:
     @pytest.mark.parametrize("dim", [1, 63, 64, 65, 130])
     def test_block_boundaries_match_the_definition(self, dim, extra):
         with mock.patch("scorefusion.encoder._INIT_BLOCK_VALUES", 2 ** 8):
-            block = next(init_row_blocks(0, 2 ** 20, dim))[1]
+            block = next(_init_row_blocks(2 ** 20, dim))[1]
             assert block == max(1, 2 ** 8 // dim)
             buckets = 2 * block + extra
             got = sign_init(2 ** 63 + 7, buckets, dim)
@@ -163,7 +177,7 @@ class TestSignInit:
 
     def test_default_block_boundary_matches_the_definition(self):
         # 1,024 rows of 64 values per block at the module's block size.
-        assert next(init_row_blocks(0, 2 ** 15, 64)) == (0, 1024)
+        assert next(_init_row_blocks(2 ** 15, 64)) == (0, 1024)
         got = sign_init(11, 1025, 64)
         assert np.array_equal(got, _splitmix64_sign_oracle(11, 1025, 64))
 
@@ -171,14 +185,12 @@ class TestSignInit:
                                              (13, 50), (49, 50)])
     def test_row_range_is_a_slice_of_the_whole(self, start, stop):
         whole = sign_init(3, 50, 70)
-        words = sign_init_words(3, 50, 70)
+        ids = np.arange(start, stop)
         with mock.patch("scorefusion.encoder._INIT_BLOCK_VALUES", 2 ** 8):
-            assert np.array_equal(sign_init(3, 50, 70, start, stop),
+            assert np.array_equal(sign_init(3, 50, 70, rows=ids),
                                   whole[start:stop])
-        assert np.array_equal(sign_init_words(3, 50, 70, start, stop),
-                              words[start:stop])
         out = np.full((stop - start, 70), np.nan)
-        assert sign_init(3, 50, 70, start, stop, out=out) is out
+        assert sign_init(3, 50, 70, rows=ids, out=out) is out
         assert np.array_equal(out, whole[start:stop])
 
     @pytest.mark.parametrize("ids", [[], [7], [49, 3, 3, 0, 17, 3],
@@ -193,8 +205,6 @@ class TestSignInit:
         assert got.shape == (ids.size, 70)
         assert np.array_equal(got, whole[ids])
         assert np.array_equal(got, _splitmix64_sign_oracle(3, 50, 70)[ids])
-        assert np.array_equal(sign_init_words(3, 50, 70, rows=ids),
-                              sign_init_words(3, 50, 70)[ids])
         out = np.full((ids.size, 70), np.nan)
         assert sign_init(3, 50, 70, out=out, rows=ids.astype(np.int32)) \
             is out
@@ -205,19 +215,31 @@ class TestSignInit:
         ({"rows": np.array([-1])}, r"row ids must lie in \[0, 50\)"),
         ({"rows": np.array([1.0])}, "1-d integer array"),
         ({"rows": np.array([[1]])}, "1-d integer array"),
-        ({"rows": np.array([1]), "start": 1}, "not both"),
-        ({"rows": np.array([1]), "stop": 2}, "not both"),
     ])
     def test_row_ids_are_checked(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             sign_init(3, 50, 4, **kwargs)
-        with pytest.raises(ValueError, match=match):
-            sign_init_words(3, 50, 4, **kwargs)
 
-    @pytest.mark.parametrize("start, stop", [(-1, 4), (3, 2), (0, 51)])
-    def test_row_range_must_lie_in_buckets(self, start, stop):
-        with pytest.raises(ValueError, match=r"do not lie in \[0, 50\)"):
-            sign_init(3, 50, 4, start, stop)
+    def test_one_calling_form(self):
+        """The whole start or `rows=` ids; no positional row range."""
+        with pytest.raises(TypeError):
+            sign_init(3, 50, 4, 0, 10)
+
+    # The whole start and 256-value blocks, at block boundaries and not.
+    @pytest.mark.parametrize("buckets, dim", [(1, 1), (50, 70), (9, 64),
+                                              (8, 32), (17, 130)])
+    def test_digest_hashes_the_words_of_every_row(self, buckets, dim):
+        words = _splitmix64_words_oracle(2 ** 63 + 9, buckets, dim)
+        want = hashlib.sha256(
+            np.array(words, dtype="<u8").tobytes()).hexdigest()
+        with mock.patch("scorefusion.encoder._INIT_BLOCK_VALUES", 2 ** 8):
+            _init_sha256.cache_clear()
+            assert _init_sha256(2 ** 63 + 9, buckets, dim) == want
+        enc = HashedNgramEncoder(sf.EncoderConfig(dim=dim, buckets=max(
+            buckets, dim)), seed=2 ** 63 + 9)
+        assert enc.init_sha256 == _init_sha256(2 ** 63 + 9, max(buckets, dim),
+                                               dim)
+        assert HashedNgramEncoder(enc.cfg, seed=None).init_sha256 is None
 
     def test_peak_memory_is_the_output_plus_one_block(self):
         """numpy reports its buffers to tracemalloc: a default-size init

@@ -4,6 +4,7 @@ caching behavior, baselines, and the classifier wrapper."""
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
 import tracemalloc
 from dataclasses import replace
@@ -22,6 +23,7 @@ from scorefusion.cache import cache_open_adopt
 from scorefusion.encoder import (
     FrozenLookupEncoder,
     HashedNgramEncoder,
+    _init_sha256,
     sign_init,
 )
 from scorefusion.fusion import FusionParams
@@ -30,7 +32,6 @@ from scorefusion.model import (
     MODEL_FORMAT_VERSION,
     _decode_array,
     _encode_array,
-    _moved_rows,
 )
 from scorefusion.pipeline import build_config, dataset_from_records
 from scorefusion.results import load_run
@@ -60,11 +61,19 @@ class TestBuildConfig:
     BASE = {"label_columns": ["yes", "no"]}
 
     def test_minimal(self):
+        """No `llm_provider` means no provider: the encoder-only baseline."""
         cfg = build_config(dict(self.BASE))
         assert cfg.label_columns == ("yes", "no")
         assert not cfg.multi_label
-        assert len(cfg.llm_providers) == 1
-        assert cfg.llm_providers[0].provider_id == "mock"
+        assert cfg.llm_providers == ()
+        assert sf.AutoFusionConfig(label_columns=("yes", "no")) == cfg
+
+    @pytest.mark.parametrize("key, value", [("model_name", "m"),
+                                            ("mock_table", "table.tsv")])
+    def test_provider_detail_without_provider_rejected(self, key, value):
+        with pytest.raises(sf.ConfigurationError,
+                           match=f"'{key}' needs 'llm_provider'"):
+            build_config(dict(self.BASE, **{key: value}))
 
     def test_unknown_top_key_named(self):
         with pytest.raises(sf.ConfigurationError, match="lable_columns"):
@@ -117,7 +126,7 @@ class TestBuildConfig:
                                  model_name=["m1"]))
 
     @pytest.mark.parametrize("extra", [
-        {"model_name": ""},
+        {"llm_provider": "mock", "model_name": ""},
         {"llm_provider": {"provider": "mock", "model_name": ""}},
         {"llm_provider": ["mock", "mock"], "model_name": ["m", ""]},
         {"llm_provider": {"provider": "mock", "model_name": None}},
@@ -714,14 +723,16 @@ class TestSaveLoad:
                           loaded.fusion_params.weights):
             assert np.array_equal(w1, w2)
 
-    # Files written by the writers of earlier formats, each beside the
-    # scores and decisions it gave on some texts (`<name>_expected.json`):
+    # Files written by the writer of each format, each beside the scores
+    # and decisions it gave on some texts (`<name>_expected.json`):
     # - model_v1: multi-label, two providers, per-class thresholds;
     # - model_v2: multi-class, one provider, its projection holding an
     #   all-zero row and a -0.0 entry;
     # - model_v3: multi-label, two providers, per-class thresholds, a
     #   sign_init start with some rows moved;
-    # - model_v3_frozen: multi-class, one provider, a frozen-lookup encoder.
+    # - model_v3_frozen: multi-class, one provider, a frozen-lookup encoder;
+    # - model_v4: multi-class, one provider, a sign_init start with some
+    #   rows moved by training and one unmoved row holding a -0.0 entry.
     OLD_MODELS = sorted(p for p in DATA.glob("model_v*.json")
                         if not p.stem.endswith("_expected"))
 
@@ -734,10 +745,12 @@ class TestSaveLoad:
         assert [list(p.decided.bits) for p in preds] == expected["decided"]
         assert [list(p.scores.values) for p in preds] == expected["scores"]
 
+    # The name dates from when the current format had no fixture; every
+    # format up to the current one has one now.
     def test_a_fixture_for_every_earlier_format(self):
         versions = {json.loads(p.read_text(encoding="utf-8"))["format_version"]
                     for p in self.OLD_MODELS}
-        assert versions == set(range(1, MODEL_FORMAT_VERSION))
+        assert versions == set(range(1, MODEL_FORMAT_VERSION + 1))
 
     def _assert_resaves_stable(self, path, tmp_path):
         """A file of an earlier format re-saves as the current format, its
@@ -791,6 +804,16 @@ class TestSaveLoad:
         self._assert_decisions(
             sf.load_model(path), path.with_name(f"{path.stem}_expected.json"))
         self._assert_resaves_stable(path, tmp_path)
+
+    def test_current_format_file(self, tmp_path):
+        """A format-4 file predicts its expected file exactly and re-saves
+        to its own bytes."""
+        path = DATA / "model_v4.json"
+        model = sf.load_model(path)
+        self._assert_decisions(model, DATA / "model_v4_expected.json")
+        assert model.encoder.init_seed is not None
+        sf.save_model(model, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_old_frozen_file_cannot_fit(self, tmp_path):
         """A format-3 frozen-lookup file never recorded its embedding path:
@@ -1070,7 +1093,7 @@ class TestSaveLoad:
         ("init_seed", 2 ** 64 - 1)])
     def test_init_digest_checked(self, toy_dataset, toy_table, tmp_path,
                                  field, value):
-        """A digest that does not match the regenerated init fails, as does
+        """A digest that does not match the init fails, as does
         a seed that is not the one the digest was taken of."""
         def edit(doc):
             doc["encoder"][field] = value
@@ -1141,6 +1164,37 @@ class TestSaveLoad:
         assert ids.tolist() == json.loads(
             (tmp_path / "m.json").read_text())["encoder"]["rows"]
 
+    def test_start_digest_is_made_once(self, toy_dataset, toy_table,
+                                       tmp_path):
+        """The start's digest depends only on (init_seed, buckets, dim): a
+        load and two saves of a 2^15 x 64 model hash the words of its 32
+        blocks of 1,024 rows once in the process, not once per call."""
+        cfg = small_fusion_config(encoder=sf.EncoderConfig())
+        model, _, _ = _fit_toy(toy_dataset, toy_table, cfg)
+        sf.save_model(model, tmp_path / "m.json")
+        hashed, sha256 = [], hashlib.sha256
+
+        class CountingSha256:
+            def __init__(self, *data):
+                self._digest = sha256(*data)
+
+            def update(self, data):
+                hashed.append(len(data))
+                self._digest.update(data)
+
+            def hexdigest(self):
+                return self._digest.hexdigest()
+
+        _init_sha256.cache_clear()
+        with mock.patch("hashlib.sha256", CountingSha256):
+            loaded = sf.load_model(tmp_path / "m.json")
+            sf.save_model(loaded, tmp_path / "a.json")
+            sf.save_model(loaded, tmp_path / "b.json")
+        assert hashed == [1024 * 8] * 32
+        for name in ("a.json", "b.json"):
+            assert (tmp_path / name).read_bytes() == \
+                (tmp_path / "m.json").read_bytes()
+
     def test_save_after_predict_is_unchanged(self, toy_dataset, toy_table,
                                              tmp_path):
         """Predicting stores the start of every row its texts touch; those
@@ -1196,7 +1250,7 @@ class TestSaveLoad:
         enc.set_rows(np.array([38, 1, 20]), enc.projection[[38, 1, 20]])
         enc.set_rows(np.array(moved), values)
         with mock.patch("scorefusion.encoder._INIT_BLOCK_VALUES", 256):
-            ids, rows = _moved_rows(enc)
+            ids, rows = enc.moved_rows()
             assert ids.tolist() == moved
             assert np.array_equal(rows.view(np.uint64),
                                   values.view(np.uint64))
@@ -1217,7 +1271,21 @@ class TestSaveLoad:
             enc = HashedNgramEncoder(cfg, seed=seed)
             enc.encode_batch(["rows stored at their start"])
             assert enc.stored_rows()[0].size > 0
-            assert _moved_rows(enc)[0].tolist() == []
+            assert enc.moved_rows()[0].tolist() == []
+
+    @pytest.mark.parametrize("field, value", [
+        ("ngram_sizes", [3, 2 ** 64]), ("buckets", 2 ** 70)])
+    def test_size_numpy_cannot_hold_is_a_format_error(
+            self, toy_dataset, toy_table, tmp_path, field, value):
+        """A model file whose n-gram size or bucket count is 2^63 or more
+        fails to load with a typed error naming the field, rather than
+        loading and failing in predict."""
+        def edit(doc):
+            doc["config"]["encoder"][field] = value
+        path = self._doctored(toy_dataset, toy_table, tmp_path, edit)
+        with pytest.raises(sf.ModelFormatError,
+                           match=rf"{field} must .*< 2\*\*63"):
+            sf.load_model(path)
 
     def test_projection_too_large_to_load(self, toy_dataset, toy_table,
                                           tmp_path):

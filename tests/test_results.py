@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from scorefusion.results import (
     prediction_rows,
     run_compare,
     run_create,
+    write_predictions_csv,
 )
 
 FP = "c" * 64
@@ -109,6 +114,51 @@ class TestFinalize:
         lines = (tmp_path / run.run_id / "predictions.csv").read_text(
             encoding="utf-8").splitlines()
         assert lines[1].endswith(",10,")  # empty target cell
+
+
+class TestRunFileWrites:
+    """A run file that cannot be written is a DataError, and config.json
+    and metrics.json are written whole or not at all."""
+
+    def test_torn_metrics_write_leaves_the_run_unfinalized(self, tmp_path):
+        run = run_create(tmp_path, CONFIG, FP, ("a", "b"))
+        run.store_predictions(_preds(), _targets())
+        write_text = Path.write_text
+
+        def torn(path, text, *args, **kwargs):
+            if "metrics.json" in path.name:
+                write_text(path, text[:len(text) // 2], *args, **kwargs)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write_text(path, text, *args, **kwargs)
+
+        with mock.patch.object(Path, "write_text", torn):
+            with pytest.raises(sf.DataError, match="cannot write run file"):
+                run.finalize(None)
+        assert not load_run(tmp_path, run.run_id).finalized
+        assert sorted(os.listdir(tmp_path / run.run_id)) == \
+            ["config.json", "predictions.csv"]
+
+    def test_unwritable_config_snapshot(self, tmp_path):
+        with mock.patch.object(Path, "write_text",
+                               side_effect=OSError(errno.EFBIG, "too large")):
+            with pytest.raises(sf.DataError, match="cannot write run file "
+                               r".*config\.json"):
+                run_create(tmp_path, CONFIG, FP, ("a", "b"))
+
+    def test_unwritable_epoch_log(self, tmp_path):
+        run = run_create(tmp_path, CONFIG, FP, ("a", "b"))
+        (tmp_path / run.run_id / "epochs.jsonl").mkdir()
+        with pytest.raises(sf.DataError, match="cannot write run file "
+                           r".*epochs\.jsonl"):
+            run.log_epoch(0, 1.0)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a device whose writes fail")
+    def test_failed_csv_write_after_open(self):
+        """The file opens, and its rows fail to write (ENOSPC)."""
+        with pytest.raises(sf.DataError, match="cannot write predictions CSV"):
+            write_predictions_csv("/dev/full", prediction_rows(_preds()),
+                                  ("a", "b"))
 
 
 class TestLoadRun:
