@@ -86,10 +86,11 @@ def _apply_override(doc: dict, spec: str) -> None:
 
 @contextmanager
 def _open_csv(path: str, text_column: str) -> Iterator[csv.DictReader]:
-    """A DictReader over a UTF-8 CSV whose header, if it has one, holds the
-    text column. Unreadable files and undecodable content are DataErrors."""
+    """A DictReader over a UTF-8 CSV, a leading BOM dropped, whose header,
+    if it has one, holds the text column. Unreadable files and undecodable
+    content are DataErrors."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read CSV {path}: {exc}") from None
     with fh:
@@ -163,7 +164,8 @@ def _cmd_predict(args) -> int:
         raise ConfigurationError("predict needs --input or at least one --text")
     if not args.output:
         raise ConfigurationError("--output is required with --input")
-    texts = _read_texts_csv(args.input, args.text_column)
+    texts = _read_texts_csv(args.input,
+                            args.text_column or model.config.text_column)
     preds = pipeline_predict(model, texts, cache=cache)
     write_predictions_csv(args.output, prediction_rows(preds),
                           model.schema.labels)
@@ -173,7 +175,7 @@ def _cmd_predict(args) -> int:
 def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
     ds = load_csv_dataset(args.eval_csv, model.schema, model.mode,
-                          args.text_column)
+                          args.text_column or model.config.text_column)
     cache = None if args.cache_dir is None else cache_open_adopt(args.cache_dir)
     config_doc = {**model.config.to_dict(), "command": "evaluate",
                   "model_path": str(args.model),
@@ -218,7 +220,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--output", help="CSV to write predictions to")
     pred.add_argument("--text", action="append", default=[], dest="texts",
                       help="inline text (repeatable); prints decided labels")
-    pred.add_argument("--text-column", default="text")
+    pred.add_argument("--text-column",
+                      help="CSV text column (default: the model's)")
     pred.add_argument("--cache-dir", help="reuse a score cache directory")
     pred.set_defaults(func=_cmd_predict)
 
@@ -227,7 +230,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--eval-csv", required=True)
     ev.add_argument("--runs-dir", required=True,
                     help="directory to persist the evaluation run under")
-    ev.add_argument("--text-column", default="text")
+    ev.add_argument("--text-column",
+                    help="CSV text column (default: the model's)")
     ev.add_argument("--cache-dir")
     ev.set_defaults(func=_cmd_evaluate)
 

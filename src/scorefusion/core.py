@@ -14,6 +14,7 @@ import hashlib
 import math
 import numbers
 import os
+import stat
 import sys
 import uuid
 from contextlib import contextmanager, suppress
@@ -178,12 +179,25 @@ def check_value(name: str, tp, value):
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    """Write `text` (UTF-8) to a temp file beside `path`, then rename it
-    over `path`: readers see the old file or the new one, never a partial
-    one. On any failure the temp file is removed and the error re-raised."""
+    """Write `text` (UTF-8, newlines as given) whole. Where `path` is
+    absent or a regular file, `text` goes to a temp file beside it that is
+    then renamed over it: readers see the old file or the new one, never a
+    partial one, and on any failure the temp file is removed and the error
+    re-raised. A symlink is followed, so the link stays and the file it
+    names is replaced. Anything else at `path` (a FIFO, a device) is
+    written in place, since a rename would replace it with a regular
+    file."""
+    try:
+        in_place = not stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        in_place = False
+    if in_place:
+        path.write_text(text, encoding="utf-8", newline="")
+        return
+    path = Path(os.path.realpath(path))
     tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_text(text, encoding="utf-8", newline="")
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -195,7 +209,8 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 def read_vector_table(path: str) -> dict[str, np.ndarray]:
     """{text: float64 vector} from a UTF-8 file of LF-terminated rows, each
-    the text then at least one number, TAB-separated. A CR before the LF is
+    the text then at least one number, TAB-separated. A leading BOM is
+    dropped, not read as part of the first text. A CR before the LF is
     dropped (CRLF files load); any other CR belongs to the text. Blank lines
     are skipped, all rows share one width, every value is finite, and a
     repeated text keeps its last row. Any failure, an unreadable file
@@ -203,7 +218,7 @@ def read_vector_table(path: str) -> dict[str, np.ndarray]:
     table: dict[str, np.ndarray] = {}
     width: int | None = None
     try:
-        with open(path, encoding="utf-8", newline="\n") as fh:
+        with open(path, encoding="utf-8-sig", newline="\n") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n").removesuffix("\r")
                 if not line:

@@ -374,31 +374,19 @@ class HashedNgramEncoder:
     other calls on the same encoder.
     """
 
-    def __init__(self, cfg: EncoderConfig, projection: np.ndarray | None = None,
-                 seed: int | None = 0):
-        """`projection` is the whole trainable (buckets, dim) matrix, used
-        as the store, every row stored. Without one the projection starts as
-        `sign_init(seed, buckets, dim)`, or as zeros when `seed` is None,
-        and `init_seed` records that start, so a model file stores only the
-        rows that moved from it. A given projection has no recorded start:
-        its `init_seed` is None. A slot map too large to allocate is a
-        ConfigurationError."""
-        if projection is None and seed is not None:
+    def __init__(self, cfg: EncoderConfig, seed: int | None = 0):
+        """The projection starts as `sign_init(seed, buckets, dim)`, or as
+        zeros when `seed` is None, and `init_seed` records that start, so a
+        model file stores only the rows that moved from it. A slot map too
+        large to allocate is a ConfigurationError."""
+        if seed is not None:
             _check_seed(seed)
         self.cfg = cfg
-        self.init_seed = seed if projection is None else None
+        self.init_seed = seed
         self._lock = threading.RLock()
         self._slot = _empty_slot_map(cfg.buckets)
-        if projection is None:
-            self._rows = np.empty((0, cfg.dim))
-            self._size = 0
-        else:
-            self._rows = np.asarray(projection, dtype=np.float64)
-            if self._rows.shape != (cfg.buckets, cfg.dim):
-                raise ValueError(f"projection shape {self._rows.shape} != "
-                                 f"(buckets, dim) = {(cfg.buckets, cfg.dim)}")
-            self._slot[:] = np.arange(cfg.buckets)
-            self._size = cfg.buckets
+        self._rows = np.empty((0, cfg.dim))
+        self._size = 0
 
     def __getstate__(self) -> dict:
         # A lock cannot be pickled or copied; a copy gets a lock of its own.

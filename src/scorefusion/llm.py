@@ -19,6 +19,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -29,10 +30,12 @@ from .core import (
     LabelSchema,
     NonEmptyStr,
     TaskMode,
+    atomic_write_text,
     read_vector_table,
     text_digest,
 )
-from .errors import CacheWriteError, ConfigurationError, ProviderUnavailableError
+from .errors import (CacheWriteError, ConfigurationError, DataError,
+                     ProviderUnavailableError)
 
 import logging
 
@@ -397,19 +400,43 @@ class MockProvider:
 
 
 def write_mock_table(table: dict[str, Sequence[float]], path: str) -> None:
-    """Write a mock lookup table in the read_vector_table format.
+    """Write a mock lookup table in the read_vector_table format, whole
+    (see `atomic_write_text`).
 
-    Texts containing tabs or newlines cannot be represented and are
-    rejected.
+    A table that format cannot hold is a ConfigurationError, raised before
+    any byte is written: a text with a tab or newline, a first text that
+    starts with a BOM (which a reader drops), a row with no scores, a
+    non-finite or non-numeric score, or rows of unequal widths.
+    A file that cannot be written is a DataError.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        for text, scores in table.items():
-            if "\t" in text or "\n" in text:
-                raise ConfigurationError(
-                    f"mock table text contains a tab or newline: {text!r}"
-                )
-            fh.write(text + "\t" + "\t".join(repr(float(s)) for s in scores)
-                     + "\n")
+    lines, width = [], None
+    for text, scores in table.items():
+        if "\t" in text or "\n" in text:
+            raise ConfigurationError(
+                f"mock table text contains a tab or newline: {text!r}"
+            )
+        if not lines and text.startswith("\ufeff"):
+            raise ConfigurationError(
+                f"mock table's first text starts with a BOM: {text!r}")
+        try:
+            values = [float(s) for s in scores]
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"mock table scores of {text!r} are not numbers: {exc}"
+            ) from None
+        if not values or not all(map(math.isfinite, values)):
+            raise ConfigurationError(
+                f"mock table row {text!r} needs finite scores, got {values}")
+        width = width or len(values)
+        if len(values) != width:
+            raise ConfigurationError(
+                f"mock table row {text!r} has {len(values)} scores, "
+                f"earlier rows {width}")
+        lines.append(text + "\t" + "\t".join(map(repr, values)) + "\n")
+    try:
+        atomic_write_text(Path(path), "".join(lines))
+    except OSError as exc:
+        raise DataError(f"cannot write mock table {path}: {exc}") from None
 
 
 def make_provider(pcfg: ProviderConfig, schema: LabelSchema):

@@ -14,9 +14,10 @@ texts touch, so the file grows with the fit vocabulary, not the bucket
 count. Loading checks the rows and the digest, then stores the file's rows
 and no other, so neither save nor load allocates a (buckets, dim) array.
 Formats 3 (the config in pieces), 2 (the whole projection in base64) and
-1 (JSON lists of repr floats) are still read; a config field they never
-stored takes its default, and a frozen encoder's path, which they never
-stored, reads as a path saying so.
+1 (JSON lists of repr floats) are still read, the last two as a zero
+start plus their non-zero rows; a config field they never stored takes
+its default, and a frozen encoder's path, which they never stored, reads
+as a path saying so.
 """
 
 from __future__ import annotations
@@ -253,44 +254,47 @@ def _config_from_old_doc(doc: dict, version: int) -> AutoFusionConfig:
     }, "config")
 
 
-def _hashed_encoder_from_rows(doc: dict, cfg: EncoderConfig,
-                              version: int) -> HashedNgramEncoder:
-    """A hashed encoder from format 3 on: its start, `init_seed`, checked
-    against the recorded digest, with the stored rows written into its
-    row store. The rows are checked first, then the encoder is built,
-    which checks the seed and allocates only its slot map, so a size that
-    cannot be allocated fails before the digest is made."""
-    seed = doc["init_seed"]
-    rows = doc["rows"]
-    if type(rows) is not list or any(type(r) is not int for r in rows):
-        raise ModelFormatError("rows must be a list of integers")
-    if rows and not (0 <= min(rows) and max(rows) < cfg.buckets):
-        raise ModelFormatError(f"rows must lie in [0, {cfg.buckets})")
-    ids = np.array(rows, dtype=np.int64)
-    if (np.diff(ids) <= 0).any():
-        raise ModelFormatError("rows must be strictly increasing")
-    encoder = HashedNgramEncoder(cfg, seed=seed)
-    if doc["init_sha256"] != encoder.init_sha256:
-        raise ModelFormatError(
-            f"init_sha256 {doc['init_sha256']!r} does not match the init "
-            f"of init_seed {seed!r}")
-    encoder.set_rows(ids, _read_array(doc["projection_rows"], version,
-                                      (ids.size, cfg.dim)))
-    return encoder
-
-
 def _encoder_from_model_doc(doc: dict, version: int,
                             cfg: Union[EncoderConfig, str]):
-    """The encoder `cfg` describes, its state read from `doc`."""
+    """The encoder `cfg` describes, its state read from `doc`.
+
+    A hashed encoder is built from its start, then `set_rows` writes in its
+    stored rows, so it stores the rows `moved_rows` saves again. From
+    format 3 on the start is `init_seed`, checked against the recorded
+    digest, and the stored rows are the listed ones. The row ids are
+    checked first, then the encoder is built, which checks the seed and
+    allocates only its slot map, so a size that cannot be allocated fails
+    before the digest is made. Formats 1 and 2 stored the whole projection
+    and no start: the start is zeros, and the stored rows are those with a
+    set bit, so a -0.0 entry counts."""
     if isinstance(cfg, str):
         dim = doc["dim"]
         table = {text: _read_array(vec, version, (dim,))
                  for text, vec in doc["table"].items()}
         return FrozenLookupEncoder(table, dim)
-    if version >= 3:
-        return _hashed_encoder_from_rows(doc, cfg, version)
-    return HashedNgramEncoder(cfg, _read_array(
-        doc["projection"], version, (cfg.buckets, cfg.dim)))
+    if version < 3:
+        projection = _read_array(doc["projection"], version,
+                                 (cfg.buckets, cfg.dim))
+        ids = np.flatnonzero(projection.view(np.uint64).any(axis=1))
+        encoder, rows = HashedNgramEncoder(cfg, seed=None), projection[ids]
+    else:
+        seed, rows = doc["init_seed"], doc["rows"]
+        if type(rows) is not list or any(type(r) is not int for r in rows):
+            raise ModelFormatError("rows must be a list of integers")
+        if rows and not (0 <= min(rows) and max(rows) < cfg.buckets):
+            raise ModelFormatError(f"rows must lie in [0, {cfg.buckets})")
+        ids = np.array(rows, dtype=np.int64)
+        if (np.diff(ids) <= 0).any():
+            raise ModelFormatError("rows must be strictly increasing")
+        encoder = HashedNgramEncoder(cfg, seed=seed)
+        if doc["init_sha256"] != encoder.init_sha256:
+            raise ModelFormatError(
+                f"init_sha256 {doc['init_sha256']!r} does not match the init "
+                f"of init_seed {seed!r}")
+        rows = _read_array(doc["projection_rows"], version,
+                           (ids.size, cfg.dim))
+    encoder.set_rows(ids, rows)
+    return encoder
 
 
 def save_model(model: FusionModel, path: Union[str, Path]) -> None:
@@ -326,9 +330,9 @@ def load_model(path: Union[str, Path]) -> FusionModel:
 
     A hashed encoder from format 3 on starts from `init_seed`, whose
     digest must be the recorded `init_sha256`, with the stored rows
-    written over it. An encoder read from format 1 or 2 stores every row
-    and has `init_seed` None, so saving it again writes every non-zero
-    row.
+    written over it. One read from format 1 or 2 starts from zeros
+    (`init_seed` None) and stores the projection's non-zero rows, so
+    saving it again writes those rows.
     """
     try:
         raw = Path(path).read_text(encoding="utf-8")

@@ -11,17 +11,20 @@ Layout:
                                             presence marks the run finalized
 
 Floats are serialized with repr (17 significant digits), so every field
-round-trips losslessly. config.json and metrics.json are written whole or
-not at all (temp file and rename), and a run file that cannot be written is
-a DataError. A handle created without a root directory keeps the same
-record purely in memory (used when callers do not track runs).
+round-trips losslessly. config.json, predictions.csv and metrics.json are
+written whole or not at all (temp file and rename), and a run file that
+cannot be written is a DataError. A handle created without a root
+directory keeps the same record purely in memory (used when callers do
+not track runs).
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import secrets
+from contextlib import suppress
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -147,13 +150,15 @@ def prediction_rows(predictions: Predictions,
 
 def write_predictions_csv(path: Path | str, rows: Sequence[PredictionRow],
                           label_names: Sequence[str]) -> None:
-    """A failure to open or write the file is a DataError."""
+    """Write the predictions CSV whole (see `atomic_write_text`); a
+    failure to write it is a DataError."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["row", *[f"score_{name}" for name in label_names],
+                     "decided", "target"])
+    writer.writerows(row.to_csv_row() for row in rows)
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row", *[f"score_{name}" for name in label_names],
-                             "decided", "target"])
-            writer.writerows(row.to_csv_row() for row in rows)
+        atomic_write_text(Path(path), buf.getvalue())
     except OSError as exc:
         raise DataError(f"cannot write predictions CSV {path}: {exc}") \
             from None
@@ -164,7 +169,8 @@ def run_create(root_dir: str | Path | None, config: dict,
     """Start a run: allocate an id and snapshot the config.
 
     root_dir None keeps the run in memory only. A run directory or config
-    snapshot that cannot be written is a DataError.
+    snapshot that cannot be written is a DataError, and leaves no run
+    directory.
     """
     record = RunRecord(
         run_id=_new_run_id(),
@@ -180,15 +186,21 @@ def run_create(root_dir: str | Path | None, config: dict,
         except OSError as exc:
             raise DataError(f"cannot create run directory {run_dir}: {exc}") \
                 from None
-        _write_json(run_dir / "config.json", {
-            "format_version": RUN_FORMAT_VERSION,
-            "run_id": record.run_id,
-            "created_at": record.created_at,
-            "version": record.version,
-            "dataset_fingerprint": fingerprint,
-            "label_names": list(label_names),
-            "config": config,
-        })
+        try:
+            _write_json(run_dir / "config.json", {
+                "format_version": RUN_FORMAT_VERSION,
+                "run_id": record.run_id,
+                "created_at": record.created_at,
+                "version": record.version,
+                "dataset_fingerprint": fingerprint,
+                "label_names": list(label_names),
+                "config": config,
+            })
+        except DataError:
+            # A run directory without config.json is no run; leave none.
+            with suppress(OSError):
+                run_dir.rmdir()
+            raise
     return RunHandle(record, run_dir, label_names)
 
 

@@ -311,6 +311,19 @@ class TestPredict:
         decided = [line.split(",")[3] for line in lines[1:]]
         assert decided == ["10", "01", "10", "01"]
 
+    def test_bom_prefixed_input(self, trained, workdir, capsys):
+        """A CSV saved with a UTF-8 BOM names its first column without
+        it."""
+        inp = workdir / "texts.csv"
+        inp.write_text("\ufefftext\n" + "\n".join(TOY_TEXTS[:2]) + "\n",
+                       encoding="utf-8")
+        outp = workdir / "preds.csv"
+        code = main(["predict", "--model", str(trained),
+                     "--input", str(inp), "--output", str(outp)])
+        assert code == 0, capsys.readouterr().err
+        lines = outp.read_text(encoding="utf-8").splitlines()
+        assert [line.split(",")[3] for line in lines[1:]] == ["10", "01"]
+
     def test_empty_input_gives_header_only(self, trained, workdir, capsys):
         inp = workdir / "empty.csv"
         inp.write_text("text\n", encoding="utf-8")
@@ -429,6 +442,59 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert code == 2
         assert "target" in err
+
+
+class TestTextColumn:
+    """predict and evaluate read the text column the model was trained on,
+    unless --text-column names another."""
+
+    @pytest.fixture
+    def trained(self, workdir, capsys):
+        train_csv = workdir / "train.csv"
+        train_csv.write_text(train_csv.read_text(encoding="utf-8").replace(
+            "text,", "body,", 1), encoding="utf-8")
+        _set_config(workdir, text_column="body")
+        assert _train(workdir, capsys)[0] == 0
+        return workdir / "model.json"
+
+    def _predict(self, trained, workdir, column, *extra):
+        inp = workdir / "in.csv"
+        inp.write_text("\n".join([column, *TOY_TEXTS[:2]]) + "\n",
+                       encoding="utf-8")
+        outp = workdir / "preds.csv"
+        code = main(["predict", "--model", str(trained), "--input", str(inp),
+                     "--output", str(outp), *extra])
+        return code, outp
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"],
+                             ids=["plain", "bom"])
+    def test_evaluate_reads_the_models_column(self, trained, workdir, capsys,
+                                              bom):
+        """A leading UTF-8 BOM is not part of the first column's name."""
+        eval_csv = workdir / "eval.csv"
+        eval_csv.write_bytes(bom + (workdir / "train.csv").read_bytes())
+        code = main(["evaluate", "--model", str(trained),
+                     "--eval-csv", str(eval_csv),
+                     "--runs-dir", str(workdir / "eval-runs")])
+        out = capsys.readouterr()
+        assert code == 0, out.err
+        assert out.out.splitlines()[1] == "accuracy=1.0"
+
+    def test_predict_reads_the_models_column(self, trained, workdir, capsys):
+        code, outp = self._predict(trained, workdir, "body")
+        assert code == 0, capsys.readouterr().err
+        lines = outp.read_text(encoding="utf-8").splitlines()
+        assert [line.split(",")[3] for line in lines[1:]] == ["10", "01"]
+
+    def test_an_explicit_flag_wins(self, trained, workdir, capsys):
+        code, outp = self._predict(trained, workdir, "text",
+                                   "--text-column", "text")
+        assert code == 0, capsys.readouterr().err
+        assert len(outp.read_text(encoding="utf-8").splitlines()) == 3
+        code, _ = self._predict(trained, workdir, "body",
+                                "--text-column", "text")
+        assert code == 2
+        assert "missing text column 'text'" in capsys.readouterr().err
 
 
 class TestCompare:

@@ -269,9 +269,12 @@ class TestSignInit:
         enc = HashedNgramEncoder(cfg, seed=2 ** 63 + 1)
         assert enc.init_seed == 2 ** 63 + 1
         assert np.array_equal(enc.projection, sign_init(2 ** 63 + 1, 32, 3))
-        assert HashedNgramEncoder(cfg, enc.projection).init_seed is None
         zero = HashedNgramEncoder(cfg, seed=None)
         assert zero.init_seed is None and not zero.projection.any()
+        # A whole projection is a zero start with every row written in.
+        zero.set_rows(np.arange(32), enc.projection)
+        assert zero.init_seed is None
+        assert np.array_equal(zero.projection, enc.projection)
 
 
 class TestRowStore:
@@ -327,10 +330,6 @@ class TestRowStore:
         assert np.array_equal(enc.projection[7], values[1])
         assert np.array_equal(enc.projection[4000], values[2])
         self._assert_each_bucket_once(enc)
-
-    def test_given_projection_must_be_buckets_by_dim(self):
-        with pytest.raises(ValueError, match="projection shape"):
-            HashedNgramEncoder(self.CFG, np.zeros((2 ** 12, 4)))
 
     def test_pickled_and_copied_encoders_embed_alike(self):
         enc = HashedNgramEncoder(self.CFG, seed=4)
@@ -513,6 +512,14 @@ class TestFeaturizeRows:
                 assert a.tolist() == b.tolist()
 
 
+def _encoder_with(cfg, projection):
+    """An encoder whose projection is `projection`: a zero start with
+    every row written in."""
+    enc = HashedNgramEncoder(cfg, seed=None)
+    enc.set_rows(np.arange(cfg.buckets), projection)
+    return enc
+
+
 def _per_row_embed(feats, projection):
     """The reference embedding: `weights @ projection[idx]` one row at a
     time, the zero vector for an empty row."""
@@ -550,7 +557,7 @@ class TestEncode:
         cfg = sf.EncoderConfig(dim=dim, ngram_sizes=(3, 4), buckets=2 ** 10)
         projection = np.random.default_rng(seed).standard_normal(
             (cfg.buckets, dim))
-        enc = HashedNgramEncoder(cfg, projection)
+        enc = _encoder_with(cfg, projection)
         feats = enc.features(texts)
         want = _per_row_embed(feats, projection).tobytes()
         # block_values 1 and 200 split equal-count rows into many blocks
@@ -564,7 +571,7 @@ class TestEncode:
         text = "hello world"
         idx, weights = _scalar_row(text, self.CFG)
         expected = weights @ projection[idx]
-        enc = HashedNgramEncoder(self.CFG, projection)
+        enc = _encoder_with(self.CFG, projection)
         np.testing.assert_allclose(enc.encode(text), expected, rtol=0, atol=0)
 
     def test_empty_text_is_zero_vector(self):

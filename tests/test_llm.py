@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import sys
 import threading
@@ -517,6 +518,49 @@ class TestMockTableIO:
     def test_write_rejects_tabs_in_text(self, tmp_path):
         with pytest.raises(sf.ConfigurationError):
             sf.write_mock_table({"a\tb": (0.5,)}, str(tmp_path / "t.tsv"))
+
+    @pytest.mark.parametrize("table, match", [
+        ({"a": (0.1, 0.9), "b\tc": (0.5, 0.5)}, "tab or newline"),
+        ({"a": (0.1, 0.9), "b\nc": (0.5, 0.5)}, "tab or newline"),
+        ({"a": (0.1, 0.9), "b": ()}, "needs finite scores"),
+        ({"a": (0.1, 0.9), "b": (0.5, float("inf"))}, "needs finite scores"),
+        ({"a": (0.1, 0.9), "b": (0.5, "x")}, "not numbers"),
+        ({"a": (0.1, 0.9), "b": (0.5, 0.25, 0.25)},
+         "has 3 scores, earlier rows 2"),
+        ({"\ufeffa": (0.1, 0.9), "b": (0.5, 0.5)}, "starts with a BOM"),
+    ], ids=["tab", "newline", "no-scores", "non-finite", "non-numeric",
+            "ragged", "first-text-bom"])
+    def test_write_checks_every_row_before_writing(self, tmp_path, table,
+                                                   match):
+        """A table read_vector_table would refuse or misread leaves the
+        file as it was: absent, or an earlier table whole."""
+        path = tmp_path / "t.tsv"
+        with pytest.raises(sf.ConfigurationError, match=match):
+            sf.write_mock_table(table, str(path))
+        assert not path.exists()
+        path.write_bytes(b"old\t0.5\n")
+        with pytest.raises(sf.ConfigurationError, match=match):
+            sf.write_mock_table(table, str(path))
+        assert os.listdir(tmp_path) == ["t.tsv"]
+        assert path.read_bytes() == b"old\t0.5\n"
+
+    def test_unwritable_path_is_a_data_error(self, tmp_path):
+        with pytest.raises(sf.DataError, match="cannot write mock table"):
+            sf.write_mock_table({"a": (0.5,)},
+                                str(tmp_path / "missing" / "t.tsv"))
+
+    def test_leading_bom_is_not_part_of_the_first_text(self, tmp_path):
+        """A BOM-prefixed table keys its first text without the BOM, so
+        that text gets its scores, not the uniform fallback."""
+        path = tmp_path / "table.tsv"
+        path.write_bytes("\ufeffhello\t0.2\t0.8\nworld\t0.6\t0.4\n"
+                         .encode("utf-8"))
+        assert _read_table(path) == {"hello": (0.2, 0.8),
+                                     "world": (0.6, 0.4)}
+        provider = make_provider(
+            sf.ProviderConfig(provider_id="mock", mock_table_path=str(path)),
+            sf.LabelSchema(("a", "b")))
+        assert provider.table["hello"] == (0.2, 0.8)
 
     def test_make_provider_loads_table(self, tmp_path):
         path = tmp_path / "table.tsv"

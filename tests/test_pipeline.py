@@ -795,6 +795,27 @@ class TestSaveLoad:
         # The fixture's all-zero row is left out.
         assert 5 not in doc["encoder"]["rows"]
 
+    @pytest.mark.parametrize("negative_zero", [False, True])
+    def test_v2_file_stores_the_rows_a_resave_writes(self, negative_zero,
+                                                     tmp_path):
+        """A format 2 file loads as a zero start plus the projection's rows
+        with a set bit, so the store holds exactly the rows `moved_rows`
+        saves again; a row whose only set bit is a -0.0 sign is one."""
+        doc = json.loads((DATA / "model_v2.json").read_text(encoding="utf-8"))
+        if negative_zero:
+            flat = _decode_array(doc["encoder"]["projection"], 2)
+            flat.reshape(16, -1)[5, 1] = -0.0
+            doc["encoder"]["projection"] = _encode_array(flat)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        encoder = sf.load_model(path).encoder
+        stored, rows = encoder.stored_rows()
+        moved, moved_values = encoder.moved_rows()
+        assert encoder.init_seed is None
+        assert stored.tolist() == moved.tolist()
+        assert (5 in stored) is negative_zero
+        assert rows.tobytes() == moved_values.tobytes()
+
     @pytest.mark.parametrize(
         "path", [p for p in OLD_MODELS if p.stem.startswith("model_v3")],
         ids=lambda p: p.stem)

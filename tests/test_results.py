@@ -5,6 +5,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import stat
 from pathlib import Path
 from unittest import mock
 
@@ -117,8 +118,8 @@ class TestFinalize:
 
 
 class TestRunFileWrites:
-    """A run file that cannot be written is a DataError, and config.json
-    and metrics.json are written whole or not at all."""
+    """A run file that cannot be written is a DataError, and config.json,
+    metrics.json and a predictions CSV are written whole or not at all."""
 
     def test_torn_metrics_write_leaves_the_run_unfinalized(self, tmp_path):
         run = run_create(tmp_path, CONFIG, FP, ("a", "b"))
@@ -159,6 +160,61 @@ class TestRunFileWrites:
         with pytest.raises(sf.DataError, match="cannot write predictions CSV"):
             write_predictions_csv("/dev/full", prediction_rows(_preds()),
                                   ("a", "b"))
+
+    def test_failed_config_snapshot_leaves_no_run_directory(self, tmp_path):
+        with mock.patch.object(Path, "write_text",
+                               side_effect=OSError(errno.EFBIG, "too large")):
+            with pytest.raises(sf.DataError, match="cannot write run file"):
+                run_create(tmp_path, CONFIG, FP, ("a", "b"))
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_csv_rewrite_keeps_the_old_file(self, tmp_path):
+        """A torn write leaves the earlier CSV whole and no temp file."""
+        path = tmp_path / "preds.csv"
+        path.write_bytes(b"old,csv\r\n")
+        write_text = Path.write_text
+
+        def torn(self, text, *args, **kwargs):
+            write_text(self, text[:len(text) // 2], *args, **kwargs)
+            raise OSError(errno.EFBIG, "File too large")
+
+        with mock.patch.object(Path, "write_text", torn):
+            with pytest.raises(sf.DataError,
+                               match="cannot write predictions CSV"):
+                write_predictions_csv(path, prediction_rows(_preds()),
+                                      ("a", "b"))
+        assert os.listdir(tmp_path) == ["preds.csv"]
+        assert path.read_bytes() == b"old,csv\r\n"
+
+    def test_symlink_stays_and_its_file_is_replaced(self, tmp_path):
+        (tmp_path / "real.csv").write_bytes(b"old,csv\r\n")
+        (tmp_path / "link.csv").symlink_to("real.csv")
+        write_predictions_csv(tmp_path / "link.csv", [], ("a",))
+        assert os.readlink(tmp_path / "link.csv") == "real.csv"
+        assert (tmp_path / "real.csv").read_bytes() == \
+            b"row,score_a,decided,target\r\n"
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "real.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs mkfifo")
+    def test_fifo_is_written_in_place(self, tmp_path):
+        """A FIFO streams the CSV and is still a FIFO afterwards, where a
+        temp file renamed over it would replace it."""
+        rows = prediction_rows(_preds(), _targets())
+        write_predictions_csv(tmp_path / "regular.csv", rows, ("a", "b"))
+        fifo = tmp_path / "preds.fifo"
+        os.mkfifo(fifo)
+        # A non-blocking reader lets the writer open at once; the CSV fits
+        # in the pipe's buffer.
+        fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            write_predictions_csv(fifo, rows, ("a", "b"))
+            got = os.read(fd, 2 ** 16)
+        finally:
+            os.close(fd)
+        assert got == (tmp_path / "regular.csv").read_bytes()
+        assert got.startswith(b"row,score_a,score_b,decided,target\r\n")
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["preds.fifo", "regular.csv"]
 
 
 class TestLoadRun:
