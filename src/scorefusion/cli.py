@@ -154,6 +154,9 @@ def _cmd_predict(args) -> int:
     cache = None if args.cache_dir is None else cache_open_adopt(args.cache_dir)
     if args.texts and args.input:
         raise ConfigurationError("give either --input or --text, not both")
+    if args.texts and args.output:
+        raise ConfigurationError("--output is only for --input; --text "
+                                 "predictions are printed")
     if args.texts:
         preds = pipeline_predict(model, args.texts, cache=cache)
         for row in preds.decided:

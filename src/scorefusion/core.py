@@ -428,6 +428,13 @@ def utf8_rows(texts: Iterable[str]) -> Iterator[None]:
         raise
 
 
+def check_texts(texts: Iterable[str]) -> None:
+    """A bare str is a DataError: iterated, it would be one text per
+    character, and with providers one paid call per character."""
+    if isinstance(texts, str):
+        raise DataError("texts must be a sequence of strings, not one str")
+
+
 def text_digest(text: str) -> str:
     """SHA-256 hex digest of a single text (used in cache keys)."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -5,24 +5,24 @@ The trainable encoder maps lowercased character n-grams through a
 64-bit FNV-1a hash into `buckets` counting bins, L1-normalizes the counts,
 and multiplies by a trainable (buckets, dim) projection that starts as a
 seeded ±1 sign matrix (`sign_init`), or as zeros. The encoder holds that
-projection the way a model file stores it: its start, plus a store of the
-rows its texts have touched. A buckets-long int32 slot map (4 bytes per
-bucket) gives each stored row's slot in a grow-only (capacity, dim)
-float64 row array, and a row is written from its start (`sign_init` of
-its row id) the first time a text touches it, so memory grows with the
-vocabulary seen, not with `buckets`. Texts are featurized in chunks
-bounded by a row count and a UTF-8 byte budget, and training reuses
-per-fit batch buffers sized by the largest batch. It is the desk-scale
-stand-in for a transformer backbone: it produces a dense embedding and
-receives gradient updates at the small learning rate. Real transformer
-vectors can be substituted via the frozen lookup encoder.
+projection the way a model file stores it: its start, plus a store of
+rows. A buckets-long int32 slot map (4 bytes per bucket) gives each
+stored row's slot in a (stored, dim) float64 row array. A fit stores its
+vocabulary's rows and a load stores the model's rows; embedding only reads
+the store and takes every other row from its start (`sign_init` of its row
+id), so memory grows with the rows trained or loaded, not with `buckets`
+or with the texts predicted. Texts are featurized in chunks bounded by a
+row count and a UTF-8 byte budget, and training reuses per-fit batch
+buffers sized by the largest batch. It is the desk-scale stand-in for a
+transformer backbone: it produces a dense embedding and receives gradient
+updates at the small learning rate. Real transformer vectors can be
+substituted via the frozen lookup encoder.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -149,6 +149,16 @@ def _empty_slot_map(buckets: int) -> np.ndarray:
         raise ConfigurationError(
             f"the encoder slot map, buckets = {buckets} int32 values "
             f"({4 * buckets} bytes), cannot be allocated") from None
+
+
+def _distinct(ids: np.ndarray) -> np.ndarray:
+    """The distinct values of `ids`, ascending (np.unique would import
+    numpy.ma, which a fit, save, load and predict leave unloaded)."""
+    ids = np.sort(ids)
+    keep = np.empty(ids.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
 
 
 def _grown_size(size: int) -> int:
@@ -366,12 +376,11 @@ class HashedNgramEncoder:
 
     The projection is held as its start, `sign_init(init_seed)` or zeros
     when `init_seed` is None, plus a row store: `_slot[b]` is the slot of
-    bucket b's row in `_rows`, or -1 while that row is at its start, and
-    `_rows[:_size]` holds the stored rows. A row is stored the first time
-    a text, a fit or `set_rows` touches it, under the encoder's lock, and
-    is never dropped, so several threads may embed at once. A fit may
-    reorder the store (see `training_batches`), so it must not run beside
-    other calls on the same encoder.
+    bucket b's row in `_rows`, or -1 while that row is at its start. Only
+    `training_batches` (a fit) and `set_rows` (a load) store rows, and a
+    stored row is never dropped. Embedding only reads the encoder, so
+    several threads may embed at once; a fit, `set_rows` and a training
+    step write it and must not run beside other calls on the same encoder.
     """
 
     def __init__(self, cfg: EncoderConfig, seed: int | None = 0):
@@ -383,19 +392,8 @@ class HashedNgramEncoder:
             _check_seed(seed)
         self.cfg = cfg
         self.init_seed = seed
-        self._lock = threading.RLock()
         self._slot = _empty_slot_map(cfg.buckets)
         self._rows = np.empty((0, cfg.dim))
-        self._size = 0
-
-    def __getstate__(self) -> dict:
-        # A lock cannot be pickled or copied; a copy gets a lock of its own.
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state, _lock=threading.RLock())
 
     @property
     def dim(self) -> int:
@@ -410,9 +408,7 @@ class HashedNgramEncoder:
         """The whole (buckets, dim) projection, built on demand, read-only:
         the start with the stored rows written over it. The encoder's own
         paths never build it; `set_rows` writes rows."""
-        cfg = self.cfg
-        out = np.zeros((cfg.buckets, cfg.dim)) if self.init_seed is None \
-            else sign_init(self.init_seed, cfg.buckets, cfg.dim)
+        out = self._start_rows(np.arange(self.cfg.buckets))
         ids, rows = self.stored_rows()
         out[ids] = rows
         out.flags.writeable = False
@@ -421,9 +417,8 @@ class HashedNgramEncoder:
     def stored_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The buckets whose rows are in the store, ascending, and a copy of
         those rows; every other row is at its start."""
-        with self._lock:
-            ids = np.flatnonzero(self._slot >= 0)
-            return ids, self._rows[self._slot[ids]]
+        ids = np.flatnonzero(self._slot >= 0)
+        return ids, self._rows[self._slot[ids]]
 
     @property
     def init_sha256(self) -> str | None:
@@ -438,54 +433,52 @@ class HashedNgramEncoder:
         ids, ascending, and their values. Only a stored row can differ;
         each is compared with its start as uint64 bits, so a -0.0 entry
         counts as a change."""
-        cfg, seed = self.cfg, self.init_seed
         ids, rows = self.stored_rows()
-        bits = rows.view(np.uint64)
-        if seed is not None:
-            start = sign_init(seed, cfg.buckets, cfg.dim, rows=ids)
-            bits = bits != start.view(np.uint64)
-        moved = bits.any(axis=1)
+        moved = (rows.view(np.uint64)
+                 != self._start_rows(ids).view(np.uint64)).any(axis=1)
         return ids[moved], rows[moved]
 
     def set_rows(self, buckets: np.ndarray, values: np.ndarray) -> None:
         """Write values[i] as the projection row of bucket buckets[i]."""
-        with self._lock:
-            slots = self._slots(np.asarray(buckets, dtype=np.int64))
-            self._rows[slots] = values
+        buckets = np.asarray(buckets, dtype=np.int64)
+        self._store(buckets)
+        self._rows[self._slot[buckets]] = values
 
-    def _slots(self, buckets: np.ndarray) -> np.ndarray:
-        """The store slot (int64) of each bucket in `buckets` (int64).
+    def _start_rows(self, ids: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+        """The start's rows of buckets `ids`, zeros or `sign_init` of these
+        ids, written into `out` when given."""
+        if out is None:
+            out = np.empty((ids.size, self.cfg.dim))
+        if self.init_seed is None:
+            out.fill(0.0)
+            return out
+        return sign_init(self.init_seed, self.cfg.buckets, self.cfg.dim,
+                         rows=ids, out=out)
 
-        Rows not yet stored are first written from their start, in
-        ascending bucket order, under the lock. Stored rows never move
-        here: a grown store is a copy, so a caller may gather from `_rows`,
-        read after this returns, while another thread stores more rows."""
-        with self._lock:
-            slots = self._slot[buckets].astype(np.int64)
-            if not slots.size or slots.min() >= 0:
-                return slots
-            new = np.sort(buckets[slots < 0])
-            new = new[np.append(True, new[1:] != new[:-1])]
-            cfg, a, b = self.cfg, self._size, self._size + new.size
-            if b > self._rows.shape[0]:
-                grown = np.empty((min(_grown_size(b), cfg.buckets), cfg.dim))
-                grown[:a] = self._rows[:a]
-                self._rows = grown
-            if self.init_seed is None:
-                self._rows[a:b] = 0.0
-            else:
-                sign_init(self.init_seed, cfg.buckets, cfg.dim, rows=new,
-                          out=self._rows[a:b])
-            self._slot[new] = np.arange(a, b)
-            self._size = b
-            return self._slot[buckets].astype(np.int64)
+    def _store(self, buckets: np.ndarray) -> None:
+        """Store the rows of `buckets` (int64) that are not stored yet,
+        each once and in ascending bucket order after the stored rows,
+        written from their start straight into the new row array."""
+        new = _distinct(buckets[self._slot[buckets] < 0])
+        if not new.size:
+            return
+        a = self._rows.shape[0]
+        rows = np.empty((a + new.size, self.cfg.dim))
+        rows[:a] = self._rows
+        self._start_rows(new, out=rows[a:])
+        self._rows = rows
+        self._slot[new] = np.arange(a, rows.shape[0])
 
     def features(self, texts: Sequence[str]) -> CsrRows:
         return featurize_rows(texts, self.cfg)
 
     def embed_features(self, feats: CsrRows) -> np.ndarray:
         """(len(feats), dim) embeddings: row i is `w @ P[idx]` over its
-        entries, the zero vector for an empty row.
+        entries, the zero vector for an empty row. The store is only read:
+        when a bucket has no stored row, the call gathers from a table of
+        its own, the rows of the buckets it touches, each stored row or
+        start row once.
 
         The R rows with the same entry count L are computed together, as
         one stacked (R, 1, L) @ (R, L, dim) matmul per block of at most
@@ -495,8 +488,16 @@ class HashedNgramEncoder:
         with; a gather-reduce such as np.add.reduceat rounds differently.
         """
         dim = self.cfg.dim
-        slots = self._slots(feats.idx)
-        store = self._rows
+        slots = self._slot[feats.idx]
+        table = self._rows
+        if slots.size and slots.min() < 0:
+            ids = _distinct(feats.idx)
+            slots = np.searchsorted(ids, feats.idx)
+            at = self._slot[ids]
+            stored = at >= 0
+            table = np.empty((ids.size, dim))
+            table[stored] = self._rows[at[stored]]
+            table[~stored] = self._start_rows(ids[~stored])
         out = np.zeros((len(feats), dim))
         lengths = np.diff(feats.indptr)
         rows = np.argsort(lengths)
@@ -510,7 +511,7 @@ class HashedNgramEncoder:
             block = rows[a:b]
             at = feats.indptr[block][:, None] + np.arange(n)
             out[block] = np.matmul(feats.w[at][:, None, :],
-                                   store[slots[at]])[:, 0]
+                                   table[slots[at]])[:, 0]
             a = b
         return out
 
@@ -533,19 +534,14 @@ class HashedNgramEncoder:
         """A TrainingBatch builder over the rows of one fit's features.
 
         The fit vocabulary, found with a mask over the buckets, is stored
-        once in ascending bucket order, and the store is put in bucket
-        order if it is not (an encoder that embedded other texts first), so
-        the sorted slots of a batch's buckets are in bucket order. The
-        features' buckets are mapped to their slots once per fit."""
+        once. A fit builds a fresh encoder, so the vocabulary is stored in
+        ascending bucket order and the sorted slots of a batch's buckets
+        are in bucket order. The features' buckets are mapped to their
+        slots once per fit."""
         mask = np.zeros(self.cfg.buckets, dtype=bool)
         mask[feats.idx] = True
-        with self._lock:
-            self._slots(np.flatnonzero(mask))
-            stored = np.flatnonzero(self._slot >= 0)
-            if (np.diff(self._slot[stored]) < 0).any():
-                self._rows[:stored.size] = self._rows[self._slot[stored]]
-                self._slot[stored] = np.arange(stored.size)
-            slots = self._slots(feats.idx)
+        self._store(np.flatnonzero(mask))
+        slots = self._slot[feats.idx].astype(np.int64)
         return TrainingBatches(CsrRows(feats.indptr, slots, feats.w), self)
 
     def embed_batch(self, batch: "TrainingBatch",
@@ -612,8 +608,8 @@ class TrainingBatches:
     def __init__(self, feats: CsrRows, encoder: HashedNgramEncoder):
         self.feats = feats
         self.encoder = encoder
-        self._mask = np.zeros(encoder._size, dtype=bool)
-        self._column = np.zeros(encoder._size, dtype=np.int64)
+        self._mask = np.zeros(len(encoder._rows), dtype=bool)
+        self._column = np.zeros(len(encoder._rows), dtype=np.int64)
         self._buffers = {name: np.empty(0)
                          for name in ("weights", "rows", "step")}
 

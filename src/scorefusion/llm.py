@@ -31,6 +31,7 @@ from .core import (
     NonEmptyStr,
     TaskMode,
     atomic_write_text,
+    check_texts,
     read_vector_table,
     text_digest,
 )
@@ -101,6 +102,10 @@ class ProviderConfig(DictCodec):
                 f"expected one of {', '.join(_PROVIDER_DEFAULTS)}"
             )
         object.__setattr__(self, "provider_id", pid)
+        if self.mock_table_path is not None and pid != "mock":
+            raise ConfigurationError(
+                f"mock_table_path is for provider 'mock', not {pid!r}: "
+                "its table would be ignored and every score requested")
         for name, value in _PROVIDER_DEFAULTS[pid].items():
             if getattr(self, name) is _UNSET:
                 object.__setattr__(self, name, value)
@@ -527,7 +532,9 @@ def score_providers(texts: Sequence[str], schema: LabelSchema,
     reads as a miss: the uniform fallback fills this call's rows, and the
     next call asks the provider again. A cached entry without K scores is
     corrupt: a miss with a warning, healed by the refetched score's put.
-    `providers` optionally injects one client per config (testing hook).
+    `providers` optionally injects one client per config (testing hook);
+    another count of clients is a ConfigurationError, and a bare str is a
+    DataError, both raised before any call.
 
     If a text still fails after retries, on any provider, the pass raises
     ProviderUnavailableError once every provider is done. It names the
@@ -535,6 +542,11 @@ def score_providers(texts: Sequence[str], schema: LabelSchema,
     failing text, and its cause is the failure of the lowest such row
     (first provider first); partial results are never returned silently.
     """
+    check_texts(texts)
+    if providers is not None and len(providers) != len(pcfgs):
+        raise ConfigurationError(
+            f"{len(providers)} injected providers for {len(pcfgs)} "
+            "configured providers; give one per configured provider")
     template = prompt_template_digest(schema, mode)
     k = schema.K
     # The distinct texts in order of first use; row i is for

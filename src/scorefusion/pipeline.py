@@ -26,6 +26,7 @@ from .core import (
     TaskMode,
     TextExample,
     check_keys,
+    check_texts,
     dataset_fingerprint,
     utf8_rows,
     validate_dataset,
@@ -210,14 +211,15 @@ def _bit(value, where: str, row: int, column: str) -> int:
 # A diverging fit is reported by the finite-loss check, not by numpy
 # overflow warnings on the way there.
 @np.errstate(over="ignore", invalid="ignore")
-def _train(encoder, texts: Sequence[str], targets: Sequence[LabelVector],
+def _train(encoder, feats, targets: Sequence[LabelVector],
            scores: np.ndarray, schema: LabelSchema, mode: TaskMode,
            fcfg: FusionConfig, validation_fraction: float,
            run: Optional[RunHandle],
            ) -> tuple[FusionParams, Optional[MetricsReport], Predictions]:
-    """The two-rate loop over inputs [embedding | scores row]; returns the
-    head, the last validation report and the predictions for every row."""
-    n = len(texts)
+    """The two-rate loop over inputs [embedding | scores row], from the
+    encoder's features of the texts; returns the head, the last validation
+    report and the predictions for every row."""
+    n = len(targets)
     d = encoder.dim
     k = schema.K
     _, fus_seed, shuffle_seed = _derive_seeds(fcfg.seed)
@@ -229,7 +231,6 @@ def _train(encoder, texts: Sequence[str], targets: Sequence[LabelVector],
     perm = rng.permutation(n)
     n_val = min(int(validation_fraction * n), n - 1)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
-    feats = encoder.features(texts)
     batches = encoder.training_batches(feats)
     val_feats, val_scores = feats[val_idx], scores[val_idx]
     # Every batch's input [embedding | scores row] is written into the
@@ -290,9 +291,10 @@ def fit(ds: Dataset, cfg: AutoFusionConfig,
         ) -> tuple[FusionModel, RunRecord]:
     """Train a fusion classifier.
 
-    Order of work: validate, build the encoder (so a bad embedding file
-    fails before any score is paid for), fingerprint, open cache, prefetch
-    LLM scores for every text, then run the joint two-rate loop.
+    Order of work: validate, build the encoder, fingerprint, featurize
+    every text (so a bad embedding file or a text it lacks fails before any
+    score is paid for), open cache, prefetch LLM scores for every text,
+    then run the joint two-rate loop.
     `providers` optionally injects one client object per configured
     provider (testing hook).
 
@@ -307,16 +309,17 @@ def fit(ds: Dataset, cfg: AutoFusionConfig,
                        "meant to move faster than the encoder",
                        cfg.fusion.lr_high, encoder.lr_small)
     fingerprint = dataset_fingerprint(ds)
+    texts = ds.texts()
+    feats = encoder.features(texts)
     pcfgs = cfg.llm_providers
     if pcfgs and cache is None and cfg.cache_dir is not None:
         cache = cache_open(cfg.cache_dir, fingerprint, policy=cfg.cache_policy)
-    texts = ds.texts()
     scores = score_providers(texts, ds.schema, ds.mode, pcfgs, cache,
                              providers)
     run = run_create(runs_root, cfg.to_dict(), fingerprint, ds.schema.labels)
     targets = [row.target for row in ds.rows]
     params, last_report, preds = _train(
-        encoder, texts, targets, scores, ds.schema, ds.mode,
+        encoder, feats, targets, scores, ds.schema, ds.mode,
         cfg.fusion, cfg.validation_fraction, run)
     model = FusionModel(cfg, encoder, params)
     run.store_predictions(preds, targets)
@@ -326,13 +329,16 @@ def fit(ds: Dataset, cfg: AutoFusionConfig,
 def predict(model: FusionModel, texts: Sequence[str],
             cache: Optional[ScoreCache] = None,
             providers: Optional[Sequence] = None) -> Predictions:
-    """Classify texts in order: LLM scores (cache-first) -> encode ->
-    fuse -> decide. An empty input yields (0, K) arrays."""
+    """Classify texts in order: encode -> LLM scores (cache-first) ->
+    fuse -> decide, so a text the encoder rejects costs no provider call.
+    An empty input yields (0, K) arrays; a bare str is a DataError, not a
+    list of characters."""
+    check_texts(texts)
     texts = list(texts)
     with utf8_rows(texts):
+        embs = model.encoder.encode_batch(texts)
         scores = score_providers(texts, model.schema, model.mode,
                                  model.config.llm_providers, cache, providers)
-        embs = model.encoder.encode_batch(texts)
     return _decide_inputs(embs, scores, model.fusion_params, model.mode,
                           model.config.fusion.threshold)
 
@@ -428,7 +434,7 @@ class AutoFusionClassifier:
 
     def predict(self, texts: Sequence[str],
                 providers: Optional[Sequence] = None) -> Predictions:
-        return predict(self._require_model(), list(texts),
+        return predict(self._require_model(), texts,
                        cache=self._open_cache(), providers=providers)
 
     def evaluate(self, data, runs_root: Optional[Union[str, Path]] = None,

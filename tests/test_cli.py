@@ -346,6 +346,20 @@ class TestPredict:
         code = main(["predict", "--model", str(trained)])
         assert code == 1
 
+    def test_text_with_output(self, trained, workdir, capsys):
+        """--output with --text is one config error, not a file silently
+        left unwritten."""
+        out = workdir / "preds.csv"
+        code = main(["predict", "--model", str(trained), "--text", "hello",
+                     "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            "error[config]: --output is only for --input; --text predictions "
+            "are printed"]
+        assert not out.exists()
+
     def test_input_without_output(self, trained, workdir, capsys):
         inp = workdir / "texts.csv"
         inp.write_text("text\nhello\n", encoding="utf-8")

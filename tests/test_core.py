@@ -30,7 +30,7 @@ _LABEL = LabelMetrics("a", 0.5, 1 / 3, 0.4, 3)
 _CODEC_VALUES = [
     sf.EncoderConfig(dim=8, ngram_sizes=(2, 5), buckets=64, lr_small=0.25),
     sf.FusionConfig(hidden_sizes=(4, 3), threshold=(0.25, 0.75), seed=0),
-    sf.ProviderConfig(provider_id="gemini", temperature=0.5,
+    sf.ProviderConfig(provider_id="mock", temperature=0.5,
                       mock_table_path="t.tsv"),
     _LABEL,
     MetricsReport(0.5, 0.25, 0.75, 0.3, (_LABEL, _LABEL), 0.1, 0.2, 0.3),
@@ -175,6 +175,14 @@ def _fusions(k=st.integers(1, 5)):
         threshold=_prob | st.lists(_prob, min_size=k, max_size=k).map(tuple)))
 
 
+def _provider(provider_id, mock_table_path=None, **kw):
+    """A ProviderConfig; only the mock provider takes a mock table."""
+    if provider_id != "mock":
+        mock_table_path = None
+    return sf.ProviderConfig(provider_id, mock_table_path=mock_table_path,
+                             **kw)
+
+
 _providers = st.fixed_dictionaries(
     {"provider_id": st.sampled_from(["mock", "openai", "gemini-compatible",
                                      "deepseek"])},
@@ -186,7 +194,7 @@ _providers = st.fixed_dictionaries(
               "llm_batch_size": st.integers(1, 64),
               "timeout_ms": st.integers(1, 10 ** 5),
               "mock_table_path": st.none() | _name},
-).map(lambda kw: sf.ProviderConfig(**kw))
+).map(lambda kw: _provider(**kw))
 _configs = st.lists(_name, min_size=2, max_size=4, unique=True).flatmap(
     lambda labels: st.builds(
         sf.AutoFusionConfig,

@@ -287,8 +287,8 @@ class TestRowStore:
     @staticmethod
     def _assert_each_bucket_once(enc):
         stored = np.flatnonzero(enc._slot >= 0)
-        assert stored.size == enc._size <= enc._rows.shape[0]
-        assert sorted(enc._slot[stored].tolist()) == list(range(enc._size))
+        assert sorted(enc._slot[stored].tolist()) == \
+            list(range(enc._rows.shape[0]))
 
     def test_new_encoder_allocates_under_1_mib(self):
         """numpy reports its buffers to tracemalloc: a default 2^15 x 64
@@ -304,18 +304,24 @@ class TestRowStore:
         assert peak < 2 ** 20
 
     @pytest.mark.parametrize("seed", [None, 2 ** 63 + 1])
-    def test_rows_are_stored_as_texts_touch_them(self, seed):
+    def test_embedding_stores_nothing(self, seed):
+        """Embedding reads unstored rows from the start and stored rows
+        from the store, and writes neither."""
         enc = HashedNgramEncoder(self.CFG, seed=seed)
-        start = enc.projection.copy()
-        assert enc.stored_rows()[0].size == 0
-        got = enc.encode_batch(self.TEXTS)
+        feats = enc.features(self.TEXTS)
+        some = np.unique(feats.idx)[::3]
+        enc.set_rows(some, np.arange(some.size * 8.0).reshape(-1, 8))
+        want = enc.projection.copy()
         ids, rows = enc.stored_rows()
-        assert ids.tolist() == np.unique(enc.features(self.TEXTS).idx).tolist()
-        assert np.array_equal(rows, start[ids])
-        assert np.array_equal(enc.projection, start)
-        assert got.tobytes() == _per_row_embed(enc.features(self.TEXTS),
-                                               start).tobytes()
-        self._assert_each_bucket_once(enc)
+        got = enc.encode_batch(self.TEXTS)
+        assert enc.stored_rows()[0].tolist() == ids.tolist()
+        assert np.array_equal(enc.stored_rows()[1], rows)
+        assert np.array_equal(enc.projection, want)
+        assert got.tobytes() == _per_row_embed(feats, want).tobytes()
+        fresh = HashedNgramEncoder(self.CFG, seed=seed)
+        assert fresh.encode_batch(self.TEXTS).tobytes() == _per_row_embed(
+            feats, fresh.projection).tobytes()
+        assert fresh.stored_rows()[0].size == 0
 
     def test_projection_is_read_only(self):
         enc = HashedNgramEncoder(self.CFG, seed=1)
@@ -324,7 +330,7 @@ class TestRowStore:
 
     def test_set_rows_writes_through_the_store(self):
         enc = HashedNgramEncoder(self.CFG, seed=1)
-        enc.encode_batch(self.TEXTS)
+        enc.set_rows(np.array([9, 7, 3000]), np.ones((3, 8)))
         values = np.arange(24.0).reshape(3, 8)
         enc.set_rows(np.array([4000, 7, 4000]), values)
         assert np.array_equal(enc.projection[7], values[1])
@@ -333,30 +339,32 @@ class TestRowStore:
 
     def test_pickled_and_copied_encoders_embed_alike(self):
         enc = HashedNgramEncoder(self.CFG, seed=4)
+        enc.set_rows(np.array([5, 70, 600]), np.full((3, 8), 0.5))
         want = enc.encode_batch(self.TEXTS)
         for other in (pickle.loads(pickle.dumps(enc)), copy.deepcopy(enc)):
-            assert other._lock is not enc._lock
             assert other.encode_batch(self.TEXTS[::-1] + ["new text"])[
                 :len(self.TEXTS)][::-1].tobytes() == want.tobytes()
-            assert other.stored_rows()[0].size > enc.stored_rows()[0].size
+            assert np.array_equal(other.projection, enc.projection)
 
     def test_threads_embedding_at_once_equal_a_sequential_run(self):
-        """Four threads embed overlapping texts at once while the store
-        grows; each result equals one encoder's sequential result, and the
-        store holds every bucket once."""
+        """Four threads embed overlapping texts at once, some of whose
+        rows are stored; each result equals a sequential run, and the
+        store is unchanged."""
         rng = np.random.default_rng(1)
         texts = ["".join(rng.choice(list("abcdefgh ij"), 30))
                  for _ in range(400)]
         parts = [texts[i::3] + texts[:20] for i in range(4)]
-        want = [HashedNgramEncoder(self.CFG, seed=5).encode_batch(part)
-                for part in parts]
         enc = HashedNgramEncoder(self.CFG, seed=5)
+        some = np.unique(enc.features(texts[:100]).idx)
+        enc.set_rows(some, rng.standard_normal((some.size, 8)))
+        ids, rows = enc.stored_rows()
+        want = [enc.encode_batch(part) for part in parts]
         got: list = [None] * 4
         barrier = threading.Barrier(4)
 
         def run(i):
             barrier.wait(timeout=10)
-            # One row at a time: many small stores race each other.
+            # One row at a time: many small calls interleave.
             got[i] = np.vstack([enc.encode_batch([t]) for t in parts[i]])
 
         interval = sys.getswitchinterval()
@@ -373,31 +381,8 @@ class TestRowStore:
         assert not any(thread.is_alive() for thread in threads)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
-        self._assert_each_bucket_once(enc)
-        assert enc.stored_rows()[0].tolist() == \
-            np.unique(enc.features(texts).idx).tolist()
-
-    def test_fit_after_embedding_puts_the_store_in_bucket_order(self):
-        """An encoder that embedded other texts first stores rows out of
-        bucket order; its training batches equal a fresh encoder's."""
-        train = ["alpha beta gamma", "delta epsilon", "zeta eta theta",
-                 "iota kappa lambda"]
-        used = HashedNgramEncoder(self.CFG, seed=6)
-        for text in ("mu nu xi", "omicron pi", "alpha rho"):
-            used.encode_batch([text])
-        stored = np.flatnonzero(used._slot >= 0)
-        assert (np.diff(used._slot[stored]) < 0).any()
-        fresh = HashedNgramEncoder(self.CFG, seed=6)
-        feats = fresh.features(train)
-        builds = [enc.training_batches(feats) for enc in (used, fresh)]
-        stored = np.flatnonzero(used._slot >= 0)
-        assert used._slot[stored].tolist() == list(range(stored.size))
-        for rows in ([0, 1], [3, 2, 1, 0], [2]):
-            a, b = (build(np.array(rows)) for build in builds)
-            assert _buckets_of(used, a.touched).tolist() == \
-                _buckets_of(fresh, b.touched).tolist()
-            assert np.array_equal(a.weights, b.weights)
-            assert np.array_equal(a.projection_rows, b.projection_rows)
+        assert enc.stored_rows()[0].tolist() == ids.tolist()
+        assert np.array_equal(enc.stored_rows()[1], rows)
 
 
 class TestFeaturize:
@@ -616,9 +601,6 @@ class TestEncode:
             finally:
                 tracemalloc.stop()
 
-        # The row store grows with the vocabulary, not with the rows: store
-        # every row the texts touch before measuring.
-        enc.encode_batch(texts)
         # eight chunks peak at about one chunk's intermediates; featurizing
         # all rows before embedding any would hold all eight chunks' features
         assert peak(texts) < 1.25 * peak(texts[:256])
@@ -632,7 +614,6 @@ class TestEncode:
         letters = np.frombuffer(b"abcdefghijklmnopqrstuvwxyz ", dtype=np.uint8)
         codes = letters[np.random.default_rng(6).integers(0, 27, (256, 5000))]
         texts = [row.tobytes().decode("ascii") for row in codes]
-        # Also stores every row the texts touch before measuring.
         want = np.vstack([enc.encode_batch([text]) for text in texts])
         tracemalloc.start()
         try:

@@ -226,6 +226,27 @@ class TestProviderConfig:
             == ("gpt-x", "", "OPENAI_API_KEY")
         assert sf.ProviderConfig() == sf.ProviderConfig(**_MOCK)
 
+    @pytest.mark.parametrize("name", ["openai", "gemini-compatible",
+                                      "deepseek"])
+    def test_mock_table_is_for_the_mock_provider(self, name):
+        """A table on another provider would be ignored while every score
+        is requested from it, so it is a config error naming the provider,
+        in Python and in YAML."""
+        pid = sf.ProviderConfig(provider_id=name).provider_id
+        with pytest.raises(sf.ConfigurationError,
+                           match=f"mock_table_path is for provider 'mock', "
+                                 f"not '{pid}'"):
+            sf.ProviderConfig(provider_id=name, mock_table_path="x.tsv")
+        with pytest.raises(sf.ConfigurationError, match=f"not '{pid}'"):
+            build_config({"label_columns": ["a", "b"], "llm_provider": name,
+                          "mock_table": "scores.tsv"})
+        # A list that mixes mock with another provider gives the table to
+        # the mock entry alone.
+        cfg = build_config({"label_columns": ["a", "b"], "llm_provider": [
+            {"provider": "mock", "mock_table": "scores.tsv"}, name]})
+        assert [p.mock_table_path for p in cfg.llm_providers] == \
+            ["scores.tsv", None]
+
     def test_validation(self):
         with pytest.raises(sf.ConfigurationError):
             sf.ProviderConfig(provider_id="bogus")
@@ -893,6 +914,31 @@ class TestScoreProviders:
         again = score_providers(texts, SCHEMA, MC, pcfgs, cache, providers)
         assert [p.calls for p in providers] == [0, 0]
         assert np.array_equal(again, first)
+
+    @pytest.mark.parametrize("n_configs, n_injected", [(2, 1), (1, 2)])
+    def test_injected_providers_match_configs(self, n_configs, n_injected):
+        """Each configured provider needs its own injected client: another
+        count fails naming both counts, before any call."""
+        providers = [sf.MockProvider(self.TABLES[0], SCHEMA)
+                     for _ in range(n_injected)]
+        with pytest.raises(sf.ConfigurationError,
+                           match=f"{n_injected} injected providers for "
+                                 f"{n_configs} configured providers"):
+            score_providers(self.TEXTS, SCHEMA, MC,
+                            self._pcfgs(*[2] * n_configs), None, providers)
+        assert [p.calls for p in providers] == [0] * n_injected
+
+    def test_bare_string_is_a_data_error(self):
+        """A str is not a list of texts: scoring it would pay for one
+        call per character."""
+        provider = sf.MockProvider(self.TABLES[0], SCHEMA)
+        with pytest.raises(sf.DataError, match="not one str"):
+            sf.score_batch("hello", SCHEMA, MC, self._pcfgs(2)[0],
+                           provider=provider)
+        with pytest.raises(sf.DataError, match="not one str"):
+            score_providers("hello", SCHEMA, MC, self._pcfgs(2), None,
+                            [provider])
+        assert provider.calls == 0
 
     def test_no_providers_is_an_empty_block(self):
         out = score_providers(["a", "b"], SCHEMA, MC, ())

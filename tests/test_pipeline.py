@@ -537,6 +537,19 @@ class TestPredict:
         assert list(preds) == []
         assert provider.calls == 0
 
+    def test_bare_string_is_a_data_error(self, toy_dataset, toy_table):
+        """A str is not a list of texts: sf.predict and the classifier
+        reject it before any call, not as one paid row per character."""
+        model, _, _ = _fit_toy(toy_dataset, toy_table)
+        clf = sf.AutoFusionClassifier(model.config)
+        clf.model = model
+        provider = sf.MockProvider(toy_table, model.schema)
+        for call in (lambda: sf.predict(model, "hello", providers=[provider]),
+                     lambda: clf.predict("hello", providers=[provider])):
+            with pytest.raises(sf.DataError, match="not one str"):
+                call()
+        assert provider.calls == 0
+
     def test_order_preserved_and_scores_valid(self, toy_dataset, toy_table):
         model, _, _ = _fit_toy(toy_dataset, toy_table)
         texts = list(reversed(TOY_TEXTS))
@@ -710,6 +723,25 @@ class TestSaveLoad:
         sf.save_model(model, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == \
             (tmp_path / "b.json").read_bytes()
+
+    def test_predict_leaves_the_model_unchanged(self, toy_dataset, toy_table,
+                                                tmp_path):
+        """predict and encode_batch, on unseen texts too, neither store a
+        row nor change the saved bytes of a fitted or a loaded model."""
+        fitted, _, _ = _fit_toy(toy_dataset, toy_table)
+        sf.save_model(fitted, tmp_path / "before.json")
+        loaded = sf.load_model(tmp_path / "before.json")
+        texts = list(TOY_TEXTS) + ["never seen qzx words", "jjvvkk"]
+        for model in (fitted, loaded):
+            ids, rows = model.encoder.stored_rows()
+            sf.predict(model, texts,
+                       providers=[sf.MockProvider(toy_table, model.schema)])
+            model.encoder.encode_batch(texts)
+            assert model.encoder.stored_rows()[0].tolist() == ids.tolist()
+            assert np.array_equal(model.encoder.stored_rows()[1], rows)
+            sf.save_model(model, tmp_path / "after.json")
+            assert (tmp_path / "after.json").read_bytes() == \
+                (tmp_path / "before.json").read_bytes()
 
     def test_metadata_round_trips(self, toy_dataset, toy_table, tmp_path):
         model, _, _ = _fit_toy(toy_dataset, toy_table)
@@ -1231,8 +1263,8 @@ class TestSaveLoad:
 
     def test_fit_after_predict_saves_a_fresh_fits_bytes(
             self, toy_dataset, toy_table, tmp_path, monkeypatch):
-        """A fit whose encoder embedded other texts first, so its store is
-        out of bucket order, saves the bytes of a fit from a fresh one."""
+        """A fit whose encoder embedded other texts first saves the bytes
+        of a fit from a fresh one: embedding stored no row."""
         model, _, _ = _fit_toy(toy_dataset, toy_table)
         sf.save_model(model, tmp_path / "fresh.json")
         import scorefusion.pipeline as pipeline_mod
@@ -1243,8 +1275,7 @@ class TestSaveLoad:
             encoder = build(cfg)
             for text in ("zq xj vk", *TOY_TEXTS[::-3], "other words"):
                 encoder.encode_batch([text])
-            stored = np.flatnonzero(encoder._slot >= 0)
-            assert (np.diff(encoder._slot[stored]) < 0).any()
+            assert encoder.stored_rows()[0].size == 0
             return encoder
 
         monkeypatch.setattr(pipeline_mod, "_build_encoder", used_encoder)
@@ -1290,8 +1321,9 @@ class TestSaveLoad:
         cfg = sf.EncoderConfig(dim=3, ngram_sizes=(3,), buckets=2 ** 12)
         for seed in (None, 0):
             enc = HashedNgramEncoder(cfg, seed=seed)
-            enc.encode_batch(["rows stored at their start"])
-            assert enc.stored_rows()[0].size > 0
+            buckets = np.array([5, 70, 600])
+            enc.set_rows(buckets, enc.projection[buckets])
+            assert enc.stored_rows()[0].tolist() == buckets.tolist()
             assert enc.moved_rows()[0].tolist() == []
 
     @pytest.mark.parametrize("field, value", [
@@ -1376,6 +1408,30 @@ class TestFrozenEncoder:
         with pytest.raises(sf.UnknownTextError):
             sf.predict(model, ["never seen this"],
                        providers=[sf.MockProvider({}, model.schema)])
+
+    def test_unknown_text_costs_no_provider_call(self, toy_dataset,
+                                                 toy_table, tmp_path):
+        """Texts are encoded before they are scored, so a text the table
+        lacks fails fit and predict before any provider call, and fit
+        leaves no cache or run behind."""
+        path, _ = self._embeddings_file(tmp_path, TOY_TEXTS[1:])
+        cfg = small_fusion_config(encoder=str(path),
+                                  cache_dir=str(tmp_path / "cache"))
+        provider = sf.MockProvider(toy_table, toy_dataset.schema)
+        with pytest.raises(sf.UnknownTextError, match="alpha bird sings"):
+            sf.fit(toy_dataset, cfg, tmp_path / "runs", providers=[provider])
+        assert provider.calls == 0
+        assert not (tmp_path / "cache").exists()
+        assert not (tmp_path / "runs").exists()
+        known = list(TOY_TEXTS[1:])
+        model, _ = sf.fit(sf.make_dataset(
+            toy_dataset.schema, toy_dataset.mode, known,
+            [row.target for row in toy_dataset.rows[1:]]),
+            replace(cfg, cache_dir=None), providers=[provider])
+        provider = sf.MockProvider(toy_table, model.schema)
+        with pytest.raises(sf.UnknownTextError, match="alpha bird sings"):
+            sf.predict(model, known + [TOY_TEXTS[0]], providers=[provider])
+        assert provider.calls == 0
 
     def test_save_load_keeps_table(self, toy_dataset, toy_table, tmp_path):
         path, vecs = self._embeddings_file(tmp_path, TOY_TEXTS)
@@ -1504,6 +1560,7 @@ class TestAutoFusionClassifier:
     def _config_doc(self, **extra):
         doc = {
             "label_columns": ["yes", "no"],
+            "llm_provider": "mock",
             "encoder": {"dim": 16, "buckets": 1024, "lr_small": 0.05},
             "fusion": {"hidden_sizes": [16], "epochs": 30, "lr_high": 0.5,
                        "train_batch_size": 8, "seed": 42},

@@ -144,6 +144,7 @@ def test_model_round_trip_does_not_load_numpy_ma(tmp_path):
         "data = sf.make_complementary_data(n_rows=60, k=3, seed=1)\n"
         "schema = data.train.schema\n"
         "cfg = sf.AutoFusionConfig(label_columns=schema.labels,"
+        " llm_providers=(sf.ProviderConfig(),),"
         " fusion=sf.FusionConfig(epochs=2))\n"
         "provider = sf.MockProvider(data.mock_table, schema)\n"
         "model, _ = sf.fit(data.train, cfg, providers=[provider])\n"
