@@ -150,23 +150,23 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    model = load_model(args.model)
-    cache = None if args.cache_dir is None else cache_open_adopt(args.cache_dir)
     if args.texts and args.input:
         raise ConfigurationError("give either --input or --text, not both")
     if args.texts and args.output:
         raise ConfigurationError("--output is only for --input; --text "
                                  "predictions are printed")
+    if not args.texts and not args.input:
+        raise ConfigurationError("predict needs --input or at least one --text")
+    if args.input and not args.output:
+        raise ConfigurationError("--output is required with --input")
+    model = load_model(args.model)
+    cache = None if args.cache_dir is None else cache_open_adopt(args.cache_dir)
     if args.texts:
         preds = pipeline_predict(model, args.texts, cache=cache)
         for row in preds.decided:
             print(",".join(name for name, bit in zip(model.schema.labels, row)
                            if bit))
         return 0
-    if not args.input:
-        raise ConfigurationError("predict needs --input or at least one --text")
-    if not args.output:
-        raise ConfigurationError("--output is required with --input")
     texts = _read_texts_csv(args.input,
                             args.text_column or model.config.text_column)
     preds = pipeline_predict(model, texts, cache=cache)

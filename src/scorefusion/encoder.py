@@ -7,16 +7,16 @@ and multiplies by a trainable (buckets, dim) projection that starts as a
 seeded ±1 sign matrix (`sign_init`), or as zeros. The encoder holds that
 projection the way a model file stores it: its start, plus a store of
 rows. A buckets-long int32 slot map (4 bytes per bucket) gives each
-stored row's slot in a (stored, dim) float64 row array. A fit stores its
-vocabulary's rows and a load stores the model's rows; embedding only reads
-the store and takes every other row from its start (`sign_init` of its row
-id), so memory grows with the rows trained or loaded, not with `buckets`
-or with the texts predicted. Texts are featurized in chunks bounded by a
-row count and a UTF-8 byte budget, and training reuses per-fit batch
-buffers sized by the largest batch. It is the desk-scale stand-in for a
-transformer backbone: it produces a dense embedding and receives gradient
-updates at the small learning rate. Real transformer vectors can be
-substituted via the frozen lookup encoder.
+stored row's slot in a (stored, dim) float64 row array, written once: by
+the constructor from a load's rows, or by a fit in a fresh encoder.
+Embedding only reads the store and takes every other row from its start
+(`sign_init` of its row id), so memory grows with the rows trained or
+loaded, not with `buckets` or with the texts predicted. Texts are
+featurized in chunks bounded by a row count and a UTF-8 byte budget, and
+training reuses per-fit batch buffers sized by the largest batch. It is
+the desk-scale stand-in for a transformer backbone: it produces a dense
+embedding and receives gradient updates at the small learning rate. Real
+transformer vectors can be substituted via the frozen lookup encoder.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import DictCodec, read_vector_table
-from .errors import ConfigurationError, DataError, UnknownTextError
+from .errors import (ConfigurationError, DataError, RunStateError,
+                     UnknownTextError)
 
 # FNV-1a, 64-bit.
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -90,18 +91,16 @@ def _splitmix_words(seed: int, ids: np.ndarray, n_words: int) -> np.ndarray:
 
 
 def sign_init(seed: int, buckets: int, dim: int, *,
-              rows: np.ndarray | None = None,
-              out: np.ndarray | None = None) -> np.ndarray:
+              rows: np.ndarray | None = None) -> np.ndarray:
     """The (buckets, dim) float64 matrix of ±1, or the rows of it whose ids
-    `rows` lists (in any order, repeats allowed), written into `out` when
-    given. Entry (b, c) is +1 where bit c % 64 of word c // 64 of row b of
-    `_splitmix_words`, with ceil(dim / 64) words a row, is set. `seed` is
-    an integer in [0, 2**64).
+    `rows` lists (in any order, repeats allowed). Entry (b, c) is +1 where
+    bit c % 64 of word c // 64 of row b of `_splitmix_words`, with
+    ceil(dim / 64) words a row, is set. `seed` is an integer in [0, 2**64).
 
     A sign random projection preserves distances as well as a Gaussian one
     (Achlioptas 2003), and this one is defined here bit for bit, so a model
     file can store the seed in place of the rows training left alone, and
-    an encoder can write a row from its id when a text first touches it.
+    an encoder can make any row from its id when a text touches it.
     The rows are made one `_init_row_blocks` block at a time, so beside its
     output a call holds its row ids and one block's words and bits.
     """
@@ -114,8 +113,7 @@ def sign_init(seed: int, buckets: int, dim: int, *,
             raise ValueError("rows must be a 1-d integer array")
         if ids.size and not (ids.min() >= 0 and ids.max() < buckets):
             raise ValueError(f"row ids must lie in [0, {buckets})")
-    if out is None:
-        out = np.empty((ids.size, dim))
+    out = np.empty((ids.size, dim))
     for a, b in _init_row_blocks(ids.size, dim):
         words = _splitmix_words(seed, ids[a:b], -(-dim // 64)).astype(
             "<u8", copy=False)
@@ -184,18 +182,19 @@ class EncoderConfig(DictCodec):
     def __post_init__(self):
         super().__post_init__()
         if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+            raise ConfigurationError("dim must be >= 1")
         if self.buckets < self.dim:
-            raise ValueError("buckets must be >= dim")
+            raise ConfigurationError("buckets must be >= dim")
         if not self.lr_small > 0:
-            raise ValueError("lr_small must be > 0")
+            raise ConfigurationError("lr_small must be > 0")
         if not self.ngram_sizes or any(n < 1 for n in self.ngram_sizes):
-            raise ValueError("ngram_sizes needs at least one size >= 1")
+            raise ConfigurationError(
+                "ngram_sizes needs at least one size >= 1")
         # Both are int64 values in featurize and the slot map.
         if self.buckets >= 2 ** 63:
-            raise ValueError("buckets must be < 2**63")
+            raise ConfigurationError("buckets must be < 2**63")
         if any(n >= 2 ** 63 for n in self.ngram_sizes):
-            raise ValueError("ngram_sizes must each be < 2**63")
+            raise ConfigurationError("ngram_sizes must each be < 2**63")
 
 
 def featurize(text: str, cfg: EncoderConfig) -> dict[int, int]:
@@ -376,24 +375,43 @@ class HashedNgramEncoder:
 
     The projection is held as its start, `sign_init(init_seed)` or zeros
     when `init_seed` is None, plus a row store: `_slot[b]` is the slot of
-    bucket b's row in `_rows`, or -1 while that row is at its start. Only
-    `training_batches` (a fit) and `set_rows` (a load) store rows, and a
-    stored row is never dropped. Embedding only reads the encoder, so
-    several threads may embed at once; a fit, `set_rows` and a training
-    step write it and must not run beside other calls on the same encoder.
+    bucket b's row in `_rows`, or -1 while that row is at its start; slots
+    ascend with buckets. The constructor (a load) or `training_batches` (a
+    fit, on an encoder storing no rows) writes the row set once, and a
+    training step updates it in place. Embedding only reads the encoder, so
+    several threads may embed at once; a fit and a training step write it
+    and must not run beside other calls on the same encoder.
     """
 
-    def __init__(self, cfg: EncoderConfig, seed: int | None = 0):
+    def __init__(self, cfg: EncoderConfig, seed: int | None = 0,
+                 stored: tuple[np.ndarray, np.ndarray] | None = None):
         """The projection starts as `sign_init(seed, buckets, dim)`, or as
         zeros when `seed` is None, and `init_seed` records that start, so a
-        model file stores only the rows that moved from it. A slot map too
-        large to allocate is a ConfigurationError."""
+        model file stores only the rows that moved from it. `stored`, a
+        load's `(ids, rows)`, is held as the store, not copied: ids 1-d
+        integers, strictly increasing and in [0, buckets), rows (len(ids),
+        dim), else a ValueError; `stored=enc.stored_rows()` rebuilds `enc`.
+        A slot map too large to allocate is a ConfigurationError."""
         if seed is not None:
             _check_seed(seed)
         self.cfg = cfg
         self.init_seed = seed
         self._slot = _empty_slot_map(cfg.buckets)
         self._rows = np.empty((0, cfg.dim))
+        if stored is not None:
+            ids = np.asarray(stored[0])
+            rows = np.asarray(stored[1], dtype=np.float64)
+            if ids.ndim != 1 or ids.dtype.kind not in "iu" \
+                    or (ids[1:] <= ids[:-1]).any():
+                raise ValueError("stored ids must be 1-d integers, strictly "
+                                 "increasing")
+            if ids.size and not (ids[0] >= 0 and ids[-1] < cfg.buckets):
+                raise ValueError(f"stored ids must lie in [0, {cfg.buckets})")
+            if rows.shape != (ids.size, cfg.dim):
+                raise ValueError(f"stored rows have shape {rows.shape}, "
+                                 f"expected {(ids.size, cfg.dim)}")
+            self._slot[ids] = np.arange(ids.size)
+            self._rows = rows
 
     @property
     def dim(self) -> int:
@@ -407,18 +425,16 @@ class HashedNgramEncoder:
     def projection(self) -> np.ndarray:
         """The whole (buckets, dim) projection, built on demand, read-only:
         the start with the stored rows written over it. The encoder's own
-        paths never build it; `set_rows` writes rows."""
+        paths never build it."""
         out = self._start_rows(np.arange(self.cfg.buckets))
-        ids, rows = self.stored_rows()
-        out[ids] = rows
+        out[self._slot >= 0] = self._rows
         out.flags.writeable = False
         return out
 
     def stored_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The buckets whose rows are in the store, ascending, and a copy of
-        those rows; every other row is at its start."""
-        ids = np.flatnonzero(self._slot >= 0)
-        return ids, self._rows[self._slot[ids]]
+        """The buckets whose rows are in the store, ascending (their slot
+        order), and a copy of those rows; every other row is at its start."""
+        return np.flatnonzero(self._slot >= 0), self._rows.copy()
 
     @property
     def init_sha256(self) -> str | None:
@@ -438,37 +454,13 @@ class HashedNgramEncoder:
                  != self._start_rows(ids).view(np.uint64)).any(axis=1)
         return ids[moved], rows[moved]
 
-    def set_rows(self, buckets: np.ndarray, values: np.ndarray) -> None:
-        """Write values[i] as the projection row of bucket buckets[i]."""
-        buckets = np.asarray(buckets, dtype=np.int64)
-        self._store(buckets)
-        self._rows[self._slot[buckets]] = values
-
-    def _start_rows(self, ids: np.ndarray,
-                    out: np.ndarray | None = None) -> np.ndarray:
+    def _start_rows(self, ids: np.ndarray) -> np.ndarray:
         """The start's rows of buckets `ids`, zeros or `sign_init` of these
-        ids, written into `out` when given."""
-        if out is None:
-            out = np.empty((ids.size, self.cfg.dim))
+        ids."""
         if self.init_seed is None:
-            out.fill(0.0)
-            return out
+            return np.zeros((ids.size, self.cfg.dim))
         return sign_init(self.init_seed, self.cfg.buckets, self.cfg.dim,
-                         rows=ids, out=out)
-
-    def _store(self, buckets: np.ndarray) -> None:
-        """Store the rows of `buckets` (int64) that are not stored yet,
-        each once and in ascending bucket order after the stored rows,
-        written from their start straight into the new row array."""
-        new = _distinct(buckets[self._slot[buckets] < 0])
-        if not new.size:
-            return
-        a = self._rows.shape[0]
-        rows = np.empty((a + new.size, self.cfg.dim))
-        rows[:a] = self._rows
-        self._start_rows(new, out=rows[a:])
-        self._rows = rows
-        self._slot[new] = np.arange(a, rows.shape[0])
+                         rows=ids)
 
     def features(self, texts: Sequence[str]) -> CsrRows:
         return featurize_rows(texts, self.cfg)
@@ -533,16 +525,20 @@ class HashedNgramEncoder:
     def training_batches(self, feats: CsrRows) -> "TrainingBatches":
         """A TrainingBatch builder over the rows of one fit's features.
 
-        The fit vocabulary, found with a mask over the buckets, is stored
-        once. A fit builds a fresh encoder, so the vocabulary is stored in
-        ascending bucket order and the sorted slots of a batch's buckets
-        are in bucket order. The features' buckets are mapped to their
-        slots once per fit."""
+        Stores the fit vocabulary, found with a mask over the buckets, at
+        its start rows in ascending bucket order, so the sorted slots of a
+        batch's buckets are in bucket order. The features' buckets are
+        mapped to their int32 slots once per fit. An encoder that already
+        stores rows is a RunStateError: a fit starts from a fresh one."""
+        if self._rows.shape[0]:
+            raise RunStateError("a fit needs an encoder that stores no rows")
         mask = np.zeros(self.cfg.buckets, dtype=bool)
         mask[feats.idx] = True
-        self._store(np.flatnonzero(mask))
-        slots = self._slot[feats.idx].astype(np.int64)
-        return TrainingBatches(CsrRows(feats.indptr, slots, feats.w), self)
+        vocabulary = np.flatnonzero(mask)
+        self._rows = self._start_rows(vocabulary)
+        self._slot[vocabulary] = np.arange(vocabulary.size)
+        return TrainingBatches(
+            CsrRows(feats.indptr, self._slot[feats.idx], feats.w), self)
 
     def embed_batch(self, batch: "TrainingBatch",
                     out: np.ndarray | None = None) -> np.ndarray:
@@ -595,7 +591,7 @@ class TrainingBatch:
 
 class TrainingBatches:
     """Builds TrainingBatch values from the rows of one fit's features,
-    whose entries are store slots of the encoder's fit vocabulary.
+    whose entries are the int32 store slots of the encoder's fit vocabulary.
 
     The touched slots are found without a sort: a boolean mask over the
     stored rows, allocated once and all-False again after every batch, is
@@ -624,13 +620,15 @@ class TrainingBatches:
     def __call__(self, rows: np.ndarray) -> TrainingBatch:
         """The given rows of the features, in the given order."""
         picked = self.feats[rows]
-        self._mask[picked.idx] = True
+        # numpy indexes with intp arrays faster than with the int32 slots.
+        slots = picked.idx.astype(np.intp)
+        self._mask[slots] = True
         touched = np.flatnonzero(self._mask)
         self._mask[touched] = False
         self._column[touched] = np.arange(touched.size)
         weights = self._buffer("weights", (len(picked), touched.size))
         weights.fill(0.0)
-        weights[picked.row_ids(), self._column[picked.idx]] = picked.w
+        weights[picked.row_ids(), self._column[slots]] = picked.w
         shape = (touched.size, self.encoder.cfg.dim)
         # touched lies in range by construction; mode="raise" would write
         # through a temporary copy of `out`.

@@ -42,15 +42,15 @@ class FusionConfig(DictCodec):
         th = tuple(map(float, th)) if isinstance(th, tuple) else float(th)
         object.__setattr__(self, "threshold", th)
         if not all(0.0 < t < 1.0 for t in np.atleast_1d(th)):
-            raise ValueError("thresholds must lie in (0, 1)")
+            raise ConfigurationError("thresholds must lie in (0, 1)")
         for name, least in (("seed", 0), ("epochs", 1),
                             ("train_batch_size", 1)):
             if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}")
+                raise ConfigurationError(f"{name} must be >= {least}")
         if not self.lr_high > 0:
-            raise ValueError("lr_high must be > 0")
+            raise ConfigurationError("lr_high must be > 0")
         if any(h < 1 for h in self.hidden_sizes):
-            raise ValueError("hidden sizes must be >= 1")
+            raise ConfigurationError("hidden sizes must be >= 1")
 
     def check_label_count(self, k: int) -> None:
         """A ConfigurationError unless a per-class threshold has k values."""

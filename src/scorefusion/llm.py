@@ -18,9 +18,10 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -117,9 +118,9 @@ class ProviderConfig(DictCodec):
                 raise ConfigurationError(f"{name} must be >= {least}")
 
 
-@dataclass(frozen=True)
-class LLMScore:
-    """Per-class scores in [0, 1] from one provider for one text.
+class LLMScore(NamedTuple):
+    """Per-class scores in [0, 1] from one provider for one text, as
+    `parse_scores` makes them.
 
     parse_ok is False exactly when no label -> number mapping could be
     extracted, in which case the scores are the uniform fallback 1/K.
@@ -127,19 +128,6 @@ class LLMScore:
 
     scores: tuple[float, ...]
     parse_ok: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "scores", tuple(float(s) for s in self.scores))
-        if any(not (0.0 <= s <= 1.0) for s in self.scores):
-            raise ValueError("LLM scores must lie in [0, 1]")
-        if not self.parse_ok:
-            uniform = 1.0 / len(self.scores)
-            if any(s != uniform for s in self.scores):
-                raise ValueError("parse_ok=False requires the uniform fallback")
-
-    @staticmethod
-    def uniform_fallback(k: int) -> "LLMScore":
-        return LLMScore((1.0 / k,) * k, parse_ok=False)
 
 
 # Bump when the prompt wording changes; part of every cache key, so stale
@@ -247,7 +235,7 @@ def parse_scores(response_text: str, schema: LabelSchema) -> LLMScore:
                 scores = tuple(clamped.get(name, 0.0) for name in schema.labels)
                 return LLMScore(scores, parse_ok=True)
         pos = response_text.find("{", pos + 1)
-    return LLMScore.uniform_fallback(schema.K)
+    return LLMScore((1.0 / schema.K,) * schema.K, parse_ok=False)
 
 
 class TransientProviderError(Exception):
@@ -541,6 +529,10 @@ def score_providers(texts: Sequence[str], schema: LabelSchema,
     failing providers, failed_indices holds the sorted rows of every
     failing text, and its cause is the failure of the lowest such row
     (first provider first); partial results are never returned silently.
+    A provider that rejects a request with a 4xx status no retry can pass
+    (any but 408 and 429) is asked nothing more in this pass: only its
+    requests already in flight finish, the texts it never tried count as
+    failed, and the message gives their number and the status.
     """
     check_texts(texts)
     if providers is not None and len(providers) != len(pcfgs):
@@ -575,6 +567,9 @@ def score_providers(texts: Sequence[str], schema: LabelSchema,
         providers = [make_provider(pcfg, schema) if missing else None
                      for pcfg, missing in zip(pcfgs, misses)]
     failures: list[tuple[int, int, ProviderUnavailableError]] = []
+    # Per provider stopped by a rejection: its status and the d it left
+    # untried, each also listed in failures.
+    stopped: dict[int, tuple[int, list[int]]] = {}
 
     def drain(j: int) -> None:
         pcfg, provider, missing = pcfgs[j], providers[j], misses[j]
@@ -588,6 +583,15 @@ def score_providers(texts: Sequence[str], schema: LabelSchema,
                                    _sleep=_sleep, _uniform=_uniform)
             except ProviderUnavailableError as exc:
                 failures.append((d, j, exc))
+                status = exc.last_status
+                if status is not None and 400 <= status < 500 \
+                        and not _retryable_status(status):
+                    untried = stopped.setdefault(j, (status, []))[1]
+                    while missing:
+                        with suppress(IndexError):  # another worker won
+                            skipped = missing.popleft()
+                            untried.append(skipped)
+                            failures.append((skipped, j, exc))
                 continue
             blocks[j][d] = score.scores
             if cache is None or not score.parse_ok:
@@ -615,10 +619,14 @@ def score_providers(texts: Sequence[str], schema: LabelSchema,
         failed = {j for _, j, _ in failures}
         names = ", ".join(f"{pcfg.provider_id}/{pcfg.model_name}"
                           for j, pcfg in enumerate(pcfgs) if j in failed)
+        not_tried = "".join(
+            f"; {len(untried)} texts not attempted on "
+            f"{pcfgs[j].provider_id}/{pcfgs[j].model_name} after status "
+            f"{status}" for j, (status, untried) in sorted(stopped.items()))
         first_failure = failures[0][2]
         raise ProviderUnavailableError(
             f"{len(indices)} of {len(texts)} texts failed on {names} "
-            f"(indices {indices}): {first_failure}",
+            f"(indices {indices}){not_tried}: {first_failure}",
             last_status=first_failure.last_status,
             failed_indices=indices,
         )

@@ -11,8 +11,9 @@ projection is stored as its start, `init_seed` with the digest the encoder
 gives (`init_sha256`; zeros when `init_seed` is null), plus the rows the
 encoder reports as moved from it bitwise; training moves only the rows its
 texts touch, so the file grows with the fit vocabulary, not the bucket
-count. Loading checks the rows and the digest, then stores the file's rows
-and no other, so neither save nor load allocates a (buckets, dim) array.
+count. Loading checks the rows and the digest and builds the encoder with
+the file's rows as its store, so neither save nor load allocates a
+(buckets, dim) array.
 Formats 3 (the config in pieces), 2 (the whole projection in base64) and
 1 (JSON lists of repr floats) are still read, the last two as a zero
 start plus their non-zero rows; a config field they never stored takes
@@ -258,15 +259,15 @@ def _encoder_from_model_doc(doc: dict, version: int,
                             cfg: Union[EncoderConfig, str]):
     """The encoder `cfg` describes, its state read from `doc`.
 
-    A hashed encoder is built from its start, then `set_rows` writes in its
-    stored rows, so it stores the rows `moved_rows` saves again. From
-    format 3 on the start is `init_seed`, checked against the recorded
-    digest, and the stored rows are the listed ones. The row ids are
-    checked first, then the encoder is built, which checks the seed and
-    allocates only its slot map, so a size that cannot be allocated fails
-    before the digest is made. Formats 1 and 2 stored the whole projection
-    and no start: the start is zeros, and the stored rows are those with a
-    set bit, so a -0.0 entry counts."""
+    A hashed encoder is built from its start and its stored rows, so it
+    stores the rows `moved_rows` saves again. From format 3 on the start is
+    `init_seed`, checked against the recorded digest, and the stored rows
+    are the listed ones. The row ids are checked to be integers in range
+    before numpy holds them as int64; the constructor checks their order,
+    the seed and the rows' shape and allocates only its slot map, so a size
+    that cannot be allocated fails before the digest is made. Formats 1 and
+    2 stored the whole projection and no start: the start is zeros, and the
+    stored rows are those with a set bit, so a -0.0 entry counts."""
     if isinstance(cfg, str):
         dim = doc["dim"]
         table = {text: _read_array(vec, version, (dim,))
@@ -276,24 +277,20 @@ def _encoder_from_model_doc(doc: dict, version: int,
         projection = _read_array(doc["projection"], version,
                                  (cfg.buckets, cfg.dim))
         ids = np.flatnonzero(projection.view(np.uint64).any(axis=1))
-        encoder, rows = HashedNgramEncoder(cfg, seed=None), projection[ids]
-    else:
-        seed, rows = doc["init_seed"], doc["rows"]
-        if type(rows) is not list or any(type(r) is not int for r in rows):
-            raise ModelFormatError("rows must be a list of integers")
-        if rows and not (0 <= min(rows) and max(rows) < cfg.buckets):
-            raise ModelFormatError(f"rows must lie in [0, {cfg.buckets})")
-        ids = np.array(rows, dtype=np.int64)
-        if (np.diff(ids) <= 0).any():
-            raise ModelFormatError("rows must be strictly increasing")
-        encoder = HashedNgramEncoder(cfg, seed=seed)
-        if doc["init_sha256"] != encoder.init_sha256:
-            raise ModelFormatError(
-                f"init_sha256 {doc['init_sha256']!r} does not match the init "
-                f"of init_seed {seed!r}")
-        rows = _read_array(doc["projection_rows"], version,
-                           (ids.size, cfg.dim))
-    encoder.set_rows(ids, rows)
+        return HashedNgramEncoder(cfg, seed=None,
+                                  stored=(ids, projection[ids]))
+    seed, rows = doc["init_seed"], doc["rows"]
+    if type(rows) is not list or any(type(r) is not int for r in rows):
+        raise ModelFormatError("rows must be a list of integers")
+    if rows and not (0 <= min(rows) and max(rows) < cfg.buckets):
+        raise ModelFormatError(f"rows must lie in [0, {cfg.buckets})")
+    ids = np.array(rows, dtype=np.int64)
+    encoder = HashedNgramEncoder(cfg, seed=seed, stored=(ids, _read_array(
+        doc["projection_rows"], version, (ids.size, cfg.dim))))
+    if doc["init_sha256"] != encoder.init_sha256:
+        raise ModelFormatError(
+            f"init_sha256 {doc['init_sha256']!r} does not match the init "
+            f"of init_seed {seed!r}")
     return encoder
 
 

@@ -369,6 +369,29 @@ class TestPredict:
         assert code == 1
         assert "--output" in err
 
+    @pytest.mark.parametrize("args, message", [
+        pytest.param(["--input", "b.csv", "--text", "a"],
+                     "give either --input or --text, not both",
+                     id="input-and-text"),
+        pytest.param(["--text", "a", "--output", "o.csv"],
+                     "--output is only for --input; --text predictions are "
+                     "printed", id="text-with-output"),
+        pytest.param([], "predict needs --input or at least one --text",
+                     id="neither"),
+        pytest.param(["--input", "b.csv"],
+                     "--output is required with --input",
+                     id="input-without-output"),
+    ])
+    def test_arguments_are_checked_before_the_model_is_read(
+            self, workdir, capsys, args, message):
+        """A wrong combination of arguments is reported as such, before
+        the model file (missing here) or the cache is opened."""
+        code = main(["predict", "--model", str(workdir / "missing.json"),
+                     "--cache-dir", str(workdir / "cache"), *args])
+        assert code == 1
+        assert capsys.readouterr().err == f"error[config]: {message}\n"
+        assert not (workdir / "cache").exists()
+
     def test_text_not_utf8_exit_2_naming_row(self, trained, capsys):
         """Python decodes an undecodable argv byte to a lone surrogate."""
         code = main(["predict", "--model", str(trained),
@@ -632,7 +655,8 @@ class TestProviderFailure:
         assert err.startswith("error[provider]:")
         assert err.count("\n") == 1 and err.endswith("\n")
         assert "401" in err
-        assert len(calls) == len(TOY_TEXTS)  # one call per text, no retries
+        # No retry, and no further text: a rejection stops the provider.
+        assert len(calls) == 1
 
 
 class TestMainPlumbing:

@@ -44,13 +44,6 @@ def encoder_gradient_step(projection: np.ndarray, grads: np.ndarray,
     return projection
 
 
-def _set_entry(enc, bucket, col, value):
-    """Write one projection entry through the encoder's row path."""
-    row = enc.projection[bucket].copy()
-    row[col] = value
-    enc.set_rows(np.array([bucket]), row[None])
-
-
 def _buckets_of(enc, slots):
     """The buckets whose rows are in the given store slots."""
     stored = np.flatnonzero(enc._slot >= 0)
@@ -189,9 +182,6 @@ class TestSignInit:
         with mock.patch("scorefusion.encoder._INIT_BLOCK_VALUES", 2 ** 8):
             assert np.array_equal(sign_init(3, 50, 70, rows=ids),
                                   whole[start:stop])
-        out = np.full((stop - start, 70), np.nan)
-        assert sign_init(3, 50, 70, rows=ids, out=out) is out
-        assert np.array_equal(out, whole[start:stop])
 
     @pytest.mark.parametrize("ids", [[], [7], [49, 3, 3, 0, 17, 3],
                                      list(range(49, -1, -1))])
@@ -205,10 +195,8 @@ class TestSignInit:
         assert got.shape == (ids.size, 70)
         assert np.array_equal(got, whole[ids])
         assert np.array_equal(got, _splitmix64_sign_oracle(3, 50, 70)[ids])
-        out = np.full((ids.size, 70), np.nan)
-        assert sign_init(3, 50, 70, out=out, rows=ids.astype(np.int32)) \
-            is out
-        assert np.array_equal(out, whole[ids])
+        assert np.array_equal(sign_init(3, 50, 70, rows=ids.astype(np.int32)),
+                              whole[ids])
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"rows": np.array([0, 50])}, r"row ids must lie in \[0, 50\)"),
@@ -271,10 +259,11 @@ class TestSignInit:
         assert np.array_equal(enc.projection, sign_init(2 ** 63 + 1, 32, 3))
         zero = HashedNgramEncoder(cfg, seed=None)
         assert zero.init_seed is None and not zero.projection.any()
-        # A whole projection is a zero start with every row written in.
-        zero.set_rows(np.arange(32), enc.projection)
-        assert zero.init_seed is None
-        assert np.array_equal(zero.projection, enc.projection)
+        # A whole projection is a zero start with every row stored.
+        whole = HashedNgramEncoder(cfg, seed=None,
+                                   stored=(np.arange(32), enc.projection))
+        assert whole.init_seed is None
+        assert np.array_equal(whole.projection, enc.projection)
 
 
 class TestRowStore:
@@ -283,12 +272,6 @@ class TestRowStore:
     CFG = sf.EncoderConfig(dim=8, ngram_sizes=(3, 4), buckets=2 ** 12)
     TEXTS = ["the first text", "a second one", "", "ab", "straße 日本語",
              "the first text again", "zzzz qqqq"]
-
-    @staticmethod
-    def _assert_each_bucket_once(enc):
-        stored = np.flatnonzero(enc._slot >= 0)
-        assert sorted(enc._slot[stored].tolist()) == \
-            list(range(enc._rows.shape[0]))
 
     def test_new_encoder_allocates_under_1_mib(self):
         """numpy reports its buffers to tracemalloc: a default 2^15 x 64
@@ -307,10 +290,10 @@ class TestRowStore:
     def test_embedding_stores_nothing(self, seed):
         """Embedding reads unstored rows from the start and stored rows
         from the store, and writes neither."""
-        enc = HashedNgramEncoder(self.CFG, seed=seed)
-        feats = enc.features(self.TEXTS)
+        feats = featurize_rows(self.TEXTS, self.CFG)
         some = np.unique(feats.idx)[::3]
-        enc.set_rows(some, np.arange(some.size * 8.0).reshape(-1, 8))
+        enc = HashedNgramEncoder(self.CFG, seed=seed, stored=(
+            some, np.arange(some.size * 8.0).reshape(-1, 8)))
         want = enc.projection.copy()
         ids, rows = enc.stored_rows()
         got = enc.encode_batch(self.TEXTS)
@@ -328,18 +311,36 @@ class TestRowStore:
         with pytest.raises(ValueError, match="read-only"):
             enc.projection[0, 0] = 2.0
 
-    def test_set_rows_writes_through_the_store(self):
-        enc = HashedNgramEncoder(self.CFG, seed=1)
-        enc.set_rows(np.array([9, 7, 3000]), np.ones((3, 8)))
+    def test_stored_rows_are_checked(self):
+        """The constructor stores a load's rows whole, or rejects them:
+        ids 1-d integers, strictly increasing and in range, and one row of
+        `dim` values each."""
+        for ids, shape, match in [
+                ([9, 7, 3000], (3, 8), "strictly increasing"),
+                ([7, 4000, 4000], (3, 8), "strictly increasing"),
+                ([-1, 7, 9], (3, 8), r"must lie in \[0, 4096\)"),
+                ([7, 9, 4096], (3, 8), r"must lie in \[0, 4096\)"),
+                ([7, 9, 3000], (2, 8), r"shape \(2, 8\), expected \(3, 8\)"),
+                ([7, 9, 3000], (3, 7), r"shape \(3, 7\), expected \(3, 8\)"),
+                ([[7, 9, 3000]], (3, 8), "1-d integers"),
+                ([7.0, 9.0, 3000.0], (3, 8), "1-d integers")]:
+            with pytest.raises(ValueError, match=match):
+                HashedNgramEncoder(self.CFG, seed=1,
+                                   stored=(np.array(ids), np.ones(shape)))
+
+    def test_stored_rows_rebuild_the_encoder(self):
         values = np.arange(24.0).reshape(3, 8)
-        enc.set_rows(np.array([4000, 7, 4000]), values)
-        assert np.array_equal(enc.projection[7], values[1])
-        assert np.array_equal(enc.projection[4000], values[2])
-        self._assert_each_bucket_once(enc)
+        enc = HashedNgramEncoder(self.CFG, seed=1,
+                                 stored=(np.array([7, 9, 3000]), values))
+        assert np.array_equal(enc.projection[[7, 9, 3000]], values)
+        again = HashedNgramEncoder(self.CFG, seed=1, stored=enc.stored_rows())
+        assert np.array_equal(again.projection, enc.projection)
+        assert again.encode_batch(self.TEXTS).tobytes() == \
+            enc.encode_batch(self.TEXTS).tobytes()
 
     def test_pickled_and_copied_encoders_embed_alike(self):
-        enc = HashedNgramEncoder(self.CFG, seed=4)
-        enc.set_rows(np.array([5, 70, 600]), np.full((3, 8), 0.5))
+        enc = HashedNgramEncoder(self.CFG, seed=4, stored=(
+            np.array([5, 70, 600]), np.full((3, 8), 0.5)))
         want = enc.encode_batch(self.TEXTS)
         for other in (pickle.loads(pickle.dumps(enc)), copy.deepcopy(enc)):
             assert other.encode_batch(self.TEXTS[::-1] + ["new text"])[
@@ -354,9 +355,9 @@ class TestRowStore:
         texts = ["".join(rng.choice(list("abcdefgh ij"), 30))
                  for _ in range(400)]
         parts = [texts[i::3] + texts[:20] for i in range(4)]
-        enc = HashedNgramEncoder(self.CFG, seed=5)
-        some = np.unique(enc.features(texts[:100]).idx)
-        enc.set_rows(some, rng.standard_normal((some.size, 8)))
+        some = np.unique(featurize_rows(texts[:100], self.CFG).idx)
+        enc = HashedNgramEncoder(self.CFG, seed=5, stored=(
+            some, rng.standard_normal((some.size, 8))))
         ids, rows = enc.stored_rows()
         want = [enc.encode_batch(part) for part in parts]
         got: list = [None] * 4
@@ -499,10 +500,9 @@ class TestFeaturizeRows:
 
 def _encoder_with(cfg, projection):
     """An encoder whose projection is `projection`: a zero start with
-    every row written in."""
-    enc = HashedNgramEncoder(cfg, seed=None)
-    enc.set_rows(np.arange(cfg.buckets), projection)
-    return enc
+    every row stored."""
+    return HashedNgramEncoder(cfg, seed=None,
+                              stored=(np.arange(cfg.buckets), projection))
 
 
 def _per_row_embed(feats, projection):
@@ -701,22 +701,24 @@ class TestEncoderGradients:
     def test_finite_difference_through_projection(self):
         """d(loss)/d(projection) via the sparse path vs central differences
         on a scalar loss = v . encode(text)."""
-        enc = HashedNgramEncoder(self.CFG, seed=5)
+        projection = HashedNgramEncoder(self.CFG, seed=5).projection
         text = "gradient check text"
-        idx, weights = enc.features([text]).row(0)
+        idx, weights = featurize_rows([text], self.CFG).row(0)
         v = np.arange(1.0, 5.0)  # fixed linear functional
+
+        def loss_at(j, col, value):
+            moved = projection.copy()
+            moved[j, col] = value
+            return float(v @ _encoder_with(self.CFG, moved).encode(text))
 
         g = v.copy()  # d(v . e)/d e
         h = 1e-6
         for pos, (j, w) in enumerate(zip(idx.tolist(), weights.tolist())):
             for col in range(4):
                 analytic = w * g[col]
-                orig = enc.projection[j, col]
-                _set_entry(enc, j, col, orig + h)
-                up = float(v @ enc.encode(text))
-                _set_entry(enc, j, col, orig - h)
-                down = float(v @ enc.encode(text))
-                _set_entry(enc, j, col, orig)
+                orig = projection[j, col]
+                up = loss_at(j, col, orig + h)
+                down = loss_at(j, col, orig - h)
                 fd = (up - down) / (2 * h)
                 assert abs(analytic - fd) < 1e-6, (pos, col)
 
@@ -783,7 +785,8 @@ class TestTrainingBatch:
         sizes = {name: buf.size for name, buf in build._buffers.items()}
         for rows in ([3], [4], [1, 3], [5, 0, 2]):
             got = build(np.array(rows))
-            fresh = enc.training_batches(feats)(np.array(rows))
+            fresh = HashedNgramEncoder(cfg, seed=4).training_batches(feats)(
+                np.array(rows))
             assert got.touched.tolist() == fresh.touched.tolist()
             np.testing.assert_array_equal(got.weights, fresh.weights)
             np.testing.assert_array_equal(got.projection_rows,
@@ -835,18 +838,59 @@ class TestTrainingBatch:
         assert len(build(np.array([3, 1, 0]))) == 3
         assert len(build(np.array([1]))) == 1
 
+    def test_only_an_encoder_that_stores_no_rows_is_fit(self):
+        """A fit writes the row set of a fresh encoder once; an encoder
+        that stores rows, fit or loaded, is not fit again."""
+        cfg = sf.EncoderConfig(dim=4, ngram_sizes=(3,), buckets=64)
+        enc = HashedNgramEncoder(cfg, seed=1)
+        feats = enc.features(["one two", "three", ""])
+        enc.training_batches(feats)
+        loaded = HashedNgramEncoder(cfg, seed=1, stored=enc.stored_rows())
+        for used in (enc, loaded):
+            with pytest.raises(sf.RunStateError, match="stores no rows"):
+                used.training_batches(feats)
+        # Features with no entries store nothing, so the encoder stays fresh.
+        empty = HashedNgramEncoder(cfg, seed=1)
+        empty.training_batches(empty.features(["", "ab"]))
+        empty.training_batches(feats)
+        assert empty.stored_rows()[0].tolist() == \
+            enc.stored_rows()[0].tolist()
+
+    def test_fit_slots_take_4_bytes_per_entry(self):
+        """numpy reports its buffers to tracemalloc: the slot-space
+        features a fit keeps hold each entry's slot as the slot map's
+        int32, not an int64 copy."""
+        cfg = sf.EncoderConfig(dim=4, ngram_sizes=(3, 4), buckets=2 ** 10)
+        letters = np.frombuffer(b"abcdefghijklmnopqrstuvwxyz ", dtype=np.uint8)
+        codes = letters[np.random.default_rng(7).integers(0, 27, (300, 400))]
+        feats = featurize_rows([row.tobytes().decode("ascii")
+                                for row in codes], cfg)
+        enc = HashedNgramEncoder(cfg, seed=1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            build = enc.training_batches(feats)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        n = feats.idx.size
+        assert n > 100_000 and build.feats.idx.nbytes == 4 * n
+        # Beside the slots: the vocabulary's rows, and the builder's mask
+        # and column map of 9 bytes per stored row.
+        assert held - enc._rows.nbytes < 5 * n
+
 
 class TestEncoderConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(sf.ConfigurationError):
             sf.EncoderConfig(dim=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(sf.ConfigurationError):
             sf.EncoderConfig(buckets=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(sf.ConfigurationError):
             sf.EncoderConfig(ngram_sizes=())
-        with pytest.raises(ValueError):
+        with pytest.raises(sf.ConfigurationError):
             sf.EncoderConfig(ngram_sizes=(0,))
-        with pytest.raises(ValueError):
+        with pytest.raises(sf.ConfigurationError):
             sf.EncoderConfig(lr_small=0.0)
 
     def test_defaults(self):

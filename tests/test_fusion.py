@@ -494,21 +494,21 @@ class TestFusionConfig:
         assert cfg.threshold == 0.5
 
     def test_threshold_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(sf.ConfigurationError):
             sf.FusionConfig(threshold=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(sf.ConfigurationError):
             sf.FusionConfig(threshold=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(sf.ConfigurationError):
             sf.FusionConfig(threshold=(0.5, 1.5))
 
     def test_other_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(sf.ConfigurationError):
             sf.FusionConfig(epochs=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(sf.ConfigurationError):
             sf.FusionConfig(train_batch_size=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(sf.ConfigurationError):
             sf.FusionConfig(lr_high=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(sf.ConfigurationError):
             sf.FusionConfig(hidden_sizes=(0,))
 
     _threshold = st.floats(0.01, 0.99)

@@ -25,7 +25,6 @@ from scorefusion.llm import (
     TEXT_BEGIN,
     TEXT_END,
     HttpChatProvider,
-    LLMScore,
     build_prompt,
     extract_prompt_text,
     make_provider,
@@ -159,19 +158,6 @@ class TestParseScores:
     def test_total_on_arbitrary_bytes(self, blob):
         out = sf.parse_scores(blob.decode("latin-1"), SCHEMA)
         assert all(0.0 <= s <= 1.0 for s in out.scores)
-
-
-class TestLLMScore:
-    def test_range_enforced(self):
-        with pytest.raises(ValueError):
-            LLMScore((1.2, 0.0), parse_ok=True)
-
-    def test_fallback_is_uniform(self):
-        fb = LLMScore.uniform_fallback(4)
-        assert fb.scores == (0.25,) * 4
-        assert not fb.parse_ok
-        with pytest.raises(ValueError):
-            LLMScore((0.9, 0.1), parse_ok=False)
 
 
 _OPENAI = {"provider_id": "openai-compatible", "model_name": "gpt-4o-mini",
@@ -774,7 +760,7 @@ class TestScoreBatch:
         provider = GarbageFirst(sf.MockProvider(self.TABLE, SCHEMA))
         [first] = sf.score_batch(["t1"], SCHEMA, MC, pcfg, cache=cache,
                                  provider=provider)
-        assert tuple(first) == LLMScore.uniform_fallback(3).scores
+        assert tuple(first) == (1 / 3,) * 3
         assert list((tmp_path / "c").glob("log-*")) == []
         [second] = sf.score_batch(["t1"], SCHEMA, MC, pcfg, cache=cache,
                                   provider=provider)
@@ -874,6 +860,69 @@ class TestScoreProviders:
     def _block(self, texts):
         return np.array([self.TABLES[0][t] + self.TABLES[1][t]
                          for t in texts])
+
+    @pytest.mark.parametrize("batch_size", [2, 8])
+    def test_rejection_stops_the_provider(self, monkeypatch, batch_size):
+        """A 401 fails the same way for every text: after it the provider
+        is asked nothing more in the pass, only requests in flight finish,
+        and every row left unscored is listed. Its workers drain one
+        deque at once; a lost or doubled pop would change a count."""
+        monkeypatch.setenv("OPENAI_API_KEY", "k")
+        calls = []
+
+        def transport(url, headers, body, timeout_s):
+            calls.append(1)
+            return 401, '{"error": "invalid api key"}'
+
+        pcfg = sf.ProviderConfig(provider_id="openai",
+                                 llm_batch_size=batch_size)
+        texts = [f"text {i}" for i in range(200)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.raises(sf.ProviderUnavailableError) as info:
+                score_providers(texts, SCHEMA, MC, (pcfg,), None,
+                                (HttpChatProvider(pcfg, transport=transport),))
+        finally:
+            sys.setswitchinterval(interval)
+        assert 1 <= len(calls) <= batch_size
+        assert info.value.failed_indices == list(range(200))
+        assert info.value.last_status == 401
+        assert f"; {200 - len(calls)} texts not attempted on " \
+            "openai-compatible/gpt-4o-mini after status 401: " \
+            in str(info.value)
+
+    def test_rejection_keeps_the_scores_paid_for(self, tmp_path,
+                                                 monkeypatch):
+        """A provider that answers 5 texts, then 401s, leaves those 5 in
+        the cache; a second provider scores and caches every text."""
+        monkeypatch.setenv("OPENAI_API_KEY", "k")
+        answers = sf.MockProvider(self.TABLES[0], SCHEMA)
+        calls = []
+
+        def transport(url, headers, body, timeout_s):
+            calls.append(1)
+            if len(calls) > 5:
+                return 401, "{}"
+            reply = answers.complete(body["messages"][0]["content"])
+            return 200, json.dumps({"choices": [{"message": {
+                "content": reply}}]})
+
+        cache = cache_open(tmp_path / "c", "f" * 64)
+        pcfgs = (sf.ProviderConfig(provider_id="openai", llm_batch_size=1),
+                 self._pcfgs(1, 2)[1])
+        providers = (HttpChatProvider(pcfgs[0], transport=transport),
+                     sf.MockProvider(self.TABLES[1], SCHEMA))
+        with pytest.raises(sf.ProviderUnavailableError) as info:
+            score_providers(self.TEXTS, SCHEMA, MC, pcfgs, cache, providers)
+        assert len(calls) == 6
+        assert info.value.failed_indices == list(range(5, 12))
+        assert "; 6 texts not attempted on openai-compatible" \
+            in str(info.value)
+        for i, text in enumerate(self.TEXTS):
+            assert cache.get(_key(pcfgs[0], text)) == \
+                (self.TABLES[0][text] if i < 5 else None)
+            assert cache.get(_key(pcfgs[1], text)) == self.TABLES[1][text]
 
     def test_block_equals_score_batch_per_provider(self, tmp_path):
         cache = cache_open(tmp_path / "c", "f" * 64)

@@ -50,6 +50,15 @@ def _model_arrays(model):
     return [*vectors, *model.fusion_params.weights, *model.fusion_params.biases]
 
 
+def _with_projection(model, projection):
+    """`model` with its hashed encoder rebuilt on the same start, storing
+    every row of `projection`."""
+    cfg = model.encoder.cfg
+    return replace(model, encoder=HashedNgramEncoder(
+        cfg, model.encoder.init_seed,
+        stored=(np.arange(cfg.buckets), projection)))
+
+
 def _fit_toy(toy_dataset, toy_table, cfg=None, **fit_kw):
     cfg = cfg or small_fusion_config()
     provider = sf.MockProvider(toy_table, toy_dataset.schema)
@@ -278,7 +287,7 @@ class TestBuildConfig:
             sf.AutoFusionConfig(label_columns=("a", "b"), text_column=5)
         with pytest.raises(sf.ConfigurationError, match="label_columns"):
             sf.AutoFusionConfig(label_columns="ab")
-        with pytest.raises(ValueError, match="seed must be >= 0"):
+        with pytest.raises(sf.ConfigurationError, match="seed must be >= 0"):
             sf.FusionConfig(seed=-1)
         with pytest.raises(sf.ConfigurationError,
                            match="^lr_high must be a finite number"):
@@ -1078,9 +1087,9 @@ class TestSaveLoad:
         set bit is the sign of a -0.0 is stored and reads back as -0.0."""
         model = sf.load_model(DATA / "model_v2.json")
         assert not model.encoder.projection[5].any()
-        row = np.zeros((1, model.encoder.dim))
-        row[0, 1] = -0.0
-        model.encoder.set_rows(np.array([5]), row)
+        projection = model.encoder.projection.copy()
+        projection[5, 1] = -0.0
+        model = _with_projection(model, projection)
         enc = self._assert_resave_stable(model, tmp_path)
         assert 5 in enc["rows"]
 
@@ -1091,7 +1100,9 @@ class TestSaveLoad:
         start = sign_init(model.encoder.init_seed, cfg.buckets, cfg.dim)
         [row, *_] = np.flatnonzero((model.encoder.projection != start)
                                    .any(axis=1))
-        model.encoder.set_rows(np.array([row]), start[row][None])
+        projection = model.encoder.projection.copy()
+        projection[row] = start[row]
+        model = _with_projection(model, projection)
         enc = self._assert_resave_stable(model, tmp_path)
         assert row not in enc["rows"]
 
@@ -1290,17 +1301,18 @@ class TestSaveLoad:
     @pytest.mark.parametrize("seed", [None, 2 ** 63 + 5])
     def test_moved_rows_at_block_boundaries(self, seed, tmp_path):
         cfg = sf.EncoderConfig(dim=16, ngram_sizes=(3,), buckets=40)
-        enc = HashedNgramEncoder(cfg, seed=seed)
         moved = [0, 15, 16, 31, 32, 39]
-        values = enc.projection[moved]
+        stored = [0, 1, 15, 16, 20, 31, 32, 38, 39]
+        rows = HashedNgramEncoder(cfg, seed=seed).projection[stored]
+        values = rows[np.isin(stored, moved)]
         for i, row in enumerate(moved):
             # A lone -0.0 over a zero start, a sign flip over sign_init.
             values[i, row % 16] = -0.0 if seed is None \
                 else -values[i, row % 16]
-        # Rows stored at their start are not moved; the moved rows are
-        # stored after them, so the store is out of bucket order.
-        enc.set_rows(np.array([38, 1, 20]), enc.projection[[38, 1, 20]])
-        enc.set_rows(np.array(moved), values)
+        # Rows 1, 20 and 38 are stored at their start, so not moved.
+        rows[np.isin(stored, moved)] = values
+        enc = HashedNgramEncoder(cfg, seed=seed,
+                                 stored=(np.array(stored), rows))
         with mock.patch("scorefusion.encoder._INIT_BLOCK_VALUES", 256):
             ids, rows = enc.moved_rows()
             assert ids.tolist() == moved
@@ -1320,9 +1332,9 @@ class TestSaveLoad:
     def test_moved_rows_unchanged_projection(self):
         cfg = sf.EncoderConfig(dim=3, ngram_sizes=(3,), buckets=2 ** 12)
         for seed in (None, 0):
-            enc = HashedNgramEncoder(cfg, seed=seed)
             buckets = np.array([5, 70, 600])
-            enc.set_rows(buckets, enc.projection[buckets])
+            enc = HashedNgramEncoder(cfg, seed=seed, stored=(
+                buckets, HashedNgramEncoder(cfg, seed=seed).projection[buckets]))
             assert enc.stored_rows()[0].tolist() == buckets.tolist()
             assert enc.moved_rows()[0].tolist() == []
 
