@@ -529,13 +529,21 @@ class HashedNgramEncoder:
         its start rows in ascending bucket order, so the sorted slots of a
         batch's buckets are in bucket order. The features' buckets are
         mapped to their int32 slots once per fit. An encoder that already
-        stores rows is a RunStateError: a fit starts from a fresh one."""
+        stores rows is a RunStateError: a fit starts from a fresh one, and
+        a store that cannot be allocated is a ConfigurationError naming its
+        size, not a numpy MemoryError."""
         if self._rows.shape[0]:
             raise RunStateError("a fit needs an encoder that stores no rows")
         mask = np.zeros(self.cfg.buckets, dtype=bool)
         mask[feats.idx] = True
         vocabulary = np.flatnonzero(mask)
-        self._rows = self._start_rows(vocabulary)
+        try:
+            self._rows = self._start_rows(vocabulary)
+        except MemoryError:
+            raise ConfigurationError(
+                f"the encoder row store, {vocabulary.size} rows of dim "
+                f"{self.cfg.dim} ({8 * vocabulary.size * self.cfg.dim} "
+                "bytes), cannot be allocated") from None
         self._slot[vocabulary] = np.arange(vocabulary.size)
         return TrainingBatches(
             CsrRows(feats.indptr, self._slot[feats.idx], feats.w), self)

@@ -41,7 +41,7 @@ class UnknownTextError(DataError):
 
 
 class ProviderUnavailableError(ScoreFusionError):
-    """All retries against a provider endpoint failed.
+    """A provider endpoint rejected a request, or all retries failed.
 
     Attributes:
         last_status: HTTP status (or None for transport-level failures) of

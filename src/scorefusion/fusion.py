@@ -85,14 +85,22 @@ class FusionParams:
 
 def init_fusion_params(input_dim: int, hidden_sizes: Sequence[int], k: int,
                        seed: int) -> FusionParams:
-    """Seeded Glorot-uniform weights, zero biases."""
+    """Seeded Glorot-uniform weights, zero biases. A layer that cannot be
+    allocated is a ConfigurationError naming its shape and bytes, not a
+    numpy MemoryError."""
     rng = np.random.default_rng(seed)
     dims = [input_dim, *hidden_sizes, k]
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
+        try:
+            weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+            biases.append(np.zeros(fan_out))
+        except MemoryError:
+            raise ConfigurationError(
+                f"the fusion layer of shape ({fan_in}, {fan_out}), "
+                f"{8 * (fan_in + 1) * fan_out} bytes with its biases, "
+                "cannot be allocated") from None
     return FusionParams(weights, biases)
 
 

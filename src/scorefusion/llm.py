@@ -17,8 +17,7 @@ import random
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import suppress
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional, Sequence
@@ -239,9 +238,10 @@ def parse_scores(response_text: str, schema: LabelSchema) -> LLMScore:
 
 
 class TransientProviderError(Exception):
-    """Internal: a single attempt failed in a way worth retrying (transport
-    error, retryable status, or a malformed response envelope).
-    `retry_after_s` is the delay a 429 or 503 reply asked for, if any."""
+    """Internal: a single attempt failed (a transport error with status
+    None, a non-2xx status, or a malformed response envelope); `score_text`
+    decides whether it is retried. `retry_after_s` is the delay a 429 or
+    503 reply asked for, if any."""
 
     def __init__(self, status: int | None, detail: str,
                  retry_after_s: float | None = None):
@@ -254,10 +254,12 @@ class TransientProviderError(Exception):
 RETRY_AFTER_CAP_S = 60.0
 
 
-def _retryable_status(status: int) -> bool:
-    """Request timeout, rate limiting and server errors may pass on retry;
-    any other 4xx will fail the same way every time."""
-    return status in (408, 429) or status >= 500
+def _rejected(status: int | None) -> bool:
+    """Whether a failed attempt will fail the same way on retry: any status
+    but 2xx (a malformed envelope), 408, 429 and 5xx, and not a transport
+    error (None)."""
+    return status is not None and not (
+        200 <= status < 300 or status in (408, 429) or status >= 500)
 
 
 def _retry_after_s(status: int, header: str | None) -> float | None:
@@ -316,15 +318,8 @@ class HttpChatProvider:
         except Exception as exc:
             raise TransientProviderError(None, f"transport error: {exc}") from exc
         if not 200 <= status < 300:
-            detail = f"status {status}: {text[:200]}"
-            if not _retryable_status(status):
-                raise ProviderUnavailableError(
-                    f"provider {self.pcfg.provider_id} rejected the request "
-                    f"(not retried): {detail}",
-                    last_status=status,
-                )
             raise TransientProviderError(
-                status, detail,
+                status, f"status {status}: {text[:200]}",
                 _retry_after_s(status, header[0] if header else None))
         try:
             return self._extract_message(text)
@@ -448,36 +443,32 @@ def score_text(text: str, schema: LabelSchema, mode: TaskMode,
     """Score one text with retries.
 
     Sends the build_prompt output to the provider at the configured
-    temperature. On a transport error, a malformed envelope or status 408,
-    429 or 5xx, retries up to max_retries. Before retry n (from 0) it waits
-    what a 429 or 503 reply's delta-seconds Retry-After asks, at most
-    RETRY_AFTER_CAP_S, or else a uniform random time in
+    temperature and returns parse_scores of the reply. A failed attempt
+    `_rejected` names raises ProviderUnavailableError at once; any other
+    is retried up to max_retries times, then raises it. Before retry n
+    (from 0) it waits what a 429 or 503 reply's delta-seconds Retry-After
+    asks, at most RETRY_AFTER_CAP_S, or else a uniform random time in
     [0, backoff_base_ms * 2^n] (exponential backoff with full jitter).
-    Returns parse_scores of the final body; raises ProviderUnavailableError
-    once retries are exhausted, and at once for any other non-success
-    status.
     """
     prompt = build_prompt(text, schema, mode)
-    last: TransientProviderError | None = None
     for attempt in range(pcfg.max_retries + 1):
         try:
-            body = provider.complete(prompt)
-            return parse_scores(body, schema)
+            return parse_scores(provider.complete(prompt), schema)
         except TransientProviderError as exc:
-            last = exc
+            if _rejected(exc.status):
+                raise ProviderUnavailableError(
+                    f"provider {pcfg.provider_id} rejected the request "
+                    f"(not retried): {exc}", last_status=exc.status) from exc
             if attempt == pcfg.max_retries:
-                break
+                raise ProviderUnavailableError(
+                    f"provider {pcfg.provider_id} unavailable after "
+                    f"{pcfg.max_retries + 1} attempts: {exc}",
+                    last_status=exc.status) from exc
             if exc.retry_after_s is not None:
                 _sleep(min(exc.retry_after_s, RETRY_AFTER_CAP_S))
             else:
                 _sleep(_uniform(0.0, pcfg.backoff_base_ms * 2 ** attempt
                                 / 1000.0))
-    assert last is not None
-    raise ProviderUnavailableError(
-        f"provider {pcfg.provider_id} unavailable after "
-        f"{pcfg.max_retries + 1} attempts: {last}",
-        last_status=last.status,
-    )
 
 
 def score_batch(texts: Sequence[str], schema: LabelSchema, mode: TaskMode,
@@ -524,15 +515,18 @@ def score_providers(texts: Sequence[str], schema: LabelSchema,
     another count of clients is a ConfigurationError, and a bare str is a
     DataError, both raised before any call.
 
-    If a text still fails after retries, on any provider, the pass raises
-    ProviderUnavailableError once every provider is done. It names the
-    failing providers, failed_indices holds the sorted rows of every
-    failing text, and its cause is the failure of the lowest such row
-    (first provider first); partial results are never returned silently.
-    A provider that rejects a request with a 4xx status no retry can pass
-    (any but 408 and 429) is asked nothing more in this pass: only its
-    requests already in flight finish, the texts it never tried count as
-    failed, and the message gives their number and the status.
+    Each provider's `found` mask marks the distinct texts it has a score
+    for: its cache hits, then each fetched score or parse fallback. If a
+    text still fails after retries, on any provider, the pass raises
+    ProviderUnavailableError once every provider is done: it names the
+    providers whose mask is not full, failed_indices holds the sorted
+    rows a mask leaves unscored (the message shows 10), and its cause is
+    the failure of the lowest such row (first provider first). A failure
+    `_rejected` names (a 401 for a bad key, say) stops its provider: its
+    deque is cleared, so only its requests in flight finish, and the
+    message gives the number of texts it never tried and the status. An
+    interrupt, or a worker raising anything else, stops every provider so
+    and is re-raised.
     """
     check_texts(texts)
     if providers is not None and len(providers) != len(pcfgs):
@@ -552,7 +546,8 @@ def score_providers(texts: Sequence[str], schema: LabelSchema,
     prefixes = [cache_key_prefix(pcfg.provider_id, pcfg.model_name, template)
                 for pcfg in pcfgs]
     blocks: list[np.ndarray] = []  # per provider, row d for distinct[d]
-    misses: list[deque[int]] = []  # per provider, the d to fetch
+    founds: list[np.ndarray] = []  # per provider, whether row d is scored
+    misses: list[deque[int]] = []  # per provider, the d still to fetch
     for prefix in prefixes:
         if cache is None:
             block = np.empty((len(distinct), k))
@@ -561,15 +556,16 @@ def score_providers(texts: Sequence[str], schema: LabelSchema,
             block, found = cache.get_many(
                 (prefix + text_digest(text) for text in distinct), k)
         blocks.append(block)
+        founds.append(found)
         misses.append(deque(np.flatnonzero(~found).tolist()))
 
     if providers is None:
         providers = [make_provider(pcfg, schema) if missing else None
                      for pcfg, missing in zip(pcfgs, misses)]
+    # Each text a provider was asked for and failed on, as (d, j, error),
+    # and per provider a rejection stopped, its status.
     failures: list[tuple[int, int, ProviderUnavailableError]] = []
-    # Per provider stopped by a rejection: its status and the d it left
-    # untried, each also listed in failures.
-    stopped: dict[int, tuple[int, list[int]]] = {}
+    stops: dict[int, int] = {}
 
     def drain(j: int) -> None:
         pcfg, provider, missing = pcfgs[j], providers[j], misses[j]
@@ -583,17 +579,12 @@ def score_providers(texts: Sequence[str], schema: LabelSchema,
                                    _sleep=_sleep, _uniform=_uniform)
             except ProviderUnavailableError as exc:
                 failures.append((d, j, exc))
-                status = exc.last_status
-                if status is not None and 400 <= status < 500 \
-                        and not _retryable_status(status):
-                    untried = stopped.setdefault(j, (status, []))[1]
-                    while missing:
-                        with suppress(IndexError):  # another worker won
-                            skipped = missing.popleft()
-                            untried.append(skipped)
-                            failures.append((skipped, j, exc))
+                if _rejected(exc.last_status):
+                    stops.setdefault(j, exc.last_status)
+                    missing.clear()
                 continue
             blocks[j][d] = score.scores
+            founds[j][d] = True
             if cache is None or not score.parse_ok:
                 continue
             try:
@@ -607,27 +598,32 @@ def score_providers(texts: Sequence[str], schema: LabelSchema,
                for _ in range(min(pcfg.llm_batch_size, len(missing)))]
     if workers:
         with ThreadPoolExecutor(max_workers=len(workers)) as pool:
-            for future in [pool.submit(drain, j) for j in workers]:
-                future.result()
+            try:
+                for future in as_completed([pool.submit(drain, j)
+                                            for j in workers]):
+                    future.result()
+            except BaseException:
+                for missing in misses:
+                    missing.clear()
+                raise
 
     if failures:
-        # distinct[d] first appears before distinct[d + 1]: by (d, j) is by
-        # (lowest row, provider)
-        failures.sort(key=lambda failure: failure[:2])
+        names = [f"{pcfg.provider_id}/{pcfg.model_name}" for pcfg in pcfgs]
         indices = np.flatnonzero(
-            np.isin(inverse, [d for d, _, _ in failures])).tolist()
-        failed = {j for _, j, _ in failures}
-        names = ", ".join(f"{pcfg.provider_id}/{pcfg.model_name}"
-                          for j, pcfg in enumerate(pcfgs) if j in failed)
+            ~np.logical_and.reduce(founds)[inverse]).tolist()
+        shown = ", ".join(map(str, indices[:10])) \
+            + (", ..." if len(indices) > 10 else "")
+        tried = [j for _, j, _ in failures]
         not_tried = "".join(
-            f"; {len(untried)} texts not attempted on "
-            f"{pcfgs[j].provider_id}/{pcfgs[j].model_name} after status "
-            f"{status}" for j, (status, untried) in sorted(stopped.items()))
-        first_failure = failures[0][2]
+            f"; {np.count_nonzero(~founds[j]) - tried.count(j)} texts not "
+            f"attempted on {names[j]} after status {status}"
+            for j, status in sorted(stops.items()))
+        cause = min(failures, key=lambda failure: failure[:2])[2]
         raise ProviderUnavailableError(
-            f"{len(indices)} of {len(texts)} texts failed on {names} "
-            f"(indices {indices}){not_tried}: {first_failure}",
-            last_status=first_failure.last_status,
+            f"{len(indices)} of {len(texts)} texts failed on "
+            f"{', '.join(n for n, f in zip(names, founds) if not f.all())} "
+            f"(indices [{shown}]){not_tried}: {cause}",
+            last_status=cause.last_status,
             failed_indices=indices,
         )
 

@@ -211,27 +211,23 @@ def _bit(value, where: str, row: int, column: str) -> int:
 # A diverging fit is reported by the finite-loss check, not by numpy
 # overflow warnings on the way there.
 @np.errstate(over="ignore", invalid="ignore")
-def _train(encoder, feats, targets: Sequence[LabelVector],
-           scores: np.ndarray, schema: LabelSchema, mode: TaskMode,
-           fcfg: FusionConfig, validation_fraction: float,
-           run: Optional[RunHandle],
-           ) -> tuple[FusionParams, Optional[MetricsReport], Predictions]:
+def _train(encoder, feats, batches, params: FusionParams,
+           targets: Sequence[LabelVector], scores: np.ndarray,
+           schema: LabelSchema, mode: TaskMode, fcfg: FusionConfig,
+           validation_fraction: float, run: Optional[RunHandle],
+           ) -> Optional[MetricsReport]:
     """The two-rate loop over inputs [embedding | scores row], from the
-    encoder's features of the texts; returns the head, the last validation
-    report and the predictions for every row."""
+    encoder's features of the texts and their training batches, stepping
+    the head `params` in place; returns the last validation report."""
     n = len(targets)
     d = encoder.dim
-    k = schema.K
-    _, fus_seed, shuffle_seed = _derive_seeds(fcfg.seed)
-    params = init_fusion_params(d + scores.shape[1], fcfg.hidden_sizes, k,
-                                fus_seed)
+    _, _, shuffle_seed = _derive_seeds(fcfg.seed)
 
     y = np.array([t.bits for t in targets], dtype=np.float64)
     rng = np.random.default_rng(shuffle_seed)
     perm = rng.permutation(n)
     n_val = min(int(validation_fraction * n), n - 1)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
-    batches = encoder.training_batches(feats)
     val_feats, val_scores = feats[val_idx], scores[val_idx]
     # Every batch's input [embedding | scores row] is written into the
     # leading rows of one matrix sized for the largest batch.
@@ -271,10 +267,7 @@ def _train(encoder, feats, targets: Sequence[LabelVector],
                          "val_macro_f1": last_report.f1}
         if run is not None:
             run.log_epoch(epoch, loss_sum / order.size, **log_extra)
-    # The batch buffers are not needed for the final predictions.
-    del batches, enc_batch
-    return params, last_report, _decide_inputs(
-        encoder.embed_features(feats), scores, params, mode, fcfg.threshold)
+    return last_report
 
 
 def _decide_inputs(embs: np.ndarray, scores: np.ndarray, params: FusionParams,
@@ -292,9 +285,10 @@ def fit(ds: Dataset, cfg: AutoFusionConfig,
     """Train a fusion classifier.
 
     Order of work: validate, build the encoder, fingerprint, featurize
-    every text (so a bad embedding file or a text it lacks fails before any
-    score is paid for), open cache, prefetch LLM scores for every text,
-    then run the joint two-rate loop.
+    every text, allocate the encoder's row store and the head (so a bad
+    embedding file, a text it lacks or a size that cannot be allocated
+    fails before any score is paid for), open cache, prefetch LLM scores
+    for every text, then run the joint two-rate loop.
     `providers` optionally injects one client object per configured
     provider (testing hook).
 
@@ -312,15 +306,24 @@ def fit(ds: Dataset, cfg: AutoFusionConfig,
     texts = ds.texts()
     feats = encoder.features(texts)
     pcfgs = cfg.llm_providers
+    batches = encoder.training_batches(feats)
+    _, fus_seed, _ = _derive_seeds(cfg.fusion.seed)
+    k = ds.schema.K
+    params = init_fusion_params(encoder.dim + len(pcfgs) * k,
+                                cfg.fusion.hidden_sizes, k, fus_seed)
     if pcfgs and cache is None and cfg.cache_dir is not None:
         cache = cache_open(cfg.cache_dir, fingerprint, policy=cfg.cache_policy)
     scores = score_providers(texts, ds.schema, ds.mode, pcfgs, cache,
                              providers)
     run = run_create(runs_root, cfg.to_dict(), fingerprint, ds.schema.labels)
     targets = [row.target for row in ds.rows]
-    params, last_report, preds = _train(
-        encoder, feats, targets, scores, ds.schema, ds.mode,
-        cfg.fusion, cfg.validation_fraction, run)
+    last_report = _train(encoder, feats, batches, params, targets, scores,
+                         ds.schema, ds.mode, cfg.fusion,
+                         cfg.validation_fraction, run)
+    del batches  # its buffers are not needed for the final predictions
+    with np.errstate(over="ignore", invalid="ignore"):
+        preds = _decide_inputs(encoder.embed_features(feats), scores, params,
+                               ds.mode, cfg.fusion.threshold)
     model = FusionModel(cfg, encoder, params)
     run.store_predictions(preds, targets)
     return model, run.finalize(last_report)

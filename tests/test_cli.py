@@ -196,6 +196,27 @@ class TestTrain:
         assert not (workdir / "runs").exists()
         assert not (workdir / "model.json").exists()
 
+    def test_head_too_large_exit_1(self, workdir, capsys, monkeypatch):
+        """A hidden layer of 2^45 units cannot be allocated: one typed line
+        naming the layer, and no provider call, run or model."""
+        calls = []
+        complete = sf.MockProvider.complete
+
+        def counted(self, prompt):
+            calls.append(1)
+            return complete(self, prompt)
+
+        monkeypatch.setattr(sf.MockProvider, "complete", counted)
+        code, _, err = _train(workdir, capsys, "--set",
+                              f"fusion.hidden_sizes=[{2 ** 45}]")
+        assert code == 1
+        assert err.startswith("error[config]:") and err.count("\n") == 1
+        assert "fusion layer of shape (18, 35184372088832)" in err
+        assert "cannot be allocated" in err
+        assert calls == []
+        assert not (workdir / "runs").exists()
+        assert not (workdir / "model.json").exists()
+
     @pytest.mark.parametrize("override, named", [
         ("encoder.ngram_sizes=[3, 18446744073709551616]", "ngram_sizes"),
         ("encoder.ngram_sizes=[9223372036854775808]", "ngram_sizes"),

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import signal
 import sys
 import threading
 import time
@@ -25,6 +26,7 @@ from scorefusion.llm import (
     TEXT_BEGIN,
     TEXT_END,
     HttpChatProvider,
+    TransientProviderError,
     build_prompt,
     extract_prompt_text,
     make_provider,
@@ -302,6 +304,20 @@ class TestHttpChatProvider:
         assert seen["headers"]["x-goog-api-key"] == "g-test"
         assert seen["body"]["contents"][0]["parts"][0]["text"] == "PROMPT"
 
+    @pytest.mark.parametrize("status", [304, 401, 408, 503])
+    def test_complete_only_reports_a_failed_status(self, monkeypatch,
+                                                   status):
+        """Every non-2xx reply is reported alike; score_text decides
+        whether it is retried."""
+        monkeypatch.setenv("OPENAI_API_KEY", "k")
+        provider = HttpChatProvider(
+            sf.ProviderConfig(provider_id="openai"),
+            transport=lambda url, headers, body, timeout_s: (status, "no"))
+        with pytest.raises(TransientProviderError) as info:
+            provider.complete("PROMPT")
+        assert info.value.status == status
+        assert str(info.value) == f"status {status}: no"
+
 
 class TestScoreTextRetries:
     # random.Random(0).uniform(0, 0.1), then .uniform(0, 0.2): full jitter
@@ -389,7 +405,8 @@ class TestScoreTextRetries:
     def test_retry_after_only_on_429_and_503(self, monkeypatch, status):
         assert self._sleeps_on(monkeypatch, status, "7") == self.JITTERED
 
-    @pytest.mark.parametrize("status", [401, 404])
+    # A 1xx or 3xx reply carries no scores, and will not on retry either.
+    @pytest.mark.parametrize("status", [401, 404, 101, 300, 304, 307])
     def test_permanent_status_fails_without_retry(self, monkeypatch, status):
         monkeypatch.setenv("OPENAI_API_KEY", "k")
 
@@ -892,6 +909,48 @@ class TestScoreProviders:
             "openai-compatible/gpt-4o-mini after status 401: " \
             in str(info.value)
 
+    @pytest.mark.parametrize("status", [300, 304])
+    def test_redirect_status_stops_the_provider(self, monkeypatch, status):
+        """A 3xx fails every text alike, so it stops the provider as a 401
+        does: every row is listed, and the message names the texts never
+        tried."""
+        monkeypatch.setenv("OPENAI_API_KEY", "k")
+        calls = []
+
+        def transport(url, headers, body, timeout_s):
+            calls.append(1)
+            return status, ""
+
+        pcfg = sf.ProviderConfig(provider_id="openai", llm_batch_size=2)
+        with pytest.raises(sf.ProviderUnavailableError) as info:
+            score_providers([f"text {i}" for i in range(200)], SCHEMA, MC,
+                            (pcfg,), None,
+                            (HttpChatProvider(pcfg, transport=transport),))
+        assert 1 <= len(calls) <= pcfg.llm_batch_size
+        assert info.value.failed_indices == list(range(200))
+        assert info.value.last_status == status
+        assert f"; {200 - len(calls)} texts not attempted on " \
+            f"openai-compatible/gpt-4o-mini after status {status}: " \
+            in str(info.value)
+
+    def test_message_shows_ten_indices(self, monkeypatch):
+        """A rejection on 1,000 texts lists all 1,000 rows in
+        failed_indices, and only the first 10 in the one-line message."""
+        monkeypatch.setenv("OPENAI_API_KEY", "k")
+        pcfg = sf.ProviderConfig(provider_id="openai", llm_batch_size=1)
+        provider = HttpChatProvider(
+            pcfg, transport=lambda url, headers, body, timeout_s: (401, "{}"))
+        with pytest.raises(sf.ProviderUnavailableError) as info:
+            score_providers([f"text {i}" for i in range(1000)], SCHEMA, MC,
+                            (pcfg,), None, (provider,))
+        assert info.value.failed_indices == list(range(1000))
+        message = str(info.value)
+        assert len(message.encode("utf-8")) < 1024
+        assert message.startswith(
+            "1000 of 1000 texts failed on openai-compatible/gpt-4o-mini "
+            "(indices [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...]); 999 texts not "
+            "attempted on ")
+
     def test_rejection_keeps_the_scores_paid_for(self, tmp_path,
                                                  monkeypatch):
         """A provider that answers 5 texts, then 401s, leaves those 5 in
@@ -1088,6 +1147,63 @@ class TestScoreProviders:
                                              if t in failing]
         assert sum(cache.get(_key(pcfg, t)) is not None
                    for pcfg in pcfgs for t in set(texts)) == 4 * 150 - 22
+
+    def test_crashed_worker_stops_every_provider(self):
+        """A provider raising an error no retry handles stops the pass:
+        the other provider finishes only its requests in flight, and the
+        error is re-raised."""
+        class Crashes(sf.MockProvider):
+            def complete(self, prompt):
+                raise RuntimeError("client bug")
+
+        class Slow(sf.MockProvider):
+            def complete(self, prompt):
+                time.sleep(0.02)
+                return super().complete(prompt)
+
+        texts = [f"t{i}" for i in range(40)]
+        table = {t: (0.2, 0.3, 0.5) for t in texts}
+        providers = [Crashes(table, SCHEMA), Slow(table, SCHEMA)]
+        pcfgs = self._pcfgs(1, 2)
+        with pytest.raises(RuntimeError, match="client bug"):
+            score_providers(texts, SCHEMA, MC, pcfgs, None, providers)
+        assert providers[1].calls <= 2 * pcfgs[1].llm_batch_size
+
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"),
+                        reason="needs SIGALRM")
+    def test_interrupt_stops_the_pass(self, tmp_path):
+        """An exception raised in the calling thread 0.3 s into a cold pass
+        (an interrupt, say) surfaces once the requests in flight finish,
+        and every score paid for is in the cache."""
+        class Interrupt(BaseException):
+            pass
+
+        def interrupt(signum, frame):
+            raise Interrupt
+
+        class Slow(sf.MockProvider):
+            def complete(self, prompt):
+                time.sleep(0.05)
+                return super().complete(prompt)
+
+        texts = [f"t{i}" for i in range(80)]
+        provider = Slow({t: (0.2, 0.3, 0.5) for t in texts}, SCHEMA)
+        pcfg = self._pcfgs(2)[0]
+        cache = cache_open(tmp_path / "c", "f" * 64)
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        start = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.3)
+            with pytest.raises(Interrupt):
+                score_providers(texts, SCHEMA, MC, (pcfg,), cache,
+                                (provider,))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 1.5  # 80 calls take 2 s
+        assert 1 <= provider.calls <= 20
+        assert sum(cache.get(_key(pcfg, t)) is not None
+                   for t in texts) == provider.calls
 
     @pytest.mark.parametrize("fail0, fail1, status, indices", [
         ({"t3"}, {"t1"}, 502, [1, 3]),        # lowest row first

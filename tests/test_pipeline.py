@@ -369,6 +369,41 @@ class TestFitValidation:
         assert not (tmp_path / "cache").exists()
         assert not (tmp_path / "runs").exists()
 
+    def test_head_too_large_fails_before_scoring(self, toy_dataset,
+                                                 toy_table, tmp_path):
+        """A hidden layer of 2^45 units (4.5 PiB of weights here) cannot be
+        allocated anywhere: a config error naming the layer, before any
+        provider call, cache or run directory."""
+        cfg = small_fusion_config(
+            fusion=sf.FusionConfig(hidden_sizes=(2 ** 45,), lr_high=0.5),
+            cache_dir=str(tmp_path / "cache"))
+        provider = sf.MockProvider(toy_table, toy_dataset.schema)
+        with pytest.raises(sf.ConfigurationError,
+                           match=r"fusion layer of shape \(18, "
+                                 r"35184372088832\), 5348024557502464 bytes "
+                                 r"with its biases, cannot be allocated"):
+            sf.fit(toy_dataset, cfg, tmp_path / "runs", providers=[provider])
+        assert provider.calls == 0
+        assert not (tmp_path / "cache").exists()
+        assert not (tmp_path / "runs").exists()
+
+    def test_row_store_too_large_fails_before_scoring(
+            self, toy_dataset, toy_table, tmp_path, monkeypatch):
+        """A fit's row store that cannot be allocated is a config error
+        naming its size, before any provider call."""
+        def no_memory(self, ids):
+            raise MemoryError
+
+        monkeypatch.setattr(HashedNgramEncoder, "_start_rows", no_memory)
+        provider = sf.MockProvider(toy_table, toy_dataset.schema)
+        with pytest.raises(sf.ConfigurationError,
+                           match=r"encoder row store, \d+ rows of dim 16 "
+                                 r"\(\d+ bytes\), cannot be allocated"):
+            sf.fit(toy_dataset, small_fusion_config(), tmp_path / "runs",
+                   providers=[provider])
+        assert provider.calls == 0
+        assert not (tmp_path / "runs").exists()
+
 
 class TestFit:
     def test_returns_model_and_finalized_record(self, toy_dataset, toy_table):
